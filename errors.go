@@ -7,7 +7,7 @@ import "errors"
 // sentinel with context, so callers can branch with errors.Is instead
 // of matching message strings:
 //
-//	if _, err := pixel.Evaluate(name, d, lanes, bits); errors.Is(err, pixel.ErrUnknownNetwork) {
+//	if _, err := pixel.EvaluateContext(ctx, name, p); errors.Is(err, pixel.ErrUnknownNetwork) {
 //	    // prompt for a valid network
 //	}
 var (

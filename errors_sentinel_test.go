@@ -11,6 +11,8 @@ import (
 // matching sentinel for every bad-input class, so errors.Is works no
 // matter which route a failure took through the engine.
 func TestSentinelWrappingAtFacade(t *testing.T) {
+	// Entry points are labelled by operation; the labels predate the
+	// ...Context forms and stay put as stable subtest names.
 	entryPoints := []struct {
 		name string
 		// call evaluates the given network (ignored for Area) at p.
@@ -18,19 +20,19 @@ func TestSentinelWrappingAtFacade(t *testing.T) {
 		usesNetwork bool
 	}{
 		{"Evaluate", func(n string, p Point) error {
-			_, err := Evaluate(n, p.Design, p.Lanes, p.Bits)
+			_, err := EvaluateContext(context.Background(), n, p)
 			return err
 		}, true},
 		{"EvaluatePower", func(n string, p Point) error {
-			_, err := EvaluatePower(n, p.Design, p.Lanes, p.Bits)
+			_, err := PowerContext(context.Background(), n, p)
 			return err
 		}, true},
 		{"Area", func(n string, p Point) error {
-			_, err := Area(p.Design, p.Lanes, p.Bits)
+			_, err := AreaContext(context.Background(), p)
 			return err
 		}, false},
 		{"MapToGrid", func(n string, p Point) error {
-			_, err := MapToGrid(n, p.Design, p.Lanes, p.Bits, 4, 4, false)
+			_, err := MapContext(context.Background(), MapSpec{Network: n, Point: p, Rows: 4, Cols: 4})
 			return err
 		}, true},
 		{"SweepContext", func(n string, p Point) error {
@@ -69,12 +71,12 @@ func TestSentinelWrappingAtFacade(t *testing.T) {
 		}
 	}
 
-	// ErrBadGrid is MapToGrid-specific: an over-budget wavelength plan.
+	// ErrBadGrid is mapping-specific: an over-budget wavelength plan.
 	t.Run("MapToGrid/bad grid", func(t *testing.T) {
-		if _, err := MapToGrid("LeNet", OO, 16, 8, 4, 16, false); !errors.Is(err, ErrBadGrid) {
+		if _, err := MapContext(context.Background(), MapSpec{Network: "LeNet", Point: Point{OO, 16, 8}, Rows: 4, Cols: 16}); !errors.Is(err, ErrBadGrid) {
 			t.Errorf("err = %v, want errors.Is(ErrBadGrid)", err)
 		}
-		if _, err := MapToGrid("LeNet", OO, 4, 8, 0, 4, false); !errors.Is(err, ErrBadGrid) {
+		if _, err := MapContext(context.Background(), MapSpec{Network: "LeNet", Point: Point{OO, 4, 8}, Rows: 0, Cols: 4}); !errors.Is(err, ErrBadGrid) {
 			t.Errorf("non-positive rows: err = %v, want errors.Is(ErrBadGrid)", err)
 		}
 	})

@@ -1,6 +1,7 @@
 package pixel_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -41,12 +42,12 @@ func ExampleMAC_SignedDotProduct() {
 	// Output: -52
 }
 
-// ExampleEvaluate prices a full VGG16 inference and reports which
-// design wins the energy-delay product.
-func ExampleEvaluate() {
+// ExampleEvaluateContext prices a full VGG16 inference and reports
+// which design wins the energy-delay product.
+func ExampleEvaluateContext() {
 	var best pixel.Result
 	for _, d := range pixel.Designs() {
-		r, err := pixel.Evaluate("VGG16", d, 4, 16)
+		r, err := pixel.EvaluateContext(context.Background(), "VGG16", pixel.Point{Design: d, Lanes: 4, Bits: 16})
 		if err != nil {
 			log.Fatal(err)
 		}

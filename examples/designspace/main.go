@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -17,6 +18,7 @@ import (
 
 func main() {
 	const network = "AlexNet"
+	ctx := context.Background()
 	lanesAxis := []int{2, 4, 8, 16}
 	bitsAxis := []int{4, 8, 16, 32}
 
@@ -30,7 +32,7 @@ func main() {
 		for _, bits := range bitsAxis {
 			var edp [3]float64
 			for i, d := range pixel.Designs() {
-				r, err := pixel.Evaluate(network, d, lanes, bits)
+				r, err := pixel.EvaluateContext(ctx, network, pixel.Point{Design: d, Lanes: lanes, Bits: bits})
 				if err != nil {
 					log.Fatal(err)
 				}
@@ -63,7 +65,7 @@ func main() {
 
 	// Area cost of the win (the paper's stated trade-off).
 	for _, d := range pixel.Designs() {
-		a, err := pixel.Area(d, 4, 4)
+		a, err := pixel.AreaContext(ctx, pixel.Point{Design: d, Lanes: 4, Bits: 4})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -33,14 +33,6 @@ func PowerContext(ctx context.Context, network string, p Point) (PowerSummary, e
 	return p.Power(network)
 }
 
-// EvaluatePower returns the power budget of a design point.
-//
-// Deprecated: use PowerContext (or Point.Power); the positional
-// argument list predates the Point-struct API surface.
-func EvaluatePower(network string, d Design, lanes, bits int) (PowerSummary, error) {
-	return PowerContext(context.Background(), network, Point{Design: d, Lanes: lanes, Bits: bits})
-}
-
 // AreaContext returns the MAC-unit ensemble area [m^2] of design
 // point p. It is the canonical area entry point; ctx cancellation is
 // honoured before any model work starts.
@@ -89,22 +81,6 @@ func MapContext(ctx context.Context, spec MapSpec) (ScheduleSummary, error) {
 		return ScheduleSummary{}, err
 	}
 	return spec.Point.MapToGrid(spec.Network, spec.Rows, spec.Cols, spec.PhotonicWeights)
-}
-
-// MapToGrid schedules a network onto a rows x cols tile grid with the
-// given design point, using photonic weight streaming when
-// photonicWeights is set.
-//
-// Deprecated: use MapContext (or Point.MapToGrid); the positional
-// argument list predates the MapSpec API surface.
-func MapToGrid(network string, d Design, lanes, bits, rows, cols int, photonicWeights bool) (ScheduleSummary, error) {
-	return MapContext(context.Background(), MapSpec{
-		Network:         network,
-		Point:           Point{Design: d, Lanes: lanes, Bits: bits},
-		Rows:            rows,
-		Cols:            cols,
-		PhotonicWeights: photonicWeights,
-	})
 }
 
 // Ablations re-runs the six-CNN evaluation under each calibration

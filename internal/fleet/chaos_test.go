@@ -703,7 +703,11 @@ func TestNoHealthyWorkersRefusalAndJobParking(t *testing.T) {
 
 // TestJobCancellationPropagatesToWorkers cancels a fleet job on the
 // coordinator and requires the cancellation to reach the worker's job
-// registry as a DELETE on the dispatched shard job.
+// registry as a DELETE on the dispatched shard job. The worker holds
+// every job submission until the coordinator DELETE has been sent, so
+// the cancellation always lands while the shard's create call is still
+// in flight — the window in which the worker accepts a job whose ID the
+// coordinator would otherwise never learn.
 func TestJobCancellationPropagatesToWorkers(t *testing.T) {
 	srv := server.New(server.Config{
 		Engine: pixel.NewEngine(pixel.EngineOptions{}),
@@ -715,10 +719,12 @@ func TestJobCancellationPropagatesToWorkers(t *testing.T) {
 	})
 	inner := srv.Handler()
 	var posts, deletes atomic.Int64
+	cancelled := make(chan struct{})
 	wts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case r.Method == http.MethodPost && r.URL.Path == "/v1/jobs":
 			posts.Add(1)
+			<-cancelled
 		case r.Method == http.MethodDelete && strings.HasPrefix(r.URL.Path, "/v1/jobs/"):
 			deletes.Add(1)
 		}
@@ -746,7 +752,9 @@ func TestJobCancellationPropagatesToWorkers(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if err := cl.DeleteJob(context.Background(), h.ID); err != nil {
+	err = cl.DeleteJob(context.Background(), h.ID)
+	close(cancelled)
+	if err != nil {
 		t.Fatal(err)
 	}
 	deadline = time.Now().Add(10 * time.Second)

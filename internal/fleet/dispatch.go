@@ -44,7 +44,11 @@ func jobsUnsupported(err error) bool {
 func (c *Coordinator) runShardJob(ctx context.Context, key string, jreq api.JobRequest, onEvent func(api.JobEvent), onStatus func(api.JobStatusResponse)) (json.RawMessage, error) {
 	order := c.candidates(key)
 	h, w, err := runArm(ctx, c, order, func(ctx context.Context, cl *api.Client) (api.JobHandle, error) {
-		cctx, cancel := context.WithTimeout(ctx, c.opts.RequestTimeout)
+		// Detached from ctx, like the deferred delete below: a worker
+		// may accept the job after ctx dies mid-call, and only a create
+		// that completes hands us the ID that delete needs — otherwise
+		// the orphaned worker job runs to completion holding a slot.
+		cctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), c.opts.RequestTimeout)
 		defer cancel()
 		return cl.CreateJob(cctx, jreq)
 	})

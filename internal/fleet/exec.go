@@ -65,7 +65,8 @@ func runShard[T any](ctx context.Context, c *Coordinator, route, key string, cal
 				}
 				elapsed := time.Since(start)
 				c.window(route).observe(elapsed)
-				c.metrics.observeShard(route, r.worker, elapsed.Seconds())
+				c.metrics.shards.Inc(r.worker, route)
+				c.metrics.shardLatency.Observe(elapsed.Seconds(), route)
 				return r.v, nil
 			}
 			if firstErr == nil {

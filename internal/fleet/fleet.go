@@ -46,7 +46,9 @@ import (
 	"time"
 
 	"pixel/api"
+	"pixel/internal/httpx"
 	"pixel/internal/jobs"
+	"pixel/internal/metrics"
 )
 
 // Defaults for the Options knobs.
@@ -229,7 +231,8 @@ type worker struct {
 // New; Close releases its background machinery.
 type Coordinator struct {
 	opts    Options
-	metrics *metrics
+	metrics counters
+	core    *httpx.Core
 	prober  *prober
 	reg     *jobs.Registry
 	logger  *slog.Logger
@@ -244,7 +247,6 @@ type Coordinator struct {
 	latMu sync.Mutex
 	lat   map[string]*latencyWindow
 
-	draining  atomic.Bool
 	closeOnce sync.Once
 }
 
@@ -258,11 +260,12 @@ func New(opts Options) (*Coordinator, error) {
 	}
 	opts = opts.withDefaults()
 	c := &Coordinator{
-		opts:    opts,
-		metrics: newMetrics(),
-		logger:  opts.Logger,
-		lat:     map[string]*latencyWindow{},
+		opts:   opts,
+		logger: opts.Logger,
+		lat:    map[string]*latencyWindow{},
 	}
+	reg := new(metrics.Registry)
+	c.metrics = newCounters(reg, c)
 	members := make([]*worker, 0, len(opts.Workers))
 	for _, addr := range opts.Workers {
 		members = append(members, c.newWorker(addr))
@@ -286,15 +289,14 @@ func New(opts Options) (*Coordinator, error) {
 		SaveEvery:  opts.JobSaveEvery,
 		Logger:     opts.Logger,
 	})
-	if mgr != nil {
-		resumed, err := c.reg.Recover()
-		if err != nil {
-			c.logger.Warn("fleet: job recovery failed", "err", err)
-		}
-		if resumed > 0 {
-			c.logger.Info("fleet: re-adopted unfinished jobs", "resumed", resumed)
-		}
-	}
+	c.core = httpx.New(httpx.Config{
+		Prefix:      "pixelfleet",
+		Metrics:     reg,
+		RetryAfterS: 1,
+		Jobs:        c.reg,
+		Heartbeat:   opts.Heartbeat,
+		Logger:      opts.Logger,
+	})
 	c.prober = startProber(c)
 	return c, nil
 }
@@ -341,26 +343,7 @@ func (c *Coordinator) Close() {
 // in-flight requests for at most drain — the same lifecycle as a
 // worker pixeld, /healthz "draining" included.
 func (c *Coordinator) Serve(ctx context.Context, ln net.Listener, drain time.Duration) error {
-	hs := &http.Server{
-		Handler:           c.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		ErrorLog:          slog.NewLogLogger(c.logger.Handler(), slog.LevelWarn),
-	}
-	shutdownErr := make(chan error, 1)
-	go func() {
-		<-ctx.Done()
-		c.draining.Store(true)
-		c.logger.Info("fleet: shutting down", "drain", drain)
-		dctx, cancel := context.WithTimeout(context.Background(), drain)
-		defer cancel()
-		shutdownErr <- hs.Shutdown(dctx)
-	}()
-	if err := hs.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	err := <-shutdownErr
-	c.Close()
-	return err
+	return c.core.Serve(ctx, ln, drain, c.Handler(), c.Close)
 }
 
 // healthyCount returns how many members the prober currently trusts.

@@ -321,15 +321,14 @@ func TestProberEvictsAndRevives(t *testing.T) {
 		t.Fatalf("revivals = %d, want 1", got)
 	}
 
-	var buf bytes.Buffer
-	members, _ := c.membership()
-	c.metrics.write(&buf, c.healthyCount(), len(members), c.breakersOpen())
+	rec := httptest.NewRecorder()
+	c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	for _, want := range []string{
 		"pixelfleet_worker_evictions_total 1",
 		"pixelfleet_worker_revivals_total 1",
 		"pixelfleet_workers_healthy 1",
 	} {
-		if !strings.Contains(buf.String(), want) {
+		if !strings.Contains(rec.Body.String(), want) {
 			t.Errorf("metrics output missing %q", want)
 		}
 	}
@@ -516,5 +515,36 @@ func TestValidationMatchesWorker(t *testing.T) {
 	status, got := postJSON(t, ts.URL+"/v1/sweep", bad)
 	if status != wantStatus || !bytes.Equal(got, want) {
 		t.Fatalf("fleet rejection = %d %s, want %d %s", status, got, wantStatus, want)
+	}
+
+	// Strict decoding: unknown fields and anything after the JSON value
+	// are rejected with the worker's exact 400 bad_request envelope.
+	post := func(url, body string) (int, []byte) {
+		resp, err := http.Post(url, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, b
+	}
+	for _, tc := range []struct{ route, body string }{
+		{"/v1/evaluate", `{"network":"LeNet","design":"OO","lane":4,"bits":8}`},
+		{"/v1/evaluate", `{"network":"LeNet","design":"OO","lanes":4,"bits":8} trailing-garbage`},
+		{"/v1/evaluate", `{"network":"LeNet","design":"OO","lanes":4,"bits":8}{"network":"Nope"}`},
+		{"/v1/sweep", `{"networks":["LeNet"],"lanes":[4],"bits":[8]} []`},
+		{"/v1/jobs", `{"kind":"sweep","sweep":{"networks":["LeNet"],"lanes":[4],"bits":[8]}} {}`},
+	} {
+		wantStatus, want := post(workers[0]+tc.route, tc.body)
+		status, got := post(ts.URL+tc.route, tc.body)
+		if wantStatus != http.StatusBadRequest || !bytes.Contains(want, []byte(`"bad_request"`)) {
+			t.Errorf("worker %s %s = %d %s, want 400 bad_request", tc.route, tc.body, wantStatus, want)
+		}
+		if status != wantStatus || !bytes.Equal(got, want) {
+			t.Errorf("fleet %s %s = %d %s, want %d %s", tc.route, tc.body, status, got, wantStatus, want)
+		}
 	}
 }

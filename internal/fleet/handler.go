@@ -4,169 +4,63 @@ import (
 	"context"
 	"net/http"
 
-	"pixel"
-	"pixel/api"
+	"pixel/internal/httpx"
 )
 
 // Handler returns the coordinator's routing tree: the same routes with
 // the same envelopes as a worker pixeld, so clients point at a
-// coordinator with zero changes. Catalog routes (/v1/networks,
-// /v1/designs) answer locally — the coordinator links the same model
-// zoo and design table as its workers.
+// coordinator with zero changes, plus the membership routes.
 func (c *Coordinator) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.Handle("GET /healthz", c.instrument("/healthz", c.handleHealthz))
-	mux.Handle("GET /metrics", c.instrument("/metrics", c.handleMetrics))
-	mux.Handle("GET /v1/networks", c.instrument("/v1/networks", c.handleNetworks))
-	mux.Handle("GET /v1/designs", c.instrument("/v1/designs", c.handleDesigns))
-	mux.Handle("POST /v1/evaluate", c.instrument("/v1/evaluate", c.handleEvaluate))
-	mux.Handle("POST /v1/sweep", c.instrument("/v1/sweep", c.handleSweep))
-	mux.Handle("POST /v1/map", c.instrument("/v1/map", c.handleMap))
-	mux.Handle("POST /v1/robustness", c.instrument("/v1/robustness", c.handleRobustness))
-	mux.Handle("POST /v1/infer", c.instrument("/v1/infer", c.handleInfer))
-	mux.Handle("POST /v1/jobs", c.instrument("/v1/jobs", c.handleJobCreate))
-	mux.Handle("GET /v1/jobs/{id}", c.instrument("/v1/jobs/{id}", c.handleJobGet))
-	mux.Handle("DELETE /v1/jobs/{id}", c.instrument("/v1/jobs/{id}", c.handleJobDelete))
-	mux.Handle("GET /v1/jobs/{id}/events", c.instrument("/v1/jobs/{id}/events", c.handleJobEvents))
-	mux.Handle("GET /v1/fleet/workers", c.instrument("/v1/fleet/workers", c.handleWorkersList))
-	mux.Handle("POST /v1/fleet/workers", c.instrument("/v1/fleet/workers", c.handleWorkerAdd))
-	mux.Handle("DELETE /v1/fleet/workers", c.instrument("/v1/fleet/workers", c.handleWorkerRemove))
-	return mux
+	return c.core.Mux(map[string]http.HandlerFunc{
+		"POST /v1/evaluate":        serve(c, c.Evaluate),
+		"POST /v1/sweep":           serve(c, c.Sweep),
+		"POST /v1/map":             serve(c, c.Map),
+		"POST /v1/robustness":      serve(c, c.Robustness),
+		"POST /v1/infer":           serve(c, c.Infer),
+		"GET /v1/fleet/workers":    c.handleWorkersList,
+		"POST /v1/fleet/workers":   c.handleWorkerAdd,
+		"DELETE /v1/fleet/workers": c.handleWorkerRemove,
+	})
 }
 
-// preflight refuses a synchronous fan-out up front when the fleet has
-// no healthy member — a uniform 503 no_healthy_workers instead of
-// whatever transport error the first doomed shard would produce.
-func (c *Coordinator) preflight(w http.ResponseWriter) bool {
-	if c.healthyCount() == 0 {
-		writeError(w, errNoHealthyWorkers())
-		return false
+// errNoHealthyWorkers is the uniform refusal for synchronous fan-out
+// when every fleet member is evicted: a 503 with its own wire code (not
+// a generic 502 from whichever shard happened to fail first) and a
+// Retry-After hint, so clients can tell "fleet temporarily empty" from
+// a worker-side failure. Fleet jobs never surface this — they park and
+// wait for the prober to revive somebody.
+func errNoHealthyWorkers() error {
+	return &httpx.Error{
+		Status:      http.StatusServiceUnavailable,
+		Code:        "no_healthy_workers",
+		Msg:         "no healthy workers in the fleet; retry shortly",
+		RetryAfterS: 1,
 	}
-	return true
 }
 
-func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if c.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, api.HealthResponse{Status: "draining"})
-		return
+// serve adapts one synchronous fan-out to a route: decode the body
+// strictly, refuse up front when the fleet has no healthy member (a
+// uniform 503 instead of whatever transport error the first doomed
+// shard would produce), bound the fan-out by RequestTimeout end to
+// end, and render the merged response.
+func serve[Req, Resp any](c *Coordinator, run func(context.Context, Req) (Resp, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req Req
+		if err := httpx.DecodeJSON(w, r, &req); err != nil {
+			c.core.WriteError(w, err)
+			return
+		}
+		if c.healthyCount() == 0 {
+			c.core.WriteError(w, errNoHealthyWorkers())
+			return
+		}
+		ctx, cancel := context.WithTimeout(r.Context(), c.opts.RequestTimeout)
+		defer cancel()
+		resp, err := run(ctx, req)
+		if err != nil {
+			c.core.WriteError(w, err)
+			return
+		}
+		httpx.WriteJSON(w, http.StatusOK, resp)
 	}
-	writeJSON(w, http.StatusOK, api.HealthResponse{Status: "ok"})
-}
-
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	members, _ := c.membership()
-	c.metrics.write(w, c.healthyCount(), len(members), c.breakersOpen())
-}
-
-func (c *Coordinator) handleNetworks(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, api.NetworksResponse{Networks: pixel.Networks()})
-}
-
-func (c *Coordinator) handleDesigns(w http.ResponseWriter, r *http.Request) {
-	names := make([]string, 0, 3)
-	for _, d := range pixel.Designs() {
-		names = append(names, d.String())
-	}
-	writeJSON(w, http.StatusOK, api.DesignsResponse{Designs: names})
-}
-
-// requestCtx bounds one synchronous fan-out end to end.
-func (c *Coordinator) requestCtx(r *http.Request) (context.Context, context.CancelFunc) {
-	return context.WithTimeout(r.Context(), c.opts.RequestTimeout)
-}
-
-func (c *Coordinator) handleEvaluate(w http.ResponseWriter, r *http.Request) {
-	var req api.EvaluateRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, err)
-		return
-	}
-	if !c.preflight(w) {
-		return
-	}
-	ctx, cancel := c.requestCtx(r)
-	defer cancel()
-	res, err := c.Evaluate(ctx, req)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
-func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req api.SweepRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, err)
-		return
-	}
-	if !c.preflight(w) {
-		return
-	}
-	ctx, cancel := c.requestCtx(r)
-	defer cancel()
-	resp, err := c.Sweep(ctx, req)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (c *Coordinator) handleRobustness(w http.ResponseWriter, r *http.Request) {
-	var req api.RobustnessRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, err)
-		return
-	}
-	if !c.preflight(w) {
-		return
-	}
-	ctx, cancel := c.requestCtx(r)
-	defer cancel()
-	resp, err := c.Robustness(ctx, req)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (c *Coordinator) handleMap(w http.ResponseWriter, r *http.Request) {
-	var req api.MapRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, err)
-		return
-	}
-	if !c.preflight(w) {
-		return
-	}
-	ctx, cancel := c.requestCtx(r)
-	defer cancel()
-	resp, err := c.Map(ctx, req)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (c *Coordinator) handleInfer(w http.ResponseWriter, r *http.Request) {
-	var req api.InferRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, err)
-		return
-	}
-	if !c.preflight(w) {
-		return
-	}
-	ctx, cancel := c.requestCtx(r)
-	defer cancel()
-	resp, err := c.Infer(ctx, req)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }

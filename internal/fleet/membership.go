@@ -4,6 +4,7 @@ import (
 	"net/http"
 
 	"pixel/api"
+	"pixel/internal/httpx"
 )
 
 // AddWorker admits a new fleet member at runtime and rebuilds the
@@ -14,14 +15,14 @@ import (
 // from the next sweep.
 func (c *Coordinator) AddWorker(addr string) error {
 	if addr == "" {
-		return badRequestf("worker address must be non-empty")
+		return httpx.BadRequestf("worker address must be non-empty")
 	}
 	c.memMu.Lock()
 	defer c.memMu.Unlock()
 	for _, w := range c.members {
 		if w.name == addr {
-			return &httpError{status: http.StatusConflict, code: "conflict",
-				msg: "worker " + addr + " is already a fleet member"}
+			return &httpx.Error{Status: http.StatusConflict, Code: "conflict",
+				Msg: "worker " + addr + " is already a fleet member"}
 		}
 	}
 	members := make([]*worker, 0, len(c.members)+1)
@@ -50,12 +51,12 @@ func (c *Coordinator) RemoveWorker(addr string) error {
 		}
 	}
 	if idx < 0 {
-		return &httpError{status: http.StatusNotFound, code: "not_found",
-			msg: "no fleet member " + addr}
+		return &httpx.Error{Status: http.StatusNotFound, Code: "not_found",
+			Msg: "no fleet member " + addr}
 	}
 	if len(c.members) == 1 {
-		return &httpError{status: http.StatusConflict, code: "conflict",
-			msg: "cannot remove the last fleet member"}
+		return &httpx.Error{Status: http.StatusConflict, Code: "conflict",
+			Msg: "cannot remove the last fleet member"}
 	}
 	members := make([]*worker, 0, len(c.members)-1)
 	members = append(members, c.members[:idx]...)
@@ -104,33 +105,33 @@ func (c *Coordinator) breakersOpen() int {
 }
 
 func (c *Coordinator) handleWorkersList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, api.FleetWorkersResponse{Workers: c.Workers()})
+	httpx.WriteJSON(w, http.StatusOK, api.FleetWorkersResponse{Workers: c.Workers()})
 }
 
 func (c *Coordinator) handleWorkerAdd(w http.ResponseWriter, r *http.Request) {
 	var req api.FleetWorkerRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, err)
+	if err := httpx.DecodeJSON(w, r, &req); err != nil {
+		c.core.WriteError(w, err)
 		return
 	}
 	if err := c.AddWorker(req.Addr); err != nil {
-		writeError(w, err)
+		c.core.WriteError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, api.FleetWorkersResponse{Workers: c.Workers()})
+	httpx.WriteJSON(w, http.StatusOK, api.FleetWorkersResponse{Workers: c.Workers()})
 }
 
 // handleWorkerRemove takes the address in the body (worker addresses
 // are URLs — a path segment would need double escaping).
 func (c *Coordinator) handleWorkerRemove(w http.ResponseWriter, r *http.Request) {
 	var req api.FleetWorkerRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, err)
+	if err := httpx.DecodeJSON(w, r, &req); err != nil {
+		c.core.WriteError(w, err)
 		return
 	}
 	if err := c.RemoveWorker(req.Addr); err != nil {
-		writeError(w, err)
+		c.core.WriteError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, api.FleetWorkersResponse{Workers: c.Workers()})
+	httpx.WriteJSON(w, http.StatusOK, api.FleetWorkersResponse{Workers: c.Workers()})
 }

@@ -1,13 +1,6 @@
 package fleet
 
-import (
-	"fmt"
-	"io"
-	"sort"
-	"strconv"
-	"sync"
-	"sync/atomic"
-)
+import "pixel/internal/metrics"
 
 // shardBuckets are the shard-latency histogram bounds [s]: a warm
 // worker answers an evaluate shard in well under a millisecond over
@@ -17,211 +10,59 @@ var shardBuckets = []float64{
 	0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30,
 }
 
-// metrics is the coordinator's registry, exported on /metrics in
-// Prometheus text exposition format under the pixelfleet_ prefix —
-// same hand-rolled writer discipline as the worker's pixeld_ set.
-type metrics struct {
-	hedgesFired atomic.Int64 // duplicate shard arms launched past the straggler deadline
-	hedgesWon   atomic.Int64 // hedged arms that beat their primary
-	retries     atomic.Int64 // shard attempts after the first (backoff + failover)
-	evictions   atomic.Int64 // healthy->unhealthy worker transitions
-	revivals    atomic.Int64 // unhealthy->healthy worker transitions
+// counters are the coordinator's own /metrics families under the
+// pixelfleet_ prefix. The request, latency, in-flight and jobs
+// families come from the shared HTTP core (internal/httpx).
+type counters struct {
+	hedgesFired *metrics.Counter // duplicate shard arms launched past the straggler deadline
+	hedgesWon   *metrics.Counter // hedged arms that beat their primary
+	retries     *metrics.Counter // shard attempts after the first (backoff + failover)
+	evictions   *metrics.Counter // healthy->unhealthy worker transitions
+	revivals    *metrics.Counter // unhealthy->healthy worker transitions
 
-	breakerOpens atomic.Int64 // circuit-breaker transitions into the open state
-	breakerSkips atomic.Int64 // candidates skipped because their breaker refused the call
+	breakerOpens *metrics.Counter // circuit-breaker transitions into the open state
+	breakerSkips *metrics.Counter // candidates skipped because their breaker refused the call
 
-	workersAdded   atomic.Int64 // members admitted via POST /v1/fleet/workers
-	workersRemoved atomic.Int64 // members retired via DELETE /v1/fleet/workers
+	workersAdded   *metrics.Counter // members admitted via POST /v1/fleet/workers
+	workersRemoved *metrics.Counter // members retired via DELETE /v1/fleet/workers
 
-	salvageRounds  atomic.Int64 // salvage re-plan rounds run by fleet jobs
-	salvagedUnits  atomic.Int64 // cells/σ-points kept from failed shards instead of re-run
-	replannedUnits atomic.Int64 // cells/σ-points re-dispatched in salvage shards
-	jobsParked     atomic.Int64 // fleet jobs that paused waiting for a healthy worker
+	salvageRounds  *metrics.Counter // salvage re-plan rounds run by fleet jobs
+	salvagedUnits  *metrics.Counter // cells/σ-points kept from failed shards instead of re-run
+	replannedUnits *metrics.Counter // cells/σ-points re-dispatched in salvage shards
+	jobsParked     *metrics.Counter // fleet jobs that paused waiting for a healthy worker
 
-	mu        sync.Mutex
-	requests  map[routeCode]int64   // completed coordinator requests by route+status
-	shards    map[workerRoute]int64 // shards served, by winning worker and route
-	durations map[string]*histogram // shard latency by route
+	shards       *metrics.CounterVec   // shards served, by winning worker and route
+	shardLatency *metrics.HistogramVec // shard latency by route
 }
 
-type routeCode struct {
-	route string
-	code  int
-}
-
-type workerRoute struct {
-	worker string
-	route  string
-}
-
-type histogram struct {
-	counts []int64 // one per bucket, cumulative at render time only
-	sum    float64
-	count  int64
-}
-
-func newMetrics() *metrics {
-	return &metrics{
-		requests:  map[routeCode]int64{},
-		shards:    map[workerRoute]int64{},
-		durations: map[string]*histogram{},
-	}
-}
-
-// observeRequest records one completed coordinator HTTP request.
-func (m *metrics) observeRequest(route string, code int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.requests[routeCode{route, code}]++
-}
-
-// observeShard records one shard served by worker on route.
-func (m *metrics) observeShard(route, worker string, seconds float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.shards[workerRoute{worker, route}]++
-	h, ok := m.durations[route]
-	if !ok {
-		h = &histogram{counts: make([]int64, len(shardBuckets))}
-		m.durations[route] = h
-	}
-	for i, b := range shardBuckets {
-		if seconds <= b {
-			h.counts[i]++
-			break
-		}
-	}
-	h.sum += seconds
-	h.count++
-}
-
-// shardCount returns the shards served by worker on route — the test
-// hook behind routing assertions.
-func (m *metrics) shardCount(route, worker string) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.shards[workerRoute{worker, route}]
-}
-
-// write renders the registry in Prometheus text format. Series are
-// emitted in sorted label order so scrapes are diffable.
-func (m *metrics) write(w io.Writer, healthy, total, breakersOpen int) {
-	fmt.Fprintln(w, "# HELP pixelfleet_workers Configured workers in the fleet.")
-	fmt.Fprintln(w, "# TYPE pixelfleet_workers gauge")
-	fmt.Fprintf(w, "pixelfleet_workers %d\n", total)
-
-	fmt.Fprintln(w, "# HELP pixelfleet_workers_healthy Workers the prober currently trusts.")
-	fmt.Fprintln(w, "# TYPE pixelfleet_workers_healthy gauge")
-	fmt.Fprintf(w, "pixelfleet_workers_healthy %d\n", healthy)
-
-	fmt.Fprintln(w, "# HELP pixelfleet_breakers_open Workers whose circuit breaker currently refuses calls.")
-	fmt.Fprintln(w, "# TYPE pixelfleet_breakers_open gauge")
-	fmt.Fprintf(w, "pixelfleet_breakers_open %d\n", breakersOpen)
-
-	fmt.Fprintln(w, "# HELP pixelfleet_hedges_fired_total Duplicate shard arms launched past the straggler deadline.")
-	fmt.Fprintln(w, "# TYPE pixelfleet_hedges_fired_total counter")
-	fmt.Fprintf(w, "pixelfleet_hedges_fired_total %d\n", m.hedgesFired.Load())
-
-	fmt.Fprintln(w, "# HELP pixelfleet_hedges_won_total Hedged arms that beat their primary.")
-	fmt.Fprintln(w, "# TYPE pixelfleet_hedges_won_total counter")
-	fmt.Fprintf(w, "pixelfleet_hedges_won_total %d\n", m.hedgesWon.Load())
-
-	fmt.Fprintln(w, "# HELP pixelfleet_shard_retries_total Shard attempts after the first (backoff and ring failover).")
-	fmt.Fprintln(w, "# TYPE pixelfleet_shard_retries_total counter")
-	fmt.Fprintf(w, "pixelfleet_shard_retries_total %d\n", m.retries.Load())
-
-	fmt.Fprintln(w, "# HELP pixelfleet_worker_evictions_total Workers evicted after failed or draining health probes.")
-	fmt.Fprintln(w, "# TYPE pixelfleet_worker_evictions_total counter")
-	fmt.Fprintf(w, "pixelfleet_worker_evictions_total %d\n", m.evictions.Load())
-
-	fmt.Fprintln(w, "# HELP pixelfleet_worker_revivals_total Evicted workers revived by a good health probe.")
-	fmt.Fprintln(w, "# TYPE pixelfleet_worker_revivals_total counter")
-	fmt.Fprintf(w, "pixelfleet_worker_revivals_total %d\n", m.revivals.Load())
-
-	fmt.Fprintln(w, "# HELP pixelfleet_breaker_opens_total Circuit-breaker transitions into the open state.")
-	fmt.Fprintln(w, "# TYPE pixelfleet_breaker_opens_total counter")
-	fmt.Fprintf(w, "pixelfleet_breaker_opens_total %d\n", m.breakerOpens.Load())
-
-	fmt.Fprintln(w, "# HELP pixelfleet_breaker_skips_total Candidate workers skipped because their breaker refused the call.")
-	fmt.Fprintln(w, "# TYPE pixelfleet_breaker_skips_total counter")
-	fmt.Fprintf(w, "pixelfleet_breaker_skips_total %d\n", m.breakerSkips.Load())
-
-	fmt.Fprintln(w, "# HELP pixelfleet_workers_added_total Members admitted via the membership API.")
-	fmt.Fprintln(w, "# TYPE pixelfleet_workers_added_total counter")
-	fmt.Fprintf(w, "pixelfleet_workers_added_total %d\n", m.workersAdded.Load())
-
-	fmt.Fprintln(w, "# HELP pixelfleet_workers_removed_total Members retired via the membership API.")
-	fmt.Fprintln(w, "# TYPE pixelfleet_workers_removed_total counter")
-	fmt.Fprintf(w, "pixelfleet_workers_removed_total %d\n", m.workersRemoved.Load())
-
-	fmt.Fprintln(w, "# HELP pixelfleet_salvage_rounds_total Salvage re-plan rounds run by fleet jobs.")
-	fmt.Fprintln(w, "# TYPE pixelfleet_salvage_rounds_total counter")
-	fmt.Fprintf(w, "pixelfleet_salvage_rounds_total %d\n", m.salvageRounds.Load())
-
-	fmt.Fprintln(w, "# HELP pixelfleet_salvaged_units_total Cells and sigma points kept from failed shards instead of re-run.")
-	fmt.Fprintln(w, "# TYPE pixelfleet_salvaged_units_total counter")
-	fmt.Fprintf(w, "pixelfleet_salvaged_units_total %d\n", m.salvagedUnits.Load())
-
-	fmt.Fprintln(w, "# HELP pixelfleet_replanned_units_total Cells and sigma points re-dispatched in salvage shards.")
-	fmt.Fprintln(w, "# TYPE pixelfleet_replanned_units_total counter")
-	fmt.Fprintf(w, "pixelfleet_replanned_units_total %d\n", m.replannedUnits.Load())
-
-	fmt.Fprintln(w, "# HELP pixelfleet_jobs_parked_total Fleet jobs that paused waiting for a healthy worker.")
-	fmt.Fprintln(w, "# TYPE pixelfleet_jobs_parked_total counter")
-	fmt.Fprintf(w, "pixelfleet_jobs_parked_total %d\n", m.jobsParked.Load())
-
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
-	fmt.Fprintln(w, "# HELP pixelfleet_requests_total Completed coordinator requests by route and status code.")
-	fmt.Fprintln(w, "# TYPE pixelfleet_requests_total counter")
-	rcs := make([]routeCode, 0, len(m.requests))
-	for k := range m.requests {
-		rcs = append(rcs, k)
-	}
-	sort.Slice(rcs, func(i, j int) bool {
-		if rcs[i].route != rcs[j].route {
-			return rcs[i].route < rcs[j].route
-		}
-		return rcs[i].code < rcs[j].code
+// newCounters registers the coordinator's families; the membership
+// gauges read c at scrape time.
+func newCounters(reg *metrics.Registry, c *Coordinator) counters {
+	reg.GaugeFunc("pixelfleet_workers", "Configured workers in the fleet.", func() int64 {
+		members, _ := c.membership()
+		return int64(len(members))
 	})
-	for _, k := range rcs {
-		fmt.Fprintf(w, "pixelfleet_requests_total{route=%q,code=\"%d\"} %d\n", k.route, k.code, m.requests[k])
-	}
-
-	fmt.Fprintln(w, "# HELP pixelfleet_shards_total Shards served, by winning worker and route.")
-	fmt.Fprintln(w, "# TYPE pixelfleet_shards_total counter")
-	wrs := make([]workerRoute, 0, len(m.shards))
-	for k := range m.shards {
-		wrs = append(wrs, k)
-	}
-	sort.Slice(wrs, func(i, j int) bool {
-		if wrs[i].worker != wrs[j].worker {
-			return wrs[i].worker < wrs[j].worker
-		}
-		return wrs[i].route < wrs[j].route
+	reg.GaugeFunc("pixelfleet_workers_healthy", "Workers the prober currently trusts.", func() int64 {
+		return int64(c.healthyCount())
 	})
-	for _, k := range wrs {
-		fmt.Fprintf(w, "pixelfleet_shards_total{worker=%q,route=%q} %d\n", k.worker, k.route, m.shards[k])
-	}
-
-	fmt.Fprintln(w, "# HELP pixelfleet_shard_duration_seconds Shard latency by route.")
-	fmt.Fprintln(w, "# TYPE pixelfleet_shard_duration_seconds histogram")
-	routes := make([]string, 0, len(m.durations))
-	for r := range m.durations {
-		routes = append(routes, r)
-	}
-	sort.Strings(routes)
-	for _, r := range routes {
-		h := m.durations[r]
-		var cum int64
-		for i, b := range shardBuckets {
-			cum += h.counts[i]
-			fmt.Fprintf(w, "pixelfleet_shard_duration_seconds_bucket{route=%q,le=%q} %d\n",
-				r, strconv.FormatFloat(b, 'g', -1, 64), cum)
-		}
-		fmt.Fprintf(w, "pixelfleet_shard_duration_seconds_bucket{route=%q,le=\"+Inf\"} %d\n", r, h.count)
-		fmt.Fprintf(w, "pixelfleet_shard_duration_seconds_sum{route=%q} %g\n", r, h.sum)
-		fmt.Fprintf(w, "pixelfleet_shard_duration_seconds_count{route=%q} %d\n", r, h.count)
+	reg.GaugeFunc("pixelfleet_breakers_open", "Workers whose circuit breaker currently refuses calls.", func() int64 {
+		return int64(c.breakersOpen())
+	})
+	return counters{
+		hedgesFired:    reg.Counter("pixelfleet_hedges_fired_total", "Duplicate shard arms launched past the straggler deadline."),
+		hedgesWon:      reg.Counter("pixelfleet_hedges_won_total", "Hedged arms that beat their primary."),
+		retries:        reg.Counter("pixelfleet_shard_retries_total", "Shard attempts after the first (backoff and ring failover)."),
+		evictions:      reg.Counter("pixelfleet_worker_evictions_total", "Workers evicted after failed or draining health probes."),
+		revivals:       reg.Counter("pixelfleet_worker_revivals_total", "Evicted workers revived by a good health probe."),
+		breakerOpens:   reg.Counter("pixelfleet_breaker_opens_total", "Circuit-breaker transitions into the open state."),
+		breakerSkips:   reg.Counter("pixelfleet_breaker_skips_total", "Candidate workers skipped because their breaker refused the call."),
+		workersAdded:   reg.Counter("pixelfleet_workers_added_total", "Members admitted via the membership API."),
+		workersRemoved: reg.Counter("pixelfleet_workers_removed_total", "Members retired via the membership API."),
+		salvageRounds:  reg.Counter("pixelfleet_salvage_rounds_total", "Salvage re-plan rounds run by fleet jobs."),
+		salvagedUnits:  reg.Counter("pixelfleet_salvaged_units_total", "Cells and sigma points kept from failed shards instead of re-run."),
+		replannedUnits: reg.Counter("pixelfleet_replanned_units_total", "Cells and sigma points re-dispatched in salvage shards."),
+		jobsParked:     reg.Counter("pixelfleet_jobs_parked_total", "Fleet jobs that paused waiting for a healthy worker."),
+		shards:         reg.CounterVec("pixelfleet_shards_total", "Shards served, by winning worker and route.", "worker", "route"),
+		shardLatency:   reg.HistogramVec("pixelfleet_shard_duration_seconds", "Shard latency by route.", shardBuckets, "route"),
 	}
 }

@@ -6,14 +6,7 @@ import (
 
 	"pixel"
 	"pixel/api"
-)
-
-// Request-size limits mirrored from the worker's synchronous routes: a
-// coordinator must reject what a single node would reject, with the
-// same message, before any worker sees the request.
-const (
-	maxSweepJobs   = 65536
-	maxSigmaPoints = 256
+	"pixel/internal/httpx"
 )
 
 // sweepShard is one worker-sized block of a sweep: a valid /v1/sweep
@@ -34,32 +27,15 @@ type sweepShard struct {
 // so every shard stays a contiguous block and its sub-request stays a
 // pure cross product. points is the full grid size.
 func planSweep(req api.SweepRequest, target int) (shards []sweepShard, points int, err error) {
-	if len(req.Networks) == 0 {
-		return nil, 0, badRequestf("networks must be non-empty")
-	}
-	if len(req.Lanes) == 0 || len(req.Bits) == 0 {
-		return nil, 0, badRequestf("lanes and bits axes must be non-empty")
-	}
-	designs := pixel.Designs()
-	if len(req.Designs) > 0 {
-		designs = designs[:0]
-		for _, name := range req.Designs {
-			d, err := pixel.ParseDesign(name)
-			if err != nil {
-				return nil, 0, err
-			}
-			designs = append(designs, d)
-		}
+	designs, points, err := httpx.SweepDesigns(req)
+	if err != nil {
+		return nil, 0, err
 	}
 	names := make([]string, len(designs))
 	for i, d := range designs {
 		names[i] = d.String()
 	}
 	D, L, B := len(designs), len(req.Lanes), len(req.Bits)
-	points = D * L * B
-	if n := len(req.Networks) * points; n > maxSweepJobs {
-		return nil, 0, badRequestf("sweep of %d jobs exceeds the %d-job limit", n, maxSweepJobs)
-	}
 	if target < 1 {
 		target = 1
 	}
@@ -146,14 +122,8 @@ type robustShard struct {
 // the full-axis run would for its σ values, and the baseline is
 // σ-independent.
 func planRobustness(req api.RobustnessRequest, maxTrials, target int) ([]robustShard, error) {
-	if _, err := pixel.ParseDesign(req.Design); err != nil {
+	if _, err := httpx.RobustnessSpec(req, maxTrials); err != nil {
 		return nil, err
-	}
-	if req.Trials > maxTrials {
-		return nil, badRequestf("trials %d exceeds the %d-trial limit", req.Trials, maxTrials)
-	}
-	if len(req.Sigmas) > maxSigmaPoints {
-		return nil, badRequestf("sigma axis of %d points exceeds the %d-point limit", len(req.Sigmas), maxSigmaPoints)
 	}
 	n := len(req.Sigmas)
 	if n == 0 || target <= 1 {

@@ -1,0 +1,73 @@
+package httpx
+
+import (
+	"pixel"
+	"pixel/api"
+)
+
+// Request-size limits both roles enforce, with the same messages,
+// before any work starts: a coordinator must reject what a single node
+// would, without touching a worker.
+const (
+	// MaxSweepJobs bounds the (networks x points) size of one sweep;
+	// grids beyond it are rejected up front instead of tying a worker
+	// pool up for minutes on one caller.
+	MaxSweepJobs = 65536
+	// MaxSigmaPoints bounds the σ axis of one robustness request;
+	// together with the trial cap it bounds the total inference count
+	// a single caller can queue.
+	MaxSigmaPoints = 256
+)
+
+// SweepDesigns validates a sweep request (a /v1/sweep body or a sweep
+// job spec) and returns its design axis — every design when the
+// request names none — and the size of its design-major point grid.
+func SweepDesigns(req api.SweepRequest) (designs []pixel.Design, points int, err error) {
+	if len(req.Networks) == 0 {
+		return nil, 0, BadRequestf("networks must be non-empty")
+	}
+	if len(req.Lanes) == 0 || len(req.Bits) == 0 {
+		return nil, 0, BadRequestf("lanes and bits axes must be non-empty")
+	}
+	designs = pixel.Designs()
+	if len(req.Designs) > 0 {
+		designs = designs[:0]
+		for _, name := range req.Designs {
+			d, err := pixel.ParseDesign(name)
+			if err != nil {
+				return nil, 0, err
+			}
+			designs = append(designs, d)
+		}
+	}
+	points = len(designs) * len(req.Lanes) * len(req.Bits)
+	if n := len(req.Networks) * points; n > MaxSweepJobs {
+		return nil, 0, BadRequestf("sweep of %d jobs exceeds the %d-job limit", n, MaxSweepJobs)
+	}
+	return designs, points, nil
+}
+
+// RobustnessSpec validates a robustness request (a /v1/robustness
+// body or a robustness job spec) against the trial cap and the σ-axis
+// limit and returns the engine spec it describes.
+func RobustnessSpec(req api.RobustnessRequest, maxTrials int) (pixel.RobustnessSpec, error) {
+	d, err := pixel.ParseDesign(req.Design)
+	if err != nil {
+		return pixel.RobustnessSpec{}, err
+	}
+	if req.Trials > maxTrials {
+		return pixel.RobustnessSpec{}, BadRequestf("trials %d exceeds the %d-trial limit", req.Trials, maxTrials)
+	}
+	if len(req.Sigmas) > MaxSigmaPoints {
+		return pixel.RobustnessSpec{}, BadRequestf("sigma axis of %d points exceeds the %d-point limit", len(req.Sigmas), MaxSigmaPoints)
+	}
+	return pixel.RobustnessSpec{
+		Network:     req.Network,
+		Design:      d,
+		Sigmas:      req.Sigmas,
+		Trials:      req.Trials,
+		Seed:        req.Seed,
+		ErrorBudget: req.ErrorBudget,
+		Protection:  req.Protection,
+	}, nil
+}

@@ -2,14 +2,20 @@ package server
 
 import (
 	"context"
-	"errors"
+	"net/http"
 	"time"
+
+	"pixel/internal/httpx"
 )
 
 // errShed is the admission-control rejection: the server is at its
 // in-flight bound and the request did not get a slot within the queue
-// timeout. Handlers map it to HTTP 429 with a Retry-After hint.
-var errShed = errors.New("server: overloaded, request shed")
+// timeout. It renders as HTTP 429 with a Retry-After hint.
+var errShed error = &httpx.Error{
+	Status: http.StatusTooManyRequests,
+	Code:   "overloaded",
+	Msg:    "server: overloaded, request shed",
+}
 
 // limiter is the admission controller: a bounded in-flight semaphore
 // with a queue timeout. Rather than letting fan-in stack goroutines

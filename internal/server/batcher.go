@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"pixel"
+	"pixel/internal/httpx"
 )
 
 // InferEvaluator is the optional engine surface behind POST /v1/infer:
@@ -110,10 +111,10 @@ func (b *microBatcher) Submit(ctx context.Context, network string, images [][]in
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
-		return nil, 0, &httpError{
-			status: http.StatusServiceUnavailable,
-			code:   "shutting_down",
-			msg:    "server is draining",
+		return nil, 0, &httpx.Error{
+			Status: http.StatusServiceUnavailable,
+			Code:   "shutting_down",
+			Msg:    "server is draining",
 		}
 	}
 	pb := b.pending[network]

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"pixel"
+	"pixel/internal/httpx"
 )
 
 // echoRun is a controllable batch backend: it counts passes, records
@@ -252,9 +253,9 @@ func TestBatcherCloseDrainsPartials(t *testing.T) {
 	}
 
 	_, _, err := b.Submit(context.Background(), "net", [][]int64{{1}})
-	var he *httpError
-	if !errors.As(err, &he) || he.status != 503 {
-		t.Fatalf("post-Close Submit err = %v, want 503 httpError", err)
+	var he *httpx.Error
+	if !errors.As(err, &he) || he.Status != 503 {
+		t.Fatalf("post-Close Submit err = %v, want 503 httpx.Error", err)
 	}
 }
 

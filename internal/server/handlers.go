@@ -2,151 +2,24 @@ package server
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"strings"
 
 	"pixel"
 	"pixel/api"
-	"pixel/internal/jobs"
+	"pixel/internal/httpx"
 )
-
-// statusClientClosedRequest is the nginx-convention status recorded
-// when the client hung up before the response was ready; nothing
-// reaches the wire, but logs and counters need a code.
-const statusClientClosedRequest = 499
-
-// maxSweepJobs bounds the (networks x points) size of one sweep
-// request; grids beyond it are rejected up front instead of tying a
-// worker pool up for minutes on one caller.
-const maxSweepJobs = 65536
-
-// httpError carries an explicit status and code for request-shape
-// failures (bad JSON, missing fields, unconfigured routes) that have
-// no engine sentinel.
-type httpError struct {
-	status int
-	code   string
-	msg    string
-}
-
-func (e *httpError) Error() string { return e.msg }
-
-func badRequestf(format string, args ...any) error {
-	return &httpError{status: http.StatusBadRequest, code: "bad_request", msg: fmt.Sprintf(format, args...)}
-}
-
-// errorTable is the single sentinel -> (HTTP status, wire code)
-// mapping every route renders errors through; first errors.Is match
-// wins. Codes are part of the versioned wire contract (api.Error).
-var errorTable = []struct {
-	is     error
-	status int
-	code   string
-}{
-	{errShed, http.StatusTooManyRequests, "overloaded"},
-	{jobs.ErrRegistryFull, http.StatusTooManyRequests, "overloaded"},
-	{jobs.ErrBadLastEventID, http.StatusBadRequest, "bad_request"},
-	{pixel.ErrUnknownNetwork, http.StatusNotFound, "unknown_network"},
-	{pixel.ErrUnknownDesign, http.StatusBadRequest, "unknown_design"},
-	{pixel.ErrBadPrecision, http.StatusBadRequest, "bad_precision"},
-	{pixel.ErrBadGrid, http.StatusBadRequest, "bad_grid"},
-	{pixel.ErrBadSpec, http.StatusBadRequest, "bad_spec"},
-	{context.DeadlineExceeded, http.StatusGatewayTimeout, "deadline_exceeded"},
-	{context.Canceled, statusClientClosedRequest, "client_closed_request"},
-}
-
-// classify maps an error to its documented HTTP status and wire code:
-// explicit httpErrors first, then the sentinel table, else 500.
-func classify(err error) (status int, code string) {
-	var he *httpError
-	if errors.As(err, &he) {
-		return he.status, he.code
-	}
-	for _, e := range errorTable {
-		if errors.Is(err, e.is) {
-			return e.status, e.code
-		}
-	}
-	return http.StatusInternalServerError, "internal"
-}
-
-// writeError renders err as the uniform api.ErrorEnvelope every route
-// shares. Shed requests get a Retry-After hint (header and envelope
-// field) sized to the queue timeout and count toward the shed metric.
-func (s *Server) writeError(w http.ResponseWriter, err error) {
-	status, code := classify(err)
-	detail := api.Error{Code: code, Message: err.Error()}
-	if status == http.StatusTooManyRequests {
-		s.metrics.shed.Add(1)
-		detail.RetryAfterS = int(math.Ceil(math.Max(s.retryAfter.Seconds(), 1)))
-		w.Header().Set("Retry-After", fmt.Sprint(detail.RetryAfterS))
-	}
-	writeJSON(w, status, api.ErrorEnvelope{Error: detail})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // the client is gone if this fails; nothing to do
-}
-
-// decodeJSON parses a bounded request body strictly: unknown fields
-// are rejected so schema typos fail loudly instead of silently
-// evaluating defaults.
-func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return badRequestf("bad request body: %v", err)
-	}
-	return nil
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	// A draining server answers 503 "draining" so load balancers and
-	// the fleet coordinator stop routing to it while its in-flight
-	// requests finish; the body still carries the status word for
-	// probers that want to tell "shutting down" from "gone".
-	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, api.HealthResponse{Status: "draining"})
-		return
-	}
-	writeJSON(w, http.StatusOK, api.HealthResponse{Status: "ok"})
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.write(w, s.engine)
-}
-
-func (s *Server) handleNetworks(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, api.NetworksResponse{Networks: pixel.Networks()})
-}
-
-func (s *Server) handleDesigns(w http.ResponseWriter, r *http.Request) {
-	names := make([]string, 0, 3)
-	for _, d := range pixel.Designs() {
-		names = append(names, d.String())
-	}
-	writeJSON(w, http.StatusOK, api.DesignsResponse{Designs: names})
-}
 
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	var req api.EvaluateRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		s.writeError(w, err)
+	if err := httpx.DecodeJSON(w, r, &req); err != nil {
+		s.core.WriteError(w, err)
 		return
 	}
 	d, err := pixel.ParseDesign(req.Design)
 	if err != nil {
-		s.writeError(w, err)
+		s.core.WriteError(w, err)
 		return
 	}
 	p := pixel.Point{Design: d, Lanes: req.Lanes, Bits: req.Bits}
@@ -166,43 +39,24 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		s.metrics.coalesced.Add(1)
 	}
 	if err != nil {
-		s.writeError(w, err)
+		s.core.WriteError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, api.FromResult(res, true))
+	httpx.WriteJSON(w, http.StatusOK, api.FromResult(res, true))
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req api.SweepRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		s.writeError(w, err)
+	if err := httpx.DecodeJSON(w, r, &req); err != nil {
+		s.core.WriteError(w, err)
 		return
 	}
-	if len(req.Networks) == 0 {
-		s.writeError(w, badRequestf("networks must be non-empty"))
+	designs, _, err := httpx.SweepDesigns(req)
+	if err != nil {
+		s.core.WriteError(w, err)
 		return
-	}
-	if len(req.Lanes) == 0 || len(req.Bits) == 0 {
-		s.writeError(w, badRequestf("lanes and bits axes must be non-empty"))
-		return
-	}
-	designs := pixel.Designs()
-	if len(req.Designs) > 0 {
-		designs = designs[:0]
-		for _, name := range req.Designs {
-			d, err := pixel.ParseDesign(name)
-			if err != nil {
-				s.writeError(w, err)
-				return
-			}
-			designs = append(designs, d)
-		}
 	}
 	points := pixel.Grid(designs, req.Lanes, req.Bits)
-	if jobs := len(req.Networks) * len(points); jobs > maxSweepJobs {
-		s.writeError(w, badRequestf("sweep of %d jobs exceeds the %d-job limit", jobs, maxSweepJobs))
-		return
-	}
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.requestTimeout)
 	defer cancel()
@@ -220,10 +74,16 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.metrics.coalesced.Add(1)
 	}
 	if err != nil {
-		s.writeError(w, err)
+		s.core.WriteError(w, err)
 		return
 	}
-	resp := api.SweepResponse{Points: len(points), Results: make(map[string][]api.Result, len(byNet))}
+	httpx.WriteJSON(w, http.StatusOK, sweepResponse(len(points), byNet))
+}
+
+// sweepResponse renders engine results as the /v1/sweep payload (also
+// a sweep job's final result).
+func sweepResponse(points int, byNet map[string][]pixel.Result) api.SweepResponse {
+	resp := api.SweepResponse{Points: points, Results: make(map[string][]api.Result, len(byNet))}
 	for name, results := range byNet {
 		rows := make([]api.Result, len(results))
 		for i, res := range results {
@@ -231,7 +91,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Results[name] = rows
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp
 }
 
 // maxInferImages bounds the image count of one /v1/infer request;
@@ -241,24 +101,24 @@ const maxInferImages = 256
 
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	if s.infer == nil {
-		s.writeError(w, &httpError{
-			status: http.StatusNotImplemented,
-			code:   "not_implemented",
-			msg:    "inference serving is not enabled on this server",
+		s.core.WriteError(w, &httpx.Error{
+			Status: http.StatusNotImplemented,
+			Code:   "not_implemented",
+			Msg:    "inference serving is not enabled on this server",
 		})
 		return
 	}
 	var req api.InferRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		s.writeError(w, err)
+	if err := httpx.DecodeJSON(w, r, &req); err != nil {
+		s.core.WriteError(w, err)
 		return
 	}
 	if len(req.Images) == 0 {
-		s.writeError(w, badRequestf("images must be non-empty"))
+		s.core.WriteError(w, httpx.BadRequestf("images must be non-empty"))
 		return
 	}
 	if len(req.Images) > maxInferImages {
-		s.writeError(w, badRequestf("%d images exceeds the %d-image limit", len(req.Images), maxInferImages))
+		s.core.WriteError(w, httpx.BadRequestf("%d images exceeds the %d-image limit", len(req.Images), maxInferImages))
 		return
 	}
 	// Validate shape before joining a batch: a batched pass is shared,
@@ -267,19 +127,19 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	network := strings.ToLower(strings.TrimSpace(req.Network))
 	shape, err := s.infer.NetworkShape(network)
 	if err != nil {
-		s.writeError(w, err)
+		s.core.WriteError(w, err)
 		return
 	}
 	want := shape.H * shape.W * shape.C
 	for i, img := range req.Images {
 		if len(img) != want {
-			s.writeError(w, badRequestf("image %d has %d values, want %dx%dx%d = %d",
+			s.core.WriteError(w, httpx.BadRequestf("image %d has %d values, want %dx%dx%d = %d",
 				i, len(img), shape.H, shape.W, shape.C, want))
 			return
 		}
 		for _, v := range img {
 			if v < 0 || v > shape.MaxValue {
-				s.writeError(w, badRequestf("image %d has value %d outside [0, %d]", i, v, shape.MaxValue))
+				s.core.WriteError(w, httpx.BadRequestf("image %d has value %d outside [0, %d]", i, v, shape.MaxValue))
 				return
 			}
 		}
@@ -287,32 +147,32 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 
 	results, batched, err := s.batcher.Submit(r.Context(), network, req.Images)
 	if err != nil {
-		s.writeError(w, err)
+		s.core.WriteError(w, err)
 		return
 	}
 	resp := api.InferResponse{Results: make([]api.InferResult, len(results)), Batched: batched}
 	for i, res := range results {
 		resp.Results[i] = api.InferResult{Outputs: res.Outputs, ArgMax: res.ArgMax}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpx.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	var req api.MapRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		s.writeError(w, err)
+	if err := httpx.DecodeJSON(w, r, &req); err != nil {
+		s.core.WriteError(w, err)
 		return
 	}
 	d, err := pixel.ParseDesign(req.Design)
 	if err != nil {
-		s.writeError(w, err)
+		s.core.WriteError(w, err)
 		return
 	}
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.requestTimeout)
 	defer cancel()
 	if err := s.limiter.acquire(ctx); err != nil {
-		s.writeError(w, err)
+		s.core.WriteError(w, err)
 		return
 	}
 	defer s.limiter.release()
@@ -325,10 +185,10 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		PhotonicWeights: req.PhotonicWeights,
 	})
 	if err != nil {
-		s.writeError(w, err)
+		s.core.WriteError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, api.MapResponse{
+	httpx.WriteJSON(w, http.StatusOK, api.MapResponse{
 		Network:     sched.Network,
 		Rows:        sched.Rows,
 		Cols:        sched.Cols,

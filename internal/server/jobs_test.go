@@ -389,6 +389,7 @@ func TestJobValidation(t *testing.T) {
 		"trials over cap": `{"kind":"robustness","robustness":{"network":"tiny","design":"OO","sigmas":[0],"trials":17}}`,
 		"empty networks":  `{"kind":"sweep","sweep":{"networks":[],"lanes":[2],"bits":[4]}}`,
 		"unknown field":   `{"kind":"robustness","robustness":{"network":"tiny","design":"OO","sigmas":[0],"trials":4,"cheat":true}}`,
+		"trailing data":   `{"kind":"robustness","robustness":{"network":"tiny","design":"OO","sigmas":[0],"trials":4}} {"kind":"sweep"}`,
 	} {
 		resp, got := postJSON(t, ts.URL+"/v1/jobs", body)
 		if resp.StatusCode != http.StatusBadRequest {

@@ -1,170 +1,25 @@
 package server
 
-import (
-	"fmt"
-	"io"
-	"sort"
-	"strconv"
-	"sync"
-	"sync/atomic"
-)
+import "pixel/internal/metrics"
 
-// durationBuckets are the latency histogram bounds [s]: the cached
-// engine path is ~55µs, a cold single evaluate a few hundred µs, and a
-// large multi-network sweep can run into seconds.
-var durationBuckets = []float64{
-	0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
-	0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
+// counters are the worker's own /metrics families. The request,
+// latency, in-flight and jobs families come from the shared HTTP core
+// (internal/httpx) under the same pixeld_ prefix.
+type counters struct {
+	shed         *metrics.Counter // requests rejected by admission control
+	coalesced    *metrics.Counter // requests that shared another's flight
+	inferBatches *metrics.Counter // batched /v1/infer engine passes
+	inferImages  *metrics.Counter // images served across those passes
 }
 
-// metrics is the server's metric registry, exported on /metrics in
-// Prometheus text exposition format. Everything is either an atomic or
-// guarded by mu; scrapes see a consistent-enough snapshot (Prometheus
-// semantics do not require cross-series atomicity).
-type metrics struct {
-	inFlight     atomic.Int64 // HTTP requests currently being served
-	shed         atomic.Int64 // requests rejected by admission control
-	coalesced    atomic.Int64 // requests that shared another's flight
-	inferBatches atomic.Int64 // batched /v1/infer engine passes
-	inferImages  atomic.Int64 // images served across those passes
-	jobsCreated  atomic.Int64 // durable jobs admitted via POST /v1/jobs
-	jobsResumed  atomic.Int64 // jobs re-adopted from checkpoints at startup
-
-	mu        sync.Mutex
-	requests  map[routeCode]int64       // completed requests by route+status
-	durations map[string]*histogram     // request latency by route
-}
-
-type routeCode struct {
-	route string
-	code  int
-}
-
-type histogram struct {
-	counts []int64 // one per bucket, cumulative at render time only
-	sum    float64
-	count  int64
-}
-
-func newMetrics() *metrics {
-	return &metrics{
-		requests:  map[routeCode]int64{},
-		durations: map[string]*histogram{},
+func newCounters(reg *metrics.Registry, eng Evaluator) counters {
+	c := counters{
+		shed:         reg.Counter("pixeld_shed_total", "Requests rejected by admission control (HTTP 429)."),
+		coalesced:    reg.Counter("pixeld_coalesced_total", "Requests that shared an identical in-flight computation."),
+		inferBatches: reg.Counter("pixeld_infer_batches_total", "Batched /v1/infer engine passes."),
+		inferImages:  reg.Counter("pixeld_infer_images_total", "Images served across batched /v1/infer passes."),
 	}
-}
-
-// observe records one completed request.
-func (m *metrics) observe(route string, code int, seconds float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.requests[routeCode{route, code}]++
-	h, ok := m.durations[route]
-	if !ok {
-		h = &histogram{counts: make([]int64, len(durationBuckets))}
-		m.durations[route] = h
-	}
-	for i, b := range durationBuckets {
-		if seconds <= b {
-			h.counts[i]++
-			break
-		}
-	}
-	h.sum += seconds
-	h.count++
-}
-
-// requestCount returns the completed-request count for a route+status —
-// the test hook behind the acceptance assertions.
-func (m *metrics) requestCount(route string, code int) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.requests[routeCode{route, code}]
-}
-
-// engineStats is the slice of the engine the scrape reads: the
-// cost-call and LRU-hit hooks.
-type engineStats interface {
-	CostCalls() int64
-	CacheHits() int64
-}
-
-// write renders the registry in Prometheus text format. Series are
-// emitted in sorted label order so scrapes are diffable.
-func (m *metrics) write(w io.Writer, eng engineStats) {
-	fmt.Fprintln(w, "# HELP pixeld_in_flight HTTP requests currently being served.")
-	fmt.Fprintln(w, "# TYPE pixeld_in_flight gauge")
-	fmt.Fprintf(w, "pixeld_in_flight %d\n", m.inFlight.Load())
-
-	fmt.Fprintln(w, "# HELP pixeld_shed_total Requests rejected by admission control (HTTP 429).")
-	fmt.Fprintln(w, "# TYPE pixeld_shed_total counter")
-	fmt.Fprintf(w, "pixeld_shed_total %d\n", m.shed.Load())
-
-	fmt.Fprintln(w, "# HELP pixeld_coalesced_total Requests that shared an identical in-flight computation.")
-	fmt.Fprintln(w, "# TYPE pixeld_coalesced_total counter")
-	fmt.Fprintf(w, "pixeld_coalesced_total %d\n", m.coalesced.Load())
-
-	fmt.Fprintln(w, "# HELP pixeld_infer_batches_total Batched /v1/infer engine passes.")
-	fmt.Fprintln(w, "# TYPE pixeld_infer_batches_total counter")
-	fmt.Fprintf(w, "pixeld_infer_batches_total %d\n", m.inferBatches.Load())
-
-	fmt.Fprintln(w, "# HELP pixeld_infer_images_total Images served across batched /v1/infer passes.")
-	fmt.Fprintln(w, "# TYPE pixeld_infer_images_total counter")
-	fmt.Fprintf(w, "pixeld_infer_images_total %d\n", m.inferImages.Load())
-
-	fmt.Fprintln(w, "# HELP pixeld_jobs_created_total Durable jobs admitted via POST /v1/jobs.")
-	fmt.Fprintln(w, "# TYPE pixeld_jobs_created_total counter")
-	fmt.Fprintf(w, "pixeld_jobs_created_total %d\n", m.jobsCreated.Load())
-
-	fmt.Fprintln(w, "# HELP pixeld_jobs_resumed_total Jobs re-adopted from checkpoints at startup.")
-	fmt.Fprintln(w, "# TYPE pixeld_jobs_resumed_total counter")
-	fmt.Fprintf(w, "pixeld_jobs_resumed_total %d\n", m.jobsResumed.Load())
-
-	if eng != nil {
-		fmt.Fprintln(w, "# HELP pixeld_engine_cost_calls_total Evaluations actually priced by the engine (result-LRU misses).")
-		fmt.Fprintln(w, "# TYPE pixeld_engine_cost_calls_total counter")
-		fmt.Fprintf(w, "pixeld_engine_cost_calls_total %d\n", eng.CostCalls())
-
-		fmt.Fprintln(w, "# HELP pixeld_engine_cache_hits_total Evaluations absorbed by the engine result LRU.")
-		fmt.Fprintln(w, "# TYPE pixeld_engine_cache_hits_total counter")
-		fmt.Fprintf(w, "pixeld_engine_cache_hits_total %d\n", eng.CacheHits())
-	}
-
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
-	fmt.Fprintln(w, "# HELP pixeld_requests_total Completed HTTP requests by route and status code.")
-	fmt.Fprintln(w, "# TYPE pixeld_requests_total counter")
-	keys := make([]routeCode, 0, len(m.requests))
-	for k := range m.requests {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].route != keys[j].route {
-			return keys[i].route < keys[j].route
-		}
-		return keys[i].code < keys[j].code
-	})
-	for _, k := range keys {
-		fmt.Fprintf(w, "pixeld_requests_total{route=%q,code=\"%d\"} %d\n", k.route, k.code, m.requests[k])
-	}
-
-	fmt.Fprintln(w, "# HELP pixeld_request_duration_seconds HTTP request latency by route.")
-	fmt.Fprintln(w, "# TYPE pixeld_request_duration_seconds histogram")
-	routes := make([]string, 0, len(m.durations))
-	for r := range m.durations {
-		routes = append(routes, r)
-	}
-	sort.Strings(routes)
-	for _, r := range routes {
-		h := m.durations[r]
-		var cum int64
-		for i, b := range durationBuckets {
-			cum += h.counts[i]
-			fmt.Fprintf(w, "pixeld_request_duration_seconds_bucket{route=%q,le=%q} %d\n",
-				r, strconv.FormatFloat(b, 'g', -1, 64), cum)
-		}
-		fmt.Fprintf(w, "pixeld_request_duration_seconds_bucket{route=%q,le=\"+Inf\"} %d\n", r, h.count)
-		fmt.Fprintf(w, "pixeld_request_duration_seconds_sum{route=%q} %g\n", r, h.sum)
-		fmt.Fprintf(w, "pixeld_request_duration_seconds_count{route=%q} %d\n", r, h.count)
-	}
+	reg.CounterFunc("pixeld_engine_cost_calls_total", "Evaluations actually priced by the engine (result-LRU misses).", eng.CostCalls)
+	reg.CounterFunc("pixeld_engine_cache_hits_total", "Evaluations absorbed by the engine result LRU.", eng.CacheHits)
+	return c
 }

@@ -7,48 +7,27 @@ import (
 
 	"pixel"
 	"pixel/api"
+	"pixel/internal/httpx"
 )
-
-// maxSigmaPoints bounds the σ axis of one robustness request; together
-// with the trial cap it bounds the total inference count a single
-// caller can queue.
-const maxSigmaPoints = 256
 
 func (s *Server) handleRobustness(w http.ResponseWriter, r *http.Request) {
 	if s.robust == nil {
-		s.writeError(w, &httpError{
-			status: http.StatusNotImplemented,
-			code:   "not_implemented",
-			msg:    "robustness sweeps are not enabled on this server",
+		s.core.WriteError(w, &httpx.Error{
+			Status: http.StatusNotImplemented,
+			Code:   "not_implemented",
+			Msg:    "robustness sweeps are not enabled on this server",
 		})
 		return
 	}
 	var req api.RobustnessRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		s.writeError(w, err)
+	if err := httpx.DecodeJSON(w, r, &req); err != nil {
+		s.core.WriteError(w, err)
 		return
 	}
-	d, err := pixel.ParseDesign(req.Design)
+	spec, err := httpx.RobustnessSpec(req, s.maxTrials)
 	if err != nil {
-		s.writeError(w, err)
+		s.core.WriteError(w, err)
 		return
-	}
-	if req.Trials > s.maxTrials {
-		s.writeError(w, badRequestf("trials %d exceeds the %d-trial limit", req.Trials, s.maxTrials))
-		return
-	}
-	if len(req.Sigmas) > maxSigmaPoints {
-		s.writeError(w, badRequestf("sigma axis of %d points exceeds the %d-point limit", len(req.Sigmas), maxSigmaPoints))
-		return
-	}
-	spec := pixel.RobustnessSpec{
-		Network:     req.Network,
-		Design:      d,
-		Sigmas:      req.Sigmas,
-		Trials:      req.Trials,
-		Seed:        req.Seed,
-		ErrorBudget: req.ErrorBudget,
-		Protection:  req.Protection,
 	}
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.requestTimeout)
@@ -58,7 +37,7 @@ func (s *Server) handleRobustness(w http.ResponseWriter, r *http.Request) {
 	// identical concurrent requests can share one engine run. A
 	// protection spec extends the key: differently protected runs must
 	// not coalesce.
-	key := fmt.Sprintf("%s|%s|%v|%d|%d|%v", req.Network, d, req.Sigmas, req.Trials, req.Seed, req.ErrorBudget)
+	key := fmt.Sprintf("%s|%s|%v|%d|%d|%v", req.Network, spec.Design, req.Sigmas, req.Trials, req.Seed, req.ErrorBudget)
 	if p := req.Protection; p != nil {
 		key += fmt.Sprintf("|%s:%d:%d:%d", p.Scheme, p.Copies, p.Retries, p.RecalEvery)
 	}
@@ -73,8 +52,8 @@ func (s *Server) handleRobustness(w http.ResponseWriter, r *http.Request) {
 		s.metrics.coalesced.Add(1)
 	}
 	if err != nil {
-		s.writeError(w, err)
+		s.core.WriteError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, rep)
+	httpx.WriteJSON(w, http.StatusOK, rep)
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"pixel"
+	"pixel/internal/httpx"
 )
 
 // stubRobust is a controllable RobustnessEvaluator mirroring
@@ -127,7 +128,7 @@ func TestRobustnessRequestGuards(t *testing.T) {
 	}
 
 	// An oversize sigma axis is rejected the same way.
-	sigmas := make([]string, maxSigmaPoints+1)
+	sigmas := make([]string, httpx.MaxSigmaPoints+1)
 	for i := range sigmas {
 		sigmas[i] = "1"
 	}
@@ -368,7 +369,7 @@ func TestRobustnessClientCancelReleasesSlot(t *testing.T) {
 		t.Error("client request unexpectedly succeeded")
 	}
 	waitFor(t, "499 recorded", func() bool {
-		return srv.metrics.requestCount("/v1/robustness", statusClientClosedRequest) == 1
+		return hasSample(t, ts.URL, `pixeld_requests_total{route="/v1/robustness",code="499"} 1`)
 	})
 
 	// The slot must be free again: a fresh request is admitted and

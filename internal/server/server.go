@@ -26,15 +26,16 @@ package server
 
 import (
 	"context"
-	"errors"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
-	"sync/atomic"
 	"time"
 
 	"pixel"
+	"pixel/internal/httpx"
 	"pixel/internal/jobs"
+	"pixel/internal/metrics"
 )
 
 // Evaluator is the engine surface the server serves: single-point and
@@ -120,21 +121,15 @@ type Server struct {
 	batcher        *microBatcher
 	maxTrials      int
 	limiter        *limiter
-	metrics        *metrics
-	logger         *slog.Logger
+	metrics        counters
+	core           *httpx.Core
 	requestTimeout time.Duration
-	retryAfter     time.Duration
 
 	evalFlights   *flightGroup[pixel.Result]
 	sweepFlights  *flightGroup[map[string][]pixel.Result]
 	robustFlights *flightGroup[pixel.RobustnessReport]
 
-	registry  *jobs.Registry
-	heartbeat time.Duration
-
-	// draining flips once Serve begins its graceful shutdown; /healthz
-	// then answers 503 "draining" so routers stop sending new work.
-	draining atomic.Bool
+	registry *jobs.Registry
 }
 
 // New builds a Server from cfg, applying defaults to unset knobs.
@@ -162,16 +157,15 @@ func New(cfg Config) *Server {
 	if maxTrials <= 0 {
 		maxTrials = DefaultMaxTrials
 	}
+	reg := new(metrics.Registry)
 	s := &Server{
 		engine:         cfg.Engine,
 		robust:         cfg.Robust,
 		infer:          cfg.Infer,
 		maxTrials:      maxTrials,
 		limiter:        newLimiter(maxInFlight, queueTimeout),
-		metrics:        newMetrics(),
-		logger:         logger,
+		metrics:        newCounters(reg, cfg.Engine),
 		requestTimeout: requestTimeout,
-		retryAfter:     queueTimeout,
 		evalFlights:    newFlightGroup[pixel.Result](),
 		sweepFlights:   newFlightGroup[map[string][]pixel.Result](),
 		robustFlights:  newFlightGroup[pixel.RobustnessReport](),
@@ -192,59 +186,53 @@ func New(cfg Config) *Server {
 			return s.infer.InferContext(ctx, pixel.InferSpec{Network: network, Images: images})
 		}, cfg.BatchSize, cfg.BatchWindow)
 	}
-	s.setupJobs(cfg.Jobs)
+	heartbeat := time.Duration(0)
+	if cfg.Jobs != nil {
+		s.registry = s.newRegistry(cfg.Jobs, logger)
+		heartbeat = cfg.Jobs.Heartbeat
+		if heartbeat <= 0 {
+			heartbeat = DefaultJobHeartbeat
+		}
+	}
+	s.core = httpx.New(httpx.Config{
+		Prefix:  "pixeld",
+		Metrics: reg,
+		Shed:    s.metrics.shed,
+		// Shed requests are told to come back once the queue timeout
+		// has had a chance to drain, never sooner than a second.
+		RetryAfterS: int(math.Ceil(math.Max(queueTimeout.Seconds(), 1))),
+		Jobs:        s.registry,
+		Heartbeat:   heartbeat,
+		Logger:      logger,
+	})
 	return s
 }
 
 // Handler returns the server's routing tree with logging and metrics
 // middleware applied.
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.Handle("GET /healthz", s.instrument("/healthz", s.handleHealthz))
-	mux.Handle("GET /metrics", s.instrument("/metrics", s.handleMetrics))
-	mux.Handle("GET /v1/networks", s.instrument("/v1/networks", s.handleNetworks))
-	mux.Handle("GET /v1/designs", s.instrument("/v1/designs", s.handleDesigns))
-	mux.Handle("POST /v1/evaluate", s.instrument("/v1/evaluate", s.handleEvaluate))
-	mux.Handle("POST /v1/sweep", s.instrument("/v1/sweep", s.handleSweep))
-	mux.Handle("POST /v1/map", s.instrument("/v1/map", s.handleMap))
-	mux.Handle("POST /v1/robustness", s.instrument("/v1/robustness", s.handleRobustness))
-	mux.Handle("POST /v1/infer", s.instrument("/v1/infer", s.handleInfer))
-	mux.Handle("POST /v1/jobs", s.instrument("/v1/jobs", s.handleJobCreate))
-	mux.Handle("GET /v1/jobs/{id}", s.instrument("/v1/jobs/{id}", s.handleJobGet))
-	mux.Handle("DELETE /v1/jobs/{id}", s.instrument("/v1/jobs/{id}", s.handleJobDelete))
-	mux.Handle("GET /v1/jobs/{id}/events", s.instrument("/v1/jobs/{id}/events", s.handleJobEvents))
-	return mux
+	return s.core.Mux(map[string]http.HandlerFunc{
+		"POST /v1/evaluate":   s.handleEvaluate,
+		"POST /v1/sweep":      s.handleSweep,
+		"POST /v1/map":        s.handleMap,
+		"POST /v1/robustness": s.handleRobustness,
+		"POST /v1/infer":      s.handleInfer,
+	})
 }
 
 // Serve runs the service on ln until ctx is cancelled, then drains
 // in-flight requests for at most drain before forcing connections
 // closed. It returns once shutdown completes (nil on a clean drain).
 func (s *Server) Serve(ctx context.Context, ln net.Listener, drain time.Duration) error {
-	hs := &http.Server{
-		Handler:           s.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		ErrorLog:          slog.NewLogLogger(s.logger.Handler(), slog.LevelWarn),
-	}
-	shutdownErr := make(chan error, 1)
-	go func() {
-		<-ctx.Done()
-		s.draining.Store(true)
-		s.logger.Info("shutting down", "drain", drain)
-		dctx, cancel := context.WithTimeout(context.Background(), drain)
-		defer cancel()
-		shutdownErr <- hs.Shutdown(dctx)
-	}()
-	if err := hs.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	err := <-shutdownErr
-	if s.batcher != nil {
-		// In-flight /v1/infer handlers finished during the HTTP drain;
-		// this flushes any partial batch whose window never filled.
-		s.batcher.Close()
-	}
-	// Running jobs flush a final checkpoint and persist as unfinished,
-	// so the next pixeld process re-adopts them.
-	s.Close()
-	return err
+	return s.core.Serve(ctx, ln, drain, s.Handler(), func() {
+		if s.batcher != nil {
+			// In-flight /v1/infer handlers finished during the HTTP
+			// drain; this flushes any partial batch whose window never
+			// filled.
+			s.batcher.Close()
+		}
+		// Running jobs flush a final checkpoint and persist as
+		// unfinished, so the next pixeld process re-adopts them.
+		s.Close()
+	})
 }

@@ -103,6 +103,14 @@ func getBody(t *testing.T, url string) (*http.Response, string) {
 	return resp, string(b)
 }
 
+// hasSample reports whether a /metrics scrape of base holds the exact
+// sample line.
+func hasSample(t *testing.T, base, sample string) bool {
+	t.Helper()
+	_, body := getBody(t, base+"/metrics")
+	return strings.Contains(body, "\n"+sample+"\n")
+}
+
 const evalBody = `{"network":"AlexNet","design":"OO","lanes":4,"bits":16}`
 
 // TestEvaluateCoalescing proves two concurrent identical requests
@@ -182,8 +190,9 @@ func TestEvaluateShedding(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, body %s; want 429", resp.StatusCode, body)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("429 without Retry-After")
+	// The hint is ceil(max(QueueTimeout, 1s)): 30ms rounds up to 1.
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Errorf("Retry-After = %q, want \"1\"", got)
 	}
 	var envelope struct {
 		Error struct {
@@ -192,7 +201,7 @@ func TestEvaluateShedding(t *testing.T) {
 			RetryAfter int    `json:"retry_after"`
 		} `json:"error"`
 	}
-	if err := json.Unmarshal([]byte(body), &envelope); err != nil || envelope.Error.Code != "overloaded" {
+	if err := json.Unmarshal([]byte(body), &envelope); err != nil || envelope.Error.Code != "overloaded" || envelope.Error.Message != "server: overloaded, request shed" {
 		t.Errorf("error body %q (err %v), want code overloaded envelope", body, err)
 	}
 	if fmt.Sprint(envelope.Error.RetryAfter) != resp.Header.Get("Retry-After") {
@@ -258,7 +267,7 @@ func TestSweepClientCancelAbortsEngine(t *testing.T) {
 		t.Error("client request unexpectedly succeeded")
 	}
 	waitFor(t, "499 recorded", func() bool {
-		return srv.metrics.requestCount("/v1/sweep", statusClientClosedRequest) == 1
+		return hasSample(t, ts.URL, `pixeld_requests_total{route="/v1/sweep",code="499"} 1`)
 	})
 }
 
@@ -282,6 +291,9 @@ func TestSentinelErrorMapping(t *testing.T) {
 		{"bad precision bits", "/v1/evaluate", `{"network":"AlexNet","design":"OO","lanes":4,"bits":1000}`, 400, "bad_precision"},
 		{"malformed body", "/v1/evaluate", `{"network":`, 400, "bad_request"},
 		{"unknown field", "/v1/evaluate", `{"network":"AlexNet","design":"OO","lane":4,"bits":16}`, 400, "bad_request"},
+		{"trailing garbage", "/v1/evaluate", `{"network":"LeNet","design":"OO","lanes":4,"bits":8} trailing-garbage`, 400, "bad_request"},
+		{"trailing second value", "/v1/evaluate", `{"network":"LeNet","design":"OO","lanes":4,"bits":8}{"network":"Nope"}`, 400, "bad_request"},
+		{"sweep trailing value", "/v1/sweep", `{"networks":["LeNet"],"lanes":[4],"bits":[8]} []`, 400, "bad_request"},
 		{"sweep no networks", "/v1/sweep", `{"networks":[],"lanes":[4],"bits":[8]}`, 400, "bad_request"},
 		{"sweep empty axis", "/v1/sweep", `{"networks":["AlexNet"],"lanes":[],"bits":[8]}`, 400, "bad_request"},
 		{"sweep unknown network", "/v1/sweep", `{"networks":["NopeNet"],"lanes":[4],"bits":[8]}`, 404, "unknown_network"},
@@ -310,6 +322,12 @@ func TestSentinelErrorMapping(t *testing.T) {
 				t.Errorf("error envelope = %+v, want code %q with message", envelope.Error, tc.code)
 			}
 		})
+	}
+
+	// Trailing whitespace is not trailing data: json.Encoder output
+	// ends in a newline.
+	if resp, body := postJSON(t, ts.URL+"/v1/evaluate", `{"network":"LeNet","design":"OO","lanes":4,"bits":8}`+"\n \t\n"); resp.StatusCode != http.StatusOK {
+		t.Errorf("evaluate with trailing whitespace = %d: %s", resp.StatusCode, body)
 	}
 
 	// Method mismatches 405 via the mux patterns.
@@ -459,7 +477,7 @@ func TestGracefulShutdown(t *testing.T) {
 	if _, err := http.Get(base + "/healthz"); err == nil {
 		t.Error("listener still accepting after shutdown")
 	}
-	if !srv.draining.Load() {
+	if !srv.core.Draining.Load() {
 		t.Error("Serve shut down without flipping the draining flag")
 	}
 }
@@ -478,7 +496,7 @@ func TestHealthzDraining(t *testing.T) {
 		t.Fatalf("Health before drain = %+v, %v; want ok", h, err)
 	}
 
-	srv.draining.Store(true)
+	srv.core.Draining.Store(true)
 	h, err = c.Health(context.Background())
 	if err != nil || h.Status != "draining" {
 		t.Fatalf("Health during drain = %+v, %v; want draining", h, err)

@@ -13,11 +13,10 @@
 //   - An architectural cost model: energy, latency, area and EDP of a
 //     full accelerator running CNN inference (VGG16, AlexNet, ZFNet,
 //     ResNet-34, LeNet, GoogLeNet), which regenerates every table and
-//     figure of the paper's evaluation. See Evaluate and RunExperiment.
+//     figure of the paper's evaluation. See EvaluateContext and RunExperiment.
 package pixel
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -124,24 +123,6 @@ type LayerResult struct {
 	Name     string
 	EnergyJ  float64
 	LatencyS float64
-}
-
-// Evaluate prices a full inference of the named network (see Networks)
-// under the given design, lane count and bits/lane, through the shared
-// memoized engine.
-//
-// Deprecated: use EvaluateContext (or Point.Evaluate); the positional
-// argument list predates the Point-struct API surface.
-func Evaluate(network string, d Design, lanes, bits int) (Result, error) {
-	return EvaluateContext(context.Background(), network, Point{Design: d, Lanes: lanes, Bits: bits})
-}
-
-// Area returns the MAC-unit ensemble area [m^2] of a design point.
-//
-// Deprecated: use AreaContext (or Point.Area); the positional argument
-// list predates the Point-struct API surface.
-func Area(d Design, lanes, bits int) (float64, error) {
-	return AreaContext(context.Background(), Point{Design: d, Lanes: lanes, Bits: bits})
 }
 
 // Experiments returns the ids of the paper artifacts this library

@@ -1,6 +1,7 @@
 package pixel
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -34,7 +35,7 @@ func TestNetworksList(t *testing.T) {
 }
 
 func TestEvaluate(t *testing.T) {
-	r, err := Evaluate("LeNet", OO, 4, 8)
+	r, err := EvaluateContext(context.Background(), "LeNet", Point{OO, 4, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,25 +52,25 @@ func TestEvaluate(t *testing.T) {
 	if diff := sum - r.EnergyJ; diff > 1e-9*r.EnergyJ || diff < -1e-9*r.EnergyJ {
 		t.Error("breakdown must sum to the total energy")
 	}
-	if _, err := Evaluate("NopeNet", EE, 4, 8); !errors.Is(err, ErrUnknownNetwork) {
+	if _, err := EvaluateContext(context.Background(), "NopeNet", Point{EE, 4, 8}); !errors.Is(err, ErrUnknownNetwork) {
 		t.Errorf("unknown network: err = %v, want ErrUnknownNetwork", err)
 	}
-	if _, err := Evaluate("LeNet", EE, 0, 8); !errors.Is(err, ErrBadPrecision) {
+	if _, err := EvaluateContext(context.Background(), "LeNet", Point{EE, 0, 8}); !errors.Is(err, ErrBadPrecision) {
 		t.Errorf("invalid config: err = %v, want ErrBadPrecision", err)
 	}
 }
 
 func TestAreaOrderingPublic(t *testing.T) {
-	ee, err := Area(EE, 4, 4)
+	ee, err := AreaContext(context.Background(), Point{EE, 4, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	oe, _ := Area(OE, 4, 4)
-	oo, _ := Area(OO, 4, 4)
+	oe, _ := AreaContext(context.Background(), Point{OE, 4, 4})
+	oo, _ := AreaContext(context.Background(), Point{OO, 4, 4})
 	if !(ee < oe && oe < oo) {
 		t.Errorf("area ordering violated: %g %g %g", ee, oe, oo)
 	}
-	if _, err := Area(EE, 0, 4); !errors.Is(err, ErrBadPrecision) {
+	if _, err := AreaContext(context.Background(), Point{EE, 0, 4}); !errors.Is(err, ErrBadPrecision) {
 		t.Errorf("invalid config: err = %v, want ErrBadPrecision", err)
 	}
 }

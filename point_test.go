@@ -31,12 +31,13 @@ func TestPointString(t *testing.T) {
 	}
 }
 
-// TestPointWrappersAgree locks the positional wrappers to the Point
-// methods they delegate to.
+// TestPointWrappersAgree locks the ...Context entry points to the
+// Point methods they delegate to.
 func TestPointWrappersAgree(t *testing.T) {
+	ctx := context.Background()
 	p := Point{OO, 4, 8}
 
-	r1, err := Evaluate("LeNet", OO, 4, 8)
+	r1, err := EvaluateContext(ctx, "LeNet", p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,10 +46,10 @@ func TestPointWrappersAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	if r1.EnergyJ != r2.EnergyJ || r1.LatencyS != r2.LatencyS || r1.EDP != r2.EDP {
-		t.Error("Evaluate and Point.Evaluate disagree")
+		t.Error("EvaluateContext and Point.Evaluate disagree")
 	}
 
-	a1, err := Area(OO, 4, 8)
+	a1, err := AreaContext(ctx, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,10 +58,10 @@ func TestPointWrappersAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a1 != a2 {
-		t.Error("Area and Point.Area disagree")
+		t.Error("AreaContext and Point.Area disagree")
 	}
 
-	p1, err := EvaluatePower("LeNet", OO, 4, 8)
+	p1, err := PowerContext(ctx, "LeNet", p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,10 +70,10 @@ func TestPointWrappersAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	if p1 != p2 {
-		t.Error("EvaluatePower and Point.Power disagree")
+		t.Error("PowerContext and Point.Power disagree")
 	}
 
-	s1, err := MapToGrid("LeNet", OO, 4, 8, 4, 4, true)
+	s1, err := MapContext(ctx, MapSpec{Network: "LeNet", Point: p, Rows: 4, Cols: 4, PhotonicWeights: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestPointWrappersAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	if s1 != s2 {
-		t.Error("MapToGrid and Point.MapToGrid disagree")
+		t.Error("MapContext and Point.MapToGrid disagree")
 	}
 }
 
@@ -104,26 +105,27 @@ func TestEvaluateContext(t *testing.T) {
 }
 
 func TestSentinelErrors(t *testing.T) {
-	if _, err := Evaluate("NopeNet", EE, 4, 8); !errors.Is(err, ErrUnknownNetwork) {
-		t.Errorf("Evaluate unknown network: %v", err)
+	ctx := context.Background()
+	if _, err := EvaluateContext(ctx, "NopeNet", Point{EE, 4, 8}); !errors.Is(err, ErrUnknownNetwork) {
+		t.Errorf("EvaluateContext unknown network: %v", err)
 	}
-	if _, err := Evaluate("LeNet", Design(42), 4, 8); !errors.Is(err, ErrUnknownDesign) {
-		t.Errorf("Evaluate unknown design: %v", err)
+	if _, err := EvaluateContext(ctx, "LeNet", Point{Design(42), 4, 8}); !errors.Is(err, ErrUnknownDesign) {
+		t.Errorf("EvaluateContext unknown design: %v", err)
 	}
-	if _, err := Evaluate("LeNet", EE, 0, 8); !errors.Is(err, ErrBadPrecision) {
-		t.Errorf("Evaluate bad lanes: %v", err)
+	if _, err := EvaluateContext(ctx, "LeNet", Point{EE, 0, 8}); !errors.Is(err, ErrBadPrecision) {
+		t.Errorf("EvaluateContext bad lanes: %v", err)
 	}
-	if _, err := Area(Design(42), 4, 8); !errors.Is(err, ErrUnknownDesign) {
-		t.Errorf("Area unknown design: %v", err)
+	if _, err := AreaContext(ctx, Point{Design(42), 4, 8}); !errors.Is(err, ErrUnknownDesign) {
+		t.Errorf("AreaContext unknown design: %v", err)
 	}
-	if _, err := EvaluatePower("LeNet", EE, 4, 99); !errors.Is(err, ErrBadPrecision) {
-		t.Errorf("EvaluatePower bad bits: %v", err)
+	if _, err := PowerContext(ctx, "LeNet", Point{EE, 4, 99}); !errors.Is(err, ErrBadPrecision) {
+		t.Errorf("PowerContext bad bits: %v", err)
 	}
-	if _, err := MapToGrid("LeNet", OO, 4, 8, 0, 4, false); !errors.Is(err, ErrBadGrid) {
-		t.Errorf("MapToGrid zero rows: %v", err)
+	if _, err := MapContext(ctx, MapSpec{Network: "LeNet", Point: Point{OO, 4, 8}, Rows: 0, Cols: 4}); !errors.Is(err, ErrBadGrid) {
+		t.Errorf("MapContext zero rows: %v", err)
 	}
-	if _, err := MapToGrid("LeNet", OO, 16, 8, 4, 16, false); !errors.Is(err, ErrBadGrid) {
-		t.Errorf("MapToGrid over-budget plan: %v", err)
+	if _, err := MapContext(ctx, MapSpec{Network: "LeNet", Point: Point{OO, 16, 8}, Rows: 4, Cols: 16}); !errors.Is(err, ErrBadGrid) {
+		t.Errorf("MapContext over-budget plan: %v", err)
 	}
 	if _, err := NewMAC(Design(9), 8, 1); !errors.Is(err, ErrUnknownDesign) {
 		t.Errorf("NewMAC unknown design: %v", err)
