@@ -25,16 +25,12 @@ import (
 
 	"pixel"
 	"pixel/internal/arch"
-	"pixel/internal/bitserial"
 	"pixel/internal/cnn"
 	"pixel/internal/eval"
-	"pixel/internal/montecarlo"
 	"pixel/internal/omac"
 	"pixel/internal/optsim"
-	"pixel/internal/qnn"
 	"pixel/internal/server"
 	sweepeng "pixel/internal/sweep"
-	"pixel/internal/tensor"
 )
 
 func benchExperiment(b *testing.B, id string) {
@@ -270,54 +266,28 @@ func benchInferImages(tb testing.TB, network string, n int) [][]int64 {
 	return imgs
 }
 
-// seqStripesDotter adapts the word-level Stripes engine's DotProduct
-// to qnn.Dotter — the pre-batching single-image serving path, one
-// window x one filter at a time.
-type seqStripesDotter struct{ e *bitserial.FastEngine }
-
-func (s seqStripesDotter) DotProduct(a, bb []uint64) (uint64, error) {
-	v, _, err := s.e.DotProduct(a, bb)
-	return v, err
-}
-
 // BenchmarkInferLeNet compares one 64-image batched pass (the
 // /v1/infer path: RunBatch on the lane-parallel BatchedStripes engine,
-// pooled scratch, weights packed once) against 64 per-image runs of
-// the pre-batching pipeline (Model.RunContext on the word-level
-// FastEngine) — the engine-level gain micro-batching buys the serving
-// path. Both report images/sec; outputs are proven identical in
+// pooled scratch, weights packed once) against 64 single-image passes
+// through the same production path — the gain micro-batching buys the
+// serving path. Both report images/sec; outputs are proven identical in
 // TestRunBatchEquivalence.
 func BenchmarkInferLeNet(b *testing.B) {
 	imgs := benchInferImages(b, "lenet", 64)
-	net, err := montecarlo.BuildNetwork("lenet")
-	if err != nil {
-		b.Fatal(err)
-	}
-	ins := make([]*tensor.Tensor, len(imgs))
-	for k, img := range imgs {
-		in := tensor.New(net.Input.H, net.Input.W, net.Input.C)
-		copy(in.Data, img)
-		ins[k] = in
-	}
 	b.Run("sequential64", func(b *testing.B) {
-		fast, err := bitserial.NewFastEngine(net.Bits, net.Terms)
-		if err != nil {
-			b.Fatal(err)
-		}
-		d := seqStripesDotter{fast}
-		if _, err := net.Model.RunContext(context.Background(), ins[0], d, qnn.RunOptions{}); err != nil {
+		if _, err := pixel.Infer(pixel.InferSpec{Network: "lenet", Images: imgs[:1]}); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			for _, in := range ins {
-				if _, err := net.Model.RunContext(context.Background(), in, d, qnn.RunOptions{}); err != nil {
+			for k := range imgs {
+				if _, err := pixel.Infer(pixel.InferSpec{Network: "lenet", Images: imgs[k : k+1]}); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}
-		b.ReportMetric(float64(len(ins))*float64(b.N)/b.Elapsed().Seconds(), "images/s")
+		b.ReportMetric(float64(len(imgs))*float64(b.N)/b.Elapsed().Seconds(), "images/s")
 	})
 	b.Run("batch64", func(b *testing.B) {
 		if _, err := pixel.Infer(pixel.InferSpec{Network: "lenet", Images: imgs}); err != nil {

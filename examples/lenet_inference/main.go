@@ -76,9 +76,8 @@ func main() {
 		input.Data[i] = rng.Int63n(maxVal + 1)
 	}
 
-	// Reference pass: plain integers, fanned across a worker pool
-	// (ReferenceDotter is stateless, so any worker count is safe and
-	// bit-identical to the serial run).
+	// Reference pass: plain integers through the serial reference
+	// chain.
 	ref, err := model.RunContext(context.Background(), input, qnn.ReferenceDotter{}, qnn.RunOptions{})
 	if err != nil {
 		log.Fatal(err)

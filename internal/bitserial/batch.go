@@ -80,7 +80,7 @@ func (b *BatchedStripes) DotProduct(neurons, synapses []uint64) (uint64, error) 
 }
 
 // DotProducts writes the dot product of each window against weights
-// into out — the qnn.BatchDotter form of DotBatch.
+// into out — DotBatch without the Stats.
 func (b *BatchedStripes) DotProducts(windows [][]uint64, weights []uint64, out []uint64) error {
 	_, err := b.DotBatch(windows, weights, out)
 	return err

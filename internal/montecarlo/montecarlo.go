@@ -7,10 +7,10 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"pixel/internal/arch"
 	"pixel/internal/bitserial"
+	"pixel/internal/parallel"
 	"pixel/internal/protect"
 	"pixel/internal/qnn"
 	"pixel/internal/tensor"
@@ -180,9 +180,10 @@ func (r *Report) MinYield() float64 {
 
 // stripesDotter adapts a Stripes engine into a qnn.Dotter, dropping
 // the Stats (yield analysis cares about values, not work counts). It
-// deliberately does NOT implement qnn.BatchDotter: the perturbed
-// engine is stateful, and the per-window fallback keeps every dot
-// product flowing through one serial, deterministic call sequence.
+// deliberately does NOT implement qnn.MultiDotter: the perturbed
+// engine is stateful, and RunBatch's plain-Dotter fallback on one
+// worker keeps every dot product flowing through one serial,
+// deterministic call sequence — the serial reference chain's.
 type stripesDotter struct{ e bitserial.Stripes }
 
 func (s stripesDotter) DotProduct(a, b []uint64) (uint64, error) {
@@ -277,11 +278,10 @@ func RunState(ctx context.Context, spec Spec, st *State, hooks Hooks) (*Report, 
 	if err != nil {
 		return nil, err
 	}
-	base, err := spec.Model.RunContext(ctx, spec.Input, stripesDotter{fast}, qnn.RunOptions{Workers: spec.Workers})
+	baseline, err := infer(ctx, spec, stripesDotter{fast}, spec.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("montecarlo: baseline inference: %w", err)
 	}
-	baseline := append([]int64(nil), base.Data...)
 	if err := st.setBaseline(baseline); err != nil {
 		return nil, err
 	}
@@ -320,74 +320,31 @@ func RunState(ctx context.Context, spec Spec, st *State, hooks Hooks) (*Report, 
 		hooks.OnTrial(done, jobs)
 	}
 
-	workers := spec.Workers
-	if workers <= 0 || workers > jobs {
-		workers = clampWorkers(workers, jobs)
-	}
-
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	errs := make([]error, jobs)
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				j := int(next.Add(1))
-				if j >= jobs {
-					return
-				}
-				if st.isDone(j) {
-					continue // restored from a checkpoint
-				}
-				if err := runCtx.Err(); err != nil {
-					errs[j] = err
-					return
-				}
-				sigmaIdx, trial := j/spec.Trials, j%spec.Trials
-				res, err := runTrial(runCtx, spec, spec.Sigmas[sigmaIdx], trial, baseline, baseArgmax)
-				if err != nil {
-					errs[j] = err
-					cancel()
-					return
-				}
-				completed := st.set(j, res)
-				if hooks.OnTrial != nil || hooks.OnPoint != nil {
-					hookMu.Lock()
-					if hooks.OnTrial != nil {
-						hooks.OnTrial(completed, jobs)
-					}
-					rowLeft[sigmaIdx]--
-					if rowLeft[sigmaIdx] == 0 {
-						emitPoint(sigmaIdx)
-					}
-					hookMu.Unlock()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	var cancelled error
-	for _, err := range errs {
-		if err == nil {
-			continue
+	err = parallel.For(ctx, jobs, spec.Workers, func(ctx context.Context, j int) error {
+		if st.isDone(j) {
+			return nil // restored from a checkpoint
 		}
-		if errors.Is(err, context.Canceled) {
-			if cancelled == nil {
-				cancelled = err
-			}
-			continue
+		sigmaIdx, trial := j/spec.Trials, j%spec.Trials
+		res, err := runTrial(ctx, spec, spec.Sigmas[sigmaIdx], trial, baseline, baseArgmax)
+		if err != nil {
+			return err
 		}
+		// Recording the slot under the hook lock keeps the counts
+		// OnTrial sees strictly increasing.
+		hookMu.Lock()
+		defer hookMu.Unlock()
+		completed := st.set(j, res)
+		if hooks.OnTrial != nil {
+			hooks.OnTrial(completed, jobs)
+		}
+		rowLeft[sigmaIdx]--
+		if rowLeft[sigmaIdx] == 0 {
+			emitPoint(sigmaIdx)
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
-	}
-	if cancelled != nil {
-		return nil, cancelled
 	}
 
 	rep := &Report{
@@ -437,14 +394,12 @@ func runTrial(ctx context.Context, spec Spec, sigma float64, trial int, baseline
 		if err != nil {
 			return trialResult{}, err
 		}
-		// The engine consumes its streams in datapath order, so the trial
-		// itself must run serially; parallelism lives at the trial level.
-		out, err := spec.Model.RunContext(ctx, spec.Input, stripesDotter{eng}, qnn.RunOptions{Workers: 1})
+		out, err := infer(ctx, spec, stripesDotter{eng}, 1)
 		if err != nil {
 			return trialResult{}, fmt.Errorf("montecarlo: trial %d at sigma %v: %w", trial, sigma, err)
 		}
-		res.mismatch = mismatchFraction(out.Data, baseline)
-		res.argmaxOK = argmax(out.Data) == baseArgmax
+		res.mismatch = mismatchFraction(out, baseline)
+		res.argmaxOK = argmax(out) == baseArgmax
 		res.injectedBER = eng.InjectedBER()
 	}
 	if spec.Protection == nil {
@@ -472,17 +427,30 @@ func runTrial(ctx context.Context, spec Spec, sigma float64, trial int, baseline
 	if err != nil {
 		return trialResult{}, err
 	}
-	out, err := spec.Model.RunContext(ctx, spec.Input, stripesDotter{wrapped}, qnn.RunOptions{Workers: 1})
+	out, err := infer(ctx, spec, stripesDotter{wrapped}, 1)
 	if err != nil {
 		return trialResult{}, fmt.Errorf("montecarlo: protected trial %d at sigma %v: %w", trial, sigma, err)
 	}
-	res.protMismatch = mismatchFraction(out.Data, baseline)
-	res.protArgmaxOK = argmax(out.Data) == baseArgmax
+	res.protMismatch = mismatchFraction(out, baseline)
+	res.protArgmaxOK = argmax(out) == baseArgmax
 	res.protInjectedBER = eng.InjectedBER()
 	if m, ok := wrapped.(protect.Metered); ok {
 		res.protCounters = m.Counters()
 	}
 	return res, nil
+}
+
+// infer runs the spec's input through the fused RunBatch plan as a
+// batch of one and returns the output. Trial engines are stateful and
+// consume their fault streams in call order, so trials pass one worker:
+// the plan then issues the serial reference chain's exact call
+// sequence, and parallelism lives at the trial level.
+func infer(ctx context.Context, spec Spec, d qnn.Dotter, workers int) ([]int64, error) {
+	outs, err := spec.Model.RunBatch(ctx, []*tensor.Tensor{spec.Input}, d, qnn.RunOptions{Workers: workers})
+	if err != nil {
+		return nil, err
+	}
+	return outs[0].Data, nil
 }
 
 // newTrialEngine builds the trial's fault-injecting engine; the
@@ -582,18 +550,4 @@ func argmax(xs []int64) int {
 		}
 	}
 	return best
-}
-
-// clampWorkers mirrors the qnn/sweep idiom locally.
-func clampWorkers(workers, n int) int {
-	if workers <= 0 {
-		workers = defaultWorkers()
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
 }

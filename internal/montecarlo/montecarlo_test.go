@@ -243,11 +243,11 @@ func TestBuildNetwork(t *testing.T) {
 }
 
 // TestStripesDotterIsNotBatched guards the determinism contract: if
-// the adapter ever grows a DotProducts entry point, conv layers would
-// bypass the serial per-window path the stateful engine requires.
+// the adapter ever grows a DotProductsMulti entry point, RunBatch would
+// bypass the serial per-pair fallback the stateful engine requires.
 func TestStripesDotterIsNotBatched(t *testing.T) {
 	var d qnn.Dotter = stripesDotter{}
-	if _, ok := d.(qnn.BatchDotter); ok {
+	if _, ok := d.(qnn.MultiDotter); ok {
 		t.Fatal("stripesDotter must stay a plain Dotter")
 	}
 }

@@ -3,7 +3,6 @@ package montecarlo
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
 	"strings"
 
@@ -92,6 +91,3 @@ func BuildNetwork(name string) (Network, error) {
 	}
 	return b(), nil
 }
-
-// defaultWorkers is the pool width when the spec leaves Workers <= 0.
-func defaultWorkers() int { return runtime.GOMAXPROCS(0) }

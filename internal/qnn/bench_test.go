@@ -177,22 +177,24 @@ func BenchmarkLeNetInferenceRefLegacySerial(b *testing.B) {
 	}
 }
 
-// BenchmarkLeNetInferenceRef is the new pipeline on the reference
-// dotter: im2col lowering, layer-level weight prefetch, batched dots,
-// worker pool.
+// BenchmarkLeNetInferenceRef is the production executor on the
+// reference dotter: a RunBatch of one (im2col lowering, weights packed
+// once, fused epilogues, worker pool).
 func BenchmarkLeNetInferenceRef(b *testing.B) {
 	m, in := benchLeNet()
 	ctx := context.Background()
+	ins := []*tensor.Tensor{in}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.RunContext(ctx, in, ReferenceDotter{}, RunOptions{}); err != nil {
+		if _, err := m.RunBatch(ctx, ins, ReferenceDotter{}, RunOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkLeNetInferenceEE runs every MAC through the word-level
-// bit-exact Stripes engine (the fast electrical path).
+// BenchmarkLeNetInferenceEE runs every MAC of a RunBatch of one
+// through the word-level bit-exact Stripes engine (the fast electrical
+// path).
 func BenchmarkLeNetInferenceEE(b *testing.B) {
 	m, in := benchLeNet()
 	eng, err := bitserial.NewFastEngine(4, 512)
@@ -200,9 +202,10 @@ func BenchmarkLeNetInferenceEE(b *testing.B) {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
+	ins := []*tensor.Tensor{in}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.RunContext(ctx, in, fastDotter{eng}, RunOptions{}); err != nil {
+		if _, err := m.RunBatch(ctx, ins, fastDotter{eng}, RunOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -236,11 +239,11 @@ func (o oeDotter) DotProduct(a, b []uint64) (uint64, error) {
 	return o.u.DotProduct(a, b, o.led)
 }
 
-// BenchmarkLeNetInferenceOE runs every MAC through the simulated OE
-// datapath (optical AND, electrical shift-accumulate). The optical
-// circuit simulation dominates; the pipeline's lowering and prefetch
-// still apply but the pool stays at one worker because the unit meters
-// a shared energy ledger.
+// BenchmarkLeNetInferenceOE runs every MAC of a RunBatch of one
+// through the simulated OE datapath (optical AND, electrical
+// shift-accumulate). The optical circuit simulation dominates; the
+// plan's lowering and weight packing still apply but the pool stays at
+// one worker because the unit meters a shared energy ledger.
 func BenchmarkLeNetInferenceOE(b *testing.B) {
 	m, in := benchLeNet()
 	unit, err := omac.NewOEUnit(omac.DefaultConfig(4, 4), 512)
@@ -248,10 +251,11 @@ func BenchmarkLeNetInferenceOE(b *testing.B) {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
+	ins := []*tensor.Tensor{in}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		led := optsim.NewLedger()
-		if _, err := m.RunContext(ctx, in, oeDotter{unit, led}, RunOptions{Workers: 1}); err != nil {
+		if _, err := m.RunBatch(ctx, ins, oeDotter{unit, led}, RunOptions{Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

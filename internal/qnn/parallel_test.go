@@ -18,11 +18,11 @@ func (f fastDotter) DotProduct(a, b []uint64) (uint64, error) {
 	return v, err
 }
 
-// TestConvParallelMatchesReference is the randomized property test of
-// the issue: over random shapes, strides, paddings and worker counts,
-// the parallel im2col conv layer must be bit-identical to the seed
-// serial tensor.Conv2DReference. Run it under -race to also prove the
-// pool writes disjoint output slots.
+// TestConvParallelMatchesReference is the randomized conv property:
+// over random shapes, strides, paddings, batch sizes and worker counts,
+// both the serial Conv.Apply and a RunBatch pass over the conv alone
+// must be bit-identical to the seed serial tensor.Conv2DReference. Run
+// it under -race to also prove the pool writes disjoint output slots.
 func TestConvParallelMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 120; trial++ {
@@ -34,33 +34,46 @@ func TestConvParallelMatchesReference(t *testing.T) {
 		stride := 1 + rng.Intn(2)
 		pad := rng.Intn(2)
 		workers := 1 + rng.Intn(8)
+		batch := 1 + rng.Intn(4)
 		if h+2*pad < r || w+2*pad < r {
 			continue
-		}
-		in := tensor.New(h, w, c)
-		for i := range in.Data {
-			in.Data[i] = rng.Int63n(16)
 		}
 		k := tensor.NewKernel(m, r, c)
 		for i := range k.Data {
 			k.Data[i] = rng.Int63n(16)
 		}
-		want, err := tensor.Conv2DReference(in, k, stride, pad)
-		if err != nil {
-			t.Fatalf("trial %d: reference: %v", trial, err)
-		}
 		conv := &Conv{Label: "c", Kernel: k, Stride: stride, Pad: pad}
-		got, err := conv.applyCtx(context.Background(), in, ReferenceDotter{}, workers)
+		ins := make([]*tensor.Tensor, batch)
+		for b := range ins {
+			ins[b] = tensor.New(h, w, c)
+			for i := range ins[b].Data {
+				ins[b].Data[i] = rng.Int63n(16)
+			}
+		}
+		model := &Model{Label: "conv", ActivationBits: 4, Layers: []Layer{conv}}
+		outs, err := model.RunBatch(context.Background(), ins, ReferenceDotter{}, RunOptions{Workers: workers})
 		if err != nil {
 			t.Fatalf("trial %d (h%d w%d c%d r%d m%d s%d p%d wk%d): %v", trial, h, w, c, r, m, stride, pad, workers, err)
 		}
-		if got.H != want.H || got.W != want.W || got.C != want.C {
-			t.Fatalf("trial %d: shape %dx%dx%d, want %dx%dx%d", trial, got.H, got.W, got.C, want.H, want.W, want.C)
-		}
-		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("trial %d (h%d w%d c%d r%d m%d s%d p%d wk%d): out[%d] = %d, want %d",
-					trial, h, w, c, r, m, stride, pad, workers, i, got.Data[i], want.Data[i])
+		for b, in := range ins {
+			want, err := tensor.Conv2DReference(in, k, stride, pad)
+			if err != nil {
+				t.Fatalf("trial %d: reference: %v", trial, err)
+			}
+			serial, err := conv.Apply(in, ReferenceDotter{})
+			if err != nil {
+				t.Fatalf("trial %d: Apply: %v", trial, err)
+			}
+			for path, got := range map[string]*tensor.Tensor{"Apply": serial, "RunBatch": outs[b]} {
+				if got.H != want.H || got.W != want.W || got.C != want.C {
+					t.Fatalf("trial %d %s: shape %dx%dx%d, want %dx%dx%d", trial, path, got.H, got.W, got.C, want.H, want.W, want.C)
+				}
+				for i := range want.Data {
+					if got.Data[i] != want.Data[i] {
+						t.Fatalf("trial %d %s input %d (h%d w%d c%d r%d m%d s%d p%d wk%d): out[%d] = %d, want %d",
+							trial, path, b, h, w, c, r, m, stride, pad, workers, i, got.Data[i], want.Data[i])
+					}
+				}
 			}
 		}
 	}
@@ -108,9 +121,9 @@ func lenetModel(rng *rand.Rand) (*Model, *tensor.Tensor) {
 }
 
 // TestLeNetGolden proves the whole pipeline bit-identical across the
-// serial reference, the parallel reference, the fast word-level
-// Stripes engine (parallel) and the gate-model Stripes oracle
-// (serial) — the paper's correctness claim, end to end.
+// serial reference, the parallel fused plan on the reference, the fast
+// word-level Stripes engine (parallel fused plan) and the gate-model
+// Stripes oracle (serial) — the paper's correctness claim, end to end.
 func TestLeNetGolden(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	m, in := lenetModel(rng)
@@ -120,7 +133,7 @@ func TestLeNetGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	par, err := m.RunContext(context.Background(), in, ReferenceDotter{}, RunOptions{Workers: 4})
+	par, err := runOne(m, in, ReferenceDotter{}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +141,7 @@ func TestLeNetGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := m.RunContext(context.Background(), in, fastDotter{fastEng}, RunOptions{Workers: 3})
+	fast, err := runOne(m, in, fastDotter{fastEng}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,13 +174,13 @@ func TestRunContextCancellation(t *testing.T) {
 	m, in := lenetModel(rng)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := m.RunContext(ctx, in, ReferenceDotter{}, RunOptions{Workers: 4}); err == nil {
+	if _, err := m.RunContext(ctx, in, ReferenceDotter{}, RunOptions{}); err == nil {
 		t.Error("cancelled context should abort the run")
 	}
 }
 
-// TestFullyConnectedParallelMatchesSerial pins FC's pool to its serial
-// output.
+// TestFullyConnectedParallelMatchesSerial pins RunBatch's neuron-chunk
+// pool over an FC layer to the serial Apply output.
 func TestFullyConnectedParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	n, outDim := 37, 23
@@ -184,8 +197,9 @@ func TestFullyConnectedParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	model := &Model{Label: "fc", ActivationBits: 4, Layers: []Layer{fc}}
 	for _, workers := range []int{2, 3, 8, 64} {
-		got, err := fc.applyCtx(context.Background(), in, ReferenceDotter{}, workers)
+		got, err := runOne(model, in, ReferenceDotter{}, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -197,9 +211,10 @@ func TestFullyConnectedParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestBatchDotterFallback checks that a Dotter without a batched entry
-// point goes through the per-window adapter and still matches.
-func TestBatchDotterFallback(t *testing.T) {
+// TestPlainDotterFallback checks that a Dotter without a multi-filter
+// entry point goes through RunBatch's per-pair fallback and still
+// matches.
+func TestPlainDotterFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	in := tensor.New(6, 6, 2)
 	for i := range in.Data {
@@ -218,13 +233,14 @@ func TestBatchDotterFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// fastDotter implements only Dotter, so this exercises dotBatch's
+	// fastDotter implements only Dotter, so this exercises dotMulti's
 	// fallback loop.
 	var d Dotter = fastDotter{eng}
-	if _, ok := d.(BatchDotter); ok {
-		t.Fatal("fastDotter unexpectedly implements BatchDotter; test needs a plain Dotter")
+	if _, ok := d.(MultiDotter); ok {
+		t.Fatal("fastDotter unexpectedly implements MultiDotter; test needs a plain Dotter")
 	}
-	got, err := conv.Apply(in, d)
+	model := &Model{Label: "c", ActivationBits: 4, Layers: []Layer{conv}}
+	got, err := runOne(model, in, d, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,4 +249,13 @@ func TestBatchDotterFallback(t *testing.T) {
 			t.Fatalf("out[%d] = %d, want %d", i, got.Data[i], want.Data[i])
 		}
 	}
+}
+
+// runOne runs one input through RunBatch as a batch of one.
+func runOne(m *Model, in *tensor.Tensor, d Dotter, workers int) (*tensor.Tensor, error) {
+	outs, err := m.RunBatch(context.Background(), []*tensor.Tensor{in}, d, RunOptions{Workers: workers})
+	if err != nil {
+		return nil, err
+	}
+	return outs[0], nil
 }

@@ -1,18 +1,17 @@
 // Package qnn runs quantized CNN inference over any MAC implementation
 // — the bridge between the functional datapaths (package omac /
 // bitserial) and whole networks. A Model is a sequence of integer
-// layers (conv, pool, fully-connected, requantize); Run executes every
-// multiply-accumulate through the supplied Dotter, so the same model
-// can execute on the electrical Stripes engine, the hybrid OE unit or
-// the all-optical OO unit, and the outputs can be compared bit for bit
-// against the plain-integer reference.
+// layers (conv, pool, fully-connected, requantize); every
+// multiply-accumulate runs through the supplied Dotter, so the same
+// model can execute on the electrical Stripes engine, the hybrid OE
+// unit or the all-optical OO unit, and the outputs can be compared bit
+// for bit against the plain-integer reference.
 //
-// The MAC layers run as a lowered pipeline: conv inputs become im2col
-// patch matrices (tensor.Lower), filter weights are packed once per
-// layer, and each output row is one batched dot-product call
-// (BatchDotter), optionally fanned across a worker pool via
-// RunContext. Every path is bit-identical to the serial per-position
-// reference; see docs/INFERENCE.md.
+// RunBatch is the one production executor: a fused stage plan over
+// im2col-lowered inputs with weights packed once per layer, fanned
+// across a worker pool. Run/RunContext is the serial, unfused
+// reference chain it is tested against, one DotProduct per (window,
+// filter) pair. See docs/INFERENCE.md.
 package qnn
 
 import (
@@ -45,6 +44,19 @@ func (ReferenceDotter) DotProduct(a, b []uint64) (uint64, error) {
 	return acc, nil
 }
 
+// MultiDotter is the layer-against-batch MAC abstraction: every filter
+// of a layer evaluated against every window of a batch in one call, so
+// the engine can hoist per-batch setup (transposes, validation) across
+// the whole filter sweep. bitserial.BatchedStripes implements it; any
+// other Dotter runs through dotMulti's per-pair fallback.
+type MultiDotter interface {
+	Dotter
+	// DotProductsMulti writes windows[w] · filters[f] into outs[f][w].
+	// len(outs) must equal len(filters) and each row must have
+	// len(windows) slots.
+	DotProductsMulti(windows [][]uint64, filters [][]uint64, outs [][]uint64) error
+}
+
 // Layer is one step of a quantized model.
 type Layer interface {
 	// Name labels the layer in errors.
@@ -70,14 +82,15 @@ func (m *Model) MaxActivation() int64 {
 	return int64(1)<<uint(m.ActivationBits) - 1
 }
 
-// RunOptions tunes one RunContext call.
+// RunOptions tunes one RunBatch call; Run and RunContext ignore it.
 type RunOptions struct {
-	// Workers is the worker-pool width the MAC layers fan their output
-	// rows (conv) and output neurons (fully-connected) across; <= 0
-	// means GOMAXPROCS, 1 is serial. Workers > 1 requires a Dotter
-	// that is safe for concurrent use (ReferenceDotter and the
-	// word-level bitserial.FastEngine are; the optical units metering
-	// a shared optsim.Ledger are not). Output placement is
+	// Workers is the worker-pool width the MAC stages fan their work
+	// across: the batch's images (conv) and chunks of output neurons
+	// (fully-connected); <= 0 means GOMAXPROCS, 1 is serial. Workers > 1
+	// requires a Dotter that is safe for concurrent use
+	// (ReferenceDotter and the word-level bitserial.FastEngine are; the
+	// optical units metering a shared optsim.Ledger and the stateful
+	// bitserial.PerturbedEngine are not). Output placement is
 	// deterministic, so any worker count produces bit-identical
 	// results.
 	Workers int
@@ -93,24 +106,18 @@ type RunOptions struct {
 	Arena *tensor.Arena
 }
 
-// ctxLayer is the optional layer interface the parallel pipeline uses:
-// layers that can fan work across a pool implement it, and plain
-// layers keep the serial Apply path.
-type ctxLayer interface {
-	applyCtx(ctx context.Context, in *tensor.Tensor, d Dotter, workers int) (*tensor.Tensor, error)
-}
-
-// Run executes the model on the input through the given Dotter,
-// serially — safe for any Dotter. Use RunContext to run the MAC layers
-// across a worker pool.
+// Run executes the model on the input through the given Dotter as the
+// serial, unfused reference chain — safe for any Dotter. RunBatch is
+// the production executor and is bit-identical to it.
 func (m *Model) Run(in *tensor.Tensor, d Dotter) (*tensor.Tensor, error) {
-	return m.RunContext(context.Background(), in, d, RunOptions{Workers: 1})
+	return m.RunContext(context.Background(), in, d, RunOptions{})
 }
 
-// RunContext executes the model with cancellation and a configurable
-// worker pool. Results are bit-identical to Run for every worker
-// count.
-func (m *Model) RunContext(ctx context.Context, in *tensor.Tensor, d Dotter, opts RunOptions) (*tensor.Tensor, error) {
+// RunContext is Run with cancellation checked between layers. Every
+// layer runs its standalone Apply, so the intermediate tensors RunBatch
+// fuses away are materialized; opts is ignored (RunOptions apply to
+// RunBatch only).
+func (m *Model) RunContext(ctx context.Context, in *tensor.Tensor, d Dotter, _ RunOptions) (*tensor.Tensor, error) {
 	if m.ActivationBits < 1 || m.ActivationBits > 16 {
 		return nil, fmt.Errorf("qnn: activation bits %d out of range [1,16]", m.ActivationBits)
 	}
@@ -120,12 +127,7 @@ func (m *Model) RunContext(ctx context.Context, in *tensor.Tensor, d Dotter, opt
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if cl, ok := l.(ctxLayer); ok {
-			x, err = cl.applyCtx(ctx, x, d, opts.Workers)
-		} else {
-			x, err = l.Apply(x, d)
-		}
-		if err != nil {
+		if x, err = l.Apply(x, d); err != nil {
 			return nil, fmt.Errorf("qnn: %s: layer %s: %w", m.Label, l.Name(), err)
 		}
 	}
@@ -153,18 +155,12 @@ type Conv struct {
 // Name implements Layer.
 func (c *Conv) Name() string { return c.Label }
 
-// Apply implements Layer, serially. The input is lowered to an im2col
-// patch matrix once, each filter's weights are packed once per layer
-// (instead of once per output position), and every output row is one
-// batched dot-product call.
+// Apply implements Layer, serially: the input is lowered to an im2col
+// patch matrix, and each output row is swept filter by filter, one
+// DotProduct per window. That row → filter → column order is the
+// datapath order RunBatch's plain-Dotter fallback reproduces, so a
+// stateful engine sees the same call sequence from either executor.
 func (c *Conv) Apply(in *tensor.Tensor, d Dotter) (*tensor.Tensor, error) {
-	return c.applyCtx(context.Background(), in, d, 1)
-}
-
-// applyCtx implements ctxLayer: output rows fan across the worker
-// pool, with each worker writing disjoint rows of the output tensor so
-// the result is bit-identical to the serial pass.
-func (c *Conv) applyCtx(ctx context.Context, in *tensor.Tensor, d Dotter, workers int) (*tensor.Tensor, error) {
 	k := c.Kernel
 	if in.C != k.C {
 		return nil, fmt.Errorf("qnn: input channels %d != kernel channels %d", in.C, k.C)
@@ -191,43 +187,27 @@ func (c *Conv) applyCtx(ctx context.Context, in *tensor.Tensor, d Dotter, worker
 	if err != nil {
 		return nil, fmt.Errorf("qnn: %s: %w", c.Label, err)
 	}
-	// One backing allocation for every window; activations were
-	// validated non-negative above and padding contributes zeros.
-	wbuf := make([]uint64, p.Rows*p.Cols)
-	windows := make([][]uint64, p.Rows)
-	for i := range windows {
-		dst := wbuf[i*p.Cols : (i+1)*p.Cols : (i+1)*p.Cols]
-		for j, v := range p.Row(i) {
-			dst[j] = uint64(v)
-		}
-		windows[i] = dst
+	// Activations were validated non-negative above and padding
+	// contributes zeros.
+	wins := make([]uint64, len(p.Data))
+	for i, v := range p.Data {
+		wins[i] = uint64(v)
 	}
-	// The engine-operand filter weights, packed once per process and
-	// cached on the layer.
 	filters, err := c.packedFilters()
 	if err != nil {
 		return nil, err
 	}
-
 	out := tensor.New(p.EH, p.EW, k.M)
-	workers = clampWorkers(workers, p.EH)
-	scratch := make([]uint64, workers*p.EW)
-	err = parallelFor(ctx, p.EH, workers, func(worker, oy int) error {
-		rowOut := scratch[worker*p.EW : (worker+1)*p.EW]
-		rowWins := windows[oy*p.EW : (oy+1)*p.EW]
-		for m := 0; m < k.M; m++ {
-			if err := dotBatch(d, rowWins, filters[m], rowOut); err != nil {
-				return err
-			}
-			base := oy * p.EW * k.M
-			for ox := 0; ox < p.EW; ox++ {
-				out.Data[base+ox*k.M+m] = int64(rowOut[ox])
+	for oy := 0; oy < p.EH; oy++ {
+		for m, weights := range filters {
+			for pos := oy * p.EW; pos < (oy+1)*p.EW; pos++ {
+				acc, err := d.DotProduct(wins[pos*p.Cols:(pos+1)*p.Cols], weights)
+				if err != nil {
+					return nil, err
+				}
+				out.Data[pos*k.M+m] = int64(acc)
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }
@@ -263,15 +243,8 @@ type FullyConnected struct {
 // Name implements Layer.
 func (f *FullyConnected) Name() string { return f.Label }
 
-// Apply implements Layer, serially.
+// Apply implements Layer, serially: one DotProduct per output neuron.
 func (f *FullyConnected) Apply(in *tensor.Tensor, d Dotter) (*tensor.Tensor, error) {
-	return f.applyCtx(context.Background(), in, d, 1)
-}
-
-// applyCtx implements ctxLayer: the whole weight matrix is packed once
-// up front and output neurons fan across the worker pool, each writing
-// its own slot.
-func (f *FullyConnected) applyCtx(ctx context.Context, in *tensor.Tensor, d Dotter, workers int) (*tensor.Tensor, error) {
 	n := in.Len()
 	if f.Out < 1 {
 		return nil, fmt.Errorf("qnn: output size %d", f.Out)
@@ -291,16 +264,12 @@ func (f *FullyConnected) applyCtx(ctx context.Context, in *tensor.Tensor, d Dott
 		return nil, err
 	}
 	out := tensor.New(1, 1, f.Out)
-	err = parallelFor(ctx, f.Out, workers, func(_, o int) error {
-		acc, err := d.DotProduct(xs, ws[o])
+	for o, w := range ws {
+		acc, err := d.DotProduct(xs, w)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		out.Data[o] = int64(acc)
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"pixel/internal/parallel"
 	"pixel/internal/tensor"
 )
 
@@ -117,11 +118,14 @@ func (st *batchStage) run(ctx context.Context, run *batchRun, d Dotter, workers 
 
 // RunBatch executes the model on a batch of same-shape inputs,
 // bit-identical to len(ins) sequential RunContext calls at any worker
-// count. The layer list runs as a fused stage plan: Conv and
-// FullyConnected layers pack their weights once per process (cached on
-// the layer; see Conv.packedFilters) and absorb trailing Requant /
-// MaxPool layers into their store epilogue, so the chain's
-// intermediate activation tensors are never materialized. Inter-layer
+// count. With one worker and a plain Dotter, a batch of one also issues
+// exactly RunContext's DotProduct call sequence (see dotMulti), which
+// is what lets a stateful engine run on it. The layer list runs as a
+// fused stage plan: Conv and FullyConnected layers pack their weights
+// once per process (cached on the layer; see Conv.packedFilters) and
+// absorb trailing Requant / MaxPool layers into their store epilogue,
+// so the chain's intermediate activation tensors are never
+// materialized. Inter-layer
 // activations come from a tensor.Arena (opts.Arena, or a private one)
 // and are recycled as soon as the next stage has consumed them;
 // per-image scratch (im2col patch matrices, operand buffers) comes
@@ -195,6 +199,41 @@ func growRows(flat *[]uint64, hdrs *[][]uint64, rows, cols int) [][]uint64 {
 		(*hdrs)[i] = (*flat)[i*cols : (i+1)*cols : (i+1)*cols]
 	}
 	return *hdrs
+}
+
+// dotMulti evaluates every filter against every window into
+// outs[f][w], through the engine's multi-filter entry point when it has
+// one. Otherwise it issues one DotProduct per (window, filter) pair in
+// datapath order: windows in rows of rowLen, every filter swept across
+// a row before the next row starts. Conv passes its output-row width
+// and Conv.Apply walks the same order, so a stateful engine (a fault
+// injector consuming its flip stream call by call) sees one call
+// sequence from a batch of one and from the serial reference.
+func dotMulti(d Dotter, windows, filters, outs [][]uint64, rowLen int) error {
+	if md, ok := d.(MultiDotter); ok {
+		return md.DotProductsMulti(windows, filters, outs)
+	}
+	if len(outs) != len(filters) {
+		return fmt.Errorf("qnn: %d output rows != %d filters", len(outs), len(filters))
+	}
+	for f := range outs {
+		if len(outs[f]) != len(windows) {
+			return fmt.Errorf("qnn: out length %d != %d windows", len(outs[f]), len(windows))
+		}
+	}
+	for lo := 0; lo < len(windows); lo += rowLen {
+		hi := min(lo+rowLen, len(windows))
+		for f, weights := range filters {
+			for w := lo; w < hi; w++ {
+				v, err := d.DotProduct(windows[w], weights)
+				if err != nil {
+					return err
+				}
+				outs[f][w] = v
+			}
+		}
+	}
+	return nil
 }
 
 // packFilters converts a layer's weight matrix to engine operands,
@@ -341,7 +380,7 @@ func (c *Conv) applyBatchFused(ctx context.Context, run *batchRun, d Dotter, wor
 	for b := range outs {
 		outs[b] = run.arena.Get(outH, outW, k.M)
 	}
-	err = parallelFor(ctx, len(ins), workers, func(_, b int) error {
+	err = parallel.For(ctx, len(ins), workers, func(_ context.Context, b int) error {
 		in := ins[b]
 		for i, v := range in.Data {
 			if v < 0 {
@@ -360,7 +399,7 @@ func (c *Conv) applyBatchFused(ctx context.Context, run *batchRun, d Dotter, wor
 			sc.u64[i] = uint64(v)
 		}
 		outRows := growRows(&sc.out, &sc.outHdrs, k.M, p.Rows)
-		if err := dotMulti(d, windows, filters, outRows); err != nil {
+		if err := dotMulti(d, windows, filters, outRows, p.EW); err != nil {
 			return fmt.Errorf("input %d: %w", b, err)
 		}
 		fuseConvEpilogue(outs[b], outRows, p.EW, rq, pool)
@@ -424,11 +463,11 @@ func (f *FullyConnected) applyBatchFused(ctx context.Context, run *batchRun, d D
 	// boundaries vary with the worker count but every (neuron, input)
 	// product is the same call either way, so results are placement-
 	// deterministic and bit-identical.
-	chunks := clampWorkers(workers, f.Out)
-	err = parallelFor(ctx, chunks, workers, func(_, ci int) error {
+	chunks := parallel.Clamp(workers, f.Out)
+	err = parallel.For(ctx, chunks, workers, func(_ context.Context, ci int) error {
 		lo := ci * f.Out / chunks
 		hi := (ci + 1) * f.Out / chunks
-		return dotMulti(d, windows, filters[lo:hi], outRows[lo:hi])
+		return dotMulti(d, windows, filters[lo:hi], outRows[lo:hi], len(windows))
 	})
 	if err != nil {
 		return f.Label, err

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"pixel/internal/bitserial"
@@ -11,14 +12,11 @@ import (
 )
 
 // multiDotter adapts BatchedStripes (whose qnn-shaped methods satisfy
-// Dotter/BatchDotter/MultiDotter structurally) without importing qnn
-// types into bitserial.
+// Dotter/MultiDotter structurally) without importing qnn types into
+// bitserial.
 type multiDotter struct{ e *bitserial.BatchedStripes }
 
 func (m multiDotter) DotProduct(a, b []uint64) (uint64, error) { return m.e.DotProduct(a, b) }
-func (m multiDotter) DotProducts(w [][]uint64, ws []uint64, out []uint64) error {
-	return m.e.DotProducts(w, ws, out)
-}
 func (m multiDotter) DotProductsMulti(w, fs [][]uint64, outs [][]uint64) error {
 	return m.e.DotProductsMulti(w, fs, outs)
 }
@@ -27,8 +25,8 @@ var _ MultiDotter = multiDotter{}
 
 // TestRunBatchEquivalence is the pipeline-level acceptance property:
 // RunBatch over B inputs is bit-identical to B sequential Run calls,
-// for every engine tier (the plain-Dotter fallback, the BatchDotter
-// fallback and the MultiDotter fast path) and any worker count.
+// for both engine tiers (the plain-Dotter fallback and the MultiDotter
+// fast path) and any worker count.
 func TestRunBatchEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	m, in0 := DemoLeNet(rng)
@@ -89,6 +87,63 @@ func TestRunBatchEquivalence(t *testing.T) {
 						}
 					}
 				})
+			}
+		}
+	}
+}
+
+// recordingDotter is a plain Dotter that logs every call's operands.
+type recordingDotter struct{ calls *[][2][]uint64 }
+
+func (r recordingDotter) DotProduct(a, b []uint64) (uint64, error) {
+	*r.calls = append(*r.calls, [2][]uint64{append([]uint64(nil), a...), append([]uint64(nil), b...)})
+	return ReferenceDotter{}.DotProduct(a, b)
+}
+
+// TestRunBatchCallOrder is the contract that lets a stateful engine (a
+// fault injector consuming its flip stream call by call) run on the
+// fused plan: RunBatch over a batch of one on one worker must issue the
+// identical (a, b) DotProduct sequence as the serial RunContext chain.
+// It covers the padded demo LeNet and a strided, padded conv whose
+// output rows are not square.
+func TestRunBatchCallOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	lenet, lenetIn := DemoLeNet(rng)
+	k := tensor.NewKernel(3, 3, 2)
+	for i := range k.Data {
+		k.Data[i] = rng.Int63n(16)
+	}
+	fc := make([]int64, 4*5*3*6)
+	for i := range fc {
+		fc[i] = rng.Int63n(16)
+	}
+	strided := &Model{Label: "strided", ActivationBits: 4, Layers: []Layer{
+		&Conv{Label: "c", Kernel: k, Stride: 2, Pad: 1}, // 7x9 -> 4x5
+		&Requant{Label: "rq", Shift: 4, Max: 15},
+		&Flatten{Label: "fl"},
+		&FullyConnected{Label: "fc", Weights: fc, Out: 6},
+	}}
+	stridedIn := tensor.New(7, 9, 2)
+	for i := range stridedIn.Data {
+		stridedIn.Data[i] = rng.Int63n(16)
+	}
+	for _, tc := range []struct {
+		m  *Model
+		in *tensor.Tensor
+	}{{lenet, lenetIn}, {strided, stridedIn}} {
+		var serial, fused [][2][]uint64
+		if _, err := tc.m.RunContext(context.Background(), tc.in, recordingDotter{&serial}, RunOptions{}); err != nil {
+			t.Fatalf("%s: RunContext: %v", tc.m.Label, err)
+		}
+		if _, err := tc.m.RunBatch(context.Background(), []*tensor.Tensor{tc.in}, recordingDotter{&fused}, RunOptions{Workers: 1}); err != nil {
+			t.Fatalf("%s: RunBatch: %v", tc.m.Label, err)
+		}
+		if len(fused) != len(serial) {
+			t.Fatalf("%s: RunBatch made %d calls, RunContext %d", tc.m.Label, len(fused), len(serial))
+		}
+		for i := range serial {
+			if !reflect.DeepEqual(fused[i], serial[i]) {
+				t.Fatalf("%s: call %d differs:\nRunBatch   %v\nRunContext %v", tc.m.Label, i, fused[i], serial[i])
 			}
 		}
 	}

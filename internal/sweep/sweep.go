@@ -13,7 +13,6 @@ package sweep
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -21,6 +20,7 @@ import (
 
 	"pixel/internal/arch"
 	"pixel/internal/cnn"
+	"pixel/internal/parallel"
 )
 
 // Point is one design point of the sweep space: a MAC design, a lane
@@ -250,20 +250,6 @@ func (e *Engine) RunState(ctx context.Context, jobs []Job, st *State, opts RunOp
 	if opts.Workers > 0 {
 		workers = opts.Workers
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	errs := make([]error, len(jobs))
-	var next atomic.Int64
-	next.Store(-1)
-	var progressMu sync.Mutex
 	if done, _ := st.Progress(); done > 0 {
 		if opts.OnJob != nil {
 			st.eachDone(opts.OnJob)
@@ -272,61 +258,30 @@ func (e *Engine) RunState(ctx context.Context, jobs []Job, st *State, opts RunOp
 			opts.Progress(done, len(jobs))
 		}
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= len(jobs) {
-					return
-				}
-				if st.isDone(i) {
-					continue // restored from a checkpoint
-				}
-				c, err := e.Evaluate(runCtx, jobs[i])
-				if err != nil {
-					errs[i] = err
-					cancel() // abandon the rest of the grid
-					return
-				}
-				completed := st.set(i, c)
-				if opts.Progress != nil || opts.OnJob != nil {
-					progressMu.Lock()
-					if opts.OnJob != nil {
-						opts.OnJob(i, c)
-					}
-					if opts.Progress != nil {
-						opts.Progress(completed, len(jobs))
-					}
-					progressMu.Unlock()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	if err := ctx.Err(); err != nil {
+	var progressMu sync.Mutex
+	err := parallel.For(ctx, len(jobs), workers, func(ctx context.Context, i int) error {
+		if st.isDone(i) {
+			return nil // restored from a checkpoint
+		}
+		c, err := e.Evaluate(ctx, jobs[i])
+		if err != nil {
+			return fmt.Errorf("sweep: point %s %s: %w", jobs[i].Network, jobs[i].Point, err)
+		}
+		// Recording the slot under the progress lock keeps the counts
+		// Progress sees strictly increasing.
+		progressMu.Lock()
+		defer progressMu.Unlock()
+		completed := st.set(i, c)
+		if opts.OnJob != nil {
+			opts.OnJob(i, c)
+		}
+		if opts.Progress != nil {
+			opts.Progress(completed, len(jobs))
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
-	}
-	// Prefer a real evaluation failure over the collateral
-	// context.Canceled of jobs that were in flight when it hit.
-	var cancelled error
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		if errors.Is(err, context.Canceled) {
-			if cancelled == nil {
-				cancelled = err
-			}
-			continue
-		}
-		return nil, fmt.Errorf("sweep: point %s %s: %w", jobs[i].Network, jobs[i].Point, err)
-	}
-	if cancelled != nil {
-		return nil, cancelled
 	}
 	return st.costs(), nil
 }
