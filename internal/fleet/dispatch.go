@@ -6,10 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sync"
 	"time"
 
 	"pixel/api"
+	"pixel/internal/parallel"
 )
 
 // errJobsUnsupported marks a worker fleet that cannot run jobs (an
@@ -168,34 +168,69 @@ func (c *Coordinator) runShardJob(ctx context.Context, key string, jreq api.JobR
 	}
 }
 
-// fanAll runs fn for every index concurrently and waits for all of
-// them — no cancellation on first error, unlike fanOut: the salvage
-// path wants every sibling shard's partial harvest even when one dies.
-// It returns the first error, or nil when every shard landed.
-func fanAll(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
-	if n == 1 {
-		return fn(ctx, 0)
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := fn(ctx, i); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
+// harvest is the salvage loop of a fleet job. Each round plans shards
+// for the units still missing (plan gets the shard target), runs them
+// all concurrently and waits for every one — a failing shard cancels
+// no sibling, since each one's partial harvest counts — and repeats
+// until nothing is missing. A round that lands nothing is dry:
+// MaxSalvageRounds consecutive dry rounds fail the job with the last
+// shard error. While no worker is healthy the job parks instead. Every
+// round after the first re-plans salvage, and so does the first when
+// the job was adopted mid-flight from a checkpoint.
+func harvest[S any](ctx context.Context, c *Coordinator, kind string, adopted bool, missing func() int, plan func(target int) []S, run func(context.Context, S) error) error {
+	var lastErr error
+	for dry := 0; ; {
+		before := missing()
+		if before == 0 {
+			return nil
+		}
+		if adopted {
+			c.metrics.salvageRounds.Add(1)
+			c.metrics.replannedUnits.Add(int64(before))
+			c.logger.Info("fleet: salvage round", "kind", kind, "missing_units", before)
+		}
+		if err := c.waitHealthy(ctx); err != nil {
+			return err
+		}
+		shards := plan(c.shardTarget())
+		errs := make([]error, len(shards))
+		if err := parallel.For(ctx, len(shards), len(shards), func(ctx context.Context, i int) error {
+			errs[i] = run(ctx, shards[i])
+			return nil
+		}); err != nil {
+			return err // only ctx ends: fn never fails
+		}
+		for _, err := range errs {
+			if err != nil {
+				lastErr = err
+				break
 			}
-		}(i)
+		}
+		if missing() < before {
+			dry = 0
+		} else {
+			dry++
+			if dry >= c.opts.MaxSalvageRounds {
+				if lastErr == nil {
+					lastErr = fmt.Errorf("fleet: %s job made no progress", kind)
+				}
+				return lastErr
+			}
+			if err := sleepCtx(ctx, jitter(c.backoff(dry, lastErr))); err != nil {
+				return err
+			}
+		}
+		adopted = true
 	}
-	wg.Wait()
-	return firstErr
+}
+
+// noteSalvaged records the units a failed worker job had already
+// delivered: they stay landed, and only the rest is re-planned.
+func (c *Coordinator) noteSalvaged(kind string, kept, lost int) {
+	if kept > 0 {
+		c.metrics.salvagedUnits.Add(int64(kept))
+		c.logger.Info("fleet: salvaged partial shard", "kind", kind, "units_kept", kept, "units_lost", lost)
+	}
 }
 
 // waitHealthy parks a fleet job while no member is healthy: the job

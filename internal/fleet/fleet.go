@@ -198,9 +198,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxTrials <= 0 {
 		o.MaxTrials = DefaultMaxTrials
 	}
-	if o.Heartbeat <= 0 {
-		o.Heartbeat = 15 * time.Second
-	}
 	if o.JobPollInterval <= 0 {
 		o.JobPollInterval = DefaultJobPollInterval
 	}

@@ -503,10 +503,14 @@ func TestCoordinatorSweepJob(t *testing.T) {
 
 // TestValidationMatchesWorker: a request a worker would reject is
 // rejected by the coordinator with the same status and body, without
-// touching any worker.
+// touching any worker — on the synchronous routes and on POST /v1/jobs
+// alike, engine-level checks (unknown network, precision, spec)
+// included.
 func TestValidationMatchesWorker(t *testing.T) {
 	workers := startWorkers(t, 1)
-	c := newTestCoordinator(t, Options{Workers: []string{"127.0.0.1:1"}}) // unroutable on purpose
+	// Unroutable on purpose; the prober is held off so the worker stays
+	// nominally healthy and the synchronous routes reach validation.
+	c := newTestCoordinator(t, Options{Workers: []string{"127.0.0.1:1"}, ProbeInterval: time.Hour})
 	ts := httptest.NewServer(c.Handler())
 	defer ts.Close()
 
@@ -547,4 +551,49 @@ func TestValidationMatchesWorker(t *testing.T) {
 			t.Errorf("fleet %s %s = %d %s, want %d %s", tc.route, tc.body, status, got, wantStatus, want)
 		}
 	}
+
+	// Engine-level rejections. The synchronous routes repeat each case:
+	// a coordinator that fanned the request out would answer with
+	// whichever shard failed first.
+	lenet := func(mut func(*api.RobustnessRequest)) api.RobustnessRequest {
+		req := api.RobustnessRequest{Network: "LeNet", Design: "OO", Sigmas: []float64{0.01, 0.02}, Trials: 4}
+		mut(&req)
+		return req
+	}
+	for _, tc := range []struct {
+		name string
+		job  api.JobRequest
+	}{
+		{"unknown sweep network", api.JobRequest{Kind: api.JobKindSweep, Sweep: &api.SweepRequest{
+			Networks: []string{"nope"}, Lanes: []int{4}, Bits: []int{8}}}},
+		{"bad sweep precision", api.JobRequest{Kind: api.JobKindSweep, Sweep: &api.SweepRequest{
+			Networks: []string{"LeNet"}, Lanes: []int{4, 8}, Bits: []int{4, 999}}}},
+		{"unknown robustness network", api.JobRequest{Kind: api.JobKindRobustness, Robustness: ptr(lenet(func(r *api.RobustnessRequest) { r.Network = "nope" }))}},
+		{"zero trials", api.JobRequest{Kind: api.JobKindRobustness, Robustness: ptr(lenet(func(r *api.RobustnessRequest) { r.Trials = 0 }))}},
+		{"negative sigma", api.JobRequest{Kind: api.JobKindRobustness, Robustness: ptr(lenet(func(r *api.RobustnessRequest) { r.Sigmas = []float64{-1} }))}},
+		{"empty sigma axis", api.JobRequest{Kind: api.JobKindRobustness, Robustness: ptr(lenet(func(r *api.RobustnessRequest) { r.Sigmas = nil }))}},
+	} {
+		route, body := "/v1/sweep", any(tc.job.Sweep)
+		if tc.job.Kind == api.JobKindRobustness {
+			route, body = "/v1/robustness", tc.job.Robustness
+		}
+		wantStatus, want := postJSON(t, workers[0]+route, body)
+		if wantStatus/100 != 4 {
+			t.Fatalf("%s: worker %s = %d %s, want a 4xx rejection", tc.name, route, wantStatus, want)
+		}
+		for i := 0; i < 50; i++ {
+			if status, got := postJSON(t, ts.URL+route, body); status != wantStatus || !bytes.Equal(got, want) {
+				t.Fatalf("%s: fleet %s try %d = %d %s, want %d %s", tc.name, route, i, status, got, wantStatus, want)
+			}
+		}
+		wantStatus, want = postJSON(t, workers[0]+"/v1/jobs", tc.job)
+		if wantStatus/100 != 4 {
+			t.Fatalf("%s: worker /v1/jobs = %d %s, want a 4xx rejection", tc.name, wantStatus, want)
+		}
+		if status, got := postJSON(t, ts.URL+"/v1/jobs", tc.job); status != wantStatus || !bytes.Equal(got, want) {
+			t.Errorf("%s: fleet /v1/jobs = %d %s, want %d %s", tc.name, status, got, wantStatus, want)
+		}
+	}
 }
+
+func ptr[T any](v T) *T { return &v }

@@ -15,8 +15,8 @@ import (
 )
 
 // buildJobTask is the coordinator's jobs.Factory. Validation runs
-// eagerly through the same planners the synchronous routes use — a bad
-// spec is rejected at POST /v1/jobs, before any worker sees it. The
+// eagerly through the same constructors the synchronous routes use — a
+// bad spec is rejected at POST /v1/jobs, before any worker sees it. The
 // returned tasks dispatch shards as worker jobs, harvest their partial
 // streams as the work lands, and re-plan only the still-missing units
 // when a shard dies (partial-result salvage); with JobsDir set their
@@ -29,33 +29,22 @@ func (c *Coordinator) buildJobTask(kind string, spec json.RawMessage) (jobs.Task
 		if err := httpx.StrictUnmarshal(spec, &req); err != nil {
 			return nil, err
 		}
-		if _, err := planRobustness(req, c.opts.MaxTrials, 1); err != nil {
+		t, err := c.newRobustnessTask(req)
+		if err != nil {
 			return nil, err
 		}
-		return &fleetRobustnessTask{
-			c:      c,
-			req:    req,
-			total:  len(req.Sigmas) * req.Trials,
-			points: map[int]api.JobPoint{},
-		}, nil
+		return t, nil
 
 	case api.JobKindSweep:
 		var req api.SweepRequest
 		if err := httpx.StrictUnmarshal(spec, &req); err != nil {
 			return nil, err
 		}
-		unit, points, err := planSweep(req, 1)
+		t, err := c.newSweepTask(req)
 		if err != nil {
 			return nil, err
 		}
-		return &fleetSweepTask{
-			c:       c,
-			req:     req,
-			total:   len(req.Networks) * points,
-			points:  points,
-			designs: unit[0].Req.Designs,
-			cells:   map[httpx.CellKey]api.JobCell{},
-		}, nil
+		return t, nil
 
 	default:
 		return nil, httpx.BadRequestf("unknown job kind %q (have %q, %q)", kind, api.JobKindRobustness, api.JobKindSweep)
@@ -76,12 +65,15 @@ type fleetJobCkpt struct {
 	Cells     []api.JobCell            `json:"cells,omitempty"`
 }
 
-// fleetRobustnessTask runs a robustness job across the fleet: the σ
-// axis splits into worker jobs, every per-point SSE event and polled
-// partial is folded in as it lands, and a dead worker costs only its
-// unfinished σ points — the salvage loop re-plans exactly those onto
-// the survivors. Trial seeds exclude σ (see internal/montecarlo), so
-// an arbitrary σ subset re-run is bit-exact.
+// fleetRobustnessTask runs a robustness request across the fleet: the
+// σ axis splits into shards and every point folds into its global slot
+// as it lands. A synchronous /v1/robustness runs one round of plain
+// shard calls (see Robustness). A job dispatches the shards as worker
+// jobs and folds every per-point SSE event and polled partial, so a
+// dead worker costs only its unfinished σ points — the salvage loop
+// re-plans exactly those onto the survivors. Trial seeds exclude σ
+// (see internal/montecarlo), so an arbitrary σ subset re-run is
+// bit-exact.
 type fleetRobustnessTask struct {
 	c     *Coordinator
 	req   api.RobustnessRequest
@@ -92,6 +84,26 @@ type fleetRobustnessTask struct {
 	points    map[int]api.JobPoint // global σ index → landed point
 	base      *api.RobustnessResponse
 	overheads []pixel.ProtectionReport // Points-stripped donors, one per complete shard
+}
+
+// newRobustnessTask validates req exactly as a worker's /v1/robustness
+// and robustness job factory do — the request limits first, then the
+// engine's own spec checks — so the coordinator refuses a bad spec with
+// the worker's status and bytes, without touching a worker.
+func (c *Coordinator) newRobustnessTask(req api.RobustnessRequest) (*fleetRobustnessTask, error) {
+	spec, err := httpx.RobustnessSpec(req, c.opts.MaxTrials)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := pixel.NewRobustnessJob(spec); err != nil {
+		return nil, err
+	}
+	return &fleetRobustnessTask{
+		c:      c,
+		req:    req,
+		total:  len(req.Sigmas) * req.Trials,
+		points: map[int]api.JobPoint{},
+	}, nil
 }
 
 func (t *fleetRobustnessTask) Snapshot() ([]byte, error) {
@@ -119,15 +131,9 @@ func (t *fleetRobustnessTask) Restore(buf []byte) error {
 	defer t.mu.Unlock()
 	restored := 0
 	for _, jp := range ck.Points {
-		if jp.Index < 0 || jp.Index >= len(t.req.Sigmas) {
-			continue
+		if t.landLocked(jp) {
+			restored++
 		}
-		if _, ok := t.points[jp.Index]; ok {
-			continue
-		}
-		t.points[jp.Index] = jp
-		t.done += t.req.Trials
-		restored++
 	}
 	t.base = ck.Base
 	t.overheads = ck.Overheads
@@ -150,6 +156,17 @@ func (t *fleetRobustnessTask) Partial() any {
 	return httpx.SortedPoints(t.points)
 }
 
+// landLocked stores jp in its σ slot unless that point has already
+// landed or is off the axis; t.mu held.
+func (t *fleetRobustnessTask) landLocked(jp api.JobPoint) bool {
+	if _, ok := t.points[jp.Index]; ok || jp.Index < 0 || jp.Index >= len(t.req.Sigmas) {
+		return false
+	}
+	t.points[jp.Index] = jp
+	t.done += t.req.Trials
+	return true
+}
+
 // missing returns the global σ indices not yet landed, in axis order.
 func (t *fleetRobustnessTask) missing() []int {
 	t.mu.Lock()
@@ -163,23 +180,11 @@ func (t *fleetRobustnessTask) missing() []int {
 	return out
 }
 
-// robustJobShard is one dispatchable σ chunk: a valid sub-request plus
-// the mapping from its local σ positions back to the global axis.
-type robustJobShard struct {
-	req api.RobustnessRequest
-	key string
-	idx []int // local σ position → global σ index
-}
-
-// planMissing chunks the missing σ indices into shards for the current
-// fleet. The subsets preserve axis order but need not be contiguous —
-// after a failure the holes are wherever the dead shard was.
-func (t *fleetRobustnessTask) planMissing(missing []int) []robustJobShard {
-	target := t.c.shardTarget()
-	if target > len(missing) {
-		target = len(missing)
-	}
-	shards := make([]robustJobShard, 0, target)
+// planMissing chunks the missing σ indices into at most target shards.
+// The subsets preserve axis order but need not be contiguous — after a
+// failure the holes are wherever the dead shard was.
+func (t *fleetRobustnessTask) planMissing(missing []int, target int) []robustShard {
+	var shards []robustShard
 	for _, r := range chunkRanges(len(missing), target) {
 		idx := missing[r[0]:r[1]]
 		sub := t.req
@@ -187,189 +192,146 @@ func (t *fleetRobustnessTask) planMissing(missing []int) []robustJobShard {
 		for j, gi := range idx {
 			sub.Sigmas[j] = t.req.Sigmas[gi]
 		}
-		shards = append(shards, robustJobShard{req: sub, key: robustKey(sub), idx: idx})
+		shards = append(shards, robustShard{Req: sub, Key: "robustness|" + httpx.RobustnessKey(sub), Idx: idx})
 	}
 	return shards
 }
 
 func (t *fleetRobustnessTask) Run(ctx context.Context, emit func(string, any)) (any, error) {
-	if len(t.req.Sigmas) == 0 {
-		// Degenerate axis: pass through whole so the worker's own
-		// validation and response shape apply verbatim.
-		return t.c.Robustness(ctx, t.req)
-	}
-	t.mu.Lock()
-	salvage := len(t.points) > 0 // adopted mid-flight from a checkpoint
-	t.mu.Unlock()
-
-	var lastErr error
-	for dry := 0; ; {
-		missing := t.missing()
-		if len(missing) == 0 {
-			break
-		}
-		if salvage {
-			t.c.metrics.salvageRounds.Add(1)
-			t.c.metrics.replannedUnits.Add(int64(len(missing)))
-			t.c.logger.Info("fleet: robustness salvage round",
-				"missing_points", len(missing), "axis_points", len(t.req.Sigmas))
-		}
-		if err := t.c.waitHealthy(ctx); err != nil {
-			return nil, err
-		}
-		shards := t.planMissing(missing)
-		err := fanAll(ctx, len(shards), func(ctx context.Context, i int) error {
-			return t.runShard(ctx, shards[i], emit)
-		})
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		if err != nil {
-			lastErr = err
-		}
-		if landed := len(missing) - len(t.missing()); landed == 0 {
-			dry++
-			if dry >= t.c.opts.MaxSalvageRounds {
-				if lastErr == nil {
-					lastErr = errors.New("fleet: robustness job made no progress")
-				}
-				return nil, lastErr
-			}
-			if serr := sleepCtx(ctx, jitter(t.c.backoff(dry, lastErr))); serr != nil {
-				return nil, serr
-			}
-		} else {
-			dry = 0
-		}
-		salvage = true
+	done, _ := t.Progress() // > 0: resumed mid-flight from a checkpoint
+	err := harvest(ctx, t.c, api.JobKindRobustness, done > 0,
+		func() int { return len(t.missing()) },
+		func(target int) []robustShard { return t.planMissing(t.missing(), target) },
+		func(ctx context.Context, sh robustShard) error { return t.runShard(ctx, sh, emit) })
+	if err != nil {
+		return nil, err
 	}
 	return t.finalize(ctx)
 }
 
 // runShard dispatches one σ chunk as a worker job, folding every point
 // it reports — a shard that dies still contributes what it streamed.
-func (t *fleetRobustnessTask) runShard(ctx context.Context, sh robustJobShard, emit func(string, any)) error {
+func (t *fleetRobustnessTask) runShard(ctx context.Context, sh robustShard, emit func(string, any)) error {
 	harvested := 0
-	fold := func(local api.JobPoint) {
-		if local.Index < 0 || local.Index >= len(sh.idx) {
-			return
-		}
-		gi := sh.idx[local.Index]
-		t.mu.Lock()
-		defer t.mu.Unlock()
-		if _, ok := t.points[gi]; ok {
-			return
-		}
-		jp := api.JobPoint{Index: gi, Point: local.Point, Protected: local.Protected}
-		t.points[gi] = jp
-		t.done += t.req.Trials
-		harvested++
-		emit(api.JobEventPoint, jp)
-		emit(api.JobEventProgress, api.JobProgress{Done: t.done, Total: t.total})
-	}
-	res, err := t.c.runShardJob(ctx, sh.key,
-		api.JobRequest{Kind: api.JobKindRobustness, Robustness: &sh.req},
+	res, err := t.c.runShardJob(ctx, sh.Key,
+		api.JobRequest{Kind: api.JobKindRobustness, Robustness: &sh.Req},
 		func(ev api.JobEvent) {
-			if ev.Type != api.JobEventPoint {
-				return
-			}
 			var jp api.JobPoint
-			if json.Unmarshal(ev.Data, &jp) == nil {
-				fold(jp)
+			if ev.Type == api.JobEventPoint && json.Unmarshal(ev.Data, &jp) == nil {
+				harvested += t.fold(sh, []api.JobPoint{jp}, emit)
 			}
 		},
 		func(st api.JobStatusResponse) {
-			if len(st.Partial) == 0 {
-				return
-			}
 			var pts []api.JobPoint
-			if json.Unmarshal(st.Partial, &pts) == nil {
-				for _, jp := range pts {
-					fold(jp)
-				}
+			if len(st.Partial) > 0 && json.Unmarshal(st.Partial, &pts) == nil {
+				harvested += t.fold(sh, pts, emit)
 			}
 		})
 	if errors.Is(err, errJobsUnsupported) {
-		// Workers without a job API: run the shard synchronously. The
-		// harvest granularity collapses to whole shards; the salvage
-		// loop still re-plans anything missing.
-		resp, serr := runShard(ctx, t.c, "/v1/robustness", sh.key, func(ctx context.Context, cl *api.Client) (api.RobustnessResponse, error) {
-			return cl.Robustness(ctx, sh.req)
-		})
-		if serr != nil {
-			return serr
-		}
-		return t.foldResponse(sh, resp, emit)
+		// Workers without a job API: the harvest granularity collapses
+		// to whole shards; the salvage loop still re-plans anything
+		// missing.
+		return t.runSync(ctx, sh, emit)
 	}
 	if err != nil {
-		if harvested > 0 {
-			t.c.metrics.salvagedUnits.Add(int64(harvested))
-			t.c.logger.Info("fleet: salvaged partial robustness shard",
-				"points_kept", harvested, "points_lost", len(sh.idx)-harvested)
-		}
+		t.c.noteSalvaged(api.JobKindRobustness, harvested, len(sh.Idx)-harvested)
 		return err
 	}
 	var resp api.RobustnessResponse
-	if uerr := json.Unmarshal(res, &resp); uerr != nil {
-		return fmt.Errorf("fleet: decode robustness job result: %w", uerr)
+	if err := json.Unmarshal(res, &resp); err != nil {
+		return fmt.Errorf("fleet: decode robustness job result: %w", err)
 	}
 	return t.foldResponse(sh, resp, emit)
 }
 
-// foldResponse merges one complete shard response: its points land in
-// their global slots, its σ-independent fields become (or cross-check)
-// the base, and its protection overheads join the donor pool.
-func (t *fleetRobustnessTask) foldResponse(sh robustJobShard, resp api.RobustnessResponse, emit func(string, any)) error {
+// runSync runs one σ chunk as a plain /v1/robustness call and folds
+// the response: a synchronous round's shard, and a job's fallback on
+// workers without a job API.
+func (t *fleetRobustnessTask) runSync(ctx context.Context, sh robustShard, emit func(string, any)) error {
+	resp, err := runShard(ctx, t.c, "/v1/robustness", sh.Key, func(ctx context.Context, cl *api.Client) (api.RobustnessResponse, error) {
+		return cl.Robustness(ctx, sh.Req)
+	})
+	if err != nil {
+		return err
+	}
+	return t.foldResponse(sh, resp, emit)
+}
+
+// fold lands shard-local points in their global σ slots, skipping any
+// already landed, and returns how many were new.
+func (t *fleetRobustnessTask) fold(sh robustShard, local []api.JobPoint, emit func(string, any)) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.base == nil {
-		b := resp
-		b.Points = nil
-		if resp.Protection != nil {
-			p := *resp.Protection
-			p.Points = nil
-			b.Protection = &p
+	n := 0
+	for _, lp := range local {
+		if lp.Index < 0 || lp.Index >= len(sh.Idx) {
+			continue
 		}
-		t.base = &b
+		jp := api.JobPoint{Index: sh.Idx[lp.Index], Point: lp.Point, Protected: lp.Protected}
+		if t.landLocked(jp) {
+			n++
+			emit(api.JobEventPoint, jp)
+		}
+	}
+	if n > 0 {
+		emit(api.JobEventProgress, api.JobProgress{Done: t.done, Total: t.total})
+	}
+	return n
+}
+
+// foldResponse merges one complete shard response: its σ-independent
+// fields become (or cross-check) the base, its protection overheads
+// join the donor pool, and its points land in their global slots.
+func (t *fleetRobustnessTask) foldResponse(sh robustShard, resp api.RobustnessResponse, emit func(string, any)) error {
+	b := sigmaFree(resp)
+	t.mu.Lock()
+	if t.base == nil {
+		t.base = b
 	} else if !slices.Equal(resp.Baseline, t.base.Baseline) {
 		// Baseline is σ-independent, so every shard must agree — a
 		// mismatch means the fleet mixes incompatible worker builds and
 		// the merge refuses rather than guess.
+		t.mu.Unlock()
 		return errors.New("fleet: shard baseline disagrees with the fleet")
 	}
+	if b.Protection != nil {
+		t.overheads = append(t.overheads, *b.Protection)
+	}
+	t.mu.Unlock()
+
+	local := make([]api.JobPoint, len(resp.Points))
+	for j := range resp.Points {
+		local[j] = api.JobPoint{Index: j, Point: resp.Points[j]}
+		if resp.Protection != nil && j < len(resp.Protection.Points) {
+			local[j].Protected = &resp.Protection.Points[j]
+		}
+	}
+	t.fold(sh, local, emit)
+	return nil
+}
+
+// sigmaFree returns the σ-independent part of a shard response: the
+// report with its point curves stripped, protection overheads kept.
+func sigmaFree(resp api.RobustnessResponse) *api.RobustnessResponse {
+	resp.Points = nil
 	if resp.Protection != nil {
 		p := *resp.Protection
 		p.Points = nil
-		t.overheads = append(t.overheads, p)
+		resp.Protection = &p
 	}
-	for j := range resp.Points {
-		if j >= len(sh.idx) {
-			break
-		}
-		gi := sh.idx[j]
-		if _, ok := t.points[gi]; ok {
-			continue
-		}
-		jp := api.JobPoint{Index: gi, Point: resp.Points[j]}
-		if resp.Protection != nil && j < len(resp.Protection.Points) {
-			jp.Protected = &resp.Protection.Points[j]
-		}
-		t.points[gi] = jp
-		t.done += t.req.Trials
-		emit(api.JobEventPoint, jp)
-	}
-	emit(api.JobEventProgress, api.JobProgress{Done: t.done, Total: t.total})
-	return nil
+	return &resp
 }
 
 // finalize assembles the single-node response from the harvested
 // points. The protection overheads are a pure function of the global
-// max retry factor, so any donor shard whose max matches supplies them
-// byte-exactly; when no shard does (the achieving point was salvaged
-// off a dead worker's stream), one synchronous single-σ probe at the
-// argmax σ re-derives them — strictly less work than re-running the
-// dead shard.
-func (t *fleetRobustnessTask) finalize(ctx context.Context) (any, error) {
+// max retry factor, so any complete shard whose own max reached it
+// donates them byte-exactly, whichever landed first. In a synchronous
+// round every shard completes, so the shard holding the argmax point
+// always qualifies. A job can lack such a donor (the achieving point
+// was salvaged off a dead worker's stream); then one synchronous
+// single-σ probe at the argmax σ re-derives them — strictly less work
+// than re-running the dead shard.
+func (t *fleetRobustnessTask) finalize(ctx context.Context) (api.RobustnessResponse, error) {
 	t.mu.Lock()
 	n := len(t.req.Sigmas)
 	pts := make([]pixel.YieldPoint, n)
@@ -378,7 +340,7 @@ func (t *fleetRobustnessTask) finalize(ctx context.Context) (any, error) {
 		jp, ok := t.points[i]
 		if !ok {
 			t.mu.Unlock()
-			return nil, fmt.Errorf("fleet: robustness point %d missing after merge", i)
+			return api.RobustnessResponse{}, fmt.Errorf("fleet: robustness point %d missing after merge", i)
 		}
 		pts[i] = jp.Point
 		prot[i] = jp.Protected
@@ -395,17 +357,12 @@ func (t *fleetRobustnessTask) finalize(ctx context.Context) (any, error) {
 		probe.Sigmas = t.req.Sigmas[:1]
 		resp, err := t.c.Robustness(ctx, probe)
 		if err != nil {
-			return nil, err
+			return api.RobustnessResponse{}, err
 		}
-		b := resp
-		b.Points = nil
-		if resp.Protection != nil {
-			p := *resp.Protection
-			p.Points = nil
-			b.Protection = &p
-			overheads = append(overheads, p)
+		base = sigmaFree(resp)
+		if base.Protection != nil {
+			overheads = append(overheads, *base.Protection)
 		}
-		base = &b
 	}
 
 	out := *base
@@ -416,7 +373,7 @@ func (t *fleetRobustnessTask) finalize(ctx context.Context) (any, error) {
 		globalMax, argmax := 0.0, 0
 		for i := 0; i < n; i++ {
 			if prot[i] == nil {
-				return nil, fmt.Errorf("fleet: protected point %d missing after merge", i)
+				return api.RobustnessResponse{}, fmt.Errorf("fleet: protected point %d missing after merge", i)
 			}
 			pr.Points[i] = *prot[i]
 			if prot[i].RetryFactor > globalMax {
@@ -435,10 +392,10 @@ func (t *fleetRobustnessTask) finalize(ctx context.Context) (any, error) {
 			probe.Sigmas = []float64{t.req.Sigmas[argmax]}
 			resp, err := t.c.Robustness(ctx, probe)
 			if err != nil {
-				return nil, err
+				return api.RobustnessResponse{}, err
 			}
 			if resp.Protection == nil {
-				return nil, errors.New("fleet: overhead probe returned no protection curve")
+				return api.RobustnessResponse{}, errors.New("fleet: overhead probe returned no protection curve")
 			}
 			donor = resp.Protection
 		}
@@ -451,21 +408,58 @@ func (t *fleetRobustnessTask) finalize(ctx context.Context) (any, error) {
 	return out, nil
 }
 
-// fleetSweepTask runs a sweep job across the fleet. Grid cells are
-// harvested from each worker job's polled partial, so a dead worker
-// costs only the cells it had not yet priced; the salvage loop groups
-// the missing rows per (design, lane) into bit-subset sub-requests —
-// still pure cross products, so still valid /v1/sweep bodies.
+// fleetSweepTask runs a sweep request across the fleet: the grid splits
+// into cross-product shards and every cell folds into its global slot
+// as it lands. A synchronous /v1/sweep runs one round of plain shard
+// calls (see Sweep). A job dispatches the shards as worker jobs and
+// harvests each one's polled partial, so a dead worker costs only the
+// cells it had not yet priced; the salvage loop groups the missing
+// rows per (design, lane) into bit-subset sub-requests — still pure
+// cross products, so still valid /v1/sweep bodies.
 type fleetSweepTask struct {
 	c       *Coordinator
 	req     api.SweepRequest
-	total   int      // cells: networks × grid rows
-	points  int      // rows in the full design-major grid
-	designs []string // explicit design names, axis order
+	total   int            // cells: networks × grid rows
+	points  int            // rows in the full design-major grid
+	designs []pixel.Design // resolved design axis
+	nets    []string       // distinct networks, sorted: the partial's order
 
-	mu    sync.Mutex
-	done  int
-	cells map[httpx.CellKey]api.JobCell
+	mu      sync.Mutex
+	done    int
+	results map[string][]api.Result // network → grid row → landed result
+	landed  map[string][]bool
+}
+
+// newSweepTask validates req exactly as a worker's /v1/sweep and sweep
+// job factory do — the request limits first, then the engine's own
+// network and precision checks — so the coordinator refuses a bad grid
+// with the worker's status and bytes, without touching a worker.
+func (c *Coordinator) newSweepTask(req api.SweepRequest) (*fleetSweepTask, error) {
+	designs, points, err := httpx.SweepDesigns(req)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := pixel.NewSweepJob(req.Networks, pixel.Grid(designs, req.Lanes, req.Bits)); err != nil {
+		return nil, err
+	}
+	t := &fleetSweepTask{
+		c:       c,
+		req:     req,
+		total:   len(req.Networks) * points,
+		points:  points,
+		designs: designs,
+		results: map[string][]api.Result{},
+		landed:  map[string][]bool{},
+	}
+	for _, n := range req.Networks {
+		if _, ok := t.landed[n]; !ok {
+			t.nets = append(t.nets, n)
+			t.results[n] = make([]api.Result, points)
+			t.landed[n] = make([]bool, points)
+		}
+	}
+	slices.Sort(t.nets)
+	return t, nil
 }
 
 func (t *fleetSweepTask) Snapshot() ([]byte, error) {
@@ -474,7 +468,7 @@ func (t *fleetSweepTask) Snapshot() ([]byte, error) {
 	ck := fleetJobCkpt{
 		Kind:  api.JobKindSweep,
 		Total: t.total,
-		Cells: httpx.SortedCells(t.cells),
+		Cells: t.cellsLocked(),
 	}
 	return json.Marshal(ck)
 }
@@ -491,16 +485,9 @@ func (t *fleetSweepTask) Restore(buf []byte) error {
 	defer t.mu.Unlock()
 	restored := 0
 	for _, cell := range ck.Cells {
-		if cell.Index < 0 || cell.Index >= t.points {
-			continue
+		if t.landLocked(cell.Network, cell.Index, cell.Result) {
+			restored++
 		}
-		k := httpx.CellKey{Network: cell.Network, Index: cell.Index}
-		if _, ok := t.cells[k]; ok {
-			continue
-		}
-		t.cells[k] = cell
-		t.done++
-		restored++
 	}
 	if restored > 0 {
 		t.c.metrics.salvagedUnits.Add(int64(restored))
@@ -514,12 +501,38 @@ func (t *fleetSweepTask) Progress() (int, int) {
 	return t.done, t.total
 }
 
-// Partial returns the grid cells landed so far, sorted by network then
-// index — the same shape and order a worker's sweep job reports.
+// Partial returns the grid cells landed so far.
 func (t *fleetSweepTask) Partial() any {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return httpx.SortedCells(t.cells)
+	return t.cellsLocked()
+}
+
+// cellsLocked lists the landed cells sorted by network then index —
+// the same shape and order a worker's sweep job reports; t.mu held.
+func (t *fleetSweepTask) cellsLocked() []api.JobCell {
+	out := make([]api.JobCell, 0, t.done)
+	for _, n := range t.nets {
+		for i, ok := range t.landed[n] {
+			if ok {
+				out = append(out, api.JobCell{Network: n, Index: i, Result: t.results[n][i]})
+			}
+		}
+	}
+	return out
+}
+
+// landLocked stores r as the network's grid row unless that cell has
+// already landed or names no cell of this grid; t.mu held.
+func (t *fleetSweepTask) landLocked(network string, row int, r api.Result) bool {
+	have := t.landed[network]
+	if row < 0 || row >= len(have) || have[row] {
+		return false
+	}
+	have[row] = true
+	t.results[network][row] = r
+	t.done++
+	return true
 }
 
 // missingRows returns the global rows with at least one network's cell
@@ -530,7 +543,7 @@ func (t *fleetSweepTask) missingRows() (rows []int, cells int) {
 	for i := 0; i < t.points; i++ {
 		miss := 0
 		for _, n := range t.req.Networks {
-			if _, ok := t.cells[httpx.CellKey{Network: n, Index: i}]; !ok {
+			if !t.landed[n][i] {
 				miss++
 			}
 		}
@@ -542,32 +555,15 @@ func (t *fleetSweepTask) missingRows() (rows []int, cells int) {
 	return rows, cells
 }
 
-// sweepJobShard is one dispatchable grid chunk: a valid cross-product
-// sub-request plus the mapping from its local rows to the global grid.
-type sweepJobShard struct {
-	req  api.SweepRequest
-	key  string
-	rows []int // local row → global grid row
-}
-
-// planMissing builds shards covering exactly the missing rows. A full
-// grid uses the synchronous planner's contiguous chunks; a salvage
-// round groups holes per (design, lane) with a bit subset in axis
-// order — any bit subset of one (design, lane) is still a pure cross
-// product, so still a valid worker request.
-func (t *fleetSweepTask) planMissing(missing []int) []sweepJobShard {
+// planMissing builds at most about target shards covering exactly the
+// missing rows. A full grid uses planSweep's contiguous chunks; a
+// salvage round groups holes per (design, lane) with a bit subset in
+// axis order — any bit subset of one (design, lane) is still a pure
+// cross product, so still a valid worker request.
+func (t *fleetSweepTask) planMissing(missing []int, target int) []sweepShard {
 	L, B := len(t.req.Lanes), len(t.req.Bits)
 	if len(missing) == t.points {
-		unit, _, err := planSweep(t.req, t.c.shardTarget())
-		if err == nil {
-			shards := make([]sweepJobShard, 0, len(unit))
-			for _, sh := range unit {
-				rows := make([]int, sh.Count)
-				for j := range rows {
-					rows[j] = sh.Start + j
-				}
-				shards = append(shards, sweepJobShard{req: sh.Req, key: sh.Key, rows: rows})
-			}
+		if shards, _, err := planSweep(t.req, target); err == nil {
 			return shards
 		}
 	}
@@ -582,70 +578,26 @@ func (t *fleetSweepTask) planMissing(missing []int) []sweepJobShard {
 		}
 		groups[g] = append(groups[g], row)
 	}
-	shards := make([]sweepJobShard, 0, len(order))
+	shards := make([]sweepShard, 0, len(order))
 	for _, g := range order {
 		rows := groups[g]
 		bits := make([]int, len(rows))
 		for j, row := range rows {
 			bits[j] = t.req.Bits[row%B]
 		}
-		sub := api.SweepRequest{
-			Networks: t.req.Networks,
-			Designs:  []string{t.designs[g.di]},
-			Lanes:    []int{t.req.Lanes[g.li]},
-			Bits:     bits,
-		}
-		shards = append(shards, sweepJobShard{req: sub, key: sweepKey(sub), rows: rows})
+		shards = append(shards, newSweepShard(t.req, t.designs[g.di:g.di+1], []int{t.req.Lanes[g.li]}, bits, rows))
 	}
 	return shards
 }
 
 func (t *fleetSweepTask) Run(ctx context.Context, emit func(string, any)) (any, error) {
-	t.mu.Lock()
-	salvage := len(t.cells) > 0 // adopted mid-flight from a checkpoint
-	t.mu.Unlock()
-
-	var lastErr error
-	for dry := 0; ; {
-		missing, missingCells := t.missingRows()
-		if len(missing) == 0 {
-			break
-		}
-		if salvage {
-			t.c.metrics.salvageRounds.Add(1)
-			t.c.metrics.replannedUnits.Add(int64(missingCells))
-			t.c.logger.Info("fleet: sweep salvage round",
-				"missing_cells", missingCells, "total_cells", t.total)
-		}
-		if err := t.c.waitHealthy(ctx); err != nil {
-			return nil, err
-		}
-		shards := t.planMissing(missing)
-		err := fanAll(ctx, len(shards), func(ctx context.Context, i int) error {
-			return t.runShard(ctx, shards[i], emit)
-		})
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		if err != nil {
-			lastErr = err
-		}
-		_, stillMissing := t.missingRows()
-		if stillMissing == missingCells {
-			dry++
-			if dry >= t.c.opts.MaxSalvageRounds {
-				if lastErr == nil {
-					lastErr = errors.New("fleet: sweep job made no progress")
-				}
-				return nil, lastErr
-			}
-			if serr := sleepCtx(ctx, jitter(t.c.backoff(dry, lastErr))); serr != nil {
-				return nil, serr
-			}
-		} else {
-			dry = 0
-		}
-		salvage = true
+	done, _ := t.Progress() // > 0: resumed mid-flight from a checkpoint
+	err := harvest(ctx, t.c, api.JobKindSweep, done > 0,
+		func() int { _, cells := t.missingRows(); return cells },
+		func(target int) []sweepShard { rows, _ := t.missingRows(); return t.planMissing(rows, target) },
+		func(ctx context.Context, sh sweepShard) error { return t.runShard(ctx, sh, emit) })
+	if err != nil {
+		return nil, err
 	}
 	return t.finalize()
 }
@@ -653,82 +605,78 @@ func (t *fleetSweepTask) Run(ctx context.Context, emit func(string, any)) (any, 
 // runShard dispatches one grid chunk as a worker job, harvesting its
 // polled partial cells — there is deliberately no per-cell SSE on
 // sweep jobs (see api.JobCell), so polling is the harvest channel.
-func (t *fleetSweepTask) runShard(ctx context.Context, sh sweepJobShard, emit func(string, any)) error {
+func (t *fleetSweepTask) runShard(ctx context.Context, sh sweepShard, emit func(string, any)) error {
 	harvested := 0
-	fold := func(batch []api.JobCell) {
-		t.mu.Lock()
-		defer t.mu.Unlock()
-		folded := 0
-		for _, cell := range batch {
-			if cell.Index < 0 || cell.Index >= len(sh.rows) {
-				continue
-			}
-			gi := sh.rows[cell.Index]
-			k := httpx.CellKey{Network: cell.Network, Index: gi}
-			if _, ok := t.cells[k]; ok {
-				continue
-			}
-			t.cells[k] = api.JobCell{Network: cell.Network, Index: gi, Result: cell.Result}
-			t.done++
-			folded++
-		}
-		if folded > 0 {
-			harvested += folded
-			emit(api.JobEventProgress, api.JobProgress{Done: t.done, Total: t.total})
-		}
-	}
-	res, err := t.c.runShardJob(ctx, sh.key,
-		api.JobRequest{Kind: api.JobKindSweep, Sweep: &sh.req},
+	res, err := t.c.runShardJob(ctx, sh.Key,
+		api.JobRequest{Kind: api.JobKindSweep, Sweep: &sh.Req},
 		nil, // sweep worker jobs emit no per-cell events; the poll harvests
 		func(st api.JobStatusResponse) {
-			if len(st.Partial) == 0 {
-				return
-			}
 			var cells []api.JobCell
-			if json.Unmarshal(st.Partial, &cells) == nil {
-				fold(cells)
+			if len(st.Partial) > 0 && json.Unmarshal(st.Partial, &cells) == nil {
+				harvested += t.fold(sh, cells, emit)
 			}
 		})
 	if errors.Is(err, errJobsUnsupported) {
-		resp, serr := runShard(ctx, t.c, "/v1/sweep", sh.key, func(ctx context.Context, cl *api.Client) (api.SweepResponse, error) {
-			return cl.Sweep(ctx, sh.req)
-		})
-		if serr != nil {
-			return serr
-		}
-		return t.foldResponse(sh, resp, fold)
+		return t.runSync(ctx, sh, emit)
 	}
 	if err != nil {
-		if harvested > 0 {
-			t.c.metrics.salvagedUnits.Add(int64(harvested))
-			t.c.logger.Info("fleet: salvaged partial sweep shard",
-				"cells_kept", harvested, "cells_lost", len(sh.rows)*len(t.req.Networks)-harvested)
-		}
+		t.c.noteSalvaged(api.JobKindSweep, harvested, len(sh.Rows)*len(t.req.Networks)-harvested)
 		return err
 	}
 	var resp api.SweepResponse
-	if uerr := json.Unmarshal(res, &resp); uerr != nil {
-		return fmt.Errorf("fleet: decode sweep job result: %w", uerr)
+	if err := json.Unmarshal(res, &resp); err != nil {
+		return fmt.Errorf("fleet: decode sweep job result: %w", err)
 	}
-	return t.foldResponse(sh, resp, fold)
+	return t.foldResponse(sh, resp, emit)
 }
 
-// foldResponse lands a complete shard response's rows cell by cell.
-func (t *fleetSweepTask) foldResponse(sh sweepJobShard, resp api.SweepResponse, fold func([]api.JobCell)) error {
-	if resp.Points != len(sh.rows) {
-		return fmt.Errorf("fleet: sweep shard returned %d points, want %d", resp.Points, len(sh.rows))
+// runSync runs one grid chunk as a plain /v1/sweep call and folds the
+// response: a synchronous round's shard, and a job's fallback on
+// workers without a job API.
+func (t *fleetSweepTask) runSync(ctx context.Context, sh sweepShard, emit func(string, any)) error {
+	resp, err := runShard(ctx, t.c, "/v1/sweep", sh.Key, func(ctx context.Context, cl *api.Client) (api.SweepResponse, error) {
+		return cl.Sweep(ctx, sh.Req)
+	})
+	if err != nil {
+		return err
 	}
+	return t.foldResponse(sh, resp, emit)
+}
+
+// fold lands shard-local cells in their global grid slots, skipping
+// any already landed, and returns how many were new.
+func (t *fleetSweepTask) fold(sh sweepShard, local []api.JobCell, emit func(string, any)) int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	n := 0
+	for _, cell := range local {
+		if cell.Index >= 0 && cell.Index < len(sh.Rows) && t.landLocked(cell.Network, sh.Rows[cell.Index], cell.Result) {
+			n++
+		}
+	}
+	if n > 0 {
+		emit(api.JobEventProgress, api.JobProgress{Done: t.done, Total: t.total})
+	}
+	return n
+}
+
+// foldResponse checks a complete shard response's shape and lands its
+// rows cell by cell.
+func (t *fleetSweepTask) foldResponse(sh sweepShard, resp api.SweepResponse, emit func(string, any)) error {
+	if resp.Points != len(sh.Rows) {
+		return fmt.Errorf("fleet: sweep shard returned %d points, want %d", resp.Points, len(sh.Rows))
+	}
+	local := make([]api.JobCell, 0, len(t.req.Networks)*len(sh.Rows))
 	for _, n := range t.req.Networks {
 		rows := resp.Results[n]
-		if len(rows) != len(sh.rows) {
-			return fmt.Errorf("fleet: sweep shard returned %d rows for %q, want %d", len(rows), n, len(sh.rows))
+		if len(rows) != len(sh.Rows) {
+			return fmt.Errorf("fleet: sweep shard returned %d rows for %q, want %d", len(rows), n, len(sh.Rows))
 		}
-		batch := make([]api.JobCell, len(rows))
 		for j := range rows {
-			batch[j] = api.JobCell{Network: n, Index: j, Result: rows[j]}
+			local = append(local, api.JobCell{Network: n, Index: j, Result: rows[j]})
 		}
-		fold(batch)
 	}
+	t.fold(sh, local, emit)
 	return nil
 }
 
@@ -736,20 +684,17 @@ func (t *fleetSweepTask) foldResponse(sh sweepJobShard, resp api.SweepResponse, 
 // cells. Worker results decode into the same float64s a local run
 // would produce and Go re-encodes float64 round-trips byte-exactly, so
 // the payload is byte-identical to one worker pricing the whole grid.
-func (t *fleetSweepTask) finalize() (any, error) {
+// The response shares the task's rows: every cell has landed, so
+// nothing writes them again.
+func (t *fleetSweepTask) finalize() (api.SweepResponse, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := api.SweepResponse{Points: t.points, Results: make(map[string][]api.Result, len(t.req.Networks))}
-	for _, n := range t.req.Networks {
-		rows := make([]api.Result, t.points)
-		for i := 0; i < t.points; i++ {
-			cell, ok := t.cells[httpx.CellKey{Network: n, Index: i}]
-			if !ok {
-				return nil, fmt.Errorf("fleet: sweep cell %s/%d missing after merge", n, i)
-			}
-			rows[i] = cell.Result
+	out := api.SweepResponse{Points: t.points, Results: make(map[string][]api.Result, len(t.nets))}
+	for _, n := range t.nets {
+		if i := slices.Index(t.landed[n], false); i >= 0 {
+			return api.SweepResponse{}, fmt.Errorf("fleet: sweep cell %s/%d missing after merge", n, i)
 		}
-		out.Results[n] = rows
+		out.Results[n] = t.results[n]
 	}
 	return out, nil
 }

@@ -4,98 +4,64 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 
 	"pixel"
 	"pixel/api"
+	"pixel/internal/httpx"
+	"pixel/internal/parallel"
 )
 
 // Evaluate prices one design point through the fleet. The routing key
-// is exactly the worker's request-coalescing key (network + canonical
-// point string), so every design point has one home worker and stays
-// hot in that worker's result LRU.
+// is exactly the worker's request-coalescing key, so every design
+// point has one home worker and stays hot in that worker's result LRU.
 func (c *Coordinator) Evaluate(ctx context.Context, req api.EvaluateRequest) (api.Result, error) {
 	d, err := pixel.ParseDesign(req.Design)
 	if err != nil {
 		return api.Result{}, err
 	}
-	p := pixel.Point{Design: d, Lanes: req.Lanes, Bits: req.Bits}
-	key := req.Network + "|" + p.String()
+	key := httpx.EvaluateKey(req.Network, pixel.Point{Design: d, Lanes: req.Lanes, Bits: req.Bits})
 	return runShard(ctx, c, "/v1/evaluate", key, func(ctx context.Context, cl *api.Client) (api.Result, error) {
 		return cl.Evaluate(ctx, req)
 	})
 }
 
-// Sweep evaluates a grid across the fleet: the request splits into
-// cross-product shards, each shard runs on its ring-routed worker with
-// retry, failover and hedging, and the responses merge into the
-// single-node payload. See planSweep and mergeSweep for why the merge
-// is byte-identical.
+// Sweep evaluates a grid across the fleet as one synchronous round of
+// the sweep job's plan → fold → finalize: the grid splits into
+// cross-product shards, each runs on its ring-routed worker with
+// retry, failover and hedging, and the cells merge into the
+// single-node payload (see fleetSweepTask.finalize for why it is
+// byte-identical). The first shard failure cancels the rest and fails
+// the request: a synchronous request never salvages and never parks.
 func (c *Coordinator) Sweep(ctx context.Context, req api.SweepRequest) (api.SweepResponse, error) {
-	return c.runSweep(ctx, req, nil)
-}
-
-// runSweep is Sweep plus a per-shard observer: onShard sees every
-// shard response as it lands (concurrently, shards in any order — the
-// observer synchronizes itself) — the coordinator job task uses it to
-// build chunked partial results.
-func (c *Coordinator) runSweep(ctx context.Context, req api.SweepRequest, onShard func(sweepShard, api.SweepResponse)) (api.SweepResponse, error) {
-	shards, points, err := planSweep(req, c.shardTarget())
+	t, err := c.newSweepTask(req)
 	if err != nil {
 		return api.SweepResponse{}, err
 	}
-	resps := make([]api.SweepResponse, len(shards))
-	run := func(ctx context.Context, i int) error {
-		resp, err := runShard(ctx, c, "/v1/sweep", shards[i].Key, func(ctx context.Context, cl *api.Client) (api.SweepResponse, error) {
-			return cl.Sweep(ctx, shards[i].Req)
-		})
-		if err != nil {
-			return err
-		}
-		resps[i] = resp
-		if onShard != nil {
-			onShard(shards[i], resp)
-		}
-		return nil
-	}
-	if err := fanOut(ctx, len(shards), run); err != nil {
+	rows, _ := t.missingRows()
+	shards := t.planMissing(rows, c.shardTarget())
+	if err := parallel.For(ctx, len(shards), len(shards), func(ctx context.Context, i int) error {
+		return t.runSync(ctx, shards[i], func(string, any) {})
+	}); err != nil {
 		return api.SweepResponse{}, err
 	}
-	return mergeSweep(req.Networks, points, shards, resps)
+	return t.finalize()
 }
 
-// Robustness runs a Monte-Carlo variation sweep across the fleet,
-// sharded along the σ axis. See planRobustness and mergeRobustness.
+// Robustness runs a Monte-Carlo variation sweep across the fleet as
+// one synchronous round of the robustness job's plan → fold →
+// finalize, sharded along the σ axis; it fails like Sweep.
 func (c *Coordinator) Robustness(ctx context.Context, req api.RobustnessRequest) (api.RobustnessResponse, error) {
-	return c.runRobustness(ctx, req, nil)
-}
-
-// runRobustness is Robustness plus a per-shard observer (called
-// concurrently, shards in any order — the observer synchronizes
-// itself).
-func (c *Coordinator) runRobustness(ctx context.Context, req api.RobustnessRequest, onShard func(robustShard, api.RobustnessResponse)) (api.RobustnessResponse, error) {
-	shards, err := planRobustness(req, c.opts.MaxTrials, c.shardTarget())
+	t, err := c.newRobustnessTask(req)
 	if err != nil {
 		return api.RobustnessResponse{}, err
 	}
-	resps := make([]api.RobustnessResponse, len(shards))
-	run := func(ctx context.Context, i int) error {
-		resp, err := runShard(ctx, c, "/v1/robustness", shards[i].Key, func(ctx context.Context, cl *api.Client) (api.RobustnessResponse, error) {
-			return cl.Robustness(ctx, shards[i].Req)
-		})
-		if err != nil {
-			return err
-		}
-		resps[i] = resp
-		if onShard != nil {
-			onShard(shards[i], resp)
-		}
-		return nil
-	}
-	if err := fanOut(ctx, len(shards), run); err != nil {
+	shards := t.planMissing(t.missing(), c.shardTarget())
+	if err := parallel.For(ctx, len(shards), len(shards), func(ctx context.Context, i int) error {
+		return t.runSync(ctx, shards[i], func(string, any) {})
+	}); err != nil {
 		return api.RobustnessResponse{}, err
 	}
-	return mergeRobustness(shards, resps)
+	return t.finalize(ctx)
 }
 
 // Map schedules a network onto a tile grid on the request's home
@@ -121,36 +87,4 @@ func (c *Coordinator) Infer(ctx context.Context, req api.InferRequest) (api.Infe
 	return runShard(ctx, c, "/v1/infer", key, func(ctx context.Context, cl *api.Client) (api.InferResponse, error) {
 		return cl.Infer(ctx, req)
 	})
-}
-
-// fanOut runs fn for every shard index concurrently and returns the
-// first error, cancelling the rest.
-func fanOut(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
-	if n == 1 {
-		return fn(ctx, 0)
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			err := fn(ctx, i)
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-					cancel()
-				}
-				mu.Unlock()
-			}
-		}(i)
-	}
-	wg.Wait()
-	return firstErr
 }

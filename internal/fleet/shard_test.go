@@ -1,12 +1,16 @@
 package fleet
 
 import (
+	"context"
+	"errors"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
 	"pixel"
 	"pixel/api"
+	"pixel/internal/httpx"
 )
 
 // TestChunkRanges: contiguous cover of [0, n) with sizes differing by
@@ -47,30 +51,29 @@ func TestChunkRanges(t *testing.T) {
 	}
 }
 
-// TestPlanSweepCoversGrid: at every shard target, the shards are
+// TestPlanSweepCoversGrid: at every shard target, the full-grid plan is
 // contiguous blocks whose sub-request cross products reproduce the full
-// canonical grid in order.
+// canonical grid in order, and a salvage plan over scattered holes
+// covers exactly the missing rows with cross-product sub-requests.
 func TestPlanSweepCoversGrid(t *testing.T) {
 	req := api.SweepRequest{
-		Networks: []string{"lenet", "alexnet"},
+		Networks: []string{"LeNet", "AlexNet"},
 		Lanes:    []int{2, 4, 8, 16},
 		Bits:     []int{2, 4, 6, 8},
 	}
 	designs := pixel.Designs()
 	full := pixel.Grid(designs, req.Lanes, req.Bits)
-	for _, target := range []int{0, 1, 2, 3, 5, 7, 12, 30, 48, 100} {
-		shards, points, err := planSweep(req, target)
-		if err != nil {
-			t.Fatalf("target %d: %v", target, err)
-		}
-		if points != len(full) {
-			t.Fatalf("target %d: points = %d, want %d", target, points, len(full))
-		}
-		next := 0
+	c := &Coordinator{opts: Options{}.withDefaults()}
+	task, err := c.newSweepTask(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// checkShards asserts every shard's cross product lands exactly on
+	// its global rows and returns the rows covered, in plan order.
+	checkShards := func(target int, shards []sweepShard) []int {
+		t.Helper()
+		var covered []int
 		for _, sh := range shards {
-			if sh.Start != next {
-				t.Fatalf("target %d: shard starts at %d, want %d", target, sh.Start, next)
-			}
 			sub := make([]pixel.Design, 0, len(sh.Req.Designs))
 			for _, name := range sh.Req.Designs {
 				d, err := pixel.ParseDesign(name)
@@ -80,24 +83,45 @@ func TestPlanSweepCoversGrid(t *testing.T) {
 				sub = append(sub, d)
 			}
 			grid := pixel.Grid(sub, sh.Req.Lanes, sh.Req.Bits)
-			if len(grid) != sh.Count {
-				t.Fatalf("target %d: shard grid has %d points, Count = %d", target, len(grid), sh.Count)
+			if len(grid) != len(sh.Rows) {
+				t.Fatalf("target %d: shard grid has %d points, %d rows", target, len(grid), len(sh.Rows))
 			}
 			for j, p := range grid {
-				if want := full[sh.Start+j]; p.String() != want.String() {
-					t.Fatalf("target %d: shard point %d = %s, full grid has %s", target, sh.Start+j, p, want)
+				if want := full[sh.Rows[j]]; p.String() != want.String() {
+					t.Fatalf("target %d: shard point %d = %s, full grid has %s", target, sh.Rows[j], p, want)
 				}
 			}
-			next += sh.Count
+			covered = append(covered, sh.Rows...)
 		}
-		if next != len(full) {
-			t.Fatalf("target %d: shards cover %d points, want %d", target, next, len(full))
+		return covered
+	}
+
+	all, cells := task.missingRows()
+	if len(all) != len(full) || cells != len(req.Networks)*len(full) {
+		t.Fatalf("fresh task misses %d rows / %d cells, want %d / %d", len(all), cells, len(full), len(req.Networks)*len(full))
+	}
+	for _, target := range []int{0, 1, 2, 3, 5, 7, 12, 30, 48, 100} {
+		shards := task.planMissing(all, target)
+		for i, row := range checkShards(target, shards) {
+			if row != i {
+				t.Fatalf("target %d: full-grid plan covers row %d at position %d; want a contiguous in-order cover", target, row, i)
+			}
+		}
+		if n := len(checkShards(target, shards)); n != len(full) {
+			t.Fatalf("target %d: shards cover %d points, want %d", target, n, len(full))
 		}
 		// Per-design (and per-lane) rounding can overshoot the target by
 		// at most one chunk per design x lane.
 		if target >= 1 && len(shards) > target+len(designs)*len(req.Lanes)-1 {
 			t.Fatalf("target %d produced %d shards", target, len(shards))
 		}
+	}
+
+	holes := []int{0, 1, 3, 6, 7, 17, 18, 31, 40, 47}
+	covered := checkShards(4, task.planMissing(holes, 4))
+	slices.Sort(covered)
+	if !slices.Equal(covered, holes) {
+		t.Fatalf("salvage plan covers rows %v, want exactly %v", covered, holes)
 	}
 }
 
@@ -121,19 +145,23 @@ func TestPlanSweepValidation(t *testing.T) {
 	}
 }
 
-// TestPlanRobustness: σ chunks are contiguous axis slices; degenerate
-// axes pass through whole.
+// TestPlanRobustness: a full-axis plan is contiguous σ chunks in axis
+// order, a salvage plan keeps each σ on its global index, and the
+// constructor rejects the trial cap and an empty σ axis as a worker
+// does.
 func TestPlanRobustness(t *testing.T) {
 	req := api.RobustnessRequest{
 		Network: "lenet", Design: "OO",
 		Sigmas: []float64{0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07},
 		Trials: 8,
 	}
+	c := &Coordinator{opts: Options{}.withDefaults()}
+	task, err := c.newRobustnessTask(req)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, target := range []int{1, 2, 3, 7, 10} {
-		shards, err := planRobustness(req, DefaultMaxTrials, target)
-		if err != nil {
-			t.Fatalf("target %d: %v", target, err)
-		}
+		shards := task.planMissing(task.missing(), target)
 		wantShards := target
 		if wantShards > len(req.Sigmas) {
 			wantShards = len(req.Sigmas)
@@ -143,12 +171,12 @@ func TestPlanRobustness(t *testing.T) {
 		}
 		lo := 0
 		for _, sh := range shards {
-			if sh.Lo != lo {
-				t.Fatalf("target %d: shard Lo = %d, want %d", target, sh.Lo, lo)
+			if len(sh.Idx) != len(sh.Req.Sigmas) {
+				t.Fatalf("target %d: shard maps %d indices for %d sigmas", target, len(sh.Idx), len(sh.Req.Sigmas))
 			}
 			for j, s := range sh.Req.Sigmas {
-				if s != req.Sigmas[lo+j] {
-					t.Fatalf("target %d: shard sigma %d = %v, want %v", target, lo+j, s, req.Sigmas[lo+j])
+				if sh.Idx[j] != lo+j || s != req.Sigmas[lo+j] {
+					t.Fatalf("target %d: shard sigma %d = %v at index %d, want %v at %d", target, j, s, sh.Idx[j], req.Sigmas[lo+j], lo+j)
 				}
 			}
 			lo += len(sh.Req.Sigmas)
@@ -157,26 +185,36 @@ func TestPlanRobustness(t *testing.T) {
 			t.Fatalf("target %d: shards cover %d sigmas, want %d", target, lo, len(req.Sigmas))
 		}
 	}
+	for _, sh := range task.planMissing([]int{1, 4, 6}, 2) {
+		for j, gi := range sh.Idx {
+			if sh.Req.Sigmas[j] != req.Sigmas[gi] {
+				t.Fatalf("salvage shard sigma %d = %v, want global sigma %d = %v", j, sh.Req.Sigmas[j], gi, req.Sigmas[gi])
+			}
+		}
+	}
 
-	if _, err := planRobustness(api.RobustnessRequest{Network: "lenet", Design: "OO", Trials: 9999}, 4096, 2); err == nil || !strings.Contains(err.Error(), "trial limit") {
+	if _, err := c.newRobustnessTask(api.RobustnessRequest{Network: "lenet", Design: "OO", Sigmas: []float64{0.01}, Trials: 9999}); err == nil || !strings.Contains(err.Error(), "trial limit") {
 		t.Errorf("trials over cap: err = %v", err)
 	}
-	if shards, err := planRobustness(api.RobustnessRequest{Network: "lenet", Design: "OO", Trials: 4}, 4096, 3); err != nil || len(shards) != 1 {
-		t.Errorf("empty sigma axis: shards = %v, err = %v, want single passthrough", shards, err)
+	if _, err := c.newRobustnessTask(api.RobustnessRequest{Network: "lenet", Design: "OO", Trials: 4}); !errors.Is(err, pixel.ErrBadSpec) {
+		t.Errorf("empty sigma axis: err = %v, want the worker's bad spec", err)
 	}
 }
 
-// TestMergeRobustnessProtection: the merged report takes the global max
-// retry factor (earliest shard on ties) together with that shard's
-// overheads, and refuses baseline disagreement.
+// TestMergeRobustnessProtection: folding complete shards and finalizing
+// takes the global max retry factor together with the overheads of a
+// shard whose own max reached it (the first such shard folded), and
+// refuses baseline disagreement.
 func TestMergeRobustnessProtection(t *testing.T) {
-	shards := []robustShard{{Lo: 0}, {Lo: 1}, {Lo: 2}}
+	c := &Coordinator{opts: Options{}.withDefaults()}
+	req := api.RobustnessRequest{Network: "lenet", Design: "OO", Sigmas: []float64{0.01, 0.02, 0.03}, Trials: 4,
+		Protection: &api.ProtectionSpec{Scheme: "parity"}}
 	mk := func(retry, overhead float64) api.RobustnessResponse {
 		return api.RobustnessResponse{
 			Baseline: []int64{42},
 			Points:   []pixel.YieldPoint{{}},
 			Protection: &pixel.ProtectionReport{
-				Points:          []pixel.ProtectedPoint{{}},
+				Points:          []pixel.ProtectedPoint{{RetryFactor: retry}},
 				MaxRetryFactor:  retry,
 				EnergyOverhead:  overhead,
 				LatencyOverhead: overhead,
@@ -184,7 +222,24 @@ func TestMergeRobustnessProtection(t *testing.T) {
 			},
 		}
 	}
-	out, err := mergeRobustness(shards, []api.RobustnessResponse{mk(1.5, 10), mk(2.5, 20), mk(2.5, 30)})
+	fold := func(resps ...api.RobustnessResponse) (*fleetRobustnessTask, error) {
+		task, err := c.newRobustnessTask(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, sh := range task.planMissing(task.missing(), len(resps)) {
+			if err := task.foldResponse(sh, resps[i], func(string, any) {}); err != nil {
+				return nil, err
+			}
+		}
+		return task, nil
+	}
+
+	task, err := fold(mk(1.5, 10), mk(2.5, 20), mk(2.5, 30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := task.finalize(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,10 +249,15 @@ func TestMergeRobustnessProtection(t *testing.T) {
 	if len(out.Points) != 3 || len(out.Protection.Points) != 3 {
 		t.Fatalf("merged %d points / %d protected, want 3 / 3", len(out.Points), len(out.Protection.Points))
 	}
+	for i, want := range []float64{1.5, 2.5, 2.5} {
+		if got := out.Protection.Points[i].RetryFactor; got != want {
+			t.Fatalf("protected point %d retry = %v, want %v", i, got, want)
+		}
+	}
 
 	bad := []api.RobustnessResponse{mk(1, 1), mk(1, 1), mk(1, 1)}
 	bad[2].Baseline = []int64{7}
-	if _, err := mergeRobustness(shards, bad); err == nil || !strings.Contains(err.Error(), "baseline disagrees") {
+	if _, err := fold(bad...); err == nil || !strings.Contains(err.Error(), "baseline disagrees") {
 		t.Fatalf("baseline mismatch: err = %v", err)
 	}
 }
@@ -235,5 +295,37 @@ func TestRingStability(t *testing.T) {
 	}
 	if moved == 0 || moved == len(keys) {
 		t.Fatalf("worker 2 owned %d/%d keys; want a proper share", moved, len(keys))
+	}
+}
+
+// TestShardKeysAreWorkerKeys: a whole-request shard routes on the
+// worker's own coalescing key behind the route prefix, and the key
+// text is pinned, since it places every shard on the ring.
+func TestShardKeysAreWorkerKeys(t *testing.T) {
+	c := &Coordinator{opts: Options{}.withDefaults()}
+	sweep := api.SweepRequest{Networks: []string{"LeNet"}, Lanes: []int{2, 4}, Bits: []int{8}}
+	shards, _, err := planSweep(sweep, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "sweep|" + httpx.SweepKey(sweep, pixel.Designs()); shards[0].Key != want {
+		t.Errorf("sweep shard key = %q, want %q", shards[0].Key, want)
+	}
+	if want := `sweep|["LeNet"]|[EE OE OO]|[2 4]|[8]`; shards[0].Key != want {
+		t.Errorf("sweep shard key = %q, want %q", shards[0].Key, want)
+	}
+
+	rob := api.RobustnessRequest{Network: "LeNet", Design: "OO", Sigmas: []float64{0.01, 0.02}, Trials: 4, Seed: 7,
+		Protection: &api.ProtectionSpec{Scheme: "parity"}}
+	task, err := c.newRobustnessTask(rob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := task.planMissing(task.missing(), 1)[0].Key
+	if want := "robustness|" + httpx.RobustnessKey(rob); key != want {
+		t.Errorf("robustness shard key = %q, want %q", key, want)
+	}
+	if want := "robustness|LeNet|OO|[0.01 0.02]|4|7|0|parity:0:0:0"; key != want {
+		t.Errorf("robustness shard key = %q, want %q", key, want)
 	}
 }

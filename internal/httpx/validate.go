@@ -1,6 +1,8 @@
 package httpx
 
 import (
+	"fmt"
+
 	"pixel"
 	"pixel/api"
 )
@@ -70,4 +72,34 @@ func RobustnessSpec(req api.RobustnessRequest, maxTrials int) (pixel.RobustnessS
 		ErrorBudget: req.ErrorBudget,
 		Protection:  req.Protection,
 	}, nil
+}
+
+// Request keys name what a request computes: a worker coalesces
+// identical in-flight requests on them and a coordinator routes on
+// them (behind a per-route prefix), so equal work lands on one
+// worker's caches. One builder per route keeps the two roles agreeing.
+
+// EvaluateKey is the key of pricing network at p.
+func EvaluateKey(network string, p pixel.Point) string {
+	return network + "|" + p.String()
+}
+
+// SweepKey is the key of a sweep request over its resolved design
+// axis (SweepDesigns), so an omitted axis and the same designs named
+// explicitly share a key.
+func SweepKey(req api.SweepRequest, designs []pixel.Design) string {
+	return fmt.Sprintf("%q|%v|%v|%v", req.Networks, designs, req.Lanes, req.Bits)
+}
+
+// RobustnessKey is the key of a robustness request RobustnessSpec
+// accepted, so its design name is canonical. The report is a pure
+// function of these fields (the engine's worker count is not one of
+// them); a protection spec extends the key, so differently protected
+// runs never share one.
+func RobustnessKey(req api.RobustnessRequest) string {
+	k := fmt.Sprintf("%s|%s|%v|%d|%d|%v", req.Network, req.Design, req.Sigmas, req.Trials, req.Seed, req.ErrorBudget)
+	if p := req.Protection; p != nil {
+		k += fmt.Sprintf("|%s:%d:%d:%d", p.Scheme, p.Copies, p.Retries, p.RecalEvery)
+	}
+	return k
 }

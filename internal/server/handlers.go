@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 	"strings"
 
@@ -27,7 +26,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.requestTimeout)
 	defer cancel()
 
-	key := req.Network + "|" + p.String()
+	key := httpx.EvaluateKey(req.Network, p)
 	res, shared, err := s.evalFlights.Do(ctx, key, func(ctx context.Context) (pixel.Result, error) {
 		if err := s.limiter.acquire(ctx); err != nil {
 			return pixel.Result{}, err
@@ -61,9 +60,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.requestTimeout)
 	defer cancel()
 
-	key := fmt.Sprintf("%q|%v|%v|%v", req.Networks, designs, req.Lanes, req.Bits)
 	networks := req.Networks
-	byNet, shared, err := s.sweepFlights.Do(ctx, key, func(ctx context.Context) (map[string][]pixel.Result, error) {
+	byNet, shared, err := s.sweepFlights.Do(ctx, httpx.SweepKey(req, designs), func(ctx context.Context) (map[string][]pixel.Result, error) {
 		if err := s.limiter.acquire(ctx); err != nil {
 			return nil, err
 		}

@@ -38,16 +38,12 @@ type JobsConfig struct {
 	// jobs.DefaultSaveEvery.
 	SaveEvery time.Duration
 	// Heartbeat is the SSE keep-alive comment cadence; <= 0 means
-	// DefaultJobHeartbeat.
+	// httpx.DefaultHeartbeat.
 	Heartbeat time.Duration
 	// Factory overrides the built-in (robustness, sweep) task factory —
 	// a test seam. nil means the pixel-facade factory.
 	Factory jobs.Factory
 }
-
-// DefaultJobHeartbeat is the SSE keep-alive cadence when
-// JobsConfig.Heartbeat is unset.
-const DefaultJobHeartbeat = 15 * time.Second
 
 // newRegistry builds the job registry from cfg; the shared HTTP core
 // recovers its persisted jobs.

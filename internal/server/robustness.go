@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 
 	"pixel"
@@ -33,15 +32,8 @@ func (s *Server) handleRobustness(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.requestTimeout)
 	defer cancel()
 
-	// The report is a pure function of the spec (Workers excluded), so
-	// identical concurrent requests can share one engine run. A
-	// protection spec extends the key: differently protected runs must
-	// not coalesce.
-	key := fmt.Sprintf("%s|%s|%v|%d|%d|%v", req.Network, spec.Design, req.Sigmas, req.Trials, req.Seed, req.ErrorBudget)
-	if p := req.Protection; p != nil {
-		key += fmt.Sprintf("|%s:%d:%d:%d", p.Scheme, p.Copies, p.Retries, p.RecalEvery)
-	}
-	rep, shared, err := s.robustFlights.Do(ctx, key, func(ctx context.Context) (pixel.RobustnessReport, error) {
+	// Identical concurrent requests share one engine run.
+	rep, shared, err := s.robustFlights.Do(ctx, httpx.RobustnessKey(req), func(ctx context.Context) (pixel.RobustnessReport, error) {
 		if err := s.limiter.acquire(ctx); err != nil {
 			return pixel.RobustnessReport{}, err
 		}

@@ -186,13 +186,10 @@ func New(cfg Config) *Server {
 			return s.infer.InferContext(ctx, pixel.InferSpec{Network: network, Images: images})
 		}, cfg.BatchSize, cfg.BatchWindow)
 	}
-	heartbeat := time.Duration(0)
+	var heartbeat time.Duration
 	if cfg.Jobs != nil {
 		s.registry = s.newRegistry(cfg.Jobs, logger)
 		heartbeat = cfg.Jobs.Heartbeat
-		if heartbeat <= 0 {
-			heartbeat = DefaultJobHeartbeat
-		}
 	}
 	s.core = httpx.New(httpx.Config{
 		Prefix:  "pixeld",

@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 
 	"pixel/internal/arch"
@@ -46,13 +47,24 @@ func NewState(jobs []Job) *State {
 
 // fingerprintJobs hashes the ordered job list so a snapshot can refuse
 // to restore under a different grid (or the same points reordered —
-// slot indices would then point at the wrong cells).
+// slot indices would then point at the wrong cells). The bytes hashed
+// are "sweep-v1|<n>" then "|<network>|<point>" per job, appended by
+// hand because every sweep request builds a State.
 func fingerprintJobs(jobs []Job) [32]byte {
 	h := sha256.New()
-	fmt.Fprintf(h, "sweep-v1|%d", len(jobs))
+	buf := strconv.AppendInt([]byte("sweep-v1|"), int64(len(jobs)), 10)
 	for _, j := range jobs {
-		fmt.Fprintf(h, "|%s|%s/L%d/B%d", j.Network, j.Point.Design, j.Point.Lanes, j.Point.Bits)
+		h.Write(buf)
+		buf = append(buf[:0], '|')
+		buf = append(buf, j.Network...)
+		buf = append(buf, '|')
+		buf = append(buf, j.Point.Design.String()...)
+		buf = append(buf, "/L"...)
+		buf = strconv.AppendInt(buf, int64(j.Point.Lanes), 10)
+		buf = append(buf, "/B"...)
+		buf = strconv.AppendInt(buf, int64(j.Point.Bits), 10)
 	}
+	h.Write(buf)
 	var fp [32]byte
 	h.Sum(fp[:0])
 	return fp

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"reflect"
@@ -142,6 +143,21 @@ func TestSweepRestoreRejectsForeignSnapshot(t *testing.T) {
 	}
 	if err := NewState(jobs).Restore(snap[:len(snap)/2]); err == nil {
 		t.Fatal("truncated snapshot restored without error")
+	}
+}
+
+// TestFingerprintFormat pins the bytes the job-list fingerprint hashes:
+// snapshots persisted by earlier builds must keep restoring.
+func TestFingerprintFormat(t *testing.T) {
+	jobs := []Job{
+		{Network: "LeNet", Point: Point{Design: arch.OO, Lanes: 4, Bits: 8}},
+		{Network: "AlexNet", Point: Point{Design: arch.EE, Lanes: 16, Bits: 12}},
+	}
+	if got, want := fingerprintJobs(jobs), sha256.Sum256([]byte("sweep-v1|2|LeNet|OO/L4/B8|AlexNet|EE/L16/B12")); got != want {
+		t.Fatalf("fingerprint = %x, want %x", got, want)
+	}
+	if got, want := fingerprintJobs(nil), sha256.Sum256([]byte("sweep-v1|0")); got != want {
+		t.Fatalf("empty fingerprint = %x, want %x", got, want)
 	}
 }
 
