@@ -1,6 +1,9 @@
 package bitserial
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 func BenchmarkMultiply8Bit(b *testing.B) {
 	e, err := NewEngine(8, 1)
@@ -135,6 +138,40 @@ func BenchmarkSequential64x16(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(windows)*len(fs)*len(windows[0]))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mmac/s")
+}
+
+// BenchmarkPerturbedDotProduct is the fault-injecting engine on a
+// 400-element 4-bit dot product, with multiply and accumulate flips at
+// a near-nominal rate (sparse) and at the ≈5% BER of a high-σ
+// Monte-Carlo trial (dense).
+func BenchmarkPerturbedDotProduct(b *testing.B) {
+	const n = 400
+	ns := make([]uint64, n)
+	ss := make([]uint64, n)
+	for i := range ns {
+		ns[i] = uint64(i*7) & 15
+		ss[i] = uint64(i*13) & 15
+	}
+	for _, bc := range []struct {
+		name string
+		p    float64
+	}{{"sparse", 1e-4}, {"dense", 0.05}} {
+		b.Run(bc.name, func(b *testing.B) {
+			e, err := NewPerturbedEngine(4, n, FlipRates{Mul: bc.p, Acc: bc.p},
+				rand.New(rand.NewSource(1)), rand.New(rand.NewSource(2)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := e.DotProduct(ns, ss); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(e.InjectedFlips())/float64(b.N), "flips/op")
+		})
+	}
 }
 
 func BenchmarkSignedDotProduct(b *testing.B) {

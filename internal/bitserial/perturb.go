@@ -3,6 +3,7 @@ package bitserial
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 )
 
@@ -50,8 +51,14 @@ func (r FlipRates) Zero() bool { return r.Mul <= 0 && r.Acc <= 0 }
 // higher-σ trial sharing a trial seed injects a superset count of
 // errors, so yield curves degrade monotonically rather than jitter
 // with resampling noise.
+//
+// Gaps are drawn ahead in chunks of len(gaps) by a refill with no
+// data-dependent branch, so successive logarithms overlap. The stream
+// owns its rand source, so drawing ahead changes no gap.
 type flipStream struct {
-	p   float64
+	p float64
+	// lp is math.Log1p(-p), the gap sampler's denominator.
+	lp  float64
 	rng *rand.Rand
 	// countdown is the number of clean bits remaining before the next
 	// scheduled flip.
@@ -64,6 +71,9 @@ type flipStream struct {
 	// parity bit and escape).
 	words    int64
 	oddWords int64
+	// gaps[next:] are drawn gaps not yet consumed.
+	gaps [256]uint64
+	next int
 }
 
 // maxGap bounds a sampled gap so float rounding at tiny p cannot
@@ -72,24 +82,44 @@ type flipStream struct {
 const maxGap = uint64(1) << 60
 
 func newFlipStream(p float64, rng *rand.Rand) *flipStream {
-	s := &flipStream{p: p, rng: rng}
+	s := &flipStream{p: p, lp: math.Log1p(-p), rng: rng}
+	s.next = len(s.gaps)
 	if p > 0 {
 		s.countdown = s.gap()
 	}
 	return s
 }
 
-// gap draws the number of clean bits before the next flip.
+// gap returns the number of clean bits before the next flip.
 func (s *flipStream) gap() uint64 {
+	if s.next == len(s.gaps) {
+		s.refill()
+	}
+	g := s.gaps[s.next]
+	s.next++
+	return g
+}
+
+// refill draws the next len(gaps) gaps. At p >= 1 every gap is zero
+// and no randomness is consumed.
+func (s *flipStream) refill() {
+	s.next = 0
 	if s.p >= 1 {
-		return 0
+		return // the gaps were never written and stay zero
 	}
-	// 1-Float64() is in (0, 1], keeping the log finite.
-	g := math.Floor(math.Log(1-s.rng.Float64()) / math.Log1p(-s.p))
-	if !(g >= 0) || g > float64(maxGap) {
-		return maxGap
+	// Two passes: the logarithms first, then the divides, which then
+	// pipeline instead of each waiting on its own Log call.
+	for i := range s.gaps {
+		// 1-Float64() is in (0, 1], keeping the log finite.
+		s.gaps[i] = math.Float64bits(math.Log(1 - s.rng.Float64()))
 	}
-	return uint64(g)
+	for i, l := range s.gaps {
+		g := math.Floor(math.Float64frombits(l) / s.lp)
+		if !(g >= 0) || g > float64(maxGap) {
+			g = float64(maxGap)
+		}
+		s.gaps[i] = uint64(int64(g)) // g <= maxGap < 1<<63
+	}
 }
 
 // apply advances the stream over the low `width` bits of v, flipping
@@ -124,6 +154,45 @@ func (s *flipStream) apply(v uint64, width int) uint64 {
 	return v
 }
 
+// masks advances the stream over len(m) words of width w (1..64) and
+// writes word i's XOR mask into m[i], leaving the stream and its
+// counters exactly as len(m) calls to apply(·, w) would. Positions are
+// tracked in the linear bit space of the whole run; the word of a flip
+// is found by a multiply with a precomputed reciprocal of w.
+func (s *flipStream) masks(m []uint64, w uint64) {
+	clear(m)
+	if s.p <= 0 {
+		return
+	}
+	n := uint64(len(m))
+	span := n * w
+	s.bits += int64(span)
+	// ceil(2^63/w): hi64((pos<<1)*recip) == pos/w for pos < 2^63/w.
+	recip := (uint64(1)<<63-1)/w + 1
+	pos := s.countdown
+	var flips, words, odd int64
+	for pos < span {
+		i, _ := bits.Mul64(pos<<1, recip)
+		base := i * w
+		prev := m[i]
+		m[i] = prev | uint64(1)<<(pos-base)
+		flips++
+		// A word's first flip counts it; each flip toggles its parity.
+		words += int64(((prev | -prev) >> 63) ^ 1)
+		odd += 1 - 2*int64(bits.OnesCount64(prev)&1)
+		gap := s.gap()
+		if gap >= maxGap-(pos-base) {
+			pos = base + maxGap
+			break
+		}
+		pos += 1 + gap
+	}
+	s.countdown = pos - span
+	s.flips += flips
+	s.words += words
+	s.oddWords += odd
+}
+
 // PerturbedEngine is a FastEngine that injects seeded bit errors into
 // the bit-serial datapath: multiply product bits flip at rates.Mul and
 // the running accumulator flips at rates.Acc after each merge, while
@@ -133,16 +202,19 @@ func (s *flipStream) apply(v uint64, width int) uint64 {
 // TestPerturbedZeroRatesDegeneracy and, end to end, by the Monte-Carlo
 // σ=0 golden test.
 //
-// A PerturbedEngine consumes its rand streams in datapath order, so it
-// is NOT safe for concurrent use; the Monte-Carlo engine runs one
-// engine per trial, serially within the trial, and parallelizes across
-// trials.
+// A PerturbedEngine owns its rand streams and draws them ahead in
+// chunks; its flip schedule advances with every call, so it is NOT
+// safe for concurrent use. The Monte-Carlo engine runs one engine per
+// trial, serially within the trial, and parallelizes across trials.
 type PerturbedEngine struct {
 	base      *FastEngine
 	rates     FlipRates
 	mul       *flipStream
 	acc       *flipStream
 	prodWidth int
+	// masks is DotProduct's scratch: the multiply masks, then the
+	// accumulate masks, of the current call.
+	masks []uint64
 }
 
 var _ Stripes = (*PerturbedEngine)(nil)
@@ -150,7 +222,9 @@ var _ Stripes = (*PerturbedEngine)(nil)
 // NewPerturbedEngine returns a fault-injecting engine with the same
 // operand and accumulator geometry as NewFastEngine(bits, terms). A
 // rand stream is required for each non-zero rate (mulRng for Mul,
-// accRng for Acc); unused streams may be nil.
+// accRng for Acc); unused streams may be nil. The engine owns the
+// streams: one *rand.Rand may not serve both rates, since each stream
+// draws ahead of the flips it has applied.
 func NewPerturbedEngine(bits, terms int, rates FlipRates, mulRng, accRng *rand.Rand) (*PerturbedEngine, error) {
 	if err := rates.Validate(); err != nil {
 		return nil, err
@@ -160,6 +234,9 @@ func NewPerturbedEngine(bits, terms int, rates FlipRates, mulRng, accRng *rand.R
 	}
 	if rates.Acc > 0 && accRng == nil {
 		return nil, fmt.Errorf("bitserial: accumulate flip rate %v needs a rand stream", rates.Acc)
+	}
+	if rates.Mul > 0 && rates.Acc > 0 && mulRng == accRng {
+		return nil, fmt.Errorf("bitserial: multiply and accumulate flips need separate rand streams")
 	}
 	base, err := NewFastEngine(bits, terms)
 	if err != nil {
@@ -227,7 +304,9 @@ func (e *PerturbedEngine) Multiply(neuron, synapse uint64) (uint64, Stats, error
 
 // DotProduct mirrors FastEngine.DotProduct with injection: each
 // element's product is corrupted at the Mul rate before the merge, and
-// the running accumulator is corrupted at the Acc rate after it.
+// the running accumulator is corrupted at the Acc rate after it. Both
+// streams first lay the call's flips out as per-element XOR masks, so
+// the merge loop itself has no branch.
 func (e *PerturbedEngine) DotProduct(neurons, synapses []uint64) (uint64, Stats, error) {
 	if len(neurons) != len(synapses) {
 		return 0, Stats{}, fmt.Errorf("bitserial: vector lengths differ (%d vs %d)", len(neurons), len(synapses))
@@ -240,13 +319,20 @@ func (e *PerturbedEngine) DotProduct(neurons, synapses []uint64) (uint64, Stats,
 			return 0, Stats{}, err
 		}
 	}
-	var acc uint64
-	for i := range neurons {
-		p := e.mul.apply(neurons[i]*synapses[i]&e.base.accMask, e.prodWidth)
-		acc = (acc + p) & e.base.accMask
-		acc = e.acc.apply(acc, e.base.accWidth)
-	}
 	n := len(neurons)
+	if cap(e.masks) < 2*n {
+		e.masks = make([]uint64, 2*n)
+	}
+	mm, am := e.masks[:n], e.masks[n:2*n]
+	e.mul.masks(mm, uint64(e.prodWidth))
+	e.acc.masks(am, uint64(e.base.accWidth))
+	mask := e.base.accMask
+	synapses = synapses[:n]
+	var acc uint64
+	for i, a := range neurons {
+		acc = (acc + (a*synapses[i]&mask ^ mm[i])) & mask
+		acc ^= am[i]
+	}
 	st := e.base.multiplyStats()
 	st.Adds++
 	return acc, Stats{

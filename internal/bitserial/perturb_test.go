@@ -159,6 +159,12 @@ func TestPerturbedEngineValidation(t *testing.T) {
 	if _, err := NewPerturbedEngine(4, 4, FlipRates{Acc: 0.5}, nil, nil); err == nil {
 		t.Error("non-zero Acc without a stream should error")
 	}
+	if _, err := NewPerturbedEngine(4, 4, FlipRates{Mul: 0.5, Acc: 0.5}, rng, rng); err == nil {
+		t.Error("one stream shared by both non-zero rates should error")
+	}
+	if _, err := NewPerturbedEngine(4, 4, FlipRates{Mul: 0.5}, rng, rng); err != nil {
+		t.Errorf("a stream shared with an unused rate should be accepted: %v", err)
+	}
 	if _, err := NewPerturbedEngine(0, 4, FlipRates{}, nil, nil); err == nil {
 		t.Error("bad bits should error")
 	}
@@ -174,5 +180,121 @@ func TestPerturbedEngineValidation(t *testing.T) {
 	}
 	if _, _, err := pe.DotProduct([]uint64{99}, []uint64{1}); err == nil {
 		t.Error("out-of-range vector element should error")
+	}
+}
+
+// streamState is the part of a flipStream that masks must leave
+// exactly as per-word apply calls would.
+type streamState struct {
+	countdown                    uint64
+	flips, words, oddWords, bits int64
+}
+
+func stateOf(s *flipStream) streamState {
+	return streamState{s.countdown, s.flips, s.words, s.oddWords, s.bits}
+}
+
+// TestFlipMasks pins masks to the per-word apply reference: for every
+// rate (1e-300 exercises the maxGap clamp), width 1–64 and length
+// 0–600, and across call sequences that carry state from one call to
+// the next, the masks and every counter must match.
+func TestFlipMasks(t *testing.T) {
+	rates := []float64{0, 1e-300, 1e-4, 0.05, 0.5, 1}
+	cases := rand.New(rand.NewSource(5))
+	for _, p := range rates {
+		for trial := 0; trial < 40; trial++ {
+			seed := cases.Int63()
+			got := newFlipStream(p, rand.New(rand.NewSource(seed)))
+			ref := newFlipStream(p, rand.New(rand.NewSource(seed)))
+			if p > 0 && trial%2 == 0 {
+				// Schedule an early flip, so the gap after it overflows
+				// at 1e-300.
+				c := uint64(cases.Intn(200))
+				got.countdown, ref.countdown = c, c
+			}
+			for call := 0; call < 8; call++ {
+				w := 1 + cases.Intn(64)
+				if cases.Intn(3) == 0 {
+					v := cases.Uint64()
+					if g, r := got.apply(v, w), ref.apply(v, w); g != r {
+						t.Fatalf("p=%g call %d: apply diverged", p, call)
+					}
+					continue
+				}
+				m := make([]uint64, cases.Intn(601))
+				for i := range m {
+					m[i] = cases.Uint64() // masks must overwrite, not merge
+				}
+				got.masks(m, uint64(w))
+				for i := range m {
+					if want := ref.apply(0, w); m[i] != want {
+						t.Fatalf("p=%g call %d width %d: mask[%d] = %#x, want %#x", p, call, w, i, m[i], want)
+					}
+				}
+				if g, r := stateOf(got), stateOf(ref); g != r {
+					t.Fatalf("p=%g call %d width %d len %d: state %+v, want %+v", p, call, w, len(m), g, r)
+				}
+			}
+		}
+	}
+}
+
+// refDotProduct is PerturbedEngine.DotProduct written element by
+// element through apply, the form the masks replace.
+func refDotProduct(e *PerturbedEngine, neurons, synapses []uint64) uint64 {
+	var acc uint64
+	for i := range neurons {
+		p := e.mul.apply(neurons[i]*synapses[i]&e.base.accMask, e.prodWidth)
+		acc = (acc + p) & e.base.accMask
+		acc = e.acc.apply(acc, e.base.accWidth)
+	}
+	return acc
+}
+
+// TestPerturbedDotProductMatchesApply runs the masked DotProduct and
+// the per-element reference side by side on identically seeded
+// engines, interleaved with Multiply calls, and requires identical
+// values and fault counters throughout.
+func TestPerturbedDotProductMatchesApply(t *testing.T) {
+	const bits, terms = 4, 600
+	mask := uint64(1)<<bits - 1
+	cases := rand.New(rand.NewSource(11))
+	for _, p := range []float64{1e-4, 0.05, 0.5, 1} {
+		rates := FlipRates{Mul: p, Acc: p / 2}
+		got, err := NewPerturbedEngine(bits, terms, rates, rand.New(rand.NewSource(1)), rand.New(rand.NewSource(2)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, _ := NewPerturbedEngine(bits, terms, rates, rand.New(rand.NewSource(1)), rand.New(rand.NewSource(2)))
+		for call := 0; call < 50; call++ {
+			if cases.Intn(4) == 0 {
+				a, b := cases.Uint64()&mask, cases.Uint64()&mask
+				gv, _, _ := got.Multiply(a, b)
+				rv, _, _ := ref.Multiply(a, b)
+				if gv != rv {
+					t.Fatalf("p=%g call %d: Multiply %d, want %d", p, call, gv, rv)
+				}
+				continue
+			}
+			n := cases.Intn(terms + 1)
+			ns, ss := make([]uint64, n), make([]uint64, n)
+			for i := range ns {
+				ns[i], ss[i] = cases.Uint64()&mask, cases.Uint64()&mask
+			}
+			gv, _, err := got.DotProduct(ns, ss)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rv := refDotProduct(ref, ns, ss); gv != rv {
+				t.Fatalf("p=%g call %d: DotProduct %d, want %d", p, call, gv, rv)
+			}
+		}
+		if stateOf(got.mul) != stateOf(ref.mul) || stateOf(got.acc) != stateOf(ref.acc) {
+			t.Errorf("p=%g: stream state diverged: mul %+v vs %+v, acc %+v vs %+v", p,
+				stateOf(got.mul), stateOf(ref.mul), stateOf(got.acc), stateOf(ref.acc))
+		}
+		if got.InjectedFlips() == 0 {
+			t.Errorf("p=%g: no flips injected", p)
+		}
 	}
 }

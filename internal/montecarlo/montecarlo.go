@@ -22,7 +22,7 @@ import (
 // through a fault-injecting bit-serial engine.
 type Spec struct {
 	// Model and Input are the network and stimulus; the unperturbed
-	// FastEngine run of the pair is the trial-pass baseline.
+	// run of the pair is the trial-pass baseline.
 	Model *qnn.Model
 	Input *tensor.Tensor
 	// Design selects the exposed datapaths (EE immune, OE multiply
@@ -274,11 +274,13 @@ func RunState(ctx context.Context, spec Spec, st *State, hooks Hooks) (*Report, 
 	if st.total != jobs {
 		return nil, fmt.Errorf("%w: state has %d slots, spec needs %d", ErrSnapshotMismatch, st.total, jobs)
 	}
-	fast, err := bitserial.NewFastEngine(spec.Bits, spec.Terms)
+	// The baseline is clean, so it runs on the batched engine, which is
+	// bit-identical to the sequential one.
+	clean, err := bitserial.NewBatchedStripes(spec.Bits, spec.Terms)
 	if err != nil {
 		return nil, err
 	}
-	baseline, err := infer(ctx, spec, stripesDotter{fast}, spec.Workers)
+	baseline, err := infer(ctx, spec, clean, spec.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("montecarlo: baseline inference: %w", err)
 	}
