@@ -26,7 +26,10 @@
 // change at runtime (POST/DELETE /v1/fleet/workers), a worker death
 // mid-job costs only its unfinished cells/σ-points (partial-result
 // salvage), and -jobs-dir makes coordinator jobs durable across
-// coordinator restarts (see docs/FLEET.md).
+// coordinator restarts (see docs/FLEET.md). Both roles share one flag
+// set and run path; a worker-only flag given with -coordinator, or a
+// negative count or duration, is a startup error (0 means the default;
+// docs/SERVER.md lists each flag's role).
 //
 // Usage:
 //
@@ -46,6 +49,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -57,91 +61,163 @@ import (
 	"time"
 
 	"pixel"
-	"pixel/fleet"
+	"pixel/internal/fleet"
+	"pixel/internal/httpx"
 	"pixel/internal/jobs"
 	"pixel/internal/server"
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "pixeld:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string, stdout *os.File) error {
+// config is one parsed command line: the listener settings both roles
+// share and the chosen role's configuration — coord for a coordinator,
+// worker (plus its engine options) otherwise.
+type config struct {
+	addr, pprofAddr string
+	drain           time.Duration
+	worker          server.Config
+	engine          pixel.EngineOptions
+	coord           *fleet.Options
+}
+
+// workerOnly names the flags only the worker role reads.
+var workerOnly = map[string]bool{
+	"batch-size": true, "batch-window": true, "cache-size": true,
+	"workers": true, "max-inflight": true, "queue-timeout": true,
+}
+
+// parseFlags parses args into the chosen role's config. With -jobs-dir
+// it also opens the jobs directory both roles checkpoint to.
+func parseFlags(args []string) (config, error) {
+	var (
+		c           config
+		w           server.Config
+		jo          jobs.RegistryOptions
+		jobsDir     string
+		coordinator string
+	)
 	fs := flag.NewFlagSet("pixeld", flag.ContinueOnError)
-	addr := fs.String("addr", ":8764", "listen address (host:port; port 0 picks a free port)")
-	maxInFlight := fs.Int("max-inflight", server.DefaultMaxInFlight, "max concurrently evaluating requests before shedding")
-	queueTimeout := fs.Duration("queue-timeout", server.DefaultQueueTimeout, "how long an over-limit request queues before a 429")
-	requestTimeout := fs.Duration("request-timeout", server.DefaultRequestTimeout, "per-request evaluation deadline")
-	cacheSize := fs.Int("cache-size", 0, "result-LRU capacity in entries (0 = engine default)")
-	workers := fs.Int("workers", 0, "sweep worker-pool size (0 = GOMAXPROCS)")
-	maxTrials := fs.Int("max-trials", server.DefaultMaxTrials, "max Monte-Carlo trials per /v1/robustness request")
-	batchSize := fs.Int("batch-size", server.DefaultBatchSize, "image count that flushes a pending /v1/infer batch early")
-	batchWindow := fs.Duration("batch-window", server.DefaultBatchWindow, "max wait for a /v1/infer batch to fill before it executes")
-	pprofAddr := fs.String("pprof-addr", "", "listen address for net/http/pprof profiling endpoints on a separate listener (empty = disabled); bind loopback, the endpoints are unauthenticated")
-	jobsDir := fs.String("jobs-dir", "", "directory for durable-job checkpoints; restarts re-adopt unfinished jobs (empty = in-memory jobs only)")
-	jobTTL := fs.Duration("job-ttl", jobs.DefaultTTL, "how long finished jobs stay queryable before eviction")
-	maxJobs := fs.Int("max-jobs", jobs.DefaultMaxJobs, "max jobs tracked before POST /v1/jobs answers 429")
-	maxRunningJobs := fs.Int("max-running-jobs", jobs.DefaultMaxRunning, "max concurrently executing jobs; the rest queue")
-	drain := fs.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline")
-	coordinator := fs.String("coordinator", "", "run as a fleet coordinator over this comma-separated worker list (host:port,...) instead of evaluating locally")
+	fs.StringVar(&c.addr, "addr", ":8764", "listen address (host:port; port 0 picks a free port)")
+	fs.StringVar(&c.pprofAddr, "pprof-addr", "", "listen address for net/http/pprof profiling endpoints on a separate listener (empty = disabled); bind loopback, the endpoints are unauthenticated")
+	fs.DurationVar(&c.drain, "drain", 10*time.Second, "graceful-shutdown drain deadline")
+	fs.StringVar(&coordinator, "coordinator", "", "run as a fleet coordinator over this comma-separated worker list (host:port,...) instead of evaluating locally")
+	fs.DurationVar(&w.RequestTimeout, "request-timeout", httpx.DefaultRequestTimeout, "per-request evaluation deadline")
+	fs.IntVar(&w.MaxTrials, "max-trials", httpx.DefaultMaxTrials, "max Monte-Carlo trials per /v1/robustness request")
+	fs.StringVar(&jobsDir, "jobs-dir", "", "directory for durable-job checkpoints; restarts re-adopt unfinished jobs (empty = in-memory jobs only)")
+	fs.DurationVar(&jo.TTL, "job-ttl", jobs.DefaultTTL, "how long finished jobs stay queryable before eviction")
+	fs.IntVar(&jo.MaxJobs, "max-jobs", jobs.DefaultMaxJobs, "max jobs tracked before POST /v1/jobs answers 429")
+	fs.IntVar(&jo.MaxRunning, "max-running-jobs", jobs.DefaultMaxRunning, "max concurrently executing jobs; the rest queue")
+	fs.IntVar(&w.MaxInFlight, "max-inflight", server.DefaultMaxInFlight, "worker only: max concurrently evaluating requests before shedding")
+	fs.DurationVar(&w.QueueTimeout, "queue-timeout", server.DefaultQueueTimeout, "worker only: how long an over-limit request queues before a 429")
+	fs.IntVar(&c.engine.CacheSize, "cache-size", 0, "worker only: result-LRU capacity in entries (0 = engine default)")
+	fs.IntVar(&c.engine.Workers, "workers", 0, "worker only: sweep worker-pool size (0 = GOMAXPROCS)")
+	fs.IntVar(&w.BatchSize, "batch-size", server.DefaultBatchSize, "worker only: image count that flushes a pending /v1/infer batch early")
+	fs.DurationVar(&w.BatchWindow, "batch-window", server.DefaultBatchWindow, "worker only: max wait for a /v1/infer batch to fill before it executes")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return config{}, err
 	}
-
-	if *coordinator != "" {
-		return runCoordinator(*coordinator, *addr, *requestTimeout, *maxTrials, *maxJobs, *maxRunningJobs, *jobTTL, *jobsDir, *drain, stdout)
+	var bad error
+	fs.Visit(func(f *flag.Flag) {
+		if bad == nil {
+			bad = checkFlag(f, coordinator != "")
+		}
+	})
+	if bad != nil {
+		return config{}, bad
 	}
-
-	var mgr *jobs.Manager
-	if *jobsDir != "" {
+	if jobsDir != "" {
 		var err error
-		if mgr, err = jobs.NewManager(*jobsDir); err != nil {
-			return err
+		if jo.Manager, err = jobs.NewManager(jobsDir); err != nil {
+			return config{}, err
 		}
 	}
+	if coordinator == "" {
+		w.Jobs = &jo
+		c.worker = w
+		return c, nil
+	}
+	c.coord = &fleet.Options{RequestTimeout: w.RequestTimeout, MaxTrials: w.MaxTrials, Jobs: jo}
+	for _, addr := range strings.Split(coordinator, ",") {
+		if addr = strings.TrimSpace(addr); addr != "" {
+			c.coord.Workers = append(c.coord.Workers, addr)
+		}
+	}
+	return c, nil
+}
 
-	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
-	mcWorkers := *workers
-	srv := server.New(server.Config{
-		Engine: pixel.NewEngine(pixel.EngineOptions{Workers: *workers, CacheSize: *cacheSize}),
-		Robust: server.RobustnessFunc(func(ctx context.Context, spec pixel.RobustnessSpec) (pixel.RobustnessReport, error) {
-			spec.Workers = mcWorkers
-			return pixel.RobustnessContext(ctx, spec)
-		}),
-		Infer:          server.PixelInfer{},
-		BatchSize:      *batchSize,
-		BatchWindow:    *batchWindow,
-		MaxTrials:      *maxTrials,
-		MaxInFlight:    *maxInFlight,
-		QueueTimeout:   *queueTimeout,
-		RequestTimeout: *requestTimeout,
-		Jobs: &server.JobsConfig{
-			Manager:    mgr,
-			MaxJobs:    *maxJobs,
-			MaxRunning: *maxRunningJobs,
-			TTL:        *jobTTL,
-		},
-		Logger: logger,
-	})
+// checkFlag rejects a worker-only flag given to a coordinator and a
+// negative count or duration.
+func checkFlag(f *flag.Flag, coordinator bool) error {
+	if coordinator && workerOnly[f.Name] {
+		return fmt.Errorf("-%s is a worker flag; -coordinator does not use it", f.Name)
+	}
+	negative := false
+	switch v := f.Value.(flag.Getter).Get().(type) {
+	case int:
+		negative = v < 0
+	case time.Duration:
+		negative = v < 0
+	}
+	if negative {
+		return fmt.Errorf("-%s %s: must not be negative (0 means the default)", f.Name, f.Value)
+	}
+	return nil
+}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+// role is what the listener serves: a worker *server.Server or a
+// *fleet.Coordinator.
+type role interface {
+	Serve(ctx context.Context, ln net.Listener, drain time.Duration) error
+}
+
+// newRole builds the configured role.
+func (c config) newRole(logger *slog.Logger) (role, error) {
+	if c.coord != nil {
+		opts := *c.coord
+		opts.Logger = logger
+		return fleet.New(opts)
+	}
+	w := c.worker
+	w.Engine = pixel.NewEngine(c.engine)
+	w.Robust = server.RobustnessFunc(pixel.RobustnessContext)
+	w.Infer = server.PixelInfer{}
+	w.Logger = logger
+	return server.New(w), nil
+}
+
+// run serves the role args configure until ctx is cancelled, then
+// drains. Both roles share this path; only the role differs.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	c, err := parseFlags(args)
+	if err != nil {
+		return err
+	}
+	logger := slog.New(slog.NewTextHandler(stderr, nil))
+	ln, err := net.Listen("tcp", c.addr)
+	if err != nil {
+		return err
+	}
+	defer ln.Close()
 
 	// The profiling listener is separate from the API listener so
 	// operational exposure is an explicit choice: the API port can face
 	// a load balancer while pprof stays on loopback. DefaultServeMux
 	// carries the net/http/pprof handlers via its init registration.
-	if *pprofAddr != "" {
-		pln, err := net.Listen("tcp", *pprofAddr)
+	if c.pprofAddr != "" {
+		pln, err := net.Listen("tcp", c.pprofAddr)
 		if err != nil {
 			return fmt.Errorf("pprof listener: %w", err)
 		}
 		defer pln.Close()
 		fmt.Fprintf(stdout, "pixeld: pprof on %s\n", pln.Addr())
-		logger.Info("pprof", "addr", pln.Addr().String())
 		go func() {
 			if err := http.Serve(pln, nil); err != nil && ctx.Err() == nil {
 				logger.Error("pprof server", "err", err)
@@ -149,52 +225,11 @@ func run(args []string, stdout *os.File) error {
 		}()
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	r, err := c.newRole(logger)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "pixeld: listening on %s\n", ln.Addr())
-	logger.Info("serving", "addr", ln.Addr().String(),
-		"max_inflight", *maxInFlight, "queue_timeout", *queueTimeout,
-		"request_timeout", *requestTimeout)
-	return srv.Serve(ctx, ln, *drain)
-}
-
-// runCoordinator is the -coordinator mode: same listener contract and
-// shutdown behavior as a worker, but requests fan out to the named
-// workers instead of evaluating locally. -jobs-dir applies here too:
-// coordinator jobs checkpoint their shard harvest and a restarted
-// coordinator re-adopts them, re-dispatching only unfinished work.
-func runCoordinator(workerList, addr string, requestTimeout time.Duration, maxTrials, maxJobs, maxRunningJobs int, jobTTL time.Duration, jobsDir string, drain time.Duration, stdout *os.File) error {
-	var workers []string
-	for _, w := range strings.Split(workerList, ",") {
-		if w = strings.TrimSpace(w); w != "" {
-			workers = append(workers, w)
-		}
-	}
-	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
-	fl, err := fleet.New(fleet.Options{
-		Workers:        workers,
-		RequestTimeout: requestTimeout,
-		MaxTrials:      maxTrials,
-		MaxJobs:        maxJobs,
-		MaxRunningJobs: maxRunningJobs,
-		JobTTL:         jobTTL,
-		JobsDir:        jobsDir,
-		Logger:         logger,
-	})
-	if err != nil {
-		return err
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "pixeld: listening on %s\n", ln.Addr())
-	logger.Info("coordinating", "addr", ln.Addr().String(), "workers", workers)
-	return fl.Serve(ctx, ln, drain)
+	logger.Info("serving", "addr", ln.Addr().String(), "coordinator", c.coord != nil, "pprof", c.pprofAddr)
+	return r.Serve(ctx, ln, c.drain)
 }

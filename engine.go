@@ -80,11 +80,7 @@ func (e *Engine) EvaluateContext(ctx context.Context, network string, p Point) (
 	if _, err := e.config(p); err != nil {
 		return Result{}, err
 	}
-	job, err := p.engineJob(network)
-	if err != nil {
-		return Result{}, err
-	}
-	c, err := e.eng.Evaluate(ctx, job)
+	c, err := e.eng.Evaluate(ctx, p.engineJob(network))
 	if err != nil {
 		return Result{}, err
 	}
@@ -96,24 +92,12 @@ func (e *Engine) EvaluateContext(ctx context.Context, network string, p Point) (
 // regardless of worker scheduling. On cancellation it returns promptly
 // with the context's error; opts may be nil.
 func (e *Engine) SweepContext(ctx context.Context, network string, points []Point, opts *SweepOptions) ([]Result, error) {
-	if len(points) == 0 {
-		return nil, fmt.Errorf("pixel: sweep axes must be non-empty")
-	}
-	if _, err := e.resolveNetwork(network); err != nil {
+	if err := e.ValidateSweep([]string{network}, points); err != nil {
 		return nil, err
 	}
 	jobs := make([]sweepeng.Job, len(points))
 	for i, p := range points {
-		job, err := p.engineJob(network)
-		if err != nil {
-			return nil, fmt.Errorf("pixel: sweep point %s: %w", p, err)
-		}
-		// Validate up front (memoized) so precision failures surface
-		// the sentinel instead of a raw engine error mid-run.
-		if _, err := e.config(p); err != nil {
-			return nil, fmt.Errorf("pixel: sweep point %s: %w", p, err)
-		}
-		jobs[i] = job
+		jobs[i] = p.engineJob(network)
 	}
 	ro := opts.runOptions()
 	if opts != nil && opts.Cell != nil {

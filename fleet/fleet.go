@@ -16,6 +16,7 @@ import (
 
 	"pixel/api"
 	"pixel/internal/fleet"
+	"pixel/internal/jobs"
 )
 
 // Options configures a Fleet. Workers is required; zero values take
@@ -56,17 +57,26 @@ type Fleet struct {
 // New builds a Fleet over the given workers. Close it when done — the
 // health prober runs from construction.
 func New(opts Options) (*Fleet, error) {
+	var mgr *jobs.Manager
+	if opts.JobsDir != "" {
+		var err error
+		if mgr, err = jobs.NewManager(opts.JobsDir); err != nil {
+			return nil, err
+		}
+	}
 	c, err := fleet.New(fleet.Options{
 		Workers:         opts.Workers,
 		HTTPClient:      opts.HTTPClient,
 		ShardsPerWorker: opts.ShardsPerWorker,
 		RequestTimeout:  opts.RequestTimeout,
 		MaxTrials:       opts.MaxTrials,
-		MaxJobs:         opts.MaxJobs,
-		MaxRunningJobs:  opts.MaxRunningJobs,
-		JobTTL:          opts.JobTTL,
-		JobsDir:         opts.JobsDir,
-		Logger:          opts.Logger,
+		Jobs: jobs.RegistryOptions{
+			Manager:    mgr,
+			MaxJobs:    opts.MaxJobs,
+			MaxRunning: opts.MaxRunningJobs,
+			TTL:        opts.JobTTL,
+		},
+		Logger: opts.Logger,
 	})
 	if err != nil {
 		return nil, err

@@ -15,6 +15,7 @@ import (
 
 	"pixel"
 	"pixel/api"
+	"pixel/internal/jobs"
 	"pixel/internal/server"
 )
 
@@ -217,7 +218,7 @@ func TestRobustnessJobSalvageOnWorkerDeath(t *testing.T) {
 		Robust: server.RobustnessFunc(func(ctx context.Context, spec pixel.RobustnessSpec) (pixel.RobustnessReport, error) {
 			return pixel.RobustnessContext(ctx, spec)
 		}),
-		Jobs:   &server.JobsConfig{MaxRunning: 8},
+		Jobs:   &jobs.RegistryOptions{MaxRunning: 8},
 		Logger: discardLogger(),
 	})
 	inner := dyingSrv.Handler()
@@ -294,7 +295,7 @@ func TestRobustnessJobSalvageOnWorkerDeath(t *testing.T) {
 }
 
 // TestCoordinatorRestartResumesFleetJob restarts the coordinator
-// process (Close + a fresh Coordinator over the same JobsDir) while a
+// process (Close + a fresh Coordinator over the same jobs Manager) while a
 // fleet robustness job is mid-flight. The second coordinator must
 // re-adopt the job, re-dispatch only the missing σ points, finish with
 // the single-node payload, and keep the SSE stream seq-continuous
@@ -307,11 +308,14 @@ func TestCoordinatorRestartResumesFleetJob(t *testing.T) {
 		t.Fatalf("single node: status %d: %s", status, want)
 	}
 
-	dir := t.TempDir()
+	mgr, err := jobs.NewManager(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
 	mkOpts := func() Options {
 		return Options{
 			Workers:       workers,
-			JobsDir:       dir,
+			Jobs:          jobs.RegistryOptions{Manager: mgr},
 			ProbeInterval: 50 * time.Millisecond,
 			RetryMaxDelay: 10 * time.Millisecond,
 		}
@@ -597,7 +601,7 @@ func TestNoHealthyWorkersRefusalAndJobParking(t *testing.T) {
 		Robust: server.RobustnessFunc(func(ctx context.Context, spec pixel.RobustnessSpec) (pixel.RobustnessReport, error) {
 			return pixel.RobustnessContext(ctx, spec)
 		}),
-		Jobs:   &server.JobsConfig{MaxRunning: 8},
+		Jobs:   &jobs.RegistryOptions{MaxRunning: 8},
 		Logger: discardLogger(),
 	})
 	inner := srv.Handler()
@@ -714,7 +718,7 @@ func TestJobCancellationPropagatesToWorkers(t *testing.T) {
 		Robust: server.RobustnessFunc(func(ctx context.Context, spec pixel.RobustnessSpec) (pixel.RobustnessReport, error) {
 			return pixel.RobustnessContext(ctx, spec)
 		}),
-		Jobs:   &server.JobsConfig{MaxRunning: 8},
+		Jobs:   &jobs.RegistryOptions{MaxRunning: 8},
 		Logger: discardLogger(),
 	})
 	inner := srv.Handler()

@@ -173,7 +173,7 @@ func (c *Coordinator) runShardJob(ctx context.Context, key string, jreq api.JobR
 // all concurrently and waits for every one — a failing shard cancels
 // no sibling, since each one's partial harvest counts — and repeats
 // until nothing is missing. A round that lands nothing is dry:
-// MaxSalvageRounds consecutive dry rounds fail the job with the last
+// maxSalvageRounds consecutive dry rounds fail the job with the last
 // shard error. While no worker is healthy the job parks instead. Every
 // round after the first re-plans salvage, and so does the first when
 // the job was adopted mid-flight from a checkpoint.
@@ -210,7 +210,7 @@ func harvest[S any](ctx context.Context, c *Coordinator, kind string, adopted bo
 			dry = 0
 		} else {
 			dry++
-			if dry >= c.opts.MaxSalvageRounds {
+			if dry >= maxSalvageRounds {
 				if lastErr == nil {
 					lastErr = fmt.Errorf("fleet: %s job made no progress", kind)
 				}

@@ -25,7 +25,7 @@
 // under the pixelfleet_ prefix. Coordinator jobs dispatch shards as
 // worker jobs and harvest their partial streams, so a worker death
 // re-plans only the missing cells/σ-points (partial-result salvage),
-// and with JobsDir set the coordinator's own job registry is durable —
+// and with a jobs Manager the coordinator's own registry is durable —
 // a restarted coordinator re-adopts fleet jobs and re-dispatches only
 // unfinished work.
 //
@@ -57,18 +57,27 @@ const (
 	DefaultMaxAttempts        = 4
 	DefaultRetryBaseDelay     = 25 * time.Millisecond
 	DefaultRetryMaxDelay      = 1 * time.Second
-	DefaultHedgePercentile    = 0.95
 	DefaultHedgeMinSamples    = 8
 	DefaultHedgeMinDelay      = 50 * time.Millisecond
 	DefaultProbeInterval      = 1 * time.Second
-	DefaultProbeTimeout       = 2 * time.Second
 	DefaultProbeFailThreshold = 3
-	DefaultRequestTimeout     = 30 * time.Second
-	DefaultMaxTrials          = 4096
 	DefaultBreakerThreshold   = 5
 	DefaultBreakerCooldown    = 5 * time.Second
 	DefaultJobPollInterval    = 250 * time.Millisecond
-	DefaultMaxSalvageRounds   = 5
+)
+
+// Fixed coordinator tuning.
+const (
+	// hedgePercentile is the shard-latency quantile that arms the
+	// straggler deadline: a primary still running past it gets one
+	// duplicate arm on a rotated worker order, first result wins.
+	hedgePercentile = 0.95
+	// probeTimeout bounds one /healthz probe.
+	probeTimeout = 2 * time.Second
+	// maxSalvageRounds is how many consecutive no-progress salvage
+	// rounds a fleet job tolerates before it fails with the last shard
+	// error.
+	maxSalvageRounds = 5
 )
 
 // Options configures a Coordinator. Workers is required; everything
@@ -95,25 +104,19 @@ type Options struct {
 	// hint above the cap is honored anyway. <= 0 means the defaults.
 	RetryBaseDelay time.Duration
 	RetryMaxDelay  time.Duration
-	// HedgePercentile is the shard-latency quantile that arms the
-	// straggler deadline; a primary still running past it gets one
-	// duplicate arm on a rotated worker order, first result wins.
-	// <= 0 means DefaultHedgePercentile.
-	HedgePercentile float64
 	// HedgeMinSamples is how many shard latencies a route must have
-	// observed before hedging arms at all; <= 0 means
-	// DefaultHedgeMinSamples.
+	// observed before the hedge deadline (see hedgePercentile) arms at
+	// all; <= 0 means DefaultHedgeMinSamples.
 	HedgeMinSamples int
 	// HedgeMinDelay floors the hedge deadline so naturally-fast routes
 	// do not hedge on scheduling noise; <= 0 means DefaultHedgeMinDelay.
 	HedgeMinDelay time.Duration
-	// ProbeInterval, ProbeTimeout and ProbeFailThreshold tune the
-	// /healthz prober: a worker is evicted after ProbeFailThreshold
-	// consecutive bad probes (immediately when it reports "draining"),
-	// and one good probe revives it. The interval is jittered ±10%.
-	// <= 0 means the defaults.
+	// ProbeInterval and ProbeFailThreshold tune the /healthz prober: a
+	// worker is evicted after ProbeFailThreshold consecutive bad probes
+	// (immediately when it reports "draining"), and one good probe
+	// revives it. The interval is jittered ±10%. <= 0 means the
+	// defaults.
 	ProbeInterval      time.Duration
-	ProbeTimeout       time.Duration
 	ProbeFailThreshold int
 	// BreakerThreshold is how many consecutive worker-attributable
 	// shard failures open a worker's circuit breaker; BreakerCooldown
@@ -122,90 +125,48 @@ type Options struct {
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
 	// RequestTimeout bounds one synchronous coordinator request end to
-	// end, shard fan-out included; <= 0 means DefaultRequestTimeout.
+	// end, shard fan-out included; <= 0 means
+	// httpx.DefaultRequestTimeout.
 	RequestTimeout time.Duration
 	// MaxTrials bounds the per-request trial count of a robustness
-	// sweep, mirroring the worker-side cap; <= 0 means DefaultMaxTrials.
+	// sweep, mirroring the worker-side cap; <= 0 means
+	// httpx.DefaultMaxTrials.
 	MaxTrials int
-	// MaxJobs, MaxRunningJobs, JobTTL and Heartbeat configure the
-	// coordinator's job registry (see jobs.RegistryOptions and the
-	// server's JobsConfig).
-	MaxJobs        int
-	MaxRunningJobs int
-	JobTTL         time.Duration
-	Heartbeat      time.Duration
-	// JobsDir makes the coordinator's job registry durable: fleet jobs
-	// snapshot their shard plan and received partials there, and a
+	// Jobs configures the coordinator's job registry, the same type a
+	// worker's server.Config.Jobs takes. With Jobs.Manager set it is
+	// durable: fleet jobs snapshot their received partials there, and a
 	// restarted coordinator re-adopts them and re-dispatches only the
-	// still-missing work. Empty keeps jobs in memory only.
-	JobsDir string
-	// JobSaveEvery is the periodic checkpoint cadence of durable fleet
-	// jobs; <= 0 means jobs.DefaultSaveEvery. Ignored without JobsDir.
-	JobSaveEvery time.Duration
+	// still-missing work. A nil Jobs.Factory means the coordinator's
+	// fleet-job factory; a nil Jobs.Logger means Logger.
+	Jobs jobs.RegistryOptions
 	// JobPollInterval throttles how often a fleet job polls a worker
 	// job's status for partial sweep cells while its event stream is
 	// quiet; <= 0 means DefaultJobPollInterval.
 	JobPollInterval time.Duration
-	// MaxSalvageRounds bounds how many consecutive no-progress salvage
-	// rounds a fleet job tolerates before it fails with the last shard
-	// error; <= 0 means DefaultMaxSalvageRounds.
-	MaxSalvageRounds int
 	// Logger receives structured logs; nil means slog.Default().
 	Logger *slog.Logger
 }
 
 // withDefaults returns o with every unset knob defaulted.
 func (o Options) withDefaults() Options {
-	if o.ShardsPerWorker <= 0 {
-		o.ShardsPerWorker = DefaultShardsPerWorker
-	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = DefaultMaxAttempts
-	}
-	if o.RetryBaseDelay <= 0 {
-		o.RetryBaseDelay = DefaultRetryBaseDelay
-	}
-	if o.RetryMaxDelay <= 0 {
-		o.RetryMaxDelay = DefaultRetryMaxDelay
-	}
-	if o.HedgePercentile <= 0 || o.HedgePercentile > 1 {
-		o.HedgePercentile = DefaultHedgePercentile
-	}
-	if o.HedgeMinSamples <= 0 {
-		o.HedgeMinSamples = DefaultHedgeMinSamples
-	}
-	if o.HedgeMinDelay <= 0 {
-		o.HedgeMinDelay = DefaultHedgeMinDelay
-	}
-	if o.ProbeInterval <= 0 {
-		o.ProbeInterval = DefaultProbeInterval
-	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = DefaultProbeTimeout
-	}
-	if o.ProbeFailThreshold <= 0 {
-		o.ProbeFailThreshold = DefaultProbeFailThreshold
-	}
-	if o.BreakerThreshold <= 0 {
-		o.BreakerThreshold = DefaultBreakerThreshold
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = DefaultBreakerCooldown
-	}
-	if o.RequestTimeout <= 0 {
-		o.RequestTimeout = DefaultRequestTimeout
-	}
-	if o.MaxTrials <= 0 {
-		o.MaxTrials = DefaultMaxTrials
-	}
-	if o.JobPollInterval <= 0 {
-		o.JobPollInterval = DefaultJobPollInterval
-	}
-	if o.MaxSalvageRounds <= 0 {
-		o.MaxSalvageRounds = DefaultMaxSalvageRounds
-	}
+	o.ShardsPerWorker = httpx.OrDefault(o.ShardsPerWorker, DefaultShardsPerWorker)
+	o.MaxAttempts = httpx.OrDefault(o.MaxAttempts, DefaultMaxAttempts)
+	o.RetryBaseDelay = httpx.OrDefault(o.RetryBaseDelay, DefaultRetryBaseDelay)
+	o.RetryMaxDelay = httpx.OrDefault(o.RetryMaxDelay, DefaultRetryMaxDelay)
+	o.HedgeMinSamples = httpx.OrDefault(o.HedgeMinSamples, DefaultHedgeMinSamples)
+	o.HedgeMinDelay = httpx.OrDefault(o.HedgeMinDelay, DefaultHedgeMinDelay)
+	o.ProbeInterval = httpx.OrDefault(o.ProbeInterval, DefaultProbeInterval)
+	o.ProbeFailThreshold = httpx.OrDefault(o.ProbeFailThreshold, DefaultProbeFailThreshold)
+	o.BreakerThreshold = httpx.OrDefault(o.BreakerThreshold, DefaultBreakerThreshold)
+	o.BreakerCooldown = httpx.OrDefault(o.BreakerCooldown, DefaultBreakerCooldown)
+	o.RequestTimeout = httpx.OrDefault(o.RequestTimeout, httpx.DefaultRequestTimeout)
+	o.MaxTrials = httpx.OrDefault(o.MaxTrials, httpx.DefaultMaxTrials)
+	o.JobPollInterval = httpx.OrDefault(o.JobPollInterval, DefaultJobPollInterval)
 	if o.Logger == nil {
 		o.Logger = slog.Default()
+	}
+	if o.Jobs.Logger == nil {
+		o.Jobs.Logger = o.Logger
 	}
 	return o
 }
@@ -249,7 +210,7 @@ type Coordinator struct {
 
 // New builds a Coordinator over the given workers. Workers start
 // healthy (optimistically — requests flow before the first probe) and
-// the prober starts immediately. With JobsDir set, persisted fleet
+// the prober starts immediately. With a jobs Manager, persisted fleet
 // jobs are re-adopted and resume before New returns.
 func New(opts Options) (*Coordinator, error) {
 	if len(opts.Workers) == 0 {
@@ -270,28 +231,15 @@ func New(opts Options) (*Coordinator, error) {
 	c.members = members
 	c.ring = newRing(opts.Workers)
 
-	var mgr *jobs.Manager
-	if opts.JobsDir != "" {
-		var err error
-		if mgr, err = jobs.NewManager(opts.JobsDir); err != nil {
-			return nil, err
-		}
+	if opts.Jobs.Factory == nil {
+		opts.Jobs.Factory = c.buildJobTask
 	}
-	c.reg = jobs.NewRegistry(jobs.RegistryOptions{
-		Factory:    c.buildJobTask,
-		Manager:    mgr,
-		MaxJobs:    opts.MaxJobs,
-		MaxRunning: opts.MaxRunningJobs,
-		TTL:        opts.JobTTL,
-		SaveEvery:  opts.JobSaveEvery,
-		Logger:     opts.Logger,
-	})
+	c.reg = jobs.NewRegistry(opts.Jobs)
 	c.core = httpx.New(httpx.Config{
 		Prefix:      "pixelfleet",
 		Metrics:     reg,
 		RetryAfterS: 1,
 		Jobs:        c.reg,
-		Heartbeat:   opts.Heartbeat,
 		Logger:      opts.Logger,
 	})
 	c.prober = startProber(c)
@@ -326,9 +274,9 @@ func (c *Coordinator) membership() ([]*worker, *ring) {
 }
 
 // Close stops the prober and the job registry. Running coordinator
-// jobs are cancelled; with JobsDir they flush a final checkpoint and
-// stay persisted as unfinished, so the next coordinator re-adopts them
-// and re-dispatches only the still-missing work.
+// jobs are cancelled; with a jobs Manager they flush a final
+// checkpoint and stay persisted as unfinished, so the next coordinator
+// re-adopts them and re-dispatches only the still-missing work.
 func (c *Coordinator) Close() {
 	c.closeOnce.Do(func() {
 		c.prober.shutdown()
@@ -406,7 +354,7 @@ func (c *Coordinator) window(route string) *latencyWindow {
 }
 
 // hedgeDelay is how long a shard's primary arm may run before a
-// duplicate launches: the route's observed latency percentile, floored
+// duplicate launches: the route's hedgePercentile latency, floored
 // by HedgeMinDelay. No deadline exists until the window has seen
 // HedgeMinSamples shards — hedging without a baseline would just
 // double every request.
@@ -415,7 +363,7 @@ func (c *Coordinator) hedgeDelay(route string) (time.Duration, bool) {
 	if w.count() < c.opts.HedgeMinSamples {
 		return 0, false
 	}
-	d := w.percentile(c.opts.HedgePercentile)
+	d := w.percentile(hedgePercentile)
 	if d < c.opts.HedgeMinDelay {
 		d = c.opts.HedgeMinDelay
 	}

@@ -16,6 +16,7 @@ import (
 
 	"pixel"
 	"pixel/api"
+	"pixel/internal/jobs"
 	"pixel/internal/server"
 )
 
@@ -46,7 +47,7 @@ func startWorker(t *testing.T) *httptest.Server {
 		Robust: server.RobustnessFunc(func(ctx context.Context, spec pixel.RobustnessSpec) (pixel.RobustnessReport, error) {
 			return pixel.RobustnessContext(ctx, spec)
 		}),
-		Jobs:   &server.JobsConfig{MaxRunning: 8},
+		Jobs:   &jobs.RegistryOptions{MaxRunning: 8},
 		Logger: discardLogger(),
 	})
 	ts := httptest.NewServer(srv.Handler())

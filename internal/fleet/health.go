@@ -67,7 +67,7 @@ func (p *prober) sweep() {
 }
 
 func (p *prober) probe(w *worker) {
-	ctx, cancel := context.WithTimeout(context.Background(), p.c.opts.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	h, err := w.client.Health(ctx)
 	if err == nil && h.Status == "ok" {

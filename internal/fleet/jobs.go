@@ -15,11 +15,11 @@ import (
 )
 
 // buildJobTask is the coordinator's jobs.Factory. Validation runs
-// eagerly through the same constructors the synchronous routes use — a
-// bad spec is rejected at POST /v1/jobs, before any worker sees it. The
+// eagerly through the same checks the synchronous routes use — a bad
+// spec is rejected at POST /v1/jobs, before any worker sees it. The
 // returned tasks dispatch shards as worker jobs, harvest their partial
 // streams as the work lands, and re-plan only the still-missing units
-// when a shard dies (partial-result salvage); with JobsDir set their
+// when a shard dies (partial-result salvage); with a jobs Manager their
 // harvest state checkpoints, so a restarted coordinator re-dispatches
 // only unfinished work.
 func (c *Coordinator) buildJobTask(kind string, spec json.RawMessage) (jobs.Task, error) {
@@ -89,13 +89,14 @@ type fleetRobustnessTask struct {
 // newRobustnessTask validates req exactly as a worker's /v1/robustness
 // and robustness job factory do — the request limits first, then the
 // engine's own spec checks — so the coordinator refuses a bad spec with
-// the worker's status and bytes, without touching a worker.
+// the worker's status and bytes, without touching a worker and without
+// allocating the run's trials × σ slot store.
 func (c *Coordinator) newRobustnessTask(req api.RobustnessRequest) (*fleetRobustnessTask, error) {
 	spec, err := httpx.RobustnessSpec(req, c.opts.MaxTrials)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := pixel.NewRobustnessJob(spec); err != nil {
+	if err := pixel.ValidateRobustness(spec); err != nil {
 		return nil, err
 	}
 	return &fleetRobustnessTask{
@@ -433,13 +434,14 @@ type fleetSweepTask struct {
 // newSweepTask validates req exactly as a worker's /v1/sweep and sweep
 // job factory do — the request limits first, then the engine's own
 // network and precision checks — so the coordinator refuses a bad grid
-// with the worker's status and bytes, without touching a worker.
+// with the worker's status and bytes, without touching a worker and
+// without allocating a sweep job.
 func (c *Coordinator) newSweepTask(req api.SweepRequest) (*fleetSweepTask, error) {
 	designs, points, err := httpx.SweepDesigns(req)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := pixel.NewSweepJob(req.Networks, pixel.Grid(designs, req.Lanes, req.Bits)); err != nil {
+	if err := pixel.ValidateSweep(req.Networks, pixel.Grid(designs, req.Lanes, req.Bits)); err != nil {
 		return nil, err
 	}
 	t := &fleetSweepTask{

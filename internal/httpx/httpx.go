@@ -93,16 +93,9 @@ type Config struct {
 	RetryAfterS int
 	// Jobs serves /v1/jobs; nil answers those routes with 501.
 	Jobs *jobs.Registry
-	// Heartbeat is the SSE keep-alive comment cadence of job streams;
-	// <= 0 means DefaultHeartbeat.
-	Heartbeat time.Duration
 	// Logger receives the request log and lifecycle messages.
 	Logger *slog.Logger
 }
-
-// DefaultHeartbeat is the SSE keep-alive cadence when
-// Config.Heartbeat is unset.
-const DefaultHeartbeat = 15 * time.Second
 
 // Core is one role's HTTP front: its envelope, instrumentation, shared
 // routes and lifecycle.
@@ -122,9 +115,6 @@ type Core struct {
 // New builds a Core and, when cfg.Jobs is set, re-adopts the jobs
 // persisted in the registry's directory.
 func New(cfg Config) *Core {
-	if cfg.Heartbeat <= 0 {
-		cfg.Heartbeat = DefaultHeartbeat // a zero ticker would panic
-	}
 	c := &Core{cfg: cfg}
 	p, m := cfg.Prefix, cfg.Metrics
 	m.GaugeFunc(p+"_in_flight", "HTTP requests currently being served.", c.inFlight.Load)

@@ -135,7 +135,7 @@ func (c *Core) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	err := c.cfg.Jobs.StreamEvents(w, r, j, c.cfg.Heartbeat, func(st jobs.JobStatus) any {
+	err := c.cfg.Jobs.StreamEvents(w, r, j, func(st jobs.JobStatus) any {
 		return api.JobProgress{Done: st.Done, Total: st.Total, Error: st.Error}
 	})
 	if err != nil {

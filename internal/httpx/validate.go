@@ -2,14 +2,16 @@ package httpx
 
 import (
 	"fmt"
+	"time"
 
 	"pixel"
 	"pixel/api"
 )
 
-// Request-size limits both roles enforce, with the same messages,
-// before any work starts: a coordinator must reject what a single node
-// would, without touching a worker.
+// Request limits both roles enforce, with the same messages, before
+// any work starts: a coordinator must reject what a single node would,
+// without touching a worker. The two defaults are the pixeld flag
+// defaults of both roles.
 const (
 	// MaxSweepJobs bounds the (networks x points) size of one sweep;
 	// grids beyond it are rejected up front instead of tying a worker
@@ -19,7 +21,22 @@ const (
 	// together with the trial cap it bounds the total inference count
 	// a single caller can queue.
 	MaxSigmaPoints = 256
+	// DefaultMaxTrials is the per-request trial cap of a robustness
+	// run when the role's MaxTrials is unset.
+	DefaultMaxTrials = 4096
+	// DefaultRequestTimeout bounds one synchronous request end to end
+	// when the role's RequestTimeout is unset.
+	DefaultRequestTimeout = 30 * time.Second
 )
+
+// OrDefault returns v, or def when v is unset (<= 0) — the rule every
+// count and duration knob of both roles follows.
+func OrDefault[T int | time.Duration](v, def T) T {
+	if v <= 0 {
+		return def
+	}
+	return v
+}
 
 // SweepDesigns validates a sweep request (a /v1/sweep body or a sweep
 // job spec) and returns its design axis — every design when the

@@ -77,6 +77,9 @@ type RegistryOptions struct {
 	// SaveEvery is the periodic checkpoint cadence while a job runs;
 	// <= 0 means DefaultSaveEvery. Ignored without a Manager.
 	SaveEvery time.Duration
+	// Heartbeat is the keep-alive comment cadence of StreamEvents;
+	// <= 0 means DefaultHeartbeat.
+	Heartbeat time.Duration
 	// Logger receives recovery and persistence diagnostics; nil means
 	// slog.Default().
 	Logger *slog.Logger
@@ -88,6 +91,7 @@ const (
 	DefaultMaxRunning = 2
 	DefaultTTL        = 15 * time.Minute
 	DefaultSaveEvery  = 5 * time.Second
+	DefaultHeartbeat  = 15 * time.Second
 )
 
 // File-name suffixes of a job's two on-disk artifacts.
@@ -153,6 +157,7 @@ type Registry struct {
 	maxRunning int
 	ttl        time.Duration
 	saveEvery  time.Duration
+	heartbeat  time.Duration
 	logger     *slog.Logger
 
 	mu   sync.Mutex
@@ -186,6 +191,10 @@ func NewRegistry(opts RegistryOptions) *Registry {
 	if saveEvery <= 0 {
 		saveEvery = DefaultSaveEvery
 	}
+	heartbeat := opts.Heartbeat
+	if heartbeat <= 0 {
+		heartbeat = DefaultHeartbeat // a zero ticker would panic
+	}
 	logger := opts.Logger
 	if logger == nil {
 		logger = slog.Default()
@@ -198,6 +207,7 @@ func NewRegistry(opts RegistryOptions) *Registry {
 		maxRunning: maxRunning,
 		ttl:        ttl,
 		saveEvery:  saveEvery,
+		heartbeat:  heartbeat,
 		logger:     logger,
 		jobs:       map[string]*Job{},
 		slots:      make(chan struct{}, maxRunning),

@@ -21,14 +21,14 @@ var (
 // StreamEvents streams j's event log to w as server-sent events.
 // Events are replayed from the request's Last-Event-ID (every event
 // since process start is retained, and seqs stay monotone across
-// restarts), comment heartbeats keep idle connections alive, and the
-// stream closes after the terminal event. A job recovered in a
-// terminal state has no terminal event in its post-restart log;
-// terminalData supplies the payload of the synthesized one so those
-// streams still end. Both pixeld's job routes and the fleet
-// coordinator's serve this exact loop, which is why it lives here and
-// not in a handler.
-func (r *Registry) StreamEvents(w http.ResponseWriter, req *http.Request, j *Job, heartbeat time.Duration, terminalData func(JobStatus) any) error {
+// restarts), comment heartbeats at the registry's Heartbeat cadence
+// keep idle connections alive, and the stream closes after the
+// terminal event. A job recovered in a terminal state has no terminal
+// event in its post-restart log; terminalData supplies the payload of
+// the synthesized one so those streams still end. Both pixeld's job
+// routes and the fleet coordinator's serve this exact loop, which is
+// why it lives here and not in a handler.
+func (r *Registry) StreamEvents(w http.ResponseWriter, req *http.Request, j *Job, terminalData func(JobStatus) any) error {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		return ErrCannotStream
@@ -46,7 +46,7 @@ func (r *Registry) StreamEvents(w http.ResponseWriter, req *http.Request, j *Job
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 
-	ticker := time.NewTicker(heartbeat)
+	ticker := time.NewTicker(r.heartbeat)
 	defer ticker.Stop()
 	for {
 		ch := j.Events.Changed()

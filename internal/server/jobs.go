@@ -3,65 +3,13 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"log/slog"
 	"sync"
-	"time"
 
 	"pixel"
 	"pixel/api"
 	"pixel/internal/httpx"
 	"pixel/internal/jobs"
 )
-
-// JobsConfig enables the durable asynchronous job routes:
-//
-//	POST   /v1/jobs              submit a robustness or sweep job
-//	GET    /v1/jobs/{id}         status + partial results
-//	GET    /v1/jobs/{id}/events  server-sent event stream
-//	DELETE /v1/jobs/{id}         cancel / forget
-//
-// Jobs checkpoint through Manager (when set) so a restarted server
-// re-adopts unfinished work and resumes it bit-exactly; see docs/JOBS.md.
-type JobsConfig struct {
-	// Manager persists job records and checkpoints; nil keeps jobs in
-	// memory only (no restart recovery).
-	Manager *jobs.Manager
-	// MaxJobs bounds tracked jobs; <= 0 means jobs.DefaultMaxJobs.
-	MaxJobs int
-	// MaxRunning bounds concurrently executing jobs; <= 0 means
-	// jobs.DefaultMaxRunning. Excess jobs queue.
-	MaxRunning int
-	// TTL retains finished jobs for status queries; <= 0 means
-	// jobs.DefaultTTL.
-	TTL time.Duration
-	// SaveEvery is the periodic checkpoint cadence; <= 0 means
-	// jobs.DefaultSaveEvery.
-	SaveEvery time.Duration
-	// Heartbeat is the SSE keep-alive comment cadence; <= 0 means
-	// httpx.DefaultHeartbeat.
-	Heartbeat time.Duration
-	// Factory overrides the built-in (robustness, sweep) task factory —
-	// a test seam. nil means the pixel-facade factory.
-	Factory jobs.Factory
-}
-
-// newRegistry builds the job registry from cfg; the shared HTTP core
-// recovers its persisted jobs.
-func (s *Server) newRegistry(cfg *JobsConfig, logger *slog.Logger) *jobs.Registry {
-	factory := cfg.Factory
-	if factory == nil {
-		factory = s.buildJobTask
-	}
-	return jobs.NewRegistry(jobs.RegistryOptions{
-		Factory:    factory,
-		Manager:    cfg.Manager,
-		MaxJobs:    cfg.MaxJobs,
-		MaxRunning: cfg.MaxRunning,
-		TTL:        cfg.TTL,
-		SaveEvery:  cfg.SaveEvery,
-		Logger:     logger,
-	})
-}
 
 // Close releases the server's background machinery (the job registry;
 // running jobs flush a final checkpoint and persist as unfinished).

@@ -32,7 +32,7 @@ func jobsServer(t *testing.T, mgr *jobs.Manager) (*Server, *httptest.Server) {
 	srv := New(Config{
 		Engine: &stubEngine{},
 		Logger: discardLogger(),
-		Jobs: &JobsConfig{
+		Jobs: &jobs.RegistryOptions{
 			Manager:   mgr,
 			SaveEvery: 5 * time.Millisecond,
 			Heartbeat: 50 * time.Millisecond,
@@ -272,7 +272,7 @@ func TestJobRestartRecovery(t *testing.T) {
 	srv1 := New(Config{
 		Engine: &stubEngine{},
 		Logger: discardLogger(),
-		Jobs: &JobsConfig{
+		Jobs: &jobs.RegistryOptions{
 			Manager: newJobsManager(t, dir),
 			Factory: func(kind string, spec json.RawMessage) (jobs.Task, error) { return task1, nil },
 		},
@@ -301,7 +301,7 @@ func TestJobRestartRecovery(t *testing.T) {
 	srv2 := New(Config{
 		Engine: &stubEngine{},
 		Logger: discardLogger(),
-		Jobs: &JobsConfig{
+		Jobs: &jobs.RegistryOptions{
 			Manager: newJobsManager(t, dir),
 			Factory: func(kind string, spec json.RawMessage) (jobs.Task, error) { return task2, nil },
 		},
@@ -375,7 +375,7 @@ func TestJobValidation(t *testing.T) {
 		Engine:    &stubEngine{},
 		Logger:    discardLogger(),
 		MaxTrials: 16,
-		Jobs:      &JobsConfig{},
+		Jobs:      &jobs.RegistryOptions{},
 	})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
@@ -409,7 +409,7 @@ func TestSweepJobPartialCells(t *testing.T) {
 	srv := New(Config{
 		Engine: &stubEngine{},
 		Logger: discardLogger(),
-		Jobs:   &JobsConfig{},
+		Jobs:   &jobs.RegistryOptions{},
 	})
 	defer srv.Close()
 

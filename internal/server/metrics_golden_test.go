@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"pixel"
+	"pixel/internal/jobs"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite the /metrics series golden")
@@ -67,7 +68,7 @@ func checkSeriesGolden(t *testing.T, golden, scrape string) {
 // label keys after a fixed request sequence: a renamed, relabelled or
 // dropped series fails until the golden is deliberately regenerated.
 func TestMetricsSeriesGolden(t *testing.T) {
-	srv := New(Config{Engine: pixel.NewEngine(pixel.EngineOptions{}), Logger: discardLogger(), Jobs: &JobsConfig{}})
+	srv := New(Config{Engine: pixel.NewEngine(pixel.EngineOptions{}), Logger: discardLogger(), Jobs: &jobs.RegistryOptions{}})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

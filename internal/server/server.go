@@ -84,7 +84,7 @@ type Config struct {
 	// DefaultBatchWindow.
 	BatchWindow time.Duration
 	// MaxTrials bounds the per-request trial count of a robustness
-	// sweep; <= 0 means DefaultMaxTrials. Requests above it are
+	// sweep; <= 0 means httpx.DefaultMaxTrials. Requests above it are
 	// rejected with 400 before any work starts.
 	MaxTrials int
 	// MaxInFlight bounds concurrently evaluating requests (after
@@ -95,21 +95,24 @@ type Config struct {
 	// before being shed with 429; <= 0 means DefaultQueueTimeout.
 	QueueTimeout time.Duration
 	// RequestTimeout is the per-request evaluation deadline, enforced
-	// via context through the engine; <= 0 means DefaultRequestTimeout.
+	// via context through the engine; <= 0 means
+	// httpx.DefaultRequestTimeout.
 	RequestTimeout time.Duration
 	// Jobs enables the durable asynchronous job routes (/v1/jobs and
-	// friends); nil disables them (501). See JobsConfig.
-	Jobs *JobsConfig
+	// friends); nil disables them (501). With Jobs.Manager set, jobs
+	// checkpoint there and a restarted server re-adopts unfinished ones
+	// and resumes them bit-exactly (see docs/JOBS.md). A nil
+	// Jobs.Factory means the built-in robustness and sweep factory; a
+	// nil Jobs.Logger means Logger.
+	Jobs *jobs.RegistryOptions
 	// Logger receives structured request logs; nil means slog.Default().
 	Logger *slog.Logger
 }
 
 // Defaults for the Config knobs (also the pixeld flag defaults).
 const (
-	DefaultMaxInFlight    = 64
-	DefaultQueueTimeout   = 250 * time.Millisecond
-	DefaultRequestTimeout = 30 * time.Second
-	DefaultMaxTrials      = 4096
+	DefaultMaxInFlight  = 64
+	DefaultQueueTimeout = 250 * time.Millisecond
 )
 
 // Server is the HTTP evaluation service. Construct with New; the zero
@@ -137,35 +140,20 @@ func New(cfg Config) *Server {
 	if cfg.Engine == nil {
 		panic("server: Config.Engine is required")
 	}
-	maxInFlight := cfg.MaxInFlight
-	if maxInFlight <= 0 {
-		maxInFlight = DefaultMaxInFlight
-	}
-	queueTimeout := cfg.QueueTimeout
-	if queueTimeout <= 0 {
-		queueTimeout = DefaultQueueTimeout
-	}
-	requestTimeout := cfg.RequestTimeout
-	if requestTimeout <= 0 {
-		requestTimeout = DefaultRequestTimeout
-	}
+	queueTimeout := httpx.OrDefault(cfg.QueueTimeout, DefaultQueueTimeout)
 	logger := cfg.Logger
 	if logger == nil {
 		logger = slog.Default()
-	}
-	maxTrials := cfg.MaxTrials
-	if maxTrials <= 0 {
-		maxTrials = DefaultMaxTrials
 	}
 	reg := new(metrics.Registry)
 	s := &Server{
 		engine:         cfg.Engine,
 		robust:         cfg.Robust,
 		infer:          cfg.Infer,
-		maxTrials:      maxTrials,
-		limiter:        newLimiter(maxInFlight, queueTimeout),
+		maxTrials:      httpx.OrDefault(cfg.MaxTrials, httpx.DefaultMaxTrials),
+		limiter:        newLimiter(httpx.OrDefault(cfg.MaxInFlight, DefaultMaxInFlight), queueTimeout),
 		metrics:        newCounters(reg, cfg.Engine),
-		requestTimeout: requestTimeout,
+		requestTimeout: httpx.OrDefault(cfg.RequestTimeout, httpx.DefaultRequestTimeout),
 		evalFlights:    newFlightGroup[pixel.Result](),
 		sweepFlights:   newFlightGroup[map[string][]pixel.Result](),
 		robustFlights:  newFlightGroup[pixel.RobustnessReport](),
@@ -186,10 +174,15 @@ func New(cfg Config) *Server {
 			return s.infer.InferContext(ctx, pixel.InferSpec{Network: network, Images: images})
 		}, cfg.BatchSize, cfg.BatchWindow)
 	}
-	var heartbeat time.Duration
 	if cfg.Jobs != nil {
-		s.registry = s.newRegistry(cfg.Jobs, logger)
-		heartbeat = cfg.Jobs.Heartbeat
+		opts := *cfg.Jobs
+		if opts.Factory == nil {
+			opts.Factory = s.buildJobTask
+		}
+		if opts.Logger == nil {
+			opts.Logger = logger
+		}
+		s.registry = jobs.NewRegistry(opts)
 	}
 	s.core = httpx.New(httpx.Config{
 		Prefix:  "pixeld",
@@ -199,7 +192,6 @@ func New(cfg Config) *Server {
 		// has had a chance to drain, never sooner than a second.
 		RetryAfterS: int(math.Ceil(math.Max(queueTimeout.Seconds(), 1))),
 		Jobs:        s.registry,
-		Heartbeat:   heartbeat,
 		Logger:      logger,
 	})
 	return s

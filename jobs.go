@@ -46,10 +46,30 @@ type RobustnessJob struct {
 	state  *montecarlo.State
 }
 
+// ValidateRobustness runs every check NewRobustnessJob and Robustness
+// run, without allocating the run's slot store (trials × σ slots).
+// Spec failures surface ErrUnknownNetwork, ErrUnknownDesign or
+// ErrBadSpec.
+func ValidateRobustness(spec RobustnessSpec) error {
+	_, err := newRobustnessJob(spec)
+	return err
+}
+
 // NewRobustnessJob validates the spec and allocates the job's slot
 // store. Spec failures surface ErrUnknownNetwork, ErrUnknownDesign or
 // ErrBadSpec, exactly like Robustness.
 func NewRobustnessJob(spec RobustnessSpec) (*RobustnessJob, error) {
+	j, err := newRobustnessJob(spec)
+	if err != nil {
+		return nil, err
+	}
+	j.state = montecarlo.NewState(j.mcSpec, spec.Network)
+	return j, nil
+}
+
+// newRobustnessJob validates the spec and builds the job without its
+// slot store.
+func newRobustnessJob(spec RobustnessSpec) (*RobustnessJob, error) {
 	ad, err := spec.Design.arch()
 	if err != nil {
 		return nil, err
@@ -79,14 +99,7 @@ func NewRobustnessJob(spec RobustnessSpec) (*RobustnessJob, error) {
 	if err := mcSpec.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
-	return &RobustnessJob{
-		spec:   spec,
-		mcSpec: mcSpec,
-		net:    net,
-		scheme: scheme,
-		ad:     ad,
-		state:  montecarlo.NewState(mcSpec, spec.Network),
-	}, nil
+	return &RobustnessJob{spec: spec, mcSpec: mcSpec, net: net, scheme: scheme, ad: ad}, nil
 }
 
 // Progress returns completed and total trial counts.
@@ -151,26 +164,46 @@ func NewSweepJob(networks []string, points []Point) (*SweepJob, error) {
 	return defaultEngine.NewSweepJob(networks, points)
 }
 
+// ValidateSweep runs every check NewSweepJob runs against the default
+// engine, without allocating the job.
+func ValidateSweep(networks []string, points []Point) error {
+	return defaultEngine.ValidateSweep(networks, points)
+}
+
+// ValidateSweep runs every check NewSweepJob and SweepNetworks run —
+// non-empty axes, known networks, valid designs and precisions — in
+// the same order and with the same errors, without allocating the
+// (network × point) job grid or its slot store.
+func (e *Engine) ValidateSweep(networks []string, points []Point) error {
+	if len(networks) == 0 || len(points) == 0 {
+		return fmt.Errorf("pixel: sweep axes must be non-empty")
+	}
+	for i, name := range networks {
+		if _, err := e.resolveNetwork(name); err != nil {
+			return err
+		}
+		if i > 0 {
+			continue // point checks do not depend on the network
+		}
+		for _, p := range points {
+			if _, err := e.config(p); err != nil {
+				return fmt.Errorf("pixel: sweep point %s: %w", p, err)
+			}
+		}
+	}
+	return nil
+}
+
 // NewSweepJob validates the grid and allocates the slot store; the
 // job's evaluations run (and memoize) through this engine.
 func (e *Engine) NewSweepJob(networks []string, points []Point) (*SweepJob, error) {
-	if len(networks) == 0 || len(points) == 0 {
-		return nil, fmt.Errorf("pixel: sweep axes must be non-empty")
+	if err := e.ValidateSweep(networks, points); err != nil {
+		return nil, err
 	}
 	jobs := make([]sweepeng.Job, 0, len(networks)*len(points))
 	for _, name := range networks {
-		if _, err := e.resolveNetwork(name); err != nil {
-			return nil, err
-		}
 		for _, p := range points {
-			job, err := p.engineJob(name)
-			if err != nil {
-				return nil, fmt.Errorf("pixel: sweep point %s: %w", p, err)
-			}
-			if _, err := e.config(p); err != nil {
-				return nil, fmt.Errorf("pixel: sweep point %s: %w", p, err)
-			}
-			jobs = append(jobs, job)
+			jobs = append(jobs, p.engineJob(name))
 		}
 	}
 	return &SweepJob{

@@ -42,17 +42,14 @@ func (p Point) Validate() error {
 	return nil
 }
 
-// engineJob converts the point to an engine job, surfacing
-// ErrUnknownDesign for designs outside the enum.
-func (p Point) engineJob(network string) (sweepeng.Job, error) {
-	ad, err := p.Design.arch()
-	if err != nil {
-		return sweepeng.Job{}, err
-	}
+// engineJob converts a point that passed Engine.config (so its design
+// is in the enum) to an engine job.
+func (p Point) engineJob(network string) sweepeng.Job {
+	ad, _ := p.Design.arch()
 	return sweepeng.Job{
 		Network: network,
 		Point:   sweepeng.Point{Design: ad, Lanes: p.Lanes, Bits: p.Bits},
-	}, nil
+	}
 }
 
 // Grid enumerates the cross product of the axes in the canonical
