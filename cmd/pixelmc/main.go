@@ -29,34 +29,20 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"time"
 
 	"pixel"
 	"pixel/internal/cliutil"
-	"pixel/internal/jobs"
 	"pixel/internal/report"
 )
-
-// ckptName is the snapshot file inside the -checkpoint directory.
-const ckptName = "pixelmc.ckpt"
-
-// errInterrupted marks a SIGINT exit with the checkpoint flushed —
-// main translates it to exit status 3 so scripts can distinguish
-// "resume me" from failure.
-var errInterrupted = errors.New("interrupted; checkpoint saved, rerun with -resume to finish")
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "pixelmc:", err)
-		if errors.Is(err, errInterrupted) {
-			os.Exit(3)
-		}
-		os.Exit(1)
+		os.Exit(cliutil.ExitStatus(err))
 	}
 }
 
@@ -91,117 +77,60 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *resume && *ckptDir == "" {
-		return fmt.Errorf("-resume requires -checkpoint")
-	}
-
-	job, err := pixel.NewRobustnessJob(pixel.RobustnessSpec{
-		Network:     *netName,
-		Design:      design,
-		Sigmas:      sigmas,
-		Trials:      *trials,
-		Seed:        *seed,
-		Workers:     *workers,
-		ErrorBudget: *budget,
-		Protection:  protection,
-	})
-	if err != nil {
-		return err
-	}
-
-	var mgr *jobs.Manager
-	if *ckptDir != "" {
-		if mgr, err = jobs.NewManager(*ckptDir); err != nil {
-			return err
-		}
-		if *resume {
-			switch err := mgr.LoadInto(ckptName, job); {
-			case errors.Is(err, jobs.ErrNotFound):
-				fmt.Fprintf(os.Stderr, "pixelmc: no checkpoint in %s, starting fresh\n", *ckptDir)
-			case err != nil:
-				// A mismatched snapshot means the flags changed; a corrupt
-				// one means the file is torn. Either way silently redoing
-				// everything would betray -resume, so fail loudly.
-				return fmt.Errorf("resume: %w", err)
-			default:
-				done, total := job.Progress()
-				fmt.Fprintf(os.Stderr, "pixelmc: resuming at %d/%d trials\n", done, total)
-			}
-		}
-	}
-
 	// Ctrl-C cancels the run; with -checkpoint the completed prefix is
 	// flushed so a -resume rerun finishes the rest bit-exactly.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
-	rep, err := runJob(ctx, job, mgr, *ckptEvery, *progress)
+	var rep pixel.RobustnessReport
+	err = cliutil.RunResumable(context.Background(),
+		cliutil.Checkpoint{Tool: "pixelmc", Unit: "trials", Dir: *ckptDir, Resume: *resume, Every: *ckptEvery},
+		func() (*pixel.RobustnessJob, error) {
+			return pixel.NewRobustnessJob(pixel.RobustnessSpec{
+				Network:     *netName,
+				Design:      design,
+				Sigmas:      sigmas,
+				Trials:      *trials,
+				Seed:        *seed,
+				Workers:     *workers,
+				ErrorBudget: *budget,
+				Protection:  protection,
+			})
+		},
+		func(ctx context.Context, job *pixel.RobustnessJob) (err error) {
+			rep, err = job.Run(ctx, progressHooks(job, *progress))
+			return err
+		})
 	if err != nil {
-		if errors.Is(err, context.Canceled) && mgr != nil {
-			if serr := mgr.Save(ckptName, job); serr != nil {
-				return fmt.Errorf("interrupted, and the final checkpoint failed: %w", serr)
-			}
-			done, total := job.Progress()
-			fmt.Fprintf(os.Stderr, "pixelmc: %d/%d trials checkpointed to %s\n", done, total, *ckptDir)
-			return errInterrupted
-		}
 		return err
-	}
-	if mgr != nil {
-		// The run is settled; a stale snapshot must not hijack the next
-		// -resume of a different experiment in the same directory.
-		if err := mgr.Remove(ckptName); err != nil {
-			fmt.Fprintf(os.Stderr, "pixelmc: remove checkpoint: %v\n", err)
-		}
 	}
 	return render(rep, *asJSON)
 }
 
-// runJob executes the job with periodic checkpoints and optional
-// progress reporting.
-func runJob(ctx context.Context, job *pixel.RobustnessJob, mgr *jobs.Manager, every time.Duration, progress bool) (pixel.RobustnessReport, error) {
+// progressHooks reports trial progress and an ETA on stderr when
+// progress is set.
+func progressHooks(job *pixel.RobustnessJob, progress bool) pixel.RobustnessHooks {
 	var hooks pixel.RobustnessHooks
-	if progress {
-		restored, total := job.Progress()
-		start := time.Now()
-		lastLine := time.Time{}
-		points := 0
-		hooks.OnPoint = func(int, pixel.YieldPoint, *pixel.ProtectedPoint) { points++ }
-		hooks.OnTrial = func(done, _ int) {
-			now := time.Now()
-			if now.Sub(lastLine) < 500*time.Millisecond && done != total {
-				return
-			}
-			lastLine = now
-			line := fmt.Sprintf("pixelmc: %d/%d trials, %d sigma points done", done, total, points)
-			// Rate from this session only: restored trials were free.
-			if fresh := done - restored; fresh > 0 && done < total {
-				eta := time.Duration(float64(now.Sub(start)) / float64(fresh) * float64(total-done))
-				line += fmt.Sprintf(", ETA %s", eta.Round(time.Second))
-			}
-			fmt.Fprintln(os.Stderr, line)
+	if !progress {
+		return hooks
+	}
+	restored, total := job.Progress()
+	start := time.Now()
+	lastLine := time.Time{}
+	points := 0
+	hooks.OnPoint = func(int, pixel.YieldPoint, *pixel.ProtectedPoint) { points++ }
+	hooks.OnTrial = func(done, _ int) {
+		now := time.Now()
+		if now.Sub(lastLine) < 500*time.Millisecond && done != total {
+			return
 		}
+		lastLine = now
+		line := fmt.Sprintf("pixelmc: %d/%d trials, %d sigma points done", done, total, points)
+		// Rate from this session only: restored trials were free.
+		if fresh := done - restored; fresh > 0 && done < total {
+			eta := time.Duration(float64(now.Sub(start)) / float64(fresh) * float64(total-done))
+			line += fmt.Sprintf(", ETA %s", eta.Round(time.Second))
+		}
+		fmt.Fprintln(os.Stderr, line)
 	}
-
-	if mgr != nil && every > 0 {
-		stopSave := make(chan struct{})
-		defer close(stopSave)
-		go func() {
-			t := time.NewTicker(every)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					if err := mgr.Save(ckptName, job); err != nil {
-						fmt.Fprintf(os.Stderr, "pixelmc: checkpoint failed: %v\n", err)
-					}
-				case <-stopSave:
-					return
-				}
-			}
-		}()
-	}
-	return job.Run(ctx, hooks)
+	return hooks
 }
 
 func render(rep pixel.RobustnessReport, asJSON bool) error {

@@ -17,34 +17,20 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"time"
 
 	"pixel"
 	"pixel/internal/cliutil"
-	"pixel/internal/jobs"
 	"pixel/internal/report"
 )
-
-// ckptName is the snapshot file inside the -checkpoint directory.
-const ckptName = "pixelsweep.ckpt"
-
-// errInterrupted marks a SIGINT exit with the checkpoint flushed —
-// main translates it to exit status 3 so scripts can distinguish
-// "resume me" from failure.
-var errInterrupted = errors.New("interrupted; checkpoint saved, rerun with -resume to finish")
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "pixelsweep:", err)
-		if errors.Is(err, errInterrupted) {
-			os.Exit(3)
-		}
-		os.Exit(1)
+		os.Exit(cliutil.ExitStatus(err))
 	}
 }
 
@@ -74,40 +60,6 @@ func run(args []string) error {
 	if len(networks) == 0 {
 		return fmt.Errorf("no networks given")
 	}
-	if *resume && *ckptDir == "" {
-		return fmt.Errorf("-resume requires -checkpoint")
-	}
-
-	points := pixel.Grid(pixel.Designs(), lanes, bits)
-	job, err := pixel.NewSweepJob(networks, points)
-	if err != nil {
-		return err
-	}
-
-	var mgr *jobs.Manager
-	if *ckptDir != "" {
-		if mgr, err = jobs.NewManager(*ckptDir); err != nil {
-			return err
-		}
-		if *resume {
-			switch err := mgr.LoadInto(ckptName, job); {
-			case errors.Is(err, jobs.ErrNotFound):
-				fmt.Fprintf(os.Stderr, "pixelsweep: no checkpoint in %s, starting fresh\n", *ckptDir)
-			case err != nil:
-				return fmt.Errorf("resume: %w", err)
-			default:
-				done, total := job.Progress()
-				fmt.Fprintf(os.Stderr, "pixelsweep: resuming at %d/%d points\n", done, total)
-			}
-		}
-	}
-
-	// Ctrl-C cancels the sweep promptly instead of leaving the pool
-	// grinding through the rest of the grid; with -checkpoint the
-	// completed cells are flushed for a later -resume.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
 	opts := &pixel.SweepOptions{Workers: *workers}
 	if *progress {
 		opts.Progress = func(done, total int) {
@@ -117,41 +69,21 @@ func run(args []string) error {
 			}
 		}
 	}
-	if mgr != nil && *ckptEvery > 0 {
-		stopSave := make(chan struct{})
-		defer close(stopSave)
-		go func() {
-			t := time.NewTicker(*ckptEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					if err := mgr.Save(ckptName, job); err != nil {
-						fmt.Fprintf(os.Stderr, "pixelsweep: checkpoint failed: %v\n", err)
-					}
-				case <-stopSave:
-					return
-				}
-			}
-		}()
-	}
-
-	byNet, err := job.Run(ctx, opts)
+	// Ctrl-C cancels the sweep promptly instead of leaving the pool
+	// grinding through the rest of the grid; with -checkpoint the
+	// completed cells are flushed for a later -resume.
+	var byNet map[string][]pixel.Result
+	err = cliutil.RunResumable(context.Background(),
+		cliutil.Checkpoint{Tool: "pixelsweep", Unit: "points", Dir: *ckptDir, Resume: *resume, Every: *ckptEvery},
+		func() (*pixel.SweepJob, error) {
+			return pixel.NewSweepJob(networks, pixel.Grid(pixel.Designs(), lanes, bits))
+		},
+		func(ctx context.Context, job *pixel.SweepJob) (err error) {
+			byNet, err = job.Run(ctx, opts)
+			return err
+		})
 	if err != nil {
-		if errors.Is(err, context.Canceled) && mgr != nil {
-			if serr := mgr.Save(ckptName, job); serr != nil {
-				return fmt.Errorf("interrupted, and the final checkpoint failed: %w", serr)
-			}
-			done, total := job.Progress()
-			fmt.Fprintf(os.Stderr, "pixelsweep: %d/%d points checkpointed to %s\n", done, total, *ckptDir)
-			return errInterrupted
-		}
 		return err
-	}
-	if mgr != nil {
-		if err := mgr.Remove(ckptName); err != nil {
-			fmt.Fprintf(os.Stderr, "pixelsweep: remove checkpoint: %v\n", err)
-		}
 	}
 
 	if *jsonOut {

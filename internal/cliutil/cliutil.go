@@ -1,7 +1,6 @@
-// Package cliutil holds the flag-parsing helpers the cmd/ tools share:
-// comma-separated integer axes, comma-separated name lists and MAC
-// design names. Each tool used to carry its own copy; this is the one
-// place they live now.
+// Package cliutil holds the helpers the cmd/ tools share: parsing of
+// comma-separated integer axes, name lists and MAC design names, and
+// the -checkpoint/-resume lifecycle of a resumable run (RunResumable).
 package cliutil
 
 import (

@@ -500,6 +500,46 @@ func TestCoordinatorSweepJob(t *testing.T) {
 	if progressEvents == 0 {
 		t.Fatal("task emitted no progress events")
 	}
+
+	// A network listed twice counts twice, as on a worker — 8/8 over 4
+	// points — while results and partial cells list it once.
+	dup := api.SweepRequest{Networks: []string{"LeNet", "LeNet"}, Designs: []string{"OO"}, Lanes: []int{2, 4}, Bits: []int{4, 8}}
+	var runs [2]api.JobStatusResponse
+	for i, base := range []string{workers[0], ts.URL} {
+		cl := api.NewClient(base, nil)
+		h, err := cl.CreateJob(context.Background(), api.JobRequest{Kind: api.JobKindSweep, Sweep: &dup})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if runs[i] = waitJob(t, cl, h.ID); runs[i].State != api.JobStateSucceeded {
+			t.Fatalf("repeated-network job on %s: %s %s", base, runs[i].State, runs[i].Error)
+		}
+	}
+	if w, co := runs[0], runs[1]; co.Done != w.Done || co.Total != w.Total || w.Done != 8 || w.Total != 8 {
+		t.Fatalf("repeated-network done/total: coordinator %d/%d, worker %d/%d, want 8/8", co.Done, co.Total, w.Done, w.Total)
+	}
+	if !bytes.Equal(compactJSON(t, runs[1].Result), compactJSON(t, runs[0].Result)) {
+		t.Fatal("repeated-network job result differs from the worker's")
+	}
+	spec, err = json.Marshal(dup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if task, err = c.buildJobTask(api.JobKindSweep, spec); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := task.Run(context.Background(), func(string, any) {}); err != nil {
+		t.Fatal(err)
+	}
+	cells = task.(*fleetSweepTask).Partial().([]api.JobCell)
+	if len(cells) != 4 {
+		t.Fatalf("repeated-network partial has %d cells, want 4 (the network once)", len(cells))
+	}
+	for i, cell := range cells {
+		if cell.Network != "LeNet" || cell.Index != i {
+			t.Fatalf("partial cell %d is %s[%d], want LeNet[%d]", i, cell.Network, cell.Index, i)
+		}
+	}
 }
 
 // TestValidationMatchesWorker: a request a worker would reject is

@@ -12,6 +12,7 @@ import (
 	"pixel/api"
 	"pixel/internal/httpx"
 	"pixel/internal/jobs"
+	"pixel/internal/slots"
 )
 
 // buildJobTask is the coordinator's jobs.Factory. Validation runs
@@ -65,6 +66,19 @@ type fleetJobCkpt struct {
 	Cells     []api.JobCell            `json:"cells,omitempty"`
 }
 
+// decodeCkpt decodes a coordinator checkpoint, refusing one of another
+// kind or size with slots.ErrSnapshotMismatch.
+func decodeCkpt(buf []byte, kind string, total int) (fleetJobCkpt, error) {
+	var ck fleetJobCkpt
+	if err := json.Unmarshal(buf, &ck); err != nil {
+		return ck, err
+	}
+	if ck.Kind != kind || ck.Total != total {
+		return ck, fmt.Errorf("%w: fleet checkpoint is %q/%d, want %q/%d", slots.ErrSnapshotMismatch, ck.Kind, ck.Total, kind, total)
+	}
+	return ck, nil
+}
+
 // fleetRobustnessTask runs a robustness request across the fleet: the
 // σ axis splits into shards and every point folds into its global slot
 // as it lands. A synchronous /v1/robustness runs one round of plain
@@ -75,13 +89,11 @@ type fleetJobCkpt struct {
 // (see internal/montecarlo), so an arbitrary σ subset re-run is
 // bit-exact.
 type fleetRobustnessTask struct {
-	c     *Coordinator
-	req   api.RobustnessRequest
-	total int
+	c      *Coordinator
+	req    api.RobustnessRequest
+	points *slots.Store[api.JobPoint] // one slot per global σ index
 
 	mu        sync.Mutex
-	done      int
-	points    map[int]api.JobPoint // global σ index → landed point
 	base      *api.RobustnessResponse
 	overheads []pixel.ProtectionReport // Points-stripped donors, one per complete shard
 }
@@ -99,86 +111,53 @@ func (c *Coordinator) newRobustnessTask(req api.RobustnessRequest) (*fleetRobust
 	if err := pixel.ValidateRobustness(spec); err != nil {
 		return nil, err
 	}
-	return &fleetRobustnessTask{
-		c:      c,
-		req:    req,
-		total:  len(req.Sigmas) * req.Trials,
-		points: map[int]api.JobPoint{},
-	}, nil
+	return &fleetRobustnessTask{c: c, req: req, points: slots.New[api.JobPoint](len(req.Sigmas))}, nil
 }
 
+// Snapshot reads the points before the base and donors: a complete
+// shard records those before its points land, so every point in the
+// checkpoint comes with what its shard donated.
 func (t *fleetRobustnessTask) Snapshot() ([]byte, error) {
+	_, total := t.Progress()
+	ck := fleetJobCkpt{Kind: api.JobKindRobustness, Total: total, Points: t.Partial().([]api.JobPoint)}
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	ck := fleetJobCkpt{
-		Kind:      api.JobKindRobustness,
-		Total:     t.total,
-		Base:      t.base,
-		Overheads: t.overheads,
-		Points:    httpx.SortedPoints(t.points),
-	}
+	ck.Base, ck.Overheads = t.base, t.overheads
+	t.mu.Unlock()
 	return json.Marshal(ck)
 }
 
+// Restore reinstalls a checkpoint's σ points, then its base and
+// overhead donors; a refused checkpoint installs nothing.
 func (t *fleetRobustnessTask) Restore(buf []byte) error {
-	var ck fleetJobCkpt
-	if err := json.Unmarshal(buf, &ck); err != nil {
+	_, total := t.Progress()
+	ck, err := decodeCkpt(buf, api.JobKindRobustness, total)
+	if err != nil {
 		return err
 	}
-	if ck.Kind != api.JobKindRobustness || ck.Total != t.total {
-		return fmt.Errorf("fleet: checkpoint is %q/%d, want %q/%d", ck.Kind, ck.Total, api.JobKindRobustness, t.total)
+	idx := make([]int, len(ck.Points))
+	for k, jp := range ck.Points {
+		idx[k] = jp.Index
+	}
+	if err := t.points.Import(len(t.req.Sigmas), idx, ck.Points); err != nil {
+		return err
 	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	restored := 0
-	for _, jp := range ck.Points {
-		if t.landLocked(jp) {
-			restored++
-		}
-	}
-	t.base = ck.Base
-	t.overheads = ck.Overheads
-	if restored > 0 {
-		t.c.metrics.salvagedUnits.Add(int64(restored))
-	}
+	t.base, t.overheads = ck.Base, ck.Overheads
+	t.mu.Unlock()
+	t.c.metrics.salvagedUnits.Add(int64(len(idx)))
 	return nil
 }
 
+// Progress counts trials: every landed σ point carries all of its own.
 func (t *fleetRobustnessTask) Progress() (int, int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.done, t.total
+	done, total := t.points.Progress()
+	return done * t.req.Trials, total * t.req.Trials
 }
 
 // Partial returns the σ points completed so far, in axis order.
 func (t *fleetRobustnessTask) Partial() any {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return httpx.SortedPoints(t.points)
-}
-
-// landLocked stores jp in its σ slot unless that point has already
-// landed or is off the axis; t.mu held.
-func (t *fleetRobustnessTask) landLocked(jp api.JobPoint) bool {
-	if _, ok := t.points[jp.Index]; ok || jp.Index < 0 || jp.Index >= len(t.req.Sigmas) {
-		return false
-	}
-	t.points[jp.Index] = jp
-	t.done += t.req.Trials
-	return true
-}
-
-// missing returns the global σ indices not yet landed, in axis order.
-func (t *fleetRobustnessTask) missing() []int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var out []int
-	for i := range t.req.Sigmas {
-		if _, ok := t.points[i]; !ok {
-			out = append(out, i)
-		}
-	}
-	return out
+	_, pts := t.points.Export()
+	return pts
 }
 
 // planMissing chunks the missing σ indices into at most target shards.
@@ -201,8 +180,8 @@ func (t *fleetRobustnessTask) planMissing(missing []int, target int) []robustSha
 func (t *fleetRobustnessTask) Run(ctx context.Context, emit func(string, any)) (any, error) {
 	done, _ := t.Progress() // > 0: resumed mid-flight from a checkpoint
 	err := harvest(ctx, t.c, api.JobKindRobustness, done > 0,
-		func() int { return len(t.missing()) },
-		func(target int) []robustShard { return t.planMissing(t.missing(), target) },
+		func() int { return len(t.points.Missing()) },
+		func(target int) []robustShard { return t.planMissing(t.points.Missing(), target) },
 		func(ctx context.Context, sh robustShard) error { return t.runShard(ctx, sh, emit) })
 	if err != nil {
 		return nil, err
@@ -269,13 +248,14 @@ func (t *fleetRobustnessTask) fold(sh robustShard, local []api.JobPoint, emit fu
 			continue
 		}
 		jp := api.JobPoint{Index: sh.Idx[lp.Index], Point: lp.Point, Protected: lp.Protected}
-		if t.landLocked(jp) {
+		if ok, _ := t.points.Land(jp.Index, jp); ok {
 			n++
 			emit(api.JobEventPoint, jp)
 		}
 	}
 	if n > 0 {
-		emit(api.JobEventProgress, api.JobProgress{Done: t.done, Total: t.total})
+		done, total := t.Progress()
+		emit(api.JobEventProgress, api.JobProgress{Done: done, Total: total})
 	}
 	return n
 }
@@ -333,19 +313,17 @@ func sigmaFree(resp api.RobustnessResponse) *api.RobustnessResponse {
 // single-σ probe at the argmax σ re-derives them — strictly less work
 // than re-running the dead shard.
 func (t *fleetRobustnessTask) finalize(ctx context.Context) (api.RobustnessResponse, error) {
-	t.mu.Lock()
+	if miss := t.points.Missing(); len(miss) > 0 {
+		return api.RobustnessResponse{}, fmt.Errorf("fleet: robustness point %d missing after merge", miss[0])
+	}
 	n := len(t.req.Sigmas)
 	pts := make([]pixel.YieldPoint, n)
 	prot := make([]*pixel.ProtectedPoint, n)
-	for i := 0; i < n; i++ {
-		jp, ok := t.points[i]
-		if !ok {
-			t.mu.Unlock()
-			return api.RobustnessResponse{}, fmt.Errorf("fleet: robustness point %d missing after merge", i)
-		}
+	for i, jp := range t.points.Values(0, n) {
 		pts[i] = jp.Point
 		prot[i] = jp.Protected
 	}
+	t.mu.Lock()
 	base := t.base
 	overheads := slices.Clone(t.overheads)
 	t.mu.Unlock()
@@ -420,15 +398,12 @@ func (t *fleetRobustnessTask) finalize(ctx context.Context) (api.RobustnessRespo
 type fleetSweepTask struct {
 	c       *Coordinator
 	req     api.SweepRequest
-	total   int            // cells: networks × grid rows
 	points  int            // rows in the full design-major grid
 	designs []pixel.Design // resolved design axis
 	nets    []string       // distinct networks, sorted: the partial's order
 
-	mu      sync.Mutex
-	done    int
-	results map[string][]api.Result // network → grid row → landed result
-	landed  map[string][]bool
+	mu    sync.Mutex               // serializes fold, so progress events count up
+	cells *slots.Store[api.Result] // request network entry × grid row, as on a worker
 }
 
 // newSweepTask validates req exactly as a worker's /v1/sweep and sweep
@@ -444,117 +419,92 @@ func (c *Coordinator) newSweepTask(req api.SweepRequest) (*fleetSweepTask, error
 	if err := pixel.ValidateSweep(req.Networks, pixel.Grid(designs, req.Lanes, req.Bits)); err != nil {
 		return nil, err
 	}
-	t := &fleetSweepTask{
+	nets := slices.Clone(req.Networks)
+	slices.Sort(nets)
+	return &fleetSweepTask{
 		c:       c,
 		req:     req,
-		total:   len(req.Networks) * points,
 		points:  points,
 		designs: designs,
-		results: map[string][]api.Result{},
-		landed:  map[string][]bool{},
-	}
-	for _, n := range req.Networks {
-		if _, ok := t.landed[n]; !ok {
-			t.nets = append(t.nets, n)
-			t.results[n] = make([]api.Result, points)
-			t.landed[n] = make([]bool, points)
-		}
-	}
-	slices.Sort(t.nets)
-	return t, nil
+		nets:    slices.Compact(nets),
+		cells:   slots.New[api.Result](len(req.Networks) * points),
+	}, nil
 }
 
 func (t *fleetSweepTask) Snapshot() ([]byte, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	ck := fleetJobCkpt{
-		Kind:  api.JobKindSweep,
-		Total: t.total,
-		Cells: t.cellsLocked(),
-	}
-	return json.Marshal(ck)
+	_, total := t.Progress()
+	return json.Marshal(fleetJobCkpt{Kind: api.JobKindSweep, Total: total, Cells: t.Partial().([]api.JobCell)})
 }
 
+// Restore reinstalls a checkpoint's cells in every request entry of
+// their network; a refused checkpoint installs nothing.
 func (t *fleetSweepTask) Restore(buf []byte) error {
-	var ck fleetJobCkpt
-	if err := json.Unmarshal(buf, &ck); err != nil {
+	_, total := t.Progress()
+	ck, err := decodeCkpt(buf, api.JobKindSweep, total)
+	if err != nil {
 		return err
 	}
-	if ck.Kind != api.JobKindSweep || ck.Total != t.total {
-		return fmt.Errorf("fleet: checkpoint is %q/%d, want %q/%d", ck.Kind, ck.Total, api.JobKindSweep, t.total)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	restored := 0
+	var idx []int
+	var vals []api.Result
 	for _, cell := range ck.Cells {
-		if t.landLocked(cell.Network, cell.Index, cell.Result) {
-			restored++
+		at := t.slotsOf(cell.Network, cell.Index)
+		if at == nil {
+			return fmt.Errorf("%w: fleet checkpoint cell %s/%d is off the grid", slots.ErrSnapshotMismatch, cell.Network, cell.Index)
+		}
+		for _, i := range at {
+			idx, vals = append(idx, i), append(vals, cell.Result)
 		}
 	}
-	if restored > 0 {
-		t.c.metrics.salvagedUnits.Add(int64(restored))
+	if err := t.cells.Import(total, idx, vals); err != nil {
+		return err
 	}
+	t.c.metrics.salvagedUnits.Add(int64(len(idx)))
 	return nil
 }
 
-func (t *fleetSweepTask) Progress() (int, int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.done, t.total
-}
+// Progress counts request entries × rows, as a worker's sweep job does:
+// a network listed twice counts twice.
+func (t *fleetSweepTask) Progress() (int, int) { return t.cells.Progress() }
 
-// Partial returns the grid cells landed so far.
+// Partial returns the grid cells landed so far, sorted by network then
+// index, each network once — the same shape and order a worker's sweep
+// job reports.
 func (t *fleetSweepTask) Partial() any {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.cellsLocked()
-}
-
-// cellsLocked lists the landed cells sorted by network then index —
-// the same shape and order a worker's sweep job reports; t.mu held.
-func (t *fleetSweepTask) cellsLocked() []api.JobCell {
-	out := make([]api.JobCell, 0, t.done)
+	idx, vals := t.cells.Export()
+	out := make([]api.JobCell, 0, len(idx))
 	for _, n := range t.nets {
-		for i, ok := range t.landed[n] {
-			if ok {
-				out = append(out, api.JobCell{Network: n, Index: i, Result: t.results[n][i]})
-			}
+		lo := slices.Index(t.req.Networks, n) * t.points
+		for j, _ := slices.BinarySearch(idx, lo); j < len(idx) && idx[j] < lo+t.points; j++ {
+			out = append(out, api.JobCell{Network: n, Index: idx[j] - lo, Result: vals[j]})
 		}
 	}
 	return out
 }
 
-// landLocked stores r as the network's grid row unless that cell has
-// already landed or names no cell of this grid; t.mu held.
-func (t *fleetSweepTask) landLocked(network string, row int, r api.Result) bool {
-	have := t.landed[network]
-	if row < 0 || row >= len(have) || have[row] {
-		return false
+// slotsOf returns the slots of a network's grid row, one per request
+// entry naming it; nil when the cell is not on this grid.
+func (t *fleetSweepTask) slotsOf(network string, row int) []int {
+	if row < 0 || row >= t.points {
+		return nil
 	}
-	have[row] = true
-	t.results[network][row] = r
-	t.done++
-	return true
+	var out []int
+	for k, n := range t.req.Networks {
+		if n == network {
+			out = append(out, k*t.points+row)
+		}
+	}
+	return out
 }
 
 // missingRows returns the global rows with at least one network's cell
-// outstanding, plus the exact missing cell count for the metrics.
+// outstanding, plus the exact missing slot count for the metrics.
 func (t *fleetSweepTask) missingRows() (rows []int, cells int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for i := 0; i < t.points; i++ {
-		miss := 0
-		for _, n := range t.req.Networks {
-			if !t.landed[n][i] {
-				miss++
-			}
-		}
-		if miss > 0 {
-			rows = append(rows, i)
-			cells += miss
-		}
+	miss := t.cells.Missing()
+	for _, i := range miss {
+		rows = append(rows, i%t.points)
 	}
-	return rows, cells
+	slices.Sort(rows)
+	return slices.Compact(rows), len(miss)
 }
 
 // planMissing builds at most about target shards covering exactly the
@@ -652,12 +602,18 @@ func (t *fleetSweepTask) fold(sh sweepShard, local []api.JobCell, emit func(stri
 	defer t.mu.Unlock()
 	n := 0
 	for _, cell := range local {
-		if cell.Index >= 0 && cell.Index < len(sh.Rows) && t.landLocked(cell.Network, sh.Rows[cell.Index], cell.Result) {
-			n++
+		if cell.Index < 0 || cell.Index >= len(sh.Rows) {
+			continue
+		}
+		for _, i := range t.slotsOf(cell.Network, sh.Rows[cell.Index]) {
+			if ok, _ := t.cells.Land(i, cell.Result); ok {
+				n++
+			}
 		}
 	}
 	if n > 0 {
-		emit(api.JobEventProgress, api.JobProgress{Done: t.done, Total: t.total})
+		done, total := t.Progress()
+		emit(api.JobEventProgress, api.JobProgress{Done: done, Total: total})
 	}
 	return n
 }
@@ -686,17 +642,14 @@ func (t *fleetSweepTask) foldResponse(sh sweepShard, resp api.SweepResponse, emi
 // cells. Worker results decode into the same float64s a local run
 // would produce and Go re-encodes float64 round-trips byte-exactly, so
 // the payload is byte-identical to one worker pricing the whole grid.
-// The response shares the task's rows: every cell has landed, so
-// nothing writes them again.
 func (t *fleetSweepTask) finalize() (api.SweepResponse, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	if miss := t.cells.Missing(); len(miss) > 0 {
+		return api.SweepResponse{}, fmt.Errorf("fleet: sweep cell %s/%d missing after merge", t.req.Networks[miss[0]/t.points], miss[0]%t.points)
+	}
 	out := api.SweepResponse{Points: t.points, Results: make(map[string][]api.Result, len(t.nets))}
 	for _, n := range t.nets {
-		if i := slices.Index(t.landed[n], false); i >= 0 {
-			return api.SweepResponse{}, fmt.Errorf("fleet: sweep cell %s/%d missing after merge", n, i)
-		}
-		out.Results[n] = t.results[n]
+		lo := slices.Index(t.req.Networks, n) * t.points
+		out.Results[n] = t.cells.Values(lo, lo+t.points)
 	}
 	return out, nil
 }

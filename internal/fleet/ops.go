@@ -55,7 +55,7 @@ func (c *Coordinator) Robustness(ctx context.Context, req api.RobustnessRequest)
 	if err != nil {
 		return api.RobustnessResponse{}, err
 	}
-	shards := t.planMissing(t.missing(), c.shardTarget())
+	shards := t.planMissing(t.points.Missing(), c.shardTarget())
 	if err := parallel.For(ctx, len(shards), len(shards), func(ctx context.Context, i int) error {
 		return t.runSync(ctx, shards[i], func(string, any) {})
 	}); err != nil {

@@ -161,7 +161,7 @@ func TestPlanRobustness(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, target := range []int{1, 2, 3, 7, 10} {
-		shards := task.planMissing(task.missing(), target)
+		shards := task.planMissing(task.points.Missing(), target)
 		wantShards := target
 		if wantShards > len(req.Sigmas) {
 			wantShards = len(req.Sigmas)
@@ -227,7 +227,7 @@ func TestMergeRobustnessProtection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, sh := range task.planMissing(task.missing(), len(resps)) {
+		for i, sh := range task.planMissing(task.points.Missing(), len(resps)) {
 			if err := task.foldResponse(sh, resps[i], func(string, any) {}); err != nil {
 				return nil, err
 			}
@@ -321,7 +321,7 @@ func TestShardKeysAreWorkerKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := task.planMissing(task.missing(), 1)[0].Key
+	key := task.planMissing(task.points.Missing(), 1)[0].Key
 	if want := "robustness|" + httpx.RobustnessKey(rob); key != want {
 		t.Errorf("robustness shard key = %q, want %q", key, want)
 	}

@@ -150,20 +150,9 @@ type CellKey struct {
 	Index   int
 }
 
-// SortedPoints renders a robustness job's completed σ points as its
-// GET /v1/jobs/{id} partial, in axis order — on both roles.
-func SortedPoints(points map[int]api.JobPoint) []api.JobPoint {
-	out := make([]api.JobPoint, 0, len(points))
-	for _, p := range points {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
-	return out
-}
-
-// SortedCells renders a sweep job's priced cells as its
-// GET /v1/jobs/{id} partial, sorted by network then index — on both
-// roles.
+// SortedCells renders a worker sweep job's priced cells as its
+// GET /v1/jobs/{id} partial, sorted by network then index; the
+// coordinator's partial has the same shape and order.
 func SortedCells(cells map[CellKey]api.JobCell) []api.JobCell {
 	out := make([]api.JobCell, 0, len(cells))
 	for _, c := range cells {

@@ -6,13 +6,12 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"pixel/internal/arch"
 	"pixel/internal/bitserial"
-	"pixel/internal/parallel"
 	"pixel/internal/protect"
 	"pixel/internal/qnn"
+	"pixel/internal/slots"
 	"pixel/internal/tensor"
 )
 
@@ -271,8 +270,8 @@ func RunState(ctx context.Context, spec Spec, st *State, hooks Hooks) (*Report, 
 	if st == nil {
 		st = NewState(spec, "")
 	}
-	if st.total != jobs {
-		return nil, fmt.Errorf("%w: state has %d slots, spec needs %d", ErrSnapshotMismatch, st.total, jobs)
+	if st.Len() != jobs {
+		return nil, fmt.Errorf("%w: state has %d slots, spec needs %d", slots.ErrSnapshotMismatch, st.Len(), jobs)
 	}
 	// The baseline is clean, so it runs on the batched engine, which is
 	// bit-identical to the sequential one.
@@ -291,21 +290,16 @@ func RunState(ctx context.Context, spec Spec, st *State, hooks Hooks) (*Report, 
 
 	// Per-σ-row outstanding counts drive OnPoint; rows the snapshot
 	// already completed are announced immediately, in axis order.
-	var hookMu sync.Mutex
 	rowLeft := make([]int, nSigma)
-	for i := range rowLeft {
-		rowLeft[i] = spec.Trials
-		for t := 0; t < spec.Trials; t++ {
-			if st.isDone(i*spec.Trials + t) {
-				rowLeft[i]--
-			}
-		}
+	for _, j := range st.Missing() {
+		rowLeft[j/spec.Trials]++
 	}
+	rowOf := func(i int) []trialResult { return st.Values(i*spec.Trials, (i+1)*spec.Trials) }
 	emitPoint := func(i int) {
 		if hooks.OnPoint == nil {
 			return
 		}
-		row := st.results[i*spec.Trials : (i+1)*spec.Trials]
+		row := rowOf(i)
 		var prot *ProtectedPoint
 		if spec.Protection != nil {
 			p := aggregateProtected(spec.Sigmas[i], row, spec.ErrorBudget)
@@ -322,28 +316,15 @@ func RunState(ctx context.Context, spec Spec, st *State, hooks Hooks) (*Report, 
 		hooks.OnTrial(done, jobs)
 	}
 
-	err = parallel.For(ctx, jobs, spec.Workers, func(ctx context.Context, j int) error {
-		if st.isDone(j) {
-			return nil // restored from a checkpoint
-		}
-		sigmaIdx, trial := j/spec.Trials, j%spec.Trials
-		res, err := runTrial(ctx, spec, spec.Sigmas[sigmaIdx], trial, baseline, baseArgmax)
-		if err != nil {
-			return err
-		}
-		// Recording the slot under the hook lock keeps the counts
-		// OnTrial sees strictly increasing.
-		hookMu.Lock()
-		defer hookMu.Unlock()
-		completed := st.set(j, res)
+	err = st.Fill(ctx, spec.Workers, func(ctx context.Context, j int) (trialResult, error) {
+		return runTrial(ctx, spec, spec.Sigmas[j/spec.Trials], j%spec.Trials, baseline, baseArgmax)
+	}, func(j int, _ trialResult, done int) {
 		if hooks.OnTrial != nil {
-			hooks.OnTrial(completed, jobs)
+			hooks.OnTrial(done, jobs)
 		}
-		rowLeft[sigmaIdx]--
-		if rowLeft[sigmaIdx] == 0 {
-			emitPoint(sigmaIdx)
+		if rowLeft[j/spec.Trials]--; rowLeft[j/spec.Trials] == 0 {
+			emitPoint(j / spec.Trials)
 		}
-		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -358,14 +339,15 @@ func RunState(ctx context.Context, spec Spec, st *State, hooks Hooks) (*Report, 
 		Baseline:    baseline,
 		Points:      make([]SigmaPoint, nSigma),
 	}
-	for i := range rep.Points {
-		rep.Points[i] = aggregate(spec.Sigmas[i], st.results[i*spec.Trials:(i+1)*spec.Trials], spec.ErrorBudget)
-	}
 	if spec.Protection != nil {
 		rep.Protection = spec.Protection.Name()
 		rep.Protected = make([]ProtectedPoint, nSigma)
-		for i := range rep.Protected {
-			rep.Protected[i] = aggregateProtected(spec.Sigmas[i], st.results[i*spec.Trials:(i+1)*spec.Trials], spec.ErrorBudget)
+	}
+	for i := range rep.Points {
+		row := rowOf(i)
+		rep.Points[i] = aggregate(spec.Sigmas[i], row, spec.ErrorBudget)
+		if spec.Protection != nil {
+			rep.Protected[i] = aggregateProtected(spec.Sigmas[i], row, spec.ErrorBudget)
 		}
 	}
 	return rep, nil

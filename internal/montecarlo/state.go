@@ -4,15 +4,11 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/gob"
-	"errors"
 	"fmt"
 	"sync"
-)
 
-// ErrSnapshotMismatch reports a snapshot taken under a different spec
-// (or a baseline that no longer reproduces) — resuming from it would
-// silently mix two different experiments, so it is refused.
-var ErrSnapshotMismatch = errors.New("montecarlo: snapshot does not match this spec")
+	"pixel/internal/slots"
+)
 
 // State is the resumable slot store of one Monte-Carlo run: which
 // (σ, trial) slots have completed and their results. Because every
@@ -25,31 +21,19 @@ var ErrSnapshotMismatch = errors.New("montecarlo: snapshot does not match this s
 // A State is safe to Snapshot concurrently with the RunState that is
 // filling it. Construct with NewState.
 type State struct {
-	fp    [32]byte
-	total int
+	fp [32]byte
+	*slots.Store[trialResult]
 
 	mu           sync.Mutex
 	haveBaseline bool
 	baseline     []int64
-	done         []bool
-	results      []trialResult
-	completed    int
 }
 
 // NewState allocates the slot store for one run of spec. key is extra
 // caller identity folded into the spec fingerprint (the public facade
 // passes the network name, which the internal spec cannot see).
 func NewState(spec Spec, key string) *State {
-	n := len(spec.Sigmas) * spec.Trials
-	if n < 0 {
-		n = 0
-	}
-	return &State{
-		fp:      spec.fingerprint(key),
-		total:   n,
-		done:    make([]bool, n),
-		results: make([]trialResult, n),
-	}
+	return &State{fp: spec.fingerprint(key), Store: slots.New[trialResult](len(spec.Sigmas) * spec.Trials)}
 }
 
 // fingerprint hashes every result-determining field of the spec (plus
@@ -68,32 +52,6 @@ func (s Spec) fingerprint(key string) [32]byte {
 		s.Sigmas, s.ErrorBudget, s.Variation, prot)))
 }
 
-// Progress returns completed and total slot counts.
-func (st *State) Progress() (done, total int) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.completed, st.total
-}
-
-// isDone reports whether slot j already holds a result.
-func (st *State) isDone(j int) bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.done[j]
-}
-
-// set records slot j's result and returns the cumulative count.
-func (st *State) set(j int, res trialResult) int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if !st.done[j] {
-		st.done[j] = true
-		st.results[j] = res
-		st.completed++
-	}
-	return st.completed
-}
-
 // setBaseline installs (or cross-checks) the baseline output. A
 // restored snapshot's baseline must match the freshly computed one
 // bit-for-bit; anything else means the snapshot belongs to a different
@@ -103,11 +61,11 @@ func (st *State) setBaseline(baseline []int64) error {
 	defer st.mu.Unlock()
 	if st.haveBaseline {
 		if len(st.baseline) != len(baseline) {
-			return fmt.Errorf("%w: baseline length %d != %d", ErrSnapshotMismatch, len(st.baseline), len(baseline))
+			return fmt.Errorf("%w: baseline length %d != %d", slots.ErrSnapshotMismatch, len(st.baseline), len(baseline))
 		}
 		for i, v := range st.baseline {
 			if v != baseline[i] {
-				return fmt.Errorf("%w: baseline diverges at output %d", ErrSnapshotMismatch, i)
+				return fmt.Errorf("%w: baseline diverges at output %d", slots.ErrSnapshotMismatch, i)
 			}
 		}
 		return nil
@@ -190,17 +148,16 @@ func (st *State) Snapshot() ([]byte, error) {
 	st.mu.Lock()
 	snap := snapshotV1{
 		Fingerprint:  st.fp,
-		Total:        st.total,
+		Total:        st.Len(),
 		HaveBaseline: st.haveBaseline,
 		Baseline:     append([]int64(nil), st.baseline...),
 	}
-	for j, d := range st.done {
-		if d {
-			snap.DoneSlots = append(snap.DoneSlots, j)
-			snap.Records = append(snap.Records, toRecord(st.results[j]))
-		}
-	}
 	st.mu.Unlock()
+	idx, results := st.Export()
+	snap.DoneSlots = idx
+	for _, r := range results {
+		snap.Records = append(snap.Records, toRecord(r))
+	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
 		return nil, fmt.Errorf("montecarlo: encode snapshot: %w", err)
@@ -210,38 +167,26 @@ func (st *State) Snapshot() ([]byte, error) {
 
 // Restore reinstalls a snapshot into a freshly constructed State for
 // the same spec. Snapshots from a different spec (or a different
-// snapshot geometry) are refused with ErrSnapshotMismatch.
+// snapshot geometry) are refused with slots.ErrSnapshotMismatch, and a
+// refused snapshot installs nothing — neither slots nor baseline.
 func (st *State) Restore(payload []byte) error {
 	var snap snapshotV1
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&snap); err != nil {
 		return fmt.Errorf("montecarlo: decode snapshot: %w", err)
 	}
 	if snap.Fingerprint != st.fp {
-		return fmt.Errorf("%w: spec fingerprint differs", ErrSnapshotMismatch)
+		return fmt.Errorf("%w: spec fingerprint differs", slots.ErrSnapshotMismatch)
 	}
-	if snap.Total != st.total {
-		return fmt.Errorf("%w: %d slots, spec has %d", ErrSnapshotMismatch, snap.Total, st.total)
+	results := make([]trialResult, len(snap.Records))
+	for i, r := range snap.Records {
+		results[i] = fromRecord(r)
 	}
-	if len(snap.DoneSlots) != len(snap.Records) {
-		return fmt.Errorf("%w: %d done slots but %d records", ErrSnapshotMismatch, len(snap.DoneSlots), len(snap.Records))
+	if err := st.Import(snap.Total, snap.DoneSlots, results); err != nil {
+		return err
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.haveBaseline = snap.HaveBaseline
-	st.baseline = append([]int64(nil), snap.Baseline...)
-	st.done = make([]bool, st.total)
-	st.results = make([]trialResult, st.total)
-	st.completed = 0
-	for i, j := range snap.DoneSlots {
-		if j < 0 || j >= st.total {
-			return fmt.Errorf("%w: slot %d out of range", ErrSnapshotMismatch, j)
-		}
-		if st.done[j] {
-			return fmt.Errorf("%w: slot %d recorded twice", ErrSnapshotMismatch, j)
-		}
-		st.done[j] = true
-		st.results[j] = fromRecord(snap.Records[i])
-		st.completed++
-	}
+	st.baseline = snap.Baseline
 	return nil
 }

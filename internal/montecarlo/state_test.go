@@ -1,7 +1,9 @@
 package montecarlo
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"reflect"
@@ -9,6 +11,7 @@ import (
 	"testing"
 
 	"pixel/internal/protect"
+	"pixel/internal/slots"
 )
 
 // reportJSON canonicalizes a report for byte-level comparison.
@@ -140,15 +143,15 @@ func TestRestoreRejectsForeignSnapshot(t *testing.T) {
 
 	otherSeed := spec
 	otherSeed.Seed = spec.Seed + 1
-	if err := NewState(otherSeed, "").Restore(snap); !errors.Is(err, ErrSnapshotMismatch) {
+	if err := NewState(otherSeed, "").Restore(snap); !errors.Is(err, slots.ErrSnapshotMismatch) {
 		t.Fatalf("different seed: err = %v, want ErrSnapshotMismatch", err)
 	}
 	otherProt := spec
 	otherProt.Protection = protect.TMR()
-	if err := NewState(otherProt, "").Restore(snap); !errors.Is(err, ErrSnapshotMismatch) {
+	if err := NewState(otherProt, "").Restore(snap); !errors.Is(err, slots.ErrSnapshotMismatch) {
 		t.Fatalf("different protection: err = %v, want ErrSnapshotMismatch", err)
 	}
-	if err := NewState(spec, "other-network").Restore(snap); !errors.Is(err, ErrSnapshotMismatch) {
+	if err := NewState(spec, "other-network").Restore(snap); !errors.Is(err, slots.ErrSnapshotMismatch) {
 		t.Fatalf("different key: err = %v, want ErrSnapshotMismatch", err)
 	}
 	// A different worker count is NOT a different experiment.
@@ -159,6 +162,35 @@ func TestRestoreRejectsForeignSnapshot(t *testing.T) {
 	}
 	if err := NewState(spec, "").Restore(snap[:len(snap)/2]); err == nil {
 		t.Fatal("truncated snapshot restored without error")
+	}
+
+	// A snapshot with the right fingerprint but a torn slot list is
+	// refused whole: no slot lands and its baseline is not installed.
+	st := NewState(spec, "")
+	total := len(spec.Sigmas) * spec.Trials
+	for name, torn := range map[string]snapshotV1{
+		"duplicate slot": {DoneSlots: []int{0, 1, 1}, Records: make([]TrialRecord, 3)},
+		"slot off axis":  {DoneSlots: []int{0, total}, Records: make([]TrialRecord, 2)},
+		"count mismatch": {DoneSlots: []int{0, 1}, Records: make([]TrialRecord, 1)},
+		"other total":    {Total: total + 1, DoneSlots: []int{0}, Records: make([]TrialRecord, 1)},
+	} {
+		torn.Fingerprint, torn.HaveBaseline, torn.Baseline = st.fp, true, []int64{1, 2, 3}
+		if torn.Total == 0 {
+			torn.Total = total
+		}
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(torn); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Restore(buf.Bytes()); !errors.Is(err, slots.ErrSnapshotMismatch) {
+			t.Fatalf("%s: err = %v, want ErrSnapshotMismatch", name, err)
+		}
+		if done, n := st.Progress(); done != 0 || n != total {
+			t.Fatalf("%s: rejected restore left progress %d/%d, want 0/%d", name, done, n, total)
+		}
+		if st.haveBaseline {
+			t.Fatalf("%s: rejected restore installed its baseline", name)
+		}
 	}
 }
 

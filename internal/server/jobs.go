@@ -9,6 +9,7 @@ import (
 	"pixel/api"
 	"pixel/internal/httpx"
 	"pixel/internal/jobs"
+	"pixel/internal/slots"
 )
 
 // Close releases the server's background machinery (the job registry;
@@ -39,7 +40,7 @@ func (s *Server) buildJobTask(kind string, spec json.RawMessage) (jobs.Task, err
 		if err != nil {
 			return nil, err
 		}
-		return &robustnessTask{job: job, points: map[int]api.JobPoint{}}, nil
+		return &robustnessTask{job: job, points: slots.New[api.JobPoint](len(rspec.Sigmas))}, nil
 
 	case api.JobKindSweep:
 		var req api.SweepRequest
@@ -71,10 +72,8 @@ func (s *Server) buildJobTask(kind string, spec json.RawMessage) (jobs.Task, err
 // events at a bounded stride, one "point" event per completed σ point,
 // completed points as the poll-time partial result.
 type robustnessTask struct {
-	job *pixel.RobustnessJob
-
-	mu     sync.Mutex
-	points map[int]api.JobPoint
+	job    *pixel.RobustnessJob
+	points *slots.Store[api.JobPoint] // one slot per σ index
 }
 
 func (t *robustnessTask) Snapshot() ([]byte, error) { return t.job.Snapshot() }
@@ -83,9 +82,8 @@ func (t *robustnessTask) Progress() (int, int)      { return t.job.Progress() }
 
 // Partial returns the σ points completed so far, in axis order.
 func (t *robustnessTask) Partial() any {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return httpx.SortedPoints(t.points)
+	_, pts := t.points.Export()
+	return pts
 }
 
 func (t *robustnessTask) Run(ctx context.Context, emit func(string, any)) (any, error) {
@@ -99,9 +97,7 @@ func (t *robustnessTask) Run(ctx context.Context, emit func(string, any)) (any, 
 		},
 		OnPoint: func(i int, p pixel.YieldPoint, prot *pixel.ProtectedPoint) {
 			jp := api.JobPoint{Index: i, Point: p, Protected: prot}
-			t.mu.Lock()
-			t.points[i] = jp
-			t.mu.Unlock()
+			t.points.Land(i, jp)
 			emit(api.JobEventPoint, jp)
 		},
 	})

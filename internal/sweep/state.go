@@ -4,18 +4,12 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/gob"
-	"errors"
 	"fmt"
 	"strconv"
-	"sync"
 
 	"pixel/internal/arch"
+	"pixel/internal/slots"
 )
-
-// ErrSnapshotMismatch reports a snapshot taken over a different job
-// list — resuming from it would assign costs to the wrong grid cells,
-// so it is refused.
-var ErrSnapshotMismatch = errors.New("sweep: snapshot does not match this job list")
 
 // State is the resumable slot store of one sweep run: which jobs have
 // been priced and their costs. Every cost is a pure function of its
@@ -26,23 +20,13 @@ var ErrSnapshotMismatch = errors.New("sweep: snapshot does not match this job li
 // A State is safe to Snapshot concurrently with the RunState that is
 // filling it. Construct with NewState.
 type State struct {
-	fp    [32]byte
-	total int
-
-	mu        sync.Mutex
-	done      []bool
-	results   []arch.NetworkCost
-	completed int
+	fp [32]byte
+	*slots.Store[arch.NetworkCost]
 }
 
 // NewState allocates the slot store for one run over jobs.
 func NewState(jobs []Job) *State {
-	return &State{
-		fp:      fingerprintJobs(jobs),
-		total:   len(jobs),
-		done:    make([]bool, len(jobs)),
-		results: make([]arch.NetworkCost, len(jobs)),
-	}
+	return &State{fp: fingerprintJobs(jobs), Store: slots.New[arch.NetworkCost](len(jobs))}
 }
 
 // fingerprintJobs hashes the ordered job list so a snapshot can refuse
@@ -70,62 +54,6 @@ func fingerprintJobs(jobs []Job) [32]byte {
 	return fp
 }
 
-// Progress returns completed and total slot counts.
-func (st *State) Progress() (done, total int) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.completed, st.total
-}
-
-// isDone reports whether slot i already holds a cost.
-func (st *State) isDone(i int) bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.done[i]
-}
-
-// set records slot i's cost and returns the cumulative count.
-func (st *State) set(i int, c arch.NetworkCost) int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if !st.done[i] {
-		st.done[i] = true
-		st.results[i] = c
-		st.completed++
-	}
-	return st.completed
-}
-
-// eachDone calls fn for every completed slot, in slot order. The costs
-// are copied out under the lock first, so fn runs without holding it.
-func (st *State) eachDone(fn func(i int, c arch.NetworkCost)) {
-	st.mu.Lock()
-	type cell struct {
-		i int
-		c arch.NetworkCost
-	}
-	cells := make([]cell, 0, st.completed)
-	for i, d := range st.done {
-		if d {
-			cells = append(cells, cell{i, st.results[i]})
-		}
-	}
-	st.mu.Unlock()
-	for _, cl := range cells {
-		fn(cl.i, cl.c)
-	}
-}
-
-// costs returns the filled result slice; callers must only use it once
-// every slot is done.
-func (st *State) costs() []arch.NetworkCost {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	out := make([]arch.NetworkCost, len(st.results))
-	copy(out, st.results)
-	return out
-}
-
 // sweepSnapshotV1 is the gob payload of a State snapshot. Only
 // completed slots ship costs, so early checkpoints stay small.
 type sweepSnapshotV1 struct {
@@ -139,15 +67,8 @@ type sweepSnapshotV1 struct {
 // on the same State is in flight — it sees a consistent prefix of the
 // completed work.
 func (st *State) Snapshot() ([]byte, error) {
-	st.mu.Lock()
-	snap := sweepSnapshotV1{Fingerprint: st.fp, Total: st.total}
-	for i, d := range st.done {
-		if d {
-			snap.DoneSlots = append(snap.DoneSlots, i)
-			snap.Costs = append(snap.Costs, st.results[i])
-		}
-	}
-	st.mu.Unlock()
+	snap := sweepSnapshotV1{Fingerprint: st.fp, Total: st.Len()}
+	snap.DoneSlots, snap.Costs = st.Export()
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
 		return nil, fmt.Errorf("sweep: encode snapshot: %w", err)
@@ -157,36 +78,15 @@ func (st *State) Snapshot() ([]byte, error) {
 
 // Restore reinstalls a snapshot into a freshly constructed State over
 // the same job list. Snapshots from a different job list are refused
-// with ErrSnapshotMismatch.
+// with slots.ErrSnapshotMismatch, and a refused snapshot installs
+// nothing.
 func (st *State) Restore(payload []byte) error {
 	var snap sweepSnapshotV1
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&snap); err != nil {
 		return fmt.Errorf("sweep: decode snapshot: %w", err)
 	}
 	if snap.Fingerprint != st.fp {
-		return fmt.Errorf("%w: job-list fingerprint differs", ErrSnapshotMismatch)
+		return fmt.Errorf("%w: job-list fingerprint differs", slots.ErrSnapshotMismatch)
 	}
-	if snap.Total != st.total {
-		return fmt.Errorf("%w: %d slots, job list has %d", ErrSnapshotMismatch, snap.Total, st.total)
-	}
-	if len(snap.DoneSlots) != len(snap.Costs) {
-		return fmt.Errorf("%w: %d done slots but %d costs", ErrSnapshotMismatch, len(snap.DoneSlots), len(snap.Costs))
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.done = make([]bool, st.total)
-	st.results = make([]arch.NetworkCost, st.total)
-	st.completed = 0
-	for k, i := range snap.DoneSlots {
-		if i < 0 || i >= st.total {
-			return fmt.Errorf("%w: slot %d out of range", ErrSnapshotMismatch, i)
-		}
-		if st.done[i] {
-			return fmt.Errorf("%w: slot %d recorded twice", ErrSnapshotMismatch, i)
-		}
-		st.done[i] = true
-		st.results[i] = snap.Costs[k]
-		st.completed++
-	}
-	return nil
+	return st.Import(snap.Total, snap.DoneSlots, snap.Costs)
 }

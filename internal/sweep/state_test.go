@@ -1,14 +1,17 @@
 package sweep
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"reflect"
 	"testing"
 
 	"pixel/internal/arch"
+	"pixel/internal/slots"
 )
 
 // interruptSweep runs jobs on a fresh engine until about k points have
@@ -129,20 +132,46 @@ func TestSweepRestoreRejectsForeignSnapshot(t *testing.T) {
 	jobs := jobsFor("LeNet", grid4x4())
 	snap := interruptSweep(t, jobs, 4, 2)
 
-	if err := NewState(jobs[:len(jobs)-1]).Restore(snap); !errors.Is(err, ErrSnapshotMismatch) {
+	if err := NewState(jobs[:len(jobs)-1]).Restore(snap); !errors.Is(err, slots.ErrSnapshotMismatch) {
 		t.Fatalf("shorter grid: err = %v, want ErrSnapshotMismatch", err)
 	}
 	reordered := append([]Job(nil), jobs...)
 	reordered[0], reordered[1] = reordered[1], reordered[0]
-	if err := NewState(reordered).Restore(snap); !errors.Is(err, ErrSnapshotMismatch) {
+	if err := NewState(reordered).Restore(snap); !errors.Is(err, slots.ErrSnapshotMismatch) {
 		t.Fatalf("reordered grid: err = %v, want ErrSnapshotMismatch", err)
 	}
 	otherNet := jobsFor("AlexNet", grid4x4())
-	if err := NewState(otherNet).Restore(snap); !errors.Is(err, ErrSnapshotMismatch) {
+	if err := NewState(otherNet).Restore(snap); !errors.Is(err, slots.ErrSnapshotMismatch) {
 		t.Fatalf("different network: err = %v, want ErrSnapshotMismatch", err)
 	}
 	if err := NewState(jobs).Restore(snap[:len(snap)/2]); err == nil {
 		t.Fatal("truncated snapshot restored without error")
+	}
+
+	// A snapshot with the right fingerprint but a torn slot list is
+	// refused whole: nothing of it may land, or a from-scratch rerun of
+	// the same State would keep its slots as zero-cost cells.
+	st := NewState(jobs)
+	for name, torn := range map[string]sweepSnapshotV1{
+		"duplicate slot": {DoneSlots: []int{0, 1, 1}, Costs: make([]arch.NetworkCost, 3)},
+		"slot off grid":  {DoneSlots: []int{0, 1, len(jobs)}, Costs: make([]arch.NetworkCost, 3)},
+		"count mismatch": {DoneSlots: []int{0, 1}, Costs: make([]arch.NetworkCost, 1)},
+		"other total":    {Total: len(jobs) + 1, DoneSlots: []int{0}, Costs: make([]arch.NetworkCost, 1)},
+	} {
+		torn.Fingerprint = st.fp
+		if torn.Total == 0 {
+			torn.Total = len(jobs)
+		}
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(torn); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Restore(buf.Bytes()); !errors.Is(err, slots.ErrSnapshotMismatch) {
+			t.Fatalf("%s: err = %v, want ErrSnapshotMismatch", name, err)
+		}
+		if done, total := st.Progress(); done != 0 || total != len(jobs) {
+			t.Fatalf("%s: rejected restore left progress %d/%d, want 0/%d", name, done, total, len(jobs))
+		}
 	}
 }
 

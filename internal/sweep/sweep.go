@@ -20,7 +20,7 @@ import (
 
 	"pixel/internal/arch"
 	"pixel/internal/cnn"
-	"pixel/internal/parallel"
+	"pixel/internal/slots"
 )
 
 // Point is one design point of the sweep space: a MAC design, a lane
@@ -234,8 +234,8 @@ func (e *Engine) RunState(ctx context.Context, jobs []Job, st *State, opts RunOp
 	if st == nil {
 		st = NewState(jobs)
 	}
-	if st.total != len(jobs) {
-		return nil, fmt.Errorf("%w: state has %d slots, run has %d jobs", ErrSnapshotMismatch, st.total, len(jobs))
+	if st.Len() != len(jobs) {
+		return nil, fmt.Errorf("%w: state has %d slots, run has %d jobs", slots.ErrSnapshotMismatch, st.Len(), len(jobs))
 	}
 	for _, j := range jobs {
 		if _, err := e.Network(j.Network); err != nil {
@@ -252,38 +252,33 @@ func (e *Engine) RunState(ctx context.Context, jobs []Job, st *State, opts RunOp
 	}
 	if done, _ := st.Progress(); done > 0 {
 		if opts.OnJob != nil {
-			st.eachDone(opts.OnJob)
+			idx, costs := st.Export()
+			for k, i := range idx {
+				opts.OnJob(i, costs[k])
+			}
 		}
 		if opts.Progress != nil {
 			opts.Progress(done, len(jobs))
 		}
 	}
-	var progressMu sync.Mutex
-	err := parallel.For(ctx, len(jobs), workers, func(ctx context.Context, i int) error {
-		if st.isDone(i) {
-			return nil // restored from a checkpoint
-		}
+	err := st.Fill(ctx, workers, func(ctx context.Context, i int) (arch.NetworkCost, error) {
 		c, err := e.Evaluate(ctx, jobs[i])
 		if err != nil {
-			return fmt.Errorf("sweep: point %s %s: %w", jobs[i].Network, jobs[i].Point, err)
+			return c, fmt.Errorf("sweep: point %s %s: %w", jobs[i].Network, jobs[i].Point, err)
 		}
-		// Recording the slot under the progress lock keeps the counts
-		// Progress sees strictly increasing.
-		progressMu.Lock()
-		defer progressMu.Unlock()
-		completed := st.set(i, c)
+		return c, nil
+	}, func(i int, c arch.NetworkCost, done int) {
 		if opts.OnJob != nil {
 			opts.OnJob(i, c)
 		}
 		if opts.Progress != nil {
-			opts.Progress(completed, len(jobs))
+			opts.Progress(done, len(jobs))
 		}
-		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return st.costs(), nil
+	return st.Values(0, len(jobs)), nil
 }
 
 // Grid enumerates the cross product of the axes in the canonical

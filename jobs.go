@@ -7,13 +7,16 @@ import (
 	"pixel/internal/arch"
 	"pixel/internal/montecarlo"
 	"pixel/internal/protect"
+	"pixel/internal/slots"
 	sweepeng "pixel/internal/sweep"
 )
 
 // ErrSnapshotMismatch reports a checkpoint snapshot that was taken
-// under a different spec — restoring it would silently mix two
-// experiments, so it is refused. See docs/JOBS.md.
-var ErrSnapshotMismatch = montecarlo.ErrSnapshotMismatch
+// under a different spec or grid, or whose slot list is torn —
+// restoring it would silently mix two experiments, so it is refused
+// and nothing of it is installed. Both job kinds return it. See
+// docs/JOBS.md.
+var ErrSnapshotMismatch = slots.ErrSnapshotMismatch
 
 // RobustnessHooks observes a resumable robustness run. Callbacks are
 // serialized and fire from worker goroutines; keep them fast.
@@ -224,7 +227,7 @@ func (j *SweepJob) Snapshot() ([]byte, error) { return j.state.Snapshot() }
 
 // Restore reinstalls a snapshot taken from a job over the identical
 // (network × point) grid; anything else is refused with
-// sweep.ErrSnapshotMismatch.
+// ErrSnapshotMismatch.
 func (j *SweepJob) Restore(payload []byte) error { return j.state.Restore(payload) }
 
 // Run executes (or finishes) the sweep. opts may be nil. On

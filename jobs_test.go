@@ -86,25 +86,47 @@ func TestRobustnessJobResume(t *testing.T) {
 	}
 }
 
-// TestRobustnessJobRejectsForeignSnapshot: snapshots are pinned to the
-// spec (network included) and refuse to cross experiments.
+// TestRobustnessJobRejectsForeignSnapshot: snapshots of both job kinds
+// are pinned to their spec (network included) and refuse to cross
+// experiments with the one public ErrSnapshotMismatch, installing
+// nothing.
 func TestRobustnessJobRejectsForeignSnapshot(t *testing.T) {
-	job, err := NewRobustnessJob(jobSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := job.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	other := jobSpec()
-	other.Seed++
-	foreign, err := NewRobustnessJob(other)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := foreign.Restore(snap); !errors.Is(err, ErrSnapshotMismatch) {
-		t.Fatalf("foreign restore: err = %v, want ErrSnapshotMismatch", err)
+	sweepGrid := Grid([]Design{EE, OO}, []int{2, 4}, []int{4, 8})
+	for _, tc := range []struct {
+		name       string
+		job, other func() (checkpointJob, error)
+	}{
+		{"robustness",
+			func() (checkpointJob, error) { return NewRobustnessJob(jobSpec()) },
+			func() (checkpointJob, error) {
+				other := jobSpec()
+				other.Seed++
+				return NewRobustnessJob(other)
+			}},
+		{"sweep",
+			func() (checkpointJob, error) { return NewSweepJob([]string{"LeNet"}, sweepGrid) },
+			func() (checkpointJob, error) { return NewSweepJob([]string{"AlexNet"}, sweepGrid) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			job, err := tc.job()
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, err := job.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			foreign, err := tc.other()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := foreign.Restore(snap); !errors.Is(err, ErrSnapshotMismatch) {
+				t.Fatalf("foreign restore: err = %v, want ErrSnapshotMismatch", err)
+			}
+			if done, _ := foreign.Progress(); done != 0 {
+				t.Fatalf("refused restore left %d slots done", done)
+			}
+		})
 	}
 }
 
