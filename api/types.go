@@ -4,55 +4,24 @@
 // types and nothing else, so a client importing this package can never
 // drift from the wire format; TestGoldenWireShapes pins the JSON shape
 // of every type so accidental field changes fail CI.
+//
+// Response payloads the pixel library already computes are pixel's own
+// types, declared once: Result, LayerResult, InferResult, MapResponse
+// and RobustnessResponse are aliases of wire-tagged pixel types, so a
+// handler writes the engine's value as it is.
 package api
 
 import "pixel"
 
-// Result is the wire form of pixel.Result — the cost of one full CNN
-// inference under a design point. It is field-compatible with the
-// pixelsweep -json output.
-type Result struct {
-	Network  string             `json:"network"`
-	Design   string             `json:"design"`
-	Lanes    int                `json:"lanes"`
-	Bits     int                `json:"bits"`
-	EnergyJ  float64            `json:"energy_j"`
-	LatencyS float64            `json:"latency_s"`
-	EDP      float64            `json:"edp_js"`
-	Energy   map[string]float64 `json:"energy_breakdown_j"`
-	PerLayer []LayerResult      `json:"per_layer,omitempty"`
-}
+// Result is the POST /v1/evaluate response and a /v1/sweep row: the
+// cost of one full CNN inference under a design point. It is
+// pixel.Result, field-compatible with the pixelsweep -json output;
+// sweep rows carry no per_layer (see pixel.Result.SweepRow).
+type Result = pixel.Result
 
-// LayerResult is one layer's share of an inference cost.
-type LayerResult struct {
-	Name     string  `json:"name"`
-	EnergyJ  float64 `json:"energy_j"`
-	LatencyS float64 `json:"latency_s"`
-}
-
-// FromResult converts an engine result to its wire form; per-layer
-// rows ride along only when perLayer is set (single-point responses —
-// a sweep would multiply the payload by the layer count for data most
-// clients aggregate anyway).
-func FromResult(r pixel.Result, perLayer bool) Result {
-	out := Result{
-		Network:  r.Network,
-		Design:   r.Design.String(),
-		Lanes:    r.Lanes,
-		Bits:     r.Bits,
-		EnergyJ:  r.EnergyJ,
-		LatencyS: r.LatencyS,
-		EDP:      r.EDP,
-		Energy:   r.Breakdown,
-	}
-	if perLayer {
-		out.PerLayer = make([]LayerResult, len(r.PerLayer))
-		for i, l := range r.PerLayer {
-			out.PerLayer[i] = LayerResult{Name: l.Name, EnergyJ: l.EnergyJ, LatencyS: l.LatencyS}
-		}
-	}
-	return out
-}
+// LayerResult is one layer's share of an inference cost; it is
+// pixel.LayerResult.
+type LayerResult = pixel.LayerResult
 
 // EvaluateRequest is the POST /v1/evaluate body: one design point of
 // one network. The response is a Result.
@@ -92,16 +61,9 @@ type MapRequest struct {
 	PhotonicWeights bool   `json:"photonic_weights"`
 }
 
-// MapResponse is the POST /v1/map response: the schedule summary.
-type MapResponse struct {
-	Network     string  `json:"network"`
-	Rows        int     `json:"rows"`
-	Cols        int     `json:"cols"`
-	SequentialS float64 `json:"sequential_s"`
-	PipelinedS  float64 `json:"pipelined_s"`
-	PreloadJ    float64 `json:"preload_j"`
-	Utilization float64 `json:"utilization"`
-}
+// MapResponse is the POST /v1/map response: the schedule summary,
+// pixel.ScheduleSummary.
+type MapResponse = pixel.ScheduleSummary
 
 // ProtectionSpec selects a fault-mitigation scheme for a robustness
 // sweep; it is pixel.ProtectionSpec, which is already wire-tagged.
@@ -135,14 +97,9 @@ type InferRequest struct {
 	Images  [][]int64 `json:"images"`
 }
 
-// InferResult is one image's inference output.
-type InferResult struct {
-	// Outputs is the final layer's raw activation vector.
-	Outputs []int64 `json:"outputs"`
-	// ArgMax is the predicted class (index of the largest output,
-	// first on ties).
-	ArgMax int `json:"argmax"`
-}
+// InferResult is one image's inference output: the final layer's raw
+// activation vector and its argmax. It is pixel.InferResult.
+type InferResult = pixel.InferResult
 
 // InferResponse is the POST /v1/infer response: one result per image,
 // in request order. Batched reports how many images the serving batch

@@ -16,10 +16,10 @@ func wireSamples() map[string]any {
 	return map[string]any{
 		"evaluate_request": EvaluateRequest{Network: "lenet", Design: "OE", Lanes: 8, Bits: 4},
 		"result": Result{
-			Network: "lenet", Design: "OE", Lanes: 8, Bits: 4,
+			Network: "lenet", Design: pixel.OE, Lanes: 8, Bits: 4,
 			EnergyJ: 0.25, LatencyS: 0.5, EDP: 0.125,
-			Energy:   map[string]float64{"mul": 0.1, "laser": 0.15},
-			PerLayer: []LayerResult{{Name: "conv1", EnergyJ: 0.1, LatencyS: 0.2}},
+			Breakdown: map[string]float64{"mul": 0.1, "laser": 0.15},
+			PerLayer:  []LayerResult{{Name: "conv1", EnergyJ: 0.1, LatencyS: 0.2}},
 		},
 		"sweep_request": SweepRequest{
 			Networks: []string{"lenet", "vgg16"},
@@ -30,7 +30,7 @@ func wireSamples() map[string]any {
 		"sweep_response": SweepResponse{
 			Points: 2,
 			Results: map[string][]Result{
-				"lenet": {{Network: "lenet", Design: "EE", Lanes: 4, Bits: 2, EnergyJ: 1, LatencyS: 2, EDP: 2}},
+				"lenet": {{Network: "lenet", Design: pixel.EE, Lanes: 4, Bits: 2, EnergyJ: 1, LatencyS: 2, EDP: 2}},
 			},
 		},
 		"map_request": MapRequest{
@@ -83,9 +83,9 @@ func wireSamples() map[string]any {
 		"job_cell": JobCell{
 			Network: "lenet", Index: 3,
 			Result: Result{
-				Network: "lenet", Design: "OE", Lanes: 8, Bits: 4,
+				Network: "lenet", Design: pixel.OE, Lanes: 8, Bits: 4,
 				EnergyJ: 0.25, LatencyS: 0.5, EDP: 0.125,
-				Energy: map[string]float64{"mul": 0.1, "laser": 0.15},
+				Breakdown: map[string]float64{"mul": 0.1, "laser": 0.15},
 			},
 		},
 		"job_event": JobEvent{

@@ -92,29 +92,11 @@ func (e *Engine) EvaluateContext(ctx context.Context, network string, p Point) (
 // regardless of worker scheduling. On cancellation it returns promptly
 // with the context's error; opts may be nil.
 func (e *Engine) SweepContext(ctx context.Context, network string, points []Point, opts *SweepOptions) ([]Result, error) {
-	if err := e.ValidateSweep([]string{network}, points); err != nil {
-		return nil, err
-	}
-	jobs := make([]sweepeng.Job, len(points))
-	for i, p := range points {
-		jobs[i] = p.engineJob(network)
-	}
-	ro := opts.runOptions()
-	if opts != nil && opts.Cell != nil {
-		cell := opts.Cell
-		ro.OnJob = func(i int, c arch.NetworkCost) {
-			cell(network, i, resultFromCost(network, points[i], c))
-		}
-	}
-	costs, err := e.eng.Run(ctx, jobs, ro)
+	byNet, err := e.SweepNetworks(ctx, []string{network}, points, opts)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Result, len(points))
-	for i, p := range points {
-		out[i] = resultFromCost(network, p, costs[i])
-	}
-	return out, nil
+	return byNet[network], nil
 }
 
 // SweepNetworks fans one grid of design points out across several

@@ -46,17 +46,17 @@ func AreaContext(ctx context.Context, p Point) (float64, error) {
 // ScheduleSummary is a tile-grid mapping of a network (see
 // internal/mapper).
 type ScheduleSummary struct {
-	Network string
-	Rows    int
-	Cols    int
+	Network string `json:"network"`
+	Rows    int    `json:"rows"`
+	Cols    int    `json:"cols"`
 	// SequentialS and PipelinedS are the makespans without and with
 	// double-buffered weight register files.
-	SequentialS float64
-	PipelinedS  float64
+	SequentialS float64 `json:"sequential_s"`
+	PipelinedS  float64 `json:"pipelined_s"`
 	// PreloadJ is the weight-movement energy; Utilization the
 	// round-weighted mean tile utilization.
-	PreloadJ    float64
-	Utilization float64
+	PreloadJ    float64 `json:"preload_j"`
+	Utilization float64 `json:"utilization"`
 }
 
 // MapSpec describes one tile-grid scheduling request for MapContext.

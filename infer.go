@@ -31,10 +31,10 @@ type InferSpec struct {
 type InferResult struct {
 	// Outputs is the final layer's raw activation vector (class scores
 	// for the demo networks).
-	Outputs []int64
+	Outputs []int64 `json:"outputs"`
 	// ArgMax is the index of the largest output (first on ties) — the
 	// predicted class.
-	ArgMax int
+	ArgMax int `json:"argmax"`
 }
 
 // InferShape describes a network's expected image geometry.

@@ -24,7 +24,7 @@ type goldenFleetTask interface {
 }
 
 func (t *fleetSweepTask) firstShard(ctx context.Context) error {
-	rows, _ := t.missingRows()
+	rows, _ := t.cells.MissingRows()
 	return t.runSync(ctx, t.planMissing(rows, 2)[0], func(string, any) {})
 }
 

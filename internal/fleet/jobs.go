@@ -400,10 +400,9 @@ type fleetSweepTask struct {
 	req     api.SweepRequest
 	points  int            // rows in the full design-major grid
 	designs []pixel.Design // resolved design axis
-	nets    []string       // distinct networks, sorted: the partial's order
 
-	mu    sync.Mutex               // serializes fold, so progress events count up
-	cells *slots.Store[api.Result] // request network entry × grid row, as on a worker
+	mu    sync.Mutex        // serializes fold, so progress events count up
+	cells *httpx.SweepCells // request network entry × grid row, as on a worker
 }
 
 // newSweepTask validates req exactly as a worker's /v1/sweep and sweep
@@ -419,21 +418,18 @@ func (c *Coordinator) newSweepTask(req api.SweepRequest) (*fleetSweepTask, error
 	if err := pixel.ValidateSweep(req.Networks, pixel.Grid(designs, req.Lanes, req.Bits)); err != nil {
 		return nil, err
 	}
-	nets := slices.Clone(req.Networks)
-	slices.Sort(nets)
 	return &fleetSweepTask{
 		c:       c,
 		req:     req,
 		points:  points,
 		designs: designs,
-		nets:    slices.Compact(nets),
-		cells:   slots.New[api.Result](len(req.Networks) * points),
+		cells:   httpx.NewSweepCells(req.Networks, points),
 	}, nil
 }
 
 func (t *fleetSweepTask) Snapshot() ([]byte, error) {
 	_, total := t.Progress()
-	return json.Marshal(fleetJobCkpt{Kind: api.JobKindSweep, Total: total, Cells: t.Partial().([]api.JobCell)})
+	return json.Marshal(fleetJobCkpt{Kind: api.JobKindSweep, Total: total, Cells: t.cells.Partial()})
 }
 
 // Restore reinstalls a checkpoint's cells in every request entry of
@@ -444,21 +440,11 @@ func (t *fleetSweepTask) Restore(buf []byte) error {
 	if err != nil {
 		return err
 	}
-	var idx []int
-	var vals []api.Result
-	for _, cell := range ck.Cells {
-		at := t.slotsOf(cell.Network, cell.Index)
-		if at == nil {
-			return fmt.Errorf("%w: fleet checkpoint cell %s/%d is off the grid", slots.ErrSnapshotMismatch, cell.Network, cell.Index)
-		}
-		for _, i := range at {
-			idx, vals = append(idx, i), append(vals, cell.Result)
-		}
-	}
-	if err := t.cells.Import(total, idx, vals); err != nil {
+	n, err := t.cells.Import(ck.Cells)
+	if err != nil {
 		return err
 	}
-	t.c.metrics.salvagedUnits.Add(int64(len(idx)))
+	t.c.metrics.salvagedUnits.Add(int64(n))
 	return nil
 }
 
@@ -466,46 +452,9 @@ func (t *fleetSweepTask) Restore(buf []byte) error {
 // a network listed twice counts twice.
 func (t *fleetSweepTask) Progress() (int, int) { return t.cells.Progress() }
 
-// Partial returns the grid cells landed so far, sorted by network then
-// index, each network once — the same shape and order a worker's sweep
-// job reports.
-func (t *fleetSweepTask) Partial() any {
-	idx, vals := t.cells.Export()
-	out := make([]api.JobCell, 0, len(idx))
-	for _, n := range t.nets {
-		lo := slices.Index(t.req.Networks, n) * t.points
-		for j, _ := slices.BinarySearch(idx, lo); j < len(idx) && idx[j] < lo+t.points; j++ {
-			out = append(out, api.JobCell{Network: n, Index: idx[j] - lo, Result: vals[j]})
-		}
-	}
-	return out
-}
-
-// slotsOf returns the slots of a network's grid row, one per request
-// entry naming it; nil when the cell is not on this grid.
-func (t *fleetSweepTask) slotsOf(network string, row int) []int {
-	if row < 0 || row >= t.points {
-		return nil
-	}
-	var out []int
-	for k, n := range t.req.Networks {
-		if n == network {
-			out = append(out, k*t.points+row)
-		}
-	}
-	return out
-}
-
-// missingRows returns the global rows with at least one network's cell
-// outstanding, plus the exact missing slot count for the metrics.
-func (t *fleetSweepTask) missingRows() (rows []int, cells int) {
-	miss := t.cells.Missing()
-	for _, i := range miss {
-		rows = append(rows, i%t.points)
-	}
-	slices.Sort(rows)
-	return slices.Compact(rows), len(miss)
-}
+// Partial returns the grid cells landed so far in the shape and order
+// a worker's sweep job reports (see httpx.SweepCells).
+func (t *fleetSweepTask) Partial() any { return t.cells.Partial() }
 
 // planMissing builds at most about target shards covering exactly the
 // missing rows. A full grid uses planSweep's contiguous chunks; a
@@ -545,8 +494,8 @@ func (t *fleetSweepTask) planMissing(missing []int, target int) []sweepShard {
 func (t *fleetSweepTask) Run(ctx context.Context, emit func(string, any)) (any, error) {
 	done, _ := t.Progress() // > 0: resumed mid-flight from a checkpoint
 	err := harvest(ctx, t.c, api.JobKindSweep, done > 0,
-		func() int { _, cells := t.missingRows(); return cells },
-		func(target int) []sweepShard { rows, _ := t.missingRows(); return t.planMissing(rows, target) },
+		func() int { _, cells := t.cells.MissingRows(); return cells },
+		func(target int) []sweepShard { rows, _ := t.cells.MissingRows(); return t.planMissing(rows, target) },
 		func(ctx context.Context, sh sweepShard) error { return t.runShard(ctx, sh, emit) })
 	if err != nil {
 		return nil, err
@@ -605,11 +554,7 @@ func (t *fleetSweepTask) fold(sh sweepShard, local []api.JobCell, emit func(stri
 		if cell.Index < 0 || cell.Index >= len(sh.Rows) {
 			continue
 		}
-		for _, i := range t.slotsOf(cell.Network, sh.Rows[cell.Index]) {
-			if ok, _ := t.cells.Land(i, cell.Result); ok {
-				n++
-			}
-		}
+		n += t.cells.Land(cell.Network, sh.Rows[cell.Index], cell.Result)
 	}
 	if n > 0 {
 		done, total := t.Progress()
@@ -643,13 +588,12 @@ func (t *fleetSweepTask) foldResponse(sh sweepShard, resp api.SweepResponse, emi
 // would produce and Go re-encodes float64 round-trips byte-exactly, so
 // the payload is byte-identical to one worker pricing the whole grid.
 func (t *fleetSweepTask) finalize() (api.SweepResponse, error) {
-	if miss := t.cells.Missing(); len(miss) > 0 {
-		return api.SweepResponse{}, fmt.Errorf("fleet: sweep cell %s/%d missing after merge", t.req.Networks[miss[0]/t.points], miss[0]%t.points)
+	if rows, _ := t.cells.MissingRows(); len(rows) > 0 {
+		return api.SweepResponse{}, fmt.Errorf("fleet: sweep row %d missing after merge", rows[0])
 	}
-	out := api.SweepResponse{Points: t.points, Results: make(map[string][]api.Result, len(t.nets))}
-	for _, n := range t.nets {
-		lo := slices.Index(t.req.Networks, n) * t.points
-		out.Results[n] = t.cells.Values(lo, lo+t.points)
+	out := api.SweepResponse{Points: t.points, Results: make(map[string][]api.Result, len(t.req.Networks))}
+	for _, n := range t.req.Networks {
+		out.Results[n] = t.cells.Values(n)
 	}
 	return out, nil
 }

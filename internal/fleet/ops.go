@@ -37,7 +37,7 @@ func (c *Coordinator) Sweep(ctx context.Context, req api.SweepRequest) (api.Swee
 	if err != nil {
 		return api.SweepResponse{}, err
 	}
-	rows, _ := t.missingRows()
+	rows, _ := t.cells.MissingRows()
 	shards := t.planMissing(rows, c.shardTarget())
 	if err := parallel.For(ctx, len(shards), len(shards), func(ctx context.Context, i int) error {
 		return t.runSync(ctx, shards[i], func(string, any) {})

@@ -96,7 +96,7 @@ func TestPlanSweepCoversGrid(t *testing.T) {
 		return covered
 	}
 
-	all, cells := task.missingRows()
+	all, cells := task.cells.MissingRows()
 	if len(all) != len(full) || cells != len(req.Networks)*len(full) {
 		t.Fatalf("fresh task misses %d rows / %d cells, want %d / %d", len(all), cells, len(full), len(req.Networks)*len(full))
 	}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
 
 	"pixel/api"
 	"pixel/internal/jobs"
@@ -141,28 +140,4 @@ func (c *Core) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		c.WriteError(w, err)
 	}
-}
-
-// CellKey identifies one sweep-job grid cell: a network and a row of
-// the design-major point grid.
-type CellKey struct {
-	Network string
-	Index   int
-}
-
-// SortedCells renders a worker sweep job's priced cells as its
-// GET /v1/jobs/{id} partial, sorted by network then index; the
-// coordinator's partial has the same shape and order.
-func SortedCells(cells map[CellKey]api.JobCell) []api.JobCell {
-	out := make([]api.JobCell, 0, len(cells))
-	for _, c := range cells {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Network != out[j].Network {
-			return out[i].Network < out[j].Network
-		}
-		return out[i].Index < out[j].Index
-	})
-	return out
 }

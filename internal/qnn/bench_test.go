@@ -41,7 +41,7 @@ func benchLeNet() (*Model, *tensor.Tensor) {
 		Layers: []Layer{
 			&Conv{Label: "conv1", Kernel: k1, Stride: 1}, // -> 16x16x6
 			&Requant{Label: "rq1", Shift: 8, Max: maxV},
-			&MaxPool{Label: "pool1", Window: 2}, // -> 8x8x6
+			&MaxPool{Label: "pool1", Window: 2},          // -> 8x8x6
 			&Conv{Label: "conv2", Kernel: k2, Stride: 1}, // -> 4x4x16
 			&Requant{Label: "rq2", Shift: 10, Max: maxV},
 			&MaxPool{Label: "pool2", Window: 2}, // -> 2x2x16

@@ -36,11 +36,12 @@ func (r *batchRun) replace(b int, y *tensor.Tensor) {
 	r.owned[b] = true
 }
 
-// batchLayer is the optional layer interface the batched pipeline
-// uses: layers that can process the whole batch in one pass — MAC
-// layers amortizing weight packing and im2col scratch, element layers
-// rewriting owned tensors in place — implement it; other layers run
-// their serial Apply per input.
+// batchLayer is the optional interface of element layers the batched
+// pipeline runs as stages of their own: Requant, MaxPool and Flatten
+// rewrite the batch's owned tensors in place in one pass. MAC layers
+// (Conv, FullyConnected) do not implement it — batchStage.run sends
+// them to applyBatchFused, fused or not — and any other layer runs its
+// serial Apply per input.
 type batchLayer interface {
 	applyBatch(ctx context.Context, run *batchRun, d Dotter, workers int) error
 }
@@ -329,12 +330,6 @@ func fuseConvEpilogue(out *tensor.Tensor, outRows [][]uint64, ew int, rq *Requan
 	}
 }
 
-// applyBatch implements batchLayer for Conv (the unfused form).
-func (c *Conv) applyBatch(ctx context.Context, run *batchRun, d Dotter, workers int) error {
-	_, err := c.applyBatchFused(ctx, run, d, workers, nil, nil)
-	return err
-}
-
 // applyBatchFused runs the conv over the whole batch with an optional
 // fused Requant/MaxPool epilogue: filters are packed once per process,
 // each input's im2col lowering and filter sweep is one work item on
@@ -413,13 +408,6 @@ func (c *Conv) applyBatchFused(ctx context.Context, run *batchRun, d Dotter, wor
 		run.replace(b, outs[b])
 	}
 	return c.Label, nil
-}
-
-// applyBatch implements batchLayer for FullyConnected (the unfused
-// form).
-func (f *FullyConnected) applyBatch(ctx context.Context, run *batchRun, d Dotter, workers int) error {
-	_, err := f.applyBatchFused(ctx, run, d, workers, nil)
-	return err
 }
 
 // applyBatchFused runs the dense layer over the whole batch with an

@@ -41,7 +41,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		s.core.WriteError(w, err)
 		return
 	}
-	httpx.WriteJSON(w, http.StatusOK, api.FromResult(res, true))
+	httpx.WriteJSON(w, http.StatusOK, res)
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -85,7 +85,7 @@ func sweepResponse(points int, byNet map[string][]pixel.Result) api.SweepRespons
 	for name, results := range byNet {
 		rows := make([]api.Result, len(results))
 		for i, res := range results {
-			rows[i] = api.FromResult(res, false)
+			rows[i] = res.SweepRow()
 		}
 		resp.Results[name] = rows
 	}
@@ -148,11 +148,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		s.core.WriteError(w, err)
 		return
 	}
-	resp := api.InferResponse{Results: make([]api.InferResult, len(results)), Batched: batched}
-	for i, res := range results {
-		resp.Results[i] = api.InferResult{Outputs: res.Outputs, ArgMax: res.ArgMax}
-	}
-	httpx.WriteJSON(w, http.StatusOK, resp)
+	httpx.WriteJSON(w, http.StatusOK, api.InferResponse{Results: results, Batched: batched})
 }
 
 func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
@@ -186,13 +182,5 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		s.core.WriteError(w, err)
 		return
 	}
-	httpx.WriteJSON(w, http.StatusOK, api.MapResponse{
-		Network:     sched.Network,
-		Rows:        sched.Rows,
-		Cols:        sched.Cols,
-		SequentialS: sched.SequentialS,
-		PipelinedS:  sched.PipelinedS,
-		PreloadJ:    sched.PreloadJ,
-		Utilization: sched.Utilization,
-	})
+	httpx.WriteJSON(w, http.StatusOK, sched)
 }

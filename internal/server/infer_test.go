@@ -124,7 +124,7 @@ func TestInferValidation(t *testing.T) {
 		{"unknown network", api.InferRequest{Network: "nope", Images: [][]int64{good}}, 404, "unknown_network"},
 		{"no images", api.InferRequest{Network: "tiny"}, 400, "bad_request"},
 		{"short image", api.InferRequest{Network: "tiny", Images: [][]int64{{1, 2, 3}}}, 400, "bad_request"},
-		{"value out of range", api.InferRequest{Network: "tiny", Images: [][]int64{append(append([]int64{}, good...)[:len(good)-1], 1 << 40)}}, 400, "bad_request"},
+		{"value out of range", api.InferRequest{Network: "tiny", Images: [][]int64{append(append([]int64{}, good...)[:len(good)-1], 1<<40)}}, 400, "bad_request"},
 		{"negative value", api.InferRequest{Network: "tiny", Images: [][]int64{append(append([]int64{}, good...)[:len(good)-1], -1)}}, 400, "bad_request"},
 	}
 	for _, tc := range cases {

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"sync"
 
 	"pixel"
 	"pixel/api"
@@ -61,7 +60,7 @@ func (s *Server) buildJobTask(kind string, spec json.RawMessage) (jobs.Task, err
 		if err != nil {
 			return nil, err
 		}
-		return &sweepTask{job: job, points: len(points), cells: map[httpx.CellKey]api.JobCell{}}, nil
+		return &sweepTask{job: job, points: len(points), cells: httpx.NewSweepCells(req.Networks, len(points))}, nil
 
 	default:
 		return nil, httpx.BadRequestf("unknown job kind %q (have %q, %q)", kind, api.JobKindRobustness, api.JobKindSweep)
@@ -114,22 +113,15 @@ func (t *robustnessTask) Run(ctx context.Context, emit func(string, any)) (any, 
 type sweepTask struct {
 	job    *pixel.SweepJob
 	points int
-
-	mu    sync.Mutex
-	cells map[httpx.CellKey]api.JobCell
+	cells  *httpx.SweepCells
 }
 
 func (t *sweepTask) Snapshot() ([]byte, error) { return t.job.Snapshot() }
 func (t *sweepTask) Restore(b []byte) error    { return t.job.Restore(b) }
 func (t *sweepTask) Progress() (int, int)      { return t.job.Progress() }
 
-// Partial returns the grid cells priced so far, sorted by network then
-// index.
-func (t *sweepTask) Partial() any {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return httpx.SortedCells(t.cells)
-}
+// Partial returns the grid cells priced so far (see httpx.SweepCells).
+func (t *sweepTask) Partial() any { return t.cells.Partial() }
 
 func (t *sweepTask) Run(ctx context.Context, emit func(string, any)) (any, error) {
 	_, total := t.job.Progress()
@@ -141,10 +133,7 @@ func (t *sweepTask) Run(ctx context.Context, emit func(string, any)) (any, error
 			}
 		},
 		Cell: func(network string, index int, r pixel.Result) {
-			c := api.JobCell{Network: network, Index: index, Result: api.FromResult(r, false)}
-			t.mu.Lock()
-			t.cells[httpx.CellKey{Network: network, Index: index}] = c
-			t.mu.Unlock()
+			t.cells.Land(network, index, r.SweepRow())
 		},
 	})
 	if err != nil {

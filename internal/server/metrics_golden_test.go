@@ -14,7 +14,7 @@ import (
 	"pixel/internal/jobs"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite the /metrics series golden")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the /metrics series and response body goldens")
 
 // seriesSet reduces a Prometheus text exposition to its sorted, unique
 // series signatures: the sample name plus its label keys, values

@@ -7,73 +7,28 @@ import (
 )
 
 // WriteResultsJSON serializes sweep/evaluation results as indented
-// JSON — the machine-readable companion to the CSV tables, for
-// downstream plotting.
+// JSON sweep rows (see Result.SweepRow) — the machine-readable
+// companion to the CSV tables, for downstream plotting.
 func WriteResultsJSON(w io.Writer, results []Result) error {
 	if len(results) == 0 {
 		return fmt.Errorf("pixel: no results to write")
 	}
-	type jsonResult struct {
-		Network  string             `json:"network"`
-		Design   string             `json:"design"`
-		Lanes    int                `json:"lanes"`
-		Bits     int                `json:"bits"`
-		EnergyJ  float64            `json:"energy_j"`
-		LatencyS float64            `json:"latency_s"`
-		EDP      float64            `json:"edp_js"`
-		Energy   map[string]float64 `json:"energy_breakdown_j"`
-	}
-	out := make([]jsonResult, len(results))
+	rows := make([]Result, len(results))
 	for i, r := range results {
-		out[i] = jsonResult{
-			Network:  r.Network,
-			Design:   r.Design.String(),
-			Lanes:    r.Lanes,
-			Bits:     r.Bits,
-			EnergyJ:  r.EnergyJ,
-			LatencyS: r.LatencyS,
-			EDP:      r.EDP,
-			Energy:   r.Breakdown,
-		}
+		rows[i] = r.SweepRow()
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return enc.Encode(rows)
 }
 
 // ReadResultsJSON parses results written by WriteResultsJSON (the
-// design names round-trip back to Design values).
+// design names round-trip back to Design values; an unknown one
+// surfaces ErrUnknownDesign).
 func ReadResultsJSON(r io.Reader) ([]Result, error) {
-	type jsonResult struct {
-		Network  string             `json:"network"`
-		Design   string             `json:"design"`
-		Lanes    int                `json:"lanes"`
-		Bits     int                `json:"bits"`
-		EnergyJ  float64            `json:"energy_j"`
-		LatencyS float64            `json:"latency_s"`
-		EDP      float64            `json:"edp_js"`
-		Energy   map[string]float64 `json:"energy_breakdown_j"`
-	}
-	var raw []jsonResult
-	if err := json.NewDecoder(r).Decode(&raw); err != nil {
+	var out []Result
+	if err := json.NewDecoder(r).Decode(&out); err != nil {
 		return nil, fmt.Errorf("pixel: decode results: %w", err)
-	}
-	out := make([]Result, len(raw))
-	for i, jr := range raw {
-		d, err := ParseDesign(jr.Design)
-		if err != nil {
-			return nil, fmt.Errorf("%w in results", err)
-		}
-		out[i] = Result{
-			Network:   jr.Network,
-			Design:    d,
-			Lanes:     jr.Lanes,
-			Bits:      jr.Bits,
-			EnergyJ:   jr.EnergyJ,
-			LatencyS:  jr.LatencyS,
-			EDP:       jr.EDP,
-			Breakdown: jr.Energy,
-		}
 	}
 	return out, nil
 }

@@ -1,9 +1,54 @@
 package pixel
 
 import (
+	"bytes"
+	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// TestResultsJSONGolden pins the bytes of WriteResultsJSON — the
+// pixelsweep -json output — for a small multi-network sweep.
+// testdata/pixelsweep.golden.json is what an earlier build of
+// `pixelsweep -net LeNet,AlexNet -lanes 4 -bits 8,16 -json` printed;
+// never regenerate it. Reading it back and writing it again must also
+// reproduce it byte for byte.
+func TestResultsJSONGolden(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "pixelsweep.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	networks := []string{"LeNet", "AlexNet"}
+	byNet, err := SweepNetworks(context.Background(), networks, Grid(Designs(), []int{4}, []int{8, 16}), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all []Result
+	for _, n := range networks {
+		all = append(all, byNet[n]...)
+	}
+	var buf bytes.Buffer
+	if err := WriteResultsJSON(&buf, all); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), golden) {
+		t.Fatalf("WriteResultsJSON output differs from the golden:\n%s", buf.Bytes())
+	}
+
+	back, err := ReadResultsJSON(bytes.NewReader(golden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	if err := WriteResultsJSON(&buf, back); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), golden) {
+		t.Fatalf("read-then-write does not reproduce the golden:\n%s", buf.Bytes())
+	}
+}
 
 func TestResultsJSONRoundTrip(t *testing.T) {
 	results, err := Sweep("LeNet", Designs(), []int{4}, []int{8, 16})

@@ -54,6 +54,21 @@ func (d Design) String() string {
 	}
 }
 
+// MarshalText implements encoding.TextMarshaler: a design encodes as
+// its String name, so an out-of-range value still marshals.
+func (d Design) MarshalText() ([]byte, error) { return []byte(d.String()), nil }
+
+// UnmarshalText implements encoding.TextUnmarshaler through
+// ParseDesign; unknown names surface ErrUnknownDesign.
+func (d *Design) UnmarshalText(text []byte) error {
+	v, err := ParseDesign(string(text))
+	if err != nil {
+		return err
+	}
+	*d = v
+	return nil
+}
+
 // arch maps the public enum onto the cost model's, surfacing
 // ErrUnknownDesign for values outside it instead of passing garbage
 // downstream.
@@ -100,29 +115,42 @@ func Networks() []string {
 }
 
 // Result is the cost of one full CNN inference under a design point.
+// Its JSON form is pixeld's /v1 result payload and the pixelsweep -json
+// row.
 type Result struct {
-	Network string
-	Design  Design
-	Lanes   int
-	Bits    int
+	Network string `json:"network"`
+	Design  Design `json:"design"`
+	Lanes   int    `json:"lanes"`
+	Bits    int    `json:"bits"`
 
-	// EnergyJ is the total inference energy [J]; Breakdown itemizes it
-	// by component (mul, add, act, o/e, comm, laser).
-	EnergyJ   float64
-	Breakdown map[string]float64
+	// EnergyJ is the total inference energy [J].
+	EnergyJ float64 `json:"energy_j"`
 	// LatencyS is the inference latency [s].
-	LatencyS float64
+	LatencyS float64 `json:"latency_s"`
 	// EDP is the energy-delay product [J*s].
-	EDP float64
-	// PerLayer lists each layer's latency [s] in network order.
-	PerLayer []LayerResult
+	EDP float64 `json:"edp_js"`
+	// Breakdown itemizes EnergyJ by component (mul, add, act, o/e,
+	// comm, laser).
+	Breakdown map[string]float64 `json:"energy_breakdown_j"`
+	// PerLayer lists each layer's share in network order; sweep rows
+	// carry none (see SweepRow).
+	PerLayer []LayerResult `json:"per_layer,omitempty"`
+}
+
+// SweepRow returns r without its per-layer rows: the form every sweep
+// payload carries — /v1/sweep, sweep-job cells and pixelsweep -json. A
+// sweep would otherwise multiply its payload by the layer count for
+// data most clients aggregate anyway.
+func (r Result) SweepRow() Result {
+	r.PerLayer = nil
+	return r
 }
 
 // LayerResult is one layer's share of the inference cost.
 type LayerResult struct {
-	Name     string
-	EnergyJ  float64
-	LatencyS float64
+	Name     string  `json:"name"`
+	EnergyJ  float64 `json:"energy_j"`
+	LatencyS float64 `json:"latency_s"`
 }
 
 // Experiments returns the ids of the paper artifacts this library

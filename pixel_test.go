@@ -2,6 +2,7 @@ package pixel
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -17,6 +18,43 @@ func TestDesignsAndStrings(t *testing.T) {
 		if d.String() != names[i] {
 			t.Errorf("design %d string = %q, want %q", i, d, names[i])
 		}
+	}
+}
+
+// TestDesignText pins Design's JSON text form: the three names
+// round-trip, an unknown name surfaces ErrUnknownDesign (also through
+// ReadResultsJSON), and an out-of-range value still marshals, as its
+// String.
+func TestDesignText(t *testing.T) {
+	for _, c := range []struct {
+		d    Design
+		json string
+	}{
+		{EE, `"EE"`},
+		{OE, `"OE"`},
+		{OO, `"OO"`},
+		{Design(9), `"Design(9)"`},
+		{Design(-1), `"Design(-1)"`},
+	} {
+		buf, err := json.Marshal(c.d)
+		if err != nil || string(buf) != c.json {
+			t.Errorf("marshal %d = %s, %v; want %s", int(c.d), buf, err, c.json)
+			continue
+		}
+		var back Design
+		err = json.Unmarshal(buf, &back)
+		if _, known := ParseDesign(c.d.String()); known != nil {
+			if !errors.Is(err, ErrUnknownDesign) {
+				t.Errorf("unmarshal %s: err = %v, want ErrUnknownDesign", buf, err)
+			}
+			continue
+		}
+		if err != nil || back != c.d {
+			t.Errorf("unmarshal %s = %v, %v; want %v", buf, back, err, c.d)
+		}
+	}
+	if _, err := ReadResultsJSON(strings.NewReader(`[{"network":"LeNet","design":"XX"}]`)); !errors.Is(err, ErrUnknownDesign) {
+		t.Errorf("ReadResultsJSON unknown design: err = %v, want ErrUnknownDesign", err)
 	}
 }
 
