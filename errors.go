@@ -23,7 +23,8 @@ var (
 	// or an over-budget wavelength plan).
 	ErrBadGrid = errors.New("pixel: bad grid")
 	// ErrBadSpec: a request spec (e.g. a Monte-Carlo robustness sweep)
-	// is malformed — non-positive trials, an empty or negative σ axis,
-	// an out-of-range error budget, or a non-physical variation model.
+	// is malformed — non-positive trials, an empty σ axis or one with a
+	// negative or non-finite scale, an error budget outside [0, 1] (NaN
+	// included), or a non-physical variation model.
 	ErrBadSpec = errors.New("pixel: bad spec")
 )

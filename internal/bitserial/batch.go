@@ -159,15 +159,7 @@ func (b *BatchedStripes) FilterBatch(windows [][]uint64, filters [][]uint64, out
 
 	// The closed-form work record of one FastEngine.DotProduct, times
 	// every (window, filter) pair the batch stands in for.
-	pairs := len(windows) * len(filters)
-	st := b.fe.multiplyStats()
-	st.Adds++
-	return Stats{
-		Cycles:  pairs * n * st.Cycles,
-		BitANDs: pairs * n * st.BitANDs,
-		Adds:    pairs * n * st.Adds,
-		Shifts:  pairs * n * st.Shifts,
-	}, nil
+	return b.fe.dotStats(len(windows) * len(filters) * n), nil
 }
 
 // getScratch returns pooled scratch sized for n-element windows.

@@ -6,15 +6,12 @@ import (
 	"pixel/internal/elec"
 )
 
-// Stripes is the engine surface shared by the gate-model Engine and
-// the word-level FastEngine, so callers (and the equivalence tests)
-// can treat either as the electrical ground truth.
+// Stripes is the one engine method a Monte-Carlo trial and its
+// protection wrappers call: a dot product with its work record. The
+// gate-model Engine, the word-level FastEngine, the fault-injecting
+// PerturbedEngine and every protect wrapper implement it.
 type Stripes interface {
-	Bits() int
-	AccumulatorWidth() int
-	Multiply(neuron, synapse uint64) (uint64, Stats, error)
 	DotProduct(neurons, synapses []uint64) (uint64, Stats, error)
-	Window(inputs [][]uint64, synapses [][][]uint64) ([]uint64, Stats, error)
 }
 
 var (
@@ -80,86 +77,49 @@ func (e *FastEngine) checkOperand(name string, v uint64) error {
 	return nil
 }
 
-// multiplyStats is the closed-form work record of one bit-serial
-// multiply: one synapse bit per cycle gating the bits-wide neuron word
-// (bits ANDs per cycle), one shift and one accumulate per cycle.
-func (e *FastEngine) multiplyStats() Stats {
-	return Stats{
-		Cycles:  e.bits,
-		BitANDs: e.bits * e.bits,
-		Adds:    e.bits,
-		Shifts:  e.bits,
+// checkVectors rejects what the gate model's DotProduct rejects, with
+// the same errors: vectors of different lengths or an out-of-range
+// element.
+func (e *FastEngine) checkVectors(neurons, synapses []uint64) error {
+	if len(neurons) != len(synapses) {
+		return fmt.Errorf("bitserial: vector lengths differ (%d vs %d)", len(neurons), len(synapses))
 	}
+	for i := range neurons {
+		if err := e.checkOperand("neuron", neurons[i]); err != nil {
+			return err
+		}
+		if err := e.checkOperand("synapse", synapses[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// Multiply returns the identical (value, Stats) the gate-model Engine
-// produces. The product of two bits-wide operands always fits in the
-// 2*bits-or-wider accumulator, so the word multiply is exact; the mask
-// is kept for form.
-func (e *FastEngine) Multiply(neuron, synapse uint64) (uint64, Stats, error) {
-	if err := e.checkOperand("neuron", neuron); err != nil {
-		return 0, Stats{}, err
+// dotStats is the closed-form work record of n dot-product elements.
+// Each element is one bit-serial multiply — one synapse bit per cycle
+// gating the bits-wide neuron word (bits ANDs per cycle), one shift
+// and one accumulate per cycle — plus one merge add into the running
+// sum.
+func (e *FastEngine) dotStats(n int) Stats {
+	return Stats{
+		Cycles:  n * e.bits,
+		BitANDs: n * e.bits * e.bits,
+		Adds:    n * (e.bits + 1),
+		Shifts:  n * e.bits,
 	}
-	if err := e.checkOperand("synapse", synapse); err != nil {
-		return 0, Stats{}, err
-	}
-	return (neuron * synapse) & e.accMask, e.multiplyStats(), nil
 }
 
 // DotProduct mirrors Engine.DotProduct: per element, one multiply plus
 // one merge add, with the running sum wrapping at the accumulator
-// width exactly as the CLA does.
+// width exactly as the CLA does. The product of two bits-wide operands
+// always fits the accumulator, so the word multiply is exact.
 func (e *FastEngine) DotProduct(neurons, synapses []uint64) (uint64, Stats, error) {
-	if len(neurons) != len(synapses) {
-		return 0, Stats{}, fmt.Errorf("bitserial: vector lengths differ (%d vs %d)", len(neurons), len(synapses))
-	}
-	for i := range neurons {
-		if err := e.checkOperand("neuron", neurons[i]); err != nil {
-			return 0, Stats{}, err
-		}
-		if err := e.checkOperand("synapse", synapses[i]); err != nil {
-			return 0, Stats{}, err
-		}
+	if err := e.checkVectors(neurons, synapses); err != nil {
+		return 0, Stats{}, err
 	}
 	var acc uint64
 	for i := range neurons {
 		acc = (acc + neurons[i]*synapses[i]) & e.accMask
 	}
-	n := len(neurons)
-	st := e.multiplyStats()
-	st.Adds++ // the per-element merge into the running sum
-	return acc, Stats{
-		Cycles:  n * st.Cycles,
-		BitANDs: n * st.BitANDs,
-		Adds:    n * st.Adds,
-		Shifts:  n * st.Shifts,
-	}, nil
-}
-
-// Window mirrors Engine.Window: per filter, the lane dot products are
-// merged with one extra add each, and the cycle count collapses to
-// elements * bits because lanes and filters run in parallel.
-func (e *FastEngine) Window(inputs [][]uint64, synapses [][][]uint64) ([]uint64, Stats, error) {
-	var st Stats
-	out := make([]uint64, len(synapses))
-	for k, filter := range synapses {
-		if len(filter) != len(inputs) {
-			return nil, Stats{}, fmt.Errorf("bitserial: filter %d has %d lanes, inputs have %d", k, len(filter), len(inputs))
-		}
-		var acc uint64
-		for lane := range filter {
-			v, vs, err := e.DotProduct(inputs[lane], filter[lane])
-			if err != nil {
-				return nil, Stats{}, fmt.Errorf("bitserial: filter %d lane %d: %w", k, lane, err)
-			}
-			acc = (acc + v) & e.accMask
-			vs.Adds++
-			st.add(vs)
-		}
-		out[k] = acc
-	}
-	if len(synapses) > 0 && len(inputs) > 0 {
-		st.Cycles = len(inputs[0]) * e.bits
-	}
-	return out, st, nil
+	return acc, e.dotStats(len(neurons)), nil
 }

@@ -2,7 +2,6 @@ package bitserial
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -28,8 +27,8 @@ func enginePair(t testing.TB, bits, terms int) (*Engine, *FastEngine) {
 
 // TestFastEngineEquivalence is the testing/quick property pinning the
 // fast engine to the gate-model oracle: for random geometry and random
-// in-range vectors, Multiply and DotProduct return identical values
-// AND identical Stats.
+// in-range vectors, DotProduct returns identical values AND identical
+// Stats.
 func TestFastEngineEquivalence(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -38,21 +37,7 @@ func TestFastEngineEquivalence(t *testing.T) {
 		gate, fast := enginePair(t, bits, terms)
 		mask := (uint64(1) << uint(bits)) - 1
 
-		// Multiply.
-		n := rng.Uint64() & mask
-		s := rng.Uint64() & mask
-		gv, gst, gerr := gate.Multiply(n, s)
-		fv, fst, ferr := fast.Multiply(n, s)
-		if gerr != nil || ferr != nil {
-			t.Logf("multiply errored: %v / %v", gerr, ferr)
-			return false
-		}
-		if gv != fv || gst != fst {
-			t.Logf("multiply(%d,%d) bits=%d: gate (%d,%+v), fast (%d,%+v)", n, s, bits, gv, gst, fv, fst)
-			return false
-		}
-
-		// DotProduct, deliberately allowed to exceed `terms` sometimes
+		// Deliberately allowed to exceed `terms` sometimes
 		// so accumulator wraparound is exercised identically.
 		ln := 1 + rng.Intn(2*terms)
 		ns := make([]uint64, ln)
@@ -61,8 +46,8 @@ func TestFastEngineEquivalence(t *testing.T) {
 			ns[i] = rng.Uint64() & mask
 			ss[i] = rng.Uint64() & mask
 		}
-		gv, gst, gerr = gate.DotProduct(ns, ss)
-		fv, fst, ferr = fast.DotProduct(ns, ss)
+		gv, gst, gerr := gate.DotProduct(ns, ss)
+		fv, fst, ferr := fast.DotProduct(ns, ss)
 		if gerr != nil || ferr != nil {
 			t.Logf("dot errored: %v / %v", gerr, ferr)
 			return false
@@ -78,49 +63,14 @@ func TestFastEngineEquivalence(t *testing.T) {
 	}
 }
 
-func TestFastEngineWindowEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	gate, fast := enginePair(t, 6, 64)
-	mask := uint64(63)
-	lanes, filters, elems := 3, 4, 5
-	inputs := make([][]uint64, lanes)
-	for i := range inputs {
-		inputs[i] = make([]uint64, elems)
-		for j := range inputs[i] {
-			inputs[i][j] = rng.Uint64() & mask
-		}
-	}
-	synapses := make([][][]uint64, filters)
-	for k := range synapses {
-		synapses[k] = make([][]uint64, lanes)
-		for i := range synapses[k] {
-			synapses[k][i] = make([]uint64, elems)
-			for j := range synapses[k][i] {
-				synapses[k][i][j] = rng.Uint64() & mask
-			}
-		}
-	}
-	gv, gst, err := gate.Window(inputs, synapses)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fv, fst, err := fast.Window(inputs, synapses)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gv, fv) || gst != fst {
-		t.Fatalf("window: gate (%v,%+v), fast (%v,%+v)", gv, gst, fv, fst)
-	}
-}
-
 // TestFastEngineErrors checks the fast engine rejects exactly what the
 // oracle rejects.
 func TestFastEngineErrors(t *testing.T) {
 	gate, fast := enginePair(t, 4, 8)
-	if _, _, err := fast.Multiply(16, 1); err == nil {
+	if _, _, err := fast.DotProduct([]uint64{16}, []uint64{1}); err == nil {
 		t.Error("out-of-range neuron should error")
 	}
-	if _, _, err := fast.Multiply(1, 16); err == nil {
+	if _, _, err := fast.DotProduct([]uint64{1}, []uint64{16}); err == nil {
 		t.Error("out-of-range synapse should error")
 	}
 	if _, _, err := fast.DotProduct([]uint64{1}, []uint64{1, 2}); err == nil {

@@ -208,7 +208,6 @@ func (s *flipStream) masks(m []uint64, w uint64) {
 // trial, serially within the trial, and parallelizes across trials.
 type PerturbedEngine struct {
 	base      *FastEngine
-	rates     FlipRates
 	mul       *flipStream
 	acc       *flipStream
 	prodWidth int
@@ -244,21 +243,11 @@ func NewPerturbedEngine(bits, terms int, rates FlipRates, mulRng, accRng *rand.R
 	}
 	return &PerturbedEngine{
 		base:      base,
-		rates:     rates,
 		mul:       newFlipStream(rates.Mul, mulRng),
 		acc:       newFlipStream(rates.Acc, accRng),
 		prodWidth: 2 * bits,
 	}, nil
 }
-
-// Bits returns the operand precision.
-func (e *PerturbedEngine) Bits() int { return e.base.bits }
-
-// AccumulatorWidth returns the accumulator width in bits.
-func (e *PerturbedEngine) AccumulatorWidth() int { return e.base.accWidth }
-
-// Rates returns the engine's injection rates.
-func (e *PerturbedEngine) Rates() FlipRates { return e.rates }
 
 // InjectedFlips returns the total number of bits flipped so far.
 func (e *PerturbedEngine) InjectedFlips() int64 { return e.mul.flips + e.acc.flips }
@@ -290,34 +279,14 @@ func (e *PerturbedEngine) InjectedBER() float64 {
 	return float64(e.InjectedFlips()) / float64(exposed)
 }
 
-// Multiply computes neuron*synapse and flips product bits at the Mul
-// rate. A product of two Bits()-wide operands spans at most 2*Bits()
-// bits, and flips are confined to that window, so a corrupted product
-// still fits the accumulator.
-func (e *PerturbedEngine) Multiply(neuron, synapse uint64) (uint64, Stats, error) {
-	v, st, err := e.base.Multiply(neuron, synapse)
-	if err != nil {
-		return 0, Stats{}, err
-	}
-	return e.mul.apply(v, e.prodWidth) & e.base.accMask, st, nil
-}
-
 // DotProduct mirrors FastEngine.DotProduct with injection: each
 // element's product is corrupted at the Mul rate before the merge, and
 // the running accumulator is corrupted at the Acc rate after it. Both
 // streams first lay the call's flips out as per-element XOR masks, so
 // the merge loop itself has no branch.
 func (e *PerturbedEngine) DotProduct(neurons, synapses []uint64) (uint64, Stats, error) {
-	if len(neurons) != len(synapses) {
-		return 0, Stats{}, fmt.Errorf("bitserial: vector lengths differ (%d vs %d)", len(neurons), len(synapses))
-	}
-	for i := range neurons {
-		if err := e.base.checkOperand("neuron", neurons[i]); err != nil {
-			return 0, Stats{}, err
-		}
-		if err := e.base.checkOperand("synapse", synapses[i]); err != nil {
-			return 0, Stats{}, err
-		}
+	if err := e.base.checkVectors(neurons, synapses); err != nil {
+		return 0, Stats{}, err
 	}
 	n := len(neurons)
 	if cap(e.masks) < 2*n {
@@ -333,39 +302,5 @@ func (e *PerturbedEngine) DotProduct(neurons, synapses []uint64) (uint64, Stats,
 		acc = (acc + (a*synapses[i]&mask ^ mm[i])) & mask
 		acc ^= am[i]
 	}
-	st := e.base.multiplyStats()
-	st.Adds++
-	return acc, Stats{
-		Cycles:  n * st.Cycles,
-		BitANDs: n * st.BitANDs,
-		Adds:    n * st.Adds,
-		Shifts:  n * st.Shifts,
-	}, nil
-}
-
-// Window mirrors FastEngine.Window through the perturbed datapath; the
-// cross-filter merge is electrical in every design and stays clean.
-func (e *PerturbedEngine) Window(inputs [][]uint64, synapses [][][]uint64) ([]uint64, Stats, error) {
-	var st Stats
-	out := make([]uint64, len(synapses))
-	for k, filter := range synapses {
-		if len(filter) != len(inputs) {
-			return nil, Stats{}, fmt.Errorf("bitserial: filter %d has %d lanes, inputs have %d", k, len(filter), len(inputs))
-		}
-		var acc uint64
-		for lane := range filter {
-			v, vs, err := e.DotProduct(inputs[lane], filter[lane])
-			if err != nil {
-				return nil, Stats{}, fmt.Errorf("bitserial: filter %d lane %d: %w", k, lane, err)
-			}
-			acc = (acc + v) & e.base.accMask
-			vs.Adds++
-			st.add(vs)
-		}
-		out[k] = acc
-	}
-	if len(synapses) > 0 && len(inputs) > 0 {
-		st.Cycles = len(inputs[0]) * e.base.bits
-	}
-	return out, st, nil
+	return acc, e.base.dotStats(n), nil
 }

@@ -8,9 +8,9 @@ import (
 
 // TestPerturbedZeroRatesDegeneracy: with both rates zero the perturbed
 // engine must return the identical (value, Stats) as FastEngine for
-// every operation — the σ=0 degeneracy the Monte-Carlo engine builds
-// on. The property runs without rand streams at all, proving the
-// zero-rate path consumes no randomness.
+// every dot product, one-element ones included — the σ=0 degeneracy
+// the Monte-Carlo engine builds on. The property runs without rand
+// streams at all, proving the zero-rate path consumes no randomness.
 func TestPerturbedZeroRatesDegeneracy(t *testing.T) {
 	const bits, terms = 6, 64
 	fast, err := NewFastEngine(bits, terms)
@@ -22,11 +22,14 @@ func TestPerturbedZeroRatesDegeneracy(t *testing.T) {
 		t.Fatal(err)
 	}
 	mask := uint64(1)<<bits - 1
+	same := func(ns, ss []uint64) bool {
+		dv, ds, derr := fast.DotProduct(ns, ss)
+		pv, ps, perr := pert.DotProduct(ns, ss)
+		return dv == pv && ds == ps && (derr == nil) == (perr == nil)
+	}
 
 	f := func(a, b uint64, vec [8][2]uint64) bool {
-		av, as, aerr := fast.Multiply(a&mask, b&mask)
-		bv, bs, berr := pert.Multiply(a&mask, b&mask)
-		if av != bv || as != bs || (aerr == nil) != (berr == nil) {
+		if !same([]uint64{a & mask}, []uint64{b & mask}) {
 			return false
 		}
 		ns := make([]uint64, len(vec))
@@ -34,9 +37,7 @@ func TestPerturbedZeroRatesDegeneracy(t *testing.T) {
 		for i, p := range vec {
 			ns[i], ss[i] = p[0]&mask, p[1]&mask
 		}
-		dv, ds, derr := fast.DotProduct(ns, ss)
-		pv, ps, perr := pert.DotProduct(ns, ss)
-		return dv == pv && ds == ps && (derr == nil) == (perr == nil)
+		return same(ns, ss)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -46,49 +47,15 @@ func TestPerturbedZeroRatesDegeneracy(t *testing.T) {
 	}
 }
 
-// TestPerturbedWindowZeroRates pins the Window path too.
-func TestPerturbedWindowZeroRates(t *testing.T) {
-	fast, _ := NewFastEngine(4, 32)
-	pert, _ := NewPerturbedEngine(4, 32, FlipRates{}, nil, nil)
-	rng := rand.New(rand.NewSource(7))
-	inputs := make([][]uint64, 3)
-	syn := make([][][]uint64, 2)
-	for l := range inputs {
-		inputs[l] = []uint64{uint64(rng.Intn(16)), uint64(rng.Intn(16)), uint64(rng.Intn(16))}
-	}
-	for k := range syn {
-		syn[k] = make([][]uint64, 3)
-		for l := range syn[k] {
-			syn[k][l] = []uint64{uint64(rng.Intn(16)), uint64(rng.Intn(16)), uint64(rng.Intn(16))}
-		}
-	}
-	want, ws, err := fast.Window(inputs, syn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, gs, err := pert.Window(inputs, syn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ws != gs {
-		t.Errorf("stats %+v, want %+v", gs, ws)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("out[%d] = %d, want %d", i, got[i], want[i])
-		}
-	}
-}
-
 // TestPerturbedInjectsAtRateOne: p=1 flips every product bit, so a
-// multiply of 0*0 (product 0) must come back with all 2*bits low bits
-// set.
+// one-element dot product of 0*0 (product 0) must come back with all
+// 2*bits low bits set.
 func TestPerturbedInjectsAtRateOne(t *testing.T) {
 	pert, err := NewPerturbedEngine(4, 4, FlipRates{Mul: 1}, rand.New(rand.NewSource(1)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, _, err := pert.Multiply(0, 0)
+	v, _, err := pert.DotProduct([]uint64{0}, []uint64{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,8 +139,11 @@ func TestPerturbedEngineValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := pe.Multiply(16, 0); err == nil {
-		t.Error("out-of-range operand should error")
+	if _, _, err := pe.DotProduct([]uint64{16}, []uint64{0}); err == nil {
+		t.Error("out-of-range neuron should error")
+	}
+	if _, _, err := pe.DotProduct([]uint64{0}, []uint64{16}); err == nil {
+		t.Error("out-of-range synapse should error")
 	}
 	if _, _, err := pe.DotProduct([]uint64{1}, []uint64{1, 2}); err == nil {
 		t.Error("length mismatch should error")
@@ -253,8 +223,8 @@ func refDotProduct(e *PerturbedEngine, neurons, synapses []uint64) uint64 {
 
 // TestPerturbedDotProductMatchesApply runs the masked DotProduct and
 // the per-element reference side by side on identically seeded
-// engines, interleaved with Multiply calls, and requires identical
-// values and fault counters throughout.
+// engines, interleaving one-element dot products with longer ones,
+// and requires identical values and fault counters throughout.
 func TestPerturbedDotProductMatchesApply(t *testing.T) {
 	const bits, terms = 4, 600
 	mask := uint64(1)<<bits - 1
@@ -267,16 +237,10 @@ func TestPerturbedDotProductMatchesApply(t *testing.T) {
 		}
 		ref, _ := NewPerturbedEngine(bits, terms, rates, rand.New(rand.NewSource(1)), rand.New(rand.NewSource(2)))
 		for call := 0; call < 50; call++ {
-			if cases.Intn(4) == 0 {
-				a, b := cases.Uint64()&mask, cases.Uint64()&mask
-				gv, _, _ := got.Multiply(a, b)
-				rv, _, _ := ref.Multiply(a, b)
-				if gv != rv {
-					t.Fatalf("p=%g call %d: Multiply %d, want %d", p, call, gv, rv)
-				}
-				continue
+			n := 1
+			if cases.Intn(4) != 0 {
+				n = cases.Intn(terms + 1)
 			}
-			n := cases.Intn(terms + 1)
 			ns, ss := make([]uint64, n), make([]uint64, n)
 			for i := range ns {
 				ns[i], ss[i] = cases.Uint64()&mask, cases.Uint64()&mask

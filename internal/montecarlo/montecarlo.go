@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -65,12 +66,12 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("montecarlo: trials %d < 1", s.Trials)
 	case len(s.Sigmas) == 0:
 		return errors.New("montecarlo: empty sigma axis")
-	case s.ErrorBudget < 0 || s.ErrorBudget > 1:
+	case !(s.ErrorBudget >= 0 && s.ErrorBudget <= 1): // NaN fails both
 		return fmt.Errorf("montecarlo: error budget %v out of [0,1]", s.ErrorBudget)
 	}
 	for _, sc := range s.Sigmas {
-		if sc < 0 {
-			return fmt.Errorf("montecarlo: negative sigma scale %v", sc)
+		if !(sc >= 0) || math.IsInf(sc, 1) {
+			return fmt.Errorf("montecarlo: sigma scale %v is negative or not finite", sc)
 		}
 	}
 	switch s.Design {
@@ -216,22 +217,6 @@ func trialSeed(root int64, trial, stream int) int64 {
 	return int64(splitmix64(splitmix64(uint64(root)) + uint64(trial)*streamCount + uint64(stream)))
 }
 
-// trialResult is one virtual part's outcome — and, when the spec
-// carries a protection scheme, the outcome of the same part's
-// protected re-run from the same random draws.
-type trialResult struct {
-	mismatch    float64
-	argmaxOK    bool
-	injectedBER float64
-	clean       bool
-
-	protMismatch    float64
-	protArgmaxOK    bool
-	protInjectedBER float64
-	protClean       bool
-	protCounters    protect.Counters
-}
-
 // Hooks observes a (resumable) run. All callbacks are serialized —
 // they never run concurrently with themselves or each other — and fire
 // from worker goroutines, so keep them fast.
@@ -239,10 +224,12 @@ type Hooks struct {
 	// OnTrial fires after each trial slot completes with the cumulative
 	// completed count (restored slots included) and the total.
 	OnTrial func(done, total int)
-	// OnPoint fires when every trial of one σ slot has completed, with
-	// the aggregated point (and the paired protected point when the
-	// spec carries a scheme). Rows fully restored from a snapshot are
-	// reported up front, in axis order, before any new trial runs.
+	// OnPoint fires once per σ point as soon as all of its trials have
+	// completed — out of axis order in general, since trials complete
+	// across a worker pool — with the aggregated point and, when the
+	// spec carries a protection scheme, the paired protected point
+	// (nil otherwise). Points fully restored from a snapshot are
+	// announced up front, in axis order, before any new trial runs.
 	OnPoint func(index int, point SigmaPoint, protected *ProtectedPoint)
 }
 
@@ -294,7 +281,7 @@ func RunState(ctx context.Context, spec Spec, st *State, hooks Hooks) (*Report, 
 	for _, j := range st.Missing() {
 		rowLeft[j/spec.Trials]++
 	}
-	rowOf := func(i int) []trialResult { return st.Values(i*spec.Trials, (i+1)*spec.Trials) }
+	rowOf := func(i int) []TrialRecord { return st.Values(i*spec.Trials, (i+1)*spec.Trials) }
 	emitPoint := func(i int) {
 		if hooks.OnPoint == nil {
 			return
@@ -305,7 +292,7 @@ func RunState(ctx context.Context, spec Spec, st *State, hooks Hooks) (*Report, 
 			p := aggregateProtected(spec.Sigmas[i], row, spec.ErrorBudget)
 			prot = &p
 		}
-		hooks.OnPoint(i, aggregate(spec.Sigmas[i], row, spec.ErrorBudget), prot)
+		hooks.OnPoint(i, aggregate(spec.Sigmas[i], row, spec.ErrorBudget, false), prot)
 	}
 	for i := 0; i < nSigma; i++ {
 		if rowLeft[i] == 0 {
@@ -316,9 +303,9 @@ func RunState(ctx context.Context, spec Spec, st *State, hooks Hooks) (*Report, 
 		hooks.OnTrial(done, jobs)
 	}
 
-	err = st.Fill(ctx, spec.Workers, func(ctx context.Context, j int) (trialResult, error) {
+	err = st.Fill(ctx, spec.Workers, func(ctx context.Context, j int) (TrialRecord, error) {
 		return runTrial(ctx, spec, spec.Sigmas[j/spec.Trials], j%spec.Trials, baseline, baseArgmax)
-	}, func(j int, _ trialResult, done int) {
+	}, func(j int, _ TrialRecord, done int) {
 		if hooks.OnTrial != nil {
 			hooks.OnTrial(done, jobs)
 		}
@@ -345,7 +332,7 @@ func RunState(ctx context.Context, spec Spec, st *State, hooks Hooks) (*Report, 
 	}
 	for i := range rep.Points {
 		row := rowOf(i)
-		rep.Points[i] = aggregate(spec.Sigmas[i], row, spec.ErrorBudget)
+		rep.Points[i] = aggregate(spec.Sigmas[i], row, spec.ErrorBudget, false)
 		if spec.Protection != nil {
 			rep.Protected[i] = aggregateProtected(spec.Sigmas[i], row, spec.ErrorBudget)
 		}
@@ -358,70 +345,70 @@ func RunState(ctx context.Context, spec Spec, st *State, hooks Hooks) (*Report, 
 // the same part runs twice — unprotected, then through the scheme —
 // reusing the identical perturbation draw and fault-stream seeds, so
 // the paired curves are a common-random-numbers comparison.
-func runTrial(ctx context.Context, spec Spec, sigma float64, trial int, baseline []int64, baseArgmax int) (trialResult, error) {
+func runTrial(ctx context.Context, spec Spec, sigma float64, trial int, baseline []int64, baseArgmax int) (TrialRecord, error) {
 	model := spec.Variation.Scale(sigma)
-	pertRng := rand.New(rand.NewSource(trialSeed(spec.Seed, trial, streamPerturb)))
-	pert := model.Sample(pertRng)
-	rates, err := model.Rates(pert, spec.Design)
-	if err != nil {
-		return trialResult{}, err
-	}
-	var res trialResult
-	if rates.Zero() {
-		// No exposed datapath flips a bit, so the inference is
-		// bit-identical to the baseline (the σ=0 degeneracy pinned by
-		// the engine- and model-level tests) — skip the redundant run.
-		res.argmaxOK = true
-		res.clean = true
-	} else {
+	pert := model.Sample(rand.New(rand.NewSource(trialSeed(spec.Seed, trial, streamPerturb))))
+
+	// run is one inference of the part, unprotected when scheme is nil,
+	// measured into the unprotected half of a record. The protected
+	// rates come from the scheme's derate, which may move them in
+	// either direction per trial (re-biasing the heater trades
+	// cold-side authority for hot-side).
+	run := func(scheme protect.Scheme) (TrialRecord, protect.Counters, error) {
+		var rates bitserial.FlipRates
+		var err error
+		name := "trial"
+		if scheme == nil {
+			rates, err = model.Rates(pert, spec.Design)
+		} else {
+			rates, err = model.ProtectedRates(pert, spec.Design, scheme.Derate())
+			name = "protected trial"
+		}
+		if err != nil {
+			return TrialRecord{}, protect.Counters{}, err
+		}
+		if rates.Zero() {
+			// No exposed datapath flips a bit, so the inference is
+			// bit-identical to the baseline (the σ=0 degeneracy pinned
+			// by the engine- and model-level tests): skip the run.
+			return TrialRecord{ArgmaxOK: true, Clean: true}, protect.Counters{}, nil
+		}
 		eng, err := newTrialEngine(spec, rates, trial)
 		if err != nil {
-			return trialResult{}, err
+			return TrialRecord{}, protect.Counters{}, err
 		}
-		out, err := infer(ctx, spec, stripesDotter{eng}, 1)
+		var dot bitserial.Stripes = eng
+		if scheme != nil {
+			if dot, err = scheme.Wrap(eng); err != nil {
+				return TrialRecord{}, protect.Counters{}, err
+			}
+		}
+		out, err := infer(ctx, spec, stripesDotter{dot}, 1)
 		if err != nil {
-			return trialResult{}, fmt.Errorf("montecarlo: trial %d at sigma %v: %w", trial, sigma, err)
+			return TrialRecord{}, protect.Counters{}, fmt.Errorf("montecarlo: %s %d at sigma %v: %w", name, trial, sigma, err)
 		}
-		res.mismatch = mismatchFraction(out, baseline)
-		res.argmaxOK = argmax(out) == baseArgmax
-		res.injectedBER = eng.InjectedBER()
-	}
-	if spec.Protection == nil {
-		return res, nil
+		var c protect.Counters
+		if m, ok := dot.(protect.Metered); ok {
+			c = m.Counters()
+		}
+		return TrialRecord{
+			Mismatch:    mismatchFraction(out, baseline),
+			ArgmaxOK:    argmax(out) == baseArgmax,
+			InjectedBER: eng.InjectedBER(),
+		}, c, nil
 	}
 
-	// Protected re-run. The derate may change the rates in either
-	// direction per trial (e.g. re-biasing the heater trades cold-side
-	// authority for hot-side), so it is computed independently of the
-	// unprotected branch.
-	pRates, err := model.ProtectedRates(pert, spec.Design, spec.Protection.Derate())
+	rec, _, err := run(nil)
+	if err != nil || spec.Protection == nil {
+		return rec, err
+	}
+	p, c, err := run(spec.Protection)
 	if err != nil {
-		return trialResult{}, err
+		return TrialRecord{}, err
 	}
-	if pRates.Zero() {
-		res.protArgmaxOK = true
-		res.protClean = true
-		return res, nil
-	}
-	eng, err := newTrialEngine(spec, pRates, trial)
-	if err != nil {
-		return trialResult{}, err
-	}
-	wrapped, err := spec.Protection.Wrap(eng)
-	if err != nil {
-		return trialResult{}, err
-	}
-	out, err := infer(ctx, spec, stripesDotter{wrapped}, 1)
-	if err != nil {
-		return trialResult{}, fmt.Errorf("montecarlo: protected trial %d at sigma %v: %w", trial, sigma, err)
-	}
-	res.protMismatch = mismatchFraction(out, baseline)
-	res.protArgmaxOK = argmax(out) == baseArgmax
-	res.protInjectedBER = eng.InjectedBER()
-	if m, ok := wrapped.(protect.Metered); ok {
-		res.protCounters = m.Counters()
-	}
-	return res, nil
+	rec.ProtMismatch, rec.ProtArgmaxOK, rec.ProtInjectedBER, rec.ProtClean = p.Mismatch, p.ArgmaxOK, p.InjectedBER, p.Clean
+	rec.ProtCalls, rec.ProtRetries, rec.ProtDisagreements, rec.ProtGaveUp = c.Calls, c.Retries, c.Disagreements, c.GaveUp
+	return rec, nil
 }
 
 // infer runs the spec's input through the fused RunBatch plan as a
@@ -458,25 +445,31 @@ func mismatchFraction(out, baseline []int64) float64 {
 	return float64(mismatched) / float64(len(baseline))
 }
 
-// aggregate folds one σ point's trials into curve statistics.
-func aggregate(sigma float64, trials []trialResult, budget float64) SigmaPoint {
+// aggregate folds one σ point's trials into curve statistics, from
+// each record's protected re-run when protected is set and from its
+// unprotected run otherwise.
+func aggregate(sigma float64, trials []TrialRecord, budget float64, protected bool) SigmaPoint {
 	p := SigmaPoint{Sigma: sigma}
 	mismatches := make([]float64, len(trials))
 	for i, t := range trials {
-		mismatches[i] = t.mismatch
-		if t.mismatch <= budget {
+		mismatch, argmaxOK, ber, clean := t.Mismatch, t.ArgmaxOK, t.InjectedBER, t.Clean
+		if protected {
+			mismatch, argmaxOK, ber, clean = t.ProtMismatch, t.ProtArgmaxOK, t.ProtInjectedBER, t.ProtClean
+		}
+		mismatches[i] = mismatch
+		if mismatch <= budget {
 			p.Yield++
 		}
-		if t.argmaxOK {
+		if argmaxOK {
 			p.ArgmaxRate++
 		}
-		if t.clean {
+		if clean {
 			p.CleanTrials++
 		}
-		p.MeanMismatch += t.mismatch
-		p.MeanInjectedBER += t.injectedBER
-		if t.mismatch > p.MaxMismatch {
-			p.MaxMismatch = t.mismatch
+		p.MeanMismatch += mismatch
+		p.MeanInjectedBER += ber
+		if mismatch > p.MaxMismatch {
+			p.MaxMismatch = mismatch
 		}
 	}
 	n := float64(len(trials))
@@ -492,22 +485,13 @@ func aggregate(sigma float64, trials []trialResult, budget float64) SigmaPoint {
 
 // aggregateProtected folds one σ point's protected re-runs into curve
 // statistics plus the summed mitigation counters.
-func aggregateProtected(sigma float64, trials []trialResult, budget float64) ProtectedPoint {
-	conv := make([]trialResult, len(trials))
-	for i, t := range trials {
-		conv[i] = trialResult{
-			mismatch:    t.protMismatch,
-			argmaxOK:    t.protArgmaxOK,
-			injectedBER: t.protInjectedBER,
-			clean:       t.protClean,
-		}
-	}
-	p := ProtectedPoint{SigmaPoint: aggregate(sigma, conv, budget)}
+func aggregateProtected(sigma float64, trials []TrialRecord, budget float64) ProtectedPoint {
+	p := ProtectedPoint{SigmaPoint: aggregate(sigma, trials, budget, true)}
 	for _, t := range trials {
-		p.Calls += t.protCounters.Calls
-		p.Retries += t.protCounters.Retries
-		p.Disagreements += t.protCounters.Disagreements
-		p.GaveUp += t.protCounters.GaveUp
+		p.Calls += t.ProtCalls
+		p.Retries += t.ProtRetries
+		p.Disagreements += t.ProtDisagreements
+		p.GaveUp += t.ProtGaveUp
 	}
 	p.RetryFactor = 1
 	if p.Calls > 0 {

@@ -2,6 +2,7 @@ package montecarlo
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -199,6 +200,9 @@ func TestSpecValidation(t *testing.T) {
 		{"no sigmas", func(s *Spec) { s.Sigmas = nil }},
 		{"negative sigma", func(s *Spec) { s.Sigmas = []float64{-1} }},
 		{"bad budget", func(s *Spec) { s.ErrorBudget = 1.5 }},
+		{"NaN budget", func(s *Spec) { s.ErrorBudget = math.NaN() }},
+		{"NaN sigma", func(s *Spec) { s.Sigmas = []float64{0, math.NaN()} }},
+		{"infinite sigma", func(s *Spec) { s.Sigmas = []float64{math.Inf(1)} }},
 		{"bad design", func(s *Spec) { s.Design = arch.Design(9) }},
 		{"bad bits", func(s *Spec) { s.Bits = 0 }},
 		{"bad variation", func(s *Spec) { s.Variation.RingFWHM = -1 }},

@@ -22,7 +22,7 @@ import (
 // filling it. Construct with NewState.
 type State struct {
 	fp [32]byte
-	*slots.Store[trialResult]
+	*slots.Store[TrialRecord]
 
 	mu           sync.Mutex
 	haveBaseline bool
@@ -33,7 +33,7 @@ type State struct {
 // caller identity folded into the spec fingerprint (the public facade
 // passes the network name, which the internal spec cannot see).
 func NewState(spec Spec, key string) *State {
-	return &State{fp: spec.fingerprint(key), Store: slots.New[trialResult](len(spec.Sigmas) * spec.Trials)}
+	return &State{fp: spec.fingerprint(key), Store: slots.New[TrialRecord](len(spec.Sigmas) * spec.Trials)}
 }
 
 // fingerprint hashes every result-determining field of the spec (plus
@@ -75,8 +75,10 @@ func (st *State) setBaseline(baseline []int64) error {
 	return nil
 }
 
-// TrialRecord is the exported wire form of one completed trial inside a
-// snapshot (the in-memory trialResult keeps its fields private).
+// TrialRecord is one virtual part's outcome — and, when the spec
+// carries a protection scheme, the outcome of the same part's
+// protected re-run from the same random draws (the Prot fields). It
+// is both the slot a run fills and, as is, a snapshot's gob record.
 type TrialRecord struct {
 	Mismatch    float64
 	ArgmaxOK    bool
@@ -91,43 +93,6 @@ type TrialRecord struct {
 	ProtRetries       int64
 	ProtDisagreements int64
 	ProtGaveUp        int64
-}
-
-func toRecord(r trialResult) TrialRecord {
-	return TrialRecord{
-		Mismatch:    r.mismatch,
-		ArgmaxOK:    r.argmaxOK,
-		InjectedBER: r.injectedBER,
-		Clean:       r.clean,
-
-		ProtMismatch:      r.protMismatch,
-		ProtArgmaxOK:      r.protArgmaxOK,
-		ProtInjectedBER:   r.protInjectedBER,
-		ProtClean:         r.protClean,
-		ProtCalls:         r.protCounters.Calls,
-		ProtRetries:       r.protCounters.Retries,
-		ProtDisagreements: r.protCounters.Disagreements,
-		ProtGaveUp:        r.protCounters.GaveUp,
-	}
-}
-
-func fromRecord(r TrialRecord) trialResult {
-	out := trialResult{
-		mismatch:    r.Mismatch,
-		argmaxOK:    r.ArgmaxOK,
-		injectedBER: r.InjectedBER,
-		clean:       r.Clean,
-
-		protMismatch:    r.ProtMismatch,
-		protArgmaxOK:    r.ProtArgmaxOK,
-		protInjectedBER: r.ProtInjectedBER,
-		protClean:       r.ProtClean,
-	}
-	out.protCounters.Calls = r.ProtCalls
-	out.protCounters.Retries = r.ProtRetries
-	out.protCounters.Disagreements = r.ProtDisagreements
-	out.protCounters.GaveUp = r.ProtGaveUp
-	return out
 }
 
 // snapshotV1 is the gob payload of a State snapshot. Only completed
@@ -153,11 +118,7 @@ func (st *State) Snapshot() ([]byte, error) {
 		Baseline:     append([]int64(nil), st.baseline...),
 	}
 	st.mu.Unlock()
-	idx, results := st.Export()
-	snap.DoneSlots = idx
-	for _, r := range results {
-		snap.Records = append(snap.Records, toRecord(r))
-	}
+	snap.DoneSlots, snap.Records = st.Export()
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
 		return nil, fmt.Errorf("montecarlo: encode snapshot: %w", err)
@@ -177,11 +138,7 @@ func (st *State) Restore(payload []byte) error {
 	if snap.Fingerprint != st.fp {
 		return fmt.Errorf("%w: spec fingerprint differs", slots.ErrSnapshotMismatch)
 	}
-	results := make([]trialResult, len(snap.Records))
-	for i, r := range snap.Records {
-		results[i] = fromRecord(r)
-	}
-	if err := st.Import(snap.Total, snap.DoneSlots, results); err != nil {
+	if err := st.Import(snap.Total, snap.DoneSlots, snap.Records); err != nil {
 		return err
 	}
 	st.mu.Lock()

@@ -66,34 +66,32 @@ func (p Parity) Wrap(e bitserial.Stripes) (bitserial.Stripes, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	g := &parityGuard{base: e, retries: p.Retries, mask: accMask(e)}
+	g := &parityGuard{base: e, retries: p.Retries}
 	if m, ok := e.(FaultMeter); ok {
 		g.meter = m
 	}
 	return g, nil
 }
 
-// parityGuard re-runs a call while the underlying engine's odd-flip
-// word counter moved during it, up to the retry budget.
+// parityGuard re-runs a dot product while the underlying engine's
+// odd-flip word counter moved during it, up to the retry budget.
 type parityGuard struct {
 	base    bitserial.Stripes
 	meter   FaultMeter // nil when the engine exposes no fault telemetry
 	retries int
-	mask    uint64
 	c       Counters
 }
 
 var _ bitserial.Stripes = (*parityGuard)(nil)
 var _ Metered = (*parityGuard)(nil)
 
-func (g *parityGuard) Bits() int             { return g.base.Bits() }
-func (g *parityGuard) AccumulatorWidth() int { return g.base.AccumulatorWidth() }
-func (g *parityGuard) Counters() Counters    { return g.c }
+func (g *parityGuard) Counters() Counters { return g.c }
 
-// guarded runs fn and retries while the parity detector fired during
-// the run. Each retry consumes fresh fault draws from the wrapped
-// engine's streams — a re-run is a new transmission, not a replay.
-func (g *parityGuard) guarded(fn func() (uint64, bitserial.Stats, error)) (uint64, bitserial.Stats, error) {
+// DotProduct runs the wrapped dot product and retries while the parity
+// detector fired during the run. Each retry consumes fresh fault draws
+// from the wrapped engine's streams — a re-run is a new transmission,
+// not a replay.
+func (g *parityGuard) DotProduct(neurons, synapses []uint64) (uint64, bitserial.Stats, error) {
 	g.c.Calls++
 	var st bitserial.Stats
 	for attempt := 0; ; attempt++ {
@@ -101,7 +99,7 @@ func (g *parityGuard) guarded(fn func() (uint64, bitserial.Stats, error)) (uint6
 		if g.meter != nil {
 			before = g.meter.OddFlipWords()
 		}
-		v, s, err := fn()
+		v, s, err := g.base.DotProduct(neurons, synapses)
 		if err != nil {
 			return 0, bitserial.Stats{}, err
 		}
@@ -116,22 +114,4 @@ func (g *parityGuard) guarded(fn func() (uint64, bitserial.Stats, error)) (uint6
 		}
 		g.c.Retries++
 	}
-}
-
-func (g *parityGuard) Multiply(neuron, synapse uint64) (uint64, bitserial.Stats, error) {
-	return g.guarded(func() (uint64, bitserial.Stats, error) {
-		return g.base.Multiply(neuron, synapse)
-	})
-}
-
-func (g *parityGuard) DotProduct(neurons, synapses []uint64) (uint64, bitserial.Stats, error) {
-	return g.guarded(func() (uint64, bitserial.Stats, error) {
-		return g.base.DotProduct(neurons, synapses)
-	})
-}
-
-// Window routes every lane dot product through the guarded path; see
-// protectedWindow.
-func (g *parityGuard) Window(inputs [][]uint64, synapses [][][]uint64) ([]uint64, bitserial.Stats, error) {
-	return protectedWindow(g, g.mask, inputs, synapses)
 }

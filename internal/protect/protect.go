@@ -21,8 +21,8 @@ type Scheme interface {
 	Name() string
 	// Validate rejects out-of-range scheme parameters.
 	Validate() error
-	// Wrap returns a Stripes engine that runs the wrapped engine's
-	// datapath under the scheme's protection. The wrapper inherits the
+	// Wrap returns a Stripes engine whose DotProduct runs the wrapped
+	// engine's under the scheme's protection. The wrapper inherits the
 	// wrapped engine's concurrency contract (a PerturbedEngine is not
 	// safe for concurrent use, so neither is its wrapper).
 	Wrap(e bitserial.Stripes) (bitserial.Stripes, error)
@@ -66,8 +66,8 @@ func (d Derate) Zero() bool {
 
 // Counters is the mitigation work a wrapped engine performed.
 type Counters struct {
-	// Calls is the number of protected datapath calls (dot products and
-	// multiplies).
+	// Calls is the number of protected dot products — the wrapper's
+	// DotProduct calls, however often each ran underneath.
 	Calls int64 `json:"calls"`
 	// Executions is how many times the underlying datapath actually
 	// ran, including redundant copies, retries and arbiter runs.
@@ -105,15 +105,6 @@ type Metered interface {
 // retry.
 type FaultMeter interface {
 	OddFlipWords() int64
-}
-
-// accMask returns the accumulator bit mask of an engine.
-func accMask(e bitserial.Stripes) uint64 {
-	w := e.AccumulatorWidth()
-	if w >= 64 {
-		return ^uint64(0)
-	}
-	return uint64(1)<<uint(w) - 1
 }
 
 // addStats accumulates s into dst (bitserial.Stats keeps its add

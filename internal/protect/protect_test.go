@@ -2,7 +2,6 @@ package protect
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"pixel/internal/arch"
@@ -19,9 +18,7 @@ type scriptedEngine struct {
 	odd   int64
 }
 
-func (s *scriptedEngine) Bits() int             { return 8 }
-func (s *scriptedEngine) AccumulatorWidth() int { return 20 }
-func (s *scriptedEngine) OddFlipWords() int64   { return s.odd }
+func (s *scriptedEngine) OddFlipWords() int64 { return s.odd }
 
 func (s *scriptedEngine) next() uint64 {
 	v := s.vals[s.i%len(s.vals)]
@@ -32,16 +29,8 @@ func (s *scriptedEngine) next() uint64 {
 	return v
 }
 
-func (s *scriptedEngine) Multiply(a, b uint64) (uint64, bitserial.Stats, error) {
-	return s.next(), bitserial.Stats{Cycles: 1}, nil
-}
-
 func (s *scriptedEngine) DotProduct(a, b []uint64) (uint64, bitserial.Stats, error) {
 	return s.next(), bitserial.Stats{Cycles: 1}, nil
-}
-
-func (s *scriptedEngine) Window(inputs [][]uint64, synapses [][][]uint64) ([]uint64, bitserial.Stats, error) {
-	return protectedWindow(s, accMask(s), inputs, synapses)
 }
 
 func counters(t *testing.T, e bitserial.Stripes) Counters {
@@ -190,18 +179,12 @@ func TestCleanEngineTransparency(t *testing.T) {
 		neurons[i] = uint64(rng.Int63n(16))
 		synapses[i] = uint64(rng.Int63n(16))
 	}
-	inputs := [][]uint64{neurons[:8], neurons[8:]}
-	filters := [][][]uint64{{synapses[:8], synapses[8:]}, {synapses[8:], synapses[:8]}}
 
 	ref, err := bitserial.NewFastEngine(bits, terms)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantDP, _, err := ref.DotProduct(neurons, synapses)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantWin, _, err := ref.Window(inputs, filters)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,13 +204,6 @@ func TestCleanEngineTransparency(t *testing.T) {
 		}
 		if gotDP != wantDP {
 			t.Errorf("%s: DotProduct = %d, want %d", scheme.Name(), gotDP, wantDP)
-		}
-		gotWin, _, err := eng.Window(inputs, filters)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(gotWin, wantWin) {
-			t.Errorf("%s: Window = %v, want %v", scheme.Name(), gotWin, wantWin)
 		}
 	}
 }

@@ -77,7 +77,7 @@ func (r Redundancy) Wrap(e bitserial.Stripes) (bitserial.Stripes, error) {
 	if err := r.Validate(); err != nil {
 		return nil, err
 	}
-	return &redundant{base: e, copies: r.Copies, mask: accMask(e)}, nil
+	return &redundant{base: e, copies: r.Copies}, nil
 }
 
 // redundant is the voting wrapper. It consumes the wrapped engine's
@@ -86,28 +86,24 @@ func (r Redundancy) Wrap(e bitserial.Stripes) (bitserial.Stripes, error) {
 type redundant struct {
 	base   bitserial.Stripes
 	copies int
-	mask   uint64
 	c      Counters
 }
 
 var _ bitserial.Stripes = (*redundant)(nil)
 var _ Metered = (*redundant)(nil)
 
-func (r *redundant) Bits() int             { return r.base.Bits() }
-func (r *redundant) AccumulatorWidth() int { return r.base.AccumulatorWidth() }
-func (r *redundant) Counters() Counters    { return r.c }
+func (r *redundant) Counters() Counters { return r.c }
 
-// vote runs fn Copies times and returns the strict-majority value. If
-// no value reaches a strict majority, one arbiter re-execution breaks
-// the tie: a prior value the arbiter confirms wins, else the arbiter's
-// own result ships. Stats sum over every execution — the honest total
-// work.
-func (r *redundant) vote(fn func() (uint64, bitserial.Stats, error)) (uint64, bitserial.Stats, error) {
+// DotProduct runs the wrapped dot product Copies times and returns the
+// strict-majority value. If no value reaches a strict majority, one
+// arbiter re-execution breaks the tie and its result ships. Stats sum
+// over every execution — the honest total work.
+func (r *redundant) DotProduct(neurons, synapses []uint64) (uint64, bitserial.Stats, error) {
 	r.c.Calls++
 	var st bitserial.Stats
 	var vals [maxCopies]uint64
 	for i := 0; i < r.copies; i++ {
-		v, s, err := fn()
+		v, s, err := r.base.DotProduct(neurons, synapses)
 		if err != nil {
 			return 0, bitserial.Stats{}, err
 		}
@@ -137,63 +133,10 @@ func (r *redundant) vote(fn func() (uint64, bitserial.Stats, error)) (uint64, bi
 	r.c.Disagreements++
 	r.c.Retries++
 	r.c.Executions++
-	av, as, err := fn()
+	av, as, err := r.base.DotProduct(neurons, synapses)
 	if err != nil {
 		return 0, bitserial.Stats{}, err
 	}
 	addStats(&st, as)
-	for i := 0; i < r.copies; i++ {
-		if vals[i] == av {
-			return av, st, nil
-		}
-	}
 	return av, st, nil
-}
-
-func (r *redundant) Multiply(neuron, synapse uint64) (uint64, bitserial.Stats, error) {
-	return r.vote(func() (uint64, bitserial.Stats, error) {
-		return r.base.Multiply(neuron, synapse)
-	})
-}
-
-func (r *redundant) DotProduct(neurons, synapses []uint64) (uint64, bitserial.Stats, error) {
-	return r.vote(func() (uint64, bitserial.Stats, error) {
-		return r.base.DotProduct(neurons, synapses)
-	})
-}
-
-// Window mirrors the engines' Window structure — per-filter, per-lane
-// dot products merged electrically — with each lane's dot product
-// voted independently; the clean electrical merge needs no protection.
-func (r *redundant) Window(inputs [][]uint64, synapses [][][]uint64) ([]uint64, bitserial.Stats, error) {
-	return protectedWindow(r, r.mask, inputs, synapses)
-}
-
-// protectedWindow is the shared Window implementation of the datapath
-// wrappers: every lane dot product goes through the wrapper's
-// protected DotProduct, and the cross-lane merge stays electrical and
-// clean, mirroring FastEngine.Window.
-func protectedWindow(e bitserial.Stripes, mask uint64, inputs [][]uint64, synapses [][][]uint64) ([]uint64, bitserial.Stats, error) {
-	var st bitserial.Stats
-	out := make([]uint64, len(synapses))
-	for k, filter := range synapses {
-		if len(filter) != len(inputs) {
-			return nil, bitserial.Stats{}, fmt.Errorf("protect: filter %d has %d lanes, inputs have %d", k, len(filter), len(inputs))
-		}
-		var acc uint64
-		for lane := range filter {
-			v, vs, err := e.DotProduct(inputs[lane], filter[lane])
-			if err != nil {
-				return nil, bitserial.Stats{}, fmt.Errorf("protect: filter %d lane %d: %w", k, lane, err)
-			}
-			acc = (acc + v) & mask
-			vs.Adds++
-			addStats(&st, vs)
-		}
-		out[k] = acc
-	}
-	if len(synapses) > 0 && len(inputs) > 0 {
-		st.Cycles = len(inputs[0]) * e.Bits()
-	}
-	return out, st, nil
 }

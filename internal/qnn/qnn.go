@@ -88,11 +88,12 @@ type RunOptions struct {
 	// across: the batch's images (conv) and chunks of output neurons
 	// (fully-connected); <= 0 means GOMAXPROCS, 1 is serial. Workers > 1
 	// requires a Dotter that is safe for concurrent use
-	// (ReferenceDotter and the word-level bitserial.FastEngine are; the
-	// optical units metering a shared optsim.Ledger and the stateful
-	// bitserial.PerturbedEngine are not). Output placement is
-	// deterministic, so any worker count produces bit-identical
-	// results.
+	// (ReferenceDotter and bitserial.BatchedStripes are; an adapter
+	// over optical units metering a shared optsim.Ledger or over the
+	// stateful bitserial.PerturbedEngine is not). The bitserial Stripes
+	// engines return Stats as well, so a model reaches them through
+	// such an adapter. Output placement is deterministic, so any worker
+	// count produces bit-identical results.
 	Workers int
 	// Arena, when non-nil, supplies and recycles the inter-layer
 	// activation tensors of RunBatch, so steady-state batches reuse

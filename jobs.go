@@ -18,19 +18,10 @@ import (
 // docs/JOBS.md.
 var ErrSnapshotMismatch = slots.ErrSnapshotMismatch
 
-// RobustnessHooks observes a resumable robustness run. Callbacks are
+// RobustnessHooks observes a resumable robustness run: OnTrial per
+// completed trial, OnPoint per completed σ point. Callbacks are
 // serialized and fire from worker goroutines; keep them fast.
-type RobustnessHooks struct {
-	// OnTrial fires after each Monte-Carlo trial with the cumulative
-	// completed count (snapshot-restored trials included) and the total.
-	OnTrial func(done, total int)
-	// OnPoint fires once per σ point as soon as all of its trials have
-	// completed — out of axis order in general, since trials complete
-	// across a worker pool. prot is non-nil when the spec carries a
-	// protection scheme. Points fully restored from a snapshot are
-	// announced up front, in axis order.
-	OnPoint func(index int, point YieldPoint, prot *ProtectedPoint)
-}
+type RobustnessHooks = montecarlo.Hooks
 
 // RobustnessJob is a resumable robustness run: the spec plus the slot
 // store of completed trials. Snapshot captures the completed work;
@@ -120,10 +111,7 @@ func (j *RobustnessJob) Restore(payload []byte) error { return j.state.Restore(p
 // Run executes (or finishes) the sweep. On cancellation the completed
 // slots stay in the job, ready to Snapshot.
 func (j *RobustnessJob) Run(ctx context.Context, hooks RobustnessHooks) (RobustnessReport, error) {
-	rep, err := montecarlo.RunState(ctx, j.mcSpec, j.state, montecarlo.Hooks{
-		OnTrial: hooks.OnTrial,
-		OnPoint: hooks.OnPoint,
-	})
+	rep, err := montecarlo.RunState(ctx, j.mcSpec, j.state, hooks)
 	if err != nil {
 		return RobustnessReport{}, err
 	}

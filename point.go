@@ -15,8 +15,7 @@ import (
 // design, a lane (wavelength) count and a bits/lane burst width. It is
 // the value the evaluation API shares — EvaluateContext, PowerContext,
 // AreaContext, MapContext and the sweep engine are all views of a
-// Point; the positional-argument forms remain as deprecated thin
-// wrappers.
+// Point.
 type Point struct {
 	Design Design
 	Lanes  int

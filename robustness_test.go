@@ -3,6 +3,7 @@ package pixel
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -28,6 +29,8 @@ func TestRobustnessSentinels(t *testing.T) {
 		{"empty sigmas", func(s *RobustnessSpec) { s.Sigmas = nil }, ErrBadSpec},
 		{"negative sigma", func(s *RobustnessSpec) { s.Sigmas = []float64{-1} }, ErrBadSpec},
 		{"bad budget", func(s *RobustnessSpec) { s.ErrorBudget = 2 }, ErrBadSpec},
+		{"NaN budget", func(s *RobustnessSpec) { s.ErrorBudget = math.NaN() }, ErrBadSpec},
+		{"NaN sigma", func(s *RobustnessSpec) { s.Sigmas = []float64{math.NaN()} }, ErrBadSpec},
 	}
 	for _, tc := range cases {
 		spec := good
