@@ -1,6 +1,7 @@
 package bitserial
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -170,6 +171,21 @@ func BenchmarkPerturbedDotProduct(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(e.InjectedFlips())/float64(b.N), "flips/op")
+		})
+	}
+}
+
+// BenchmarkFlipStreamRefill is the cost of drawing one geometric flip
+// gap at the sparse and dense ends of a Monte-Carlo trial's rates.
+func BenchmarkFlipStreamRefill(b *testing.B) {
+	for _, p := range []float64{0.01, 0.05} {
+		b.Run(fmt.Sprint(p), func(b *testing.B) {
+			s := newFlipStream(p, rand.New(rand.NewSource(1)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.refill()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(s.gaps)), "ns/gap")
 		})
 	}
 }

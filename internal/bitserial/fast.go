@@ -79,10 +79,19 @@ func (e *FastEngine) checkOperand(name string, v uint64) error {
 
 // checkVectors rejects what the gate model's DotProduct rejects, with
 // the same errors: vectors of different lengths or an out-of-range
-// element.
+// element. In-range vectors pass on one OR-reduction; only a failing
+// one is walked element by element to report the first bad operand,
+// neuron before synapse, as the gate model does.
 func (e *FastEngine) checkVectors(neurons, synapses []uint64) error {
 	if len(neurons) != len(synapses) {
 		return fmt.Errorf("bitserial: vector lengths differ (%d vs %d)", len(neurons), len(synapses))
+	}
+	var or uint64
+	for i, a := range neurons {
+		or |= a | synapses[i]
+	}
+	if or <= e.mask {
+		return nil
 	}
 	for i := range neurons {
 		if err := e.checkOperand("neuron", neurons[i]); err != nil {

@@ -2,6 +2,7 @@ package bitserial
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -63,27 +64,41 @@ func TestFastEngineEquivalence(t *testing.T) {
 	}
 }
 
-// TestFastEngineErrors checks the fast engine rejects exactly what the
-// oracle rejects.
+// TestFastEngineErrors checks the fast and perturbed engines reject
+// exactly what the oracle rejects, with the oracle's error text: the
+// first bad index wins, and at one index the neuron is reported before
+// the synapse.
 func TestFastEngineErrors(t *testing.T) {
 	gate, fast := enginePair(t, 4, 8)
-	if _, _, err := fast.DotProduct([]uint64{16}, []uint64{1}); err == nil {
-		t.Error("out-of-range neuron should error")
+	pert, err := NewPerturbedEngine(4, 8, FlipRates{Mul: 0.1, Acc: 0.1},
+		rand.New(rand.NewSource(1)), rand.New(rand.NewSource(2)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := fast.DotProduct([]uint64{1}, []uint64{16}); err == nil {
-		t.Error("out-of-range synapse should error")
+	for _, c := range []struct {
+		name     string
+		ns, ss   []uint64
+		wantText string
+	}{
+		{"neuron first", []uint64{16, 1, 2}, []uint64{1, 2, 3}, "neuron 16"},
+		{"neuron last", []uint64{1, 2, 99}, []uint64{1, 2, 3}, "neuron 99"},
+		{"synapse", []uint64{1, 2, 3}, []uint64{1, 40, 3}, "synapse 40"},
+		{"neuron and synapse at one index", []uint64{1, 20, 3}, []uint64{1, 30, 3}, "neuron 20"},
+		{"two bad indices", []uint64{1, 2, 3, 50}, []uint64{1, 60, 3, 4}, "synapse 60"},
+		{"length mismatch", []uint64{1}, []uint64{1, 2}, "lengths differ"},
+	} {
+		_, _, gerr := gate.DotProduct(c.ns, c.ss)
+		if gerr == nil || !strings.Contains(gerr.Error(), c.wantText) {
+			t.Fatalf("%s: gate error %v, want one naming %q", c.name, gerr, c.wantText)
+		}
+		for name, e := range map[string]Stripes{"fast": fast, "perturbed": pert} {
+			if _, _, err := e.DotProduct(c.ns, c.ss); err == nil || err.Error() != gerr.Error() {
+				t.Errorf("%s: %s error %v, want %q", c.name, name, err, gerr)
+			}
+		}
 	}
-	if _, _, err := fast.DotProduct([]uint64{1}, []uint64{1, 2}); err == nil {
-		t.Error("length mismatch should error")
-	}
-	if _, _, err := fast.DotProduct([]uint64{1, 99}, []uint64{1, 2}); err == nil {
-		t.Error("out-of-range vector element should error")
-	}
-	// Error parity with the oracle on the same bad input.
-	_, _, gerr := gate.DotProduct([]uint64{1, 99}, []uint64{1, 2})
-	_, _, ferr := fast.DotProduct([]uint64{1, 99}, []uint64{1, 2})
-	if (gerr == nil) != (ferr == nil) || gerr.Error() != ferr.Error() {
-		t.Errorf("error parity: gate %q, fast %q", gerr, ferr)
+	if pert.BitsExposed() != 0 {
+		t.Errorf("rejected calls exposed %d bits", pert.BitsExposed())
 	}
 	if _, err := NewFastEngine(0, 1); err == nil {
 		t.Error("bits 0 should error")

@@ -52,14 +52,17 @@ func (r FlipRates) Zero() bool { return r.Mul <= 0 && r.Acc <= 0 }
 // errors, so yield curves degrade monotonically rather than jitter
 // with resampling noise.
 //
-// Gaps are drawn ahead in chunks of len(gaps) by a refill with no
-// data-dependent branch, so successive logarithms overlap. The stream
-// owns its rand source, so drawing ahead changes no gap.
+// Gaps are drawn ahead in chunks of len(gaps). Each gap is
+// floor(math.Log(1-U)/log1p(-p)) bit for bit, computed from a table
+// logarithm whose error bound certifies the floor; only a quotient too
+// close to an integer to certify pays for math.Log (see certifiedGap).
+// The stream owns its rand source, so drawing ahead changes no gap.
 type flipStream struct {
 	p float64
-	// lp is math.Log1p(-p), the gap sampler's denominator.
-	lp  float64
-	rng *rand.Rand
+	// lp is math.Log1p(-p), the gap sampler's denominator, and ilp its
+	// reciprocal.
+	lp, ilp float64
+	rng     *rand.Rand
 	// countdown is the number of clean bits remaining before the next
 	// scheduled flip.
 	countdown uint64
@@ -82,7 +85,8 @@ type flipStream struct {
 const maxGap = uint64(1) << 60
 
 func newFlipStream(p float64, rng *rand.Rand) *flipStream {
-	s := &flipStream{p: p, lp: math.Log1p(-p), rng: rng}
+	lp := math.Log1p(-p)
+	s := &flipStream{p: p, lp: lp, ilp: 1 / lp, rng: rng}
 	s.next = len(s.gaps)
 	if p > 0 {
 		s.countdown = s.gap()
@@ -100,26 +104,109 @@ func (s *flipStream) gap() uint64 {
 	return g
 }
 
-// refill draws the next len(gaps) gaps. At p >= 1 every gap is zero
-// and no randomness is consumed.
+// refill draws the next len(gaps) gaps, one uniform each. At p >= 1
+// every gap is zero and no randomness is consumed.
 func (s *flipStream) refill() {
 	s.next = 0
 	if s.p >= 1 {
 		return // the gaps were never written and stay zero
 	}
-	// Two passes: the logarithms first, then the divides, which then
-	// pipeline instead of each waiting on its own Log call.
 	for i := range s.gaps {
 		// 1-Float64() is in (0, 1], keeping the log finite.
-		s.gaps[i] = math.Float64bits(math.Log(1 - s.rng.Float64()))
-	}
-	for i, l := range s.gaps {
-		g := math.Floor(math.Float64frombits(l) / s.lp)
-		if !(g >= 0) || g > float64(maxGap) {
-			g = float64(maxGap)
+		x := 1 - s.rng.Float64()
+		g, ok := certifiedGap(fastLog(x), s.ilp)
+		if !ok {
+			g = exactGap(x, s.lp)
 		}
-		s.gaps[i] = uint64(int64(g)) // g <= maxGap < 1<<63
+		s.gaps[i] = g
 	}
+}
+
+// Slack of a certified gap: a quotient q is trusted to within
+// d = q*gapSlackRel + gapSlackAbs/|lp| of the exact one.
+const (
+	gapSlackRel = 0x1p-36
+	gapSlackAbs = 0x1p-44
+)
+
+// certifiedGap returns exactGap(x, lp) given l = fastLog(x) for x in
+// (0, 1] and ilp = 1/lp < 0, or false when it cannot certify that gap.
+//
+// It takes q = l*ilp and brackets it by q ∓ d, d = q*2^-36 +
+// 2^-44*|ilp|. The exact quotient R = math.Log(x)/lp differs from q by
+// at most the sum of
+//
+//   - |fastLog(x) - math.Log(x)|/|lp|, under (2^-36*|log x| +
+//     2^-44)/64/|lp| (TestFastLogErrorBound), so under d/64 plus a
+//     rounding-sized term;
+//   - the roundings of 1/lp and of l*ilp here and of the divide in R,
+//     each at most 2^-53 of the quotient, together under
+//     2^-51*q*(1+2^-50).
+//
+// That sum is under d/32, so R lies in (q-d/2, q+d/2), and the two
+// roundings in each bracket end (under 2^-52*q + 2^-53*d < d/2) cannot
+// carry it past R. When both ends share a non-negative integer part
+// below 2^58, that part is floor(R), and maxGap does not clamp it. A
+// quotient within d of an integer, x = 1 (q = 0), and a p so small
+// that 1/lp overflows (q = +Inf or NaN) are left to exactGap.
+func certifiedGap(l, ilp float64) (uint64, bool) {
+	q := l * ilp
+	lo := q*(1-gapSlackRel) + ilp*gapSlackAbs
+	hi := q*(1+gapSlackRel) - ilp*gapSlackAbs
+	g := int64(lo) // any value when lo is out of range; then ok is false
+	return uint64(g), lo >= 0 && hi < 0x1p58 && g == int64(hi)
+}
+
+// exactGap is the reference gap floor(math.Log(x)/lp), clamped to
+// maxGap.
+func exactGap(x, lp float64) uint64 {
+	g := math.Floor(math.Log(x) / lp)
+	if !(g >= 0) || g > float64(maxGap) {
+		g = float64(maxGap)
+	}
+	return uint64(int64(g)) // g <= maxGap < 1<<63
+}
+
+// logTab holds, per cell of the reduced argument z in [0.6875, 1.375),
+// an inverse centre 1/c and -math.Log(1/c).
+var logTab [1 << logTabBits]struct{ inv, log float64 }
+
+const (
+	logTabBits = 7
+	// logOff is the bit pattern of 0.6875, the bottom of the reduced
+	// range: subtracting it from x's bits yields the binade shift k in
+	// the exponent field and the cell index in the top mantissa bits.
+	logOff = 0x3fe6000000000000
+)
+
+func init() {
+	for i := range logTab {
+		// Cell i holds the z whose bits minus logOff have mantissa
+		// prefix i; its bounds are those bit patterns.
+		lo := math.Float64frombits(logOff + uint64(i)<<(52-logTabBits))
+		hi := math.Float64frombits(logOff + uint64(i+1)<<(52-logTabBits))
+		inv := 2 / (lo + hi)
+		logTab[i].inv, logTab[i].log = inv, -math.Log(inv)
+	}
+}
+
+// fastLog is log(x) for a positive normal x without a divide: x =
+// 2^k*z with z in [0.6875, 1.375), and log x = k*ln2 + log c +
+// log1p(z/c - 1) for the table cell's centre c, with |z/c - 1| <=
+// 2^-8 and log1p taken to degree 7 (truncation under 2^-67). What is
+// left is float rounding: a few ulps of log x or, near x = 1, of the
+// cell's log c. TestFastLogErrorBound checks it cell by cell and
+// binade by binade against the slack certifiedGap allows.
+func fastLog(x float64) float64 {
+	ix := math.Float64bits(x)
+	t := ix - logOff
+	k := int64(t) >> 52
+	c := &logTab[t>>(52-logTabBits)%(1<<logTabBits)]
+	z := math.Float64frombits(ix - t&(0xfff<<52))
+	r := z*c.inv - 1
+	r2 := r * r
+	p := -0.5 + r*(1.0/3) + r2*(-0.25+r*0.2) + r2*r2*(-1.0/6+r*(1.0/7))
+	return float64(k)*math.Ln2 + c.log + (r + r2*p)
 }
 
 // apply advances the stream over the low `width` bits of v, flipping
