@@ -152,7 +152,8 @@ func BenchmarkSweep(b *testing.B) {
 // without fault mitigation. The protected variants run every trial
 // twice (unprotected + protected, common random numbers), so their
 // cost over "nominal" is the price of the paired curve; the scheme
-// overhead factors themselves are recorded in BENCH_robustness.json.
+// overhead factors themselves are printed by pixelmc -protect (see
+// README.md, "Robustness").
 
 func benchRobustness(b *testing.B, prot *pixel.ProtectionSpec) {
 	b.Helper()
@@ -244,8 +245,9 @@ func BenchmarkServerEvaluate(b *testing.B) {
 }
 
 // --- Inference-serving benchmarks: the batched bit-sliced pipeline
-// behind /v1/infer, engine-level and over HTTP. Results are recorded
-// in BENCH_serving.json.
+// behind /v1/infer, engine-level and over HTTP. docs/SERVING.md cites
+// their figures with the host; end-to-end serving figures come from
+// perfbench's infer-mixed workload (perfbench/BASELINE.json).
 
 // benchInferImages builds deterministic in-range images for a demo
 // network.

@@ -65,7 +65,7 @@ func run(args []string) error {
 		return err
 	}
 
-	design, err := cliutil.ParseDesign(*designStr)
+	design, err := pixel.ParseDesign(*designStr)
 	if err != nil {
 		return err
 	}

@@ -112,12 +112,6 @@ func ParseNames(s string) []string {
 	return out
 }
 
-// ParseDesign parses a MAC design name into the public enum
-// (pixel.ErrUnknownDesign on anything but EE, OE, OO).
-func ParseDesign(s string) (pixel.Design, error) {
-	return pixel.ParseDesign(s)
-}
-
 // ParseDesigns parses a comma-separated design-name list.
 func ParseDesigns(s string) ([]pixel.Design, error) {
 	names := ParseNames(s)
@@ -132,7 +126,7 @@ func ParseDesigns(s string) ([]pixel.Design, error) {
 	return out, nil
 }
 
-// ParseArchDesign is ParseDesign for tools that drive the internal
+// ParseArchDesign is pixel.ParseDesign for tools that drive the internal
 // cost model directly and need the arch-side enum.
 func ParseArchDesign(s string) (arch.Design, error) {
 	d, err := pixel.ParseDesign(s)

@@ -15,6 +15,7 @@ import (
 
 	"pixel"
 	"pixel/api"
+	"pixel/internal/httpx"
 	"pixel/internal/jobs"
 	"pixel/internal/server"
 )
@@ -442,7 +443,7 @@ func TestSweepJobSalvageFromCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	task, err := c.buildJobTask(api.JobKindSweep, spec)
+	task, err := httpx.JobFactory(c.newRobustnessTask, c.newSweepTask)(api.JobKindSweep, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -231,8 +231,14 @@ func New(opts Options) (*Coordinator, error) {
 	c.members = members
 	c.ring = newRing(opts.Workers)
 
+	// The fleet tasks validate eagerly, as the synchronous routes do, so
+	// a bad spec is refused at POST /v1/jobs before any worker sees it.
+	// They dispatch shards as worker jobs, harvest partial streams as
+	// work lands, and re-plan only the still-missing units when a shard
+	// dies; with a jobs Manager their harvest checkpoints, so a
+	// restarted coordinator re-dispatches only unfinished work.
 	if opts.Jobs.Factory == nil {
-		opts.Jobs.Factory = c.buildJobTask
+		opts.Jobs.Factory = httpx.JobFactory(c.newRobustnessTask, c.newSweepTask)
 	}
 	c.reg = jobs.NewRegistry(opts.Jobs)
 	c.core = httpx.New(httpx.Config{

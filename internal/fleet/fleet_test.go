@@ -16,6 +16,7 @@ import (
 
 	"pixel"
 	"pixel/api"
+	"pixel/internal/httpx"
 	"pixel/internal/jobs"
 	"pixel/internal/server"
 )
@@ -476,7 +477,7 @@ func TestCoordinatorSweepJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	task, err := c.buildJobTask(api.JobKindSweep, spec)
+	task, err := httpx.JobFactory(c.newRobustnessTask, c.newSweepTask)(api.JobKindSweep, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,7 +526,7 @@ func TestCoordinatorSweepJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if task, err = c.buildJobTask(api.JobKindSweep, spec); err != nil {
+	if task, err = httpx.JobFactory(c.newRobustnessTask, c.newSweepTask)(api.JobKindSweep, spec); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := task.Run(context.Background(), func(string, any) {}); err != nil {

@@ -12,14 +12,14 @@ import (
 // coordinator with zero changes, plus the membership routes.
 func (c *Coordinator) Handler() http.Handler {
 	return c.core.Mux(map[string]http.HandlerFunc{
-		"POST /v1/evaluate":        serve(c, c.Evaluate),
-		"POST /v1/sweep":           serve(c, c.Sweep),
-		"POST /v1/map":             serve(c, c.Map),
-		"POST /v1/robustness":      serve(c, c.Robustness),
-		"POST /v1/infer":           serve(c, c.Infer),
+		"POST /v1/evaluate":        route(c, c.Evaluate),
+		"POST /v1/sweep":           route(c, c.Sweep),
+		"POST /v1/map":             route(c, c.Map),
+		"POST /v1/robustness":      route(c, c.Robustness),
+		"POST /v1/infer":           route(c, c.Infer),
 		"GET /v1/fleet/workers":    c.handleWorkersList,
-		"POST /v1/fleet/workers":   c.handleWorkerAdd,
-		"DELETE /v1/fleet/workers": c.handleWorkerRemove,
+		"POST /v1/fleet/workers":   c.roster(c.AddWorker),
+		"DELETE /v1/fleet/workers": c.roster(c.RemoveWorker),
 	})
 }
 
@@ -38,29 +38,17 @@ func errNoHealthyWorkers() error {
 	}
 }
 
-// serve adapts one synchronous fan-out to a route: decode the body
-// strictly, refuse up front when the fleet has no healthy member (a
+// route serves one synchronous fan-out through the worker's request
+// path (httpx.Route), bounded by RequestTimeout end to end. After the
+// body decodes, a fleet with no healthy member refuses up front: a
 // uniform 503 instead of whatever transport error the first doomed
-// shard would produce), bound the fan-out by RequestTimeout end to
-// end, and render the merged response.
-func serve[Req, Resp any](c *Coordinator, run func(context.Context, Req) (Resp, error)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		var req Req
-		if err := httpx.DecodeJSON(w, r, &req); err != nil {
-			c.core.WriteError(w, err)
-			return
-		}
+// shard would produce.
+func route[Req, Resp any](c *Coordinator, run func(context.Context, Req) (Resp, error)) http.HandlerFunc {
+	return httpx.Route(c.core, c.opts.RequestTimeout, func(ctx context.Context, req Req) (Resp, error) {
 		if c.healthyCount() == 0 {
-			c.core.WriteError(w, errNoHealthyWorkers())
-			return
+			var zero Resp
+			return zero, errNoHealthyWorkers()
 		}
-		ctx, cancel := context.WithTimeout(r.Context(), c.opts.RequestTimeout)
-		defer cancel()
-		resp, err := run(ctx, req)
-		if err != nil {
-			c.core.WriteError(w, err)
-			return
-		}
-		httpx.WriteJSON(w, http.StatusOK, resp)
-	}
+		return run(ctx, req)
+	})
 }

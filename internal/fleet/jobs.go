@@ -11,46 +11,8 @@ import (
 	"pixel"
 	"pixel/api"
 	"pixel/internal/httpx"
-	"pixel/internal/jobs"
 	"pixel/internal/slots"
 )
-
-// buildJobTask is the coordinator's jobs.Factory. Validation runs
-// eagerly through the same checks the synchronous routes use — a bad
-// spec is rejected at POST /v1/jobs, before any worker sees it. The
-// returned tasks dispatch shards as worker jobs, harvest their partial
-// streams as the work lands, and re-plan only the still-missing units
-// when a shard dies (partial-result salvage); with a jobs Manager their
-// harvest state checkpoints, so a restarted coordinator re-dispatches
-// only unfinished work.
-func (c *Coordinator) buildJobTask(kind string, spec json.RawMessage) (jobs.Task, error) {
-	switch kind {
-	case api.JobKindRobustness:
-		var req api.RobustnessRequest
-		if err := httpx.StrictUnmarshal(spec, &req); err != nil {
-			return nil, err
-		}
-		t, err := c.newRobustnessTask(req)
-		if err != nil {
-			return nil, err
-		}
-		return t, nil
-
-	case api.JobKindSweep:
-		var req api.SweepRequest
-		if err := httpx.StrictUnmarshal(spec, &req); err != nil {
-			return nil, err
-		}
-		t, err := c.newSweepTask(req)
-		if err != nil {
-			return nil, err
-		}
-		return t, nil
-
-	default:
-		return nil, httpx.BadRequestf("unknown job kind %q (have %q, %q)", kind, api.JobKindRobustness, api.JobKindSweep)
-	}
-}
 
 // fleetJobCkpt is the durable snapshot of a coordinator job: the
 // harvest so far in global indices, plus (for robustness) the

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"net/http"
 
 	"pixel/api"
@@ -108,30 +109,15 @@ func (c *Coordinator) handleWorkersList(w http.ResponseWriter, r *http.Request) 
 	httpx.WriteJSON(w, http.StatusOK, api.FleetWorkersResponse{Workers: c.Workers()})
 }
 
-func (c *Coordinator) handleWorkerAdd(w http.ResponseWriter, r *http.Request) {
-	var req api.FleetWorkerRequest
-	if err := httpx.DecodeJSON(w, r, &req); err != nil {
-		c.core.WriteError(w, err)
-		return
-	}
-	if err := c.AddWorker(req.Addr); err != nil {
-		c.core.WriteError(w, err)
-		return
-	}
-	httpx.WriteJSON(w, http.StatusOK, api.FleetWorkersResponse{Workers: c.Workers()})
-}
-
-// handleWorkerRemove takes the address in the body (worker addresses
-// are URLs — a path segment would need double escaping).
-func (c *Coordinator) handleWorkerRemove(w http.ResponseWriter, r *http.Request) {
-	var req api.FleetWorkerRequest
-	if err := httpx.DecodeJSON(w, r, &req); err != nil {
-		c.core.WriteError(w, err)
-		return
-	}
-	if err := c.RemoveWorker(req.Addr); err != nil {
-		c.core.WriteError(w, err)
-		return
-	}
-	httpx.WriteJSON(w, http.StatusOK, api.FleetWorkersResponse{Workers: c.Workers()})
+// roster serves a membership change through the one request path:
+// apply op to the body's address, then answer with the updated roster.
+// The address rides in the body (worker addresses are URLs — a path
+// segment would need double escaping).
+func (c *Coordinator) roster(op func(addr string) error) http.HandlerFunc {
+	return httpx.Route(c.core, 0, func(_ context.Context, req api.FleetWorkerRequest) (api.FleetWorkersResponse, error) {
+		if err := op(req.Addr); err != nil {
+			return api.FleetWorkersResponse{}, err
+		}
+		return api.FleetWorkersResponse{Workers: c.Workers()}, nil
+	})
 }

@@ -2,10 +2,7 @@ package fleet
 
 import (
 	"context"
-	"fmt"
-	"strings"
 
-	"pixel"
 	"pixel/api"
 	"pixel/internal/httpx"
 	"pixel/internal/parallel"
@@ -15,12 +12,11 @@ import (
 // is exactly the worker's request-coalescing key, so every design
 // point has one home worker and stays hot in that worker's result LRU.
 func (c *Coordinator) Evaluate(ctx context.Context, req api.EvaluateRequest) (api.Result, error) {
-	d, err := pixel.ParseDesign(req.Design)
+	p, err := httpx.EvaluatePoint(req)
 	if err != nil {
 		return api.Result{}, err
 	}
-	key := httpx.EvaluateKey(req.Network, pixel.Point{Design: d, Lanes: req.Lanes, Bits: req.Bits})
-	return runShard(ctx, c, "/v1/evaluate", key, func(ctx context.Context, cl *api.Client) (api.Result, error) {
+	return runShard(ctx, c, "/v1/evaluate", httpx.EvaluateKey(req.Network, p), func(ctx context.Context, cl *api.Client) (api.Result, error) {
 		return cl.Evaluate(ctx, req)
 	})
 }
@@ -68,13 +64,11 @@ func (c *Coordinator) Robustness(ctx context.Context, req api.RobustnessRequest)
 // worker (the schedule is cheap; routing just spreads load and keeps
 // repeats cache-warm).
 func (c *Coordinator) Map(ctx context.Context, req api.MapRequest) (api.MapResponse, error) {
-	d, err := pixel.ParseDesign(req.Design)
+	spec, err := httpx.MapSpec(req)
 	if err != nil {
 		return api.MapResponse{}, err
 	}
-	p := pixel.Point{Design: d, Lanes: req.Lanes, Bits: req.Bits}
-	key := fmt.Sprintf("map|%s|%s|%d|%d|%t", req.Network, p, req.Rows, req.Cols, req.PhotonicWeights)
-	return runShard(ctx, c, "/v1/map", key, func(ctx context.Context, cl *api.Client) (api.MapResponse, error) {
+	return runShard(ctx, c, "/v1/map", "map|"+httpx.MapKey(spec), func(ctx context.Context, cl *api.Client) (api.MapResponse, error) {
 		return cl.Map(ctx, req)
 	})
 }
@@ -83,8 +77,7 @@ func (c *Coordinator) Map(ctx context.Context, req api.MapRequest) (api.MapRespo
 // traffic for one demo network funnels into one worker's micro-batcher
 // and weight caches.
 func (c *Coordinator) Infer(ctx context.Context, req api.InferRequest) (api.InferResponse, error) {
-	key := "infer|" + strings.ToLower(strings.TrimSpace(req.Network))
-	return runShard(ctx, c, "/v1/infer", key, func(ctx context.Context, cl *api.Client) (api.InferResponse, error) {
+	return runShard(ctx, c, "/v1/infer", "infer|"+httpx.InferKey(req), func(ctx context.Context, cl *api.Client) (api.InferResponse, error) {
 		return cl.Infer(ctx, req)
 	})
 }

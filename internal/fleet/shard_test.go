@@ -328,4 +328,21 @@ func TestShardKeysAreWorkerKeys(t *testing.T) {
 	if want := "robustness|LeNet|OO|[0.01 0.02]|4|7|0|parity:0:0:0"; key != want {
 		t.Errorf("robustness shard key = %q, want %q", key, want)
 	}
+
+	// Evaluate routes on the worker's coalescing key, unprefixed; map on
+	// its own key behind "map|". Ring placement depends on this text.
+	p, err := httpx.EvaluatePoint(api.EvaluateRequest{Network: "LeNet", Design: "OO", Lanes: 4, Bits: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if key, want := httpx.EvaluateKey("LeNet", p), "LeNet|OO/L4/B8"; key != want {
+		t.Errorf("evaluate key = %q, want %q", key, want)
+	}
+	spec, err := httpx.MapSpec(api.MapRequest{Network: "LeNet", Design: "OE", Lanes: 4, Bits: 8, Rows: 2, Cols: 3, PhotonicWeights: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if key, want := "map|"+httpx.MapKey(spec), "map|LeNet|OE/L4/B8|2|3|true"; key != want {
+		t.Errorf("map key = %q, want %q", key, want)
+	}
 }

@@ -1,10 +1,12 @@
 // Package httpx is the HTTP core both pixeld roles serve the /v1
 // surface through: the worker (internal/server) and the fleet
 // coordinator (internal/fleet). It owns the uniform error envelope and
-// its sentinel table, strict body and job-spec decoding, the
-// instrumented mux with its request metrics and logs, /healthz,
-// /metrics, the catalog routes, the four /v1/jobs routes and the
-// graceful Serve/drain loop — one copy, so a fix reaches both roles.
+// its sentinel table, strict body and job-spec decoding, the one
+// request path of every /v1 route (Route) with each body's parser and
+// key (validate.go), the instrumented mux with its request metrics and
+// logs, /healthz, /metrics, the catalog routes, the four /v1/jobs
+// routes and their task factory, and the graceful Serve/drain loop —
+// one copy, so a fix reaches both roles.
 package httpx
 
 import (
@@ -212,6 +214,40 @@ func DecodeJSON(w http.ResponseWriter, r *http.Request, dst any) error {
 	return nil
 }
 
+// Route is the one request path of a synchronous /v1 route on both
+// roles: decode the body strictly, bound run by timeout (none when
+// timeout is 0), then answer with run's response or its error
+// envelope. run validates, keys and executes the request.
+func Route[Req, Resp any](c *Core, timeout time.Duration, run func(context.Context, Req) (Resp, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req Req
+		if err := DecodeJSON(w, r, &req); err != nil {
+			c.WriteError(w, err)
+			return
+		}
+		ctx := r.Context()
+		if timeout > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, timeout)
+			defer cancel()
+		}
+		resp, err := run(ctx, req)
+		if err != nil {
+			c.WriteError(w, err)
+			return
+		}
+		WriteJSON(w, http.StatusOK, resp)
+	}
+}
+
+// NotImplemented answers a route the role was built without with 501
+// not_implemented, before reading the body.
+func (c *Core) NotImplemented(msg string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		c.WriteError(w, &Error{Status: http.StatusNotImplemented, Code: "not_implemented", Msg: msg})
+	}
+}
+
 // StrictUnmarshal is DecodeJSON's body-less twin for job specs: bad
 // specs fail loudly at submission, not at some later re-adoption.
 func StrictUnmarshal(spec []byte, dst any) error {
@@ -280,16 +316,23 @@ func (c *Core) instrument(route string, h http.HandlerFunc) http.Handler {
 func (c *Core) Mux(routes map[string]http.HandlerFunc) http.Handler {
 	mux := http.NewServeMux()
 	shared := map[string]http.HandlerFunc{
-		"GET /healthz":             c.handleHealthz,
-		"GET /metrics":             c.handleMetrics,
-		"GET /v1/networks":         handleNetworks,
-		"GET /v1/designs":          handleDesigns,
+		"GET /healthz":     c.handleHealthz,
+		"GET /metrics":     c.handleMetrics,
+		"GET /v1/networks": handleNetworks,
+		"GET /v1/designs":  handleDesigns,
+	}
+	jobRoutes := map[string]http.HandlerFunc{
 		"POST /v1/jobs":            c.handleJobCreate,
 		"GET /v1/jobs/{id}":        c.handleJobGet,
 		"DELETE /v1/jobs/{id}":     c.handleJobDelete,
 		"GET /v1/jobs/{id}/events": c.handleJobEvents,
 	}
-	for _, set := range []map[string]http.HandlerFunc{shared, routes} {
+	if c.cfg.Jobs == nil {
+		for pattern := range jobRoutes {
+			jobRoutes[pattern] = c.NotImplemented("durable jobs are not enabled on this server")
+		}
+	}
+	for _, set := range []map[string]http.HandlerFunc{shared, jobRoutes, routes} {
 		for pattern, h := range set {
 			_, route, _ := strings.Cut(pattern, " ")
 			mux.Handle(pattern, c.instrument(route, h))

@@ -16,54 +16,77 @@ import (
 //	GET    /v1/jobs/{id}         status + partial results
 //	GET    /v1/jobs/{id}/events  server-sent event stream
 //	DELETE /v1/jobs/{id}         cancel / forget
+//
+// A role built without a registry answers all four with 501 (see Mux).
 
-// jobsDisabled is the 501 every job route answers when the registry is
-// not configured.
-func (c *Core) jobsDisabled(w http.ResponseWriter) bool {
-	if c.cfg.Jobs != nil {
-		return false
+// JobFactory is the jobs.Factory of both roles: it strictly decodes a
+// spec by its kind and hands it to the role's typed task constructor,
+// which validates it with the same limits as the synchronous route (a
+// job must not be a way around them).
+func JobFactory[R, S jobs.Task](robustness func(api.RobustnessRequest) (R, error), sweep func(api.SweepRequest) (S, error)) jobs.Factory {
+	return func(kind string, spec json.RawMessage) (jobs.Task, error) {
+		switch kind {
+		case api.JobKindRobustness:
+			return newTask(spec, robustness)
+		case api.JobKindSweep:
+			return newTask(spec, sweep)
+		}
+		return nil, errUnknownJobKind(kind)
 	}
-	c.WriteError(w, &Error{
-		Status: http.StatusNotImplemented,
-		Code:   "not_implemented",
-		Msg:    "durable jobs are not enabled on this server",
-	})
-	return true
+}
+
+func newTask[Req any, T jobs.Task](spec json.RawMessage, build func(Req) (T, error)) (jobs.Task, error) {
+	var req Req
+	if err := StrictUnmarshal(spec, &req); err != nil {
+		return nil, err
+	}
+	t, err := build(req)
+	if err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+func errUnknownJobKind(kind string) error {
+	return BadRequestf("unknown job kind %q (have %q, %q)", kind, api.JobKindRobustness, api.JobKindSweep)
+}
+
+// jobSpec returns the encoded spec a job request carries for its kind.
+func jobSpec(req api.JobRequest) (json.RawMessage, error) {
+	var spec any
+	switch req.Kind {
+	case api.JobKindRobustness:
+		if req.Robustness == nil {
+			return nil, BadRequestf("kind %q requires a robustness spec", req.Kind)
+		}
+		spec = req.Robustness
+	case api.JobKindSweep:
+		if req.Sweep == nil {
+			return nil, BadRequestf("kind %q requires a sweep spec", req.Kind)
+		}
+		spec = req.Sweep
+	default:
+		return nil, errUnknownJobKind(req.Kind)
+	}
+	buf, err := json.Marshal(spec)
+	if err != nil {
+		return nil, fmt.Errorf("encode job spec: %w", err)
+	}
+	return buf, nil
 }
 
 func (c *Core) handleJobCreate(w http.ResponseWriter, r *http.Request) {
-	if c.jobsDisabled(w) {
-		return
-	}
 	var req api.JobRequest
 	if err := DecodeJSON(w, r, &req); err != nil {
 		c.WriteError(w, err)
 		return
 	}
-	var spec any
-	switch req.Kind {
-	case api.JobKindRobustness:
-		if req.Robustness == nil {
-			c.WriteError(w, BadRequestf("kind %q requires a robustness spec", req.Kind))
-			return
-		}
-		spec = req.Robustness
-	case api.JobKindSweep:
-		if req.Sweep == nil {
-			c.WriteError(w, BadRequestf("kind %q requires a sweep spec", req.Kind))
-			return
-		}
-		spec = req.Sweep
-	default:
-		c.WriteError(w, BadRequestf("unknown job kind %q (have %q, %q)", req.Kind, api.JobKindRobustness, api.JobKindSweep))
-		return
-	}
-	buf, err := json.Marshal(spec)
+	spec, err := jobSpec(req)
 	if err != nil {
-		c.WriteError(w, fmt.Errorf("encode job spec: %w", err))
+		c.WriteError(w, err)
 		return
 	}
-	j, err := c.cfg.Jobs.Create(req.Kind, buf)
+	j, err := c.cfg.Jobs.Create(req.Kind, spec)
 	if err != nil {
 		c.WriteError(w, err)
 		return
@@ -85,9 +108,6 @@ func (c *Core) jobByPath(w http.ResponseWriter, r *http.Request) *jobs.Job {
 }
 
 func (c *Core) handleJobGet(w http.ResponseWriter, r *http.Request) {
-	if c.jobsDisabled(w) {
-		return
-	}
 	j := c.jobByPath(w, r)
 	if j == nil {
 		return
@@ -113,9 +133,6 @@ func (c *Core) handleJobGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Core) handleJobDelete(w http.ResponseWriter, r *http.Request) {
-	if c.jobsDisabled(w) {
-		return
-	}
 	if err := c.cfg.Jobs.Delete(r.PathValue("id")); err != nil {
 		c.WriteError(w, &Error{Status: http.StatusNotFound, Code: "not_found", Msg: err.Error()})
 		return
@@ -127,9 +144,6 @@ func (c *Core) handleJobDelete(w http.ResponseWriter, r *http.Request) {
 // replay from Last-Event-ID, comment heartbeats, stream closes after
 // the terminal event.
 func (c *Core) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	if c.jobsDisabled(w) {
-		return
-	}
 	j := c.jobByPath(w, r)
 	if j == nil {
 		return

@@ -2,6 +2,7 @@ package httpx
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"pixel"
@@ -38,6 +39,29 @@ func OrDefault[T int | time.Duration](v, def T) T {
 	return v
 }
 
+// EvaluatePoint validates an evaluate request and returns the design
+// point it prices.
+func EvaluatePoint(req api.EvaluateRequest) (pixel.Point, error) {
+	return point(req.Design, req.Lanes, req.Bits)
+}
+
+// MapSpec validates a map request and returns the schedule it asks for.
+func MapSpec(req api.MapRequest) (pixel.MapSpec, error) {
+	p, err := point(req.Design, req.Lanes, req.Bits)
+	if err != nil {
+		return pixel.MapSpec{}, err
+	}
+	return pixel.MapSpec{Network: req.Network, Point: p, Rows: req.Rows, Cols: req.Cols, PhotonicWeights: req.PhotonicWeights}, nil
+}
+
+func point(design string, lanes, bits int) (pixel.Point, error) {
+	d, err := pixel.ParseDesign(design)
+	if err != nil {
+		return pixel.Point{}, err
+	}
+	return pixel.Point{Design: d, Lanes: lanes, Bits: bits}, nil
+}
+
 // SweepDesigns validates a sweep request (a /v1/sweep body or a sweep
 // job spec) and returns its design axis — every design when the
 // request names none — and the size of its design-major point grid.
@@ -64,6 +88,42 @@ func SweepDesigns(req api.SweepRequest) (designs []pixel.Design, points int, err
 		return nil, 0, BadRequestf("sweep of %d jobs exceeds the %d-job limit", n, MaxSweepJobs)
 	}
 	return designs, points, nil
+}
+
+// maxInferImages bounds the image count of one /v1/infer request;
+// callers with more traffic should pipeline requests and let the
+// micro-batcher coalesce them.
+const maxInferImages = 256
+
+// InferNetwork validates an infer request — its image count, then each
+// image against the input shape shapeOf reports for its network — and
+// returns the network's canonical name (InferKey). A batched pass is
+// shared, so a malformed image must fail its own request here rather
+// than everyone else's downstream.
+func InferNetwork(req api.InferRequest, shapeOf func(string) (pixel.InferShape, error)) (string, error) {
+	if len(req.Images) == 0 {
+		return "", BadRequestf("images must be non-empty")
+	}
+	if len(req.Images) > maxInferImages {
+		return "", BadRequestf("%d images exceeds the %d-image limit", len(req.Images), maxInferImages)
+	}
+	network := InferKey(req)
+	shape, err := shapeOf(network)
+	if err != nil {
+		return "", err
+	}
+	want := shape.H * shape.W * shape.C
+	for i, img := range req.Images {
+		if len(img) != want {
+			return "", BadRequestf("image %d has %d values, want %dx%dx%d = %d", i, len(img), shape.H, shape.W, shape.C, want)
+		}
+		for _, v := range img {
+			if v < 0 || v > shape.MaxValue {
+				return "", BadRequestf("image %d has value %d outside [0, %d]", i, v, shape.MaxValue)
+			}
+		}
+	}
+	return network, nil
 }
 
 // RobustnessSpec validates a robustness request (a /v1/robustness
@@ -99,6 +159,18 @@ func RobustnessSpec(req api.RobustnessRequest, maxTrials int) (pixel.RobustnessS
 // EvaluateKey is the key of pricing network at p.
 func EvaluateKey(network string, p pixel.Point) string {
 	return network + "|" + p.String()
+}
+
+// MapKey is the key of a schedule spec MapSpec accepted. No worker coalesces
+// maps; a coordinator routes on it so repeats stay cache-warm.
+func MapKey(spec pixel.MapSpec) string {
+	return fmt.Sprintf("%s|%s|%d|%d|%t", spec.Network, spec.Point, spec.Rows, spec.Cols, spec.PhotonicWeights)
+}
+
+// InferKey is the key of an infer request: its network's canonical
+// name, under which a worker batches it and a coordinator routes it.
+func InferKey(req api.InferRequest) string {
+	return strings.ToLower(strings.TrimSpace(req.Network))
 }
 
 // SweepKey is the key of a sweep request over its resolved design

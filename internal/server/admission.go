@@ -55,3 +55,13 @@ func (l *limiter) acquire(ctx context.Context) error {
 }
 
 func (l *limiter) release() { <-l.sem }
+
+// admit runs fn holding an in-flight slot of l.
+func admit[V any](l *limiter, ctx context.Context, fn func(context.Context) (V, error)) (V, error) {
+	if err := l.acquire(ctx); err != nil {
+		var zero V
+		return zero, err
+	}
+	defer l.release()
+	return fn(ctx)
+}

@@ -3,79 +3,71 @@ package server
 import (
 	"context"
 	"net/http"
-	"strings"
 
 	"pixel"
 	"pixel/api"
 	"pixel/internal/httpx"
 )
 
-func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
-	var req api.EvaluateRequest
-	if err := httpx.DecodeJSON(w, r, &req); err != nil {
-		s.core.WriteError(w, err)
-		return
+// Handler returns the server's routing tree with logging and metrics
+// middleware applied. Every /v1 request route is an httpx.Route over
+// one of the methods below; /v1/infer has no route deadline because
+// the batcher bounds each pass.
+func (s *Server) Handler() http.Handler {
+	c, timeout := s.core, s.requestTimeout
+	robustness := c.NotImplemented("robustness sweeps are not enabled on this server")
+	if s.robust != nil {
+		robustness = httpx.Route(c, timeout, s.robustness)
 	}
-	d, err := pixel.ParseDesign(req.Design)
-	if err != nil {
-		s.core.WriteError(w, err)
-		return
+	infer := c.NotImplemented("inference serving is not enabled on this server")
+	if s.infer != nil {
+		infer = httpx.Route(c, 0, s.inferBatch)
 	}
-	p := pixel.Point{Design: d, Lanes: req.Lanes, Bits: req.Bits}
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.requestTimeout)
-	defer cancel()
-
-	key := httpx.EvaluateKey(req.Network, p)
-	res, shared, err := s.evalFlights.Do(ctx, key, func(ctx context.Context) (pixel.Result, error) {
-		if err := s.limiter.acquire(ctx); err != nil {
-			return pixel.Result{}, err
-		}
-		defer s.limiter.release()
-		return s.engine.EvaluateContext(ctx, req.Network, p)
+	return c.Mux(map[string]http.HandlerFunc{
+		"POST /v1/evaluate":   httpx.Route(c, timeout, s.evaluate),
+		"POST /v1/sweep":      httpx.Route(c, timeout, s.sweep),
+		"POST /v1/map":        httpx.Route(c, timeout, s.schedule),
+		"POST /v1/robustness": robustness,
+		"POST /v1/infer":      infer,
 	})
-	if shared {
-		s.metrics.coalesced.Add(1)
-	}
-	if err != nil {
-		s.core.WriteError(w, err)
-		return
-	}
-	httpx.WriteJSON(w, http.StatusOK, res)
 }
 
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req api.SweepRequest
-	if err := httpx.DecodeJSON(w, r, &req); err != nil {
-		s.core.WriteError(w, err)
-		return
-	}
-	designs, _, err := httpx.SweepDesigns(req)
-	if err != nil {
-		s.core.WriteError(w, err)
-		return
-	}
-	points := pixel.Grid(designs, req.Lanes, req.Bits)
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.requestTimeout)
-	defer cancel()
-
-	networks := req.Networks
-	byNet, shared, err := s.sweepFlights.Do(ctx, httpx.SweepKey(req, designs), func(ctx context.Context) (map[string][]pixel.Result, error) {
-		if err := s.limiter.acquire(ctx); err != nil {
-			return nil, err
-		}
-		defer s.limiter.release()
-		return s.engine.SweepNetworks(ctx, networks, points, nil)
+// coalesce runs fn once for every identical in-flight request under
+// key in g, holding one admission slot per run (followers of a shared
+// flight hold none), and counts each follower.
+func coalesce[V any](s *Server, ctx context.Context, g *flightGroup[V], key string, fn func(context.Context) (V, error)) (V, error) {
+	v, shared, err := g.Do(ctx, key, func(ctx context.Context) (V, error) {
+		return admit(s.limiter, ctx, fn)
 	})
 	if shared {
 		s.metrics.coalesced.Add(1)
 	}
+	return v, err
+}
+
+func (s *Server) evaluate(ctx context.Context, req api.EvaluateRequest) (pixel.Result, error) {
+	p, err := httpx.EvaluatePoint(req)
 	if err != nil {
-		s.core.WriteError(w, err)
-		return
+		return pixel.Result{}, err
 	}
-	httpx.WriteJSON(w, http.StatusOK, sweepResponse(len(points), byNet))
+	return coalesce(s, ctx, s.evalFlights, httpx.EvaluateKey(req.Network, p), func(ctx context.Context) (pixel.Result, error) {
+		return s.engine.EvaluateContext(ctx, req.Network, p)
+	})
+}
+
+func (s *Server) sweep(ctx context.Context, req api.SweepRequest) (api.SweepResponse, error) {
+	designs, _, err := httpx.SweepDesigns(req)
+	if err != nil {
+		return api.SweepResponse{}, err
+	}
+	points := pixel.Grid(designs, req.Lanes, req.Bits)
+	byNet, err := coalesce(s, ctx, s.sweepFlights, httpx.SweepKey(req, designs), func(ctx context.Context) (map[string][]pixel.Result, error) {
+		return s.engine.SweepNetworks(ctx, req.Networks, points, nil)
+	})
+	if err != nil {
+		return api.SweepResponse{}, err
+	}
+	return sweepResponse(len(points), byNet), nil
 }
 
 // sweepResponse renders engine results as the /v1/sweep payload (also
@@ -92,95 +84,37 @@ func sweepResponse(points int, byNet map[string][]pixel.Result) api.SweepRespons
 	return resp
 }
 
-// maxInferImages bounds the image count of one /v1/infer request;
-// callers with more traffic should pipeline requests and let the
-// micro-batcher coalesce them.
-const maxInferImages = 256
-
-func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
-	if s.infer == nil {
-		s.core.WriteError(w, &httpx.Error{
-			Status: http.StatusNotImplemented,
-			Code:   "not_implemented",
-			Msg:    "inference serving is not enabled on this server",
-		})
-		return
-	}
-	var req api.InferRequest
-	if err := httpx.DecodeJSON(w, r, &req); err != nil {
-		s.core.WriteError(w, err)
-		return
-	}
-	if len(req.Images) == 0 {
-		s.core.WriteError(w, httpx.BadRequestf("images must be non-empty"))
-		return
-	}
-	if len(req.Images) > maxInferImages {
-		s.core.WriteError(w, httpx.BadRequestf("%d images exceeds the %d-image limit", len(req.Images), maxInferImages))
-		return
-	}
-	// Validate shape before joining a batch: a batched pass is shared,
-	// so a malformed image must fail its own request here rather than
-	// everyone else's downstream.
-	network := strings.ToLower(strings.TrimSpace(req.Network))
-	shape, err := s.infer.NetworkShape(network)
+// schedule serves /v1/map: admitted, never coalesced.
+func (s *Server) schedule(ctx context.Context, req api.MapRequest) (api.MapResponse, error) {
+	spec, err := httpx.MapSpec(req)
 	if err != nil {
-		s.core.WriteError(w, err)
-		return
+		return api.MapResponse{}, err
 	}
-	want := shape.H * shape.W * shape.C
-	for i, img := range req.Images {
-		if len(img) != want {
-			s.core.WriteError(w, httpx.BadRequestf("image %d has %d values, want %dx%dx%d = %d",
-				i, len(img), shape.H, shape.W, shape.C, want))
-			return
-		}
-		for _, v := range img {
-			if v < 0 || v > shape.MaxValue {
-				s.core.WriteError(w, httpx.BadRequestf("image %d has value %d outside [0, %d]", i, v, shape.MaxValue))
-				return
-			}
-		}
-	}
-
-	results, batched, err := s.batcher.Submit(r.Context(), network, req.Images)
-	if err != nil {
-		s.core.WriteError(w, err)
-		return
-	}
-	httpx.WriteJSON(w, http.StatusOK, api.InferResponse{Results: results, Batched: batched})
+	return admit(s.limiter, ctx, func(ctx context.Context) (api.MapResponse, error) {
+		return pixel.MapContext(ctx, spec)
+	})
 }
 
-func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
-	var req api.MapRequest
-	if err := httpx.DecodeJSON(w, r, &req); err != nil {
-		s.core.WriteError(w, err)
-		return
-	}
-	d, err := pixel.ParseDesign(req.Design)
+func (s *Server) robustness(ctx context.Context, req api.RobustnessRequest) (pixel.RobustnessReport, error) {
+	spec, err := httpx.RobustnessSpec(req, s.maxTrials)
 	if err != nil {
-		s.core.WriteError(w, err)
-		return
+		return pixel.RobustnessReport{}, err
 	}
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.requestTimeout)
-	defer cancel()
-	if err := s.limiter.acquire(ctx); err != nil {
-		s.core.WriteError(w, err)
-		return
-	}
-	defer s.limiter.release()
-
-	sched, err := pixel.MapContext(ctx, pixel.MapSpec{
-		Network:         req.Network,
-		Point:           pixel.Point{Design: d, Lanes: req.Lanes, Bits: req.Bits},
-		Rows:            req.Rows,
-		Cols:            req.Cols,
-		PhotonicWeights: req.PhotonicWeights,
+	return coalesce(s, ctx, s.robustFlights, httpx.RobustnessKey(req), func(ctx context.Context) (pixel.RobustnessReport, error) {
+		return s.robust.RobustnessContext(ctx, spec)
 	})
+}
+
+// inferBatch validates a /v1/infer request before it joins a batch, so
+// a malformed image fails only its own request.
+func (s *Server) inferBatch(ctx context.Context, req api.InferRequest) (api.InferResponse, error) {
+	network, err := httpx.InferNetwork(req, s.infer.NetworkShape)
 	if err != nil {
-		s.core.WriteError(w, err)
-		return
+		return api.InferResponse{}, err
 	}
-	httpx.WriteJSON(w, http.StatusOK, sched)
+	results, batched, err := s.batcher.Submit(ctx, network, req.Images)
+	if err != nil {
+		return api.InferResponse{}, err
+	}
+	return api.InferResponse{Results: results, Batched: batched}, nil
 }

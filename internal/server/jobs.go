@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 
 	"pixel"
 	"pixel/api"
@@ -21,50 +20,43 @@ func (s *Server) Close() {
 	}
 }
 
-// buildJobTask is the built-in jobs.Factory: it validates the spec with
-// the same limits as the synchronous routes (a job must not be a way
-// around them) and wraps the pixel facade's resumable jobs.
-func (s *Server) buildJobTask(kind string, spec json.RawMessage) (jobs.Task, error) {
-	switch kind {
-	case api.JobKindRobustness:
-		var req api.RobustnessRequest
-		if err := httpx.StrictUnmarshal(spec, &req); err != nil {
-			return nil, err
-		}
-		rspec, err := httpx.RobustnessSpec(req, s.maxTrials)
-		if err != nil {
-			return nil, err
-		}
-		job, err := pixel.NewRobustnessJob(rspec)
-		if err != nil {
-			return nil, err
-		}
-		return &robustnessTask{job: job, points: slots.New[api.JobPoint](len(rspec.Sigmas))}, nil
-
-	case api.JobKindSweep:
-		var req api.SweepRequest
-		if err := httpx.StrictUnmarshal(spec, &req); err != nil {
-			return nil, err
-		}
-		designs, _, err := httpx.SweepDesigns(req)
-		if err != nil {
-			return nil, err
-		}
-		points := pixel.Grid(designs, req.Lanes, req.Bits)
-		var job *pixel.SweepJob
-		if eng, ok := s.engine.(*pixel.Engine); ok {
-			job, err = eng.NewSweepJob(req.Networks, points)
-		} else {
-			job, err = pixel.NewSweepJob(req.Networks, points)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return &sweepTask{job: job, points: len(points), cells: httpx.NewSweepCells(req.Networks, len(points))}, nil
-
-	default:
-		return nil, httpx.BadRequestf("unknown job kind %q (have %q, %q)", kind, api.JobKindRobustness, api.JobKindSweep)
+// newRobustnessTask builds a robustness job's task; with newSweepTask
+// it is the built-in factory (httpx.JobFactory), wrapping the pixel
+// facade's resumable jobs.
+func (s *Server) newRobustnessTask(req api.RobustnessRequest) (*robustnessTask, error) {
+	spec, err := httpx.RobustnessSpec(req, s.maxTrials)
+	if err != nil {
+		return nil, err
 	}
+	job, err := pixel.NewRobustnessJob(spec)
+	if err != nil {
+		return nil, err
+	}
+	return &robustnessTask{job: job, points: slots.New[api.JobPoint](len(spec.Sigmas))}, nil
+}
+
+// sweepJobEngine is the engine method a sweep job runs on: a
+// *pixel.Engine has it, and so has any Evaluator embedding one, so the
+// job shares the served engine's result LRU and cost counters.
+type sweepJobEngine interface {
+	NewSweepJob(networks []string, points []pixel.Point) (*pixel.SweepJob, error)
+}
+
+func (s *Server) newSweepTask(req api.SweepRequest) (*sweepTask, error) {
+	designs, _, err := httpx.SweepDesigns(req)
+	if err != nil {
+		return nil, err
+	}
+	points := pixel.Grid(designs, req.Lanes, req.Bits)
+	newJob := pixel.NewSweepJob
+	if eng, ok := s.engine.(sweepJobEngine); ok {
+		newJob = eng.NewSweepJob
+	}
+	job, err := newJob(req.Networks, points)
+	if err != nil {
+		return nil, err
+	}
+	return &sweepTask{job: job, points: len(points), cells: httpx.NewSweepCells(req.Networks, len(points))}, nil
 }
 
 // robustnessTask adapts a pixel.RobustnessJob to jobs.Task: progress

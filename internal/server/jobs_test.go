@@ -13,6 +13,7 @@ import (
 
 	"pixel"
 	"pixel/api"
+	"pixel/internal/httpx"
 	"pixel/internal/jobs"
 )
 
@@ -422,7 +423,7 @@ func TestSweepJobPartialCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	task, err := srv.buildJobTask(api.JobKindSweep, spec)
+	task, err := httpx.JobFactory(srv.newRobustnessTask, srv.newSweepTask)(api.JobKindSweep, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,5 +455,37 @@ func TestSweepJobPartialCells(t *testing.T) {
 		if !reflect.DeepEqual(c.Result, want) {
 			t.Fatalf("cell %s/%d differs from final row:\ngot  %+v\nwant %+v", c.Network, c.Index, c.Result, want)
 		}
+	}
+}
+
+// wrappedEngine is an Evaluator that embeds a *pixel.Engine, as a
+// tracing or instrumenting wrapper does.
+type wrappedEngine struct{ *pixel.Engine }
+
+// TestSweepJobUsesWrappedEngine: a sweep job runs on the configured
+// engine even when it is a wrapper around one, so it shares that
+// engine's result LRU and its pixeld_engine_cost_calls_total.
+func TestSweepJobUsesWrappedEngine(t *testing.T) {
+	eng := wrappedEngine{pixel.NewEngine(pixel.EngineOptions{})}
+	srv := New(Config{Engine: eng, Logger: discardLogger(), Jobs: &jobs.RegistryOptions{}})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		srv.Close()
+		ts.Close()
+	})
+	c := api.NewClient(ts.URL, nil)
+
+	h, err := c.CreateJob(context.Background(), api.JobRequest{
+		Kind:  api.JobKindSweep,
+		Sweep: &api.SweepRequest{Networks: []string{"LeNet"}, Designs: []string{"OO"}, Lanes: []int{2, 4}, Bits: []int{4}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitJobState(t, c, h.ID); st.State != api.JobStateSucceeded {
+		t.Fatalf("sweep job finished %q (%s)", st.State, st.Error)
+	}
+	if got := eng.CostCalls(); got != 2 {
+		t.Fatalf("wrapped engine priced %d points, want the job's 2", got)
 	}
 }

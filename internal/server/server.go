@@ -29,7 +29,6 @@ import (
 	"log/slog"
 	"math"
 	"net"
-	"net/http"
 	"time"
 
 	"pixel"
@@ -165,19 +164,17 @@ func New(cfg Config) *Server {
 		s.batcher = newMicroBatcher(func(ctx context.Context, network string, images [][]int64) ([]pixel.InferResult, error) {
 			ctx, cancel := context.WithTimeout(ctx, s.requestTimeout)
 			defer cancel()
-			if err := s.limiter.acquire(ctx); err != nil {
-				return nil, err
-			}
-			defer s.limiter.release()
-			s.metrics.inferBatches.Add(1)
-			s.metrics.inferImages.Add(int64(len(images)))
-			return s.infer.InferContext(ctx, pixel.InferSpec{Network: network, Images: images})
+			return admit(s.limiter, ctx, func(ctx context.Context) ([]pixel.InferResult, error) {
+				s.metrics.inferBatches.Add(1)
+				s.metrics.inferImages.Add(int64(len(images)))
+				return s.infer.InferContext(ctx, pixel.InferSpec{Network: network, Images: images})
+			})
 		}, cfg.BatchSize, cfg.BatchWindow)
 	}
 	if cfg.Jobs != nil {
 		opts := *cfg.Jobs
 		if opts.Factory == nil {
-			opts.Factory = s.buildJobTask
+			opts.Factory = httpx.JobFactory(s.newRobustnessTask, s.newSweepTask)
 		}
 		if opts.Logger == nil {
 			opts.Logger = logger
@@ -195,18 +192,6 @@ func New(cfg Config) *Server {
 		Logger:      logger,
 	})
 	return s
-}
-
-// Handler returns the server's routing tree with logging and metrics
-// middleware applied.
-func (s *Server) Handler() http.Handler {
-	return s.core.Mux(map[string]http.HandlerFunc{
-		"POST /v1/evaluate":   s.handleEvaluate,
-		"POST /v1/sweep":      s.handleSweep,
-		"POST /v1/map":        s.handleMap,
-		"POST /v1/robustness": s.handleRobustness,
-		"POST /v1/infer":      s.handleInfer,
-	})
 }
 
 // Serve runs the service on ln until ctx is cancelled, then drains
