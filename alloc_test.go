@@ -1,6 +1,7 @@
 package pixel_test
 
 import (
+	"context"
 	"testing"
 
 	"pixel"
@@ -20,13 +21,13 @@ func TestInferSteadyStateAllocs(t *testing.T) {
 	imgs := benchInferImages(t, "lenet", 64)
 	spec := pixel.InferSpec{Network: "lenet", Images: imgs, Workers: 1}
 	for i := 0; i < 2; i++ { // warm model cache, weight packs, arenas
-		if _, err := pixel.Infer(spec); err != nil {
+		if _, err := pixel.InferContext(context.Background(), spec); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var runErr error
 	avg := testing.AllocsPerRun(5, func() {
-		if _, err := pixel.Infer(spec); err != nil {
+		if _, err := pixel.InferContext(context.Background(), spec); err != nil {
 			runErr = err
 		}
 	})

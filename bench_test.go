@@ -131,18 +131,20 @@ func BenchmarkSweepCold(b *testing.B) {
 	}
 }
 
-// BenchmarkSweep runs the public engine-backed Sweep in steady state:
-// the shared engine's LRU holds the grid after the first iteration, so
-// this is the repeat-sweep cost the eval figures and long-running
-// services see.
+// BenchmarkSweep runs the public engine-backed SweepNetworks in steady
+// state: the shared engine's LRU holds the grid after the first
+// iteration, so this is the repeat-sweep cost the eval figures and
+// long-running services see.
 func BenchmarkSweep(b *testing.B) {
-	if _, err := pixel.Sweep("AlexNet", pixel.Designs(), benchSweepLanes, benchSweepBits); err != nil {
+	ctx, nets := context.Background(), []string{"AlexNet"}
+	points := pixel.Grid(pixel.Designs(), benchSweepLanes, benchSweepBits)
+	if _, err := pixel.SweepNetworks(ctx, nets, points, nil); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pixel.Sweep("AlexNet", pixel.Designs(), benchSweepLanes, benchSweepBits); err != nil {
+		if _, err := pixel.SweepNetworks(ctx, nets, points, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -167,7 +169,7 @@ func benchRobustness(b *testing.B, prot *pixel.ProtectionSpec) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rep, err := pixel.Robustness(spec)
+		rep, err := pixel.RobustnessContext(context.Background(), spec)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -277,14 +279,14 @@ func benchInferImages(tb testing.TB, network string, n int) [][]int64 {
 func BenchmarkInferLeNet(b *testing.B) {
 	imgs := benchInferImages(b, "lenet", 64)
 	b.Run("sequential64", func(b *testing.B) {
-		if _, err := pixel.Infer(pixel.InferSpec{Network: "lenet", Images: imgs[:1]}); err != nil {
+		if _, err := pixel.InferContext(context.Background(), pixel.InferSpec{Network: "lenet", Images: imgs[:1]}); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for k := range imgs {
-				if _, err := pixel.Infer(pixel.InferSpec{Network: "lenet", Images: imgs[k : k+1]}); err != nil {
+				if _, err := pixel.InferContext(context.Background(), pixel.InferSpec{Network: "lenet", Images: imgs[k : k+1]}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -292,13 +294,13 @@ func BenchmarkInferLeNet(b *testing.B) {
 		b.ReportMetric(float64(len(imgs))*float64(b.N)/b.Elapsed().Seconds(), "images/s")
 	})
 	b.Run("batch64", func(b *testing.B) {
-		if _, err := pixel.Infer(pixel.InferSpec{Network: "lenet", Images: imgs}); err != nil {
+		if _, err := pixel.InferContext(context.Background(), pixel.InferSpec{Network: "lenet", Images: imgs}); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := pixel.Infer(pixel.InferSpec{Network: "lenet", Images: imgs}); err != nil {
+			if _, err := pixel.InferContext(context.Background(), pixel.InferSpec{Network: "lenet", Images: imgs}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -21,11 +21,11 @@ type EngineOptions struct {
 
 // Engine is an independent evaluation engine: a worker pool with
 // memoized network resolution, configuration construction and a bounded
-// LRU of whole evaluation results. The package-level Evaluate/Sweep
-// functions all run on a shared default Engine; construct your own when
-// you need an isolated cache or a tuned cache size — a long-running
-// server, a test that must not see another sweep's warm cache. An
-// Engine is safe for concurrent use.
+// LRU of whole evaluation results. The package-level EvaluateContext
+// and SweepNetworks run on a shared default Engine; construct your own
+// when you need an isolated cache or a tuned cache size — a
+// long-running server, a test that must not see another sweep's warm
+// cache. An Engine is safe for concurrent use.
 type Engine struct {
 	eng *sweepeng.Engine
 }
@@ -85,18 +85,6 @@ func (e *Engine) EvaluateContext(ctx context.Context, network string, p Point) (
 		return Result{}, err
 	}
 	return resultFromCost(network, p, c), nil
-}
-
-// SweepContext evaluates a network over explicit design points (see
-// Grid) through the worker pool. Results come back in point order
-// regardless of worker scheduling. On cancellation it returns promptly
-// with the context's error; opts may be nil.
-func (e *Engine) SweepContext(ctx context.Context, network string, points []Point, opts *SweepOptions) ([]Result, error) {
-	byNet, err := e.SweepNetworks(ctx, []string{network}, points, opts)
-	if err != nil {
-		return nil, err
-	}
-	return byNet[network], nil
 }
 
 // SweepNetworks fans one grid of design points out across several

@@ -36,7 +36,7 @@ func TestSentinelWrappingAtFacade(t *testing.T) {
 			return err
 		}, true},
 		{"SweepContext", func(n string, p Point) error {
-			_, err := SweepContext(context.Background(), n, []Point{p}, nil)
+			_, err := SweepNetworks(context.Background(), []string{n}, []Point{p}, nil)
 			return err
 		}, true},
 	}

@@ -59,13 +59,14 @@ func ExampleEvaluateContext() {
 	// Output: OO
 }
 
-// ExampleSweep finds the best design point of a small grid.
-func ExampleSweep() {
-	results, err := pixel.Sweep("LeNet", pixel.Designs(), []int{4, 8}, []int{8, 16})
+// ExampleSweepNetworks finds the best design point of a small grid.
+func ExampleSweepNetworks() {
+	points := pixel.Grid(pixel.Designs(), []int{4, 8}, []int{8, 16})
+	byNet, err := pixel.SweepNetworks(context.Background(), []string{"LeNet"}, points, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	best, err := pixel.BestEDP(results)
+	best, err := pixel.BestEDP(byNet["LeNet"])
 	if err != nil {
 		log.Fatal(err)
 	}

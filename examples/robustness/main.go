@@ -27,6 +27,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -108,7 +109,7 @@ func main() {
 	// comparator threshold offset — and runs the tiny CNN through the
 	// fault-injecting bit-serial engine. σ scales all four sigmas at
 	// once; the run is a pure function of the seed.
-	rep, err := pixel.Robustness(pixel.RobustnessSpec{
+	rep, err := pixel.RobustnessContext(context.Background(), pixel.RobustnessSpec{
 		Network: "tiny",
 		Design:  pixel.OO,
 		Sigmas:  []float64{0, 1, 2, 4},
@@ -133,7 +134,7 @@ func main() {
 	// guard-band trims the resonance offset, re-centres the comparator
 	// thresholds and deepens the thermal bias — attacking the rates
 	// themselves — and its price shows up through the cost model.
-	prot, err := pixel.Robustness(pixel.RobustnessSpec{
+	prot, err := pixel.RobustnessContext(context.Background(), pixel.RobustnessSpec{
 		Network:    "tiny",
 		Design:     pixel.OO,
 		Sigmas:     []float64{0, 1, 2, 4},

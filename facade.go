@@ -5,6 +5,9 @@ import (
 	"fmt"
 
 	"pixel/internal/arch"
+	"pixel/internal/interconnect"
+	"pixel/internal/mapper"
+	"pixel/internal/phy"
 )
 
 // PowerSummary is the chip-level power view of a design point (see
@@ -24,23 +27,47 @@ type PowerSummary struct {
 }
 
 // PowerContext returns the chip-level power budget of the named
-// network at design point p. It is the canonical power entry point;
-// ctx cancellation is honoured before any model work starts.
+// network at design point p. ctx cancellation is honoured before any
+// model work starts.
 func PowerContext(ctx context.Context, network string, p Point) (PowerSummary, error) {
 	if err := ctx.Err(); err != nil {
 		return PowerSummary{}, err
 	}
-	return p.Power(network)
+	net, err := resolveNetwork(network)
+	if err != nil {
+		return PowerSummary{}, err
+	}
+	cfg, err := p.config()
+	if err != nil {
+		return PowerSummary{}, err
+	}
+	pw, err := arch.Power(net, cfg)
+	if err != nil {
+		return PowerSummary{}, err
+	}
+	return PowerSummary{
+		Network:  network,
+		Design:   p.Design,
+		Lanes:    p.Lanes,
+		Bits:     p.Bits,
+		DynamicW: pw.DynamicW.Total(),
+		StaticW:  pw.TotalStaticW(),
+		LaserW:   pw.LaserIdleW,
+		TotalW:   pw.TotalW(),
+	}, nil
 }
 
 // AreaContext returns the MAC-unit ensemble area [m^2] of design
-// point p. It is the canonical area entry point; ctx cancellation is
-// honoured before any model work starts.
+// point p. ctx cancellation is honoured before any model work starts.
 func AreaContext(ctx context.Context, p Point) (float64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	return p.Area()
+	cfg, err := p.config()
+	if err != nil {
+		return 0, err
+	}
+	return arch.Area(cfg).Total(), nil
 }
 
 // ScheduleSummary is a tile-grid mapping of a network (see
@@ -73,14 +100,41 @@ type MapSpec struct {
 }
 
 // MapContext schedules spec.Network onto a spec.Rows x spec.Cols tile
-// grid at spec.Point. It is the canonical mapping entry point; ctx
-// cancellation is honoured before any model work starts. Unusable grid
-// shapes surface ErrBadGrid.
+// grid at spec.Point. ctx cancellation is honoured before any model
+// work starts. Unusable grid shapes surface ErrBadGrid.
 func MapContext(ctx context.Context, spec MapSpec) (ScheduleSummary, error) {
 	if err := ctx.Err(); err != nil {
 		return ScheduleSummary{}, err
 	}
-	return spec.Point.MapToGrid(spec.Network, spec.Rows, spec.Cols, spec.PhotonicWeights)
+	net, err := resolveNetwork(spec.Network)
+	if err != nil {
+		return ScheduleSummary{}, err
+	}
+	cfg, err := spec.Point.config()
+	if err != nil {
+		return ScheduleSummary{}, err
+	}
+	grid, err := interconnect.NewGrid(spec.Rows, spec.Cols, spec.Point.Lanes, 10*phy.Gigahertz)
+	if err != nil {
+		return ScheduleSummary{}, fmt.Errorf("%w: %v", ErrBadGrid, err)
+	}
+	transport := mapper.ElectricalPreload
+	if spec.PhotonicWeights {
+		transport = mapper.PhotonicPreload
+	}
+	s, err := mapper.MapNetwork(net, grid, cfg, mapper.Options{Transport: transport})
+	if err != nil {
+		return ScheduleSummary{}, err
+	}
+	return ScheduleSummary{
+		Network:     spec.Network,
+		Rows:        spec.Rows,
+		Cols:        spec.Cols,
+		SequentialS: s.MakespanS,
+		PipelinedS:  s.PipelinedMakespanS,
+		PreloadJ:    s.PreloadJ,
+		Utilization: s.MeanUtilization(),
+	}, nil
 }
 
 // Ablations re-runs the six-CNN evaluation under each calibration

@@ -99,4 +99,11 @@ func TestContextFormsHonourCancellation(t *testing.T) {
 	if _, err := InferContext(ctx, InferSpec{Network: "tiny", Images: [][]int64{make([]int64, 64)}}); !errors.Is(err, context.Canceled) {
 		t.Errorf("InferContext err = %v, want context.Canceled", err)
 	}
+	if _, err := SweepNetworks(ctx, []string{"LeNet"}, []Point{p}, nil); !errors.Is(err, context.Canceled) {
+		t.Errorf("SweepNetworks err = %v, want context.Canceled", err)
+	}
+	spec := RobustnessSpec{Network: "tiny", Design: OO, Sigmas: []float64{1}, Trials: 2, Seed: 1}
+	if _, err := RobustnessContext(ctx, spec); !errors.Is(err, context.Canceled) {
+		t.Errorf("RobustnessContext err = %v, want context.Canceled", err)
+	}
 }

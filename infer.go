@@ -44,7 +44,7 @@ type InferShape struct {
 	MaxValue int64
 }
 
-// InferNetworks lists the demo networks Infer can run.
+// InferNetworks lists the demo networks InferContext can run.
 func InferNetworks() []string { return montecarlo.Networks() }
 
 // inferNet is one cached, ready-to-serve inference network: the model,
@@ -61,10 +61,10 @@ var (
 	inferMu   sync.Mutex
 	inferNets = map[string]*inferNet{}
 
-	// inferArenas recycles whole tensor arenas across Infer calls: each
-	// call borrows one arena (arenas are single-threaded by contract),
-	// draws its input and inter-layer activation tensors from it, and
-	// returns everything before putting the arena back — so
+	// inferArenas recycles whole tensor arenas across InferContext
+	// calls: each call borrows one arena (arenas are single-threaded by
+	// contract), draws its input and inter-layer activation tensors from
+	// it, and returns everything before putting the arena back — so
 	// steady-state batched inference reuses the previous batch's
 	// activation storage instead of allocating.
 	inferArenas = sync.Pool{New: func() any { return tensor.NewArena() }}
@@ -103,7 +103,7 @@ func inferNetwork(name string) (*inferNet, error) {
 }
 
 // InferNetworkShape returns the image geometry the named network
-// expects — what a client must send Infer.
+// expects — what a client must send InferContext.
 func InferNetworkShape(name string) (InferShape, error) {
 	n, err := inferNetwork(name)
 	if err != nil {
@@ -112,16 +112,11 @@ func InferNetworkShape(name string) (InferShape, error) {
 	return n.shape, nil
 }
 
-// Infer runs a batch of images through a demo network — the
-// context-free form of InferContext.
-func Infer(spec InferSpec) ([]InferResult, error) {
-	return InferContext(context.Background(), spec)
-}
-
-// InferContext runs batched quantized inference with cancellation. The
-// whole batch executes as one word-parallel pass on the batched
-// bit-serial engine (bit-identical to per-image sequential inference);
-// spec failures surface ErrUnknownNetwork or ErrBadSpec.
+// InferContext runs a batch of images through a demo network as
+// batched quantized inference, with cancellation. The whole batch
+// executes as one word-parallel pass on the batched bit-serial engine
+// (bit-identical to per-image sequential inference); spec failures
+// surface ErrUnknownNetwork or ErrBadSpec.
 func InferContext(ctx context.Context, spec InferSpec) ([]InferResult, error) {
 	n, err := inferNetwork(spec.Network)
 	if err != nil {

@@ -78,25 +78,25 @@ func TestInferSpecErrors(t *testing.T) {
 	}
 	good := make([]int64, shape.H*shape.W*shape.C)
 
-	if _, err := Infer(InferSpec{Network: "nope", Images: [][]int64{good}}); !errors.Is(err, ErrUnknownNetwork) {
+	if _, err := InferContext(context.Background(), InferSpec{Network: "nope", Images: [][]int64{good}}); !errors.Is(err, ErrUnknownNetwork) {
 		t.Fatalf("unknown network: %v", err)
 	}
 	if _, err := InferNetworkShape("nope"); !errors.Is(err, ErrUnknownNetwork) {
 		t.Fatalf("unknown network shape: %v", err)
 	}
-	if _, err := Infer(InferSpec{Network: "tiny"}); !errors.Is(err, ErrBadSpec) {
+	if _, err := InferContext(context.Background(), InferSpec{Network: "tiny"}); !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("empty batch: %v", err)
 	}
-	if _, err := Infer(InferSpec{Network: "tiny", Images: [][]int64{good[:3]}}); !errors.Is(err, ErrBadSpec) {
+	if _, err := InferContext(context.Background(), InferSpec{Network: "tiny", Images: [][]int64{good[:3]}}); !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("short image: %v", err)
 	}
 	bad := make([]int64, len(good))
 	bad[2] = shape.MaxValue + 1
-	if _, err := Infer(InferSpec{Network: "tiny", Images: [][]int64{bad}}); !errors.Is(err, ErrBadSpec) {
+	if _, err := InferContext(context.Background(), InferSpec{Network: "tiny", Images: [][]int64{bad}}); !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("over-range value: %v", err)
 	}
 	bad[2] = -1
-	if _, err := Infer(InferSpec{Network: "tiny", Images: [][]int64{bad}}); !errors.Is(err, ErrBadSpec) {
+	if _, err := InferContext(context.Background(), InferSpec{Network: "tiny", Images: [][]int64{bad}}); !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("negative value: %v", err)
 	}
 

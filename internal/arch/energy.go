@@ -41,7 +41,7 @@ func (b Breakdown) Scale(k float64) Breakdown {
 // PerOp returns the energy breakdown of ONE native-precision MAC
 // operation under the configuration (the Act field is per activation
 // evaluation and is scaled by the workload's N_act, not N_mul — see
-// LayerEnergy).
+// CostNetwork).
 func PerOp(cfg Config) Breakdown {
 	cal := cfg.Cal
 	p0 := float64(NativePrecision)

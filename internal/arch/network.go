@@ -15,45 +15,6 @@ type LayerCost struct {
 	Rounds  float64
 }
 
-// LayerEnergy returns the energy breakdown of executing a layer's
-// operations: per-op costs scaled by the layer's operation counts
-// (multiplies drive the mul/o-e/comm/laser categories, adds the
-// accumulation, activations the tanh unit).
-func LayerEnergy(counts cnn.Counts, cfg Config) Breakdown {
-	per := PerOp(cfg)
-	return Breakdown{
-		Mul:   counts.Mul * per.Mul,
-		Add:   counts.Add * per.Add,
-		Act:   counts.Act * per.Act,
-		OtoE:  counts.Mul * per.OtoE,
-		Comm:  counts.Mul * per.Comm,
-		Laser: counts.Mul * per.Laser,
-	}
-}
-
-// LayerLatency returns the execution time [s] of a layer: the rounds
-// needed to stream its multiplies through the ensemble times the round
-// time.
-func LayerLatency(counts cnn.Counts, cfg Config) (latency float64, rounds float64) {
-	rounds = counts.Mul / cfg.ConcurrentOps()
-	if rounds < 1 && counts.Mul > 0 {
-		rounds = 1
-	}
-	return rounds * RoundTime(cfg), rounds
-}
-
-// CostLayer prices one layer.
-func CostLayer(l cnn.Layer, cfg Config) LayerCost {
-	counts := l.Counts(cnn.ModePaper)
-	lat, rounds := LayerLatency(counts, cfg)
-	return LayerCost{
-		Layer:   l.Name,
-		Energy:  LayerEnergy(counts, cfg),
-		Latency: lat,
-		Rounds:  rounds,
-	}
-}
-
 // NetworkCost is the full-inference cost of a network under a
 // configuration.
 type NetworkCost struct {
@@ -69,11 +30,13 @@ func (n NetworkCost) EDP() float64 {
 	return n.Energy.Total() * n.Latency
 }
 
-// CostNetwork prices a whole network inference. The per-operation
+// CostNetwork prices a whole network inference. A layer's energy is the
+// per-op costs scaled by its operation counts (multiplies drive the
+// mul/o-e/comm/laser categories, adds the accumulation, activations the
+// tanh unit); its latency is the rounds needed to stream its multiplies
+// through the ensemble times the round time. The per-operation
 // breakdown, round time and in-flight operation count depend only on
-// the configuration, so they are computed once and reused across every
-// layer (bit-identical to the per-layer recomputation CostLayer does,
-// PerOp being pure float arithmetic).
+// the configuration, so they are computed once for every layer.
 func CostNetwork(net cnn.Network, cfg Config) (NetworkCost, error) {
 	if err := cfg.Validate(); err != nil {
 		return NetworkCost{}, err

@@ -339,10 +339,6 @@ func NewPerturbedEngine(bits, terms int, rates FlipRates, mulRng, accRng *rand.R
 // InjectedFlips returns the total number of bits flipped so far.
 func (e *PerturbedEngine) InjectedFlips() int64 { return e.mul.flips + e.acc.flips }
 
-// CorruptedWords returns how many exposed words took at least one
-// flip so far.
-func (e *PerturbedEngine) CorruptedWords() int64 { return e.mul.words + e.acc.words }
-
 // OddFlipWords returns how many exposed words took an odd number of
 // flips so far — the word-level errors a per-word parity wavelength
 // detects. Words with an even flip count cancel in the parity bit and

@@ -99,10 +99,6 @@ func NewSignedEngine(bits, terms int) (*SignedEngine, error) {
 	return &SignedEngine{codec: codec, engine: engine}, nil
 }
 
-// Codec exposes the codec (for datapaths that run the unsigned part on
-// other hardware, e.g. the optical units).
-func (s *SignedEngine) Codec() *OffsetCodec { return s.codec }
-
 // DotProduct computes the signed inner product bit-serially.
 func (s *SignedEngine) DotProduct(ns, ss []int64) (int64, Stats, error) {
 	if len(ns) != len(ss) {

@@ -112,20 +112,6 @@ func ParseNames(s string) []string {
 	return out
 }
 
-// ParseDesigns parses a comma-separated design-name list.
-func ParseDesigns(s string) ([]pixel.Design, error) {
-	names := ParseNames(s)
-	out := make([]pixel.Design, 0, len(names))
-	for _, name := range names {
-		d, err := pixel.ParseDesign(name)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, d)
-	}
-	return out, nil
-}
-
 // ParseArchDesign is pixel.ParseDesign for tools that drive the internal
 // cost model directly and need the arch-side enum.
 func ParseArchDesign(s string) (arch.Design, error) {

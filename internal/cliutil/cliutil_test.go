@@ -76,19 +76,6 @@ func TestParseNames(t *testing.T) {
 	}
 }
 
-func TestParseDesigns(t *testing.T) {
-	got, err := ParseDesigns("EE,OO")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := []pixel.Design{pixel.EE, pixel.OO}; !reflect.DeepEqual(got, want) {
-		t.Errorf("ParseDesigns = %v, want %v", got, want)
-	}
-	if _, err := ParseDesigns("EE,XX"); !errors.Is(err, pixel.ErrUnknownDesign) {
-		t.Errorf("unknown design err = %v, want ErrUnknownDesign", err)
-	}
-}
-
 func TestParseArchDesign(t *testing.T) {
 	for name, want := range map[string]arch.Design{"EE": arch.EE, "OE": arch.OE, "OO": arch.OO} {
 		got, err := ParseArchDesign(name)

@@ -1,7 +1,5 @@
 package elec
 
-import "fmt"
-
 // Alternative adder architectures. The paper prices its accumulators
 // with the classified-CLA formulas (Eq. 5/6); a Kogge-Stone parallel-
 // prefix adder trades more wiring and gates for logarithmic depth —
@@ -39,60 +37,4 @@ func KoggeStoneLogicDepth(n int) int {
 // parallel-prefix adder.
 func KoggeStone(n int) GateCount {
 	return GateCount{Gates: KoggeStoneGateCount(n), Depth: KoggeStoneLogicDepth(n)}
-}
-
-// KoggeStoneAdder is a bit-exact functional model: generate/propagate
-// pairs merged through the Kogge-Stone prefix network.
-type KoggeStoneAdder struct {
-	width int
-	mask  uint64
-}
-
-// NewKoggeStoneAdder returns an adder for 1..64-bit words.
-func NewKoggeStoneAdder(width int) (*KoggeStoneAdder, error) {
-	if width < 1 || width > 64 {
-		return nil, fmt.Errorf("elec: Kogge-Stone width %d out of range [1,64]", width)
-	}
-	mask := ^uint64(0)
-	if width < 64 {
-		mask = (1 << uint(width)) - 1
-	}
-	return &KoggeStoneAdder{width: width, mask: mask}, nil
-}
-
-// Width returns the word width.
-func (a *KoggeStoneAdder) Width() int { return a.width }
-
-// Add computes the width-bit sum with carry in/out through the prefix
-// network: rank r merges (g,p) pairs at distance 2^r.
-func (a *KoggeStoneAdder) Add(x, y uint64, carryIn bool) (sum uint64, carryOut bool) {
-	x &= a.mask
-	y &= a.mask
-	g := x & y
-	p := x ^ y
-	// Fold the carry-in as a generate at a virtual position -1 by
-	// pre-seeding bit 0.
-	if carryIn {
-		g |= p & 1
-	}
-	// Prefix ranks: G = g | (p & G>>d), P = p & P>>d.
-	gp, pp := g, p
-	for d := 1; d < a.width; d <<= 1 {
-		gp = gp | (pp & (gp << uint(d)))
-		pp = pp & (pp << uint(d))
-	}
-	// Carry into position i is the group generate of [0, i-1]; shift
-	// left by one. Carry-in handled above for bit 0.
-	var c uint64
-	c = (gp << 1) & a.mask
-	if carryIn {
-		c |= 1
-	}
-	sum = (p ^ c) & a.mask
-	if a.width == 64 {
-		carryOut = gp>>63 == 1
-	} else {
-		carryOut = (gp>>(uint(a.width)-1))&1 == 1
-	}
-	return sum, carryOut
 }

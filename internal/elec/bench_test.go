@@ -13,17 +13,6 @@ func BenchmarkCLAAdd32(b *testing.B) {
 	}
 }
 
-func BenchmarkKoggeStoneAdd32(b *testing.B) {
-	a, err := NewKoggeStoneAdder(32)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		a.Add(uint64(i), uint64(i)*2654435761, false)
-	}
-}
-
 func BenchmarkTanhUnitApply(b *testing.B) {
 	u, err := NewTanhUnit(12)
 	if err != nil {
@@ -32,18 +21,5 @@ func BenchmarkTanhUnitApply(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		u.Apply(int64(i%20000 - 10000))
-	}
-}
-
-func BenchmarkArrayMultiplier16(b *testing.B) {
-	m, err := NewArrayMultiplier(16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Multiply(uint64(i)&0xFFFF, uint64(i>>4)&0xFFFF); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -100,23 +100,3 @@ func (a *CLAAdder) Add(x, y uint64, carryIn bool) (sum uint64, carryOut bool) {
 	sum = (p ^ c) & a.mask
 	return sum, ci
 }
-
-// AddSigned adds two signed values through the same carry network,
-// interpreting the width-bit result in two's complement.
-func (a *CLAAdder) AddSigned(x, y int64) int64 {
-	sum, _ := a.Add(uint64(x), uint64(y), false)
-	return signExtend(sum, a.width)
-}
-
-// signExtend interprets the low `width` bits of v as a two's-complement
-// number.
-func signExtend(v uint64, width int) int64 {
-	if width >= 64 {
-		return int64(v)
-	}
-	sign := uint64(1) << uint(width-1)
-	if v&sign != 0 {
-		v |= ^uint64(0) << uint(width)
-	}
-	return int64(v)
-}

@@ -137,51 +137,3 @@ func TestCLAAdderMatchesNativeAdd(t *testing.T) {
 		}
 	}
 }
-
-func TestCLAAdderSigned(t *testing.T) {
-	a, _ := NewCLAAdder(16)
-	cases := []struct{ x, y, want int64 }{
-		{5, -3, 2},
-		{-5, -3, -8},
-		{32767, 1, -32768}, // wraps like 16-bit hardware
-		{-32768, -1, 32767},
-		{0, 0, 0},
-	}
-	for _, c := range cases {
-		if got := a.AddSigned(c.x, c.y); got != c.want {
-			t.Errorf("AddSigned(%d,%d) = %d, want %d", c.x, c.y, got, c.want)
-		}
-	}
-}
-
-func TestCLAAdderSignedProperty(t *testing.T) {
-	a, _ := NewCLAAdder(32)
-	f := func(x, y int32) bool {
-		got := a.AddSigned(int64(x), int64(y))
-		want := int64(int32(x + y)) // 32-bit wrapping semantics
-		return got == want
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSignExtend(t *testing.T) {
-	cases := []struct {
-		v     uint64
-		width int
-		want  int64
-	}{
-		{0b0111, 4, 7},
-		{0b1000, 4, -8},
-		{0b1111, 4, -1},
-		{0xFF, 8, -1},
-		{0x7F, 8, 127},
-		{0xFFFFFFFFFFFFFFFF, 64, -1},
-	}
-	for _, c := range cases {
-		if got := signExtend(c.v, c.width); got != c.want {
-			t.Errorf("signExtend(%#x,%d) = %d, want %d", c.v, c.width, got, c.want)
-		}
-	}
-}

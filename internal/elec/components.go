@@ -24,17 +24,6 @@ func Register(n int) GateCount {
 	return GateCount{Flops: n, Depth: 1}
 }
 
-// ShiftRegister returns the gate count of an n-bit serial-in/parallel-out
-// shift register, as used by the simple O/E converter to deserialize the
-// optical pulse train.
-func ShiftRegister(n int) GateCount {
-	if n < 1 {
-		panic("elec.ShiftRegister: width must be >= 1")
-	}
-	// One flop plus a small amount of clock-gating logic per stage.
-	return GateCount{Flops: n, Gates: n / 2, Depth: 1}
-}
-
 // BarrelShifterGateCount returns the gate count of an n-bit logarithmic
 // barrel shifter: log2(n) mux stages of n 2:1 muxes, ~3 NAND2 equivalents
 // per mux.
@@ -128,13 +117,4 @@ func (b *BarrelShifterFunc) ShiftLeft(v uint64, n int) uint64 {
 		}
 	}
 	return v
-}
-
-// SerializerEnergy — gate count for a parallel-in/serial-out stage used
-// by the E/O driver front end (width flops + mux tree).
-func Serializer(width int) GateCount {
-	if width < 1 {
-		panic("elec.Serializer: width must be >= 1")
-	}
-	return GateCount{Flops: width, Gates: 2 * width, Depth: 1 + log2ceilAtLeast1(width)}
 }

@@ -12,12 +12,9 @@ func TestANDArray(t *testing.T) {
 	}
 }
 
-func TestRegisterAndShiftRegister(t *testing.T) {
+func TestRegister(t *testing.T) {
 	if gc := Register(16); gc.Flops != 16 || gc.Gates != 0 {
 		t.Errorf("Register(16) = %+v", gc)
-	}
-	if gc := ShiftRegister(16); gc.Flops != 16 || gc.Gates != 8 {
-		t.Errorf("ShiftRegister(16) = %+v", gc)
 	}
 }
 
@@ -174,11 +171,4 @@ func TestBarrelShifterNegativePanics(t *testing.T) {
 		}
 	}()
 	bs.ShiftLeft(1, -1)
-}
-
-func TestSerializerGateCount(t *testing.T) {
-	gc := Serializer(8)
-	if gc.Flops != 8 || gc.Gates != 16 {
-		t.Errorf("Serializer(8) = %+v", gc)
-	}
 }

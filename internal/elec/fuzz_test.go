@@ -2,8 +2,8 @@ package elec
 
 import "testing"
 
-// FuzzAddersAgree cross-checks the two functional adder architectures
-// against each other and the host arithmetic on arbitrary operands.
+// FuzzAddersAgree cross-checks the functional CLA against the host
+// arithmetic on arbitrary operands.
 func FuzzAddersAgree(f *testing.F) {
 	f.Add(uint64(0), uint64(0), false)
 	f.Add(uint64(1)<<63, uint64(1)<<63, true)
@@ -13,25 +13,16 @@ func FuzzAddersAgree(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	ks, err := NewKoggeStoneAdder(48)
-	if err != nil {
-		f.Fatal(err)
-	}
 	mask := uint64(1)<<48 - 1
 	f.Fuzz(func(t *testing.T, x, y uint64, cin bool) {
 		s1, c1 := cla.Add(x, y, cin)
-		s2, c2 := ks.Add(x, y, cin)
-		if s1 != s2 || c1 != c2 {
-			t.Fatalf("adders disagree on %x+%x cin=%v: CLA (%x,%v) KS (%x,%v)",
-				x, y, cin, s1, c1, s2, c2)
-		}
 		var ci uint64
 		if cin {
 			ci = 1
 		}
 		full := (x & mask) + (y & mask) + ci
 		if s1 != full&mask || c1 != ((full>>48)&1 == 1) {
-			t.Fatalf("adders disagree with arithmetic on %x+%x", x, y)
+			t.Fatalf("CLA disagrees with arithmetic on %x+%x cin=%v: (%x,%v)", x, y, cin, s1, c1)
 		}
 	})
 }

@@ -1,7 +1,5 @@
 package elec
 
-import "fmt"
-
 // Bit-parallel multiplier models, for the extension experiment that
 // contrasts the paper's bit-serial (Stripes) discipline against a
 // conventional parallel MAC.
@@ -34,44 +32,4 @@ func WallaceMultiplier(n int) GateCount {
 	tree := GateCount{Gates: 5 * n * (n - 1), Depth: 2 * levels}
 	final := CLA(2 * n)
 	return partial.Chain(tree).Chain(final)
-}
-
-// ArrayMultiplierFunc is a bit-exact functional model: partial products
-// accumulated row by row through a CLA (the carry-save array's
-// arithmetic effect).
-type ArrayMultiplierFunc struct {
-	width int
-	mask  uint64
-	adder *CLAAdder
-}
-
-// NewArrayMultiplier returns a functional multiplier for 1..32-bit
-// operands (the 2n-bit product must fit uint64).
-func NewArrayMultiplier(width int) (*ArrayMultiplierFunc, error) {
-	if width < 1 || width > 32 {
-		return nil, fmt.Errorf("elec: array multiplier width %d out of range [1,32]", width)
-	}
-	adder, err := NewCLAAdder(2 * width)
-	if err != nil {
-		return nil, err
-	}
-	return &ArrayMultiplierFunc{
-		width: width,
-		mask:  (uint64(1) << uint(width)) - 1,
-		adder: adder,
-	}, nil
-}
-
-// Multiply returns x*y computed as the sum of shifted partial products.
-func (m *ArrayMultiplierFunc) Multiply(x, y uint64) (uint64, error) {
-	if x > m.mask || y > m.mask {
-		return 0, fmt.Errorf("elec: operand exceeds %d-bit range", m.width)
-	}
-	var acc uint64
-	for j := 0; j < m.width; j++ {
-		if (y>>uint(j))&1 == 1 {
-			acc, _ = m.adder.Add(acc, x<<uint(j), false)
-		}
-	}
-	return acc, nil
 }

@@ -29,24 +29,6 @@ func (s *SourceNode) Eval(_ []*Signal, _ *Ledger) ([]*Signal, error) {
 	return []*Signal{s.Signal.Clone()}, nil
 }
 
-// WaveguideNode propagates its input through a waveguide run (one in,
-// one out).
-type WaveguideNode struct {
-	Label     string
-	Waveguide photonics.Waveguide
-}
-
-// Name implements Node.
-func (w *WaveguideNode) Name() string { return "waveguide:" + w.Label }
-
-// Ports implements Node.
-func (w *WaveguideNode) Ports() (int, int) { return 1, 1 }
-
-// Eval implements Node.
-func (w *WaveguideNode) Eval(in []*Signal, led *Ledger) ([]*Signal, error) {
-	return []*Signal{WaveguideRun(in[0], w.Waveguide, led)}, nil
-}
-
 // FilterNode applies a double-MRR filter (one in; bar and cross out).
 type FilterNode struct {
 	Label  string

@@ -69,7 +69,7 @@ func waitJobState(t *testing.T, c *api.Client, id string) api.JobStatusResponse 
 
 // TestJobLifecycle drives a real robustness job end to end over HTTP:
 // 202 on create, status polls through to success, the result
-// value-identical to the synchronous pixel.Robustness call, and delete
+// value-identical to the synchronous pixel.RobustnessContext call, and delete
 // forgetting the job.
 func TestJobLifecycle(t *testing.T) {
 	_, ts := jobsServer(t, newJobsManager(t, t.TempDir()))
@@ -96,7 +96,7 @@ func TestJobLifecycle(t *testing.T) {
 	if err := json.Unmarshal(st.Result, &got); err != nil {
 		t.Fatal(err)
 	}
-	want, err := pixel.Robustness(pixel.RobustnessSpec{
+	want, err := pixel.RobustnessContext(ctx, pixel.RobustnessSpec{
 		Network: "tiny", Design: pixel.OO, Sigmas: []float64{0, 1, 3}, Trials: 8, Seed: 11,
 	})
 	if err != nil {

@@ -1,11 +1,11 @@
 // Package sweep is the concurrent design-space sweep engine behind the
-// public Sweep/SweepContext API and the eval experiment runners. It
-// fans (network, design, lanes, bits) evaluation points out across a
-// worker pool, deduplicates shared work (per-name cnn.Network
+// public SweepNetworks/EvaluateContext API and the eval experiment
+// runners. It fans (network, design, lanes, bits) evaluation points out
+// across a worker pool, deduplicates shared work (per-name cnn.Network
 // resolution, per-point arch.Config construction) and memoizes whole
-// evaluation results in a bounded LRU, so regenerating the paper's
-// grid figures costs one CostNetwork call per distinct point instead
-// of one per table cell.
+// evaluation results in a bounded LRU, so regenerating the paper's grid
+// figures costs one CostNetwork call per distinct point instead of one
+// per table cell.
 //
 // Results come back in input order regardless of worker scheduling, so
 // a parallel sweep is bit-identical to the serial loop it replaced.

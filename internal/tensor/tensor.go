@@ -191,60 +191,6 @@ func MaxPoolInto(out, in *Tensor, window int) {
 	}
 }
 
-// FullyConnected computes out[o] = sum_i in[i] * w[o][i] for a weight
-// matrix given in row-major [out][in] order.
-func FullyConnected(in *Tensor, weights []int64, outDim int) (*Tensor, error) {
-	n := in.Len()
-	if len(weights) != n*outDim {
-		return nil, fmt.Errorf("tensor: weight matrix %d != %d x %d", len(weights), outDim, n)
-	}
-	out := New(1, 1, outDim)
-	for o := 0; o < outDim; o++ {
-		var acc int64
-		row := weights[o*n : (o+1)*n]
-		for i, v := range in.Data {
-			acc += v * row[i]
-		}
-		out.Set(0, 0, o, acc)
-	}
-	return out, nil
-}
-
-// ReLU applies max(0, x) in place and returns the tensor.
-func ReLU(t *Tensor) *Tensor {
-	for i, v := range t.Data {
-		if v < 0 {
-			t.Data[i] = 0
-		}
-	}
-	return t
-}
-
-// Rescale divides every element by the given positive factor (arithmetic
-// shift-style requantization between layers) and returns the tensor.
-func Rescale(t *Tensor, factor int64) *Tensor {
-	if factor <= 0 {
-		panic("tensor: rescale factor must be positive")
-	}
-	for i := range t.Data {
-		t.Data[i] /= factor
-	}
-	return t
-}
-
-// Clamp limits every element to [0, max] in place and returns the
-// tensor; used to keep quantized activations within operand range.
-func Clamp(t *Tensor, max int64) *Tensor {
-	for i, v := range t.Data {
-		if v < 0 {
-			t.Data[i] = 0
-		} else if v > max {
-			t.Data[i] = max
-		}
-	}
-	return t
-}
-
 // ArgMax returns the index of the largest element (first on ties).
 func ArgMax(t *Tensor) int {
 	best := 0

@@ -173,50 +173,20 @@ func TestMaxPool2D(t *testing.T) {
 	}
 }
 
-func TestFullyConnected(t *testing.T) {
-	in := NewVector([]int64{1, 2, 3})
-	w := []int64{
-		1, 0, 0, // picks x0
-		0, 0, 2, // doubles x2
-	}
-	out, err := FullyConnected(in, w, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.At(0, 0, 0) != 1 || out.At(0, 0, 1) != 6 {
-		t.Errorf("FC = %v", out.Data)
-	}
-	if _, err := FullyConnected(in, w, 3); err == nil {
-		t.Error("weight size mismatch should error")
-	}
-}
-
-func TestReLUClampRescaleArgMax(t *testing.T) {
-	x := NewVector([]int64{-5, 3, 200, 7})
-	ReLU(x)
-	if x.Data[0] != 0 || x.Data[1] != 3 {
-		t.Errorf("ReLU = %v", x.Data)
-	}
-	Clamp(x, 100)
-	if x.Data[2] != 100 {
-		t.Errorf("Clamp = %v", x.Data)
-	}
-	Rescale(x, 3)
-	if x.Data[1] != 1 || x.Data[2] != 33 {
-		t.Errorf("Rescale = %v", x.Data)
-	}
-	if got := ArgMax(x); got != 2 {
-		t.Errorf("ArgMax = %d", got)
-	}
-}
-
-func TestRescalePanicsOnZero(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
+func TestArgMax(t *testing.T) {
+	for _, tc := range []struct {
+		vals []int64
+		want int
+	}{
+		{[]int64{-5, 3, 200, 7}, 2},
+		{[]int64{-5, -3, -200}, 1},
+		{[]int64{4, 9, 9, 1}, 1}, // first on ties
+		{[]int64{0}, 0},
+	} {
+		if got := ArgMax(NewVector(tc.vals)); got != tc.want {
+			t.Errorf("ArgMax(%v) = %d, want %d", tc.vals, got, tc.want)
 		}
-	}()
-	Rescale(NewVector([]int64{1}), 0)
+	}
 }
 
 func TestConv2DLinearityProperty(t *testing.T) {

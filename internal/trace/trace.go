@@ -32,48 +32,6 @@ func WriteSignalCSV(w io.Writer, s *optsim.Signal) error {
 	return nil
 }
 
-// WriteBusCSV writes one row per slot with a power column per channel.
-func WriteBusCSV(w io.Writer, b optsim.Bus) error {
-	if len(b) == 0 {
-		return fmt.Errorf("trace: empty bus")
-	}
-	slots := 0
-	for _, s := range b {
-		if s != nil && s.Slots() > slots {
-			slots = s.Slots()
-		}
-	}
-	if _, err := fmt.Fprint(w, "slot"); err != nil {
-		return err
-	}
-	for c := range b {
-		if _, err := fmt.Fprintf(w, ",ch%d_power_w", c); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintln(w); err != nil {
-		return err
-	}
-	for i := 0; i < slots; i++ {
-		if _, err := fmt.Fprintf(w, "%d", i); err != nil {
-			return err
-		}
-		for _, s := range b {
-			p := 0.0
-			if s != nil {
-				p = s.Power(i)
-			}
-			if _, err := fmt.Fprintf(w, ",%.6g", p); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Summary holds signal-quality statistics.
 type Summary struct {
 	Slots     int

@@ -33,25 +33,6 @@ func TestWriteSignalCSV(t *testing.T) {
 	}
 }
 
-func TestWriteBusCSV(t *testing.T) {
-	b := optsim.NewBus(2, 2, slot)
-	b[1] = optsim.NewOOK([]int{1, 1}, 2e-3, slot, 1)
-	var sb strings.Builder
-	if err := WriteBusCSV(&sb, b); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "ch0_power_w,ch1_power_w") {
-		t.Errorf("bus header wrong: %q", out)
-	}
-	if !strings.Contains(out, "0,0,0.002") {
-		t.Errorf("bus rows wrong:\n%s", out)
-	}
-	if err := WriteBusCSV(&sb, nil); err == nil {
-		t.Error("empty bus should error")
-	}
-}
-
 func TestSummarizeCleanSignal(t *testing.T) {
 	s := optsim.NewOOK([]int{1, 0, 1, 1}, 1e-3, slot, 0)
 	sum := Summarize(s, 1e-6)

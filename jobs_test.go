@@ -22,10 +22,10 @@ func jobSpec() RobustnessSpec {
 // TestRobustnessJobResume is the facade-level crash-resume property:
 // interrupt a job mid-run, snapshot it, restore into a fresh job with
 // the same spec, finish, and the report is byte-identical to the
-// one-shot Robustness call.
+// one-shot RobustnessContext call.
 func TestRobustnessJobResume(t *testing.T) {
 	spec := jobSpec()
-	straight, err := Robustness(spec)
+	straight, err := RobustnessContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,10 +51,11 @@ func TestResultsJSONGolden(t *testing.T) {
 }
 
 func TestResultsJSONRoundTrip(t *testing.T) {
-	results, err := Sweep("LeNet", Designs(), []int{4}, []int{8, 16})
+	byNet, err := SweepNetworks(context.Background(), []string{"LeNet"}, Grid(Designs(), []int{4}, []int{8, 16}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	results := byNet["LeNet"]
 	var sb strings.Builder
 	if err := WriteResultsJSON(&sb, results); err != nil {
 		t.Fatal(err)

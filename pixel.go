@@ -213,6 +213,7 @@ func MeasureHeadlines() Headlines {
 type MAC struct {
 	design Design
 	bits   int
+	terms  int
 	ee     interface {
 		Multiply(a, b uint64) (uint64, error)
 		Dot(a, b []uint64) (uint64, error)
@@ -229,7 +230,10 @@ func NewMAC(d Design, bits, terms int) (*MAC, error) {
 	if bits < 1 || bits > 16 {
 		return nil, fmt.Errorf("%w: bits %d out of range [1,16]", ErrBadPrecision, bits)
 	}
-	m := &MAC{design: d, bits: bits, led: optsim.NewLedger()}
+	if terms < 1 {
+		return nil, fmt.Errorf("%w: terms %d must be >= 1", ErrBadSpec, terms)
+	}
+	m := &MAC{design: d, bits: bits, terms: terms, led: optsim.NewLedger()}
 	cfg := omac.DefaultConfig(4, bits)
 	var err error
 	switch d {
@@ -264,7 +268,12 @@ func (m *MAC) Multiply(a, b uint64) (uint64, error) {
 }
 
 // DotProduct computes the inner product of two equal-length vectors.
+// A vector longer than the MAC's terms would overflow the accumulator
+// and is rejected with ErrBadSpec.
 func (m *MAC) DotProduct(a, b []uint64) (uint64, error) {
+	if len(a) > m.terms {
+		return 0, fmt.Errorf("%w: %d-term dot product on a MAC built for %d terms", ErrBadSpec, len(a), m.terms)
+	}
 	switch m.design {
 	case EE:
 		return m.ee.Dot(a, b)
@@ -275,14 +284,18 @@ func (m *MAC) DotProduct(a, b []uint64) (uint64, error) {
 	}
 }
 
-// SignedDotProduct computes a signed inner product. Operands must fit
-// the MAC's precision as two's-complement values; on the optical
-// designs they travel offset-binary encoded (light carries no sign)
-// with an exact electrical correction.
+// SignedDotProduct computes a signed inner product of at most the MAC's
+// terms (ErrBadSpec otherwise). Operands must fit the MAC's precision
+// as two's-complement values; on the optical designs they travel
+// offset-binary encoded (light carries no sign) with an exact
+// electrical correction.
 func (m *MAC) SignedDotProduct(a, b []int64) (int64, error) {
+	if len(a) > m.terms {
+		return 0, fmt.Errorf("%w: %d-term dot product on a MAC built for %d terms", ErrBadSpec, len(a), m.terms)
+	}
 	switch m.design {
 	case EE:
-		se, err := bitserial.NewSignedEngine(m.bits, maxInt(len(a), 1))
+		se, err := bitserial.NewSignedEngine(m.bits, m.terms)
 		if err != nil {
 			return 0, err
 		}
@@ -295,16 +308,9 @@ func (m *MAC) SignedDotProduct(a, b []int64) (int64, error) {
 	}
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // EnergyJ returns the energy metered so far [J], by component. The EE
-// design's functional adapter does not meter energy (use Evaluate for
-// EE costs); it returns an empty map.
+// design's functional adapter does not meter energy (use
+// EvaluateContext for EE costs); it returns an empty map.
 func (m *MAC) EnergyJ() map[string]float64 {
 	if m.led == nil {
 		return map[string]float64{}

@@ -201,6 +201,26 @@ func TestMACDotProductAndMetering(t *testing.T) {
 	if len(ee.EnergyJ()) != 0 {
 		t.Error("EE MAC meters no energy by design")
 	}
+
+	// A dot product longer than the terms the MAC was built for would
+	// overflow its accumulator; it is rejected, never wrapped.
+	for _, d := range Designs() {
+		m, err := NewMAC(d, 4, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u := []uint64{15, 15, 15, 15}
+		if got, err := m.DotProduct(u, u); !errors.Is(err, ErrBadSpec) {
+			t.Errorf("%v: 4-term dot on a 1-term MAC = %d, %v; want ErrBadSpec", d, got, err)
+		}
+		s := []int64{7, 7, 7, 7}
+		if got, err := m.SignedDotProduct(s, s); !errors.Is(err, ErrBadSpec) {
+			t.Errorf("%v: 4-term signed dot on a 1-term MAC = %d, %v; want ErrBadSpec", d, got, err)
+		}
+		if got, err := m.DotProduct(u[:1], u[:1]); err != nil || got != 225 {
+			t.Errorf("%v: 1-term dot = %d, %v; want 225", d, got, err)
+		}
+	}
 }
 
 func TestMACSignedDotProductAllDesigns(t *testing.T) {
@@ -231,5 +251,10 @@ func TestNewMACValidation(t *testing.T) {
 	}
 	if _, err := NewMAC(Design(9), 8, 1); !errors.Is(err, ErrUnknownDesign) {
 		t.Errorf("unknown design: err = %v, want ErrUnknownDesign", err)
+	}
+	for _, d := range Designs() {
+		if _, err := NewMAC(d, 8, 0); !errors.Is(err, ErrBadSpec) {
+			t.Errorf("%v terms 0: err = %v, want ErrBadSpec", d, err)
+		}
 	}
 }

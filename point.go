@@ -5,9 +5,6 @@ import (
 	"fmt"
 
 	"pixel/internal/arch"
-	"pixel/internal/interconnect"
-	"pixel/internal/mapper"
-	"pixel/internal/phy"
 	sweepeng "pixel/internal/sweep"
 )
 
@@ -53,7 +50,7 @@ func (p Point) engineJob(network string) sweepeng.Job {
 
 // Grid enumerates the cross product of the axes in the canonical
 // deterministic order: design-major, then lanes, then bits — the order
-// Sweep results come back in.
+// SweepNetworks returns each network's results in.
 func Grid(designs []Design, lanesAxis, bitsAxis []int) []Point {
 	out := make([]Point, 0, len(designs)*len(lanesAxis)*len(bitsAxis))
 	for _, d := range designs {
@@ -66,14 +63,9 @@ func Grid(designs []Design, lanesAxis, bitsAxis []int) []Point {
 	return out
 }
 
-// Evaluate prices a full inference of the named network at this point,
-// through the shared memoized engine.
-func (p Point) Evaluate(network string) (Result, error) {
-	return EvaluateContext(context.Background(), network, p)
-}
-
-// EvaluateContext is Evaluate with cancellation: it returns promptly
-// with the context's error once ctx is done.
+// EvaluateContext prices a full inference of the named network at point
+// p through the shared memoized engine. It returns promptly with the
+// context's error once ctx is done.
 func EvaluateContext(ctx context.Context, network string, p Point) (Result, error) {
 	return defaultEngine.EvaluateContext(ctx, network, p)
 }
@@ -106,77 +98,6 @@ func resultFromCost(network string, p Point, c arch.NetworkCost) Result {
 		})
 	}
 	return res
-}
-
-// Power returns the chip-level power budget of the named network at
-// this point.
-func (p Point) Power(network string) (PowerSummary, error) {
-	net, err := resolveNetwork(network)
-	if err != nil {
-		return PowerSummary{}, err
-	}
-	cfg, err := p.config()
-	if err != nil {
-		return PowerSummary{}, err
-	}
-	pw, err := arch.Power(net, cfg)
-	if err != nil {
-		return PowerSummary{}, err
-	}
-	return PowerSummary{
-		Network:  network,
-		Design:   p.Design,
-		Lanes:    p.Lanes,
-		Bits:     p.Bits,
-		DynamicW: pw.DynamicW.Total(),
-		StaticW:  pw.TotalStaticW(),
-		LaserW:   pw.LaserIdleW,
-		TotalW:   pw.TotalW(),
-	}, nil
-}
-
-// Area returns the MAC-unit ensemble area [m^2] at this point.
-func (p Point) Area() (float64, error) {
-	cfg, err := p.config()
-	if err != nil {
-		return 0, err
-	}
-	return arch.Area(cfg).Total(), nil
-}
-
-// MapToGrid schedules the named network onto a rows x cols tile grid
-// at this point, using photonic weight streaming when photonicWeights
-// is set. Unusable grid shapes surface ErrBadGrid.
-func (p Point) MapToGrid(network string, rows, cols int, photonicWeights bool) (ScheduleSummary, error) {
-	net, err := resolveNetwork(network)
-	if err != nil {
-		return ScheduleSummary{}, err
-	}
-	cfg, err := p.config()
-	if err != nil {
-		return ScheduleSummary{}, err
-	}
-	grid, err := interconnect.NewGrid(rows, cols, p.Lanes, 10*phy.Gigahertz)
-	if err != nil {
-		return ScheduleSummary{}, fmt.Errorf("%w: %v", ErrBadGrid, err)
-	}
-	transport := mapper.ElectricalPreload
-	if photonicWeights {
-		transport = mapper.PhotonicPreload
-	}
-	s, err := mapper.MapNetwork(net, grid, cfg, mapper.Options{Transport: transport})
-	if err != nil {
-		return ScheduleSummary{}, err
-	}
-	return ScheduleSummary{
-		Network:     network,
-		Rows:        rows,
-		Cols:        cols,
-		SequentialS: s.MakespanS,
-		PipelinedS:  s.PipelinedMakespanS,
-		PreloadJ:    s.PreloadJ,
-		Utilization: s.MeanUtilization(),
-	}, nil
 }
 
 // config builds the point's validated arch configuration through the

@@ -31,61 +31,6 @@ func TestPointString(t *testing.T) {
 	}
 }
 
-// TestPointWrappersAgree locks the ...Context entry points to the
-// Point methods they delegate to.
-func TestPointWrappersAgree(t *testing.T) {
-	ctx := context.Background()
-	p := Point{OO, 4, 8}
-
-	r1, err := EvaluateContext(ctx, "LeNet", p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := p.Evaluate("LeNet")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.EnergyJ != r2.EnergyJ || r1.LatencyS != r2.LatencyS || r1.EDP != r2.EDP {
-		t.Error("EvaluateContext and Point.Evaluate disagree")
-	}
-
-	a1, err := AreaContext(ctx, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := p.Area()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a1 != a2 {
-		t.Error("AreaContext and Point.Area disagree")
-	}
-
-	p1, err := PowerContext(ctx, "LeNet", p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := p.Power("LeNet")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1 != p2 {
-		t.Error("PowerContext and Point.Power disagree")
-	}
-
-	s1, err := MapContext(ctx, MapSpec{Network: "LeNet", Point: p, Rows: 4, Cols: 4, PhotonicWeights: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := p.MapToGrid("LeNet", 4, 4, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s1 != s2 {
-		t.Error("MapContext and Point.MapToGrid disagree")
-	}
-}
-
 func TestEvaluateContext(t *testing.T) {
 	r, err := EvaluateContext(context.Background(), "LeNet", Point{OE, 4, 8})
 	if err != nil {

@@ -213,13 +213,8 @@ func (r RobustnessReport) MinYield() float64 {
 // perturb.
 func RobustnessNetworks() []string { return montecarlo.Networks() }
 
-// Robustness runs a Monte-Carlo variation sweep — the positional
-// context-free form of RobustnessContext.
-func Robustness(spec RobustnessSpec) (RobustnessReport, error) {
-	return RobustnessContext(context.Background(), spec)
-}
-
-// RobustnessContext runs the sweep with cancellation. Spec failures
+// RobustnessContext runs a Monte-Carlo variation sweep with
+// cancellation. Spec failures
 // surface ErrUnknownNetwork, ErrUnknownDesign or ErrBadSpec; the
 // report is bit-identical for any Workers value. For a resumable run
 // with progress hooks, build a RobustnessJob instead — this is the

@@ -35,7 +35,7 @@ func TestRobustnessSentinels(t *testing.T) {
 	for _, tc := range cases {
 		spec := good
 		tc.mut(&spec)
-		if _, err := Robustness(spec); !errors.Is(err, tc.want) {
+		if _, err := RobustnessContext(context.Background(), spec); !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want errors.Is(%v)", tc.name, err, tc.want)
 		}
 	}
@@ -102,7 +102,7 @@ func TestRobustnessProtected(t *testing.T) {
 		Workers:    1,
 		Protection: &ProtectionSpec{Scheme: "guardband"},
 	}
-	rep, err := Robustness(spec)
+	rep, err := RobustnessContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestRobustnessProtected(t *testing.T) {
 			pr.MinYield(), rep.MinYield())
 	}
 	spec.Workers = 4
-	rep2, err := Robustness(spec)
+	rep2, err := RobustnessContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestRobustnessProtected(t *testing.T) {
 	}
 	// A bad scheme surfaces the spec sentinel through the facade.
 	spec.Protection = &ProtectionSpec{Scheme: "ecc"}
-	if _, err := Robustness(spec); !errors.Is(err, ErrBadSpec) {
+	if _, err := RobustnessContext(context.Background(), spec); !errors.Is(err, ErrBadSpec) {
 		t.Errorf("unknown scheme: err = %v, want ErrBadSpec", err)
 	}
 }
@@ -167,7 +167,7 @@ func TestRobustnessRuns(t *testing.T) {
 		t.Errorf("σ=0 yield %g, want 1", rep.Points[0].Yield)
 	}
 	spec.Workers = 4
-	rep2, err := Robustness(spec)
+	rep2, err := RobustnessContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

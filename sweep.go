@@ -42,27 +42,6 @@ func (o *SweepOptions) runOptions() sweepeng.RunOptions {
 	return sweepeng.RunOptions{Workers: o.Workers, Progress: o.Progress}
 }
 
-// Sweep evaluates a network over a grid of design points — the
-// programmatic form of the design-space exploration the paper performs
-// across lanes and bits/lane. Results come back in deterministic order
-// (design, then lanes, then bits), bit-identical to evaluating each
-// point serially, but computed across a worker pool with shared-work
-// memoization (see SweepContext).
-func Sweep(network string, designs []Design, lanesAxis, bitsAxis []int) ([]Result, error) {
-	if len(designs) == 0 || len(lanesAxis) == 0 || len(bitsAxis) == 0 {
-		return nil, fmt.Errorf("pixel: sweep axes must be non-empty")
-	}
-	return SweepContext(context.Background(), network, Grid(designs, lanesAxis, bitsAxis), nil)
-}
-
-// SweepContext evaluates a network over explicit design points (see
-// Grid) through the concurrent engine. Results come back in point
-// order regardless of worker scheduling. On cancellation it returns
-// promptly with the context's error; opts may be nil.
-func SweepContext(ctx context.Context, network string, points []Point, opts *SweepOptions) ([]Result, error) {
-	return defaultEngine.SweepContext(ctx, network, points, opts)
-}
-
 // SweepNetworks fans one grid of design points out across several
 // networks in a single worker-pool run. The result map holds one
 // point-ordered slice per network; the total grid is evaluated

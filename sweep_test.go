@@ -10,10 +10,11 @@ import (
 )
 
 func TestSweepGridComplete(t *testing.T) {
-	res, err := Sweep("LeNet", Designs(), []int{2, 4}, []int{4, 8})
+	byNet, err := SweepNetworks(context.Background(), []string{"LeNet"}, Grid(Designs(), []int{2, 4}, []int{4, 8}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := byNet["LeNet"]
 	if len(res) != 3*2*2 {
 		t.Fatalf("sweep points = %d, want 12", len(res))
 	}
@@ -28,7 +29,7 @@ func TestSweepGridComplete(t *testing.T) {
 	}
 }
 
-// TestSweepMatchesSerialGolden locks the engine-backed Sweep to the
+// TestSweepMatchesSerialGolden locks the engine-backed sweep to the
 // seed's serial triple loop: same deterministic (design, lanes, bits)
 // order, bit-identical values.
 func TestSweepMatchesSerialGolden(t *testing.T) {
@@ -64,11 +65,12 @@ func TestSweepMatchesSerialGolden(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 4} {
-		got, err := SweepContext(context.Background(), "AlexNet",
+		byNet, err := SweepNetworks(context.Background(), []string{"AlexNet"},
 			Grid(designs, lanesAxis, bitsAxis), &SweepOptions{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
+		got := byNet["AlexNet"]
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), len(want))
 		}
@@ -93,11 +95,12 @@ func TestSweepMatchesSerialGolden(t *testing.T) {
 // TestSweepSecondRunIsCached proves an identical repeat sweep performs
 // zero CostNetwork calls, via the engine's counter hook.
 func TestSweepSecondRunIsCached(t *testing.T) {
-	if _, err := Sweep("GoogLeNet", Designs(), []int{2, 4}, []int{4, 8}); err != nil {
+	points := Grid(Designs(), []int{2, 4}, []int{4, 8})
+	if _, err := SweepNetworks(context.Background(), []string{"GoogLeNet"}, points, nil); err != nil {
 		t.Fatal(err)
 	}
 	before := defaultEngine.CostCalls()
-	if _, err := Sweep("GoogLeNet", Designs(), []int{2, 4}, []int{4, 8}); err != nil {
+	if _, err := SweepNetworks(context.Background(), []string{"GoogLeNet"}, points, nil); err != nil {
 		t.Fatal(err)
 	}
 	if calls := defaultEngine.CostCalls() - before; calls != 0 {
@@ -108,7 +111,7 @@ func TestSweepSecondRunIsCached(t *testing.T) {
 func TestSweepContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := SweepContext(ctx, "LeNet", Grid(Designs(), []int{2, 4}, []int{4, 8}), nil)
+	_, err := SweepNetworks(ctx, []string{"LeNet"}, Grid(Designs(), []int{2, 4}, []int{4, 8}), nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -117,7 +120,7 @@ func TestSweepContextCancellation(t *testing.T) {
 	// with the context's error too.
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	defer cancel2()
-	_, err = SweepContext(ctx2, "LeNet", Grid(Designs(), []int{2, 4, 8}, []int{1, 2, 3}),
+	_, err = SweepNetworks(ctx2, []string{"LeNet"}, Grid(Designs(), []int{2, 4, 8}, []int{1, 2, 3}),
 		&SweepOptions{Workers: 1, Progress: func(done, total int) {
 			if done == 1 {
 				cancel2()
@@ -144,10 +147,11 @@ func TestSweepNetworksFanOut(t *testing.T) {
 			t.Fatalf("%s: %d results, want %d", name, len(results), len(points))
 		}
 		// Each network's slice must match its single-network sweep.
-		single, err := SweepContext(context.Background(), name, points, nil)
+		one, err := SweepNetworks(context.Background(), []string{name}, points, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		single := one[name]
 		for i := range single {
 			if results[i].EDP != single[i].EDP || results[i].Network != name {
 				t.Errorf("%s point %d drifted from single-network sweep", name, i)
@@ -165,7 +169,7 @@ func TestSweepNetworksFanOut(t *testing.T) {
 func TestSweepProgress(t *testing.T) {
 	var last, total int
 	points := Grid(Designs(), []int{2}, []int{4, 8})
-	_, err := SweepContext(context.Background(), "LeNet", points,
+	_, err := SweepNetworks(context.Background(), []string{"LeNet"}, points,
 		&SweepOptions{Progress: func(d, tot int) { last, total = d, tot }})
 	if err != nil {
 		t.Fatal(err)
@@ -176,25 +180,30 @@ func TestSweepProgress(t *testing.T) {
 }
 
 func TestSweepValidation(t *testing.T) {
-	if _, err := Sweep("LeNet", nil, []int{4}, []int{8}); err == nil {
+	sweep := func(network string, designs []Design, lanesAxis, bitsAxis []int) error {
+		_, err := SweepNetworks(context.Background(), []string{network}, Grid(designs, lanesAxis, bitsAxis), nil)
+		return err
+	}
+	if err := sweep("LeNet", nil, []int{4}, []int{8}); err == nil {
 		t.Error("empty designs should error")
 	}
-	if _, err := Sweep("NopeNet", Designs(), []int{4}, []int{8}); !errors.Is(err, ErrUnknownNetwork) {
+	if err := sweep("NopeNet", Designs(), []int{4}, []int{8}); !errors.Is(err, ErrUnknownNetwork) {
 		t.Error("unknown network should surface ErrUnknownNetwork")
 	}
-	if _, err := Sweep("LeNet", Designs(), []int{0}, []int{8}); err == nil {
+	if err := sweep("LeNet", Designs(), []int{0}, []int{8}); err == nil {
 		t.Error("invalid lanes should error")
 	}
-	if _, err := Sweep("LeNet", []Design{Design(9)}, []int{4}, []int{8}); !errors.Is(err, ErrUnknownDesign) {
+	if err := sweep("LeNet", []Design{Design(9)}, []int{4}, []int{8}); !errors.Is(err, ErrUnknownDesign) {
 		t.Error("unknown design should surface ErrUnknownDesign")
 	}
 }
 
 func TestBestEDPAndRank(t *testing.T) {
-	res, err := Sweep("AlexNet", Designs(), []int{4}, []int{8, 16})
+	byNet, err := SweepNetworks(context.Background(), []string{"AlexNet"}, Grid(Designs(), []int{4}, []int{8, 16}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := byNet["AlexNet"]
 	best, err := BestEDP(res)
 	if err != nil {
 		t.Fatal(err)
