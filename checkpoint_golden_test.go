@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"testing"
 )
@@ -52,31 +53,37 @@ var goldenJobs = []struct {
 	},
 }
 
+// snapshotDirEnv names the directory a re-executed test binary writes
+// the cut jobs' snapshots to.
+const snapshotDirEnv = "PIXEL_TEST_GOLDEN_SNAPSHOT_DIR"
+
 // TestCheckpointGoldens: the snapshot of a half-done job is
 // byte-identical to the golden, and restoring the golden then running
 // finishes byte-identical to an uninterrupted run.
+//
+// encoding/gob numbers types per process in the order they are first
+// encoded, so a snapshot's bytes depend on what the process encoded
+// before it. The goldens were written by a process that encoded the
+// sweep snapshot and then the robustness one, so the cut jobs run in a
+// fresh test binary that does just that.
 func TestCheckpointGoldens(t *testing.T) {
+	if dir := os.Getenv(snapshotDirEnv); dir != "" {
+		writeCutSnapshots(t, dir)
+		return
+	}
+	dir := t.TempDir()
+	cmd := exec.Command(os.Args[0], "-test.run=^TestCheckpointGoldens$", "-test.count=1")
+	cmd.Env = append(os.Environ(), snapshotDirEnv+"="+dir)
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("snapshot process: %v\n%s", err, out)
+	}
 	for _, g := range goldenJobs {
 		t.Run(g.name, func(t *testing.T) {
 			golden, err := os.ReadFile(filepath.Join("testdata", g.file))
 			if err != nil {
 				t.Fatal(err)
 			}
-
-			cut, err := g.build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			if _, err := g.run(ctx, cut, func(done int) {
-				if done >= g.cut {
-					cancel()
-				}
-			}); !errors.Is(err, context.Canceled) {
-				t.Fatalf("cut run: err = %v, want context.Canceled", err)
-			}
-			snap, err := cut.Snapshot()
+			snap, err := os.ReadFile(filepath.Join(dir, g.file))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,6 +97,33 @@ func TestCheckpointGoldens(t *testing.T) {
 				t.Fatalf("resumed from %s:\n%s\nwant\n%s", g.file, got, want)
 			}
 		})
+	}
+}
+
+// writeCutSnapshots runs each golden job until it is cut and writes its
+// snapshot to dir under the golden's file name, in goldenJobs order.
+func writeCutSnapshots(t *testing.T, dir string) {
+	for _, g := range goldenJobs {
+		cut, err := g.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		if _, err := g.run(ctx, cut, func(done int) {
+			if done >= g.cut {
+				cancel()
+			}
+		}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s cut run: err = %v, want context.Canceled", g.name, err)
+		}
+		cancel()
+		snap, err := cut.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, g.file), snap, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

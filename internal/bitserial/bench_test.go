@@ -176,17 +176,32 @@ func BenchmarkPerturbedDotProduct(b *testing.B) {
 }
 
 // BenchmarkFlipStreamRefill is the cost of drawing one geometric flip
-// gap at the sparse and dense ends of a Monte-Carlo trial's rates.
+// gap at the sparse and dense ends of a Monte-Carlo trial's rates, from
+// the per-draw (rand) and seeded source forms, with the vector gap
+// kernel on and off.
 func BenchmarkFlipStreamRefill(b *testing.B) {
-	for _, p := range []float64{0.01, 0.05} {
-		b.Run(fmt.Sprint(p), func(b *testing.B) {
-			s := newFlipStream(p, rand.New(rand.NewSource(1)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.refill()
+	for _, vec := range []bool{true, false} {
+		for _, form := range []string{"rand", "seeded"} {
+			for _, p := range []float64{0.01, 0.05} {
+				b.Run(fmt.Sprintf("vec=%v/%s/%v", vec, form, p), func(b *testing.B) {
+					prev := setVecForTest(vec)
+					defer setVecForTest(prev)
+					if useVec != vec {
+						b.Skip("no vector kernel in this build")
+					}
+					src := wordSource{rng: rand.New(rand.NewSource(1))}
+					if form == "seeded" {
+						src = seededWords(1)
+					}
+					s := newFlipStream(p, src)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						s.refill()
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(s.gaps)), "ns/gap")
+				})
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(s.gaps)), "ns/gap")
-		})
+		}
 	}
 }
 

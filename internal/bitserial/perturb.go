@@ -52,17 +52,19 @@ func (r FlipRates) Zero() bool { return r.Mul <= 0 && r.Acc <= 0 }
 // errors, so yield curves degrade monotonically rather than jitter
 // with resampling noise.
 //
-// Gaps are drawn ahead in chunks of len(gaps). Each gap is
-// floor(math.Log(1-U)/log1p(-p)) bit for bit, computed from a table
-// logarithm whose error bound certifies the floor; only a quotient too
-// close to an integer to certify pays for math.Log (see certifiedGap).
-// The stream owns its rand source, so drawing ahead changes no gap.
+// Gaps are drawn ahead a block at a time: the stream's wordSource
+// fills gaps with the next blockLen words, and flipGaps turns them
+// into gaps in place. Each gap is floor(math.Log(1-U)/log1p(-p)) bit
+// for bit, computed from a table logarithm whose error bound certifies
+// the floor; only a quotient too close to an integer to certify pays
+// for math.Log (see certifiedGap). The stream owns its source, so
+// drawing ahead changes no gap.
 type flipStream struct {
 	p float64
 	// lp is math.Log1p(-p), the gap sampler's denominator, and ilp its
 	// reciprocal.
 	lp, ilp float64
-	rng     *rand.Rand
+	src     wordSource
 	// countdown is the number of clean bits remaining before the next
 	// scheduled flip.
 	countdown uint64
@@ -75,7 +77,7 @@ type flipStream struct {
 	words    int64
 	oddWords int64
 	// gaps[next:] are drawn gaps not yet consumed.
-	gaps [256]uint64
+	gaps [blockLen]uint64
 	next int
 }
 
@@ -84,9 +86,9 @@ type flipStream struct {
 // inferences, far beyond any run length.
 const maxGap = uint64(1) << 60
 
-func newFlipStream(p float64, rng *rand.Rand) *flipStream {
+func newFlipStream(p float64, src wordSource) *flipStream {
 	lp := math.Log1p(-p)
-	s := &flipStream{p: p, lp: lp, ilp: 1 / lp, rng: rng}
+	s := &flipStream{p: p, lp: lp, ilp: 1 / lp, src: src}
 	s.next = len(s.gaps)
 	if p > 0 {
 		s.countdown = s.gap()
@@ -111,14 +113,36 @@ func (s *flipStream) refill() {
 	if s.p >= 1 {
 		return // the gaps were never written and stay zero
 	}
-	for i := range s.gaps {
-		// 1-Float64() is in (0, 1], keeping the log finite.
-		x := 1 - s.rng.Float64()
-		g, ok := certifiedGap(fastLog(x), s.ilp)
-		if !ok {
-			g = exactGap(x, s.lp)
+	s.src.fill(&s.gaps)
+	flipGaps(&s.gaps, s.lp, s.ilp)
+}
+
+// uncertified marks a lane the vector kernel could not certify: the
+// lane keeps its word with bit 63, which no word sets, turned on.
+const uncertified = 1 << 63
+
+// flipGaps turns a block of words into their gaps in place: word v
+// draws U = v/2^63 and the gap floor(math.Log(1-U)/lp), from the
+// certified table log where it can be. Where the build and the CPU
+// have a vector kernel, it does this four lanes at a time with the
+// same table log and bracket, and marks the lanes it cannot certify
+// for the scalar loop below, which is the definition.
+func flipGaps(b *[blockLen]uint64, lp, ilp float64) {
+	vec := useVec
+	if vec && flipGapsVec(b, ilp) {
+		return
+	}
+	for i, v := range b {
+		if vec && v < uncertified {
+			continue
 		}
-		s.gaps[i] = g
+		// 1-U is in (0, 1], keeping the log finite.
+		x := 1 - float64(int64(v&^uncertified))/(1<<63)
+		g, ok := certifiedGap(fastLog(x), ilp)
+		if !ok {
+			g = exactGap(x, lp)
+		}
+		b[i] = g
 	}
 }
 
@@ -324,14 +348,36 @@ func NewPerturbedEngine(bits, terms int, rates FlipRates, mulRng, accRng *rand.R
 	if rates.Mul > 0 && rates.Acc > 0 && mulRng == accRng {
 		return nil, fmt.Errorf("bitserial: multiply and accumulate flips need separate rand streams")
 	}
+	return newPerturbedEngine(bits, terms, rates, wordSource{rng: mulRng}, wordSource{rng: accRng})
+}
+
+// NewSeededPerturbedEngine is NewPerturbedEngine with its streams given
+// as seeds: it injects exactly the flips NewPerturbedEngine does on
+// rand.New(rand.NewSource(mulSeed)) and rand.New(rand.NewSource(accSeed)),
+// but draws each stream's words a block at a time. A rate that draws
+// nothing (<= 0 or >= 1) builds no source.
+func NewSeededPerturbedEngine(bits, terms int, rates FlipRates, mulSeed, accSeed int64) (*PerturbedEngine, error) {
+	if err := rates.Validate(); err != nil {
+		return nil, err
+	}
+	seeded := func(p float64, seed int64) wordSource {
+		if p <= 0 || p >= 1 {
+			return wordSource{}
+		}
+		return seededWords(seed)
+	}
+	return newPerturbedEngine(bits, terms, rates, seeded(rates.Mul, mulSeed), seeded(rates.Acc, accSeed))
+}
+
+func newPerturbedEngine(bits, terms int, rates FlipRates, mul, acc wordSource) (*PerturbedEngine, error) {
 	base, err := NewFastEngine(bits, terms)
 	if err != nil {
 		return nil, err
 	}
 	return &PerturbedEngine{
 		base:      base,
-		mul:       newFlipStream(rates.Mul, mulRng),
-		acc:       newFlipStream(rates.Acc, accRng),
+		mul:       newFlipStream(rates.Mul, mul),
+		acc:       newFlipStream(rates.Acc, acc),
 		prodWidth: 2 * bits,
 	}, nil
 }

@@ -76,7 +76,7 @@ func TestPerturbedInjectsAtRateOne(t *testing.T) {
 func TestFlipCountMonotoneInRate(t *testing.T) {
 	const seed = 99
 	workload := func(p float64) int64 {
-		s := newFlipStream(p, rand.New(rand.NewSource(seed)))
+		s := newFlipStream(p, wordSource{rng: rand.New(rand.NewSource(seed))})
 		for i := 0; i < 5000; i++ {
 			s.apply(0, 16)
 		}
@@ -100,7 +100,7 @@ func TestFlipCountMonotoneInRate(t *testing.T) {
 // realized rate against its nominal p.
 func TestFlipStreamRateConverges(t *testing.T) {
 	for _, p := range []float64{0.001, 0.01, 0.1} {
-		s := newFlipStream(p, rand.New(rand.NewSource(3)))
+		s := newFlipStream(p, wordSource{rng: rand.New(rand.NewSource(3))})
 		for i := 0; i < 200000; i++ {
 			s.apply(0, 8)
 		}
@@ -174,8 +174,8 @@ func TestFlipMasks(t *testing.T) {
 	for _, p := range rates {
 		for trial := 0; trial < 40; trial++ {
 			seed := cases.Int63()
-			got := newFlipStream(p, rand.New(rand.NewSource(seed)))
-			ref := newFlipStream(p, rand.New(rand.NewSource(seed)))
+			got := newFlipStream(p, wordSource{rng: rand.New(rand.NewSource(seed))})
+			ref := newFlipStream(p, wordSource{rng: rand.New(rand.NewSource(seed))})
 			if p > 0 && trial%2 == 0 {
 				// Schedule an early flip, so the gap after it overflows
 				// at 1e-300.

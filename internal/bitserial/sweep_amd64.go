@@ -58,6 +58,7 @@ func init() {
 	if hasAVX2() {
 		sweepQuadVec = sweepQuadAVX2
 		sweepQuadPackedVec = sweepQuadPackedAVX2
+		flipGapsVec = flipGapsAVX2
 		useVec = true
 	}
 }

@@ -1,18 +1,25 @@
 package bitserial
 
-// Vector-kernel dispatch for the batched filter sweep. On hosts with a
-// vector implementation (amd64 with AVX2, unless built with the purego
-// tag) the init in sweep_amd64.go plugs the assembly kernels in here;
-// everywhere else the pointers stay nil and the scalar sweeps in
-// batch.go run alone. The kernels compute lane blocks of four words at
-// a time over the same column store the scalar sweep walks; because
-// every lane accumulates independently mod 2^64, the two orders of
-// summation produce bit-identical accumulators (pinned by
-// TestSweepVectorMatchesScalar).
+// Vector-kernel dispatch for the batched filter sweep and the flip-gap
+// block. On hosts with a vector implementation (amd64 with AVX2,
+// unless built with the purego tag) the init in sweep_amd64.go plugs
+// the assembly kernels in here; everywhere else the pointers stay nil
+// and the scalar loops in batch.go and perturb.go run alone. The sweep
+// kernels compute lane blocks of four words at a time over the same
+// column store the scalar sweep walks; because every lane accumulates
+// independently mod 2^64, the two orders of summation produce
+// bit-identical accumulators (pinned by TestSweepVectorMatchesScalar).
+// The gap kernel repeats flipGaps' scalar operations four lanes at a
+// time and leaves to them every lane it cannot certify (pinned by the
+// TestFlipGap tests, run with the kernels on and off).
 var (
 	// useVec gates the vector kernels; false when the build excludes
 	// them or the CPU lacks AVX2.
 	useVec bool
+	// flipGapsVec turns a block of words into gaps in place, as
+	// flipGaps does, except that it marks each lane it cannot certify
+	// with uncertified instead; it reports whether it certified all.
+	flipGapsVec func(b *[blockLen]uint64, ilp float64) bool
 	// sweepQuadVec computes acc_k[w] = Σ_i cols[i*words+w] * fl_k[i]
 	// mod 2^64 for lanes [0, words&^3) and four filters; column values
 	// must fit 32 bits (the unpacked lane store, bits <= 24).

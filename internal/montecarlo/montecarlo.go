@@ -428,9 +428,8 @@ func infer(ctx context.Context, spec Spec, d qnn.Dotter, workers int) ([]int64, 
 // protected re-run rebuilds it with the same stream seeds, which is
 // what makes the paired curves share their fault draws.
 func newTrialEngine(spec Spec, rates bitserial.FlipRates, trial int) (*bitserial.PerturbedEngine, error) {
-	return bitserial.NewPerturbedEngine(spec.Bits, spec.Terms, rates,
-		rand.New(rand.NewSource(trialSeed(spec.Seed, trial, streamMul))),
-		rand.New(rand.NewSource(trialSeed(spec.Seed, trial, streamAcc))))
+	return bitserial.NewSeededPerturbedEngine(spec.Bits, spec.Terms, rates,
+		trialSeed(spec.Seed, trial, streamMul), trialSeed(spec.Seed, trial, streamAcc))
 }
 
 // mismatchFraction is the fraction of output elements differing from
