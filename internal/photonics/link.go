@@ -3,6 +3,7 @@ package photonics
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"pixel/internal/phy"
 )
@@ -22,11 +23,18 @@ type LinkBudget struct {
 	MarginDB float64
 }
 
-// TotalLossDB returns the summed path loss [dB].
+// TotalLossDB returns the summed path loss [dB]. It sums in key order,
+// so a budget's loss, and every power derived from it, is the same to
+// the last bit on every call.
 func (b LinkBudget) TotalLossDB() float64 {
+	keys := make([]string, 0, len(b.LossesDB))
+	for k := range b.LossesDB {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
 	total := 0.0
-	for _, v := range b.LossesDB {
-		total += v
+	for _, k := range keys {
+		total += b.LossesDB[k]
 	}
 	return total
 }

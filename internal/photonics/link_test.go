@@ -1,6 +1,7 @@
 package photonics
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -110,6 +111,22 @@ func TestLinkBudgetCloses(t *testing.T) {
 	// the budget closes.
 	if b.RequiredLaserPower() > b.LaserPowerPerWavelength {
 		t.Error("required power should not exceed available power for a closing budget")
+	}
+}
+
+// TestLinkBudgetTotalIsOrderFree pins the loss sum to one summation
+// order: float addition does not associate, so a sum that followed map
+// iteration order would vary in its last bits from call to call.
+func TestLinkBudgetTotalIsOrderFree(t *testing.T) {
+	b := LinkBudget{LossesDB: map[string]float64{
+		"modulator": 0.1, "waveguide": 0.2, "ring-passbys": 0.3,
+		"mrr-drop": 1.7, "mzi-chain": 2.9, "coupler": 1e-3,
+	}}
+	want := math.Float64bits(b.TotalLossDB())
+	for i := 0; i < 100; i++ {
+		if got := math.Float64bits(b.TotalLossDB()); got != want {
+			t.Fatalf("call %d: total loss bits %#x, first call %#x", i, got, want)
+		}
 	}
 }
 
