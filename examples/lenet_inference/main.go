@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"sort"
 
 	"pixel/internal/omac"
 	"pixel/internal/optsim"
@@ -110,8 +111,14 @@ func main() {
 	}
 
 	fmt.Println("\nall MACs executed on the simulated OO datapath; metered:")
-	for cat, j := range led.Breakdown() {
-		fmt.Printf("  %-6s %.4g nJ\n", cat, j*1e9)
+	energy := led.Breakdown()
+	cats := make([]string, 0, len(energy))
+	for cat := range energy {
+		cats = append(cats, cat)
+	}
+	sort.Strings(cats)
+	for _, cat := range cats {
+		fmt.Printf("  %-6s %.4g nJ\n", cat, energy[cat]*1e9)
 	}
 	fmt.Printf("  latency %.4g us\n", led.Latency()*1e6)
 }

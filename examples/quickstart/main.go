@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"sort"
 
 	"pixel"
 )
@@ -34,8 +35,14 @@ func main() {
 	fmt.Printf("optical <(2,0,3,8),(6,1,2,3)> = %d (paper's cycle-1 partial sum: 42)\n", dot)
 
 	fmt.Println("\nmetered by the simulation:")
-	for cat, joules := range mac.EnergyJ() {
-		fmt.Printf("  %-6s %.3g pJ\n", cat, joules*1e12)
+	energy := mac.EnergyJ()
+	cats := make([]string, 0, len(energy))
+	for cat := range energy {
+		cats = append(cats, cat)
+	}
+	sort.Strings(cats)
+	for _, cat := range cats {
+		fmt.Printf("  %-6s %.3g pJ\n", cat, energy[cat]*1e12)
 	}
 	fmt.Printf("  latency %.3g ns\n", mac.LatencyS()*1e9)
 

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"sort"
 
 	"pixel"
 	"pixel/internal/qnn"
@@ -74,7 +75,13 @@ func main() {
 	}
 	fmt.Println("\nsigned weights rode the unsigned optics offset-binary encoded;")
 	fmt.Println("the electrical correction used two narrow accumulators, metered:")
-	for cat, j := range mac.EnergyJ() {
-		fmt.Printf("  %-6s %.4g nJ\n", cat, j*1e9)
+	energy := mac.EnergyJ()
+	cats := make([]string, 0, len(energy))
+	for cat := range energy {
+		cats = append(cats, cat)
+	}
+	sort.Strings(cats)
+	for _, cat := range cats {
+		fmt.Printf("  %-6s %.4g nJ\n", cat, energy[cat]*1e9)
 	}
 }
