@@ -86,23 +86,16 @@ type RunOptions struct {
 type Engine struct {
 	workers int
 
+	// nets and cfgs memoize successes only, so client input that fails
+	// to resolve is never stored: nets holds the zoo networks resolved
+	// so far plus AddNetwork'd ones, cfgs at most the valid points.
 	mu   sync.Mutex
-	nets map[string]netEntry
-	cfgs map[Point]cfgEntry
+	nets map[string]cnn.Network
+	cfgs map[Point]arch.Config
 	res  *lruCache
 
 	costCalls atomic.Int64
 	cacheHits atomic.Int64
-}
-
-type netEntry struct {
-	net cnn.Network
-	err error
-}
-
-type cfgEntry struct {
-	cfg arch.Config
-	err error
 }
 
 // New returns an engine with the given options.
@@ -117,49 +110,55 @@ func New(opts Options) *Engine {
 	}
 	return &Engine{
 		workers: w,
-		nets:    map[string]netEntry{},
-		cfgs:    map[Point]cfgEntry{},
+		nets:    map[string]cnn.Network{},
+		cfgs:    map[Point]arch.Config{},
 		res:     newLRU(size),
 	}
 }
 
-// Network resolves a network by name, memoizing both hits and misses.
+// Network resolves a network by name, memoizing hits only.
 func (e *Engine) Network(name string) (cnn.Network, error) {
 	e.mu.Lock()
-	entry, ok := e.nets[name]
+	net, ok := e.nets[name]
 	e.mu.Unlock()
 	if ok {
-		return entry.net, entry.err
+		return net, nil
 	}
 	net, err := cnn.ByName(name)
+	if err != nil {
+		return net, err
+	}
 	e.mu.Lock()
-	e.nets[name] = netEntry{net, err}
+	e.nets[name] = net
 	e.mu.Unlock()
-	return net, err
+	return net, nil
 }
 
 // AddNetwork registers a network under its own name, so jobs can refer
 // to networks that are not in the built-in zoo.
 func (e *Engine) AddNetwork(net cnn.Network) {
 	e.mu.Lock()
-	e.nets[net.Name] = netEntry{net, nil}
+	e.nets[net.Name] = net
 	e.mu.Unlock()
 }
 
 // Config builds (or returns the memoized) validated configuration for
-// a point.
+// a point. Only valid points are memoized.
 func (e *Engine) Config(p Point) (arch.Config, error) {
 	e.mu.Lock()
-	entry, ok := e.cfgs[p]
+	cfg, ok := e.cfgs[p]
 	e.mu.Unlock()
 	if ok {
-		return entry.cfg, entry.err
+		return cfg, nil
 	}
 	cfg, err := arch.NewConfig(p.Design, p.Lanes, p.Bits)
+	if err != nil {
+		return cfg, err
+	}
 	e.mu.Lock()
-	e.cfgs[p] = cfgEntry{cfg, err}
+	e.cfgs[p] = cfg
 	e.mu.Unlock()
-	return cfg, err
+	return cfg, nil
 }
 
 // CostCalls returns how many times the engine has actually invoked
@@ -204,7 +203,7 @@ func (e *Engine) Evaluate(ctx context.Context, job Job) (arch.NetworkCost, error
 func (e *Engine) EvaluateNetwork(ctx context.Context, net cnn.Network, p Point) (arch.NetworkCost, error) {
 	e.mu.Lock()
 	if _, ok := e.nets[net.Name]; !ok {
-		e.nets[net.Name] = netEntry{net, nil}
+		e.nets[net.Name] = net
 	}
 	e.mu.Unlock()
 	return e.Evaluate(ctx, Job{Network: net.Name, Point: p})

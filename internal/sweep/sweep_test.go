@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -128,9 +129,36 @@ func TestRunValidationErrors(t *testing.T) {
 		RunOptions{}); err == nil {
 		t.Error("invalid lanes should error")
 	}
-	// Misses are memoized too: the same bad job fails again, cheaply.
+	// Misses are not memoized: the same bad job fails again.
 	if _, err := e.Network("NopeNet"); err == nil {
-		t.Error("memoized miss should still error")
+		t.Error("repeated miss should still error")
+	}
+}
+
+// TestRejectedInputsAreNotMemoized: network names and points arrive
+// from clients, so each rejected one must leave nothing behind, while
+// valid ones stay memoized.
+func TestRejectedInputsAreNotMemoized(t *testing.T) {
+	e := New(Options{})
+	ctx := context.Background()
+	good := Point{Design: arch.EE, Lanes: 4, Bits: 8}
+	if _, err := e.Evaluate(ctx, Job{Network: "LeNet", Point: good}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if _, err := e.Evaluate(ctx, Job{Network: fmt.Sprintf("NopeNet%d", i), Point: good}); err == nil {
+			t.Fatalf("unknown network %d should error", i)
+		}
+		bad := Point{Design: arch.EE, Lanes: -1 - i, Bits: 8}
+		if _, err := e.Evaluate(ctx, Job{Network: "LeNet", Point: bad}); err == nil {
+			t.Fatalf("invalid point %v should error", bad)
+		}
+	}
+	e.mu.Lock()
+	nets, cfgs := len(e.nets), len(e.cfgs)
+	e.mu.Unlock()
+	if nets != 1 || cfgs != 1 {
+		t.Errorf("memo holds %d networks and %d configs after 200 rejections, want 1 and 1", nets, cfgs)
 	}
 }
 
