@@ -3,9 +3,7 @@ package omac
 import (
 	"fmt"
 
-	"pixel/internal/elec"
 	"pixel/internal/optsim"
-	"pixel/internal/photonics"
 )
 
 // Ensemble simulates the full Figure 2 arrangement at the WDM-bus
@@ -21,58 +19,22 @@ import (
 // amortized L ways, exactly the "ease of implementing broadcast"
 // advantage the paper claims for photonics.
 type Ensemble struct {
-	cfg      Config
-	budget   photonics.LinkBudget
-	mod      *optsim.Modulator
-	wg       photonics.Waveguide
-	conv     *photonics.OEConverter
-	adder    *elec.CLAAdder
-	shifter  *elec.BarrelShifterFunc
-	accGates elec.GateCount
-	accWidth int
-	mask     uint64
+	oe *OEUnit
 }
 
 // NewEnsemble builds an L-OMAC hybrid (OE) ensemble for the
 // configuration; the window it executes has L lanes x L elements per
 // filter, so accumulators are sized for L^2 terms.
 func NewEnsemble(cfg Config) (*Ensemble, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	budget := cfg.OELinkBudget()
-	if err := budget.Check(); err != nil {
-		return nil, fmt.Errorf("omac: ensemble link budget: %w", err)
-	}
-	conv, err := photonics.NewOEConverter(budget.ReceivedPower())
+	u, err := NewOEUnit(cfg, cfg.Lanes*cfg.Lanes)
 	if err != nil {
 		return nil, err
 	}
-	accWidth := elec.AccumulatorWidth(cfg.Bits, cfg.Lanes*cfg.Lanes)
-	adder, err := elec.NewCLAAdder(accWidth)
-	if err != nil {
-		return nil, err
-	}
-	shifter, err := elec.NewBarrelShifter(accWidth)
-	if err != nil {
-		return nil, err
-	}
-	return &Ensemble{
-		cfg:      cfg,
-		budget:   budget,
-		mod:      optsim.NewModulator(budget.LaserPowerPerWavelength, cfg.Period()),
-		wg:       photonics.DefaultWaveguide(cfg.LinkLength),
-		conv:     conv,
-		adder:    adder,
-		shifter:  shifter,
-		accGates: elec.CLA(accWidth).Chain(elec.BarrelShifter(accWidth)).Add(elec.Register(accWidth)),
-		accWidth: accWidth,
-		mask:     (uint64(1) << uint(cfg.Bits)) - 1,
-	}, nil
+	return &Ensemble{oe: u}, nil
 }
 
 // Lanes returns the ensemble's lane/OMAC count.
-func (e *Ensemble) Lanes() int { return e.cfg.Lanes }
+func (e *Ensemble) Lanes() int { return e.oe.cfg.Lanes }
 
 // Window executes one full window on the bus:
 //
@@ -82,55 +44,17 @@ func (e *Ensemble) Lanes() int { return e.cfg.Lanes }
 // and returns filter k's accumulation sum_{i,j} I[i][j]*S[k][i][j].
 // inputs must be L x L and synapses L x L x L for lane count L.
 func (e *Ensemble) Window(inputs [][]uint64, synapses [][][]uint64, led *optsim.Ledger) ([]uint64, error) {
-	l := e.cfg.Lanes
-	if len(inputs) != l {
-		return nil, fmt.Errorf("omac: ensemble needs %d input lanes, got %d", l, len(inputs))
+	u := e.oe
+	if err := u.checkEnsembleWindow(inputs, synapses); err != nil {
+		return nil, err
 	}
-	for i, lane := range inputs {
-		if len(lane) != l {
-			return nil, fmt.Errorf("omac: input lane %d has %d elements, want %d", i, len(lane), l)
-		}
-		for j, v := range lane {
-			if v > e.mask {
-				return nil, fmt.Errorf("omac: input[%d][%d] exceeds %d-bit range", i, j, e.cfg.Bits)
-			}
-		}
-	}
-	if len(synapses) != l {
-		return nil, fmt.Errorf("omac: ensemble needs %d filters, got %d", l, len(synapses))
-	}
-	for k, f := range synapses {
-		if len(f) != l {
-			return nil, fmt.Errorf("omac: filter %d has %d lanes, want %d", k, len(f), l)
-		}
-		for i, lane := range f {
-			if len(lane) != l {
-				return nil, fmt.Errorf("omac: filter %d lane %d has %d elements, want %d", k, i, len(lane), l)
-			}
-			for j, v := range lane {
-				if v > e.mask {
-					return nil, fmt.Errorf("omac: synapse[%d][%d][%d] exceeds range", k, i, j)
-				}
-			}
-		}
-	}
-
-	bits := e.cfg.Bits
+	l, bits := u.cfg.Lanes, u.cfg.Bits
 	acc := make([]uint64, l)
 
 	// STR: one synapse bit position per cycle.
 	for b := 0; b < bits; b++ {
-		// The transmit side: every OMAC j modulates the words I[*][j]
-		// on its band — charged once, heard by all filters.
-		bus := make(optsim.Bus, l*l)
-		for j := 0; j < l; j++ { // writer OMAC j
-			for i := 0; i < l; i++ { // input lane i
-				ch := j*l + i
-				sig := e.mod.Modulate(wordBitsLSB(inputs[i][j], bits), ch, led)
-				bus[ch] = optsim.WaveguideRun(sig, e.wg, led)
-			}
-		}
-		e.cfg.laserEnergy(e.budget.LaserPowerPerWavelength, l*l*bits, led)
+		bus := u.broadcast(inputs, led)
+		u.cfg.laserEnergy(u.budget.LaserPowerPerWavelength, l*l*bits, led)
 
 		// The receive side: filter k's synapse lane i drops channel
 		// j*l+i through its double-MRR filter gated by synapse bit b.
@@ -138,26 +62,62 @@ func (e *Ensemble) Window(inputs [][]uint64, synapses [][][]uint64, led *optsim.
 			for i := 0; i < l; i++ {
 				for j := 0; j < l; j++ {
 					ch := j*l + i
-					filter := photonics.DoubleMRRFilter{
-						Params:  e.cfg.MRR,
-						Channel: ch,
-						On:      (synapses[k][i][j]>>uint(b))&1 == 1,
-					}
-					_, cross := optsim.ANDFilter(bus[ch], &filter, led)
-					gatedBits := optsim.DetectOOK(cross, e.conv, led)
-					var gated uint64
-					for t, bit := range gatedBits {
-						if bit == 1 && t < bits {
-							gated |= 1 << uint(t)
-						}
-					}
-					shifted := e.shifter.ShiftLeft(gated, b)
-					acc[k], _ = e.adder.Add(acc[k], shifted, false)
-					led.Charge(optsim.CatAdd, e.accGates.Energy(e.cfg.Tech))
+					acc[k] = u.gate(bus[ch], ch, (synapses[k][i][j]>>uint(b))&1 == 1, b, acc[k], led)
 				}
 			}
 		}
-		led.AddLatency(e.cfg.Tech.ClockPeriod())
+		led.AddLatency(u.cfg.Tech.ClockPeriod())
 	}
 	return acc, nil
+}
+
+// broadcast is the transmit side of the bus: every OMAC j modulates the
+// words I[*][j] on its band, charged once and heard by all filters.
+func (u *unit) broadcast(inputs [][]uint64, led *optsim.Ledger) optsim.Bus {
+	l := u.cfg.Lanes
+	bus := make(optsim.Bus, l*l)
+	for j := 0; j < l; j++ { // writer OMAC j
+		for i := 0; i < l; i++ { // input lane i
+			bus[j*l+i] = u.send(inputs[i][j], j*l+i, led)
+		}
+	}
+	return bus
+}
+
+// checkEnsembleWindow rejects a window that is not L x L inputs and
+// L x L x L synapses within the unit's precision.
+func (u *unit) checkEnsembleWindow(inputs [][]uint64, synapses [][][]uint64) error {
+	l := u.cfg.Lanes
+	if len(inputs) != l {
+		return fmt.Errorf("omac: ensemble needs %d input lanes, got %d", l, len(inputs))
+	}
+	for i, lane := range inputs {
+		if len(lane) != l {
+			return fmt.Errorf("omac: input lane %d has %d elements, want %d", i, len(lane), l)
+		}
+		for j, v := range lane {
+			if v > u.mask {
+				return fmt.Errorf("omac: input[%d][%d] exceeds %d-bit range", i, j, u.cfg.Bits)
+			}
+		}
+	}
+	if len(synapses) != l {
+		return fmt.Errorf("omac: ensemble needs %d filters, got %d", l, len(synapses))
+	}
+	for k, f := range synapses {
+		if len(f) != l {
+			return fmt.Errorf("omac: filter %d has %d lanes, want %d", k, len(f), l)
+		}
+		for i, lane := range f {
+			if len(lane) != l {
+				return fmt.Errorf("omac: filter %d lane %d has %d elements, want %d", k, i, len(lane), l)
+			}
+			for j, v := range lane {
+				if v > u.mask {
+					return fmt.Errorf("omac: synapse[%d][%d][%d] exceeds range", k, i, j)
+				}
+			}
+		}
+	}
+	return nil
 }

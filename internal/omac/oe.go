@@ -11,17 +11,12 @@ import (
 // OEUnit is the hybrid optical-electrical MAC of Figure 2(b): optical
 // AND through MRR filters, electrical shift-accumulate.
 type OEUnit struct {
-	cfg      Config
-	budget   photonics.LinkBudget
-	mod      *optsim.Modulator
-	wg       photonics.Waveguide
-	conv     *photonics.OEConverter
-	adder    *elec.CLAAdder
-	shifter  *elec.BarrelShifterFunc
-	accWidth int
-	// Gate counts priced once and charged per operation.
+	unit
+	conv    *photonics.OEConverter
+	shifter *elec.BarrelShifterFunc
+	// accGates is the shift-accumulate's gate count, priced once and
+	// charged per cycle.
 	accGates elec.GateCount
-	mask     uint64
 	// detuned injects a thermal-drift fault into the AND filter bank.
 	detuned bool
 }
@@ -30,54 +25,28 @@ type OEUnit struct {
 // accumulator is sized for `terms` products (use Lanes*elements for a
 // window; 1 for a bare multiply).
 func NewOEUnit(cfg Config, terms int) (*OEUnit, error) {
-	if err := cfg.Validate(); err != nil {
+	core, err := newUnit(cfg, terms, "OE", Config.OELinkBudget)
+	if err != nil {
 		return nil, err
-	}
-	if terms < 1 {
-		return nil, fmt.Errorf("omac: terms must be >= 1")
-	}
-	budget := cfg.OELinkBudget()
-	if err := budget.Check(); err != nil {
-		return nil, fmt.Errorf("omac: OE link budget: %w", err)
 	}
 	// Expected "one" level at the detector: launch power through the
 	// full loss stack.
-	onePower := budget.ReceivedPower()
-	conv, err := photonics.NewOEConverter(onePower)
+	conv, err := photonics.NewOEConverter(core.budget.ReceivedPower())
 	if err != nil {
 		return nil, fmt.Errorf("omac: OE converter: %w", err)
 	}
-	accWidth := elec.AccumulatorWidth(cfg.Bits, terms)
-	adder, err := elec.NewCLAAdder(accWidth)
+	shifter, err := elec.NewBarrelShifter(core.accWidth)
 	if err != nil {
 		return nil, err
 	}
-	shifter, err := elec.NewBarrelShifter(accWidth)
-	if err != nil {
-		return nil, err
-	}
+	w := core.accWidth
 	return &OEUnit{
-		cfg:      cfg,
-		budget:   budget,
-		mod:      optsim.NewModulator(budget.LaserPowerPerWavelength, cfg.Period()),
-		wg:       photonics.DefaultWaveguide(cfg.LinkLength),
+		unit:     core,
 		conv:     conv,
-		adder:    adder,
 		shifter:  shifter,
-		accWidth: accWidth,
-		accGates: elec.CLA(accWidth).Chain(elec.BarrelShifter(accWidth)).Add(elec.Register(accWidth)),
-		mask:     (uint64(1) << uint(cfg.Bits)) - 1,
+		accGates: elec.CLA(w).Chain(elec.BarrelShifter(w)).Add(elec.Register(w)),
 	}, nil
 }
-
-// Config returns the unit's configuration.
-func (u *OEUnit) Config() Config { return u.cfg }
-
-// LinkBudget returns the optical link budget the unit was built with.
-func (u *OEUnit) LinkBudget() photonics.LinkBudget { return u.budget }
-
-// AccumulatorWidth returns the electrical accumulator width in bits.
-func (u *OEUnit) AccumulatorWidth() int { return u.accWidth }
 
 // InjectDetuning drifts the AND filter bank off resonance (an
 // uncompensated thermal swing, see package thermal) — the
@@ -92,37 +61,33 @@ func (u *OEUnit) Multiply(neuron, synapse uint64, led *optsim.Ledger) (uint64, e
 		return 0, fmt.Errorf("omac: operand exceeds %d-bit range", u.cfg.Bits)
 	}
 	bits := u.cfg.Bits
-	train := wordBitsLSB(neuron, bits)
 	var acc uint64
 	for j := 0; j < bits; j++ {
 		// E/O: the neuron word is fired on its wavelength.
-		sig := u.mod.Modulate(train, sigChannel, led)
+		sig := u.send(neuron, sigChannel, led)
 		u.cfg.laserEnergy(u.budget.LaserPowerPerWavelength, bits, led)
-		// Photonic link to the filter bank.
-		sig = optsim.WaveguideRun(sig, u.wg, led)
-		// Optical AND: the synapse bit drives the double-MRR filter.
-		filter := photonics.DoubleMRRFilter{
-			Params:  u.cfg.MRR,
-			Channel: sigChannel,
-			On:      (synapse>>uint(j))&1 == 1,
-			Detuned: u.detuned,
-		}
-		_, cross := optsim.ANDFilter(sig, &filter, led)
-		// O/E: photodiode + shift register recovers the gated word.
-		gatedBits := optsim.DetectOOK(cross, u.conv, led)
-		var gated uint64
-		for t, b := range gatedBits {
-			if b == 1 && t < bits {
-				gated |= 1 << uint(t)
-			}
-		}
-		// Electrical shift-accumulate (the EP unit).
-		shifted := u.shifter.ShiftLeft(gated, j)
-		acc, _ = u.adder.Add(acc, shifted, false)
-		led.Charge(optsim.CatAdd, u.accGates.Energy(u.cfg.Tech))
+		acc = u.gate(sig, sigChannel, (synapse>>uint(j))&1 == 1, j, acc, led)
 		led.AddLatency(u.cfg.Tech.ClockPeriod())
 	}
 	return acc, nil
+}
+
+// gate is one Stripes cycle on a received word: the synapse bit `on`
+// drives the double-MRR AND filter on channel ch, the photodiode and
+// shift register recover the gated word (O/E), and the electrical EP
+// unit shift-adds it into acc.
+func (u *OEUnit) gate(sig *optsim.Signal, ch int, on bool, shift int, acc uint64, led *optsim.Ledger) uint64 {
+	filter := photonics.DoubleMRRFilter{Params: u.cfg.MRR, Channel: ch, On: on, Detuned: u.detuned}
+	_, cross := optsim.ANDFilter(sig, &filter, led)
+	var gated uint64
+	for t, b := range optsim.DetectOOK(cross, u.conv, led) {
+		if b == 1 && t < u.cfg.Bits {
+			gated |= 1 << uint(t)
+		}
+	}
+	acc, _ = u.adder.Add(acc, u.shifter.ShiftLeft(gated, shift), false)
+	led.Charge(optsim.CatAdd, u.accGates.Energy(u.cfg.Tech))
+	return acc
 }
 
 // sigChannel is the wavelength channel index used for single-MAC
@@ -130,43 +95,14 @@ func (u *OEUnit) Multiply(neuron, synapse uint64, led *optsim.Ledger) (uint64, e
 const sigChannel = 0
 
 // DotProduct computes the inner product of two vectors through the
-// hybrid datapath. Lanes ride distinct wavelengths in hardware; the
-// functional result is identical, so lanes are processed sequentially
-// here while energy is charged for all of them.
+// hybrid datapath.
 func (u *OEUnit) DotProduct(neurons, synapses []uint64, led *optsim.Ledger) (uint64, error) {
-	if len(neurons) != len(synapses) {
-		return 0, fmt.Errorf("omac: vector lengths differ (%d vs %d)", len(neurons), len(synapses))
-	}
-	var acc uint64
-	for i := range neurons {
-		p, err := u.Multiply(neurons[i], synapses[i], led)
-		if err != nil {
-			return 0, fmt.Errorf("omac: lane %d: %w", i, err)
-		}
-		acc, _ = u.adder.Add(acc, p, false)
-		led.Charge(optsim.CatAdd, elec.CLA(u.accWidth).Energy(u.cfg.Tech))
-	}
-	return acc, nil
+	return u.dot(u.Multiply, neurons, synapses, led)
 }
 
 // Window computes the paper's Figure 2 window (inputs[lane][element],
 // synapses[filter][lane][element]) through the hybrid datapath and
 // returns one raw accumulation per filter.
 func (u *OEUnit) Window(inputs [][]uint64, synapses [][][]uint64, led *optsim.Ledger) ([]uint64, error) {
-	out := make([]uint64, len(synapses))
-	for k, filter := range synapses {
-		if len(filter) != len(inputs) {
-			return nil, fmt.Errorf("omac: filter %d has %d lanes, inputs have %d", k, len(filter), len(inputs))
-		}
-		var acc uint64
-		for lane := range filter {
-			v, err := u.DotProduct(inputs[lane], filter[lane], led)
-			if err != nil {
-				return nil, fmt.Errorf("omac: filter %d lane %d: %w", k, lane, err)
-			}
-			acc, _ = u.adder.Add(acc, v, false)
-		}
-		out[k] = acc
-	}
-	return out, nil
+	return u.window(u.Multiply, inputs, synapses, led)
 }

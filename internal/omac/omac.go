@@ -13,6 +13,19 @@
 //     position-coded pulse train, digitised by a current-comparator
 //     ladder.
 //
+// The two designs differ only in how one product is formed, so both
+// units embed one core (configuration, link budget, transmitter, link
+// and the electrical merge adder) that owns everything else: the lane
+// loop of a dot product, the Figure 2 window and the signed
+// offset-binary correction. Each unit contributes its product step:
+// OEUnit.gate, one Stripes cycle, and OOUnit.product, one MZI-chain
+// product.
+//
+// Ensemble and OOEnsemble run the Figure 2 window at the WDM-bus level
+// (multiple-write-single-read), each on a unit of its design sized for
+// L^2 terms: the bus broadcasts every word once, and the unit's product
+// step runs on the broadcast signal.
+//
 // Both units charge every energy category (mul, add, o/e, comm, laser)
 // and the path latency to an optsim.Ledger while they compute, and both
 // are proven bit-exact against the electrical Stripes engine of package
@@ -99,6 +112,109 @@ func (c Config) Validate() error {
 
 // Period returns the optical bit-slot duration [s].
 func (c Config) Period() float64 { return 1 / c.BitRate }
+
+// unit is the core both optical MACs embed: everything but the product
+// step.
+type unit struct {
+	cfg      Config
+	budget   photonics.LinkBudget
+	mod      *optsim.Modulator
+	wg       photonics.Waveguide
+	adder    *elec.CLAAdder
+	accWidth int
+	mask     uint64
+}
+
+// newUnit validates cfg, checks the design's link budget (budgetFn) and
+// sizes the electrical adder for `terms` products.
+func newUnit(cfg Config, terms int, design string, budgetFn func(Config) photonics.LinkBudget) (unit, error) {
+	if err := cfg.Validate(); err != nil {
+		return unit{}, err
+	}
+	if terms < 1 {
+		return unit{}, fmt.Errorf("omac: terms must be >= 1")
+	}
+	budget := budgetFn(cfg)
+	if err := budget.Check(); err != nil {
+		return unit{}, fmt.Errorf("omac: %s link budget: %w", design, err)
+	}
+	accWidth := elec.AccumulatorWidth(cfg.Bits, terms)
+	adder, err := elec.NewCLAAdder(accWidth)
+	if err != nil {
+		return unit{}, err
+	}
+	return unit{
+		cfg:      cfg,
+		budget:   budget,
+		mod:      optsim.NewModulator(budget.LaserPowerPerWavelength, cfg.Period()),
+		wg:       photonics.DefaultWaveguide(cfg.LinkLength),
+		adder:    adder,
+		accWidth: accWidth,
+		mask:     (uint64(1) << uint(cfg.Bits)) - 1,
+	}, nil
+}
+
+// Config returns the unit's configuration.
+func (u *unit) Config() Config { return u.cfg }
+
+// LinkBudget returns the optical link budget the unit was built with.
+func (u *unit) LinkBudget() photonics.LinkBudget { return u.budget }
+
+// AccumulatorWidth returns the electrical adder width in bits.
+func (u *unit) AccumulatorWidth() int { return u.accWidth }
+
+// send fires a word on wavelength ch and runs it down the photonic link
+// to the filter bank.
+func (u *unit) send(word uint64, ch int, led *optsim.Ledger) *optsim.Signal {
+	sig := u.mod.Modulate(wordBitsLSB(word, u.cfg.Bits), ch, led)
+	return optsim.WaveguideRun(sig, u.wg, led)
+}
+
+// multiplier forms one product through a unit's datapath.
+type multiplier func(neuron, synapse uint64, led *optsim.Ledger) (uint64, error)
+
+// dot computes an inner product one lane at a time through mul. Lanes
+// ride distinct wavelengths in hardware; the functional result is
+// identical, so lanes run sequentially here while energy is charged for
+// all of them. The electrical CLA merges the products.
+func (u *unit) dot(mul multiplier, neurons, synapses []uint64, led *optsim.Ledger) (uint64, error) {
+	if len(neurons) != len(synapses) {
+		return 0, fmt.Errorf("omac: vector lengths differ (%d vs %d)", len(neurons), len(synapses))
+	}
+	merge := elec.CLA(u.accWidth).Energy(u.cfg.Tech)
+	var acc uint64
+	for i := range neurons {
+		p, err := mul(neurons[i], synapses[i], led)
+		if err != nil {
+			return 0, fmt.Errorf("omac: lane %d: %w", i, err)
+		}
+		acc, _ = u.adder.Add(acc, p, false)
+		led.Charge(optsim.CatAdd, merge)
+	}
+	return acc, nil
+}
+
+// window computes the paper's Figure 2 window (inputs[lane][element],
+// synapses[filter][lane][element]) one lane dot product at a time
+// through mul, and returns one raw accumulation per filter.
+func (u *unit) window(mul multiplier, inputs [][]uint64, synapses [][][]uint64, led *optsim.Ledger) ([]uint64, error) {
+	out := make([]uint64, len(synapses))
+	for k, filter := range synapses {
+		if len(filter) != len(inputs) {
+			return nil, fmt.Errorf("omac: filter %d has %d lanes, inputs have %d", k, len(filter), len(inputs))
+		}
+		var acc uint64
+		for lane := range filter {
+			v, err := u.dot(mul, inputs[lane], filter[lane], led)
+			if err != nil {
+				return nil, fmt.Errorf("omac: filter %d lane %d: %w", k, lane, err)
+			}
+			acc, _ = u.adder.Add(acc, v, false)
+		}
+		out[k] = acc
+	}
+	return out, nil
+}
 
 // pathLossDB returns the optical loss stack [dB] from modulator to
 // detector, excluding the MZI accumulation chain (OE path).

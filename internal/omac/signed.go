@@ -14,15 +14,13 @@ import (
 // two narrow electrical accumulators (charged to the add category)
 // track the operand sums for the algebraic correction.
 
-// unsignedDotter is the unsigned datapath both optical units expose.
-type unsignedDotter interface {
-	DotProduct(ns, ss []uint64, led *optsim.Ledger) (uint64, error)
-}
-
 // signedDot runs the offset-encode / unsigned-dot / correct pipeline on
-// any unsigned datapath.
-func signedDot(u unsignedDotter, codec *bitserial.OffsetCodec, tech elec.Tech,
-	ns, ss []int64, led *optsim.Ledger) (int64, error) {
+// the unit's unsigned datapath through mul.
+func (u *unit) signedDot(mul multiplier, ns, ss []int64, led *optsim.Ledger) (int64, error) {
+	codec, err := bitserial.NewOffsetCodec(u.cfg.Bits)
+	if err != nil {
+		return 0, err
+	}
 	if len(ns) != len(ss) {
 		return 0, fmt.Errorf("omac: vector lengths differ (%d vs %d)", len(ns), len(ss))
 	}
@@ -34,7 +32,7 @@ func signedDot(u unsignedDotter, codec *bitserial.OffsetCodec, tech elec.Tech,
 	if err != nil {
 		return 0, err
 	}
-	raw, err := u.DotProduct(us, ws, led)
+	raw, err := u.dot(mul, us, ws, led)
 	if err != nil {
 		return 0, err
 	}
@@ -47,27 +45,19 @@ func signedDot(u unsignedDotter, codec *bitserial.OffsetCodec, tech elec.Tech,
 	// term, plus the final three-term correction.
 	corrWidth := codec.Bits() + 8
 	corr := elec.CLA(corrWidth)
-	led.Charge(optsim.CatAdd, float64(2*len(us)+3)*corr.Energy(tech))
-	led.AddLatency(corr.Delay(tech))
+	led.Charge(optsim.CatAdd, float64(2*len(us)+3)*corr.Energy(u.cfg.Tech))
+	led.AddLatency(corr.Delay(u.cfg.Tech))
 	return codec.Correct(raw, sumU, sumW, len(us))
 }
 
 // SignedDotProduct computes a signed inner product through the hybrid
 // datapath.
 func (u *OEUnit) SignedDotProduct(ns, ss []int64, led *optsim.Ledger) (int64, error) {
-	codec, err := bitserial.NewOffsetCodec(u.cfg.Bits)
-	if err != nil {
-		return 0, err
-	}
-	return signedDot(u, codec, u.cfg.Tech, ns, ss, led)
+	return u.signedDot(u.Multiply, ns, ss, led)
 }
 
 // SignedDotProduct computes a signed inner product through the
 // all-optical datapath.
 func (u *OOUnit) SignedDotProduct(ns, ss []int64, led *optsim.Ledger) (int64, error) {
-	codec, err := bitserial.NewOffsetCodec(u.cfg.Bits)
-	if err != nil {
-		return 0, err
-	}
-	return signedDot(u, codec, u.cfg.Tech, ns, ss, led)
+	return u.signedDot(u.Multiply, ns, ss, led)
 }

@@ -21,7 +21,6 @@ import (
 	"io"
 
 	"pixel/internal/arch"
-	"pixel/internal/bitserial"
 	"pixel/internal/cnn"
 	"pixel/internal/eval"
 	"pixel/internal/omac"
@@ -212,14 +211,12 @@ func MeasureHeadlines() Headlines {
 // designs) and meters the energy and latency it spends.
 type MAC struct {
 	design Design
-	bits   int
 	terms  int
-	ee     interface {
-		Multiply(a, b uint64) (uint64, error)
-		Dot(a, b []uint64) (uint64, error)
+	unit   interface {
+		Multiply(a, b uint64, led *optsim.Ledger) (uint64, error)
+		DotProduct(a, b []uint64, led *optsim.Ledger) (uint64, error)
+		SignedDotProduct(a, b []int64, led *optsim.Ledger) (int64, error)
 	}
-	oe  *omac.OEUnit
-	oo  *omac.OOUnit
 	led *optsim.Ledger
 }
 
@@ -233,16 +230,16 @@ func NewMAC(d Design, bits, terms int) (*MAC, error) {
 	if terms < 1 {
 		return nil, fmt.Errorf("%w: terms %d must be >= 1", ErrBadSpec, terms)
 	}
-	m := &MAC{design: d, bits: bits, terms: terms, led: optsim.NewLedger()}
+	m := &MAC{design: d, terms: terms, led: optsim.NewLedger()}
 	cfg := omac.DefaultConfig(4, bits)
 	var err error
 	switch d {
 	case EE:
-		m.ee, err = newEEAdapter(bits, terms)
+		m.unit, err = newEEUnit(bits, terms)
 	case OE:
-		m.oe, err = omac.NewOEUnit(cfg, terms)
+		m.unit, err = omac.NewOEUnit(cfg, terms)
 	case OO:
-		m.oo, err = omac.NewOOUnit(cfg, terms)
+		m.unit, err = omac.NewOOUnit(cfg, terms)
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrUnknownDesign, int(d))
 	}
@@ -257,14 +254,7 @@ func (m *MAC) Design() Design { return m.design }
 
 // Multiply computes a*b through the design's datapath.
 func (m *MAC) Multiply(a, b uint64) (uint64, error) {
-	switch m.design {
-	case EE:
-		return m.ee.Multiply(a, b)
-	case OE:
-		return m.oe.Multiply(a, b, m.led)
-	default:
-		return m.oo.Multiply(a, b, m.led)
-	}
+	return m.unit.Multiply(a, b, m.led)
 }
 
 // DotProduct computes the inner product of two equal-length vectors.
@@ -274,14 +264,7 @@ func (m *MAC) DotProduct(a, b []uint64) (uint64, error) {
 	if len(a) > m.terms {
 		return 0, fmt.Errorf("%w: %d-term dot product on a MAC built for %d terms", ErrBadSpec, len(a), m.terms)
 	}
-	switch m.design {
-	case EE:
-		return m.ee.Dot(a, b)
-	case OE:
-		return m.oe.DotProduct(a, b, m.led)
-	default:
-		return m.oo.DotProduct(a, b, m.led)
-	}
+	return m.unit.DotProduct(a, b, m.led)
 }
 
 // SignedDotProduct computes a signed inner product of at most the MAC's
@@ -293,30 +276,13 @@ func (m *MAC) SignedDotProduct(a, b []int64) (int64, error) {
 	if len(a) > m.terms {
 		return 0, fmt.Errorf("%w: %d-term dot product on a MAC built for %d terms", ErrBadSpec, len(a), m.terms)
 	}
-	switch m.design {
-	case EE:
-		se, err := bitserial.NewSignedEngine(m.bits, m.terms)
-		if err != nil {
-			return 0, err
-		}
-		v, _, err := se.DotProduct(a, b)
-		return v, err
-	case OE:
-		return m.oe.SignedDotProduct(a, b, m.led)
-	default:
-		return m.oo.SignedDotProduct(a, b, m.led)
-	}
+	return m.unit.SignedDotProduct(a, b, m.led)
 }
 
 // EnergyJ returns the energy metered so far [J], by component. The EE
-// design's functional adapter does not meter energy (use
-// EvaluateContext for EE costs); it returns an empty map.
-func (m *MAC) EnergyJ() map[string]float64 {
-	if m.led == nil {
-		return map[string]float64{}
-	}
-	return m.led.Breakdown()
-}
+// design's functional unit does not meter energy (use EvaluateContext
+// for EE costs); it returns an empty map.
+func (m *MAC) EnergyJ() map[string]float64 { return m.led.Breakdown() }
 
 // LatencyS returns the datapath latency metered so far [s].
 func (m *MAC) LatencyS() float64 { return m.led.Latency() }
