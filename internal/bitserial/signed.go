@@ -78,6 +78,35 @@ func (c *OffsetCodec) Correct(raw uint64, sumU, sumW uint64, k int) (int64, erro
 	return res, nil
 }
 
+// DotProduct is the offset pipeline around an unsigned datapath: it
+// encodes both signed vectors, takes their unsigned dot product through
+// dot, sums the encoded operands and corrects the raw result to the
+// signed inner product. Callers keep their own accounting of the
+// correction sums.
+func (c *OffsetCodec) DotProduct(ns, ss []int64, dot func(us, ws []uint64) (uint64, error)) (int64, error) {
+	if len(ns) != len(ss) {
+		return 0, fmt.Errorf("bitserial: vector lengths differ (%d vs %d)", len(ns), len(ss))
+	}
+	us, err := c.EncodeVector(ns)
+	if err != nil {
+		return 0, err
+	}
+	ws, err := c.EncodeVector(ss)
+	if err != nil {
+		return 0, err
+	}
+	raw, err := dot(us, ws)
+	if err != nil {
+		return 0, err
+	}
+	var sumU, sumW uint64
+	for i := range us {
+		sumU += us[i]
+		sumW += ws[i]
+	}
+	return c.Correct(raw, sumU, sumW, len(us))
+}
+
 // SignedEngine computes signed dot products on the unsigned bit-serial
 // engine via the offset codec.
 type SignedEngine struct {
@@ -101,32 +130,16 @@ func NewSignedEngine(bits, terms int) (*SignedEngine, error) {
 
 // DotProduct computes the signed inner product bit-serially.
 func (s *SignedEngine) DotProduct(ns, ss []int64) (int64, Stats, error) {
-	if len(ns) != len(ss) {
-		return 0, Stats{}, fmt.Errorf("bitserial: vector lengths differ (%d vs %d)", len(ns), len(ss))
-	}
-	us, err := s.codec.EncodeVector(ns)
+	var st Stats
+	v, err := s.codec.DotProduct(ns, ss, func(us, ws []uint64) (raw uint64, err error) {
+		raw, st, err = s.engine.DotProduct(us, ws)
+		return raw, err
+	})
 	if err != nil {
 		return 0, Stats{}, err
-	}
-	ws, err := s.codec.EncodeVector(ss)
-	if err != nil {
-		return 0, Stats{}, err
-	}
-	raw, st, err := s.engine.DotProduct(us, ws)
-	if err != nil {
-		return 0, Stats{}, err
-	}
-	var sumU, sumW uint64
-	for i := range us {
-		sumU += us[i]
-		sumW += ws[i]
 	}
 	// Two extra accumulations per term for the running sums.
-	st.Adds += 2 * len(us)
-	v, err := s.codec.Correct(raw, sumU, sumW, len(us))
-	if err != nil {
-		return 0, Stats{}, err
-	}
+	st.Adds += 2 * len(ns)
 	return v, st, nil
 }
 

@@ -183,7 +183,7 @@ func (r *Report) MinYield() float64 {
 // deliberately does NOT implement qnn.MultiDotter: the perturbed
 // engine is stateful, and RunBatch's plain-Dotter fallback on one
 // worker keeps every dot product flowing through one serial,
-// deterministic call sequence — the serial reference chain's.
+// deterministic call sequence — the unfused plan's (RunContext's).
 type stripesDotter struct{ e bitserial.Stripes }
 
 func (s stripesDotter) DotProduct(a, b []uint64) (uint64, error) {
@@ -414,8 +414,8 @@ func runTrial(ctx context.Context, spec Spec, sigma float64, trial int, baseline
 // infer runs the spec's input through the fused RunBatch plan as a
 // batch of one and returns the output. Trial engines are stateful and
 // consume their fault streams in call order, so trials pass one worker:
-// the plan then issues the serial reference chain's exact call
-// sequence, and parallelism lives at the trial level.
+// the plan then issues the unfused plan's exact call sequence, and
+// parallelism lives at the trial level.
 func infer(ctx context.Context, spec Spec, d qnn.Dotter, workers int) ([]int64, error) {
 	outs, err := spec.Model.RunBatch(ctx, []*tensor.Tensor{spec.Input}, d, qnn.RunOptions{Workers: workers})
 	if err != nil {

@@ -1,8 +1,6 @@
 package omac
 
 import (
-	"fmt"
-
 	"pixel/internal/bitserial"
 	"pixel/internal/elec"
 	"pixel/internal/optsim"
@@ -14,40 +12,25 @@ import (
 // two narrow electrical accumulators (charged to the add category)
 // track the operand sums for the algebraic correction.
 
-// signedDot runs the offset-encode / unsigned-dot / correct pipeline on
-// the unit's unsigned datapath through mul.
+// signedDot runs the codec's offset pipeline around the unit's unsigned
+// datapath through mul.
 func (u *unit) signedDot(mul multiplier, ns, ss []int64, led *optsim.Ledger) (int64, error) {
 	codec, err := bitserial.NewOffsetCodec(u.cfg.Bits)
 	if err != nil {
 		return 0, err
 	}
-	if len(ns) != len(ss) {
-		return 0, fmt.Errorf("omac: vector lengths differ (%d vs %d)", len(ns), len(ss))
-	}
-	us, err := codec.EncodeVector(ns)
-	if err != nil {
-		return 0, err
-	}
-	ws, err := codec.EncodeVector(ss)
-	if err != nil {
-		return 0, err
-	}
-	raw, err := u.dot(mul, us, ws, led)
-	if err != nil {
-		return 0, err
-	}
-	var sumU, sumW uint64
-	for i := range us {
-		sumU += us[i]
-		sumW += ws[i]
-	}
-	// The two correction accumulators: narrow CLAs, one add each per
-	// term, plus the final three-term correction.
-	corrWidth := codec.Bits() + 8
-	corr := elec.CLA(corrWidth)
-	led.Charge(optsim.CatAdd, float64(2*len(us)+3)*corr.Energy(u.cfg.Tech))
-	led.AddLatency(corr.Delay(u.cfg.Tech))
-	return codec.Correct(raw, sumU, sumW, len(us))
+	return codec.DotProduct(ns, ss, func(us, ws []uint64) (uint64, error) {
+		raw, err := u.dot(mul, us, ws, led)
+		if err != nil {
+			return 0, err
+		}
+		// The two correction accumulators: narrow CLAs, one add each per
+		// term, plus the final three-term correction.
+		corr := elec.CLA(codec.Bits() + 8)
+		led.Charge(optsim.CatAdd, float64(2*len(us)+3)*corr.Energy(u.cfg.Tech))
+		led.AddLatency(corr.Delay(u.cfg.Tech))
+		return raw, nil
+	})
 }
 
 // SignedDotProduct computes a signed inner product through the hybrid

@@ -1,10 +1,10 @@
 package qnn
 
 import (
+	"context"
 	"fmt"
 
 	"pixel/internal/elec"
-	"pixel/internal/tensor"
 )
 
 // TanhActivation runs the accelerator's actual activation hardware —
@@ -47,18 +47,17 @@ func NewTanhActivation(label string, fracBits int, inputShift uint, outputScale 
 // Name implements Layer.
 func (a *TanhActivation) Name() string { return a.Label }
 
-// Apply implements Layer.
-func (a *TanhActivation) Apply(in *tensor.Tensor, _ Dotter) (*tensor.Tensor, error) {
+// stage implements Layer: every element through the hardware unit,
+// rescaled to the integer activation range.
+func (a *TanhActivation) stage(_ context.Context, run *batchRun, _ Dotter, _ int) error {
 	if a.Unit == nil {
-		return nil, fmt.Errorf("qnn: %s: nil tanh unit", a.Label)
+		return fmt.Errorf("qnn: %s: nil tanh unit", a.Label)
 	}
 	one := int64(1) << uint(a.Unit.FracBits())
-	out := tensor.New(in.H, in.W, in.C)
-	for i, v := range in.Data {
-		y := a.Unit.Apply(v >> a.InputShift)
-		// y is in [-one, one]; rescale to the integer activation range
-		// (rounding toward zero, as the hardware's truncation does).
-		out.Data[i] = y * a.OutputScale / one
-	}
-	return out, nil
+	run.mapElems(func(v int64) int64 {
+		// The unit's output is in [-one, one]; rounding toward zero
+		// matches the hardware's truncation.
+		return a.Unit.Apply(v>>a.InputShift) * a.OutputScale / one
+	})
+	return nil
 }

@@ -23,7 +23,7 @@ func TestTanhActivationSaturatesAndSigns(t *testing.T) {
 	}
 	one := int64(1) << 10
 	in := tensor.NewVector([]int64{0, 10 * one, -10 * one})
-	out, err := a.Apply(in, nil)
+	out, err := applyOne(a, in, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestTanhActivationTracksMathTanh(t *testing.T) {
 	one := int64(1) << 12
 	for _, x := range []float64{-2, -0.7, -0.2, 0.3, 0.9, 1.8} {
 		in := tensor.NewVector([]int64{int64(x * float64(one))})
-		out, err := a.Apply(in, nil)
+		out, err := applyOne(a, in, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

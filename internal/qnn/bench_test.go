@@ -146,33 +146,60 @@ func (f *legacyFC) Apply(in *tensor.Tensor, d Dotter) (*tensor.Tensor, error) {
 	return out, nil
 }
 
-// legacyModel rebuilds benchLeNet with the pre-PR layer
-// implementations.
-func legacyModel() (*Model, *tensor.Tensor) {
+// legacyStep is one layer of the seed's serial chain: a fresh output
+// tensor per layer per image.
+type legacyStep func(in *tensor.Tensor, d Dotter) (*tensor.Tensor, error)
+
+// legacyModel rebuilds benchLeNet as the seed's serial chain: the
+// pre-PR conv and FC layers, and standalone requant, pool and flatten
+// steps.
+func legacyModel() ([]legacyStep, *tensor.Tensor) {
 	m, in := benchLeNet()
-	lm := &Model{Label: m.Label, ActivationBits: m.ActivationBits}
+	var steps []legacyStep
 	for _, l := range m.Layers {
 		switch layer := l.(type) {
 		case *Conv:
-			lm.Layers = append(lm.Layers, &legacyConv{Label: layer.Label, Kernel: layer.Kernel, Stride: layer.Stride})
+			steps = append(steps, (&legacyConv{Label: layer.Label, Kernel: layer.Kernel, Stride: layer.Stride}).Apply)
 		case *FullyConnected:
-			lm.Layers = append(lm.Layers, &legacyFC{Label: layer.Label, Weights: layer.Weights, Out: layer.Out})
+			steps = append(steps, (&legacyFC{Label: layer.Label, Weights: layer.Weights, Out: layer.Out}).Apply)
+		case *Requant:
+			steps = append(steps, func(in *tensor.Tensor, _ Dotter) (*tensor.Tensor, error) {
+				out := tensor.New(in.H, in.W, in.C)
+				for i, v := range in.Data {
+					out.Data[i] = requantVal(v, layer)
+				}
+				return out, nil
+			})
+		case *MaxPool:
+			steps = append(steps, func(in *tensor.Tensor, _ Dotter) (*tensor.Tensor, error) {
+				return tensor.MaxPool2D(in, layer.Window)
+			})
+		case *Flatten:
+			steps = append(steps, func(in *tensor.Tensor, _ Dotter) (*tensor.Tensor, error) {
+				out := tensor.New(1, 1, in.Len())
+				copy(out.Data, in.Data)
+				return out, nil
+			})
 		default:
-			lm.Layers = append(lm.Layers, l)
+			panic(fmt.Sprintf("legacyModel: layer %T", l))
 		}
 	}
-	return lm, in
+	return steps, in
 }
 
 // BenchmarkLeNetInferenceRefLegacySerial is the pre-PR baseline: the
 // seed's per-position gather layers, serial, on the plain-integer
 // reference dotter.
 func BenchmarkLeNetInferenceRefLegacySerial(b *testing.B) {
-	m, in := legacyModel()
+	steps, in := legacyModel()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.Run(in, ReferenceDotter{}); err != nil {
-			b.Fatal(err)
+		x := in
+		for _, step := range steps {
+			var err error
+			if x, err = step(x, ReferenceDotter{}); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

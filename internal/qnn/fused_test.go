@@ -10,22 +10,25 @@ import (
 	"pixel/internal/tensor"
 )
 
-// plusOne is a deliberately batch-unaware layer: it forces the
-// per-image Apply fallback between fused stages, so the plan mixes
+// plusOne is a test-only layer whose stage installs plain heap
+// tensors, not arena ones, between fused stages, so the plan mixes
 // owned arena tensors with plain heap tensors.
 type plusOne struct{ max int64 }
 
 func (plusOne) Name() string { return "plusone" }
-func (p plusOne) Apply(in *tensor.Tensor, _ Dotter) (*tensor.Tensor, error) {
-	out := tensor.New(in.H, in.W, in.C)
-	for i, v := range in.Data {
-		v++
-		if v > p.max {
-			v = p.max
+func (p plusOne) stage(_ context.Context, run *batchRun, _ Dotter, _ int) error {
+	for b, in := range run.xs {
+		out := tensor.New(in.H, in.W, in.C)
+		for i, v := range in.Data {
+			v++
+			if v > p.max {
+				v = p.max
+			}
+			out.Data[i] = v
 		}
-		out.Data[i] = v
+		run.replace(b, out)
 	}
-	return out, nil
+	return nil
 }
 
 // fusedCase is one randomly shaped pipeline exercising a specific

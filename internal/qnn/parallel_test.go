@@ -20,7 +20,7 @@ func (f fastDotter) DotProduct(a, b []uint64) (uint64, error) {
 
 // TestConvParallelMatchesReference is the randomized conv property:
 // over random shapes, strides, paddings, batch sizes and worker counts,
-// both the serial Conv.Apply and a RunBatch pass over the conv alone
+// both the serial RunContext chain and a RunBatch pass over the conv alone
 // must be bit-identical to the seed serial tensor.Conv2DReference. Run
 // it under -race to also prove the pool writes disjoint output slots.
 func TestConvParallelMatchesReference(t *testing.T) {
@@ -60,11 +60,11 @@ func TestConvParallelMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d: reference: %v", trial, err)
 			}
-			serial, err := conv.Apply(in, ReferenceDotter{})
+			serial, err := applyOne(conv, in, ReferenceDotter{})
 			if err != nil {
-				t.Fatalf("trial %d: Apply: %v", trial, err)
+				t.Fatalf("trial %d: RunContext: %v", trial, err)
 			}
-			for path, got := range map[string]*tensor.Tensor{"Apply": serial, "RunBatch": outs[b]} {
+			for path, got := range map[string]*tensor.Tensor{"RunContext": serial, "RunBatch": outs[b]} {
 				if got.H != want.H || got.W != want.W || got.C != want.C {
 					t.Fatalf("trial %d %s: shape %dx%dx%d, want %dx%dx%d", trial, path, got.H, got.W, got.C, want.H, want.W, want.C)
 				}
@@ -96,7 +96,7 @@ func TestConvPadMatchesTensorConv(t *testing.T) {
 		t.Fatal(err)
 	}
 	conv := &Conv{Label: "padded", Kernel: k, Stride: 1, Pad: 1}
-	got, err := conv.Apply(in, ReferenceDotter{})
+	got, err := applyOne(conv, in, ReferenceDotter{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestConvPadMatchesTensorConv(t *testing.T) {
 		}
 	}
 	bad := &Conv{Label: "bad", Kernel: k, Stride: 1, Pad: -1}
-	if _, err := bad.Apply(in, ReferenceDotter{}); err == nil {
+	if _, err := applyOne(bad, in, ReferenceDotter{}); err == nil {
 		t.Error("negative pad should error")
 	}
 }
@@ -180,7 +180,7 @@ func TestRunContextCancellation(t *testing.T) {
 }
 
 // TestFullyConnectedParallelMatchesSerial pins RunBatch's neuron-chunk
-// pool over an FC layer to the serial Apply output.
+// pool over an FC layer to the serial RunContext output.
 func TestFullyConnectedParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	n, outDim := 37, 23
@@ -193,7 +193,7 @@ func TestFullyConnectedParallelMatchesSerial(t *testing.T) {
 		in.Data[i] = rng.Int63n(16)
 	}
 	fc := &FullyConnected{Label: "fc", Weights: ws, Out: outDim}
-	want, err := fc.Apply(in, ReferenceDotter{})
+	want, err := applyOne(fc, in, ReferenceDotter{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestPlainDotterFallback(t *testing.T) {
 		k.Data[i] = rng.Int63n(16)
 	}
 	conv := &Conv{Label: "c", Kernel: k, Stride: 1}
-	want, err := conv.Apply(in, ReferenceDotter{})
+	want, err := applyOne(conv, in, ReferenceDotter{})
 	if err != nil {
 		t.Fatal(err)
 	}

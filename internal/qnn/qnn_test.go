@@ -54,6 +54,13 @@ func tinyModel(bits int, rng *rand.Rand) *Model {
 	}
 }
 
+// applyOne runs a single layer on one image: the one-stage unfused
+// plan RunContext runs.
+func applyOne(l Layer, in *tensor.Tensor, d Dotter) (*tensor.Tensor, error) {
+	m := &Model{Label: l.Name(), ActivationBits: 16, Layers: []Layer{l}}
+	return m.Run(in, d)
+}
+
 func tinyInput(bits int, rng *rand.Rand) *tensor.Tensor {
 	in := tensor.New(6, 6, 1)
 	maxV := int64(1)<<uint(bits) - 1
@@ -147,30 +154,30 @@ func TestModelValidation(t *testing.T) {
 func TestConvValidation(t *testing.T) {
 	k := tensor.NewKernel(1, 3, 2)
 	c := &Conv{Label: "c", Kernel: k, Stride: 1}
-	if _, err := c.Apply(tensor.New(4, 4, 1), ReferenceDotter{}); err == nil {
+	if _, err := applyOne(c, tensor.New(4, 4, 1), ReferenceDotter{}); err == nil {
 		t.Error("channel mismatch should error")
 	}
 	c2 := &Conv{Label: "c2", Kernel: tensor.NewKernel(1, 3, 1), Stride: 0}
-	if _, err := c2.Apply(tensor.New(4, 4, 1), ReferenceDotter{}); err == nil {
+	if _, err := applyOne(c2, tensor.New(4, 4, 1), ReferenceDotter{}); err == nil {
 		t.Error("zero stride should error")
 	}
 	neg := tensor.New(4, 4, 1)
 	neg.Data[0] = -1
 	c3 := &Conv{Label: "c3", Kernel: tensor.NewKernel(1, 3, 1), Stride: 1}
-	if _, err := c3.Apply(neg, ReferenceDotter{}); err == nil {
+	if _, err := applyOne(c3, neg, ReferenceDotter{}); err == nil {
 		t.Error("negative activation should error")
 	}
 	badK := tensor.NewKernel(1, 3, 1)
 	badK.Data[0] = -1
 	c4 := &Conv{Label: "c4", Kernel: badK, Stride: 1}
-	if _, err := c4.Apply(tensor.New(4, 4, 1), ReferenceDotter{}); err == nil {
+	if _, err := applyOne(c4, tensor.New(4, 4, 1), ReferenceDotter{}); err == nil {
 		t.Error("negative weight should error")
 	}
 }
 
 func TestFullyConnectedValidation(t *testing.T) {
 	fc := &FullyConnected{Label: "fc", Weights: []int64{1, 2, 3}, Out: 2}
-	if _, err := fc.Apply(tensor.New(1, 1, 2), ReferenceDotter{}); err == nil {
+	if _, err := applyOne(fc, tensor.New(1, 1, 2), ReferenceDotter{}); err == nil {
 		t.Error("weight shape mismatch should error")
 	}
 }
@@ -178,7 +185,7 @@ func TestFullyConnectedValidation(t *testing.T) {
 func TestRequantClampsAndShifts(t *testing.T) {
 	r := &Requant{Label: "rq", Shift: 2, Max: 15}
 	in := tensor.NewVector([]int64{64, 3, 100, -8})
-	out, err := r.Apply(in, nil)
+	out, err := applyOne(r, in, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +196,7 @@ func TestRequantClampsAndShifts(t *testing.T) {
 		}
 	}
 	bad := &Requant{Label: "bad", Max: 0}
-	if _, err := bad.Apply(in, nil); err == nil {
+	if _, err := applyOne(bad, in, nil); err == nil {
 		t.Error("max 0 should error")
 	}
 }
@@ -200,7 +207,7 @@ func TestFlattenPreservesValues(t *testing.T) {
 		in.Data[i] = int64(i * 3)
 	}
 	f := &Flatten{Label: "f"}
-	out, err := f.Apply(in, nil)
+	out, err := applyOne(f, in, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,37 +36,30 @@ func (r *batchRun) replace(b int, y *tensor.Tensor) {
 	r.owned[b] = true
 }
 
-// batchLayer is the optional interface of element layers the batched
-// pipeline runs as stages of their own: Requant, MaxPool and Flatten
-// rewrite the batch's owned tensors in place in one pass. MAC layers
-// (Conv, FullyConnected) do not implement it — batchStage.run sends
-// them to applyBatchFused, fused or not — and any other layer runs its
-// serial Apply per input.
-type batchLayer interface {
-	applyBatch(ctx context.Context, run *batchRun, d Dotter, workers int) error
-}
-
-// batchStage is one step of the batched execution plan: a layer plus
-// any Requant/MaxPool epilogue fused into it. Fusion never changes
-// results — the epilogue applies the exact per-layer arithmetic to
-// each raw MAC value as it is stored, so the intermediate tensors the
-// standalone chain would materialize are simply never built (requant
-// then pool, in chain order; max pooling commutes with the element
-// order either way).
+// batchStage is one step of a stage plan: a layer plus any
+// Requant/MaxPool epilogue fused into it. Fusion never changes results
+// — the epilogue applies the exact per-layer arithmetic to each raw MAC
+// value as it is stored, so the intermediate tensors the unfused plan
+// materializes are simply never built (requant then pool, in chain
+// order; max pooling commutes with the element order either way).
 type batchStage struct {
 	layer Layer
 	rq    *Requant
 	pool  *MaxPool
 }
 
-// batchPlan folds the layer list into fused stages:
-// Conv→Requant→MaxPool (either epilogue optional) and
-// FullyConnected→Requant chains collapse into single stages; every
-// other layer is a stage of its own.
-func (m *Model) batchPlan() []batchStage {
+// batchPlan turns the layer list into stages. Unfused, every layer is
+// a stage of its own. Fused, Conv→Requant→MaxPool (either epilogue
+// optional) and FullyConnected→Requant chains collapse into single
+// stages.
+func (m *Model) batchPlan(fuse bool) []batchStage {
 	plan := make([]batchStage, 0, len(m.Layers))
 	for i := 0; i < len(m.Layers); i++ {
 		st := batchStage{layer: m.Layers[i]}
+		if !fuse {
+			plan = append(plan, st)
+			continue
+		}
 		switch m.Layers[i].(type) {
 		case *Conv:
 			if i+1 < len(m.Layers) {
@@ -103,37 +96,31 @@ func (st *batchStage) run(ctx context.Context, run *batchRun, d Dotter, workers 
 	case *FullyConnected:
 		return l.applyBatchFused(ctx, run, d, workers, st.rq)
 	}
-	if bl, ok := st.layer.(batchLayer); ok {
-		return st.layer.Name(), bl.applyBatch(ctx, run, d, workers)
-	}
-	// Per-image fallback for layers without a batched form.
-	for b := range run.xs {
-		y, err := st.layer.Apply(run.xs[b], d)
-		if err != nil {
-			return st.layer.Name(), fmt.Errorf("input %d: %w", b, err)
-		}
-		run.replace(b, y)
-	}
-	return st.layer.Name(), nil
+	return st.layer.Name(), st.layer.stage(ctx, run, d, workers)
 }
 
 // RunBatch executes the model on a batch of same-shape inputs,
 // bit-identical to len(ins) sequential RunContext calls at any worker
-// count. With one worker and a plain Dotter, a batch of one also issues
-// exactly RunContext's DotProduct call sequence (see dotMulti), which
-// is what lets a stateful engine run on it. The layer list runs as a
-// fused stage plan: Conv and FullyConnected layers pack their weights
-// once per process (cached on the layer; see Conv.packedFilters) and
-// absorb trailing Requant / MaxPool layers into their store epilogue,
-// so the chain's intermediate activation tensors are never
-// materialized. Inter-layer
-// activations come from a tensor.Arena (opts.Arena, or a private one)
-// and are recycled as soon as the next stage has consumed them;
-// per-image scratch (im2col patch matrices, operand buffers) comes
-// from a shared pool — so a steady-state batch allocates near-zero on
-// the MAC hot path. The caller's input tensors are never mutated or
-// recycled.
+// count. It runs the fused stage plan: Conv and FullyConnected layers
+// pack their weights once per process (cached on the layer; see
+// Conv.packedFilters) and absorb trailing Requant / MaxPool layers into
+// their store epilogue, so the chain's intermediate activation tensors
+// are never materialized. Fusion moves no MAC, so with one worker and a
+// plain Dotter a batch of one issues exactly RunContext's DotProduct
+// call sequence (see dotMulti), which is what lets a stateful engine
+// run on it. Inter-layer activations come from a tensor.Arena
+// (opts.Arena, or a private one) and are recycled as soon as the next
+// stage has consumed them; per-image scratch (im2col patch matrices,
+// operand buffers) comes from a shared pool — so a steady-state batch
+// allocates near-zero on the MAC hot path. The caller's input tensors
+// are never mutated or recycled.
 func (m *Model) RunBatch(ctx context.Context, ins []*tensor.Tensor, d Dotter, opts RunOptions) ([]*tensor.Tensor, error) {
+	return m.runPlan(ctx, m.batchPlan(true), ins, d, opts)
+}
+
+// runPlan is the one executor: it validates the batch and runs the
+// plan's stages in order, checking ctx between them.
+func (m *Model) runPlan(ctx context.Context, plan []batchStage, ins []*tensor.Tensor, d Dotter, opts RunOptions) ([]*tensor.Tensor, error) {
 	if m.ActivationBits < 1 || m.ActivationBits > 16 {
 		return nil, fmt.Errorf("qnn: activation bits %d out of range [1,16]", m.ActivationBits)
 	}
@@ -159,7 +146,7 @@ func (m *Model) RunBatch(ctx context.Context, ins []*tensor.Tensor, d Dotter, op
 		arena: arena,
 	}
 	copy(run.xs, ins)
-	for _, st := range m.batchPlan() {
+	for _, st := range plan {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -206,10 +193,10 @@ func growRows(flat *[]uint64, hdrs *[][]uint64, rows, cols int) [][]uint64 {
 // outs[f][w], through the engine's multi-filter entry point when it has
 // one. Otherwise it issues one DotProduct per (window, filter) pair in
 // datapath order: windows in rows of rowLen, every filter swept across
-// a row before the next row starts. Conv passes its output-row width
-// and Conv.Apply walks the same order, so a stateful engine (a fault
-// injector consuming its flip stream call by call) sees one call
-// sequence from a batch of one and from the serial reference.
+// a row before the next row starts. Conv passes its output-row width in
+// both plans, so a stateful engine (a fault injector consuming its flip
+// stream call by call) sees one call sequence from the fused and the
+// unfused plan.
 func dotMulti(d Dotter, windows, filters, outs [][]uint64, rowLen int) error {
 	if md, ok := d.(MultiDotter); ok {
 		return md.DotProductsMulti(windows, filters, outs)
@@ -279,9 +266,8 @@ func (f *FullyConnected) packedWeights() ([][]uint64, error) {
 	return f.packed, f.packErr
 }
 
-// requantVal applies a fused Requant epilogue to one raw MAC value —
-// exactly Requant.Apply's per-element arithmetic, identity when rq is
-// nil.
+// requantVal is Requant's per-element arithmetic, applied by its own
+// stage and by a fused epilogue; identity when rq is nil.
 func requantVal(v int64, rq *Requant) int64 {
 	if rq == nil {
 		return v
@@ -299,8 +285,8 @@ func requantVal(v int64, rq *Requant) int64 {
 // fuseConvEpilogue scatters a conv's raw MAC rows (outRows[m][pos],
 // pos = oy*ew+ox) into the output tensor, applying the fused requant
 // and max-pool in the same pass — elementwise identical to running the
-// standalone layers on a materialized conv output, but without ever
-// building it.
+// Requant and MaxPool stages on a materialized conv output, but without
+// ever building it.
 func fuseConvEpilogue(out *tensor.Tensor, outRows [][]uint64, ew int, rq *Requant, pool *MaxPool) {
 	m := len(outRows)
 	if pool == nil {
@@ -335,8 +321,8 @@ func fuseConvEpilogue(out *tensor.Tensor, outRows [][]uint64, ew int, rq *Requan
 // each input's im2col lowering and filter sweep is one work item on
 // the pool running on pooled scratch, and the epilogue requantizes and
 // pools directly out of the engine's MAC rows into an arena tensor —
-// bit-identical to the standalone layer chain. Returns the label of
-// the layer responsible for any error.
+// bit-identical to the unfused plan. Returns the label of the layer
+// responsible for any error.
 func (c *Conv) applyBatchFused(ctx context.Context, run *batchRun, d Dotter, workers int, rq *Requant, pool *MaxPool) (string, error) {
 	k := c.Kernel
 	ins := run.xs
@@ -470,29 +456,45 @@ func (f *FullyConnected) applyBatchFused(ctx context.Context, run *batchRun, d D
 	return f.Label, nil
 }
 
-// applyBatch implements batchLayer for standalone Requant stages:
-// owned activations are requantized in place, borrowed ones into fresh
-// arena tensors.
-func (r *Requant) applyBatch(_ context.Context, run *batchRun, _ Dotter, _ int) error {
+// stage implements Layer for a conv with no fused epilogue.
+func (c *Conv) stage(ctx context.Context, run *batchRun, d Dotter, workers int) error {
+	_, err := c.applyBatchFused(ctx, run, d, workers, nil, nil)
+	return err
+}
+
+// stage implements Layer for a dense layer with no fused epilogue.
+func (f *FullyConnected) stage(ctx context.Context, run *batchRun, d Dotter, workers int) error {
+	_, err := f.applyBatchFused(ctx, run, d, workers, nil)
+	return err
+}
+
+// mapElems rewrites every activation element through fn: owned
+// activations in place, borrowed ones into fresh arena tensors.
+func (r *batchRun) mapElems(fn func(int64) int64) {
+	for b, in := range r.xs {
+		out := in
+		if !r.owned[b] {
+			out = r.arena.Get(in.H, in.W, in.C)
+		}
+		for i, v := range in.Data {
+			out.Data[i] = fn(v)
+		}
+		r.replace(b, out)
+	}
+}
+
+// stage implements Layer for a Requant not fused into a MAC stage.
+func (r *Requant) stage(_ context.Context, run *batchRun, _ Dotter, _ int) error {
 	if r.Max < 1 {
 		return fmt.Errorf("qnn: requant max %d", r.Max)
 	}
-	for b, in := range run.xs {
-		out := in
-		if !run.owned[b] {
-			out = run.arena.Get(in.H, in.W, in.C)
-		}
-		for i, v := range in.Data {
-			out.Data[i] = requantVal(v, r)
-		}
-		run.replace(b, out)
-	}
+	run.mapElems(func(v int64) int64 { return requantVal(v, r) })
 	return nil
 }
 
-// applyBatch implements batchLayer for standalone MaxPool stages,
+// stage implements Layer for a MaxPool not fused into a conv stage,
 // pooling into arena tensors and recycling owned inputs.
-func (p *MaxPool) applyBatch(_ context.Context, run *batchRun, _ Dotter, _ int) error {
+func (p *MaxPool) stage(_ context.Context, run *batchRun, _ Dotter, _ int) error {
 	for b, in := range run.xs {
 		if p.Window < 1 || in.H%p.Window != 0 || in.W%p.Window != 0 {
 			return fmt.Errorf("input %d: tensor: pool window %d does not tile %dx%d", b, p.Window, in.H, in.W)
@@ -504,10 +506,10 @@ func (p *MaxPool) applyBatch(_ context.Context, run *batchRun, _ Dotter, _ int) 
 	return nil
 }
 
-// applyBatch implements batchLayer for Flatten: owned activations are
-// reshaped in place (HWC order already matches the flattened vector),
-// borrowed ones copied into arena tensors.
-func (f *Flatten) applyBatch(_ context.Context, run *batchRun, _ Dotter, _ int) error {
+// stage implements Layer for Flatten: owned activations are reshaped
+// in place (HWC order already matches the flattened vector), borrowed
+// ones copied into arena tensors.
+func (f *Flatten) stage(_ context.Context, run *batchRun, _ Dotter, _ int) error {
 	for b, in := range run.xs {
 		if run.owned[b] {
 			in.H, in.W, in.C = 1, 1, in.Len()

@@ -236,3 +236,143 @@ func TestLowerIntoReuse(t *testing.T) {
 		}
 	}
 }
+
+// plainChain is the test-only oracle for the stage plan: each layer as
+// the textbook integer operation — tensor.Conv2DReference, an explicit
+// shift and clamp, tensor.MaxPool2D, a copy for flatten and a plain
+// matmul — sharing no lowering, packing, epilogue or chunking code
+// with the stages it checks.
+func plainChain(m *Model, in *tensor.Tensor) (*tensor.Tensor, error) {
+	x := in
+	for _, l := range m.Layers {
+		var err error
+		switch l := l.(type) {
+		case *Conv:
+			x, err = tensor.Conv2DReference(x, l.Kernel, l.Stride, l.Pad)
+		case *Requant:
+			y := tensor.New(x.H, x.W, x.C)
+			for i, v := range x.Data {
+				v >>= l.Shift
+				if v < 0 {
+					v = 0
+				}
+				if v > l.Max {
+					v = l.Max
+				}
+				y.Data[i] = v
+			}
+			x = y
+		case *MaxPool:
+			x, err = tensor.MaxPool2D(x, l.Window)
+		case *Flatten:
+			y := tensor.New(1, 1, x.Len())
+			copy(y.Data, x.Data)
+			x = y
+		case *FullyConnected:
+			n := x.Len()
+			y := tensor.New(1, 1, l.Out)
+			for o := range y.Data {
+				for i, v := range x.Data {
+					y.Data[o] += l.Weights[o*n+i] * v
+				}
+			}
+			x = y
+		case plusOne:
+			y := tensor.New(x.H, x.W, x.C)
+			for i, v := range x.Data {
+				y.Data[i] = min(v+1, l.max)
+			}
+			x = y
+		default:
+			return nil, fmt.Errorf("plainChain: no oracle for layer %T", l)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("plainChain: %s: %w", l.Name(), err)
+		}
+	}
+	return x, nil
+}
+
+// TestRunMatchesPlainOracle checks both plans against plainChain, an
+// oracle independent of the stage code they share: Run (the unfused
+// plan) per image and RunBatch (the fused plan) over the batch, on the
+// demo LeNet, a strided padded conv with non-square output rows, and
+// every fused-test pipeline, at batch 1 and 3, worker counts 1, 2 and
+// GOMAXPROCS, on the plain-Dotter and MultiDotter engine tiers.
+func TestRunMatchesPlainOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	lenet, lenetIn := DemoLeNet(rng)
+	k := tensor.NewKernel(3, 3, 2)
+	for i := range k.Data {
+		k.Data[i] = rng.Int63n(16)
+	}
+	fc := make([]int64, 4*5*3*6)
+	for i := range fc {
+		fc[i] = rng.Int63n(16)
+	}
+	cases := []fusedCase{
+		{name: "lenet", model: lenet, h: lenetIn.H, w: lenetIn.W, c: lenetIn.C},
+		{name: "strided", model: &Model{Label: "strided", ActivationBits: 4, Layers: []Layer{
+			&Conv{Label: "c", Kernel: k, Stride: 2, Pad: 1}, // 7x9 -> 4x5
+			&Requant{Label: "rq", Shift: 4, Max: 15},
+			&Flatten{Label: "fl"},
+			&FullyConnected{Label: "fc", Weights: fc, Out: 6},
+		}}, h: 7, w: 9, c: 2},
+	}
+	cases = append(cases, buildFusedCases(rng, 15)...)
+
+	be, err := bitserial.NewBatchedStripes(4, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines := []struct {
+		name string
+		d    Dotter
+	}{{"reference", ReferenceDotter{}}, {"batched", multiDotter{be}}}
+
+	for _, tc := range cases {
+		for _, batch := range []int{1, 3} {
+			ins := make([]*tensor.Tensor, batch)
+			want := make([]*tensor.Tensor, batch)
+			for b := range ins {
+				ins[b] = tensor.New(tc.h, tc.w, tc.c)
+				for i := range ins[b].Data {
+					ins[b].Data[i] = rng.Int63n(16)
+				}
+				if want[b], err = plainChain(tc.model, ins[b]); err != nil {
+					t.Fatalf("%s: %v", tc.name, err)
+				}
+			}
+			check := func(path string, b int, got *tensor.Tensor) {
+				t.Helper()
+				if got.H != want[b].H || got.W != want[b].W || got.C != want[b].C {
+					t.Fatalf("%s/B%d %s input %d: shape %dx%dx%d, want %dx%dx%d", tc.name, batch, path, b,
+						got.H, got.W, got.C, want[b].H, want[b].W, want[b].C)
+				}
+				for i, v := range got.Data {
+					if v != want[b].Data[i] {
+						t.Fatalf("%s/B%d %s input %d: element %d = %d, want %d", tc.name, batch, path, b, i, v, want[b].Data[i])
+					}
+				}
+			}
+			for _, eng := range engines {
+				for b, in := range ins {
+					got, err := tc.model.Run(in, eng.d)
+					if err != nil {
+						t.Fatalf("%s %s Run: %v", tc.name, eng.name, err)
+					}
+					check("Run/"+eng.name, b, got)
+				}
+				for _, workers := range []int{1, 2, 0} {
+					got, err := tc.model.RunBatch(context.Background(), ins, eng.d, RunOptions{Workers: workers})
+					if err != nil {
+						t.Fatalf("%s %s RunBatch workers=%d: %v", tc.name, eng.name, workers, err)
+					}
+					for b := range got {
+						check(fmt.Sprintf("RunBatch/%s/workers%d", eng.name, workers), b, got[b])
+					}
+				}
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package qnn
 
 import (
+	"context"
 	"fmt"
 
 	"pixel/internal/tensor"
@@ -48,74 +49,53 @@ type SignedConv struct {
 // Name implements SignedLayer.
 func (c *SignedConv) Name() string { return c.Label }
 
-// ApplySigned implements SignedLayer.
+// ApplySigned implements SignedLayer: the input is lowered once to an
+// im2col patch matrix, and each output position's window is swept
+// across the filters, one SignedDotProduct per (position, filter).
 func (c *SignedConv) ApplySigned(in *tensor.Tensor, d SignedDotter) (*tensor.Tensor, error) {
 	k := c.Kernel
 	if in.C != k.C {
 		return nil, fmt.Errorf("qnn: input channels %d != kernel channels %d", in.C, k.C)
 	}
-	if c.Stride < 1 {
-		return nil, fmt.Errorf("qnn: stride %d", c.Stride)
+	var p tensor.PatchMatrix
+	if err := tensor.LowerInto(&p, in, k.R, c.Stride, 0); err != nil {
+		return nil, fmt.Errorf("qnn: %s: %w", c.Label, err)
 	}
-	eh := (in.H-k.R)/c.Stride + 1
-	ew := (in.W-k.R)/c.Stride + 1
-	if eh < 1 || ew < 1 {
-		return nil, fmt.Errorf("qnn: kernel %d too large for %dx%d input", k.R, in.H, in.W)
-	}
-	out := tensor.New(eh, ew, k.M)
-	n := k.R * k.R * k.C
-	window := make([]int64, n)
-	weights := make([]int64, n)
-	for oy := 0; oy < eh; oy++ {
-		for ox := 0; ox < ew; ox++ {
-			i := 0
-			for ky := 0; ky < k.R; ky++ {
-				for kx := 0; kx < k.R; kx++ {
-					for ch := 0; ch < in.C; ch++ {
-						window[i] = in.At(oy*c.Stride+ky, ox*c.Stride+kx, ch)
-						i++
-					}
-				}
+	out := tensor.New(p.EH, p.EW, k.M)
+	for pos := 0; pos < p.Rows; pos++ {
+		for m := 0; m < k.M; m++ {
+			acc, err := d.SignedDotProduct(p.Row(pos), k.Filter(m))
+			if err != nil {
+				return nil, fmt.Errorf("qnn: %s: %w", c.Label, err)
 			}
-			for m := 0; m < k.M; m++ {
-				i = 0
-				for ky := 0; ky < k.R; ky++ {
-					for kx := 0; kx < k.R; kx++ {
-						for ch := 0; ch < in.C; ch++ {
-							weights[i] = k.At(m, ky, kx, ch)
-							i++
-						}
-					}
-				}
-				acc, err := d.SignedDotProduct(window, weights)
-				if err != nil {
-					return nil, fmt.Errorf("qnn: %s: %w", c.Label, err)
-				}
-				out.Set(oy, ox, m, acc)
-			}
+			out.Data[pos*k.M+m] = acc
 		}
 	}
 	return out, nil
 }
 
 // SignedModel is a sequence mixing signed MAC layers with the plain
-// (Dotter-free) transforms of Model: pooling, requant+ReLU, flatten.
+// (Dotter-free) layers of Model: pooling, requant+ReLU, flatten.
 type SignedModel struct {
 	Label  string
-	Layers []any // SignedLayer or Layer entries with nil-Dotter Apply
+	Layers []any // SignedLayer or Dotter-free Layer entries
 }
 
 // Run executes the model: SignedLayer entries use the SignedDotter;
-// plain Layer entries (MaxPool, Requant, Flatten) run directly.
+// plain Layer entries (MaxPool, Requant, Flatten) run their stage on a
+// batch of one.
 func (m *SignedModel) Run(in *tensor.Tensor, d SignedDotter) (*tensor.Tensor, error) {
-	x := in
-	var err error
+	run := &batchRun{xs: []*tensor.Tensor{in}, owned: []bool{false}, arena: tensor.NewArena()}
 	for _, l := range m.Layers {
+		var err error
 		switch layer := l.(type) {
 		case SignedLayer:
-			x, err = layer.ApplySigned(x, d)
+			var y *tensor.Tensor
+			if y, err = layer.ApplySigned(run.xs[0], d); err == nil {
+				run.replace(0, y)
+			}
 		case Layer:
-			x, err = layer.Apply(x, nil)
+			err = layer.stage(context.TODO(), run, nil, 1)
 		default:
 			return nil, fmt.Errorf("qnn: %s: unsupported layer type %T", m.Label, l)
 		}
@@ -123,5 +103,5 @@ func (m *SignedModel) Run(in *tensor.Tensor, d SignedDotter) (*tensor.Tensor, er
 			return nil, fmt.Errorf("qnn: %s: %w", m.Label, err)
 		}
 	}
-	return x, nil
+	return run.xs[0], nil
 }
