@@ -309,16 +309,16 @@ func BenchmarkInferLeNet(b *testing.B) {
 }
 
 // BenchmarkServerInfer measures /v1/infer under concurrent
-// single-image load with micro-batching on (64-image batches, 2ms
-// window): end-to-end request latency (p99 reported) and served
-// images/sec, the figures a capacity plan needs.
+// single-image load with micro-batching on (batches of up to 64
+// images; requests collect while a pass runs): end-to-end request
+// latency (p99 reported) and served images/sec, the figures a capacity
+// plan needs.
 func BenchmarkServerInfer(b *testing.B) {
 	srv := server.New(server.Config{
-		Engine:      pixel.NewEngine(pixel.EngineOptions{}),
-		Infer:       server.PixelInfer{},
-		BatchSize:   64,
-		BatchWindow: 2 * time.Millisecond,
-		Logger:      slog.New(slog.NewTextHandler(io.Discard, nil)),
+		Engine:    pixel.NewEngine(pixel.EngineOptions{}),
+		Infer:     server.PixelInfer{},
+		BatchSize: 64,
+		Logger:    slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

@@ -2,10 +2,11 @@
 // design-point pricing, grid sweeps, tile-grid scheduling,
 // Monte-Carlo variation-to-yield sweeps (POST /v1/robustness, capped
 // at -max-trials trials per request) and micro-batched quantized
-// inference (POST /v1/infer; concurrent requests coalesce into
-// word-parallel engine passes of up to -batch-size images collected
-// over at most -batch-window), backed by the concurrent memoizing
-// sweep engine with request coalescing, admission control and
+// inference (POST /v1/infer; a request for an idle network runs at
+// once, and requests that arrive while its pass runs coalesce into the
+// next word-parallel engine pass, which dispatches at once as a pass of
+// its own once it holds -batch-size images), backed by the concurrent
+// memoizing sweep engine with request coalescing, admission control and
 // Prometheus metrics (see internal/server, docs/SERVER.md and
 // docs/SERVING.md).
 //
@@ -35,7 +36,7 @@
 //
 //	pixeld -addr :8764
 //	pixeld -addr 127.0.0.1:0 -max-inflight 32 -queue-timeout 100ms -cache-size 8192
-//	pixeld -addr :8764 -batch-size 64 -batch-window 2ms
+//	pixeld -addr :8764 -batch-size 64
 //	pixeld -addr :8764 -jobs-dir /var/lib/pixeld/jobs -job-ttl 1h
 //	pixeld -addr :8764 -pprof-addr 127.0.0.1:6060
 //	pixeld -addr :8765 -coordinator 127.0.0.1:8764,127.0.0.1:8766
@@ -90,7 +91,7 @@ type config struct {
 
 // workerOnly names the flags only the worker role reads.
 var workerOnly = map[string]bool{
-	"batch-size": true, "batch-window": true, "cache-size": true,
+	"batch-size": true, "cache-size": true,
 	"workers": true, "max-inflight": true, "queue-timeout": true,
 }
 
@@ -119,8 +120,7 @@ func parseFlags(args []string) (config, error) {
 	fs.DurationVar(&w.QueueTimeout, "queue-timeout", server.DefaultQueueTimeout, "worker only: how long an over-limit request queues before a 429")
 	fs.IntVar(&c.engine.CacheSize, "cache-size", 0, "worker only: result-LRU capacity in entries (0 = engine default)")
 	fs.IntVar(&c.engine.Workers, "workers", 0, "worker only: sweep worker-pool size (0 = GOMAXPROCS)")
-	fs.IntVar(&w.BatchSize, "batch-size", server.DefaultBatchSize, "worker only: image count that flushes a pending /v1/infer batch early")
-	fs.DurationVar(&w.BatchWindow, "batch-window", server.DefaultBatchWindow, "worker only: max wait for a /v1/infer batch to fill before it executes")
+	fs.IntVar(&w.BatchSize, "batch-size", server.DefaultBatchSize, "worker only: image count at which a pending /v1/infer batch dispatches at once as a pass of its own")
 	if err := fs.Parse(args); err != nil {
 		return config{}, err
 	}

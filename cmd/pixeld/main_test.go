@@ -34,8 +34,7 @@ func TestParseFlags(t *testing.T) {
 			name: "worker defaults",
 			worker: &server.Config{
 				MaxInFlight: server.DefaultMaxInFlight, QueueTimeout: server.DefaultQueueTimeout,
-				RequestTimeout: 30 * time.Second, MaxTrials: 4096,
-				BatchSize: server.DefaultBatchSize, BatchWindow: server.DefaultBatchWindow,
+				RequestTimeout: 30 * time.Second, MaxTrials: 4096, BatchSize: server.DefaultBatchSize,
 				Jobs: &defaults,
 			},
 		},
@@ -45,8 +44,7 @@ func TestParseFlags(t *testing.T) {
 				"-max-running-jobs", "5", "-job-ttl", "1m", "-request-timeout", "2s"},
 			worker: &server.Config{
 				MaxInFlight: server.DefaultMaxInFlight, QueueTimeout: server.DefaultQueueTimeout,
-				RequestTimeout: 2 * time.Second, MaxTrials: 9,
-				BatchSize: 0, BatchWindow: server.DefaultBatchWindow,
+				RequestTimeout: 2 * time.Second, MaxTrials: 9, BatchSize: 0,
 				Jobs: &jobs.RegistryOptions{MaxJobs: jobs.DefaultMaxJobs, MaxRunning: 5, TTL: time.Minute},
 			},
 			engine: pixel.EngineOptions{Workers: 3, CacheSize: 64},
@@ -62,7 +60,6 @@ func TestParseFlags(t *testing.T) {
 			},
 		},
 		{name: "coordinator batch-size", args: []string{"-coordinator", "a:1", "-batch-size", "8"}, wantErr: "-batch-size is a worker flag"},
-		{name: "coordinator batch-window", args: []string{"-batch-window", "1ms", "-coordinator", "a:1"}, wantErr: "-batch-window is a worker flag"},
 		{name: "coordinator cache-size", args: []string{"-coordinator", "a:1", "-cache-size", "0"}, wantErr: "-cache-size is a worker flag"},
 		{name: "coordinator workers", args: []string{"-coordinator", "a:1", "-workers", "2"}, wantErr: "-workers is a worker flag"},
 		{name: "coordinator max-inflight", args: []string{"-coordinator", "a:1", "-max-inflight", "2"}, wantErr: "-max-inflight is a worker flag"},
@@ -72,6 +69,7 @@ func TestParseFlags(t *testing.T) {
 		{name: "negative on coordinator", args: []string{"-coordinator", "a:1", "-max-running-jobs", "-2"}, wantErr: "-max-running-jobs -2: must not be negative"},
 		{name: "negative drain", args: []string{"-drain", "-5s"}, wantErr: "-drain -5s: must not be negative"},
 		{name: "unknown flag", args: []string{"-nope"}, wantErr: "flag provided but not defined"},
+		{name: "removed batch-window", args: []string{"-batch-window", "2ms"}, wantErr: "flag provided but not defined: -batch-window"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

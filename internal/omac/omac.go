@@ -35,6 +35,7 @@ package omac
 import (
 	"fmt"
 
+	"pixel/internal/bitserial"
 	"pixel/internal/elec"
 	"pixel/internal/optsim"
 	"pixel/internal/photonics"
@@ -123,6 +124,10 @@ type unit struct {
 	adder    *elec.CLAAdder
 	accWidth int
 	mask     uint64
+	// codec is the signed path's offset codec, or nil with codecErr
+	// when the precision has no signed range (1 bit).
+	codec    *bitserial.OffsetCodec
+	codecErr error
 }
 
 // newUnit validates cfg, checks the design's link budget (budgetFn) and
@@ -143,6 +148,7 @@ func newUnit(cfg Config, terms int, design string, budgetFn func(Config) photoni
 	if err != nil {
 		return unit{}, err
 	}
+	codec, codecErr := bitserial.NewOffsetCodec(cfg.Bits)
 	return unit{
 		cfg:      cfg,
 		budget:   budget,
@@ -151,6 +157,8 @@ func newUnit(cfg Config, terms int, design string, budgetFn func(Config) photoni
 		adder:    adder,
 		accWidth: accWidth,
 		mask:     (uint64(1) << uint(cfg.Bits)) - 1,
+		codec:    codec,
+		codecErr: codecErr,
 	}, nil
 }
 

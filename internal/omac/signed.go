@@ -1,7 +1,6 @@
 package omac
 
 import (
-	"pixel/internal/bitserial"
 	"pixel/internal/elec"
 	"pixel/internal/optsim"
 )
@@ -12,21 +11,20 @@ import (
 // two narrow electrical accumulators (charged to the add category)
 // track the operand sums for the algebraic correction.
 
-// signedDot runs the codec's offset pipeline around the unit's unsigned
+// signedDot runs the unit's offset codec pipeline around its unsigned
 // datapath through mul.
 func (u *unit) signedDot(mul multiplier, ns, ss []int64, led *optsim.Ledger) (int64, error) {
-	codec, err := bitserial.NewOffsetCodec(u.cfg.Bits)
-	if err != nil {
-		return 0, err
+	if u.codecErr != nil {
+		return 0, u.codecErr
 	}
-	return codec.DotProduct(ns, ss, func(us, ws []uint64) (uint64, error) {
+	return u.codec.DotProduct(ns, ss, func(us, ws []uint64) (uint64, error) {
 		raw, err := u.dot(mul, us, ws, led)
 		if err != nil {
 			return 0, err
 		}
 		// The two correction accumulators: narrow CLAs, one add each per
 		// term, plus the final three-term correction.
-		corr := elec.CLA(codec.Bits() + 8)
+		corr := elec.CLA(u.codec.Bits() + 8)
 		led.Charge(optsim.CatAdd, float64(2*len(us)+3)*corr.Energy(u.cfg.Tech))
 		led.AddLatency(corr.Delay(u.cfg.Tech))
 		return raw, nil

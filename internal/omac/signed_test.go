@@ -1,6 +1,7 @@
 package omac
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -64,5 +65,52 @@ func TestSignedDotProductValidation(t *testing.T) {
 	}
 	if _, err := oe.SignedDotProduct([]int64{1000}, []int64{1}, nil); err == nil {
 		t.Error("out-of-range value should error")
+	}
+	// One bit has no signed range: the unit still serves unsigned work,
+	// and its signed path reports the codec's precision error.
+	oo1, err := NewOOUnit(DefaultConfig(4, 1), 4)
+	if err != nil {
+		t.Fatalf("1-bit unit: %v", err)
+	}
+	if _, err := oo1.SignedDotProduct([]int64{0}, []int64{0}, nil); err == nil || !strings.Contains(err.Error(), "signed precision 1") {
+		t.Errorf("1-bit signed dot err = %v, want the codec's precision error", err)
+	}
+}
+
+// TestSignedDotProductAllocs pins what the signed path allocates on
+// top of the unsigned dot product it wraps: the two encoded operand
+// vectors and nothing else. The offset codec is the unit's, built once
+// at construction.
+func TestSignedDotProductAllocs(t *testing.T) {
+	ns := []int64{-3, 2, -15, 7}
+	ss := []int64{7, -8, 1, -1}
+	us := []uint64{29, 34, 17, 39} // ns and ss offset-encoded at 6 bits
+	ws := []uint64{39, 24, 33, 31}
+	oe, err := NewOEUnit(DefaultConfig(4, 6), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oo, err := NewOOUnit(DefaultConfig(4, 6), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type unit interface {
+		DotProduct(neurons, synapses []uint64, led *optsim.Ledger) (uint64, error)
+		SignedDotProduct(ns, ss []int64, led *optsim.Ledger) (int64, error)
+	}
+	for name, u := range map[string]unit{"OE": oe, "OO": oo} {
+		signed := testing.AllocsPerRun(100, func() {
+			if _, err := u.SignedDotProduct(ns, ss, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		unsigned := testing.AllocsPerRun(100, func() {
+			if _, err := u.DotProduct(us, ws, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if extra := signed - unsigned; extra != 2 {
+			t.Errorf("%s: signed path allocates %v more than the unsigned one, want 2 (the encoded operands)", name, extra)
+		}
 	}
 }

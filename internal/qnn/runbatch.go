@@ -2,6 +2,7 @@ package qnn
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -189,6 +190,10 @@ func growRows(flat *[]uint64, hdrs *[][]uint64, rows, cols int) [][]uint64 {
 	return *hdrs
 }
 
+// errNoDotter is a MAC layer's error when it is run without a Dotter
+// (handed nil, as SignedModel hands its plain layers).
+var errNoDotter = errors.New("qnn: MAC layer has no Dotter")
+
 // dotMulti evaluates every filter against every window into
 // outs[f][w], through the engine's multi-filter entry point when it has
 // one. Otherwise it issues one DotProduct per (window, filter) pair in
@@ -324,6 +329,9 @@ func fuseConvEpilogue(out *tensor.Tensor, outRows [][]uint64, ew int, rq *Requan
 // bit-identical to the unfused plan. Returns the label of the layer
 // responsible for any error.
 func (c *Conv) applyBatchFused(ctx context.Context, run *batchRun, d Dotter, workers int, rq *Requant, pool *MaxPool) (string, error) {
+	if d == nil {
+		return c.Label, errNoDotter
+	}
 	k := c.Kernel
 	ins := run.xs
 	in0 := ins[0]
@@ -403,6 +411,9 @@ func (c *Conv) applyBatchFused(ctx context.Context, run *batchRun, d Dotter, wor
 // input word-parallel; outputs are requantized directly out of the MAC
 // rows into arena tensors.
 func (f *FullyConnected) applyBatchFused(ctx context.Context, run *batchRun, d Dotter, workers int, rq *Requant) (string, error) {
+	if d == nil {
+		return f.Label, errNoDotter
+	}
 	ins := run.xs
 	n := ins[0].Len()
 	if f.Out < 1 {

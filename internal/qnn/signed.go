@@ -95,7 +95,9 @@ func (m *SignedModel) Run(in *tensor.Tensor, d SignedDotter) (*tensor.Tensor, er
 				run.replace(0, y)
 			}
 		case Layer:
-			err = layer.stage(context.TODO(), run, nil, 1)
+			if err = layer.stage(context.TODO(), run, nil, 1); err != nil {
+				err = fmt.Errorf("layer %s: %w", layer.Name(), err)
+			}
 		default:
 			return nil, fmt.Errorf("qnn: %s: unsupported layer type %T", m.Label, l)
 		}

@@ -1,7 +1,9 @@
 package qnn
 
 import (
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"pixel/internal/omac"
@@ -95,5 +97,34 @@ func TestSignedConvValidation(t *testing.T) {
 	c3 := &SignedConv{Label: "c3", Kernel: tensor.NewKernel(1, 5, 1), Stride: 1}
 	if _, err := c3.ApplySigned(tensor.New(4, 4, 1), ReferenceSignedDotter{}); err == nil {
 		t.Error("oversized kernel should error")
+	}
+}
+
+// TestMACLayerWithoutDotter proves a Conv or FullyConnected run with
+// no Dotter — handed nil in a Model, or placed in a SignedModel, which
+// gives its plain layers none — returns an error naming the layer
+// instead of panicking.
+func TestMACLayerWithoutDotter(t *testing.T) {
+	layers := []Layer{
+		&Conv{Label: "conv", Kernel: tensor.NewKernel(1, 3, 1), Stride: 1},
+		&FullyConnected{Label: "fc", Weights: make([]int64, 16), Out: 1},
+	}
+	for _, l := range layers {
+		models := map[string]func(in *tensor.Tensor) (*tensor.Tensor, error){
+			"Model": func(in *tensor.Tensor) (*tensor.Tensor, error) {
+				return (&Model{Label: "m", ActivationBits: 4, Layers: []Layer{l}}).Run(in, nil)
+			},
+			"SignedModel": func(in *tensor.Tensor) (*tensor.Tensor, error) {
+				return (&SignedModel{Label: "m", Layers: []any{l}}).Run(in, ReferenceSignedDotter{})
+			},
+		}
+		for kind, run := range models {
+			t.Run(kind+"/"+l.Name(), func(t *testing.T) {
+				_, err := run(tensor.New(4, 4, 1))
+				if !errors.Is(err, errNoDotter) || !strings.Contains(err.Error(), "layer "+l.Name()) {
+					t.Errorf("err = %v, want errNoDotter naming layer %s", err, l.Name())
+				}
+			})
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"net/http"
 	"sync"
-	"time"
 
 	"pixel"
 	"pixel/internal/httpx"
@@ -35,14 +34,10 @@ func (PixelInfer) NetworkShape(name string) (pixel.InferShape, error) {
 	return pixel.InferNetworkShape(name)
 }
 
-// Defaults for the micro-batching knobs (also the pixeld flag
-// defaults). The window is sized well under the cached-model pass
-// latency it amortizes: waiting 2ms to fill a batch that then runs
-// word-parallel beats running each image alone.
-const (
-	DefaultBatchSize   = 8
-	DefaultBatchWindow = 2 * time.Millisecond
-)
+// DefaultBatchSize is the default image count at which a pending
+// /v1/infer batch dispatches as a pass of its own (also the pixeld
+// -batch-size default).
+const DefaultBatchSize = 8
 
 // inferReply fans one request's slice of a batched pass back to its
 // waiting handler.
@@ -58,52 +53,59 @@ type inferJob struct {
 	done   chan inferReply // buffered; execute never blocks on it
 }
 
-// pendingBatch collects same-network jobs until the batch fills or its
-// window timer fires.
-type pendingBatch struct {
-	network string
-	jobs    []*inferJob // arrival order; results fan out in this order
-	images  int
-	timer   *time.Timer
+// lane is one network's batching state: the pending batch, and
+// whether the network's pass slot is taken. Jobs wait in the lane only
+// while it is busy.
+type lane struct {
+	jobs   []*inferJob // arrival order; results fan out in this order
+	images int
+	busy   bool
+}
+
+// take hands the pending batch to a pass.
+func (l *lane) take() []*inferJob {
+	jobs := l.jobs
+	l.jobs, l.images = nil, 0
+	return jobs
 }
 
 // microBatcher turns concurrent single-request /v1/infer traffic into
-// batched engine passes. The first request for a network opens a
-// collection window; the batch executes as one engine call when its
-// pending image count reaches batchSize or the window elapses,
-// whichever comes first, and per-request result slices fan back out in
-// arrival order. Each network batches independently (different
-// networks cannot share a pass).
+// batched engine passes, work-conservingly (adaptive batching as in
+// Clipper, Crankshaw et al., NSDI 2017). Each network has one pass
+// slot: a request that finds it free dispatches at once, requests that
+// arrive while its pass runs collect into the pending batch, and that
+// pass hands the batch to the engine the moment it ends. A pending
+// batch that reaches batchSize images dispatches at once as a pass of
+// its own, outside the slot, so a bulk request never waits behind
+// another pass and never holds back the requests after it.
+// Per-request result slices fan back out in arrival order. Each
+// network batches independently (different networks cannot share a
+// pass).
 type microBatcher struct {
 	run       func(ctx context.Context, network string, images [][]int64) ([]pixel.InferResult, error)
 	batchSize int
-	window    time.Duration
 
-	mu      sync.Mutex
-	pending map[string]*pendingBatch
-	closed  bool
-	wg      sync.WaitGroup // executing batches, for Close to drain
+	mu     sync.Mutex
+	lanes  map[string]*lane // one per network served; names are validated upstream
+	closed bool
+	wg     sync.WaitGroup // running passes, for Close to drain
 }
 
-func newMicroBatcher(run func(ctx context.Context, network string, images [][]int64) ([]pixel.InferResult, error), batchSize int, window time.Duration) *microBatcher {
+func newMicroBatcher(run func(ctx context.Context, network string, images [][]int64) ([]pixel.InferResult, error), batchSize int) *microBatcher {
 	if batchSize <= 0 {
 		batchSize = DefaultBatchSize
-	}
-	if window <= 0 {
-		window = DefaultBatchWindow
 	}
 	return &microBatcher{
 		run:       run,
 		batchSize: batchSize,
-		window:    window,
-		pending:   map[string]*pendingBatch{},
+		lanes:     map[string]*lane{},
 	}
 }
 
 // Submit enqueues one request's images and blocks until its slice of
 // the batched results is ready or ctx is cancelled. Cancellation
 // removes only this request from its pending batch; jobs already
-// handed to an executing pass are unaffected (the caller just stops
+// handed to a running pass are unaffected (the caller just stops
 // waiting — the buffered reply is dropped).
 func (b *microBatcher) Submit(ctx context.Context, network string, images [][]int64) ([]pixel.InferResult, int, error) {
 	job := &inferJob{images: images, done: make(chan inferReply, 1)}
@@ -117,21 +119,25 @@ func (b *microBatcher) Submit(ctx context.Context, network string, images [][]in
 			Msg:    "server is draining",
 		}
 	}
-	pb := b.pending[network]
-	if pb == nil {
-		pb = &pendingBatch{network: network}
-		b.pending[network] = pb
-		pb.timer = time.AfterFunc(b.window, func() { b.flush(pb) })
+	l := b.lanes[network]
+	if l == nil {
+		l = &lane{}
+		b.lanes[network] = l
 	}
-	pb.jobs = append(pb.jobs, job)
-	pb.images += len(images)
-	if pb.images >= b.batchSize {
-		b.detachLocked(pb)
+	l.jobs = append(l.jobs, job)
+	l.images += len(images)
+	switch {
+	case l.images >= b.batchSize:
+		jobs := l.take()
 		b.wg.Add(1)
 		go func() {
 			defer b.wg.Done()
-			b.execute(pb)
+			b.execute(network, jobs)
 		}()
+	case !l.busy:
+		l.busy = true
+		b.wg.Add(1)
+		go b.drive(network, l, l.take())
 	}
 	b.mu.Unlock()
 
@@ -144,66 +150,52 @@ func (b *microBatcher) Submit(ctx context.Context, network string, images [][]in
 	}
 }
 
-// flush is the window-timer path: execute the batch unless a size
-// flush or Close already detached it.
-func (b *microBatcher) flush(pb *pendingBatch) {
-	b.mu.Lock()
-	if b.pending[pb.network] != pb {
-		b.mu.Unlock()
-		return
-	}
-	b.detachLocked(pb)
-	b.wg.Add(1)
-	b.mu.Unlock()
+// drive holds the network's pass slot: it runs jobs as one pass, then,
+// as long as requests collected behind it, runs them as the next pass.
+// Jobs wait in a lane only while it is busy, so every accepted job
+// reaches a pass.
+func (b *microBatcher) drive(network string, l *lane, jobs []*inferJob) {
 	defer b.wg.Done()
-	b.execute(pb)
-}
-
-// detachLocked removes pb from the pending map (if still there) and
-// stops its timer; the caller owns pb exclusively afterwards.
-func (b *microBatcher) detachLocked(pb *pendingBatch) {
-	if b.pending[pb.network] == pb {
-		delete(b.pending, pb.network)
+	for len(jobs) > 0 {
+		b.execute(network, jobs)
+		b.mu.Lock()
+		jobs = l.take()
+		l.busy = len(jobs) > 0
+		b.mu.Unlock()
 	}
-	pb.timer.Stop()
 }
 
-// remove drops one cancelled job from its pending batch. If the batch
-// is already executing there is nothing to do; if the job was its last
-// occupant the batch is detached without running.
+// remove drops one cancelled job from its network's pending batch. If
+// the job already rode a pass there is nothing to do; if it was the
+// batch's last occupant the batch never runs.
 func (b *microBatcher) remove(network string, job *inferJob) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	pb := b.pending[network]
-	if pb == nil {
-		return
-	}
-	for i, j := range pb.jobs {
+	l := b.lanes[network]
+	for i, j := range l.jobs {
 		if j == job {
-			pb.jobs = append(pb.jobs[:i], pb.jobs[i+1:]...)
-			pb.images -= len(job.images)
-			break
+			l.jobs = append(l.jobs[:i], l.jobs[i+1:]...)
+			l.images -= len(job.images)
+			return
 		}
-	}
-	if len(pb.jobs) == 0 {
-		b.detachLocked(pb)
 	}
 }
 
-// execute runs one detached batch through a single engine pass and
-// fans each job's result slice back in arrival order. On error every
-// waiting job receives the same failure.
-func (b *microBatcher) execute(pb *pendingBatch) {
-	if len(pb.jobs) == 0 {
-		return
+// execute runs jobs through a single engine pass and fans each job's
+// result slice back in arrival order. On error every waiting job
+// receives the same failure.
+func (b *microBatcher) execute(network string, jobs []*inferJob) {
+	images := 0
+	for _, j := range jobs {
+		images += len(j.images)
 	}
-	all := make([][]int64, 0, pb.images)
-	for _, j := range pb.jobs {
+	all := make([][]int64, 0, images)
+	for _, j := range jobs {
 		all = append(all, j.images...)
 	}
-	results, err := b.run(context.Background(), pb.network, all)
+	results, err := b.run(context.Background(), network, all)
 	off := 0
-	for _, j := range pb.jobs {
+	for _, j := range jobs {
 		n := len(j.images)
 		if err != nil {
 			j.done <- inferReply{err: err}
@@ -214,30 +206,12 @@ func (b *microBatcher) execute(pb *pendingBatch) {
 	}
 }
 
-// Close stops accepting new work, flushes every pending partial batch,
-// and waits for all executing batches to fan out. Jobs still waiting
-// get their results; Submit calls after Close fail with 503.
+// Close stops accepting new work and waits until every accepted job
+// has its reply: each busy lane's pass goes on to run the batch
+// collected behind it. Submit calls after Close fail with 503.
 func (b *microBatcher) Close() {
 	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return
-	}
 	b.closed = true
-	batches := make([]*pendingBatch, 0, len(b.pending))
-	for _, pb := range b.pending {
-		pb.timer.Stop()
-		batches = append(batches, pb)
-	}
-	b.pending = map[string]*pendingBatch{}
-	b.wg.Add(len(batches))
 	b.mu.Unlock()
-
-	for _, pb := range batches {
-		go func(pb *pendingBatch) {
-			defer b.wg.Done()
-			b.execute(pb)
-		}(pb)
-	}
 	b.wg.Wait()
 }

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"pixel"
 	"pixel/api"
@@ -20,11 +19,10 @@ import (
 // build; -update-golden rewrites them.
 func TestHandlerBodiesGolden(t *testing.T) {
 	srv := New(Config{
-		Engine:      pixel.NewEngine(pixel.EngineOptions{}),
-		Infer:       PixelInfer{},
-		BatchSize:   2,
-		BatchWindow: time.Second,
-		Logger:      discardLogger(),
+		Engine:    pixel.NewEngine(pixel.EngineOptions{}),
+		Infer:     PixelInfer{},
+		BatchSize: 2,
+		Logger:    discardLogger(),
 	})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())

@@ -6,23 +6,22 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"pixel"
 	"pixel/api"
 )
 
-// inferServer builds a server with the real pixel facade behind
-// /v1/infer.
-func inferServer(t *testing.T, batchSize int, window time.Duration) *httptest.Server {
+// inferServer builds a server with infer (the real pixel facade, or a
+// wrapper of it) behind /v1/infer.
+func inferServer(t *testing.T, batchSize int, infer InferEvaluator) *httptest.Server {
 	t.Helper()
 	srv := New(Config{
-		Engine:      pixel.NewEngine(pixel.EngineOptions{}),
-		Infer:       PixelInfer{},
-		BatchSize:   batchSize,
-		BatchWindow: window,
-		Logger:      discardLogger(),
+		Engine:    pixel.NewEngine(pixel.EngineOptions{}),
+		Infer:     infer,
+		BatchSize: batchSize,
+		Logger:    discardLogger(),
 	})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
@@ -52,7 +51,7 @@ func tinyImages(n int) [][]int64 {
 // produce one at a time — batching is a serving optimization, not a
 // semantic change.
 func TestInferEndToEnd(t *testing.T) {
-	ts := inferServer(t, 8, time.Millisecond)
+	ts := inferServer(t, 8, PixelInfer{})
 	c := api.NewClient(ts.URL, nil)
 	ctx := context.Background()
 	imgs := tinyImages(4)
@@ -78,12 +77,43 @@ func TestInferEndToEnd(t *testing.T) {
 	}
 }
 
+// heldInfer is the pixel facade with its first pass held open until
+// gate is closed; held is closed once that pass has started.
+type heldInfer struct {
+	PixelInfer
+	calls      atomic.Int64
+	gate, held chan struct{}
+}
+
+func (h *heldInfer) InferContext(ctx context.Context, spec pixel.InferSpec) ([]pixel.InferResult, error) {
+	if h.calls.Add(1) == 1 {
+		close(h.held)
+		<-h.gate
+	}
+	return h.PixelInfer.InferContext(ctx, spec)
+}
+
 // TestInferMicroBatchingOverHTTP proves two concurrent single-image
-// requests coalesce into one serving batch.
+// requests that arrive while a pass runs coalesce into one serving
+// batch.
 func TestInferMicroBatchingOverHTTP(t *testing.T) {
-	ts := inferServer(t, 2, 500*time.Millisecond)
+	h := &heldInfer{gate: make(chan struct{}), held: make(chan struct{})}
+	ts := inferServer(t, 2, h)
 	c := api.NewClient(ts.URL, nil)
 	imgs := tinyImages(2)
+
+	heldErr := make(chan error, 1)
+	go func() {
+		_, err := c.Infer(context.Background(), api.InferRequest{Network: "tiny", Images: imgs[:1]})
+		heldErr <- err
+	}()
+	<-h.held
+	defer func() {
+		close(h.gate)
+		if err := <-heldErr; err != nil {
+			t.Errorf("held request: %v", err)
+		}
+	}()
 
 	var wg sync.WaitGroup
 	replies := make([]api.InferResponse, 2)
@@ -110,7 +140,7 @@ func TestInferMicroBatchingOverHTTP(t *testing.T) {
 // TestInferValidation proves malformed requests fail with their own
 // documented envelope before joining any batch.
 func TestInferValidation(t *testing.T) {
-	ts := inferServer(t, 8, time.Millisecond)
+	ts := inferServer(t, 8, PixelInfer{})
 	c := api.NewClient(ts.URL, nil)
 	ctx := context.Background()
 	good := tinyImages(1)[0]

@@ -75,13 +75,10 @@ type Config struct {
 	// PixelInfer{} wires the route to the pixel facade.
 	Infer InferEvaluator
 	// BatchSize is the image count at which a pending /v1/infer batch
-	// executes without waiting out its window; <= 0 means
-	// DefaultBatchSize.
+	// dispatches at once as a pass of its own, without waiting for the
+	// running pass of its network to end; <= 0 means DefaultBatchSize.
+	// A request for an idle network never waits.
 	BatchSize int
-	// BatchWindow is how long the first request of a /v1/infer batch
-	// waits for company before the partial batch executes; <= 0 means
-	// DefaultBatchWindow.
-	BatchWindow time.Duration
 	// MaxTrials bounds the per-request trial count of a robustness
 	// sweep; <= 0 means httpx.DefaultMaxTrials. Requests above it are
 	// rejected with 400 before any work starts.
@@ -169,7 +166,7 @@ func New(cfg Config) *Server {
 				s.metrics.inferImages.Add(int64(len(images)))
 				return s.infer.InferContext(ctx, pixel.InferSpec{Network: network, Images: images})
 			})
-		}, cfg.BatchSize, cfg.BatchWindow)
+		}, cfg.BatchSize)
 	}
 	if cfg.Jobs != nil {
 		opts := *cfg.Jobs
@@ -201,8 +198,7 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener, drain time.Duration
 	return s.core.Serve(ctx, ln, drain, s.Handler(), func() {
 		if s.batcher != nil {
 			// In-flight /v1/infer handlers finished during the HTTP
-			// drain; this flushes any partial batch whose window never
-			// filled.
+			// drain; this waits out any pass still fanning out.
 			s.batcher.Close()
 		}
 		// Running jobs flush a final checkpoint and persist as
