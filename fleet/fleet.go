@@ -27,8 +27,10 @@ type Options struct {
 	Workers []string
 	// HTTPClient carries shard requests; nil means http.DefaultClient.
 	HTTPClient *http.Client
-	// ShardsPerWorker scales the fan-out: a request splits into about
-	// healthy-workers x ShardsPerWorker shards.
+	// ShardsPerWorker caps the fan-out: a request splits into at most
+	// healthy-workers x ShardsPerWorker shards, and a sweep into fewer
+	// when it is too small to give each shard 32 rows x networks of
+	// work.
 	ShardsPerWorker int
 	// RequestTimeout bounds one synchronous request end to end, shard
 	// fan-out included.

@@ -78,6 +78,14 @@ const (
 	// rounds a fleet job tolerates before it fails with the last shard
 	// error.
 	maxSalvageRounds = 5
+	// minShardUnits is the least work, in rows × networks, a sweep
+	// shard is planned with: a sweep of u units splits into
+	// clamp(u/minShardUnits, 1, shardTarget) shards. Each shard pays a
+	// fixed cost (its HTTP round trip, JSON coding and the fold) that
+	// a least-squares fit of shard latency against units put at about
+	// 20 units of pricing on a 2-vCPU host (docs/FLEET.md, How many
+	// shards).
+	minShardUnits = 32
 )
 
 // Options configures a Coordinator. Workers is required; everything
@@ -90,8 +98,9 @@ type Options struct {
 	// HTTPClient carries shard requests; nil means http.DefaultClient.
 	// Per-request deadlines ride on contexts, not the client.
 	HTTPClient *http.Client
-	// ShardsPerWorker scales the shard target: a request splits into
-	// about healthy-workers x ShardsPerWorker shards; <= 0 means
+	// ShardsPerWorker caps the fan-out at healthy-workers x
+	// ShardsPerWorker shards; a sweep too small to give each shard
+	// minShardUnits of work plans fewer. <= 0 means
 	// DefaultShardsPerWorker.
 	ShardsPerWorker int
 	// MaxAttempts is the per-arm attempt budget of one shard, the first
@@ -145,6 +154,11 @@ type Options struct {
 	JobPollInterval time.Duration
 	// Logger receives structured logs; nil means slog.Default().
 	Logger *slog.Logger
+
+	// shardFloor is the sweep shard floor in units; <= 0 means
+	// minShardUnits. The package's tests set 1 so that ShardsPerWorker
+	// alone picks their shard counts.
+	shardFloor int
 }
 
 // withDefaults returns o with every unset knob defaulted.
@@ -162,6 +176,7 @@ func (o Options) withDefaults() Options {
 	o.RequestTimeout = httpx.OrDefault(o.RequestTimeout, httpx.DefaultRequestTimeout)
 	o.MaxTrials = httpx.OrDefault(o.MaxTrials, httpx.DefaultMaxTrials)
 	o.JobPollInterval = httpx.OrDefault(o.JobPollInterval, DefaultJobPollInterval)
+	o.shardFloor = httpx.OrDefault(o.shardFloor, minShardUnits)
 	if o.Logger == nil {
 		o.Logger = slog.Default()
 	}
@@ -309,10 +324,10 @@ func (c *Coordinator) healthyCount() int {
 	return n
 }
 
-// shardTarget is how many shards the next fan-out should aim for:
-// enough to keep every healthy worker busy with a little over-split
-// for balance. A fully-dark fleet still plans against the nominal
-// size — the executor will surface the real transport errors.
+// shardTarget is the most shards a fan-out aims for: enough to keep
+// every healthy worker busy with a little over-split for balance. A
+// fully-dark fleet still plans against the nominal size — the executor
+// will surface the real transport errors.
 func (c *Coordinator) shardTarget() int {
 	n := c.healthyCount()
 	if n == 0 {

@@ -70,7 +70,7 @@ func startWorkers(t *testing.T, n int) []string {
 }
 
 // newTestCoordinator builds a coordinator with test-fast retry and
-// job-poll timing.
+// job-poll timing and no sweep shard floor.
 func newTestCoordinator(t *testing.T, opts Options) *Coordinator {
 	t.Helper()
 	if opts.RetryBaseDelay == 0 {
@@ -81,6 +81,9 @@ func newTestCoordinator(t *testing.T, opts Options) *Coordinator {
 	}
 	if opts.Logger == nil {
 		opts.Logger = discardLogger()
+	}
+	if opts.shardFloor == 0 {
+		opts.shardFloor = 1 // ShardsPerWorker alone picks the shard count
 	}
 	c, err := New(opts)
 	if err != nil {

@@ -418,6 +418,14 @@ func (t *fleetSweepTask) Progress() (int, int) { return t.cells.Progress() }
 // a worker's sweep job reports (see httpx.SweepCells).
 func (t *fleetSweepTask) Partial() any { return t.cells.Partial() }
 
+// plan shards the missing rows into at most target shards, fewer when
+// their rows × networks would give a shard less than minShardUnits of
+// work.
+func (t *fleetSweepTask) plan(missing []int, target int) []sweepShard {
+	units := len(missing) * len(t.req.Networks)
+	return t.planMissing(missing, min(max(units/t.c.opts.shardFloor, 1), target))
+}
+
 // planMissing builds at most about target shards covering exactly the
 // missing rows. A full grid uses planSweep's contiguous chunks; a
 // salvage round groups holes per (design, lane) with a bit subset in
@@ -457,7 +465,7 @@ func (t *fleetSweepTask) Run(ctx context.Context, emit func(string, any)) (any, 
 	done, _ := t.Progress() // > 0: resumed mid-flight from a checkpoint
 	err := harvest(ctx, t.c, api.JobKindSweep, done > 0,
 		func() int { _, cells := t.cells.MissingRows(); return cells },
-		func(target int) []sweepShard { rows, _ := t.cells.MissingRows(); return t.planMissing(rows, target) },
+		func(target int) []sweepShard { rows, _ := t.cells.MissingRows(); return t.plan(rows, target) },
 		func(ctx context.Context, sh sweepShard) error { return t.runShard(ctx, sh, emit) })
 	if err != nil {
 		return nil, err

@@ -10,6 +10,10 @@ var shardBuckets = []float64{
 	0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30,
 }
 
+// fanoutBuckets are the shards-per-fan-out histogram bounds: one
+// shard up to a large fleet's workers x ShardsPerWorker.
+var fanoutBuckets = []float64{1, 2, 4, 8, 16, 32}
+
 // counters are the coordinator's own /metrics families under the
 // pixelfleet_ prefix. The request, latency, in-flight and jobs
 // families come from the shared HTTP core (internal/httpx).
@@ -33,6 +37,7 @@ type counters struct {
 
 	shards       *metrics.CounterVec   // shards served, by winning worker and route
 	shardLatency *metrics.HistogramVec // shard latency by route
+	fanout       *metrics.HistogramVec // shards planned per synchronous sweep/robustness request, by route
 }
 
 // newCounters registers the coordinator's families; the membership
@@ -64,5 +69,6 @@ func newCounters(reg *metrics.Registry, c *Coordinator) counters {
 		jobsParked:     reg.Counter("pixelfleet_jobs_parked_total", "Fleet jobs that paused waiting for a healthy worker."),
 		shards:         reg.CounterVec("pixelfleet_shards_total", "Shards served, by winning worker and route.", "worker", "route"),
 		shardLatency:   reg.HistogramVec("pixelfleet_shard_duration_seconds", "Shard latency by route.", shardBuckets, "route"),
+		fanout:         reg.HistogramVec("pixelfleet_fanout_shards", "Shards planned per synchronous sweep or robustness request, by route.", fanoutBuckets, "route"),
 	}
 }

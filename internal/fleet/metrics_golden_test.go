@@ -46,8 +46,9 @@ func seriesSet(text string) []string {
 }
 
 // TestMetricsSeriesGolden pins the coordinator's /metrics series names
-// and label keys after a fixed request sequence: a renamed, relabelled
-// or dropped series fails until the golden is deliberately regenerated.
+// and label keys after a fixed request sequence, an evaluate and a
+// sweep fan-out: a renamed, relabelled or dropped series fails until
+// the golden is deliberately regenerated.
 func TestMetricsSeriesGolden(t *testing.T) {
 	workers := startWorkers(t, 1)
 	c := newTestCoordinator(t, Options{Workers: workers})
@@ -56,6 +57,9 @@ func TestMetricsSeriesGolden(t *testing.T) {
 
 	if status, body := postJSON(t, ts.URL+"/v1/evaluate", api.EvaluateRequest{Network: "AlexNet", Design: "OO", Lanes: 4, Bits: 16}); status != http.StatusOK {
 		t.Fatalf("evaluate = %d: %s", status, body)
+	}
+	if status, body := postJSON(t, ts.URL+"/v1/sweep", api.SweepRequest{Networks: []string{"LeNet"}, Lanes: []int{2, 4}, Bits: []int{8}}); status != http.StatusOK {
+		t.Fatalf("sweep = %d: %s", status, body)
 	}
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {

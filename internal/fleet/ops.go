@@ -34,7 +34,8 @@ func (c *Coordinator) Sweep(ctx context.Context, req api.SweepRequest) (api.Swee
 		return api.SweepResponse{}, err
 	}
 	rows, _ := t.cells.MissingRows()
-	shards := t.planMissing(rows, c.shardTarget())
+	shards := t.plan(rows, c.shardTarget())
+	c.metrics.fanout.Observe(float64(len(shards)), "/v1/sweep")
 	if err := parallel.For(ctx, len(shards), len(shards), func(ctx context.Context, i int) error {
 		return t.runSync(ctx, shards[i], func(string, any) {})
 	}); err != nil {
@@ -52,6 +53,7 @@ func (c *Coordinator) Robustness(ctx context.Context, req api.RobustnessRequest)
 		return api.RobustnessResponse{}, err
 	}
 	shards := t.planMissing(t.points.Missing(), c.shardTarget())
+	c.metrics.fanout.Observe(float64(len(shards)), "/v1/robustness")
 	if err := parallel.For(ctx, len(shards), len(shards), func(ctx context.Context, i int) error {
 		return t.runSync(ctx, shards[i], func(string, any) {})
 	}); err != nil {

@@ -31,11 +31,12 @@ func newSweepShard(req api.SweepRequest, designs []pixel.Design, lanes, bits, ro
 
 // planSweep validates req's limits exactly as a worker would and
 // splits the canonical grid (design-major, then lanes, then bits) into
-// at most target cross-product-expressible shards. The split
-// hierarchy follows the grid's axis order — whole-design chunks first,
-// then per-design lane chunks, then per-(design, lane) bit chunks —
-// so every shard stays a contiguous block and its sub-request stays a
-// pure cross product. points is the full grid size.
+// at most max(target, 1) cross-product-expressible shards. The split
+// follows the grid's axis order: the target spreads over the designs
+// (whole-design chunks while it is at most the design count), each
+// design's share over its lanes, and a share above the lane count over
+// each lane's bits — so every shard stays a contiguous block and its
+// sub-request stays a pure cross product. points is the full grid size.
 func planSweep(req api.SweepRequest, target int) (shards []sweepShard, points int, err error) {
 	designs, points, err := httpx.SweepDesigns(req)
 	if err != nil {
@@ -50,27 +51,23 @@ func planSweep(req api.SweepRequest, target int) (shards []sweepShard, points in
 		shards = append(shards, newSweepShard(req, designs, lanes, bits, rows))
 	}
 
-	switch {
-	case target <= 1:
-		add(designs, req.Lanes, req.Bits, 0, points)
-	case target <= D:
+	if target <= D {
 		for _, r := range chunkRanges(D, target) {
 			add(designs[r[0]:r[1]], req.Lanes, req.Bits, r[0]*L*B, (r[1]-r[0])*L*B)
 		}
-	case target <= D*L:
-		perDesign := (target + D - 1) / D
-		for di := 0; di < D; di++ {
-			for _, r := range chunkRanges(L, perDesign) {
+		return shards, points, nil
+	}
+	for di, dr := range chunkRanges(target, D) {
+		share := dr[1] - dr[0] // this design's part of the target, >= 1
+		if share <= L {
+			for _, r := range chunkRanges(L, share) {
 				add(designs[di:di+1], req.Lanes[r[0]:r[1]], req.Bits, di*L*B+r[0]*B, (r[1]-r[0])*B)
 			}
+			continue
 		}
-	default:
-		perLane := (target + D*L - 1) / (D * L)
-		for di := 0; di < D; di++ {
-			for li := 0; li < L; li++ {
-				for _, r := range chunkRanges(B, perLane) {
-					add(designs[di:di+1], req.Lanes[li:li+1], req.Bits[r[0]:r[1]], (di*L+li)*B+r[0], r[1]-r[0])
-				}
+		for li, lr := range chunkRanges(share, L) {
+			for _, r := range chunkRanges(B, lr[1]-lr[0]) {
+				add(designs[di:di+1], req.Lanes[li:li+1], req.Bits[r[0]:r[1]], (di*L+li)*B+r[0], r[1]-r[0])
 			}
 		}
 	}
@@ -90,15 +87,11 @@ type robustShard struct {
 	Idx []int // local σ position → global σ index
 }
 
-// chunkRanges splits [0, n) into min(k, n) contiguous half-open
-// ranges whose sizes differ by at most one.
+// chunkRanges splits [0, n) into min(max(k, 1), n) contiguous
+// half-open ranges whose sizes differ by at most one; an empty [0, 0)
+// has none.
 func chunkRanges(n, k int) [][2]int {
-	if k > n {
-		k = n
-	}
-	if k < 1 {
-		k = 1
-	}
+	k = min(max(k, 1), n)
 	out := make([][2]int, 0, k)
 	lo := 0
 	for i := 0; i < k; i++ {

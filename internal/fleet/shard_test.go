@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"errors"
+	"math/rand/v2"
 	"slices"
 	"strconv"
 	"strings"
@@ -14,19 +15,13 @@ import (
 )
 
 // TestChunkRanges: contiguous cover of [0, n) with sizes differing by
-// at most one, for every (n, k) in a small exhaustive box.
+// at most one, for every (n, k) in a small exhaustive box; an empty
+// [0, 0) splits into no ranges at all.
 func TestChunkRanges(t *testing.T) {
-	for n := 1; n <= 12; n++ {
+	for n := 0; n <= 12; n++ {
 		for k := -1; k <= n+3; k++ {
 			rs := chunkRanges(n, k)
-			want := k
-			if want > n {
-				want = n
-			}
-			if want < 1 {
-				want = 1
-			}
-			if len(rs) != want {
+			if want := min(max(k, 1), n); len(rs) != want {
 				t.Fatalf("chunkRanges(%d, %d) has %d ranges, want %d", n, k, len(rs), want)
 			}
 			lo, minSz, maxSz := 0, n+1, 0
@@ -110,9 +105,7 @@ func TestPlanSweepCoversGrid(t *testing.T) {
 		if n := len(checkShards(target, shards)); n != len(full) {
 			t.Fatalf("target %d: shards cover %d points, want %d", target, n, len(full))
 		}
-		// Per-design (and per-lane) rounding can overshoot the target by
-		// at most one chunk per design x lane.
-		if target >= 1 && len(shards) > target+len(designs)*len(req.Lanes)-1 {
+		if len(shards) > max(target, 1) {
 			t.Fatalf("target %d produced %d shards", target, len(shards))
 		}
 	}
@@ -344,5 +337,169 @@ func TestShardKeysAreWorkerKeys(t *testing.T) {
 	}
 	if key, want := "map|"+httpx.MapKey(spec), "map|LeNet|OE/L4/B8|2|3|true"; key != want {
 		t.Errorf("map key = %q, want %q", key, want)
+	}
+}
+
+// FuzzShardPlan: for any grid shape, network count, shard target and
+// set of missing rows or σ points, both planners cover every missing
+// unit exactly once in axis order, every sweep shard's cross product
+// lands on its global rows, and a full-grid sweep plan has at most
+// max(target, 1) shards. The seed corpus in testdata/fuzz holds the
+// shapes planSweep once overshot (3 designs x 2 lanes at target 4,
+// 1 x 3 at 4, 2 x 3 at 3) and an empty missing set.
+func FuzzShardPlan(f *testing.F) {
+	c := &Coordinator{opts: Options{}.withDefaults()}
+	nets := pixel.Networks()
+	f.Fuzz(func(t *testing.T, nd, nl, nb, nn, target, nsig, trials uint8, holes uint64) {
+		seq := func(n uint8, mod int) []int {
+			out := make([]int, 1+int(n)%mod)
+			for i := range out {
+				out[i] = i + 1
+			}
+			return out
+		}
+		var designs []string
+		for _, d := range pixel.Designs()[:1+int(nd)%3] {
+			designs = append(designs, d.String())
+		}
+		req := api.SweepRequest{Networks: nets[:1+int(nn)%2], Designs: designs, Lanes: seq(nl, 8), Bits: seq(nb, 8)}
+		task, err := c.newSweepTask(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := int(target) % 17
+		// pick keeps each of 0..n-1 with probability 1/2, seeded by holes.
+		pick := func(n int) []int {
+			r := rand.New(rand.NewPCG(holes, uint64(n)))
+			var out []int
+			for i := 0; i < n; i++ {
+				if r.IntN(2) == 1 {
+					out = append(out, i)
+				}
+			}
+			return out
+		}
+
+		full := pixel.Grid(task.designs, req.Lanes, req.Bits)
+		all, _ := task.cells.MissingRows()
+		for _, missing := range [][]int{all, pick(task.points)} {
+			shards := task.planMissing(missing, k)
+			var covered []int
+			for _, sh := range shards {
+				var sub []pixel.Design
+				for _, name := range sh.Req.Designs {
+					d, err := pixel.ParseDesign(name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sub = append(sub, d)
+				}
+				grid := pixel.Grid(sub, sh.Req.Lanes, sh.Req.Bits)
+				if len(grid) != len(sh.Rows) {
+					t.Fatalf("target %d: shard grid has %d points for %d rows", k, len(grid), len(sh.Rows))
+				}
+				for j, p := range grid {
+					if want := full[sh.Rows[j]]; p != want {
+						t.Fatalf("target %d: shard point %s lands on row %d, which is %s", k, p, sh.Rows[j], want)
+					}
+				}
+				covered = append(covered, sh.Rows...)
+			}
+			if !slices.Equal(covered, missing) {
+				t.Fatalf("target %d: sweep plan covers rows %v, want %v", k, covered, missing)
+			}
+			if len(missing) == task.points && len(shards) > max(k, 1) {
+				t.Fatalf("target %d: full %d x %d x %d grid planned %d shards", k, len(designs), len(req.Lanes), len(req.Bits), len(shards))
+			}
+		}
+
+		sigmas := make([]float64, 1+int(nsig)%12)
+		for i := range sigmas {
+			sigmas[i] = 0.01 * float64(i+1)
+		}
+		allSigmas := make([]int, len(sigmas))
+		for i := range allSigmas {
+			allSigmas[i] = i
+		}
+		rt := &fleetRobustnessTask{c: c, req: api.RobustnessRequest{Network: "lenet", Design: "OO", Sigmas: sigmas, Trials: 1 + int(trials)%8}}
+		for _, missing := range [][]int{allSigmas, pick(len(sigmas))} {
+			shards := rt.planMissing(missing, k)
+			var covered []int
+			for _, sh := range shards {
+				if len(sh.Idx) == 0 || len(sh.Idx) != len(sh.Req.Sigmas) {
+					t.Fatalf("target %d: shard maps %d indices for %d sigmas", k, len(sh.Idx), len(sh.Req.Sigmas))
+				}
+				for j, gi := range sh.Idx {
+					if sh.Req.Sigmas[j] != sigmas[gi] {
+						t.Fatalf("target %d: shard sigma %v at global index %d, want %v", k, sh.Req.Sigmas[j], gi, sigmas[gi])
+					}
+				}
+				covered = append(covered, sh.Idx...)
+			}
+			if !slices.Equal(covered, missing) {
+				t.Fatalf("target %d: robustness plan covers %v, want %v", k, covered, missing)
+			}
+			if want := min(max(k, 1), len(missing)); len(shards) != want {
+				t.Fatalf("target %d: %d missing sigmas planned %d shards, want %d", k, len(missing), len(shards), want)
+			}
+		}
+	})
+}
+
+// planCoordinator is a coordinator over n named, never-contacted
+// workers with no prober: enough to plan against.
+func planCoordinator(n int) *Coordinator {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = "w" + strconv.Itoa(i) + ":1"
+	}
+	c := &Coordinator{opts: Options{Workers: names}.withDefaults()}
+	for _, name := range names {
+		c.members = append(c.members, c.newWorker(name))
+	}
+	c.ring = newRing(names)
+	return c
+}
+
+// TestPlanSweepFloor: a sweep plans one shard per minShardUnits of
+// rows × networks, at least one and at most shardTarget. A 48-cell
+// grid plans one shard, the same grid over two networks three, and a
+// 576-point grid shardTarget shards that reach every worker.
+func TestPlanSweepFloor(t *testing.T) {
+	c := planCoordinator(3)
+	lanes := []int{2, 4, 8, 16}
+	bits := []int{2, 4, 6, 8}
+	many := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
+	cases := []struct {
+		name string
+		req  api.SweepRequest
+		want int
+	}{
+		{"48 cells", api.SweepRequest{Networks: []string{"LeNet"}, Lanes: lanes, Bits: bits}, 1},
+		{"48 cells x 2 networks", api.SweepRequest{Networks: []string{"LeNet", "AlexNet"}, Lanes: lanes, Bits: bits}, 96 / minShardUnits},
+		{"576 points", api.SweepRequest{Networks: []string{"LeNet"}, Lanes: many, Bits: append(many, 13, 14, 15, 16)}, c.shardTarget()},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			task, err := c.newSweepTask(tc.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, _ := task.cells.MissingRows()
+			shards := task.plan(rows, c.shardTarget())
+			if len(shards) != tc.want {
+				t.Fatalf("%d-point grid planned %d shards, want %d", task.points, len(shards), tc.want)
+			}
+			if tc.want < c.shardTarget() {
+				return
+			}
+			owners := map[int]bool{}
+			for _, sh := range shards {
+				owners[c.ring.owner(sh.Key)] = true
+			}
+			if len(owners) != len(c.members) {
+				t.Errorf("%d-point grid's shards reach %d of %d workers", task.points, len(owners), len(c.members))
+			}
+		})
 	}
 }
