@@ -9,7 +9,11 @@ import (
 // meters no energy, so it ignores the ledger.
 type eeUnit struct {
 	engine *bitserial.Engine
-	terms  int
+	// codec is the signed path's offset codec, or nil with codecErr
+	// when the precision has no signed range (1 bit): a 1-bit MAC still
+	// builds, and only its SignedDotProduct fails.
+	codec    *bitserial.OffsetCodec
+	codecErr error
 }
 
 func newEEUnit(bits, terms int) (*eeUnit, error) {
@@ -17,7 +21,8 @@ func newEEUnit(bits, terms int) (*eeUnit, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &eeUnit{engine: e, terms: terms}, nil
+	codec, codecErr := bitserial.NewOffsetCodec(bits)
+	return &eeUnit{engine: e, codec: codec, codecErr: codecErr}, nil
 }
 
 func (u *eeUnit) Multiply(x, y uint64, _ *optsim.Ledger) (uint64, error) {
@@ -30,13 +35,12 @@ func (u *eeUnit) DotProduct(x, y []uint64, _ *optsim.Ledger) (uint64, error) {
 	return v, err
 }
 
-// SignedDotProduct builds its signed engine per call: signed operands
-// need at least 2 bits, and a 1-bit MAC must still build.
+// SignedDotProduct runs the offset codec around the unsigned engine.
 func (u *eeUnit) SignedDotProduct(x, y []int64, _ *optsim.Ledger) (int64, error) {
-	se, err := bitserial.NewSignedEngine(u.engine.Bits(), u.terms)
-	if err != nil {
-		return 0, err
+	if u.codecErr != nil {
+		return 0, u.codecErr
 	}
-	v, _, err := se.DotProduct(x, y)
-	return v, err
+	return u.codec.DotProduct(x, y, func(us, ws []uint64) (uint64, error) {
+		return u.DotProduct(us, ws, nil)
+	})
 }

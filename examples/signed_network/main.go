@@ -18,13 +18,6 @@ import (
 	"pixel/internal/tensor"
 )
 
-// ooSigned adapts the public MAC to qnn's signed interface.
-type ooSigned struct{ mac *pixel.MAC }
-
-func (o ooSigned) SignedDotProduct(a, b []int64) (int64, error) {
-	return o.mac.SignedDotProduct(a, b)
-}
-
 func main() {
 	rng := rand.New(rand.NewSource(11))
 
@@ -33,9 +26,10 @@ func main() {
 	for i := range k.Data {
 		k.Data[i] = rng.Int63n(15) - 7
 	}
-	model := &qnn.SignedModel{
-		Label: "signed-demo",
-		Layers: []any{
+	model := &qnn.Model{
+		Label:          "signed-demo",
+		ActivationBits: 3,
+		Layers: []qnn.Layer{
 			&qnn.SignedConv{Label: "conv", Kernel: k, Stride: 1},
 			&qnn.Requant{Label: "relu", Shift: 2, Max: 7}, // clamps negatives: ReLU
 			&qnn.MaxPool{Label: "pool", Window: 2},
@@ -47,7 +41,7 @@ func main() {
 		in.Data[i] = rng.Int63n(8)
 	}
 
-	ref, err := model.Run(in, qnn.ReferenceSignedDotter{})
+	ref, err := model.Run(in, qnn.ReferenceDotter{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,7 +50,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opt, err := model.Run(in, ooSigned{mac})
+	// The MAC has both DotProduct and SignedDotProduct, so it runs the
+	// model as is.
+	opt, err := model.Run(in, mac)
 	if err != nil {
 		log.Fatal(err)
 	}

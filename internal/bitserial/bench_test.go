@@ -206,10 +206,7 @@ func BenchmarkFlipStreamRefill(b *testing.B) {
 }
 
 func BenchmarkSignedDotProduct(b *testing.B) {
-	e, err := NewSignedEngine(8, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
+	dot := signedDot(b, 8, 16)
 	ns := make([]int64, 16)
 	ss := make([]int64, 16)
 	for i := range ns {
@@ -218,7 +215,7 @@ func BenchmarkSignedDotProduct(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := e.DotProduct(ns, ss); err != nil {
+		if _, err := dot(ns, ss); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -37,9 +37,6 @@ func NewOffsetCodec(bits int) (*OffsetCodec, error) {
 // Bits returns the operand precision.
 func (c *OffsetCodec) Bits() int { return c.bits }
 
-// Offset returns the encoding offset 2^(bits-1).
-func (c *OffsetCodec) Offset() int64 { return c.offset }
-
 // MinValue and MaxValue bound the representable signed range.
 func (c *OffsetCodec) MinValue() int64 { return -c.offset }
 func (c *OffsetCodec) MaxValue() int64 { return c.offset - 1 }
@@ -82,7 +79,9 @@ func (c *OffsetCodec) Correct(raw uint64, sumU, sumW uint64, k int) (int64, erro
 // encodes both signed vectors, takes their unsigned dot product through
 // dot, sums the encoded operands and corrects the raw result to the
 // signed inner product. Callers keep their own accounting of the
-// correction sums.
+// correction sums. Every signed MAC is this pipeline around its
+// unit's own unsigned datapath (the EE unit's Engine, the OE/OO
+// units' optical dot product).
 func (c *OffsetCodec) DotProduct(ns, ss []int64, dot func(us, ws []uint64) (uint64, error)) (int64, error) {
 	if len(ns) != len(ss) {
 		return 0, fmt.Errorf("bitserial: vector lengths differ (%d vs %d)", len(ns), len(ss))
@@ -105,46 +104,4 @@ func (c *OffsetCodec) DotProduct(ns, ss []int64, dot func(us, ws []uint64) (uint
 		sumW += ws[i]
 	}
 	return c.Correct(raw, sumU, sumW, len(us))
-}
-
-// SignedEngine computes signed dot products on the unsigned bit-serial
-// engine via the offset codec.
-type SignedEngine struct {
-	codec  *OffsetCodec
-	engine *Engine
-}
-
-// NewSignedEngine returns a signed engine for the given precision and
-// maximum dot-product length.
-func NewSignedEngine(bits, terms int) (*SignedEngine, error) {
-	codec, err := NewOffsetCodec(bits)
-	if err != nil {
-		return nil, err
-	}
-	engine, err := NewEngine(bits, terms)
-	if err != nil {
-		return nil, err
-	}
-	return &SignedEngine{codec: codec, engine: engine}, nil
-}
-
-// DotProduct computes the signed inner product bit-serially.
-func (s *SignedEngine) DotProduct(ns, ss []int64) (int64, Stats, error) {
-	var st Stats
-	v, err := s.codec.DotProduct(ns, ss, func(us, ws []uint64) (raw uint64, err error) {
-		raw, st, err = s.engine.DotProduct(us, ws)
-		return raw, err
-	})
-	if err != nil {
-		return 0, Stats{}, err
-	}
-	// Two extra accumulations per term for the running sums.
-	st.Adds += 2 * len(ns)
-	return v, st, nil
-}
-
-// Multiply computes a signed product.
-func (s *SignedEngine) Multiply(n, m int64) (int64, Stats, error) {
-	v, st, err := s.DotProduct([]int64{n}, []int64{m})
-	return v, st, err
 }

@@ -10,8 +10,11 @@ func TestOffsetCodecRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.MinValue() != -128 || c.MaxValue() != 127 || c.Offset() != 128 || c.Bits() != 8 {
+	if c.MinValue() != -128 || c.MaxValue() != 127 || c.Bits() != 8 {
 		t.Errorf("codec bounds wrong: %+v", c)
+	}
+	if u, err := c.Encode(0); err != nil || u != 128 {
+		t.Errorf("Encode(0) = %d, %v; want the offset 128", u, err)
 	}
 	if _, err := c.Encode(-129); err == nil {
 		t.Error("-129 should be out of range")
@@ -38,11 +41,28 @@ func TestNewOffsetCodecValidation(t *testing.T) {
 	}
 }
 
-func TestSignedMultiplyKnownValues(t *testing.T) {
-	e, err := NewSignedEngine(8, 4)
+// signedDot is a signed MAC as the units build one: the offset codec
+// around the unsigned engine's DotProduct.
+func signedDot(t testing.TB, bits, terms int) func(ns, ss []int64) (int64, error) {
+	t.Helper()
+	c, err := NewOffsetCodec(bits)
 	if err != nil {
 		t.Fatal(err)
 	}
+	e, err := NewEngine(bits, terms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func(ns, ss []int64) (int64, error) {
+		return c.DotProduct(ns, ss, func(us, ws []uint64) (uint64, error) {
+			v, _, err := e.DotProduct(us, ws)
+			return v, err
+		})
+	}
+}
+
+func TestSignedMultiplyKnownValues(t *testing.T) {
+	dot := signedDot(t, 8, 4)
 	cases := []struct{ a, b, want int64 }{
 		{0, 0, 0},
 		{5, 7, 35},
@@ -54,7 +74,7 @@ func TestSignedMultiplyKnownValues(t *testing.T) {
 		{127, 127, 16129},
 	}
 	for _, c := range cases {
-		got, _, err := e.Multiply(c.a, c.b)
+		got, err := dot([]int64{c.a}, []int64{c.b})
 		if err != nil || got != c.want {
 			t.Errorf("Multiply(%d,%d) = %d, %v; want %d", c.a, c.b, got, err, c.want)
 		}
@@ -62,9 +82,9 @@ func TestSignedMultiplyKnownValues(t *testing.T) {
 }
 
 func TestSignedMultiplyProperty(t *testing.T) {
-	e, _ := NewSignedEngine(8, 1)
+	dot := signedDot(t, 8, 1)
 	f := func(a, b int8) bool {
-		got, _, err := e.Multiply(int64(a), int64(b))
+		got, err := dot([]int64{int64(a)}, []int64{int64(b)})
 		return err == nil && got == int64(a)*int64(b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -74,7 +94,7 @@ func TestSignedMultiplyProperty(t *testing.T) {
 
 func TestSignedDotProductProperty(t *testing.T) {
 	const terms = 16
-	e, _ := NewSignedEngine(6, terms)
+	dot := signedDot(t, 6, terms)
 	f := func(raw [terms * 2]int8) bool {
 		ns := make([]int64, terms)
 		ss := make([]int64, terms)
@@ -84,7 +104,7 @@ func TestSignedDotProductProperty(t *testing.T) {
 			ss[i] = int64(raw[terms+i]) % 32
 			want += ns[i] * ss[i]
 		}
-		got, _, err := e.DotProduct(ns, ss)
+		got, err := dot(ns, ss)
 		return err == nil && got == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -93,26 +113,12 @@ func TestSignedDotProductProperty(t *testing.T) {
 }
 
 func TestSignedDotProductValidation(t *testing.T) {
-	e, _ := NewSignedEngine(8, 4)
-	if _, _, err := e.DotProduct([]int64{1}, []int64{1, 2}); err == nil {
+	dot := signedDot(t, 8, 4)
+	if _, err := dot([]int64{1}, []int64{1, 2}); err == nil {
 		t.Error("length mismatch should error")
 	}
-	if _, _, err := e.DotProduct([]int64{999}, []int64{1}); err == nil {
+	if _, err := dot([]int64{999}, []int64{1}); err == nil {
 		t.Error("out-of-range operand should error")
-	}
-}
-
-func TestSignedStatsIncludeCorrectionAdds(t *testing.T) {
-	e, _ := NewSignedEngine(4, 2)
-	_, st, err := e.DotProduct([]int64{3, -2}, []int64{-1, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The unsigned path's adds plus 2 correction adds per term.
-	u, _ := NewEngine(4, 2)
-	_, ust, _ := u.DotProduct([]uint64{11, 6}, []uint64{7, 13})
-	if st.Adds != ust.Adds+4 {
-		t.Errorf("signed adds = %d, want unsigned %d + 4", st.Adds, ust.Adds)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package qnn runs quantized CNN inference over any MAC implementation
 // — the bridge between the functional datapaths (package omac /
 // bitserial) and whole networks. A Model is a sequence of integer
-// layers (conv, pool, fully-connected, requantize); every
+// layers (conv, signed conv, pool, fully-connected, requantize); every
 // multiply-accumulate runs through the supplied Dotter, so the same
 // model can execute on the electrical Stripes engine, the hybrid OE
 // unit or the all-optical OO unit, and the outputs can be compared bit
@@ -94,8 +94,11 @@ type RunOptions struct {
 	// over optical units metering a shared optsim.Ledger or over the
 	// stateful bitserial.PerturbedEngine is not). The bitserial Stripes
 	// engines return Stats as well, so a model reaches them through
-	// such an adapter. Output placement is deterministic, so any worker
-	// count produces bit-identical results.
+	// such an adapter. A model with a SignedConv also needs a
+	// concurrency-safe SignedDotProduct for Workers > 1
+	// (ReferenceDotter's is; a *pixel.MAC metering one ledger is not).
+	// Output placement is deterministic, so any worker count produces
+	// bit-identical results.
 	Workers int
 	// Arena, when non-nil, supplies and recycles the inter-layer
 	// activation tensors of RunBatch, so steady-state batches reuse

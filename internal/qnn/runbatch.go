@@ -191,7 +191,8 @@ func growRows(flat *[]uint64, hdrs *[][]uint64, rows, cols int) [][]uint64 {
 }
 
 // errNoDotter is a MAC layer's error when it is run without a Dotter
-// (handed nil, as SignedModel hands its plain layers).
+// it can use: handed nil, or, for a SignedConv, one with no
+// SignedDotProduct.
 var errNoDotter = errors.New("qnn: MAC layer has no Dotter")
 
 // dotMulti evaluates every filter against every window into

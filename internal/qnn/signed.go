@@ -4,13 +4,16 @@ import (
 	"context"
 	"fmt"
 
+	"pixel/internal/parallel"
 	"pixel/internal/tensor"
 )
 
 // Signed-weight layers. Real quantized CNNs keep non-negative
 // activations (post-ReLU) but signed weights; the optical datapaths
 // support this through offset encoding (see internal/bitserial), which
-// SignedDotter abstracts.
+// SignedDotter abstracts. A SignedConv is a stage of the one plan: it
+// takes its signed MACs from the model's Dotter, which must implement
+// SignedDotter as well.
 
 // SignedDotter computes signed inner products (activations are still
 // passed as int64 but must be non-negative and in range).
@@ -18,11 +21,8 @@ type SignedDotter interface {
 	SignedDotProduct(a, b []int64) (int64, error)
 }
 
-// ReferenceSignedDotter is the plain-integer oracle.
-type ReferenceSignedDotter struct{}
-
-// SignedDotProduct implements SignedDotter.
-func (ReferenceSignedDotter) SignedDotProduct(a, b []int64) (int64, error) {
+// SignedDotProduct implements SignedDotter: the plain-integer oracle.
+func (ReferenceDotter) SignedDotProduct(a, b []int64) (int64, error) {
 	if len(a) != len(b) {
 		return 0, fmt.Errorf("qnn: vector lengths differ (%d vs %d)", len(a), len(b))
 	}
@@ -33,12 +33,6 @@ func (ReferenceSignedDotter) SignedDotProduct(a, b []int64) (int64, error) {
 	return acc, nil
 }
 
-// SignedLayer is a layer whose MACs need signed weights.
-type SignedLayer interface {
-	Name() string
-	ApplySigned(in *tensor.Tensor, d SignedDotter) (*tensor.Tensor, error)
-}
-
 // SignedConv is a convolution with signed weights.
 type SignedConv struct {
 	Label  string
@@ -46,64 +40,60 @@ type SignedConv struct {
 	Stride int
 }
 
-// Name implements SignedLayer.
+// Name implements Layer.
 func (c *SignedConv) Name() string { return c.Label }
 
-// ApplySigned implements SignedLayer: the input is lowered once to an
-// im2col patch matrix, and each output position's window is swept
-// across the filters, one SignedDotProduct per (position, filter).
-func (c *SignedConv) ApplySigned(in *tensor.Tensor, d SignedDotter) (*tensor.Tensor, error) {
+// stage implements Layer: each image is lowered once to an im2col
+// patch matrix on pooled scratch, and each output position's window is
+// swept across the filters, one SignedDotProduct per (position,
+// filter), so a metering unit charges in that order. Images fan across
+// the pool as Conv's do.
+func (c *SignedConv) stage(ctx context.Context, run *batchRun, d Dotter, workers int) error {
+	sd, ok := d.(SignedDotter)
+	if !ok {
+		return errNoDotter
+	}
 	k := c.Kernel
-	if in.C != k.C {
-		return nil, fmt.Errorf("qnn: input channels %d != kernel channels %d", in.C, k.C)
+	in0 := run.xs[0]
+	if in0.C != k.C {
+		return fmt.Errorf("qnn: input channels %d != kernel channels %d", in0.C, k.C)
 	}
-	var p tensor.PatchMatrix
-	if err := tensor.LowerInto(&p, in, k.R, c.Stride, 0); err != nil {
-		return nil, fmt.Errorf("qnn: %s: %w", c.Label, err)
+	if c.Stride < 1 {
+		return fmt.Errorf("qnn: stride %d", c.Stride)
 	}
-	out := tensor.New(p.EH, p.EW, k.M)
-	for pos := 0; pos < p.Rows; pos++ {
-		for m := 0; m < k.M; m++ {
-			acc, err := d.SignedDotProduct(p.Row(pos), k.Filter(m))
-			if err != nil {
-				return nil, fmt.Errorf("qnn: %s: %w", c.Label, err)
-			}
-			out.Data[pos*k.M+m] = acc
+	eh := (in0.H-k.R)/c.Stride + 1
+	ew := (in0.W-k.R)/c.Stride + 1
+	if eh < 1 || ew < 1 {
+		return fmt.Errorf("qnn: kernel %d too large for %dx%d input", k.R, in0.H, in0.W)
+	}
+	outs := make([]*tensor.Tensor, len(run.xs))
+	for b := range outs {
+		outs[b] = run.arena.Get(eh, ew, k.M)
+	}
+	err := parallel.For(ctx, len(run.xs), workers, func(_ context.Context, b int) error {
+		sc := runScratchPool.Get().(*runScratch)
+		defer runScratchPool.Put(sc)
+		p := &sc.pm
+		if err := tensor.LowerInto(p, run.xs[b], k.R, c.Stride, 0); err != nil {
+			return fmt.Errorf("input %d: %w", b, err)
 		}
-	}
-	return out, nil
-}
-
-// SignedModel is a sequence mixing signed MAC layers with the plain
-// (Dotter-free) layers of Model: pooling, requant+ReLU, flatten.
-type SignedModel struct {
-	Label  string
-	Layers []any // SignedLayer or Dotter-free Layer entries
-}
-
-// Run executes the model: SignedLayer entries use the SignedDotter;
-// plain Layer entries (MaxPool, Requant, Flatten) run their stage on a
-// batch of one.
-func (m *SignedModel) Run(in *tensor.Tensor, d SignedDotter) (*tensor.Tensor, error) {
-	run := &batchRun{xs: []*tensor.Tensor{in}, owned: []bool{false}, arena: tensor.NewArena()}
-	for _, l := range m.Layers {
-		var err error
-		switch layer := l.(type) {
-		case SignedLayer:
-			var y *tensor.Tensor
-			if y, err = layer.ApplySigned(run.xs[0], d); err == nil {
-				run.replace(0, y)
+		for pos := 0; pos < p.Rows; pos++ {
+			for m := 0; m < k.M; m++ {
+				acc, err := sd.SignedDotProduct(p.Row(pos), k.Filter(m))
+				if err != nil {
+					return fmt.Errorf("input %d: %w", b, err)
+				}
+				outs[b].Data[pos*k.M+m] = acc
 			}
-		case Layer:
-			if err = layer.stage(context.TODO(), run, nil, 1); err != nil {
-				err = fmt.Errorf("layer %s: %w", layer.Name(), err)
-			}
-		default:
-			return nil, fmt.Errorf("qnn: %s: unsupported layer type %T", m.Label, l)
 		}
-		if err != nil {
-			return nil, fmt.Errorf("qnn: %s: %w", m.Label, err)
-		}
+		return nil
+	})
+	if err != nil {
+		run.arena.Put(outs...)
+		return err
 	}
-	return run.xs[0], nil
+	for b := range outs {
+		run.replace(b, outs[b])
+	}
+	return nil
 }
