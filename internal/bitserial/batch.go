@@ -31,7 +31,10 @@ const groupLanes = 64
 // The per-call setup (transpose and validation) is hoisted once per
 // 64-window group and reused across every filter of a DotProductsMulti
 // call — the hoisted-setup idiom that makes batched conv layers pay it
-// once per group rather than once per (window, filter) pair.
+// once per group rather than once per (window, filter) pair. LaneBatch
+// goes one step further: its LaneSource writes the group's column
+// store itself, so a conv's windows go from its input image to the
+// sweep without being lowered into vectors first.
 //
 // A BatchedStripes is safe for concurrent use: per-call scratch comes
 // from an internal pool.
@@ -45,11 +48,12 @@ type BatchedStripes struct {
 // four at a time so each column load feeds four independent
 // accumulate chains).
 type batchScratch struct {
-	cols []uint64 // [element*groupLanes + lane]
-	acc  []uint64 // [lane], filter f
-	acc2 []uint64 // [lane], filter f+1
-	acc3 []uint64 // [lane], filter f+2
-	acc4 []uint64 // [lane], filter f+3
+	win  windowSource // FilterBatch's lane source
+	cols []uint64     // [element*groupLanes + lane]
+	acc  []uint64     // [lane], filter f
+	acc2 []uint64     // [lane], filter f+1
+	acc3 []uint64     // [lane], filter f+2
+	acc4 []uint64     // [lane], filter f+3
 }
 
 // NewBatchedStripes returns a batched engine with the same operand and
@@ -105,69 +109,191 @@ func (b *BatchedStripes) DotBatch(windows [][]uint64, weights []uint64, out []ui
 }
 
 // FilterBatch computes outs[f][w] = windows[w] · filters[f] for every
-// (filter, window) pair, transposing each 64-window group into bit
-// planes once and sweeping all filters over it. Values and Stats are
+// (filter, window) pair, transposing each 64-window group into the
+// lane-major column store once and sweeping all filters over it: it is
+// LaneBatch with the windows as the lane source. Values and Stats are
 // bit-identical to the sequential per-pair FastEngine calls.
 func (b *BatchedStripes) FilterBatch(windows [][]uint64, filters [][]uint64, outs [][]uint64) (Stats, error) {
+	sc := b.getScratch()
+	sc.win = windowSource{windows: windows, fe: b.fe}
+	defer b.putScratch(sc)
+	return b.laneBatch(&sc.win, filters, outs, sc)
+}
+
+// LaneSource supplies the windows of a LaneBatch by writing them
+// straight into a group's lane-major column store, so a caller that
+// can generate its windows (a conv reading them out of its input
+// image) never materializes them as vectors. LaneBatch does not range
+// check what Fill writes: a source either guarantees every element
+// fits the engine's operand width or rejects an out-of-range one with
+// an error, as FilterBatch's windows do.
+type LaneSource interface {
+	// Rows returns the number of windows.
+	Rows() int
+	// Cols returns the window length (-1 when there are no windows),
+	// or an error when the windows disagree on it.
+	Cols() (int, error)
+	// Fill writes windows [start, start+lanes) into cols, element i of
+	// lane l at cols[i*words+l] with words = lanes. Packed, two lanes
+	// share a word: words = (lanes+1)/2, and lane l is the low (even l)
+	// or high (odd l) 32 bits of word l/2; a word with no odd lane has
+	// a zero high half. Fill must overwrite every word of cols.
+	Fill(cols []uint64, start, lanes int, packed bool) error
+}
+
+// LaneBatch computes outs[f][w] = window w · filters[f] for every
+// window src supplies, filling each 64-window group's column store from
+// src and sweeping all filters over it. Values and Stats are
+// bit-identical to FilterBatch over the same windows; a source that
+// reports an error ends the call with it.
+func (b *BatchedStripes) LaneBatch(src LaneSource, filters [][]uint64, outs [][]uint64) (Stats, error) {
+	sc := b.getScratch()
+	defer b.putScratch(sc)
+	return b.laneBatch(src, filters, outs, sc)
+}
+
+// laneBatch is the one group/sweep loop behind FilterBatch and
+// LaneBatch: validate the outputs, the window length and the filters,
+// then fill and sweep each group on sc.
+func (b *BatchedStripes) laneBatch(src LaneSource, filters [][]uint64, outs [][]uint64, sc *batchScratch) (Stats, error) {
+	rows := src.Rows()
 	if len(outs) != len(filters) {
 		return Stats{}, fmt.Errorf("bitserial: %d output rows != %d filters", len(outs), len(filters))
 	}
 	for f, o := range outs {
-		if len(o) != len(windows) {
-			return Stats{}, fmt.Errorf("bitserial: output row %d length %d != %d windows", f, len(o), len(windows))
+		if len(o) != rows {
+			return Stats{}, fmt.Errorf("bitserial: output row %d length %d != %d windows", f, len(o), rows)
 		}
 	}
-	n := -1
-	for w, win := range windows {
-		if n < 0 {
-			n = len(win)
-		} else if len(win) != n {
-			return Stats{}, fmt.Errorf("bitserial: window %d length %d != %d", w, len(win), n)
-		}
+	n, err := src.Cols()
+	if err != nil {
+		return Stats{}, err
 	}
-	for f, filter := range filters {
-		if n >= 0 && len(filter) != n {
-			return Stats{}, fmt.Errorf("bitserial: vector lengths differ (%d vs %d)", n, len(filter))
-		}
-		for _, v := range filter {
-			if err := b.fe.checkOperand("synapse", v); err != nil {
-				return Stats{}, fmt.Errorf("bitserial: filter %d: %w", f, err)
-			}
-		}
+	if err := b.checkFilters(filters, n); err != nil {
+		return Stats{}, err
 	}
-	if len(windows) == 0 || len(filters) == 0 {
+	if rows == 0 || len(filters) == 0 {
 		return Stats{}, nil
 	}
 
-	sc := b.getScratch(n)
-	defer b.scratch.Put(sc)
+	sc.grow(n)
 	// Bit-slice two lanes per machine word when the accumulator fits a
 	// 32-bit half AND the true (unwrapped) low-half sum can never carry
 	// into the high half: every per-word operation then performs two
 	// lane MACs. maxProd bounds one product; n*maxProd bounds the sum.
 	maxProd := ((uint64(1) << b.fe.bits) - 1) * ((uint64(1) << b.fe.bits) - 1)
 	packed := b.fe.accWidth <= 32 && maxProd > 0 && uint64(n) <= (1<<32-1)/maxProd
-	for start := 0; start < len(windows); start += groupLanes {
-		end := start + groupLanes
-		if end > len(windows) {
-			end = len(windows)
-		}
-		if err := b.group(windows[start:end], filters, outs, start, sc, packed); err != nil {
+	for start := 0; start < rows; start += groupLanes {
+		lanes := min(groupLanes, rows-start)
+		words := laneWords(lanes, packed)
+		cols := sc.cols[:n*words]
+		if err := src.Fill(cols, start, lanes, packed); err != nil {
 			return Stats{}, err
 		}
+		b.sweepGroup(cols, words, n, lanes, filters, outs, start, sc, packed)
 	}
 
 	// The closed-form work record of one FastEngine.DotProduct, times
 	// every (window, filter) pair the batch stands in for.
-	return b.fe.dotStats(len(windows) * len(filters) * n), nil
+	return b.fe.dotStats(rows * len(filters) * n), nil
 }
 
-// getScratch returns pooled scratch sized for n-element windows.
-func (b *BatchedStripes) getScratch(n int) *batchScratch {
-	if n < 0 {
-		n = 0
+// laneWords is the column store's words per element for a group of
+// lanes: one per lane, or one per lane pair when packed.
+func laneWords(lanes int, packed bool) int {
+	if packed {
+		return (lanes + 1) / 2
 	}
-	need := n * groupLanes
+	return lanes
+}
+
+// checkFilters rejects filters whose length is not the window length
+// n (unchecked when n < 0: there are no windows) or that hold an
+// out-of-range synapse. In-range filters pass on one OR-reduction
+// each; only a failing filter is walked to report its first bad
+// operand.
+func (b *BatchedStripes) checkFilters(filters [][]uint64, n int) error {
+	for f, filter := range filters {
+		if n >= 0 && len(filter) != n {
+			return fmt.Errorf("bitserial: vector lengths differ (%d vs %d)", n, len(filter))
+		}
+		var or uint64
+		for _, v := range filter {
+			or |= v
+		}
+		if or <= b.fe.mask {
+			continue
+		}
+		for _, v := range filter {
+			if err := b.fe.checkOperand("synapse", v); err != nil {
+				return fmt.Errorf("bitserial: filter %d: %w", f, err)
+			}
+		}
+	}
+	return nil
+}
+
+// windowSource is the LaneSource of FilterBatch: windows given as
+// vectors, transposed into the column store and range checked on the
+// way, one OR-reduction per window.
+type windowSource struct {
+	windows [][]uint64
+	fe      *FastEngine
+}
+
+// Rows implements LaneSource.
+func (s *windowSource) Rows() int { return len(s.windows) }
+
+// Cols implements LaneSource: the common window length, or the first
+// window that differs from it.
+func (s *windowSource) Cols() (int, error) {
+	n := -1
+	for w, win := range s.windows {
+		if n < 0 {
+			n = len(win)
+		} else if len(win) != n {
+			return 0, fmt.Errorf("bitserial: window %d length %d != %d", w, len(win), n)
+		}
+	}
+	return n, nil
+}
+
+// Fill implements LaneSource. cols[i*words+w] receives the group's
+// values at element i — one word per lane unpacked; packed, even
+// windows assign the whole word, clearing the high half, and odd
+// windows OR into the high half of the word their predecessor wrote.
+// A window with an element past the operand width is walked to report
+// the first one.
+func (s *windowSource) Fill(cols []uint64, start, lanes int, packed bool) error {
+	words := laneWords(lanes, packed)
+	for w, win := range s.windows[start : start+lanes] {
+		word, shift := w, uint(0)
+		if packed {
+			word, shift = w>>1, uint(w&1)*32
+		}
+		var or uint64
+		for i, v := range win {
+			or |= v
+			if shift == 0 {
+				cols[i*words+word] = v
+			} else {
+				cols[i*words+word] |= v << 32
+			}
+		}
+		if or <= s.fe.mask {
+			continue
+		}
+		for _, v := range win {
+			if err := s.fe.checkOperand("neuron", v); err != nil {
+				return fmt.Errorf("bitserial: window %d: %w", start+w, err)
+			}
+		}
+	}
+	return nil
+}
+
+// getScratch returns pooled scratch; laneBatch sizes its column store.
+func (b *BatchedStripes) getScratch() *batchScratch {
 	sc, _ := b.scratch.Get().(*batchScratch)
 	if sc == nil {
 		sc = &batchScratch{
@@ -177,16 +303,28 @@ func (b *BatchedStripes) getScratch(n int) *batchScratch {
 			acc4: make([]uint64, groupLanes),
 		}
 	}
+	return sc
+}
+
+// putScratch returns sc to the pool, dropping its hold on the caller's
+// windows.
+func (b *BatchedStripes) putScratch(sc *batchScratch) {
+	sc.win = windowSource{}
+	b.scratch.Put(sc)
+}
+
+// grow sizes the column store for n-element windows.
+func (sc *batchScratch) grow(n int) {
+	need := max(n, 0) * groupLanes
 	if cap(sc.cols) < need {
 		sc.cols = make([]uint64, need)
 	}
 	sc.cols = sc.cols[:need]
-	return sc
 }
 
-// group runs one <=64-window group: transpose into the lane-major
-// column store, then sweep every filter over it in quads, pairs and
-// singles.
+// sweepGroup sweeps every filter over one filled <=64-lane group's
+// column store (words per element) in quads, pairs and singles,
+// writing outs[f][offset+lane].
 //
 // With packed set, two lanes are bit-sliced into each machine word:
 // window 2j rides the low 32 bits of word j and window 2j+1 the high
@@ -199,37 +337,7 @@ func (b *BatchedStripes) getScratch(n int) *batchScratch {
 // accumulates mod 2^32, which the final per-half accMask reduction
 // collapses to the sequential engine's value (same ring-homomorphism
 // argument as the unpacked sweep, per half).
-func (b *BatchedStripes) group(group [][]uint64, filters [][]uint64, outs [][]uint64, offset int, sc *batchScratch, packed bool) error {
-	n := len(group[0])
-	lanes := len(group)
-	words := lanes
-	if packed {
-		words = (lanes + 1) / 2
-	}
-	cols := sc.cols[:n*words]
-	// Transpose: cols[i*words+w] holds the group's values at element i
-	// contiguously — one word per lane unpacked, two lanes per word
-	// packed (even windows assign the whole word, clearing the high
-	// half; odd windows OR into the high half of the word their
-	// predecessor wrote). Operand validation happens here, once per
-	// window element — not per filter.
-	for w, win := range group {
-		word, shift := w, uint(0)
-		if packed {
-			word, shift = w>>1, uint(w&1)*32
-		}
-		for i, v := range win {
-			if err := b.fe.checkOperand("neuron", v); err != nil {
-				return fmt.Errorf("bitserial: window %d: %w", offset+w, err)
-			}
-			if shift == 0 {
-				cols[i*words+word] = v
-			} else {
-				cols[i*words+word] |= v << 32
-			}
-		}
-	}
-
+func (b *BatchedStripes) sweepGroup(cols []uint64, words, n, lanes int, filters [][]uint64, outs [][]uint64, offset int, sc *batchScratch, packed bool) {
 	accMask := b.fe.accMask
 	acc := sc.acc[:words]
 	acc2 := sc.acc2[:words]
@@ -268,7 +376,6 @@ func (b *BatchedStripes) group(group [][]uint64, filters [][]uint64, outs [][]ui
 		sweepOne(cols, words, n, filters[f], acc)
 		writeOut(outs[f], acc)
 	}
-	return nil
 }
 
 // sweepQuad computes acc_k[w] = Σ_i cols[i*words+w] * fl_k[i] mod 2^64

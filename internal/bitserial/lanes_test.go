@@ -1,0 +1,188 @@
+package bitserial_test
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"pixel/internal/bitserial"
+	"pixel/internal/qnn"
+	"pixel/internal/tensor"
+)
+
+// laneRecorder is a qnn.LaneDotter over a BatchedStripes that records
+// the Stats of each LaneBatch call.
+type laneRecorder struct {
+	*bitserial.BatchedStripes
+	stats []bitserial.Stats
+}
+
+func (r *laneRecorder) LaneBatch(src bitserial.LaneSource, filters, outs [][]uint64) (bitserial.Stats, error) {
+	st, err := r.BatchedStripes.LaneBatch(src, filters, outs)
+	r.stats = append(r.stats, st)
+	return st, err
+}
+
+// windowsOnly is a qnn.MultiDotter over a BatchedStripes with no
+// LaneBatch, so a conv lowers its windows and reaches FilterBatch.
+type windowsOnly struct{ be *bitserial.BatchedStripes }
+
+func (w windowsOnly) DotProduct(a, b []uint64) (uint64, error) { return w.be.DotProduct(a, b) }
+func (w windowsOnly) DotProductsMulti(windows, filters, outs [][]uint64) error {
+	return w.be.DotProductsMulti(windows, filters, outs)
+}
+
+// TestConvLaneSourceMatchesLowering is the lane path's acceptance
+// property: a conv whose engine takes lane sources writes its windows
+// straight into the column store, and must produce exactly the values
+// and Stats of FilterBatch over the im2col-lowered windows. Geometry is
+// random (R 1–5, stride 1–3, pad 0–2, C 1–6, window counts off the
+// 64-lane and two-lane boundaries), over a packed and an unpacked
+// column store, with the vector kernels on and off.
+func TestConvLaneSourceMatchesLowering(t *testing.T) {
+	defer bitserial.SetVecForTest(bitserial.VectorSweep())
+	engines := []struct {
+		name        string
+		bits, terms int
+	}{
+		{"packed", 4, 150},
+		{"unpacked", 8, 1 << 20},
+	}
+	rng := rand.New(rand.NewSource(30))
+	for _, eng := range engines {
+		be, err := bitserial.NewBatchedStripes(eng.bits, eng.terms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mask := int64(1)<<eng.bits - 1
+		for trial := 0; trial < 40; trial++ {
+			r, stride, pad, c := 1+rng.Intn(5), 1+rng.Intn(3), rng.Intn(3), 1+rng.Intn(6)
+			h, w := r+rng.Intn(14), r+rng.Intn(14)
+			if trial%4 == 0 {
+				// 81 windows: odd, and a full group plus a tail.
+				stride, h, w = 1, 8+r-2*pad, 8+r-2*pad
+				h, w = max(h, r), max(w, r)
+			}
+			m := 1 + rng.Intn(7)
+			k := tensor.NewKernel(m, r, c)
+			for i := range k.Data {
+				if rng.Intn(4) != 0 {
+					k.Data[i] = rng.Int63n(mask + 1)
+				}
+			}
+			ins := make([]*tensor.Tensor, 1+rng.Intn(3))
+			for b := range ins {
+				ins[b] = tensor.New(h, w, c)
+				for i := range ins[b].Data {
+					ins[b].Data[i] = rng.Int63n(mask + 1)
+				}
+			}
+			model := &qnn.Model{Label: "lanes", ActivationBits: 8, Layers: []qnn.Layer{
+				&qnn.Conv{Label: "conv", Kernel: k, Stride: stride, Pad: pad},
+			}}
+			for _, vec := range []bool{true, false} {
+				name := fmt.Sprintf("%s/R%d_s%d_p%d_C%d_%dx%d/vec=%v", eng.name, r, stride, pad, c, h, w, vec)
+				bitserial.SetVecForTest(vec)
+				want, wantStats := loweredConv(t, be, ins, k, stride, pad)
+				rec := &laneRecorder{BatchedStripes: be}
+				outs, err := model.RunBatch(context.Background(), ins, rec, qnn.RunOptions{Workers: 1})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if fmt.Sprint(rec.stats) != fmt.Sprint(wantStats) {
+					t.Fatalf("%s: LaneBatch Stats %+v, lowered %+v", name, rec.stats, wantStats)
+				}
+				for b, out := range outs {
+					for pos, row := range want[b] {
+						for f, v := range row {
+							if got := out.Data[pos*m+f]; got != int64(v) {
+								t.Fatalf("%s: image %d window %d filter %d: lane %d, lowered %d", name, b, pos, f, got, v)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// loweredConv is the oracle: each image lowered by tensor.Lower and
+// its windows run through FilterBatch, as want[b][window][filter],
+// with each image's Stats.
+func loweredConv(t *testing.T, be *bitserial.BatchedStripes, ins []*tensor.Tensor, k *tensor.Kernel, stride, pad int) ([][][]uint64, []bitserial.Stats) {
+	t.Helper()
+	n := k.R * k.R * k.C
+	filters := make([][]uint64, k.M)
+	for f := range filters {
+		filters[f] = make([]uint64, n)
+		for i := range filters[f] {
+			filters[f][i] = uint64(k.Data[f*n+i])
+		}
+	}
+	var stats []bitserial.Stats
+	want := make([][][]uint64, len(ins))
+	for b, in := range ins {
+		p, err := tensor.Lower(in, k.R, stride, pad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		windows := make([][]uint64, p.Rows)
+		for w := range windows {
+			windows[w] = make([]uint64, p.Cols)
+			for i, v := range p.Row(w) {
+				windows[w][i] = uint64(v)
+			}
+		}
+		outs := make([][]uint64, k.M)
+		for f := range outs {
+			outs[f] = make([]uint64, p.Rows)
+		}
+		st, err := be.FilterBatch(windows, filters, outs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats = append(stats, st)
+		want[b] = make([][]uint64, p.Rows)
+		for w := range want[b] {
+			want[b][w] = make([]uint64, k.M)
+			for f := range outs {
+				want[b][w][f] = outs[f][w]
+			}
+		}
+	}
+	return want, stats
+}
+
+// TestConvLaneOutOfRange pins the error of an out-of-range or negative
+// activation on an engine that takes lane sources: exactly the error
+// the lowered windows path returns.
+func TestConvLaneOutOfRange(t *testing.T) {
+	be, err := bitserial.NewBatchedStripes(4, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := tensor.NewKernel(2, 3, 1)
+	for i := range k.Data {
+		k.Data[i] = 1
+	}
+	model := &qnn.Model{Label: "lanes", ActivationBits: 4, Layers: []qnn.Layer{
+		&qnn.Conv{Label: "conv", Kernel: k, Stride: 1, Pad: 1},
+	}}
+	for _, tc := range []struct {
+		v    int64
+		want string
+	}{
+		{16, "qnn: lanes: layer conv: input 1: bitserial: window 1: bitserial: neuron 16 exceeds 4-bit range"},
+		{-3, "qnn: lanes: layer conv: qnn: input 1: negative activation -3 at (1,2,0)"},
+	} {
+		ins := []*tensor.Tensor{tensor.New(4, 4, 1), tensor.New(4, 4, 1)}
+		ins[1].Data[6] = tc.v // (1,2): first inside window 1
+		for _, d := range []qnn.Dotter{be, windowsOnly{be}} {
+			_, err := model.RunBatch(context.Background(), ins, d, qnn.RunOptions{Workers: 1})
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("activation %d through %T: error %v, want %q", tc.v, d, err, tc.want)
+			}
+		}
+	}
+}

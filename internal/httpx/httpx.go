@@ -205,10 +205,18 @@ func decodeStrict(r io.Reader, dst any) error {
 	return nil
 }
 
-// DecodeJSON parses a bounded request body strictly.
+// DecodeJSON parses a bounded request body strictly. An infer body
+// takes decodeInfer, which parses the common case without reflection
+// and answers every other body exactly as decodeStrict does.
 func DecodeJSON(w http.ResponseWriter, r *http.Request, dst any) error {
 	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
-	if err := decodeStrict(r.Body, dst); err != nil {
+	var err error
+	if req, ok := dst.(*api.InferRequest); ok {
+		err = decodeInfer(r.Body, req)
+	} else {
+		err = decodeStrict(r.Body, dst)
+	}
+	if err != nil {
 		return BadRequestf("bad request body: %v", err)
 	}
 	return nil

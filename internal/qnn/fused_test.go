@@ -150,6 +150,7 @@ func TestFusedBatchEquivalence(t *testing.T) {
 		{"reference", ReferenceDotter{}},
 		{"fast", fastDotter{fe}},
 		{"batched", multiDotter{be}},
+		{"lanes", be},
 	}
 
 	for _, tc := range buildFusedCases(rng, maxAct) {

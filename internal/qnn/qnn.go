@@ -9,7 +9,9 @@
 //
 // Every layer has one implementation: its stage in the stage plan,
 // which runs over im2col-lowered inputs with weights packed once per
-// layer, fanned across a worker pool. RunBatch runs the fused plan
+// layer, fanned across a worker pool. On a LaneDotter a conv skips the
+// lowering and writes its windows straight into the engine's column
+// store. RunBatch runs the fused plan
 // (Conv/FC stages absorb a trailing Requant/MaxPool); Run/RunContext
 // runs the unfused plan, one stage per layer, on a batch of one image
 // and one worker. See docs/INFERENCE.md.

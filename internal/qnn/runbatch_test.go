@@ -23,6 +23,10 @@ func (m multiDotter) DotProductsMulti(w, fs [][]uint64, outs [][]uint64) error {
 
 var _ MultiDotter = multiDotter{}
 
+// The raw engine is a LaneDotter: used directly, its convs take the
+// lane path, while multiDotter keeps them on the lowered windows.
+var _ LaneDotter = (*bitserial.BatchedStripes)(nil)
+
 // TestRunBatchEquivalence is the pipeline-level acceptance property:
 // RunBatch over B inputs is bit-identical to B sequential Run calls,
 // for both engine tiers (the plain-Dotter fallback and the MultiDotter
@@ -46,6 +50,7 @@ func TestRunBatchEquivalence(t *testing.T) {
 		{"reference", ReferenceDotter{}},
 		{"fast", fastDotter{fe}},
 		{"batched", multiDotter{be}},
+		{"lanes", be},
 	}
 
 	for _, batch := range []int{1, 3, 8} {
@@ -328,7 +333,7 @@ func TestRunMatchesPlainOracle(t *testing.T) {
 	engines := []struct {
 		name string
 		d    Dotter
-	}{{"reference", ReferenceDotter{}}, {"batched", multiDotter{be}}}
+	}{{"reference", ReferenceDotter{}}, {"batched", multiDotter{be}}, {"lanes", be}}
 
 	for _, tc := range cases {
 		for _, batch := range []int{1, 3} {
