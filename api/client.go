@@ -9,7 +9,10 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
+
+	"pixel/internal/resultjson"
 )
 
 // HTTPError is a non-2xx pixeld response decoded from the uniform
@@ -203,27 +206,86 @@ func (c *Client) doOnce(ctx context.Context, method, path string, in, out any) e
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp.Body)
 	if resp.StatusCode/100 != 2 {
-		he := &HTTPError{Status: resp.StatusCode}
-		var env ErrorEnvelope
-		if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&env); err == nil {
-			he.Code = env.Error.Code
-			he.Message = env.Error.Message
-			he.RetryAfterS = env.Error.RetryAfterS
-		} else {
-			he.Code = "unknown"
-			he.Message = resp.Status
-		}
-		return he
+		return decodeError(resp)
 	}
 	if out == nil {
 		return nil
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if err := decodeBody(resp.Body, out); err != nil {
 		return &clientError{fmt.Errorf("api: decode response: %w", err)}
 	}
 	return nil
+}
+
+// maxDrain bounds how much of an unread response body closeBody reads
+// to keep the connection; a longer tail costs the connection instead.
+const maxDrain = 256 << 10
+
+// closeBody reads what is left of a response body, up to maxDrain
+// bytes, and closes it. A body closed before EOF takes its keep-alive
+// connection with it, so every call would dial afresh.
+func closeBody(body io.ReadCloser) {
+	_, _ = io.Copy(io.Discard, io.LimitReader(body, maxDrain))
+	body.Close()
+}
+
+// decodeError reads a non-2xx response's error envelope into an
+// *HTTPError; a body that is not an envelope gives code "unknown" and
+// the status line.
+func decodeError(resp *http.Response) *HTTPError {
+	he := &HTTPError{Status: resp.StatusCode}
+	var env ErrorEnvelope
+	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&env); err == nil {
+		he.Code = env.Error.Code
+		he.Message = env.Error.Message
+		he.RetryAfterS = env.Error.RetryAfterS
+	} else {
+		he.Code = "unknown"
+		he.Message = resp.Status
+	}
+	return he
+}
+
+// bodyBufs recycles the buffers success bodies are read into; a
+// decoded value keeps nothing of its buffer.
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// decodeBody reads a success body to EOF and decodes its JSON value
+// into the zero value *out. A sweep response or result in the form
+// servers write takes resultjson's parser; every other body, and any
+// body whose read failed, is replayed through encoding/json, so every
+// value and error text is encoding/json's (FuzzResultCodec pins the
+// two together).
+func decodeBody(body io.Reader, out any) error {
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	defer bodyBufs.Put(buf)
+	buf.Reset()
+	if _, err := buf.ReadFrom(body); err == nil && parseCanonical(buf.Bytes(), out) {
+		return nil
+	}
+	return json.NewDecoder(io.MultiReader(bytes.NewReader(buf.Bytes()), body)).Decode(out)
+}
+
+// parseCanonical parses b into out without reflection when out is a
+// type resultjson reads and b is in its canonical form.
+func parseCanonical(b []byte, out any) bool {
+	switch out := out.(type) {
+	case *SweepResponse:
+		points, results, ok := resultjson.ParseSweep(b)
+		if ok {
+			*out = SweepResponse{Points: points, Results: results}
+		}
+		return ok
+	case *Result:
+		r, ok := resultjson.ParseResult(b)
+		if ok {
+			*out = r
+		}
+		return ok
+	}
+	return false
 }
 
 // Evaluate prices one design point of one network.
@@ -297,7 +359,7 @@ func (c *Client) Health(ctx context.Context) (HealthResponse, error) {
 	if err != nil {
 		return HealthResponse{}, err
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp.Body)
 	var out HealthResponse
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&out); err != nil {
 		return HealthResponse{}, fmt.Errorf("api: decode health response: %w", err)

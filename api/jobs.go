@@ -178,18 +178,8 @@ func (c *Client) JobEvents(ctx context.Context, id string, lastSeq int64) (*Even
 		return nil, err
 	}
 	if resp.StatusCode/100 != 2 {
-		defer resp.Body.Close()
-		he := &HTTPError{Status: resp.StatusCode}
-		var env ErrorEnvelope
-		if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&env); err == nil {
-			he.Code = env.Error.Code
-			he.Message = env.Error.Message
-			he.RetryAfterS = env.Error.RetryAfterS
-		} else {
-			he.Code = "unknown"
-			he.Message = resp.Status
-		}
-		return nil, he
+		defer closeBody(resp.Body)
+		return nil, decodeError(resp)
 	}
 	return &EventStream{
 		body: resp.Body, sc: bufio.NewScanner(resp.Body), lastSeq: -1,

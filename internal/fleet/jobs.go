@@ -355,8 +355,8 @@ func (t *fleetRobustnessTask) finalize(ctx context.Context) (api.RobustnessRespo
 // calls (see Sweep). A job dispatches the shards as worker jobs and
 // harvests each one's polled partial, so a dead worker costs only the
 // cells it had not yet priced; the salvage loop groups the missing
-// rows per (design, lane) into bit-subset sub-requests — still pure
-// cross products, so still valid /v1/sweep bodies.
+// rows into lane-block × bit-subset sub-requests of one design — still
+// pure cross products, so still valid /v1/sweep bodies.
 type fleetSweepTask struct {
 	c       *Coordinator
 	req     api.SweepRequest
@@ -426,11 +426,13 @@ func (t *fleetSweepTask) plan(missing []int, target int) []sweepShard {
 	return t.planMissing(missing, min(max(units/t.c.opts.shardFloor, 1), target))
 }
 
-// planMissing builds at most about target shards covering exactly the
-// missing rows. A full grid uses planSweep's contiguous chunks; a
-// salvage round groups holes per (design, lane) with a bit subset in
-// axis order — any bit subset of one (design, lane) is still a pure
-// cross product, so still a valid worker request.
+// planMissing builds shards covering exactly the missing rows. A full
+// grid uses planSweep's contiguous chunks, at most target of them. A
+// salvage round groups the holes per (design, lane), then merges the
+// lanes of one design whose holes fall on the same bits into one lane
+// block: one design × a lane subset × a bit subset, each in axis order,
+// is still a pure cross product, so still a valid worker request. A
+// salvage plan has one shard per (design, distinct bit subset).
 func (t *fleetSweepTask) planMissing(missing []int, target int) []sweepShard {
 	L, B := len(t.req.Lanes), len(t.req.Bits)
 	if len(missing) == t.points {
@@ -438,25 +440,46 @@ func (t *fleetSweepTask) planMissing(missing []int, target int) []sweepShard {
 			return shards
 		}
 	}
-	// Group per (design, lane), preserving axis order within each group.
 	type dl struct{ di, li int }
-	groups := make(map[dl][]int)
+	holes := make(map[dl][]int) // bit indices missing per (design, lane)
 	var order []dl
 	for _, row := range missing {
 		g := dl{row / (L * B), (row / B) % L}
-		if _, ok := groups[g]; !ok {
+		if _, ok := holes[g]; !ok {
 			order = append(order, g)
 		}
-		groups[g] = append(groups[g], row)
+		holes[g] = append(holes[g], row%B)
 	}
-	shards := make([]sweepShard, 0, len(order))
+	type block struct {
+		di          int
+		lanes, bits []int // indices on the request's axes
+	}
+	var blocks []*block
+	byBits := make(map[string]*block)
 	for _, g := range order {
-		rows := groups[g]
-		bits := make([]int, len(rows))
-		for j, row := range rows {
-			bits[j] = t.req.Bits[row%B]
+		key := fmt.Sprint(g.di, holes[g])
+		b := byBits[key]
+		if b == nil {
+			b = &block{di: g.di, bits: holes[g]}
+			byBits[key] = b
+			blocks = append(blocks, b)
 		}
-		shards = append(shards, newSweepShard(t.req, t.designs[g.di:g.di+1], []int{t.req.Lanes[g.li]}, bits, rows))
+		b.lanes = append(b.lanes, g.li)
+	}
+	shards := make([]sweepShard, 0, len(blocks))
+	for _, b := range blocks {
+		lanes, bits := make([]int, len(b.lanes)), make([]int, len(b.bits))
+		rows := make([]int, 0, len(lanes)*len(bits))
+		for i, li := range b.lanes {
+			lanes[i] = t.req.Lanes[li]
+			for _, bi := range b.bits {
+				rows = append(rows, (b.di*L+li)*B+bi)
+			}
+		}
+		for i, bi := range b.bits {
+			bits[i] = t.req.Bits[bi]
+		}
+		shards = append(shards, newSweepShard(t.req, t.designs[b.di:b.di+1], lanes, bits, rows))
 	}
 	return shards
 }

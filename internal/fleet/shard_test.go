@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"slices"
 	"strconv"
@@ -110,11 +111,27 @@ func TestPlanSweepCoversGrid(t *testing.T) {
 		}
 	}
 
-	holes := []int{0, 1, 3, 6, 7, 17, 18, 31, 40, 47}
-	covered := checkShards(4, task.planMissing(holes, 4))
-	slices.Sort(covered)
-	if !slices.Equal(covered, holes) {
-		t.Fatalf("salvage plan covers rows %v, want exactly %v", covered, holes)
+	// Salvage plans: one shard per (design, distinct bit subset). The
+	// first holes fall on six (design, lane) groups with six bit
+	// subsets; the second on four lanes of design 0 at bit index 1 and
+	// two lanes of design 1 at bit index 2, which merge into two lane
+	// blocks.
+	for _, tc := range []struct {
+		holes  []int
+		shards int
+	}{
+		{[]int{0, 1, 3, 6, 7, 17, 18, 31, 40, 47}, 6},
+		{[]int{1, 5, 9, 13, 18, 22}, 2},
+	} {
+		shards := task.planMissing(tc.holes, 4)
+		covered := checkShards(4, shards)
+		slices.Sort(covered)
+		if !slices.Equal(covered, tc.holes) {
+			t.Fatalf("salvage plan covers rows %v, want exactly %v", covered, tc.holes)
+		}
+		if len(shards) != tc.shards {
+			t.Fatalf("holes %v planned %d shards, want %d", tc.holes, len(shards), tc.shards)
+		}
 	}
 }
 
@@ -342,9 +359,11 @@ func TestShardKeysAreWorkerKeys(t *testing.T) {
 
 // FuzzShardPlan: for any grid shape, network count, shard target and
 // set of missing rows or σ points, both planners cover every missing
-// unit exactly once in axis order, every sweep shard's cross product
-// lands on its global rows, and a full-grid sweep plan has at most
-// max(target, 1) shards. The seed corpus in testdata/fuzz holds the
+// unit exactly once, every sweep shard's cross product lands on its
+// global rows, a full-grid sweep plan covers the grid in order in at
+// most max(target, 1) shards, a salvage sweep plan has at most one
+// shard per (design, distinct bit subset), and a robustness plan
+// covers its σ points in axis order. The seed corpus in testdata/fuzz holds the
 // shapes planSweep once overshot (3 designs x 2 lanes at target 4,
 // 1 x 3 at 4, 2 x 3 at 3) and an empty missing set.
 func FuzzShardPlan(f *testing.F) {
@@ -405,11 +424,28 @@ func FuzzShardPlan(f *testing.F) {
 				}
 				covered = append(covered, sh.Rows...)
 			}
-			if !slices.Equal(covered, missing) {
-				t.Fatalf("target %d: sweep plan covers rows %v, want %v", k, covered, missing)
+			if len(missing) == task.points {
+				if !slices.Equal(covered, missing) {
+					t.Fatalf("target %d: full-grid plan covers rows %v, want %v in order", k, covered, missing)
+				}
+				if len(shards) > max(k, 1) {
+					t.Fatalf("target %d: full %d x %d x %d grid planned %d shards", k, len(designs), len(req.Lanes), len(req.Bits), len(shards))
+				}
+				continue
 			}
-			if len(missing) == task.points && len(shards) > max(k, 1) {
-				t.Fatalf("target %d: full %d x %d x %d grid planned %d shards", k, len(designs), len(req.Lanes), len(req.Bits), len(shards))
+			// A salvage plan covers each missing row once, with one shard
+			// per (design, distinct bit subset).
+			slices.Sort(covered)
+			if !slices.Equal(covered, missing) {
+				t.Fatalf("target %d: salvage plan covers rows %v, want %v", k, covered, missing)
+			}
+			seen := make(map[string]bool)
+			for _, sh := range shards {
+				key := fmt.Sprint(sh.Req.Designs, sh.Req.Bits)
+				if seen[key] {
+					t.Fatalf("target %d: salvage plan has two shards for design and bits %s", k, key)
+				}
+				seen[key] = true
 			}
 		}
 

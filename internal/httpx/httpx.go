@@ -21,6 +21,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -28,6 +29,7 @@ import (
 	"pixel/api"
 	"pixel/internal/jobs"
 	"pixel/internal/metrics"
+	"pixel/internal/resultjson"
 )
 
 // StatusClientClosedRequest is the nginx-convention status recorded
@@ -180,13 +182,51 @@ func (c *Core) WriteError(w http.ResponseWriter, err error) {
 
 // WriteJSON writes v with the one encoder setting (two-space indent)
 // both roles share: merged fleet responses must be byte-identical to
-// single-node ones, and the framing is part of that.
+// single-node ones, and the framing is part of that. The body is
+// encoded in full before the status goes out, so a value that cannot
+// be encoded (a NaN or infinite float) answers 500 "internal" rather
+// than a success with an empty body.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
+	buf := respBufs.Get().(*[]byte)
+	defer respBufs.Put(buf)
+	body, err := encodeBody((*buf)[:0], v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = encodeBody(body[:0], api.ErrorEnvelope{Error: api.Error{
+			Code: "internal", Message: "encode response: " + err.Error()}})
+	}
+	*buf = body
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
+	_, _ = w.Write(body) // the client is gone if this fails; nothing to do
+}
+
+// respBufs recycles the buffers response bodies are encoded into.
+var respBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// encodeBody appends v's indented JSON and a newline to dst. A sweep
+// response or a result takes resultjson's appender, which writes
+// encoding/json's exact bytes without reflection; every other value,
+// and one the appender gives up on (a non-finite float, whose error
+// encoding/json reports), goes through encoding/json.
+func encodeBody(dst []byte, v any) ([]byte, error) {
+	var ok bool
+	switch v := v.(type) {
+	case api.SweepResponse:
+		dst, ok = resultjson.AppendSweep(dst, v.Points, v.Results)
+	case pixel.Result:
+		dst, ok = resultjson.AppendResult(dst, &v)
+	}
+	if ok {
+		return dst, nil
+	}
+	out := bytes.NewBuffer(dst[:0])
+	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // the client is gone if this fails; nothing to do
+	if err := enc.Encode(v); err != nil {
+		return dst[:0], err
+	}
+	return out.Bytes(), nil
 }
 
 // decodeStrict decodes exactly one JSON value from r into dst: unknown

@@ -1,0 +1,76 @@
+package httpx
+
+import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	"pixel"
+	"pixel/api"
+)
+
+// TestWriteJSONEncodeFailure: a value encoding/json refuses — NaN or
+// ±Inf in a top-level field, a breakdown value or a per-layer value,
+// of an evaluate body or a sweep body — is answered with the 500
+// "internal" envelope, not a 200 with an empty body.
+func TestWriteJSONEncodeFailure(t *testing.T) {
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for where, r := range map[string]pixel.Result{
+			"field":     {EnergyJ: f},
+			"breakdown": {Breakdown: map[string]float64{"mul": 1, "laser": f}},
+			"per_layer": {PerLayer: []pixel.LayerResult{{Name: "conv1", LatencyS: f}}},
+		} {
+			for _, v := range []any{r, api.SweepResponse{Points: 1, Results: map[string][]api.Result{"LeNet": {r}}}} {
+				rec := httptest.NewRecorder()
+				WriteJSON(rec, http.StatusOK, v)
+				var env api.ErrorEnvelope
+				err := json.Unmarshal(rec.Body.Bytes(), &env)
+				if rec.Code != http.StatusInternalServerError || err != nil || env.Error.Code != "internal" ||
+					!strings.Contains(env.Error.Message, "unsupported value") {
+					t.Errorf("%v in %s of %T: status %d, body %q", f, where, v, rec.Code, rec.Body)
+				}
+			}
+		}
+	}
+}
+
+// headerWriter is a ResponseWriter that keeps its header map and
+// discards the body.
+type headerWriter struct{ h http.Header }
+
+func (w *headerWriter) Header() http.Header         { return w.h }
+func (w *headerWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (w *headerWriter) WriteHeader(int)             {}
+
+// TestWriteJSONSweepAllocs: writing a sweep response costs at most 10
+// allocations whatever its row count — the appender writes into a
+// pooled buffer (encoding/json took over a thousand for 96 rows).
+func TestWriteJSONSweepAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop buffers")
+	}
+	nets := pixel.Networks()[:2]
+	rows, err := pixel.SweepNetworks(context.Background(), nets,
+		pixel.Grid(pixel.Designs(), []int{2, 4, 8, 16}, []int{2, 4, 6, 8}), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, copies := range []int{1, 10} {
+		resp := api.SweepResponse{Points: 48, Results: map[string][]api.Result{}}
+		for c := 0; c < copies; c++ {
+			for _, n := range nets {
+				resp.Results[fmt.Sprintf("%s-%d", n, c)] = rows[n]
+			}
+		}
+		w := &headerWriter{h: http.Header{}}
+		allocs := testing.AllocsPerRun(20, func() { WriteJSON(w, http.StatusOK, resp) })
+		if allocs > 10 {
+			t.Errorf("%d rows: WriteJSON took %.0f allocations, want at most 10", 96*copies, allocs)
+		}
+	}
+}
