@@ -2,30 +2,29 @@
 
 #include "textflag.h"
 
-// AVX2 kernels for the batched filter sweep. Both functions compute,
-// for lane blocks of four 64-bit words w in [0, words&^3) and four
-// filters k:
-//
-//	acc_k[w] = sum_i cols[i*words + w] * fl_k[i]   (mod 2^64)
-//
-// with the four accumulator vectors register-resident across the whole
-// element loop and stored once per block. Lanes in [words&^3, words)
-// are left untouched for the scalar tail in batch.go. VPADDQ wraps mod
-// 2^64 exactly like Go uint64 addition, and per-lane sums mod 2^64 are
-// order-independent, so the results are bit-identical to the scalar
-// sweep.
+// AVX2 kernels for the batched filter sweep. Both compute, for lane
+// blocks of four 64-bit words w in [0, words&^3) and four filters k,
+// the sums of the column store's rows against each filter, with the
+// accumulator vectors register-resident across the whole row loop and
+// stored once per block. Lanes in [words&^3, words) are left untouched
+// for the scalar tail in batch.go. Per-lane sums (mod 2^64, or mod 2^32
+// per 32-bit half in the dual store) are order-independent, so the
+// results are bit-identical to the scalar sweeps.
 //
 // Register plan (both kernels):
-//	SI = cols base    CX = words      DX = n
+//	SI = cols base    CX = words      DX = rows (n, or pairs)
 //	R8..R11  = fl1..fl4 bases
 //	R12..R15 = acc1..acc4 bases
-//	BX = block base lane   AX = element index   DI = &cols[i*words+BX]
-//	Y0..Y3 = accumulators for fl1..fl4
+//	BX = block base word   AX = row index   DI = &cols[i*words+BX]
 
 // func sweepQuadAVX2(cols *uint64, words, n int, fl1, fl2, fl3, fl4, acc1, acc2, acc3, acc4 *uint64)
 //
-// Unpacked lane store: column values fit 32 bits (operands are at most
-// 24 bits wide), so one VPMULUDQ (32x32->64) is the exact product.
+// One-element store: column values fit 32 bits (operands are at most
+// 24 bits wide), so one VPMULUDQ (32x32->64) is the exact product, and
+//
+//	acc_k[w] = sum_i cols[i*words + w] * fl_k[i]   (mod 2^64)
+//
+// accumulates in Y0..Y3; VPADDQ wraps mod 2^64 like Go uint64 addition.
 TEXT ·sweepQuadAVX2(SB), NOSPLIT, $0-88
 	MOVQ cols+0(FP), SI
 	MOVQ words+8(FP), CX
@@ -87,16 +86,20 @@ quaddone:
 	VZEROUPPER
 	RET
 
-// func sweepQuadPackedAVX2(cols *uint64, words, n int, fl1, fl2, fl3, fl4, acc1, acc2, acc3, acc4 *uint64)
+// func sweepQuadDualAVX2(cols *uint64, words, pairs int, fl1, fl2, fl3, fl4 *uint32, acc1, acc2, acc3, acc4 *uint64)
 //
-// Packed lane store: each column word carries two independent 32-bit
-// lane halves, so the kernel forms cv*wt = lo(cv)*wt + (hi(cv)*wt)<<32
-// (exact mod 2^64 for wt < 2^32), matching the scalar sweep's full
-// 64-bit multiply of the packed word.
-TEXT ·sweepQuadPackedAVX2(SB), NOSPLIT, $0-88
+// Dual store: each 32-bit lane slot of a column word holds two 16-bit
+// elements and each filter word the matching two weights, all below
+// 2^15, so VPMADDWD's signed 16x16 products and pairwise int32 sum are
+// exact (a0*w0 + a1*w1 < 2^31) and one instruction performs sixteen
+// lane MACs. VPADDD wraps each lane mod 2^32, as the scalar sweep's
+// uint32 adds do. Lanes go sixteen at a time (two YMM column loads
+// sharing each broadcast filter word) while eight words remain, then
+// eight at a time; the DX loop counts element pairs.
+TEXT ·sweepQuadDualAVX2(SB), NOSPLIT, $0-88
 	MOVQ cols+0(FP), SI
 	MOVQ words+8(FP), CX
-	MOVQ n+16(FP), DX
+	MOVQ pairs+16(FP), DX
 	MOVQ fl1+24(FP), R8
 	MOVQ fl2+32(FP), R9
 	MOVQ fl3+40(FP), R10
@@ -108,10 +111,73 @@ TEXT ·sweepQuadPackedAVX2(SB), NOSPLIT, $0-88
 
 	XORQ BX, BX
 
-packblock:
+dual8block:
+	LEAQ 8(BX), DI
+	CMPQ DI, CX
+	JGT  dual4block
+
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	VPXOR Y2, Y2, Y2
+	VPXOR Y3, Y3, Y3
+	VPXOR Y4, Y4, Y4
+	VPXOR Y5, Y5, Y5
+	VPXOR Y6, Y6, Y6
+	VPXOR Y7, Y7, Y7
+	LEAQ (SI)(BX*8), DI
+	XORQ AX, AX
+
+dual8elem:
+	CMPQ AX, DX
+	JGE  dual8store
+
+	VMOVDQU (DI), Y8
+	VMOVDQU 32(DI), Y9
+
+	VPBROADCASTD (R8)(AX*4), Y10
+	VPMADDWD     Y8, Y10, Y11
+	VPMADDWD     Y9, Y10, Y12
+	VPADDD       Y11, Y0, Y0
+	VPADDD       Y12, Y4, Y4
+
+	VPBROADCASTD (R9)(AX*4), Y13
+	VPMADDWD     Y8, Y13, Y14
+	VPMADDWD     Y9, Y13, Y15
+	VPADDD       Y14, Y1, Y1
+	VPADDD       Y15, Y5, Y5
+
+	VPBROADCASTD (R10)(AX*4), Y10
+	VPMADDWD     Y8, Y10, Y11
+	VPMADDWD     Y9, Y10, Y12
+	VPADDD       Y11, Y2, Y2
+	VPADDD       Y12, Y6, Y6
+
+	VPBROADCASTD (R11)(AX*4), Y13
+	VPMADDWD     Y8, Y13, Y14
+	VPMADDWD     Y9, Y13, Y15
+	VPADDD       Y14, Y3, Y3
+	VPADDD       Y15, Y7, Y7
+
+	LEAQ (DI)(CX*8), DI
+	INCQ AX
+	JMP  dual8elem
+
+dual8store:
+	VMOVDQU Y0, (R12)(BX*8)
+	VMOVDQU Y4, 32(R12)(BX*8)
+	VMOVDQU Y1, (R13)(BX*8)
+	VMOVDQU Y5, 32(R13)(BX*8)
+	VMOVDQU Y2, (R14)(BX*8)
+	VMOVDQU Y6, 32(R14)(BX*8)
+	VMOVDQU Y3, (R15)(BX*8)
+	VMOVDQU Y7, 32(R15)(BX*8)
+	ADDQ    $8, BX
+	JMP     dual8block
+
+dual4block:
 	LEAQ 4(BX), DI
 	CMPQ DI, CX
-	JGT  packdone
+	JGT  dualdone
 
 	VPXOR Y0, Y0, Y0
 	VPXOR Y1, Y1, Y1
@@ -120,54 +186,35 @@ packblock:
 	LEAQ (SI)(BX*8), DI
 	XORQ AX, AX
 
-packelem:
+dual4elem:
 	CMPQ AX, DX
-	JGE  packstore
+	JGE  dual4store
 
-	VMOVDQU (DI), Y8
-	VPSRLQ  $32, Y8, Y9
-
-	VPBROADCASTQ (R8)(AX*8), Y4
-	VPMULUDQ     Y8, Y4, Y6
-	VPMULUDQ     Y9, Y4, Y7
-	VPSLLQ       $32, Y7, Y7
-	VPADDQ       Y6, Y0, Y0
-	VPADDQ       Y7, Y0, Y0
-
-	VPBROADCASTQ (R9)(AX*8), Y4
-	VPMULUDQ     Y8, Y4, Y6
-	VPMULUDQ     Y9, Y4, Y7
-	VPSLLQ       $32, Y7, Y7
-	VPADDQ       Y6, Y1, Y1
-	VPADDQ       Y7, Y1, Y1
-
-	VPBROADCASTQ (R10)(AX*8), Y4
-	VPMULUDQ     Y8, Y4, Y6
-	VPMULUDQ     Y9, Y4, Y7
-	VPSLLQ       $32, Y7, Y7
-	VPADDQ       Y6, Y2, Y2
-	VPADDQ       Y7, Y2, Y2
-
-	VPBROADCASTQ (R11)(AX*8), Y4
-	VPMULUDQ     Y8, Y4, Y6
-	VPMULUDQ     Y9, Y4, Y7
-	VPSLLQ       $32, Y7, Y7
-	VPADDQ       Y6, Y3, Y3
-	VPADDQ       Y7, Y3, Y3
+	VMOVDQU      (DI), Y8
+	VPBROADCASTD (R8)(AX*4), Y4
+	VPBROADCASTD (R9)(AX*4), Y5
+	VPBROADCASTD (R10)(AX*4), Y6
+	VPBROADCASTD (R11)(AX*4), Y7
+	VPMADDWD     Y8, Y4, Y4
+	VPMADDWD     Y8, Y5, Y5
+	VPMADDWD     Y8, Y6, Y6
+	VPMADDWD     Y8, Y7, Y7
+	VPADDD       Y4, Y0, Y0
+	VPADDD       Y5, Y1, Y1
+	VPADDD       Y6, Y2, Y2
+	VPADDD       Y7, Y3, Y3
 
 	LEAQ (DI)(CX*8), DI
 	INCQ AX
-	JMP  packelem
+	JMP  dual4elem
 
-packstore:
+dual4store:
 	VMOVDQU Y0, (R12)(BX*8)
 	VMOVDQU Y1, (R13)(BX*8)
 	VMOVDQU Y2, (R14)(BX*8)
 	VMOVDQU Y3, (R15)(BX*8)
-	ADDQ    $4, BX
-	JMP     packblock
 
-packdone:
+dualdone:
 	VZEROUPPER
 	RET
 

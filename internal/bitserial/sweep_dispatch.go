@@ -7,8 +7,9 @@ package bitserial
 // and the scalar loops in batch.go and perturb.go run alone. The sweep
 // kernels compute lane blocks of four words at a time over the same
 // column store the scalar sweep walks; because every lane accumulates
-// independently mod 2^64, the two orders of summation produce
-// bit-identical accumulators (pinned by TestSweepVectorMatchesScalar).
+// independently (mod 2^64, or per 32-bit half mod 2^32 in the dual
+// store), the two orders of summation produce bit-identical
+// accumulators (pinned by TestSweepVectorMatchesScalar).
 // The gap kernel repeats flipGaps' scalar operations four lanes at a
 // time and leaves to them every lane it cannot certify (pinned by the
 // TestFlipGap tests, run with the kernels on and off).
@@ -21,15 +22,14 @@ var (
 	// with uncertified instead; it reports whether it certified all.
 	flipGapsVec func(b *[blockLen]uint64, ilp float64) bool
 	// sweepQuadVec computes acc_k[w] = Σ_i cols[i*words+w] * fl_k[i]
-	// mod 2^64 for lanes [0, words&^3) and four filters; column values
-	// must fit 32 bits (the unpacked lane store, bits <= 24).
+	// mod 2^64 for lanes [0, words&^3) and four filters over the
+	// one-element store; column values must fit 32 bits (bits <= 24).
 	sweepQuadVec func(cols *uint64, words, n int, fl1, fl2, fl3, fl4, acc1, acc2, acc3, acc4 *uint64)
-	// sweepQuadPackedVec is sweepQuadVec for the two-lanes-per-word
-	// column store: column words are full 64-bit values whose 32-bit
-	// halves carry independent lanes, so the kernel multiplies each
-	// half separately and recombines (cv*wt == lo*wt + (hi*wt)<<32 mod
-	// 2^64 for wt < 2^32).
-	sweepQuadPackedVec func(cols *uint64, words, n int, fl1, fl2, fl3, fl4, acc1, acc2, acc3, acc4 *uint64)
+	// sweepQuadDualVec is sweepQuadVec for the dual store: each 32-bit
+	// half of a column word holds two 16-bit elements, each filter word
+	// the matching two weights, and each half of acc_k[w] accumulates
+	// its lane's Σ_p a0*w0 + a1*w1 mod 2^32.
+	sweepQuadDualVec func(cols *uint64, words, pairs int, fl1, fl2, fl3, fl4 *uint32, acc1, acc2, acc3, acc4 *uint64)
 )
 
 // VectorSweep reports whether the batched filter sweep is running on

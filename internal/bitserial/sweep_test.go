@@ -10,11 +10,12 @@ import (
 // TestSweepVectorMatchesScalar is the asm-vs-scalar acceptance
 // property: with the vector kernels forced on, FilterBatch must produce
 // exactly the values AND Stats the scalar sweep produces, across
-// operand precisions (including 24-bit, the widest), packed and
-// unpacked column stores, batch sizes off the 64-lane and 4-word block
-// boundaries, zero-weight runs, and accumulator wraparound. On hosts
-// (or builds) without the kernels it skips — the purego CI leg proves
-// the scalar path alone, the amd64 leg pins the two together.
+// operand precisions (including 24-bit, the widest), dual and
+// one-element column stores and the boundary between them, batch sizes
+// off the 64-lane and 4-word block boundaries, zero-weight runs, and
+// accumulator wraparound. On hosts (or builds) without the kernels it
+// skips — the purego CI leg proves the scalar path alone, the amd64 leg
+// pins the two together.
 func TestSweepVectorMatchesScalar(t *testing.T) {
 	if !VectorSweep() {
 		t.Skip("no vector sweep kernels on this host/build")
@@ -23,19 +24,24 @@ func TestSweepVectorMatchesScalar(t *testing.T) {
 
 	type config struct {
 		bits, terms int
-		packed      bool // which store the geometry selects (documentation; asserted below)
+		dual        bool // which store the geometry selects (asserted below)
 	}
-	// terms beyond 1<<18 push accWidth past 32 bits, forcing the
-	// unpacked one-lane-per-word store; small terms with bits<=12 keep
-	// accWidth<=32 and n*maxProd<2^32, selecting the packed store.
+	// The dual store is selected exactly when bits <= 15 and
+	// accWidth = 2*bits + ceil(log2 terms) <= 32. terms beyond 1<<18
+	// push accWidth past 32 bits at bits 8, and bits 16 always does;
+	// bits 15 with terms 4 lands on accWidth 32 exactly (dual, with
+	// operands at the int16 edge), and terms 5 one bit past it.
 	configs := []config{
-		{bits: 1, terms: 3, packed: true},
-		{bits: 4, terms: 512, packed: true},
-		{bits: 8, terms: 16, packed: true},
-		{bits: 12, terms: 9, packed: true},
-		{bits: 8, terms: 1 << 20, packed: false},
-		{bits: 16, terms: 1 << 18, packed: false},
-		{bits: 24, terms: 64, packed: false},
+		{bits: 1, terms: 3, dual: true},
+		{bits: 4, terms: 512, dual: true},
+		{bits: 8, terms: 16, dual: true},
+		{bits: 12, terms: 9, dual: true},
+		{bits: 15, terms: 4, dual: true},
+		{bits: 15, terms: 5, dual: false},
+		{bits: 8, terms: 1 << 20, dual: false},
+		{bits: 16, terms: 4, dual: false},
+		{bits: 16, terms: 1 << 18, dual: false},
+		{bits: 24, terms: 64, dual: false},
 	}
 	rng := rand.New(rand.NewSource(41))
 	for _, cfg := range configs {
@@ -45,16 +51,15 @@ func TestSweepVectorMatchesScalar(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				maxProd := ((uint64(1) << cfg.bits) - 1) * ((uint64(1) << cfg.bits) - 1)
 				mask := uint64(1)<<uint(cfg.bits) - 1
 				// Windows longer than the sized term count wrap the
-				// accumulator on both paths (bounded so unpacked configs
-				// stay fast).
+				// accumulator on both paths (bounded so one-element
+				// configs stay fast); odd lengths pad the last pair.
 				n := 1 + rng.Intn(192)
-				if gotPacked := be.fe.accWidth <= 32 && maxProd > 0 && uint64(n) <= (1<<32-1)/maxProd; gotPacked != cfg.packed {
-					t.Fatalf("geometry selects packed=%v, config expects %v", gotPacked, cfg.packed)
+				if want := cfg.bits <= 15 && be.fe.accWidth <= 32; be.dual != want || be.dual != cfg.dual {
+					t.Fatalf("engine selects dual=%v; rule gives %v, config expects %v", be.dual, want, cfg.dual)
 				}
-				nFilters := 1 + rng.Intn(7) // cover quad, pair and single tails
+				nFilters := 1 + rng.Intn(7) // full quads and quads padded with zero filters
 
 				windows := make([][]uint64, batch)
 				for w := range windows {
