@@ -25,7 +25,8 @@ type Options struct {
 	// Workers are the worker pixeld addresses ("host:port" or full base
 	// URLs). Required, at least one.
 	Workers []string
-	// HTTPClient carries shard requests; nil means http.DefaultClient.
+	// HTTPClient carries shard requests; nil means a client of the
+	// fleet's own, whose idle connections Close closes.
 	HTTPClient *http.Client
 	// ShardsPerWorker caps the fan-out: a request splits into at most
 	// healthy-workers x ShardsPerWorker shards, and a sweep into fewer
