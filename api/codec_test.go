@@ -91,9 +91,9 @@ func FuzzResultCodec(f *testing.F) {
 		}
 		switch shape % 3 {
 		case 1:
-			r.Breakdown = map[string]float64{}
+			r.Breakdown = pixel.Breakdown{Mul: e, Laser: l, OtoE: b}
 		case 2:
-			r.Breakdown = map[string]float64{key: b, "mul": e, "laser": l}
+			r.Breakdown = pixel.Breakdown{Act: b, Add: edp, Comm: l, Laser: e, Mul: -b, OtoE: edp}
 		}
 		switch {
 		case shape&4 != 0:
@@ -103,7 +103,9 @@ func FuzzResultCodec(f *testing.F) {
 		}
 		resp := SweepResponse{Points: bits}
 		if shape&8 == 0 {
-			resp.Results = map[string][]Result{name: {r.SweepRow(), r}}
+			row := r
+			row.PerLayer = nil
+			resp.Results = map[string][]Result{name: {row, r}}
 			switch shape >> 4 % 3 {
 			case 1:
 				resp.Results[key] = nil
@@ -153,11 +155,6 @@ func sweepBody(tb testing.TB, n int, lanes, bits []int) (sweep, result []byte) {
 		tb.Fatal(err)
 	}
 	resp := SweepResponse{Points: len(points), Results: rows}
-	for _, rs := range rows {
-		for i := range rs {
-			rs[i] = rs[i].SweepRow()
-		}
-	}
 	if sweep, err = indentJSON(resp); err != nil {
 		tb.Fatal(err)
 	}
@@ -195,6 +192,33 @@ func TestResultCodecCanonical(t *testing.T) {
 	}
 	if got, _ := resultjson.AppendResult(nil, &r); !bytes.Equal(got, result) {
 		t.Fatalf("evaluate body re-encodes as\n%s", got)
+	}
+}
+
+// TestBreakdownOffCanonical: a breakdown that is null, empty, reordered,
+// missing a key or carrying an extra one leaves the parser, in an
+// evaluate body and in a sweep row, and decodes as encoding/json
+// decodes it. The same breakdowns seed FuzzResultCodec (body-breakdown-*).
+func TestBreakdownOffCanonical(t *testing.T) {
+	for name, bd := range map[string]string{
+		"canonical": `{"act": 1, "add": 2, "comm": 3, "laser": 4, "mul": 5, "o/e": 6}`,
+		"null":      `null`,
+		"empty":     `{}`,
+		"reordered": `{"add": 2, "act": 1, "comm": 3, "laser": 4, "mul": 5, "o/e": 6}`,
+		"missing":   `{"act": 1, "add": 2, "comm": 3, "laser": 4, "mul": 5}`,
+		"extra":     `{"act": 1, "add": 2, "comm": 3, "laser": 4, "mul": 5, "o/e": 6, "dac": 7}`,
+	} {
+		result := `{"network": "LeNet", "design": "OO", "lanes": 4, "bits": 8, "energy_j": 21, ` +
+			`"latency_s": 1, "edp_js": 21, "energy_breakdown_j": ` + bd + `}`
+		sweep := `{"points": 1, "results": {"LeNet": [` + result + `]}}`
+		var r Result
+		var resp SweepResponse
+		gotR, gotS := parseCanonical([]byte(result), &r), parseCanonical([]byte(sweep), &resp)
+		if want := name == "canonical"; gotR != want || gotS != want {
+			t.Errorf("%s breakdown: parsed evaluate %v, sweep %v; want %v", name, gotR, gotS, want)
+		}
+		checkDecode[Result](t, []byte(result))
+		checkDecode[SweepResponse](t, []byte(sweep))
 	}
 }
 

@@ -16,7 +16,7 @@ import "pixel"
 // Result is the POST /v1/evaluate response and a /v1/sweep row: the
 // cost of one full CNN inference under a design point. It is
 // pixel.Result, field-compatible with the pixelsweep -json output;
-// sweep rows carry no per_layer (see pixel.Result.SweepRow).
+// sweep rows carry no per_layer (see pixel.Result.PerLayer).
 type Result = pixel.Result
 
 // LayerResult is one layer's share of an inference cost; it is

@@ -18,7 +18,7 @@ func wireSamples() map[string]any {
 		"result": Result{
 			Network: "lenet", Design: pixel.OE, Lanes: 8, Bits: 4,
 			EnergyJ: 0.25, LatencyS: 0.5, EDP: 0.125,
-			Breakdown: map[string]float64{"mul": 0.1, "laser": 0.15},
+			Breakdown: pixel.Breakdown{Act: 0.01, Add: 0.02, Comm: 0.03, Laser: 0.15, Mul: 0.1, OtoE: 0.04},
 			PerLayer:  []LayerResult{{Name: "conv1", EnergyJ: 0.1, LatencyS: 0.2}},
 		},
 		"sweep_request": SweepRequest{
@@ -85,7 +85,7 @@ func wireSamples() map[string]any {
 			Result: Result{
 				Network: "lenet", Design: pixel.OE, Lanes: 8, Bits: 4,
 				EnergyJ: 0.25, LatencyS: 0.5, EDP: 0.125,
-				Breakdown: map[string]float64{"mul": 0.1, "laser": 0.15},
+				Breakdown: pixel.Breakdown{Act: 0.01, Add: 0.02, Comm: 0.03, Laser: 0.15, Mul: 0.1, OtoE: 0.04},
 			},
 		},
 		"job_event": JobEvent{

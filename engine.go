@@ -84,7 +84,7 @@ func (e *Engine) EvaluateContext(ctx context.Context, network string, p Point) (
 	if err != nil {
 		return Result{}, err
 	}
-	return resultFromCost(network, p, c), nil
+	return resultFromCost(network, p, &c), nil
 }
 
 // SweepNetworks fans one grid of design points out across several

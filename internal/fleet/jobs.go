@@ -544,36 +544,44 @@ func (t *fleetSweepTask) fold(sh sweepShard, local []api.JobCell, emit func(stri
 	defer t.mu.Unlock()
 	n := 0
 	for _, cell := range local {
-		if cell.Index < 0 || cell.Index >= len(sh.Rows) {
-			continue
+		if cell.Index >= 0 && cell.Index < len(sh.Rows) {
+			n += t.cells.Land(cell.Network, sh.Rows[cell.Index], cell.Result)
 		}
-		n += t.cells.Land(cell.Network, sh.Rows[cell.Index], cell.Result)
 	}
-	if n > 0 {
-		done, total := t.Progress()
-		emit(api.JobEventProgress, api.JobProgress{Done: done, Total: total})
-	}
+	t.progressed(n, emit)
 	return n
 }
 
 // foldResponse checks a complete shard response's shape and lands its
-// rows cell by cell.
+// rows cell by cell, as fold lands them.
 func (t *fleetSweepTask) foldResponse(sh sweepShard, resp api.SweepResponse, emit func(string, any)) error {
 	if resp.Points != len(sh.Rows) {
 		return fmt.Errorf("fleet: sweep shard returned %d points, want %d", resp.Points, len(sh.Rows))
 	}
-	local := make([]api.JobCell, 0, len(t.req.Networks)*len(sh.Rows))
 	for _, n := range t.req.Networks {
-		rows := resp.Results[n]
-		if len(rows) != len(sh.Rows) {
+		if rows := resp.Results[n]; len(rows) != len(sh.Rows) {
 			return fmt.Errorf("fleet: sweep shard returned %d rows for %q, want %d", len(rows), n, len(sh.Rows))
 		}
-		for j := range rows {
-			local = append(local, api.JobCell{Network: n, Index: j, Result: rows[j]})
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	landed := 0
+	for _, n := range t.req.Networks {
+		for j, r := range resp.Results[n] {
+			landed += t.cells.Land(n, sh.Rows[j], r)
 		}
 	}
-	t.fold(sh, local, emit)
+	t.progressed(landed, emit)
 	return nil
+}
+
+// progressed emits a progress event after a fold that landed n cells;
+// the caller holds t.mu, so events count up.
+func (t *fleetSweepTask) progressed(n int, emit func(string, any)) {
+	if n > 0 {
+		done, total := t.Progress()
+		emit(api.JobEventProgress, api.JobProgress{Done: done, Total: total})
+	}
 }
 
 // finalize assembles the single-node SweepResponse from the harvested

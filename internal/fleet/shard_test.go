@@ -1,7 +1,9 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -13,6 +15,7 @@ import (
 	"pixel"
 	"pixel/api"
 	"pixel/internal/httpx"
+	"pixel/internal/resultjson"
 )
 
 // TestChunkRanges: contiguous cover of [0, n) with sizes differing by
@@ -480,6 +483,129 @@ func FuzzShardPlan(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzSweepFold: a sweep folded from shard bodies writes the
+// single-node body byte for byte. It draws the grid, the request's
+// networks (a network may be listed twice), the shard target and the
+// holes: the first round's shards land in a random order, some dying
+// after a partial harvest of random cells, and a salvage round plans
+// and folds whatever is still missing. Shard bodies and partials cross
+// the wire as a worker writes them and the coordinator reads them, and
+// progress events must count up to the total.
+func FuzzSweepFold(f *testing.F) {
+	c := &Coordinator{opts: Options{shardFloor: 1}.withDefaults()}
+	eng := pixel.NewEngine(pixel.EngineOptions{Workers: 1})
+	nets := pixel.Networks()[:3]
+	f.Add(uint8(2), uint8(3), uint8(3), uint8(1), uint8(4), uint64(1))
+	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint64(0))
+	f.Add(uint8(2), uint8(7), uint8(7), uint8(2), uint8(16), uint64(0xdeadbeef))
+	f.Fuzz(func(t *testing.T, nd, nl, nb, nn, target uint8, holes uint64) {
+		r := rand.New(rand.NewPCG(holes, uint64(target)))
+		axis := func(n uint8) []int {
+			out := make([]int, 1+int(n)%8)
+			for i := range out {
+				out[i] = i + 1
+			}
+			return out
+		}
+		var designs []string
+		for _, d := range pixel.Designs()[:1+int(nd)%3] {
+			designs = append(designs, d.String())
+		}
+		networks := make([]string, 1+int(nn)%3)
+		for i := range networks {
+			networks[i] = nets[r.IntN(len(nets))]
+		}
+		req := api.SweepRequest{Networks: networks, Designs: designs, Lanes: axis(nl), Bits: axis(nb)}
+		task, err := c.newSweepTask(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, want := workerSweep(t, eng, req)
+
+		last := 0
+		emit := func(typ string, data any) {
+			p, ok := data.(api.JobProgress)
+			if typ != api.JobEventProgress || !ok || p.Done <= last || p.Done > p.Total {
+				t.Fatalf("event %s %+v after %d done", typ, data, last)
+			}
+			last = p.Done
+		}
+		k := int(target) % 17
+		all, _ := task.cells.MissingRows()
+		first := task.plan(all, k)
+		r.Shuffle(len(first), func(i, j int) { first[i], first[j] = first[j], first[i] })
+		for _, sh := range first {
+			resp, _ := workerSweep(t, eng, sh.Req)
+			if r.IntN(3) > 0 {
+				if err := task.foldResponse(sh, resp, emit); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			// The shard dies; its worker's partial held some of its cells.
+			var partial []api.JobCell
+			for n, rows := range resp.Results {
+				for j, row := range rows {
+					if r.IntN(2) == 0 {
+						partial = append(partial, api.JobCell{Network: n, Index: j, Result: row})
+					}
+				}
+			}
+			buf, err := json.Marshal(partial)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var cells []api.JobCell
+			if err := json.Unmarshal(buf, &cells); err != nil {
+				t.Fatal(err)
+			}
+			task.fold(sh, cells, emit)
+		}
+		if rows, _ := task.cells.MissingRows(); len(rows) > 0 {
+			for _, sh := range task.plan(rows, k) {
+				resp, _ := workerSweep(t, eng, sh.Req)
+				if err := task.foldResponse(sh, resp, emit); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if done, total := task.Progress(); done != total || last != total {
+			t.Fatalf("folded %d of %d cells, last event at %d", done, total, last)
+		}
+		out, err := task.finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ok := resultjson.AppendSweep(nil, out.Points, out.Results)
+		if !ok || !bytes.Equal(got, want) {
+			t.Fatalf("folded body differs from one worker's:\n%s\nwant\n%s", got, want)
+		}
+	})
+}
+
+// workerSweep prices req on eng as a worker's /v1/sweep does and
+// returns its body and that body as the coordinator's client parses it.
+func workerSweep(t *testing.T, eng *pixel.Engine, req api.SweepRequest) (api.SweepResponse, []byte) {
+	t.Helper()
+	designs, points, err := httpx.SweepDesigns(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byNet, err := eng.SweepNetworks(context.Background(), req.Networks, pixel.Grid(designs, req.Lanes, req.Bits), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, ok := resultjson.AppendSweep(nil, points, byNet)
+	if !ok {
+		t.Fatalf("sweep %+v did not encode", req)
+	}
+	points, results, ok := resultjson.ParseSweep(body)
+	if !ok {
+		t.Fatalf("sweep body left the parser:\n%s", body)
+	}
+	return api.SweepResponse{Points: points, Results: results}, body
 }
 
 // planCoordinator is a coordinator over n named, never-contacted

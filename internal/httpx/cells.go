@@ -39,8 +39,9 @@ func NewSweepCells(networks []string, points int) *SweepCells {
 // naming it, the first write to each slot winning, and returns how many
 // slots it filled: 0 for a cell off the grid or already landed.
 func (c *SweepCells) Land(network string, row int, r pixel.Result) int {
+	var buf [4]int
 	n := 0
-	for _, i := range c.slotsOf(network, row) {
+	for _, i := range c.appendSlots(buf[:0], network, row) {
 		if ok, _ := c.store.Land(i, r); ok {
 			n++
 		}
@@ -48,19 +49,18 @@ func (c *SweepCells) Land(network string, row int, r pixel.Result) int {
 	return n
 }
 
-// slotsOf returns the slots of a network's grid row, one per request
-// entry naming it; nil when the cell is off the grid.
-func (c *SweepCells) slotsOf(network string, row int) []int {
+// appendSlots appends the slots of a network's grid row to dst, one per
+// request entry naming it; none when the cell is off the grid.
+func (c *SweepCells) appendSlots(dst []int, network string, row int) []int {
 	if row < 0 || row >= c.points {
-		return nil
+		return dst
 	}
-	var out []int
 	for k, name := range c.networks {
 		if name == network {
-			out = append(out, k*c.points+row)
+			dst = append(dst, k*c.points+row)
 		}
 	}
-	return out
+	return dst
 }
 
 // Progress returns the landed and total slot counts.
@@ -81,7 +81,8 @@ func (c *SweepCells) Partial() []api.JobCell {
 }
 
 // Values returns the rows of a network the request names, in grid
-// order; rows not landed read as zero Results.
+// order, as the store's own slots (see slots.Store.Values): read-only,
+// and rows not landed read as zero Results.
 func (c *SweepCells) Values(network string) []pixel.Result {
 	lo := slices.Index(c.networks, network) * c.points
 	return c.store.Values(lo, lo+c.points)
@@ -107,12 +108,12 @@ func (c *SweepCells) Import(cells []api.JobCell) (int, error) {
 	var idx []int
 	var vals []pixel.Result
 	for _, cell := range cells {
-		at := c.slotsOf(cell.Network, cell.Index)
-		if at == nil {
+		n := len(idx)
+		if idx = c.appendSlots(idx, cell.Network, cell.Index); len(idx) == n {
 			return 0, fmt.Errorf("%w: sweep cell %s/%d is off the grid", slots.ErrSnapshotMismatch, cell.Network, cell.Index)
 		}
-		for _, i := range at {
-			idx, vals = append(idx, i), append(vals, cell.Result)
+		for range idx[n:] {
+			vals = append(vals, cell.Result)
 		}
 	}
 	if err := c.store.Import(c.store.Len(), idx, vals); err != nil {

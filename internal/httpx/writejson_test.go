@@ -22,7 +22,7 @@ func TestWriteJSONEncodeFailure(t *testing.T) {
 	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		for where, r := range map[string]pixel.Result{
 			"field":     {EnergyJ: f},
-			"breakdown": {Breakdown: map[string]float64{"mul": 1, "laser": f}},
+			"breakdown": {Breakdown: pixel.Breakdown{Mul: 1, Laser: f}},
 			"per_layer": {PerLayer: []pixel.LayerResult{{Name: "conv1", LatencyS: f}}},
 		} {
 			for _, v := range []any{r, api.SweepResponse{Points: 1, Results: map[string][]api.Result{"LeNet": {r}}}} {
@@ -72,5 +72,37 @@ func TestWriteJSONSweepAllocs(t *testing.T) {
 		if allocs > 10 {
 			t.Errorf("%d rows: WriteJSON took %.0f allocations, want at most 10", 96*copies, allocs)
 		}
+	}
+}
+
+// TestSweepRowAllocs: a warm worker's /v1/sweep — SweepNetworks over a
+// cached 96-row grid, then WriteJSON of its rows — allocates less than
+// one object per row. A sweep row is flat values: no breakdown map and
+// no per-layer slice built and dropped.
+func TestSweepRowAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop buffers")
+	}
+	ctx := context.Background()
+	eng := pixel.NewEngine(pixel.EngineOptions{Workers: 2}) // pool goroutines allocate too
+	nets := pixel.Networks()[:2]
+	points := pixel.Grid(pixel.Designs(), []int{2, 4, 8, 16}, []int{2, 4, 6, 8})
+	rows := len(nets) * len(points)
+	sweep := func() {
+		byNet, err := eng.SweepNetworks(ctx, nets, points, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		WriteJSON(&headerWriter{h: http.Header{}}, http.StatusOK, api.SweepResponse{Points: len(points), Results: byNet})
+	}
+	sweep()
+	calls := eng.CostCalls()
+	allocs := testing.AllocsPerRun(20, sweep)
+	if eng.CostCalls() != calls {
+		t.Fatal("the warm sweep priced points again")
+	}
+	t.Logf("%d rows: %.0f allocations", rows, allocs)
+	if allocs >= float64(rows) {
+		t.Errorf("%d rows: a warm sweep and its body took %.0f allocations, want fewer than one per row", rows, allocs)
 	}
 }

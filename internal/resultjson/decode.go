@@ -42,10 +42,10 @@ func ParseSweep(body []byte) (points int, results map[string][]pixel.Result, ok 
 // field's exact key in declaration order (per_layer optional and
 // last), escape-free printable-ASCII strings, JSON-grammar numbers
 // (integers for lanes and bits), a design name Design.UnmarshalText
-// accepts, null only for the breakdown map and per-layer slice, and
-// nothing but JSON whitespace after the object. encoding/json decodes
-// every such body into a zero pixel.Result as the returned value. It
-// reports false for any other body.
+// accepts, the breakdown's six keys in field order, null only for the
+// per-layer slice, and nothing but JSON whitespace after the object.
+// encoding/json decodes every such body into a zero pixel.Result as the
+// returned value. It reports false for any other body.
 func ParseResult(body []byte) (pixel.Result, bool) {
 	p := parser{b: body}
 	var r pixel.Result
@@ -253,25 +253,19 @@ func (p *parser) result(r *pixel.Result) bool {
 	return ok && p.next('}')
 }
 
-// breakdown consumes a string → float object, or null, into the nil *m.
-// A repeated key keeps its last value, as encoding/json does.
-func (p *parser) breakdown(m *map[string]float64) bool {
-	if p.null() {
-		return true
-	}
+// breakdown consumes a breakdown object with its six keys exactly, in
+// field order, into *b. Anything else — null, a missing, extra,
+// repeated or reordered key — is left to encoding/json.
+func (p *parser) breakdown(b *pixel.Breakdown) bool {
 	if !p.next('{') {
 		return false
 	}
-	*m = make(map[string]float64, 8)
-	for first := true; !p.next('}'); first = false {
-		var k string
-		var v float64
-		if (!first && !p.next(',')) || !p.str(&k) || !p.next(':') || !p.float(&v) {
+	for i, v := range breakdownFields(b) {
+		if (i > 0 && !p.next(',')) || !p.key(breakdownKeys[i]) || !p.float(v) {
 			return false
 		}
-		(*m)[k] = v
 	}
-	return true
+	return p.next('}')
 }
 
 // rows consumes an array of result objects, or null, into the nil *rows.

@@ -128,7 +128,7 @@ func (e *encoder) result(depth int, r *pixel.Result) {
 	e.float(r.EDP)
 	e.b = append(e.b, ',')
 	e.key(in, "energy_breakdown_j")
-	e.breakdown(in, r.Breakdown)
+	e.breakdown(in, &r.Breakdown)
 	if len(r.PerLayer) > 0 {
 		e.b = append(e.b, ',')
 		e.key(in, "per_layer")
@@ -158,24 +158,24 @@ func (e *encoder) result(depth int, r *pixel.Result) {
 	e.b = append(e.b, '}')
 }
 
-// breakdown writes a float map, keys sorted, whose key sits at depth.
-func (e *encoder) breakdown(depth int, m map[string]float64) {
-	switch {
-	case m == nil:
-		e.b = append(e.b, "null"...)
-		return
-	case len(m) == 0:
-		e.b = append(e.b, "{}"...)
-		return
-	}
-	var keyBuf [8]string
+// breakdownKeys are pixel.Breakdown's JSON keys in field order, which
+// is sorted order.
+var breakdownKeys = [...]string{"act", "add", "comm", "laser", "mul", "o/e"}
+
+// breakdownFields returns b's fields in breakdownKeys order.
+func breakdownFields(b *pixel.Breakdown) [len(breakdownKeys)]*float64 {
+	return [...]*float64{&b.Act, &b.Add, &b.Comm, &b.Laser, &b.Mul, &b.OtoE}
+}
+
+// breakdown writes b's six members as an object whose key sits at depth.
+func (e *encoder) breakdown(depth int, b *pixel.Breakdown) {
 	e.b = append(e.b, '{')
-	for i, k := range sortedKeys(keyBuf[:0], m) {
+	for i, v := range breakdownFields(b) {
 		if i > 0 {
 			e.b = append(e.b, ',')
 		}
-		e.key(depth+1, k)
-		e.float(m[k])
+		e.key(depth+1, breakdownKeys[i])
+		e.float(*v)
 	}
 	e.newline(depth)
 	e.b = append(e.b, '}')
@@ -202,7 +202,7 @@ func (e *encoder) float(f float64) {
 
 // sortedKeys appends m's keys to keys in byte order, as encoding/json
 // orders map keys.
-func sortedKeys[V any](keys []string, m map[string]V) []string {
+func sortedKeys(keys []string, m map[string][]pixel.Result) []string {
 	for k := range m {
 		keys = append(keys, k)
 	}

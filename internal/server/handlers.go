@@ -67,21 +67,7 @@ func (s *Server) sweep(ctx context.Context, req api.SweepRequest) (api.SweepResp
 	if err != nil {
 		return api.SweepResponse{}, err
 	}
-	return sweepResponse(len(points), byNet), nil
-}
-
-// sweepResponse renders engine results as the /v1/sweep payload (also
-// a sweep job's final result).
-func sweepResponse(points int, byNet map[string][]pixel.Result) api.SweepResponse {
-	resp := api.SweepResponse{Points: points, Results: make(map[string][]api.Result, len(byNet))}
-	for name, results := range byNet {
-		rows := make([]api.Result, len(results))
-		for i, res := range results {
-			rows[i] = res.SweepRow()
-		}
-		resp.Results[name] = rows
-	}
-	return resp
+	return api.SweepResponse{Points: len(points), Results: byNet}, nil
 }
 
 // schedule serves /v1/map: admitted, never coalesced.

@@ -125,11 +125,11 @@ func (t *sweepTask) Run(ctx context.Context, emit func(string, any)) (any, error
 			}
 		},
 		Cell: func(network string, index int, r pixel.Result) {
-			t.cells.Land(network, index, r.SweepRow())
+			t.cells.Land(network, index, r)
 		},
 	})
 	if err != nil {
 		return nil, err
 	}
-	return sweepResponse(t.points, byNet), nil
+	return api.SweepResponse{Points: t.points, Results: byNet}, nil
 }

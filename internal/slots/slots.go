@@ -67,12 +67,15 @@ func (s *Store[R]) Land(i int, r R) (bool, int) {
 	return true, s.landed
 }
 
-// Values returns a copy of slots [lo, hi); empty slots read as the
-// zero R.
+// Values returns slots [lo, hi) without copying them; empty slots read
+// as the zero R. The slice shares the store's memory and is capped at
+// hi, so the caller must not write it. A landed slot never changes, so
+// its element is safe to read while other slots land; an empty slot's
+// element is not.
 func (s *Store[R]) Values(lo, hi int) []R {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]R(nil), s.vals[lo:hi]...)
+	return s.vals[lo:hi:hi]
 }
 
 // Missing returns the empty slot indices in order.

@@ -223,9 +223,10 @@ func (e *Engine) Run(ctx context.Context, jobs []Job, opts RunOptions) ([]arch.N
 // st (restored from a checkpoint) are skipped, the rest evaluate
 // across the worker pool, and the returned slice merges both — which
 // is why an interrupted-then-resumed sweep is bit-identical to an
-// uninterrupted one at any worker count. Progress counts restored
-// slots as already done. st may be snapshotted concurrently while
-// RunState is in flight.
+// uninterrupted one at any worker count. The slice is st's own slots,
+// not a copy: read-only. Progress counts restored slots as already
+// done. st may be snapshotted concurrently while RunState is in
+// flight.
 func (e *Engine) RunState(ctx context.Context, jobs []Job, st *State, opts RunOptions) ([]arch.NetworkCost, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

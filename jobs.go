@@ -218,8 +218,10 @@ func (j *SweepJob) Snapshot() ([]byte, error) { return j.state.Snapshot() }
 // ErrSnapshotMismatch.
 func (j *SweepJob) Restore(payload []byte) error { return j.state.Restore(payload) }
 
-// Run executes (or finishes) the sweep. opts may be nil. On
-// cancellation the priced cells stay in the job, ready to Snapshot.
+// Run executes (or finishes) the sweep. opts may be nil. The rows,
+// like those handed to opts.Cell, carry no per-layer data (see
+// Result.PerLayer). On cancellation the priced cells stay in the job,
+// ready to Snapshot.
 func (j *SweepJob) Run(ctx context.Context, opts *SweepOptions) (map[string][]Result, error) {
 	ro := opts.runOptions()
 	if opts != nil && opts.Cell != nil {
@@ -227,18 +229,20 @@ func (j *SweepJob) Run(ctx context.Context, opts *SweepOptions) (map[string][]Re
 		ro.OnJob = func(i int, c arch.NetworkCost) {
 			name := j.networks[i/len(j.points)]
 			pi := i % len(j.points)
-			cell(name, pi, resultFromCost(name, j.points[pi], c))
+			cell(name, pi, sweepRow(name, j.points[pi], &c))
 		}
 	}
 	costs, err := j.engine.eng.RunState(ctx, j.jobs, j.state, ro)
 	if err != nil {
 		return nil, err
 	}
+	n := len(j.points)
+	rows := make([]Result, len(costs))
 	out := make(map[string][]Result, len(j.networks))
 	for ni, name := range j.networks {
-		results := make([]Result, len(j.points))
+		results := rows[ni*n : (ni+1)*n : (ni+1)*n]
 		for pi, p := range j.points {
-			results[pi] = resultFromCost(name, p, costs[ni*len(j.points)+pi])
+			results[pi] = sweepRow(name, p, &costs[ni*n+pi])
 		}
 		out[name] = results
 	}

@@ -7,15 +7,17 @@ import (
 )
 
 // WriteResultsJSON serializes sweep/evaluation results as indented
-// JSON sweep rows (see Result.SweepRow) — the machine-readable
-// companion to the CSV tables, for downstream plotting.
+// JSON sweep rows, without per-layer data (see Result.PerLayer) — the
+// machine-readable companion to the CSV tables, for downstream
+// plotting.
 func WriteResultsJSON(w io.Writer, results []Result) error {
 	if len(results) == 0 {
 		return fmt.Errorf("pixel: no results to write")
 	}
 	rows := make([]Result, len(results))
 	for i, r := range results {
-		rows[i] = r.SweepRow()
+		r.PerLayer = nil
+		rows[i] = r
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -73,9 +73,30 @@ func TestResultsJSONRoundTrip(t *testing.T) {
 	for i := range results {
 		if back[i].Design != results[i].Design ||
 			back[i].EDP != results[i].EDP ||
-			back[i].Breakdown["mul"] != results[i].Breakdown["mul"] {
+			back[i].Breakdown != results[i].Breakdown {
 			t.Errorf("result %d did not round-trip", i)
 		}
+	}
+
+	// An evaluate result carries per-layer data; the written rows do
+	// not, and the caller's result keeps it.
+	ev, err := EvaluateContext(context.Background(), "LeNet", Point{OO, 4, 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ev.PerLayer) == 0 {
+		t.Fatal("EvaluateContext returned no per-layer data")
+	}
+	evs := []Result{ev}
+	sb.Reset()
+	if err := WriteResultsJSON(&sb, evs); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(sb.String(), "per_layer") {
+		t.Errorf("WriteResultsJSON wrote per-layer data:\n%s", sb.String())
+	}
+	if len(evs[0].PerLayer) == 0 {
+		t.Error("WriteResultsJSON cleared the caller's per-layer data")
 	}
 }
 

@@ -128,21 +128,26 @@ type Result struct {
 	LatencyS float64 `json:"latency_s"`
 	// EDP is the energy-delay product [J*s].
 	EDP float64 `json:"edp_js"`
-	// Breakdown itemizes EnergyJ by component (mul, add, act, o/e,
-	// comm, laser).
-	Breakdown map[string]float64 `json:"energy_breakdown_j"`
-	// PerLayer lists each layer's share in network order; sweep rows
-	// carry none (see SweepRow).
+	// Breakdown itemizes EnergyJ by component.
+	Breakdown Breakdown `json:"energy_breakdown_j"`
+	// PerLayer lists each layer's share in network order. Only
+	// EvaluateContext fills it: sweep rows — SweepNetworks and SweepJob
+	// results, their Cell callbacks, /v1/sweep and pixelsweep -json —
+	// carry none, since a sweep would otherwise multiply its payload by
+	// the layer count for data most clients aggregate anyway.
 	PerLayer []LayerResult `json:"per_layer,omitempty"`
 }
 
-// SweepRow returns r without its per-layer rows: the form every sweep
-// payload carries — /v1/sweep, sweep-job cells and pixelsweep -json. A
-// sweep would otherwise multiply its payload by the layer count for
-// data most clients aggregate anyway.
-func (r Result) SweepRow() Result {
-	r.PerLayer = nil
-	return r
+// Breakdown itemizes a result's energy [J] by component, the categories
+// of the paper's energy figures. Its fields are declared in JSON key
+// order, so the object lists its keys sorted.
+type Breakdown struct {
+	Act   float64 `json:"act"`   // activation function
+	Add   float64 `json:"add"`   // accumulation
+	Comm  float64 `json:"comm"`  // data movement in and out
+	Laser float64 `json:"laser"` // laser wall-plug energy
+	Mul   float64 `json:"mul"`   // multiplication
+	OtoE  float64 `json:"o/e"`   // optical-to-electrical conversion
 }
 
 // LayerResult is one layer's share of the inference cost.

@@ -83,10 +83,8 @@ func TestEvaluate(t *testing.T) {
 	if len(r.PerLayer) != 5 {
 		t.Errorf("LeNet has 5 layers, got %d", len(r.PerLayer))
 	}
-	sum := 0.0
-	for _, v := range r.Breakdown {
-		sum += v
-	}
+	b := r.Breakdown
+	sum := b.Act + b.Add + b.Comm + b.Laser + b.Mul + b.OtoE
 	if diff := sum - r.EnergyJ; diff > 1e-9*r.EnergyJ || diff < -1e-9*r.EnergyJ {
 		t.Error("breakdown must sum to the total energy")
 	}

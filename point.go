@@ -70,32 +70,42 @@ func EvaluateContext(ctx context.Context, network string, p Point) (Result, erro
 	return defaultEngine.EvaluateContext(ctx, network, p)
 }
 
-// resultFromCost converts an engine NetworkCost (possibly shared with
-// other callers) into a freshly allocated public Result.
-func resultFromCost(network string, p Point, c arch.NetworkCost) Result {
-	res := Result{
-		Network: network,
-		Design:  p.Design,
-		Lanes:   p.Lanes,
-		Bits:    p.Bits,
-		EnergyJ: c.Energy.Total(),
-		Breakdown: map[string]float64{
-			"mul":   c.Energy.Mul,
-			"add":   c.Energy.Add,
-			"act":   c.Energy.Act,
-			"o/e":   c.Energy.OtoE,
-			"comm":  c.Energy.Comm,
-			"laser": c.Energy.Laser,
-		},
+// sweepRow converts an engine NetworkCost (possibly shared with other
+// callers) into the row a sweep reports: totals and breakdown, no
+// per-layer data.
+func sweepRow(network string, p Point, c *arch.NetworkCost) Result {
+	e := &c.Energy
+	return Result{
+		Network:  network,
+		Design:   p.Design,
+		Lanes:    p.Lanes,
+		Bits:     p.Bits,
+		EnergyJ:  e.Total(),
 		LatencyS: c.Latency,
 		EDP:      c.EDP(),
+		Breakdown: Breakdown{
+			Act:   e.Act,
+			Add:   e.Add,
+			Comm:  e.Comm,
+			Laser: e.Laser,
+			Mul:   e.Mul,
+			OtoE:  e.OtoE,
+		},
 	}
-	for _, lc := range c.Layers {
-		res.PerLayer = append(res.PerLayer, LayerResult{
+}
+
+// resultFromCost converts an engine NetworkCost into an evaluate
+// result: the sweep row plus each layer's share.
+func resultFromCost(network string, p Point, c *arch.NetworkCost) Result {
+	res := sweepRow(network, p, c)
+	res.PerLayer = make([]LayerResult, len(c.Layers))
+	for i := range c.Layers {
+		lc := &c.Layers[i]
+		res.PerLayer[i] = LayerResult{
 			Name:     lc.Layer,
 			EnergyJ:  lc.Energy.Total(),
 			LatencyS: lc.Latency,
-		})
+		}
 	}
 	return res
 }

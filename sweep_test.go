@@ -59,7 +59,7 @@ func TestSweepMatchesSerialGolden(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want = append(want, resultFromCost("AlexNet", Point{d, lanes, bits}, c))
+				want = append(want, sweepRow("AlexNet", Point{d, lanes, bits}, &c))
 			}
 		}
 	}
@@ -83,10 +83,11 @@ func TestSweepMatchesSerialGolden(t *testing.T) {
 			if g.EnergyJ != w.EnergyJ || g.LatencyS != w.LatencyS || g.EDP != w.EDP {
 				t.Errorf("workers=%d point %d: values drifted from serial", workers, i)
 			}
-			for k, v := range w.Breakdown {
-				if g.Breakdown[k] != v {
-					t.Errorf("workers=%d point %d: breakdown[%q] drifted", workers, i, k)
-				}
+			if g.Breakdown != w.Breakdown {
+				t.Errorf("workers=%d point %d: breakdown drifted", workers, i)
+			}
+			if g.PerLayer != nil {
+				t.Errorf("workers=%d point %d: sweep row carries per-layer data", workers, i)
 			}
 		}
 	}
