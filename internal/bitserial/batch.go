@@ -19,24 +19,23 @@ const groupLanes = 64
 // of the shared filter updates every lane of the group in one
 // multiply-accumulate sweep over a hot cache line, with operand
 // validation hoisted into the transpose instead of paid per
-// (window, filter) pair. Lanes accumulate in wide words and are
+// (window, filter) pair. Lanes accumulate in 32-bit slots and are
 // reduced by the accumulator mask once per dot product; because
 // reduction mod 2^accWidth is a ring homomorphism from arithmetic mod
-// 2^64 (or mod 2^32 when accWidth <= 32), that single reduction lands
-// on exactly the value the sequential engine's per-element wrap
-// produces — the same collapse-the-bit-serial-loop move NewFastEngine
+// 2^32 (accWidth <= 32), that single reduction lands on exactly the
+// value the sequential engine's per-element wrap produces — the same collapse-the-bit-serial-loop move NewFastEngine
 // makes against the gate-level engine, one level up. Results (values
 // and Stats) are bit-identical to running each window through
 // FastEngine sequentially; TestBatchedStripesEquivalence pins the two
 // together.
 //
-// The column store has two forms, fixed by the engine's geometry.
-// When operands fit 15 bits and the accumulator 32 (the dual store),
-// each 32-bit lane slot carries two consecutive window elements,
-// v[2p] | v[2p+1]<<16, and each filter word the matching two weights,
-// so one 16-bit multiply-add (VPMADDWD on AVX2) performs two MACs per
-// lane — the software dual of carrying several bits per wavelength.
-// Any other engine keeps one element per 64-bit lane word.
+// The column store is the dual store: operands fit 15 bits and the
+// accumulator 32, so each 32-bit lane slot carries two consecutive
+// window elements, v[2p] | v[2p+1]<<16, and each filter word the
+// matching two weights, so one 16-bit multiply-add (VPMADDWD on AVX2)
+// performs two MACs per lane — the software dual of carrying several
+// bits per wavelength. NewBatchedStripes refuses any geometry the
+// store cannot hold.
 //
 // Filters are range checked and converted once into a Filters handle
 // (Prepare), which a caller that reuses them — a CNN layer — keeps.
@@ -51,42 +50,40 @@ const groupLanes = 64
 // from an internal pool.
 type BatchedStripes struct {
 	fe      *FastEngine
-	dual    bool // the column store pairs elements in 16-bit halves
-	stretch int  // dual-store pairs the scalar sweep sums between carries
+	stretch int // element pairs the scalar sweep sums between carries
 	scratch sync.Pool
 }
 
 // batchScratch is the pooled per-call working set: the lane-major
 // column store, four filter accumulator rows (filters are swept four
 // at a time so each column load feeds four independent accumulate
-// chains), the zero filter that pads a quad in the one-element store,
-// and FilterBatch's windows and per-call dual filters.
+// chains), and FilterBatch's windows and per-call dual filters.
 type batchScratch struct {
 	win  windowSource
 	cols []uint64 // [row*words + word]
 	acc  []uint64 // [k*groupLanes + word], filter k of the quad
-	zero []uint64
 	dual []uint32
 }
 
 // NewBatchedStripes returns a batched engine with the same operand and
-// accumulator geometry as NewFastEngine(bits, terms).
+// accumulator geometry as NewFastEngine(bits, terms). The geometry must
+// fit the dual store, bits <= 15 and an accumulator of at most 32 bits.
 func NewBatchedStripes(bits, terms int) (*BatchedStripes, error) {
 	fe, err := NewFastEngine(bits, terms)
 	if err != nil {
 		return nil, err
 	}
+	if bits > 15 || fe.accWidth > 32 {
+		return nil, fmt.Errorf("bitserial: batched engine needs bits <= 15 and accumulator width <= 32, got bits %d, accumulator width %d", bits, fe.accWidth)
+	}
 	// A dual slot adds at most 2·(2^bits−1)² < 2^31 per pair, so this
 	// many pairs sum without a low half carrying into its high half.
 	maxSlot := 2 * fe.mask * fe.mask
-	return &BatchedStripes{fe: fe, dual: bits <= 15 && fe.accWidth <= 32, stretch: int(max(1, min((1<<32-1)/maxSlot, 1<<30)))}, nil
+	return &BatchedStripes{fe: fe, stretch: int(max(1, min((1<<32-1)/maxSlot, 1<<30)))}, nil
 }
 
 // Bits returns the operand precision.
 func (b *BatchedStripes) Bits() int { return b.fe.bits }
-
-// AccumulatorWidth returns the accumulator width in bits.
-func (b *BatchedStripes) AccumulatorWidth() int { return b.fe.accWidth }
 
 // Fast returns the equivalent sequential engine — the ground truth the
 // batched path is verified against, and the fallback for single calls.
@@ -99,10 +96,13 @@ func (b *BatchedStripes) DotProduct(neurons, synapses []uint64) (uint64, error) 
 	return v, err
 }
 
-// DotProducts writes the dot product of each window against weights
-// into out — DotBatch without the Stats.
+// DotProducts writes windows[w] · weights into out[w] for every w,
+// bit-identical to len(windows) sequential FastEngine.DotProduct calls.
 func (b *BatchedStripes) DotProducts(windows [][]uint64, weights []uint64, out []uint64) error {
-	_, err := b.DotBatch(windows, weights, out)
+	if len(out) != len(windows) {
+		return fmt.Errorf("bitserial: out length %d != %d windows", len(out), len(windows))
+	}
+	_, err := b.FilterBatch(windows, [][]uint64{weights}, [][]uint64{out})
 	return err
 }
 
@@ -112,16 +112,6 @@ func (b *BatchedStripes) DotProducts(windows [][]uint64, weights []uint64, out [
 func (b *BatchedStripes) DotProductsMulti(windows [][]uint64, filters [][]uint64, outs [][]uint64) error {
 	_, err := b.FilterBatch(windows, filters, outs)
 	return err
-}
-
-// DotBatch computes windows[w] · weights for every w, writing out[w].
-// The value and the accumulated Stats are bit-identical to len(windows)
-// sequential FastEngine.DotProduct calls.
-func (b *BatchedStripes) DotBatch(windows [][]uint64, weights []uint64, out []uint64) (Stats, error) {
-	if len(out) != len(windows) {
-		return Stats{}, fmt.Errorf("bitserial: out length %d != %d windows", len(out), len(windows))
-	}
-	return b.FilterBatch(windows, [][]uint64{weights}, [][]uint64{out})
 }
 
 // FilterBatch computes outs[f][w] = windows[w] · filters[f] for every
@@ -144,25 +134,22 @@ func (b *BatchedStripes) FilterBatch(windows [][]uint64, filters [][]uint64, out
 	if _, err := b.checkFilters(filters, n); err != nil {
 		return Stats{}, err
 	}
-	if b.dual {
-		sc.dual = packDual(sc.dual, filters, n)
-	}
-	return b.sweep(&sc.win, n, filters, sc.dual, outs, sc)
+	sc.dual = packDual(sc.dual, filters, n)
+	return b.sweep(&sc.win, n, len(filters), sc.dual, outs, sc)
 }
 
 // Filters is a filter bank prepared for LaneBatch: its lengths checked
 // once, every synapse folded into one OR so an engine range checks the
-// whole bank in O(1), and, when every synapse fits 15 bits, its
-// dual-store form (two weights per 32-bit word, padded with zero
-// filters to a multiple of four) built once. Only Prepare changes a
-// Filters; LaneBatch sweeps may share it concurrently. It holds the
-// filter slices it was prepared from, which must not change while it
-// is in use.
+// whole bank in O(1), and its dual-store form (two weights per 32-bit
+// word, padded with zero filters to a multiple of four) built once.
+// Only Prepare changes a Filters; LaneBatch sweeps may share it
+// concurrently. It holds the filter slices it was prepared from, which
+// must not change while it is in use.
 type Filters struct {
 	rows [][]uint64
 	n    int      // the common filter length; -1 when there are no filters
 	or   uint64   // OR of every synapse of the bank it was prepared from
-	dual []uint32 // pair p of filter f at dual[f*pairs+p]; empty unless or fits 15 bits
+	dual []uint32 // pair p of filter f at dual[f*pairs+p]
 }
 
 // Prepare range checks filters against b's operand width, with the
@@ -180,10 +167,7 @@ func (b *BatchedStripes) Prepare(pf *Filters, filters [][]uint64) error {
 	if err != nil {
 		return err
 	}
-	pf.rows, pf.n, pf.or, pf.dual = filters, n, or, pf.dual[:0]
-	if or < 1<<15 {
-		pf.dual = packDual(pf.dual, filters, n)
-	}
+	pf.rows, pf.n, pf.or, pf.dual = filters, n, or, packDual(pf.dual, filters, n)
 	return nil
 }
 
@@ -196,11 +180,7 @@ func (pf *Filters) Slice(lo, hi int) *Filters {
 	if lo%4 != 0 {
 		panic(fmt.Sprintf("bitserial: Filters.Slice(%d, %d): lo is not a multiple of 4", lo, hi))
 	}
-	v := &Filters{rows: pf.rows[lo:hi:hi], n: pf.n, or: pf.or}
-	if len(pf.dual) > 0 {
-		v.dual = pf.dual[lo*((pf.n+1)/2):]
-	}
-	return v
+	return &Filters{rows: pf.rows[lo:hi:hi], n: pf.n, or: pf.or, dual: pf.dual[lo*depth(pf.n):]}
 }
 
 // packDual writes the dual form of n-element filters into dst (grown
@@ -237,15 +217,14 @@ type LaneSource interface {
 	// Cols returns the window length (-1 when there are no windows),
 	// or an error when the windows disagree on it.
 	Cols() (int, error)
-	// Fill writes windows [start, start+lanes) into cols, element i of
-	// lane l at cols[i*words+l] with words = lanes. In the dual store
-	// (dual set), row p holds element pair (2p, 2p+1) and two lanes
-	// share a word: words = (lanes+1)/2, lane l is the low (even l) or
-	// high (odd l) 32 bits of word l/2, and its slot is
-	// v[2p] | v[2p+1]<<16, with v[n] = 0 for an odd window length n; a
-	// word with no odd lane has a zero high half. Fill must overwrite
-	// every word of cols.
-	Fill(cols []uint64, start, lanes int, dual bool) error
+	// Fill writes windows [start, start+lanes) into cols in the dual
+	// store: row p holds element pair (2p, 2p+1) and two lanes share a
+	// word, words = (lanes+1)/2 per row, lane l the low (even l) or
+	// high (odd l) 32 bits of word l/2 at cols[p*words+l/2], and its
+	// slot is v[2p] | v[2p+1]<<16, with v[n] = 0 for an odd window
+	// length n; a word with no odd lane has a zero high half. Fill must
+	// overwrite every word of cols.
+	Fill(cols []uint64, start, lanes int) error
 }
 
 // LaneBatch computes outs[f][w] = window w · filter f for every
@@ -253,8 +232,8 @@ type LaneSource interface {
 // 64-window group's column store from src and sweeping all filters
 // over it. Values and Stats are bit-identical to FilterBatch over the
 // same windows and filters; a source that reports an error ends the
-// call with it. A Lanes source built by an engine with the same store
-// is swept where it stands, without a fill.
+// call with it. A Lanes source in the engine's operand range is swept
+// where it stands, without a fill.
 func (b *BatchedStripes) LaneBatch(src LaneSource, filters *Filters, outs [][]uint64) (Stats, error) {
 	rows := src.Rows()
 	if err := checkOuts(outs, filters.Len(), rows); err != nil {
@@ -272,45 +251,36 @@ func (b *BatchedStripes) LaneBatch(src LaneSource, filters *Filters, outs [][]ui
 			return Stats{}, err
 		}
 	}
-	// A dual-store engine's mask is below 2^15, so a bank in its range
-	// has its dual form, unless it is a Slice in range of a bank that is
-	// not.
-	dual := filters.dual
-	if b.dual && len(dual) == 0 {
-		dual = packDual(nil, filters.rows, filters.n)
-	}
 	sc := b.getScratch()
 	defer b.putScratch(sc)
-	return b.sweep(src, n, filters.rows, dual, outs, sc)
+	return b.sweep(src, n, filters.Len(), filters.dual, outs, sc)
 }
 
 // Lanes is a set of vectors held stationary in an engine's column
 // store: transposed and range checked once (PrepareLanes), then swept
 // by LaneBatch in place, call after call, as the paper's MRR banks
-// hold synapses while activations stream past. An engine with the
-// other store form, or a narrower operand range, transposes the
-// vectors again instead. A Lanes is immutable and safe for concurrent
-// use; it holds the vectors it was prepared from, which must not
-// change afterwards.
+// hold synapses while activations stream past. An engine with a
+// narrower operand range transposes the vectors again instead. A Lanes
+// is immutable and safe for concurrent use; it holds the vectors it was
+// prepared from, which must not change afterwards.
 type Lanes struct {
 	windowSource
 	or     uint64     // OR of every element
-	dual   bool       // the store form groups is in
 	groups [][]uint64 // each 64-lane group's column store
 }
 
 // PrepareLanes transposes vectors into b's column store, range checked
 // as FilterBatch checks its windows.
 func (b *BatchedStripes) PrepareLanes(vectors [][]uint64) (*Lanes, error) {
-	l := &Lanes{windowSource: windowSource{windows: vectors, fe: b.fe}, dual: b.dual}
+	l := &Lanes{windowSource: windowSource{windows: vectors, fe: b.fe}}
 	n, err := l.Cols()
 	if err != nil {
 		return nil, err
 	}
 	for start := 0; start < len(vectors); start += groupLanes {
 		lanes := min(groupLanes, len(vectors)-start)
-		cols := make([]uint64, b.depth(n)*b.laneWords(lanes))
-		if err := l.Fill(cols, start, lanes, b.dual); err != nil {
+		cols := make([]uint64, depth(n)*laneWords(lanes))
+		if err := l.Fill(cols, start, lanes); err != nil {
 			return nil, err
 		}
 		l.groups = append(l.groups, cols)
@@ -336,63 +306,50 @@ func checkOuts(outs [][]uint64, filters, rows int) error {
 	return nil
 }
 
-// depth is the column store's rows for n-element windows: one per
-// element, or one per element pair in the dual store.
-func (b *BatchedStripes) depth(n int) int {
-	if n < 0 {
-		return 0
-	}
-	if b.dual {
-		return (n + 1) / 2
-	}
-	return n
-}
+// depth is the column store's rows for n-element windows (n = -1: no
+// windows): one per element pair.
+func depth(n int) int { return (n + 1) / 2 }
 
 // laneWords is the column store's words per row for a group of lanes:
-// one per lane, or one per lane pair in the dual store.
-func (b *BatchedStripes) laneWords(lanes int) int {
-	if b.dual {
-		return (lanes + 1) / 2
-	}
-	return lanes
-}
+// one per lane pair.
+func laneWords(lanes int) int { return (lanes + 1) / 2 }
 
 // sweep is the one group/sweep loop behind FilterBatch and LaneBatch:
 // fill each group's column store from src (or take a stationary Lanes
-// group as it stands) and sweep every filter over it on sc.
-func (b *BatchedStripes) sweep(src LaneSource, n int, filters [][]uint64, dual []uint32, outs [][]uint64, sc *batchScratch) (Stats, error) {
+// group as it stands) and sweep the nf filters of dual over it on sc.
+func (b *BatchedStripes) sweep(src LaneSource, n, nf int, dual []uint32, outs [][]uint64, sc *batchScratch) (Stats, error) {
 	rows := src.Rows()
-	if rows == 0 || len(filters) == 0 {
+	if rows == 0 || nf == 0 {
 		return Stats{}, nil
 	}
 	var held [][]uint64
 	if l, ok := src.(*Lanes); ok {
-		if l.dual == b.dual && l.or <= b.fe.mask {
+		if l.or <= b.fe.mask {
 			held = l.groups
 		} else {
 			src = &windowSource{windows: l.windows, fe: b.fe}
 		}
 	}
-	depth := b.depth(n)
+	depth := depth(n)
 	sc.grow(n)
 	for g, start := 0, 0; start < rows; g, start = g+1, start+groupLanes {
 		lanes := min(groupLanes, rows-start)
-		words := b.laneWords(lanes)
+		words := laneWords(lanes)
 		var cols []uint64
 		if held != nil {
 			cols = held[g]
 		} else {
 			cols = sc.cols[:depth*words]
-			if err := src.Fill(cols, start, lanes, b.dual); err != nil {
+			if err := src.Fill(cols, start, lanes); err != nil {
 				return Stats{}, err
 			}
 		}
-		b.sweepGroup(cols, words, depth, lanes, filters, dual, outs, start, sc)
+		b.sweepGroup(cols, words, depth, lanes, nf, dual, outs, start, sc)
 	}
 
 	// The closed-form work record of one FastEngine.DotProduct, times
 	// every (window, filter) pair the batch stands in for.
-	return b.fe.dotStats(rows * len(filters) * n), nil
+	return b.fe.dotStats(rows * nf * n), nil
 }
 
 // checkFilters rejects filters whose length is not the window length
@@ -448,19 +405,14 @@ func (s *windowSource) Cols() (int, error) {
 	return n, nil
 }
 
-// Fill implements LaneSource. cols[i*words+w] receives the group's
-// values at row i — one word per lane; in the dual store, even windows
-// assign the whole word, clearing the high half, and odd windows OR
-// into the high half of the word their predecessor wrote. A window
-// with an element past the operand width is walked to report the
-// first one.
-func (s *windowSource) Fill(cols []uint64, start, lanes int, dual bool) error {
-	words := lanes
-	if dual {
-		words = (lanes + 1) / 2
-	}
+// Fill implements LaneSource. Even windows assign the whole word,
+// clearing the high half, and odd windows OR into the high half of the
+// word their predecessor wrote. A window with an element past the
+// operand width is walked to report the first one.
+func (s *windowSource) Fill(cols []uint64, start, lanes int) error {
+	words := laneWords(lanes)
 	for w, win := range s.windows[start : start+lanes] {
-		if fillWindow(cols, win, words, w, dual) <= s.fe.mask {
+		if fillWindow(cols, win, words, w) <= s.fe.mask {
 			continue
 		}
 		for _, v := range win {
@@ -475,15 +427,8 @@ func (s *windowSource) Fill(cols []uint64, start, lanes int, dual bool) error {
 // fillWindow writes window win into lane w of a column store with
 // words words per row, as Fill describes, and returns the OR of its
 // elements, which Fill tests against the operand mask once per window.
-func fillWindow(cols, win []uint64, words, w int, dual bool) uint64 {
+func fillWindow(cols, win []uint64, words, w int) uint64 {
 	var or uint64
-	if !dual {
-		for i, v := range win {
-			or |= v
-			cols[i*words+w] = v
-		}
-		return or
-	}
 	word, shift := w>>1, uint(w&1)*32
 	for p := 0; 2*p < len(win); p++ {
 		v := win[2*p]
@@ -517,62 +462,39 @@ func (b *BatchedStripes) putScratch(sc *batchScratch) {
 	b.scratch.Put(sc)
 }
 
-// grow sizes the column store and the zero filter for n-element
-// windows.
+// grow sizes the column store for n-element windows.
 func (sc *batchScratch) grow(n int) {
-	n = max(n, 0)
-	if need := n * groupLanes; cap(sc.cols) < need {
+	if need := depth(n) * laneWords(groupLanes); cap(sc.cols) < need {
 		sc.cols = make([]uint64, need)
 	}
 	sc.cols = sc.cols[:cap(sc.cols)]
-	if cap(sc.zero) < n {
-		sc.zero = make([]uint64, n)
-	}
-	sc.zero = sc.zero[:n]
 }
 
-// sweepGroup sweeps every filter over one filled <=64-lane group's
+// sweepGroup sweeps nf filters over one filled <=64-lane group's
 // column store (depth rows of words), four filters at a time, writing
-// outs[f][offset+lane]. A trailing partial quad is padded with zero
-// filters whose sums are never written out. In the dual store, dual
-// holds the filters' pair words; the one-element store ignores it.
+// outs[f][offset+lane]. dual holds the filters' pair words; a trailing
+// partial quad is padded with zero filters whose sums are never
+// written out.
 //
-// Lanes accumulate mod 2^64 (one element per word) or, in the dual
-// store, per 32-bit half mod 2^32, and reduce by accMask once at the
-// end. Reduction mod 2^accWidth is a ring homomorphism from either
-// (accWidth <= 32 for the dual store), so this equals the sequential
-// engine's per-element wrap exactly. In the dual store each slot's
-// a0*w0 + a1*w1 is exact: operands below 2^15 make it below 2^31.
-func (b *BatchedStripes) sweepGroup(cols []uint64, words, depth, lanes int, filters [][]uint64, dual []uint32, outs [][]uint64, offset int, sc *batchScratch) {
+// Each 32-bit half of a lane word accumulates mod 2^32 and reduces by
+// accMask once at the end. Reduction mod 2^accWidth is a ring
+// homomorphism from it (accWidth <= 32), so this equals the sequential
+// engine's per-element wrap exactly. Each slot's a0*w0 + a1*w1 is
+// exact: operands below 2^15 make it below 2^31.
+func (b *BatchedStripes) sweepGroup(cols []uint64, words, depth, lanes, nf int, dual []uint32, outs [][]uint64, offset int, sc *batchScratch) {
 	accMask := b.fe.accMask
 	a1 := sc.acc[0*groupLanes : 0*groupLanes+words]
 	a2 := sc.acc[1*groupLanes : 1*groupLanes+words]
 	a3 := sc.acc[2*groupLanes : 2*groupLanes+words]
 	a4 := sc.acc[3*groupLanes : 3*groupLanes+words]
-	for f := 0; f < len(filters); f += 4 {
-		if b.dual {
-			q := dual[f*depth : (f+4)*depth]
-			sweepQuadDual(cols, words, depth, b.stretch, q[:depth], q[depth:2*depth], q[2*depth:3*depth], q[3*depth:], a1, a2, a3, a4)
-		} else {
-			fl := func(k int) []uint64 {
-				if f+k < len(filters) {
-					return filters[f+k]
-				}
-				return sc.zero
-			}
-			sweepQuad(cols, words, depth, fl(0), fl(1), fl(2), fl(3), a1, a2, a3, a4)
-		}
+	for f := 0; f < nf; f += 4 {
+		q := dual[f*depth : (f+4)*depth]
+		sweepQuadDual(cols, words, depth, b.stretch, q[:depth], q[depth:2*depth], q[2*depth:3*depth], q[3*depth:], a1, a2, a3, a4)
 		for k, acc := range [4][]uint64{a1, a2, a3, a4} {
-			if f+k == len(filters) {
+			if f+k == nf {
 				break
 			}
 			o := outs[f+k][offset : offset+lanes]
-			if !b.dual {
-				for w, v := range acc {
-					o[w] = v & accMask
-				}
-				continue
-			}
 			for j, v := range acc[:lanes/2] {
 				lane := o[2*j : 2*j+2 : 2*j+2]
 				lane[0] = v & 0xffffffff & accMask
@@ -585,78 +507,9 @@ func (b *BatchedStripes) sweepGroup(cols []uint64, words, depth, lanes int, filt
 	}
 }
 
-// sweepQuad computes acc_k[w] = Σ_i cols[i*words+w] * fl_k[i] mod 2^64
-// for four filters at once over the one-element store, dispatching
-// lanes in blocks of four to the AVX2 kernel when the host has one and
-// finishing (or fully running) on the portable scalar sweep. Sums mod
-// 2^64 are order-independent, so the vector kernel's different
-// accumulation order is bit-identical to the scalar one.
-func sweepQuad(cols []uint64, words, n int, fl1, fl2, fl3, fl4, acc, acc2, acc3, acc4 []uint64) {
-	lo := 0
-	if useVec && words >= 4 && n > 0 {
-		lo = words &^ 3
-		sweepQuadVec(&cols[0], words, n, &fl1[0], &fl2[0], &fl3[0], &fl4[0],
-			&acc[0], &acc2[0], &acc3[0], &acc4[0])
-	}
-	sweepQuadGeneric(cols, words, n, lo, words, fl1, fl2, fl3, fl4, acc, acc2, acc3, acc4)
-}
-
-// sweepQuadGeneric is the portable four-filter sweep over lanes
-// [lo, words) of the one-element store: the scalar fallback and the
-// tail pass behind the four-lane-blocked vector kernel.
-func sweepQuadGeneric(cols []uint64, words, n, lo, hi int, fl1, fl2, fl3, fl4, acc, acc2, acc3, acc4 []uint64) {
-	a1, a2, a3, a4 := acc[lo:hi], acc2[lo:hi], acc3[lo:hi], acc4[lo:hi]
-	for w := range a1 {
-		a1[w] = 0
-		a2[w] = 0
-		a3[w] = 0
-		a4[w] = 0
-	}
-	if len(a1) == 0 {
-		return
-	}
-	// Elements go two at a time, so each accumulator load/store is
-	// shared by eight multiplies — the sweep is memory-bound, and this
-	// halves accumulator traffic per MAC.
-	i := 0
-	for ; i+1 < n; i += 2 {
-		wtA1, wtA2, wtA3, wtA4 := fl1[i], fl2[i], fl3[i], fl4[i]
-		wtB1, wtB2, wtB3, wtB4 := fl1[i+1], fl2[i+1], fl3[i+1], fl4[i+1]
-		if wtA1|wtA2|wtA3|wtA4|wtB1|wtB2|wtB3|wtB4 == 0 {
-			continue // zero synapses contribute nothing in any chain
-		}
-		colA := cols[i*words+lo : i*words+hi : i*words+hi]
-		colB := cols[(i+1)*words+lo : (i+1)*words+hi : (i+1)*words+hi]
-		_ = colA[len(a1)-1]
-		_ = colB[len(a1)-1]
-		for w := range a1 {
-			ca, cb := colA[w], colB[w]
-			a1[w] += ca*wtA1 + cb*wtB1
-			a2[w] += ca*wtA2 + cb*wtB2
-			a3[w] += ca*wtA3 + cb*wtB3
-			a4[w] += ca*wtA4 + cb*wtB4
-		}
-	}
-	for ; i < n; i++ {
-		wt, wt2, wt3, wt4 := fl1[i], fl2[i], fl3[i], fl4[i]
-		if wt|wt2|wt3|wt4 == 0 {
-			continue
-		}
-		col := cols[i*words+lo : i*words+hi : i*words+hi]
-		_ = col[len(a1)-1]
-		for w := range a1 {
-			cv := col[w]
-			a1[w] += cv * wt
-			a2[w] += cv * wt2
-			a3[w] += cv * wt3
-			a4[w] += cv * wt4
-		}
-	}
-}
-
-// sweepQuadDual is sweepQuad over the dual store: fl_k holds filter
-// k's pair words, and each 32-bit half of acc_k[w] accumulates its
-// lane's Σ_p a0*w0 + a1*w1 mod 2^32. The AVX2 kernel takes lanes in
+// sweepQuadDual sweeps four filters at once over the dual store: fl_k
+// holds filter k's pair words, and each 32-bit half of acc_k[w]
+// accumulates its lane's Σ_p a0*w0 + a1*w1 mod 2^32. The AVX2 kernel takes lanes in
 // blocks of eight (four words); the portable loop finishes the rest.
 // Per-half sums mod 2^32 are order-independent, so both agree bit for
 // bit.

@@ -78,9 +78,10 @@ func TestBatchedStripesEquivalence(t *testing.T) {
 	}
 }
 
-// TestDotBatchMatchesSequential covers the single-filter entry points
-// (DotBatch and the qnn-shaped DotProducts wrapper).
-func TestDotBatchMatchesSequential(t *testing.T) {
+// TestDotProductsMatchesSequential covers the single-filter entry
+// point: DotProducts writes every window's sequential dot product, and
+// refuses an out slice whose length is not the window count.
+func TestDotProductsMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	be, err := NewBatchedStripes(4, 32)
 	if err != nil {
@@ -99,27 +100,20 @@ func TestDotBatchMatchesSequential(t *testing.T) {
 		weights[i] = rng.Uint64() & 15
 	}
 	out := make([]uint64, len(windows))
-	st, err := be.DotBatch(windows, weights, out)
-	if err != nil {
+	if err := be.DotProducts(windows, weights, out); err != nil {
 		t.Fatal(err)
 	}
-	out2 := make([]uint64, len(windows))
-	if err := be.DotProducts(windows, weights, out2); err != nil {
-		t.Fatal(err)
-	}
-	var want Stats
 	for w, win := range windows {
-		v, vs, err := be.Fast().DotProduct(win, weights)
+		v, _, err := be.Fast().DotProduct(win, weights)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want.add(vs)
-		if out[w] != v || out2[w] != v {
-			t.Fatalf("window %d: batch %d / wrapper %d, want %d", w, out[w], out2[w], v)
+		if out[w] != v {
+			t.Fatalf("window %d: batch %d, want %d", w, out[w], v)
 		}
 	}
-	if st != want {
-		t.Fatalf("stats = %+v, want %+v", st, want)
+	if err := be.DotProducts(windows, weights, out[1:]); err == nil {
+		t.Fatal("DotProducts accepted a short out slice")
 	}
 }
 
@@ -187,7 +181,7 @@ func TestBatchedStripesConcurrent(t *testing.T) {
 		weights[i] = rng.Uint64() & 15
 	}
 	want := make([]uint64, len(windows))
-	if _, err := be.DotBatch(windows, weights, want); err != nil {
+	if err := be.DotProducts(windows, weights, want); err != nil {
 		t.Fatal(err)
 	}
 
@@ -198,7 +192,7 @@ func TestBatchedStripesConcurrent(t *testing.T) {
 			defer wg.Done()
 			out := make([]uint64, len(windows))
 			for iter := 0; iter < 50; iter++ {
-				if _, err := be.DotBatch(windows, weights, out); err != nil {
+				if err := be.DotProducts(windows, weights, out); err != nil {
 					t.Error(err)
 					return
 				}

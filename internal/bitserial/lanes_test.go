@@ -38,16 +38,16 @@ func (w windowsOnly) DotProductsMulti(windows, filters, outs [][]uint64) error {
 // straight into the column store, and must produce exactly the values
 // and Stats of FilterBatch over the im2col-lowered windows. Geometry is
 // random (R 1–5, stride 1–3, pad 0–2, C 1–6, window counts off the
-// 64-lane and two-lane boundaries), over a packed and an unpacked
-// column store, with the vector kernels on and off.
+// 64-lane and two-lane boundaries), with 4- and 8-bit operands and the
+// vector kernels on and off.
 func TestConvLaneSourceMatchesLowering(t *testing.T) {
 	defer bitserial.SetVecForTest(bitserial.VectorSweep())
 	engines := []struct {
 		name        string
 		bits, terms int
 	}{
-		{"packed", 4, 150},
-		{"unpacked", 8, 1 << 20},
+		{"4-bit", 4, 150},
+		{"8-bit", 8, 1 << 10},
 	}
 	rng := rand.New(rand.NewSource(30))
 	for _, eng := range engines {
@@ -205,13 +205,13 @@ func (p plainDotter) DotProduct(a, b []uint64) (uint64, error) {
 // TestPrepareFCOrientations is the property behind a dense layer's
 // lane path, which holds the weights stationary on the lanes and
 // sweeps the inputs over them as prepared filters. For random batch B,
-// output count Out and input length n, on a dual and a one-element
-// store, with the vector kernels on and off: the whole batch swept at
-// once, and swept in quad chunks of its handle (Slice, as the layer
-// fans them across its pool), give the sequential engine's value for
-// every (neuron, input) pair and its summed Stats. Through RunBatch,
-// at batches across the quad and 64-lane boundaries and with one and
-// two workers, the layer matches a plain Dotter, an out-of-range input
+// output count Out and input length n, with 4- and 8-bit operands and
+// the vector kernels on and off: the whole batch swept at once, and
+// swept in quad chunks of its handle (Slice, as the layer fans them
+// across its pool), give the sequential engine's value for every
+// (neuron, input) pair and its summed Stats. Through RunBatch, at
+// batches across the quad and 64-lane boundaries and with one and two
+// workers, the layer matches a plain Dotter, an out-of-range input
 // fails with the text of the lowered path, and a plain Dotter still
 // sees dotMulti's call sequence: every input against neuron 0, then
 // neuron 1, ...
@@ -221,7 +221,7 @@ func TestPrepareFCOrientations(t *testing.T) {
 	for _, eng := range []struct {
 		name        string
 		bits, terms int
-	}{{"dual", 4, 512}, {"one-element", 8, 1 << 20}} {
+	}{{"4-bit", 4, 512}, {"8-bit", 8, 1 << 14}} {
 		be, err := bitserial.NewBatchedStripes(eng.bits, eng.terms)
 		if err != nil {
 			t.Fatal(err)

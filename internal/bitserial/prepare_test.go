@@ -6,22 +6,27 @@ import (
 )
 
 // FuzzLaneBatch holds the prepared-filter entry points to the
-// sequential engine: for any geometry (bits 1–24, terms, window length
-// n including odd and 0, lane counts across the 8- and 64-lane
-// boundaries, 1–9 filters with zero-weight runs, operands random or all
-// at the top of their range), LaneBatch over a window source and over
-// stationary Lanes, and FilterBatch, must write every pair's
-// FastEngine.DotProduct value and return its summed Stats, with the
-// vector kernels on and off.
+// sequential engine: for any geometry the dual store holds (drawn from
+// bits 1–24 and any terms; the constructor must refuse exactly the
+// rest), window length n including odd and 0, lane counts across the
+// 8- and 64-lane boundaries, 1–9 filters with zero-weight runs,
+// operands random or all at the top of their range, LaneBatch over a
+// window source and over stationary Lanes, and FilterBatch, must write
+// every pair's FastEngine.DotProduct value and return its summed
+// Stats, with the vector kernels on and off.
 func FuzzLaneBatch(f *testing.F) {
 	f.Add(uint8(4), uint32(512), uint8(150), uint8(64), uint8(6), int64(1), uint8(0), false)
 	f.Add(uint8(15), uint32(4), uint8(33), uint8(17), uint8(9), int64(2), uint8(3), true)
 	f.Add(uint8(16), uint32(4), uint8(7), uint8(9), uint8(1), int64(3), uint8(0), true)
 	f.Add(uint8(8), uint32(1<<20), uint8(0), uint8(65), uint8(5), int64(4), uint8(1), false)
 	f.Fuzz(func(t *testing.T, bits uint8, terms uint32, n, lanes, nFilters uint8, seed int64, zeroRun uint8, top bool) {
-		be, err := NewBatchedStripes(1+int(bits)%24, 1+int(terms%(1<<24)))
+		b, tm := 1+int(bits)%24, 1+int(terms%(1<<24))
+		be, err := NewBatchedStripes(b, tm)
 		if err != nil {
-			return // accumulator wider than 64 bits
+			if fe, ferr := NewFastEngine(b, tm); ferr == nil && b <= 15 && fe.accWidth <= 32 {
+				t.Fatalf("bits %d, terms %d fit the dual store but were refused: %v", b, tm, err)
+			}
+			return
 		}
 		fe := be.Fast()
 		rng := rand.New(rand.NewSource(seed))
@@ -100,8 +105,8 @@ func FuzzLaneBatch(f *testing.F) {
 				for k := range outs {
 					for w := range outs[k] {
 						if outs[k][w] != want[k][w] {
-							t.Fatalf("%s vec=%v dual=%v: outs[%d][%d] = %d, want %d",
-								path.name, vec, be.dual, k, w, outs[k][w], want[k][w])
+							t.Fatalf("%s vec=%v: outs[%d][%d] = %d, want %d",
+								path.name, vec, k, w, outs[k][w], want[k][w])
 						}
 					}
 				}
@@ -119,7 +124,7 @@ func TestPrepareErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := NewBatchedStripes(20, 8)
+	wide, err := NewBatchedStripes(8, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,37 +150,35 @@ func TestPrepareErrors(t *testing.T) {
 		t.Errorf("filter length: LaneBatch error %v, FilterBatch %q", err, filterBatchErr([][]uint64{{5}}))
 	}
 
-	// Prepared on a 20-bit engine, the bank is out of a 4-bit engine's
+	// Prepared on an 8-bit engine, the bank is out of a 4-bit engine's
 	// range, and that engine's LaneBatch says so as FilterBatch would.
-	big, err := prepare(wide, [][]uint64{{5, 6}, {7, 40000}})
+	big, err := prepare(wide, [][]uint64{{5, 6}, {7, 200}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	two := [][]uint64{make([]uint64, 2), make([]uint64, 2)}
-	if _, err := be.LaneBatch(&windowSource{windows: windows, fe: be.fe}, big, two); err == nil || err.Error() != filterBatchErr([][]uint64{{5, 6}, {7, 40000}}) {
-		t.Errorf("narrower engine: LaneBatch error %v, FilterBatch %q", err, filterBatchErr([][]uint64{{5, 6}, {7, 40000}}))
+	if _, err := be.LaneBatch(&windowSource{windows: windows, fe: be.fe}, big, two); err == nil || err.Error() != filterBatchErr([][]uint64{{5, 6}, {7, 200}}) {
+		t.Errorf("narrower engine: LaneBatch error %v, FilterBatch %q", err, filterBatchErr([][]uint64{{5, 6}, {7, 200}}))
 	}
-	// A view that leaves the out-of-range filter behind is in range,
-	// though the bank has no dual form: 1*5+2*6 and 3*5+4*6.
+	// A view that leaves the out-of-range filter behind is in range:
+	// 1*5+2*6 and 3*5+4*6.
 	if _, err := be.LaneBatch(&windowSource{windows: windows, fe: be.fe}, big.Slice(0, 1), outs); err != nil || outs[0][0] != 17 || outs[0][1] != 39 {
 		t.Errorf("in-range view of an out-of-range bank: %v, %v", outs[0], err)
 	}
 }
 
-// TestPrepareAcrossStores checks a handle and a Lanes prepared on one
-// store form and swept by an engine of the other, and views of a bank
-// (Slice) swept on their own: every result equals FilterBatch's.
-func TestPrepareAcrossStores(t *testing.T) {
-	dual, err := NewBatchedStripes(4, 64) // accWidth 14: dual store
+// TestPrepareAcrossWidths checks a handle and a Lanes prepared on a
+// 4-bit engine and swept by an 8-bit one, and the other way round, and
+// views of a bank (Slice) swept on their own: every result equals
+// FilterBatch's.
+func TestPrepareAcrossWidths(t *testing.T) {
+	narrow, err := NewBatchedStripes(4, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := NewBatchedStripes(4, 1<<25) // accWidth 33: one element per word
+	wide, err := NewBatchedStripes(8, 1<<10)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !dual.dual || one.dual {
-		t.Fatalf("store forms: dual %v, one-element %v", dual.dual, one.dual)
 	}
 	rng := rand.New(rand.NewSource(5))
 	vectors := func(count, n int) [][]uint64 {
@@ -189,7 +192,7 @@ func TestPrepareAcrossStores(t *testing.T) {
 		return v
 	}
 	windows, filters := vectors(70, 21), vectors(11, 21)
-	for _, eng := range []*BatchedStripes{dual, one} {
+	for _, eng := range []*BatchedStripes{narrow, wide} {
 		want := make([][]uint64, len(filters))
 		for k := range want {
 			want[k] = make([]uint64, len(windows))
@@ -197,7 +200,7 @@ func TestPrepareAcrossStores(t *testing.T) {
 		if _, err := eng.FilterBatch(windows, filters, want); err != nil {
 			t.Fatal(err)
 		}
-		for _, prep := range []*BatchedStripes{dual, one} {
+		for _, prep := range []*BatchedStripes{narrow, wide} {
 			pf, err := prepare(prep, filters)
 			if err != nil {
 				t.Fatal(err)
@@ -218,8 +221,8 @@ func TestPrepareAcrossStores(t *testing.T) {
 				for k := range outs {
 					for w, v := range outs[k] {
 						if v != want[lo+k][w] {
-							t.Fatalf("engine dual=%v, prepared dual=%v, filters [%d,%d): outs[%d][%d] = %d, want %d",
-								eng.dual, prep.dual, lo, hi, k, w, v, want[lo+k][w])
+							t.Fatalf("engine %d-bit, prepared %d-bit, filters [%d,%d): outs[%d][%d] = %d, want %d",
+								eng.Bits(), prep.Bits(), lo, hi, k, w, v, want[lo+k][w])
 						}
 					}
 				}
@@ -235,25 +238,23 @@ func prepare(be *BatchedStripes, filters [][]uint64) (*Filters, error) {
 }
 
 // TestFillWindowOr pins the one-OR range check of a window fill to the
-// OR of the window's own elements, in both store forms: an in-range
-// window, odd-indexed elements included, must pass Fill's mask test
-// without the per-element walk, whatever slot packing the store uses.
+// OR of the window's own elements: an in-range window, odd-indexed
+// elements included, must pass Fill's mask test without the
+// per-element walk, whatever half of its pair slots it fills.
 func TestFillWindowOr(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, dual := range []bool{false, true} {
-		for _, n := range []int{0, 1, 2, 7, 150} {
-			for w := 0; w < 3; w++ {
-				win := make([]uint64, n)
-				var want uint64
-				for i := range win {
-					win[i] = uint64(1 + rng.Intn(15))
-					want |= win[i]
-				}
-				words := 2
-				cols := make([]uint64, max(n, 1)*words)
-				if got := fillWindow(cols, win, words, w%2, dual); got != want {
-					t.Errorf("dual=%v n=%d lane %d: fill OR %#x, want the elements' OR %#x", dual, n, w%2, got, want)
-				}
+	for _, n := range []int{0, 1, 2, 7, 150} {
+		for w := 0; w < 3; w++ {
+			win := make([]uint64, n)
+			var want uint64
+			for i := range win {
+				win[i] = uint64(1 + rng.Intn(15))
+				want |= win[i]
+			}
+			words := 2
+			cols := make([]uint64, max(n, 1)*words)
+			if got := fillWindow(cols, win, words, w%2); got != want {
+				t.Errorf("n=%d lane %d: fill OR %#x, want the elements' OR %#x", n, w%2, got, want)
 			}
 		}
 	}
@@ -261,24 +262,24 @@ func TestFillWindowOr(t *testing.T) {
 
 // TestPrepareReuse prepares one handle over and over, as a dense
 // layer does from pooled scratch, with banks of different counts and
-// lengths, in and out of the dual store's 15 bits: every sweep equals
+// lengths, on a 4-bit and an 8-bit engine: every sweep equals
 // FilterBatch, and a failed prepare into the reused handle reports the
 // error a new handle does.
 func TestPrepareReuse(t *testing.T) {
-	wide, err := NewBatchedStripes(20, 8) // one-element store
+	wide, err := NewBatchedStripes(8, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dual, err := NewBatchedStripes(4, 64)
+	narrow, err := NewBatchedStripes(4, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(9))
 	var pf Filters
 	for trial := 0; trial < 40; trial++ {
-		be, maxV := dual, uint64(15)
+		be, maxV := narrow, uint64(15)
 		if trial%3 == 2 {
-			be, maxV = wide, 1<<20-1
+			be, maxV = wide, 255
 		}
 		count, n, rows := 1+rng.Intn(9), rng.Intn(40), 1+rng.Intn(70)
 		vectors := func(count int) [][]uint64 {
@@ -308,15 +309,15 @@ func TestPrepareReuse(t *testing.T) {
 		for k := range want {
 			for w := range want[k] {
 				if got[k][w] != want[k][w] {
-					t.Fatalf("trial %d (dual=%v, %d filters, n=%d): outs[%d][%d] = %d, want %d",
-						trial, be.dual, count, n, k, w, got[k][w], want[k][w])
+					t.Fatalf("trial %d (%d-bit, %d filters, n=%d): outs[%d][%d] = %d, want %d",
+						trial, be.Bits(), count, n, k, w, got[k][w], want[k][w])
 				}
 			}
 		}
 	}
 	bad := [][]uint64{{1, 2}, {3, 99}}
-	_, want := prepare(dual, bad)
-	if err := dual.Prepare(&pf, bad); err == nil || want == nil || err.Error() != want.Error() {
+	_, want := prepare(narrow, bad)
+	if err := narrow.Prepare(&pf, bad); err == nil || want == nil || err.Error() != want.Error() {
 		t.Errorf("out-of-range bank: reused handle error %v, new handle %v", err, want)
 	}
 }

@@ -2,26 +2,17 @@
 
 package bitserial
 
-// AVX2 filter-sweep kernels (sweep_amd64.s). Both walk the column
-// store lane-blocked — four 64-bit words per YMM register, the
-// accumulators register-resident across the whole row loop — and
-// store the finished sums once per block, so accumulator traffic drops
-// from one load+store per MAC to one store per block. The scalar
-// sweeps in batch.go finish any words%4 tail.
-//
-// sweepQuadAVX2 multiplies with a single VPMULUDQ per (filter, block):
-// one-element-store column values fit 32 bits (operands are at most 24
-// bits), so the 32x32->64 product is the exact 64-bit product, and
-// VPADDQ wraps mod 2^64 exactly like Go's uint64 addition.
-// sweepQuadDualAVX2 runs the dual store: VPBROADCASTD + VPMADDWD +
-// VPADDD, sixteen lane MACs per multiply, exact because every operand
-// is a non-negative int16 and wrapping per 32-bit lane like the scalar
-// sweep's uint32 adds. Per-lane sums are order-independent, so both
-// kernels are bit-identical to the scalar sweeps
-// (TestSweepVectorMatchesScalar pins them together).
-
-//go:noescape
-func sweepQuadAVX2(cols *uint64, words, n int, fl1, fl2, fl3, fl4, acc1, acc2, acc3, acc4 *uint64)
+// AVX2 filter-sweep kernel (sweep_amd64.s). sweepQuadDualAVX2 walks
+// the dual column store lane-blocked — four 64-bit words per YMM
+// register, the accumulators register-resident across the whole row
+// loop — and stores the finished sums once per block, so accumulator
+// traffic drops from one load+store per MAC to one store per block.
+// The scalar sweep in batch.go finishes any words%4 tail. It runs
+// VPBROADCASTD + VPMADDWD + VPADDD, sixteen lane MACs per multiply,
+// exact because every operand is a non-negative int16 and wrapping per
+// 32-bit lane like the scalar sweep's uint32 adds. Per-lane sums are
+// order-independent, so the kernel is bit-identical to the scalar
+// sweep (TestSweepVectorMatchesScalar pins them together).
 
 //go:noescape
 func sweepQuadDualAVX2(cols *uint64, words, pairs int, fl1, fl2, fl3, fl4 *uint32, acc1, acc2, acc3, acc4 *uint64)
@@ -57,7 +48,6 @@ func hasAVX2() bool {
 
 func init() {
 	if hasAVX2() {
-		sweepQuadVec = sweepQuadAVX2
 		sweepQuadDualVec = sweepQuadDualAVX2
 		flipGapsVec = flipGapsAVX2
 		useVec = true

@@ -2,93 +2,24 @@
 
 #include "textflag.h"
 
-// AVX2 kernels for the batched filter sweep. Both compute, for lane
+// AVX2 kernel for the batched filter sweep. It computes, for lane
 // blocks of four 64-bit words w in [0, words&^3) and four filters k,
-// the sums of the column store's rows against each filter, with the
-// accumulator vectors register-resident across the whole row loop and
-// stored once per block. Lanes in [words&^3, words) are left untouched
-// for the scalar tail in batch.go. Per-lane sums (mod 2^64, or mod 2^32
-// per 32-bit half in the dual store) are order-independent, so the
-// results are bit-identical to the scalar sweeps.
+// the sums of the dual column store's rows against each filter, with
+// the accumulator vectors register-resident across the whole row loop
+// and stored once per block. Words in [words&^3, words) are left
+// untouched for the scalar tail in batch.go. Per-lane sums mod 2^32
+// are order-independent, so the results are bit-identical to the
+// scalar sweep.
 //
-// Register plan (both kernels):
-//	SI = cols base    CX = words      DX = rows (n, or pairs)
+// Register plan:
+//	SI = cols base    CX = words      DX = pairs
 //	R8..R11  = fl1..fl4 bases
 //	R12..R15 = acc1..acc4 bases
-//	BX = block base word   AX = row index   DI = &cols[i*words+BX]
-
-// func sweepQuadAVX2(cols *uint64, words, n int, fl1, fl2, fl3, fl4, acc1, acc2, acc3, acc4 *uint64)
-//
-// One-element store: column values fit 32 bits (operands are at most
-// 24 bits wide), so one VPMULUDQ (32x32->64) is the exact product, and
-//
-//	acc_k[w] = sum_i cols[i*words + w] * fl_k[i]   (mod 2^64)
-//
-// accumulates in Y0..Y3; VPADDQ wraps mod 2^64 like Go uint64 addition.
-TEXT ·sweepQuadAVX2(SB), NOSPLIT, $0-88
-	MOVQ cols+0(FP), SI
-	MOVQ words+8(FP), CX
-	MOVQ n+16(FP), DX
-	MOVQ fl1+24(FP), R8
-	MOVQ fl2+32(FP), R9
-	MOVQ fl3+40(FP), R10
-	MOVQ fl4+48(FP), R11
-	MOVQ acc1+56(FP), R12
-	MOVQ acc2+64(FP), R13
-	MOVQ acc3+72(FP), R14
-	MOVQ acc4+80(FP), R15
-
-	XORQ BX, BX
-
-quadblock:
-	LEAQ 4(BX), DI
-	CMPQ DI, CX
-	JGT  quaddone
-
-	VPXOR Y0, Y0, Y0
-	VPXOR Y1, Y1, Y1
-	VPXOR Y2, Y2, Y2
-	VPXOR Y3, Y3, Y3
-	LEAQ (SI)(BX*8), DI
-	XORQ AX, AX
-
-quadelem:
-	CMPQ AX, DX
-	JGE  quadstore
-
-	VPBROADCASTQ (R8)(AX*8), Y4
-	VPBROADCASTQ (R9)(AX*8), Y5
-	VPBROADCASTQ (R10)(AX*8), Y6
-	VPBROADCASTQ (R11)(AX*8), Y7
-	VMOVDQU      (DI), Y8
-	VPMULUDQ     Y8, Y4, Y4
-	VPMULUDQ     Y8, Y5, Y5
-	VPMULUDQ     Y8, Y6, Y6
-	VPMULUDQ     Y8, Y7, Y7
-	VPADDQ       Y4, Y0, Y0
-	VPADDQ       Y5, Y1, Y1
-	VPADDQ       Y6, Y2, Y2
-	VPADDQ       Y7, Y3, Y3
-
-	LEAQ (DI)(CX*8), DI
-	INCQ AX
-	JMP  quadelem
-
-quadstore:
-	VMOVDQU Y0, (R12)(BX*8)
-	VMOVDQU Y1, (R13)(BX*8)
-	VMOVDQU Y2, (R14)(BX*8)
-	VMOVDQU Y3, (R15)(BX*8)
-	ADDQ    $4, BX
-	JMP     quadblock
-
-quaddone:
-	VZEROUPPER
-	RET
+//	BX = block base word   AX = pair index   DI = &cols[p*words+BX]
 
 // func sweepQuadDualAVX2(cols *uint64, words, pairs int, fl1, fl2, fl3, fl4 *uint32, acc1, acc2, acc3, acc4 *uint64)
 //
-// Dual store: each 32-bit lane slot of a column word holds two 16-bit
+// Each 32-bit lane slot of a column word holds two 16-bit
 // elements and each filter word the matching two weights, all below
 // 2^15, so VPMADDWD's signed 16x16 products and pairwise int32 sum are
 // exact (a0*w0 + a1*w1 < 2^31) and one instruction performs sixteen

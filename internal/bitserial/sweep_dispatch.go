@@ -5,11 +5,11 @@ package bitserial
 // unless built with the purego tag) the init in sweep_amd64.go plugs
 // the assembly kernels in here; everywhere else the pointers stay nil
 // and the scalar loops in batch.go and perturb.go run alone. The sweep
-// kernels compute lane blocks of four words at a time over the same
-// column store the scalar sweep walks; because every lane accumulates
-// independently (mod 2^64, or per 32-bit half mod 2^32 in the dual
-// store), the two orders of summation produce bit-identical
-// accumulators (pinned by TestSweepVectorMatchesScalar).
+// kernel computes lane blocks of four words at a time over the same
+// column store the scalar sweep walks; because every 32-bit lane half
+// accumulates independently mod 2^32, the two orders of summation
+// produce bit-identical accumulators (pinned by
+// TestSweepVectorMatchesScalar).
 // The gap kernel repeats flipGaps' scalar operations four lanes at a
 // time and leaves to them every lane it cannot certify (pinned by the
 // TestFlipGap tests, run with the kernels on and off).
@@ -21,14 +21,11 @@ var (
 	// flipGaps does, except that it marks each lane it cannot certify
 	// with uncertified instead; it reports whether it certified all.
 	flipGapsVec func(b *[blockLen]uint64, ilp float64) bool
-	// sweepQuadVec computes acc_k[w] = Σ_i cols[i*words+w] * fl_k[i]
-	// mod 2^64 for lanes [0, words&^3) and four filters over the
-	// one-element store; column values must fit 32 bits (bits <= 24).
-	sweepQuadVec func(cols *uint64, words, n int, fl1, fl2, fl3, fl4, acc1, acc2, acc3, acc4 *uint64)
-	// sweepQuadDualVec is sweepQuadVec for the dual store: each 32-bit
-	// half of a column word holds two 16-bit elements, each filter word
-	// the matching two weights, and each half of acc_k[w] accumulates
-	// its lane's Σ_p a0*w0 + a1*w1 mod 2^32.
+	// sweepQuadDualVec sweeps four filters over words [0, words&^3) of
+	// the dual store: each 32-bit half of a column word holds two
+	// 16-bit elements, each filter word the matching two weights, and
+	// each half of acc_k[w] accumulates its lane's Σ_p a0*w0 + a1*w1
+	// mod 2^32.
 	sweepQuadDualVec func(cols *uint64, words, pairs int, fl1, fl2, fl3, fl4 *uint32, acc1, acc2, acc3, acc4 *uint64)
 )
 
@@ -43,6 +40,6 @@ func VectorSweep() bool { return useVec }
 // each other on the same host.
 func setVecForTest(on bool) (prev bool) {
 	prev = useVec
-	useVec = on && sweepQuadVec != nil
+	useVec = on && sweepQuadDualVec != nil
 	return prev
 }

@@ -3,6 +3,7 @@ package bitserial
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -10,55 +11,60 @@ import (
 // TestSweepVectorMatchesScalar is the asm-vs-scalar acceptance
 // property: with the vector kernels forced on, FilterBatch must produce
 // exactly the values AND Stats the scalar sweep produces, across
-// operand precisions (including 24-bit, the widest), dual and
-// one-element column stores and the boundary between them, batch sizes
-// off the 64-lane and 4-word block boundaries, zero-weight runs, and
-// accumulator wraparound. On hosts (or builds) without the kernels it
-// skips — the purego CI leg proves the scalar path alone, the amd64 leg
-// pins the two together.
+// operand precisions up to the dual store's edge (bits 15 at
+// accumulator width 32), batch sizes off the 64-lane and 4-word block
+// boundaries, zero-weight runs, and accumulator wraparound; geometries
+// past the edge must be refused by the constructor, on every host.
+// Where the host (or build) has no kernels the accepted rows skip —
+// the purego CI leg proves the scalar path alone, the amd64 leg pins
+// the two together.
 func TestSweepVectorMatchesScalar(t *testing.T) {
-	if !VectorSweep() {
-		t.Skip("no vector sweep kernels on this host/build")
-	}
-	defer setVecForTest(true)
+	defer setVecForTest(VectorSweep())
 
 	type config struct {
 		bits, terms int
-		dual        bool // which store the geometry selects (asserted below)
+		refused     bool // outside the dual store: construction must fail
 	}
-	// The dual store is selected exactly when bits <= 15 and
+	// The dual store holds exactly bits <= 15 and
 	// accWidth = 2*bits + ceil(log2 terms) <= 32. terms beyond 1<<18
-	// push accWidth past 32 bits at bits 8, and bits 16 always does;
-	// bits 15 with terms 4 lands on accWidth 32 exactly (dual, with
-	// operands at the int16 edge), and terms 5 one bit past it.
+	// push accWidth past 32 bits at bits 8, and bits 16 is always
+	// refused; bits 15 with terms 4 lands on accWidth 32 exactly
+	// (operands at the int16 edge), and terms 5 one bit past it.
 	configs := []config{
-		{bits: 1, terms: 3, dual: true},
-		{bits: 4, terms: 512, dual: true},
-		{bits: 8, terms: 16, dual: true},
-		{bits: 12, terms: 9, dual: true},
-		{bits: 15, terms: 4, dual: true},
-		{bits: 15, terms: 5, dual: false},
-		{bits: 8, terms: 1 << 20, dual: false},
-		{bits: 16, terms: 4, dual: false},
-		{bits: 16, terms: 1 << 18, dual: false},
-		{bits: 24, terms: 64, dual: false},
+		{bits: 1, terms: 3},
+		{bits: 4, terms: 512},
+		{bits: 8, terms: 16},
+		{bits: 12, terms: 9},
+		{bits: 15, terms: 4},
+		{bits: 15, terms: 5, refused: true},
+		{bits: 8, terms: 1 << 20, refused: true},
+		{bits: 16, terms: 4, refused: true},
+		{bits: 16, terms: 1 << 18, refused: true},
+		{bits: 24, terms: 64, refused: true},
 	}
+	vec := VectorSweep()
 	rng := rand.New(rand.NewSource(41))
 	for _, cfg := range configs {
 		for _, batch := range []int{1, 3, 8, 63, 64, 65, 100} {
 			t.Run(fmt.Sprintf("bits%d/terms%d/B%d", cfg.bits, cfg.terms, batch), func(t *testing.T) {
 				be, err := NewBatchedStripes(cfg.bits, cfg.terms)
+				if cfg.refused {
+					if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("bits %d,", cfg.bits)) {
+						t.Fatalf("geometry outside the dual store: error %v, want one naming bits %d", err, cfg.bits)
+					}
+					return
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
+				if !vec {
+					t.Skip("no vector sweep kernels on this host/build")
+				}
 				mask := uint64(1)<<uint(cfg.bits) - 1
 				// Windows longer than the sized term count wrap the
-				// accumulator on both paths (bounded so one-element
-				// configs stay fast); odd lengths pad the last pair.
+				// accumulator on both paths; odd lengths pad the last
+				// pair.
 				n := 1 + rng.Intn(192)
-				if want := cfg.bits <= 15 && be.fe.accWidth <= 32; be.dual != want || be.dual != cfg.dual {
-					t.Fatalf("engine selects dual=%v; rule gives %v, config expects %v", be.dual, want, cfg.dual)
-				}
 				nFilters := 1 + rng.Intn(7) // full quads and quads padded with zero filters
 
 				windows := make([][]uint64, batch)
@@ -125,11 +131,11 @@ func TestSweepVectorQuick(t *testing.T) {
 
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		bits := 1 + rng.Intn(24)
+		bits := 1 + rng.Intn(15)
 		terms := 1 + rng.Intn(1<<uint(rng.Intn(21)))
 		be, err := NewBatchedStripes(bits, terms)
 		if err != nil {
-			return true // accumulator wider than 64 bits: nothing to compare
+			return true // outside the dual store: nothing to compare
 		}
 		mask := uint64(1)<<uint(bits) - 1
 		n := rng.Intn(64)

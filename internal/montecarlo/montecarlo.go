@@ -87,8 +87,10 @@ func (s Spec) Validate() error {
 			return err
 		}
 	}
-	// Engine geometry is validated once here rather than per trial.
-	if _, err := bitserial.NewFastEngine(s.Bits, s.Terms); err != nil {
+	// Engine geometry is validated once here rather than per trial,
+	// against the batched engine the clean baseline runs on: it accepts
+	// a subset of the geometries the per-trial engines accept.
+	if _, err := bitserial.NewBatchedStripes(s.Bits, s.Terms); err != nil {
 		return err
 	}
 	return nil

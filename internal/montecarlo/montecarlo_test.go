@@ -205,6 +205,7 @@ func TestSpecValidation(t *testing.T) {
 		{"infinite sigma", func(s *Spec) { s.Sigmas = []float64{math.Inf(1)} }},
 		{"bad design", func(s *Spec) { s.Design = arch.Design(9) }},
 		{"bad bits", func(s *Spec) { s.Bits = 0 }},
+		{"bits 16", func(s *Spec) { s.Bits = 16 }},
 		{"bad variation", func(s *Spec) { s.Variation.RingFWHM = -1 }},
 	}
 	for _, tc := range cases {
@@ -243,6 +244,22 @@ func TestBuildNetwork(t *testing.T) {
 	b, _ := BuildNetwork("LeNet")
 	if !reflect.DeepEqual(a.Input.Data, b.Input.Data) {
 		t.Error("BuildNetwork is not deterministic across calls/case")
+	}
+}
+
+// TestNetworksFitBatchedEngine pins what the batched engine's single
+// column store relies on: every registry network's geometry builds a
+// BatchedStripes, so inference and the clean baseline never need
+// another store.
+func TestNetworksFitBatchedEngine(t *testing.T) {
+	for _, name := range Networks() {
+		net, err := BuildNetwork(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := bitserial.NewBatchedStripes(net.Bits, net.Terms); err != nil {
+			t.Errorf("%s (bits %d, terms %d): %v", name, net.Bits, net.Terms, err)
+		}
 	}
 }
 

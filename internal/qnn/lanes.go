@@ -43,21 +43,17 @@ func prepared(slot *atomic.Pointer[bitserial.Filters], ld LaneDotter, filters []
 // convLanes is the bitserial.LaneSource of one image's conv windows.
 // Fill reads each window's (ky, kx, c) elements out of the image and
 // writes them into the column store one contiguous column at a time,
-// so neither the im2col patch matrix nor its operand copy is built.
-// The one-element store reads the image, zero padded once into a
-// pooled copy when the conv pads; the dual store reads a pair table
-// of the padded image, built on first use. load range checks the image first; Fill
-// trusts it.
+// so neither the im2col patch matrix nor its operand copy is built. It
+// reads a pair table of the padded image, built on first use. load
+// range checks the image first; Fill trusts it.
 type convLanes struct {
 	in     *tensor.Tensor
-	img    []int64  // the (padded) image, HWC; nil until the first one-element Fill
-	padded []int64  // backing store of the padded copy
-	pairs  []uint64 // the pair table (see pairTable); nil until the first dual Fill
+	pairs  []uint64 // the pair table (see pairTable); nil until the first Fill
 	slots  []uint32 // scratch of pairTable: the padded image, then step+1 zeros
 	table  []uint64 // backing store of pairs
-	offs   []int    // element i's offset in img from its window's corner
+	offs   []int    // element i's offset in the padded image from its window's corner
 	bases  []int    // per group: each lane's window corner
-	lo, hi []int    // per group, dual store: each lane pair's two corners
+	lo, hi []int    // per group: each lane pair's two corners
 	pad    int
 	rowLen int // elements per (padded) image row
 	step   int // corner distance of neighbouring windows in a row: stride*C
@@ -80,7 +76,7 @@ func (s *convLanes) load(in *tensor.Tensor, r, stride, pad, ew, rows int, mask u
 		return false
 	}
 	c := in.C
-	s.in, s.img, s.pairs, s.pad = in, nil, nil, pad
+	s.in, s.pairs, s.pad = in, nil, pad
 	s.rowLen = (in.W + 2*pad) * c
 	s.offs = s.offs[:0]
 	for ky := 0; ky < r; ky++ {
@@ -93,7 +89,7 @@ func (s *convLanes) load(in *tensor.Tensor, r, stride, pad, ew, rows int, mask u
 }
 
 // release drops s's hold on the image it was loaded with.
-func (s *convLanes) release() { s.in, s.img, s.pairs = nil, nil, nil }
+func (s *convLanes) release() { s.in, s.pairs = nil, nil }
 
 // Rows implements bitserial.LaneSource.
 func (s *convLanes) Rows() int { return s.rows }
@@ -101,8 +97,8 @@ func (s *convLanes) Rows() int { return s.rows }
 // Cols implements bitserial.LaneSource.
 func (s *convLanes) Cols() (int, error) { return len(s.offs), nil }
 
-// corners writes the offset in img of the first element of windows
-// start, start+1, ... into dst, stepping along output rows.
+// corners writes the offset in the padded image of the first element
+// of windows start, start+1, ... into dst, stepping along output rows.
 func (s *convLanes) corners(dst []int, start int) {
 	oy, ox := start/s.ew, start%s.ew
 	for l := range dst {
@@ -111,30 +107,6 @@ func (s *convLanes) corners(dst []int, start int) {
 			oy, ox = oy+1, 0
 		}
 	}
-}
-
-// image returns the (padded) image, copying it on first use when the
-// conv pads.
-func (s *convLanes) image() []int64 {
-	if s.img != nil {
-		return s.img
-	}
-	in := s.in
-	if s.pad == 0 {
-		s.img = in.Data
-		return s.img
-	}
-	need := (in.H + 2*s.pad) * s.rowLen
-	if cap(s.padded) < need {
-		s.padded = make([]int64, need)
-	}
-	s.img = s.padded[:need]
-	clear(s.img)
-	span := in.W * in.C
-	for y := 0; y < in.H; y++ {
-		copy(s.img[(y+s.pad)*s.rowLen+s.pad*in.C:], in.Data[y*span:(y+1)*span])
-	}
-	return s.img
 }
 
 // pairTable returns the (padded) image's pair table, building it on
@@ -189,30 +161,19 @@ func (s *convLanes) slot(o0, o1, b int) uint64 {
 // first element of both lanes' slots.
 const lowHalves = 0x0000ffff0000ffff
 
-// Fill implements bitserial.LaneSource: element i of lane l is
-// img[corner(l)+offs[i]]. In the dual store, lanes 2j and 2j+1 are the
-// low and high halves of word j. When every lane pair of the group is
+// Fill implements bitserial.LaneSource: element i of lane l is padded
+// image element corner(l)+offs[i], and lanes 2j and 2j+1 are the low
+// and high halves of word j. When every lane pair of the group is
 // two windows a step apart (neighbours in an output row), a word is
 // one pair-table load (two when the element pair wraps to the next
 // kernel row); a lone last lane, or a group with a pair split across
 // rows, is built slot by slot.
-func (s *convLanes) Fill(cols []uint64, start, lanes int, dual bool) error {
+func (s *convLanes) Fill(cols []uint64, start, lanes int) error {
 	if cap(s.bases) < lanes {
 		s.bases, s.lo, s.hi = make([]int, lanes), make([]int, lanes), make([]int, lanes)
 	}
 	bases := s.bases[:lanes]
 	s.corners(bases, start)
-	if !dual {
-		img := s.image()
-		for i, off := range s.offs {
-			col := cols[i*lanes : (i+1)*lanes : (i+1)*lanes]
-			src := img[off:]
-			for l, b := range bases {
-				col[l] = uint64(src[b])
-			}
-		}
-		return nil
-	}
 	t := s.pairTable()
 	words, pairs := (lanes+1)/2, lanes/2
 	lo, hi := s.lo[:pairs], s.hi[:pairs]
