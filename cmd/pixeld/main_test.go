@@ -5,6 +5,8 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -117,11 +119,19 @@ func TestParseFlagsJobsDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.worker.Jobs.Manager == nil || w.worker.Jobs.Manager.Dir() != dir {
-		t.Errorf("worker jobs manager = %v, want one over %s", w.worker.Jobs.Manager, dir)
+	if w.worker.Jobs.Manager == nil || c.coord.Jobs.Manager == nil {
+		t.Fatalf("jobs managers = %v / %v, want one per role", w.worker.Jobs.Manager, c.coord.Jobs.Manager)
 	}
-	if c.coord.Jobs.Manager == nil || c.coord.Jobs.Manager.Dir() != dir {
-		t.Errorf("coordinator jobs manager = %v, want one over %s", c.coord.Jobs.Manager, dir)
+	// A snapshot the worker saves lands in dir, where the coordinator
+	// loads it.
+	if err := w.worker.Jobs.Manager.SaveBytes("probe", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "probe")); err != nil {
+		t.Errorf("worker jobs manager is not over %s: %v", dir, err)
+	}
+	if got, err := c.coord.Jobs.Manager.Load("probe"); err != nil || string(got) != "x" {
+		t.Errorf("coordinator jobs manager over %s: Load = %q, %v", dir, got, err)
 	}
 }
 

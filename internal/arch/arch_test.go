@@ -167,10 +167,17 @@ func TestCommAndLaserRatios(t *testing.T) {
 	}
 }
 
+// opLatency is the effective per-operation latency [s]: the round time
+// divided by the operations in flight, the quantity whose B-dependence
+// Figure 8 plots.
+func opLatency(cfg Config) float64 {
+	return RoundTime(cfg) / cfg.ConcurrentOps()
+}
+
 func TestEELatencyMonotoneInBits(t *testing.T) {
 	prev := math.Inf(1)
 	for _, b := range []int{1, 2, 4, 8, 12, 16, 24, 32} {
-		lat := OpLatency(MustConfig(EE, 8, b))
+		lat := opLatency(MustConfig(EE, 8, b))
 		if lat >= prev {
 			t.Errorf("EE per-op latency not decreasing at B=%d: %v >= %v", b, lat, prev)
 		}
@@ -183,7 +190,7 @@ func TestOpticalLatencyUShaped(t *testing.T) {
 		bits := []int{1, 2, 4, 8, 12, 16, 24, 32}
 		lats := make([]float64, len(bits))
 		for i, b := range bits {
-			lats[i] = OpLatency(MustConfig(d, 8, b))
+			lats[i] = opLatency(MustConfig(d, 8, b))
 		}
 		minIdx := 0
 		for i, v := range lats {

@@ -53,10 +53,3 @@ func ooChainDelay(cal *Calibration) float64 {
 	const armDelay = 23.2e-12 // 2 mm * n_Si / c
 	return float64(NativePrecision) * (armDelay + cal.SlotTime())
 }
-
-// OpLatency returns the effective per-operation latency [s]: the round
-// time divided by the operations in flight. This is the quantity whose
-// B-dependence Figure 8 plots.
-func OpLatency(cfg Config) float64 {
-	return RoundTime(cfg) / cfg.ConcurrentOps()
-}

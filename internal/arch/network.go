@@ -48,7 +48,8 @@ func CostNetwork(net cnn.Network, cfg Config) (NetworkCost, error) {
 	roundTime := RoundTime(cfg)
 	concurrent := cfg.ConcurrentOps()
 	out := NetworkCost{Network: net.Name, Config: cfg, Layers: make([]LayerCost, 0, len(net.Layers))}
-	for _, l := range net.Layers {
+	for i := range net.Layers {
+		l := &net.Layers[i]
 		counts := l.Counts(cnn.ModePaper)
 		rounds := counts.Mul / concurrent
 		if rounds < 1 && counts.Mul > 0 {

@@ -47,27 +47,3 @@ func Throughput(net cnn.Network, cfg Config) (ThroughputReport, error) {
 		LatencyPerInferenceS: l,
 	}, nil
 }
-
-// BestDesignByEfficiency returns the design with the highest
-// inferences-per-joule for the network at the given lane/bit point.
-func BestDesignByEfficiency(net cnn.Network, lanes, bits int) (Design, ThroughputReport, error) {
-	var best ThroughputReport
-	var bestD Design
-	found := false
-	for _, d := range Designs() {
-		cfg, err := NewConfig(d, lanes, bits)
-		if err != nil {
-			return 0, ThroughputReport{}, err
-		}
-		r, err := Throughput(net, cfg)
-		if err != nil {
-			return 0, ThroughputReport{}, err
-		}
-		if !found || r.InferencesPerJoule > best.InferencesPerJoule {
-			best = r
-			bestD = d
-			found = true
-		}
-	}
-	return bestD, best, nil
-}

@@ -85,10 +85,6 @@ func NewBatchedStripes(bits, terms int) (*BatchedStripes, error) {
 // Bits returns the operand precision.
 func (b *BatchedStripes) Bits() int { return b.fe.bits }
 
-// Fast returns the equivalent sequential engine — the ground truth the
-// batched path is verified against, and the fallback for single calls.
-func (b *BatchedStripes) Fast() *FastEngine { return b.fe }
-
 // DotProduct computes one dot product through the sequential engine —
 // the qnn.Dotter form for unbatched callers.
 func (b *BatchedStripes) DotProduct(neurons, synapses []uint64) (uint64, error) {

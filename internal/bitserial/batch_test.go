@@ -23,7 +23,7 @@ func TestBatchedStripesEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				fe := be.Fast()
+				fe := be.fe
 				mask := uint64(1)<<uint(bits) - 1
 				// Up to 4x the sized term count: sums can wrap.
 				n := rng.Intn(4*terms + 1)
@@ -104,7 +104,7 @@ func TestDotProductsMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for w, win := range windows {
-		v, _, err := be.Fast().DotProduct(win, weights)
+		v, _, err := be.fe.DotProduct(win, weights)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,10 +151,10 @@ func TestBatchedStripesErrors(t *testing.T) {
 	}
 
 	// The sequential oracle rejects the operand cases too.
-	if _, _, err := be.Fast().DotProduct([]uint64{16, 4}, weights); err == nil {
+	if _, _, err := be.fe.DotProduct([]uint64{16, 4}, weights); err == nil {
 		t.Fatal("sequential path accepted an over-range neuron")
 	}
-	if _, _, err := be.Fast().DotProduct([]uint64{1, 2}, []uint64{5, 99}); err == nil {
+	if _, _, err := be.fe.DotProduct([]uint64{1, 2}, []uint64{5, 99}); err == nil {
 		t.Fatal("sequential path accepted an over-range synapse")
 	}
 }

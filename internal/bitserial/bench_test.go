@@ -124,7 +124,7 @@ func BenchmarkFilterBatch64x16Scalar(b *testing.B) {
 // FastEngine calls — the baseline FilterBatch must beat.
 func BenchmarkSequential64x16(b *testing.B) {
 	be, windows, fs, outs := benchBatch(b)
-	fe := be.Fast()
+	fe := be.fe
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -80,9 +80,6 @@ func NewEngine(bits, terms int) (*Engine, error) {
 // Bits returns the operand precision.
 func (e *Engine) Bits() int { return e.bits }
 
-// AccumulatorWidth returns the accumulator width in bits.
-func (e *Engine) AccumulatorWidth() int { return e.accWidth }
-
 // checkOperand validates that v fits in the engine's precision.
 func (e *Engine) checkOperand(name string, v uint64) error {
 	if v > e.mask {
@@ -160,43 +157,6 @@ func (e *Engine) DotProduct(neurons, synapses []uint64) (uint64, Stats, error) {
 		st.add(ps)
 	}
 	return acc, st, nil
-}
-
-// Window is the full PE computation of the paper's Figure 2a: for each
-// filter k, the inner product of every input-neuron lane against the
-// filter's synapse lanes, summed over all element positions:
-//
-//	O_k = sum_j sum_i I[i][j] * S[k][i][j]
-//
-// I is indexed [lane][element]; S is indexed [filter][lane][element].
-// The activation function is *not* applied here — callers feed the raw
-// accumulations to an elec.TanhUnit (or identity) as the paper's Figure 3
-// pipeline does.
-func (e *Engine) Window(inputs [][]uint64, synapses [][][]uint64) ([]uint64, Stats, error) {
-	var st Stats
-	out := make([]uint64, len(synapses))
-	for k, filter := range synapses {
-		if len(filter) != len(inputs) {
-			return nil, Stats{}, fmt.Errorf("bitserial: filter %d has %d lanes, inputs have %d", k, len(filter), len(inputs))
-		}
-		var acc uint64
-		for lane := range filter {
-			v, vs, err := e.DotProduct(inputs[lane], filter[lane])
-			if err != nil {
-				return nil, Stats{}, fmt.Errorf("bitserial: filter %d lane %d: %w", k, lane, err)
-			}
-			acc, _ = e.adder.Add(acc, v, false)
-			vs.Adds++
-			st.add(vs)
-		}
-		out[k] = acc
-	}
-	// Lanes run in parallel across filters too: a window's cycle count
-	// is elements * bits, not multiplied by lane or filter count.
-	if len(synapses) > 0 && len(inputs) > 0 {
-		st.Cycles = len(inputs[0]) * e.bits
-	}
-	return out, st, nil
 }
 
 // ReferenceDot is a plain-integer inner product used by tests as an

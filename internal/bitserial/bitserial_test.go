@@ -22,8 +22,8 @@ func TestNewEngineValidation(t *testing.T) {
 	if e.Bits() != 8 {
 		t.Errorf("Bits = %d", e.Bits())
 	}
-	if e.AccumulatorWidth() != 20 { // 16 product bits + log2(16)
-		t.Errorf("AccumulatorWidth = %d, want 20", e.AccumulatorWidth())
+	if e.accWidth != 20 { // 16 product bits + log2(16)
+		t.Errorf("accumulator width = %d, want 20", e.accWidth)
 	}
 }
 
@@ -112,16 +112,33 @@ func TestWindowPaperFullExample(t *testing.T) {
 		{2, 3, 4, 5},   // SL2
 		{3, 1, 3, 1},   // SL3
 	}
-	out, st, err := e.Window(inputs, [][][]uint64{filter0})
-	if err != nil {
-		t.Fatal(err)
-	}
+	out, cycles := window(t, e, inputs, [][][]uint64{filter0})
 	if out[0] != 329 {
 		t.Errorf("window output = %d, want 329", out[0])
 	}
-	if st.Cycles != 4*4 {
-		t.Errorf("window cycles = %d, want 16 (4 elements x 4 bits)", st.Cycles)
+	if cycles != 4*4 {
+		t.Errorf("window cycles = %d, want 16 (4 elements x 4 bits)", cycles)
 	}
+}
+
+// window is the PE computation of the paper's Figure 2a: for each filter
+// k, O_k = sum_i INL_i · SL_k,i over the lanes. The lanes run in
+// parallel, so the window takes one lane's cycles.
+func window(t *testing.T, e *Engine, inputs [][]uint64, filters [][][]uint64) ([]uint64, int) {
+	t.Helper()
+	out := make([]uint64, len(filters))
+	cycles := 0
+	for k, filter := range filters {
+		for lane := range filter {
+			v, st, err := e.DotProduct(inputs[lane], filter[lane])
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[k] += v
+			cycles = max(cycles, st.Cycles)
+		}
+	}
+	return out, cycles
 }
 
 func TestDotProductMatchesReference(t *testing.T) {
@@ -151,14 +168,6 @@ func TestDotProductLengthMismatch(t *testing.T) {
 	}
 }
 
-func TestWindowLaneMismatch(t *testing.T) {
-	e, _ := NewEngine(4, 4)
-	_, _, err := e.Window([][]uint64{{1}}, [][][]uint64{{{1}, {2}}})
-	if err == nil {
-		t.Error("filter lane count mismatch should error")
-	}
-}
-
 func TestWindowMultipleFilters(t *testing.T) {
 	e, _ := NewEngine(4, 8)
 	inputs := [][]uint64{{1, 2}, {3, 4}}
@@ -167,10 +176,7 @@ func TestWindowMultipleFilters(t *testing.T) {
 		{{2, 0}, {0, 2}}, // O_1 = 2*1 + 2*4 = 10
 		{{0, 0}, {0, 0}}, // O_2 = 0
 	}
-	out, _, err := e.Window(inputs, filters)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out, _ := window(t, e, inputs, filters)
 	want := []uint64{10, 10, 0}
 	for k := range want {
 		if out[k] != want[k] {

@@ -19,9 +19,9 @@ func enginePair(t testing.TB, bits, terms int) (*Engine, *FastEngine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gate.Bits() != fast.Bits() || gate.AccumulatorWidth() != fast.AccumulatorWidth() {
+	if gate.Bits() != fast.Bits() || gate.accWidth != fast.AccumulatorWidth() {
 		t.Fatalf("geometry mismatch: gate %d/%d, fast %d/%d",
-			gate.Bits(), gate.AccumulatorWidth(), fast.Bits(), fast.AccumulatorWidth())
+			gate.Bits(), gate.accWidth, fast.Bits(), fast.AccumulatorWidth())
 	}
 	return gate, fast
 }

@@ -226,7 +226,10 @@ func TestPrepareFCOrientations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fe := be.Fast()
+		fe, err := bitserial.NewFastEngine(eng.bits, eng.terms)
+		if err != nil {
+			t.Fatal(err)
+		}
 		maxV := uint64(1)<<eng.bits - 1
 		vectors := func(count, n int) [][]uint64 {
 			v := make([][]uint64, count)

@@ -7,8 +7,10 @@ import (
 
 // FuzzLaneBatch holds the prepared-filter entry points to the
 // sequential engine: for any geometry the dual store holds (drawn from
-// bits 1–24 and any terms; the constructor must refuse exactly the
-// rest), window length n including odd and 0, lane counts across the
+// bits 1–16 and, per bit width, the term counts an accumulator of 32
+// bits holds plus the one count past that edge; the constructor must
+// refuse exactly the rest), window
+// length n including odd and 0, lane counts across the
 // 8- and 64-lane boundaries, 1–9 filters with zero-weight runs,
 // operands random or all at the top of their range, LaneBatch over a
 // window source and over stationary Lanes, and FilterBatch, must write
@@ -16,11 +18,12 @@ import (
 // Stats, with the vector kernels on and off.
 func FuzzLaneBatch(f *testing.F) {
 	f.Add(uint8(4), uint32(512), uint8(150), uint8(64), uint8(6), int64(1), uint8(0), false)
-	f.Add(uint8(15), uint32(4), uint8(33), uint8(17), uint8(9), int64(2), uint8(3), true)
-	f.Add(uint8(16), uint32(4), uint8(7), uint8(9), uint8(1), int64(3), uint8(0), true)
-	f.Add(uint8(8), uint32(1<<20), uint8(0), uint8(65), uint8(5), int64(4), uint8(1), false)
+	f.Add(uint8(14), uint32(3), uint8(33), uint8(17), uint8(9), int64(2), uint8(3), true)
+	f.Add(uint8(15), uint32(0), uint8(7), uint8(9), uint8(1), int64(3), uint8(0), true)
+	f.Add(uint8(7), uint32(1<<14-1), uint8(0), uint8(65), uint8(5), int64(4), uint8(1), false)
 	f.Fuzz(func(t *testing.T, bits uint8, terms uint32, n, lanes, nFilters uint8, seed int64, zeroRun uint8, top bool) {
-		b, tm := 1+int(bits)%24, 1+int(terms%(1<<24))
+		b := 1 + int(bits)%16
+		tm := 1 + int(terms%(uint32(1)<<(32-2*b)+1))
 		be, err := NewBatchedStripes(b, tm)
 		if err != nil {
 			if fe, ferr := NewFastEngine(b, tm); ferr == nil && b <= 15 && fe.accWidth <= 32 {
@@ -28,7 +31,7 @@ func FuzzLaneBatch(f *testing.F) {
 			}
 			return
 		}
-		fe := be.Fast()
+		fe := be.fe
 		rng := rand.New(rand.NewSource(seed))
 		draw := func() uint64 {
 			if top {

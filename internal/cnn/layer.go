@@ -186,14 +186,3 @@ func (n Network) TotalCounts(mode CountMode) Counts {
 	}
 	return total
 }
-
-// ConvLayers returns only the convolutional layers.
-func (n Network) ConvLayers() []Layer {
-	var out []Layer
-	for _, l := range n.Layers {
-		if l.Type == Conv {
-			out = append(out, l)
-		}
-	}
-	return out
-}

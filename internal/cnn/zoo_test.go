@@ -69,12 +69,23 @@ func TestVGG16TableI(t *testing.T) {
 	}
 }
 
+// convLayers returns only the network's convolutional layers.
+func convLayers(n Network) []Layer {
+	var out []Layer
+	for _, l := range n.Layers {
+		if l.Type == Conv {
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
 func TestAlexNetKnownMACs(t *testing.T) {
 	// Single-tower (ungrouped) AlexNet is ~1.08 GMACs of convolution;
 	// the historical 0.66 G figure is for the two-GPU grouped variant.
 	net := AlexNet()
 	var convMul float64
-	for _, l := range net.ConvLayers() {
+	for _, l := range convLayers(net) {
 		convMul += l.Counts(ModePaper).Mul
 	}
 	if convMul < 0.95e9 || convMul > 1.2e9 {
@@ -88,7 +99,7 @@ func TestAlexNetKnownMACs(t *testing.T) {
 
 func TestResNet34Structure(t *testing.T) {
 	net := ResNet34()
-	convs := net.ConvLayers()
+	convs := convLayers(net)
 	// 33 main convolutions + 3 projection shortcuts.
 	if len(convs) != 36 {
 		t.Errorf("ResNet-34 conv layers = %d, want 36 (33 + 3 projections)", len(convs))
@@ -106,12 +117,12 @@ func TestResNet34Structure(t *testing.T) {
 func TestGoogLeNetStructure(t *testing.T) {
 	net := GoogLeNet()
 	// 3 stem convs + 9 modules x 6 convs + FC.
-	if got := len(net.ConvLayers()); got != 3+9*6 {
+	if got := len(convLayers(net)); got != 3+9*6 {
 		t.Errorf("GoogLeNet conv layers = %d, want 57", got)
 	}
 	// ~1.5 GMACs published for Inception-v1.
 	var mul float64
-	for _, l := range net.ConvLayers() {
+	for _, l := range convLayers(net) {
 		mul += l.Counts(ModePaper).Mul
 	}
 	if mul < 1.0e9 || mul > 1.8e9 {
@@ -121,7 +132,7 @@ func TestGoogLeNetStructure(t *testing.T) {
 
 func TestLeNetStructure(t *testing.T) {
 	net := LeNet()
-	convs := net.ConvLayers()
+	convs := convLayers(net)
 	if len(convs) != 2 {
 		t.Fatalf("LeNet conv layers = %d, want 2", len(convs))
 	}

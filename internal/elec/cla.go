@@ -71,9 +71,6 @@ func NewCLAAdder(width int) (*CLAAdder, error) {
 	return &CLAAdder{width: width, mask: mask}, nil
 }
 
-// Width returns the adder word width in bits.
-func (a *CLAAdder) Width() int { return a.width }
-
 // Add returns the width-bit sum of x and y plus the incoming carry, along
 // with the carry out of the most significant bit. Inputs wider than the
 // adder are truncated, as real hardware would.

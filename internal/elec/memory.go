@@ -7,17 +7,12 @@ import (
 )
 
 // SRAM models the per-tile weight register file of Figure 3 (the "RF
-// for filter weight storage"): a words x width 6T array with decoder
-// and sense amplifiers, priced in the same per-gate terms as the logic.
+// for filter weight storage"): a words x width 6T array.
 type SRAM struct {
 	// Words and Width give the organization.
 	Words, Width int
-	// BitcellArea is the 6T cell footprint [m^2] (~0.1 um^2 at 22 nm
-	// with array overhead).
-	BitcellArea float64
-	// ReadEnergyPerBit / WriteEnergyPerBit are the dynamic access
-	// energies [J/bit] including bitline and sense-amp switching.
-	ReadEnergyPerBit  float64
+	// WriteEnergyPerBit is the dynamic write energy [J/bit] including
+	// bitline and sense-amp switching.
 	WriteEnergyPerBit float64
 	// LeakagePerBit is the static power per cell [W].
 	LeakagePerBit float64
@@ -34,8 +29,6 @@ func NewSRAM(words, width int) (*SRAM, error) {
 	return &SRAM{
 		Words:             words,
 		Width:             width,
-		BitcellArea:       0.1 * phy.SquareMicrometer,
-		ReadEnergyPerBit:  2 * phy.Femtojoule,
 		WriteEnergyPerBit: 3 * phy.Femtojoule,
 		LeakagePerBit:     50e-12,
 	}, nil
@@ -43,32 +36,6 @@ func NewSRAM(words, width int) (*SRAM, error) {
 
 // Bits returns the capacity in bits.
 func (s *SRAM) Bits() int { return s.Words * s.Width }
-
-// Area returns the array area including decoder/sense overhead [m^2].
-func (s *SRAM) Area() float64 {
-	array := float64(s.Bits()) * s.BitcellArea
-	// Peripheral overhead: decoder (one gate-equivalent per word) and
-	// sense amps (4 per column), at standard-cell density.
-	tech := Bulk22LVT()
-	periph := GateCount{Gates: s.Words + 4*s.Width}.Area(tech)
-	return array + periph
-}
-
-// ReadEnergy returns the energy of one word read [J].
-func (s *SRAM) ReadEnergy() float64 {
-	return float64(s.Width) * s.ReadEnergyPerBit
-}
-
-// WriteEnergy returns the energy of one word write [J].
-func (s *SRAM) WriteEnergy() float64 {
-	return float64(s.Width) * s.WriteEnergyPerBit
-}
-
-// FillEnergy returns the energy to write the entire array [J] — the
-// weight-preload cost the mapper charges per tile.
-func (s *SRAM) FillEnergy() float64 {
-	return float64(s.Words) * s.WriteEnergy()
-}
 
 // Leakage returns the static power of the array [W].
 func (s *SRAM) Leakage() float64 {

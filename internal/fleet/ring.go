@@ -67,11 +67,6 @@ func hash64(s string) uint64 {
 	return x
 }
 
-// owner returns the worker index owning key.
-func (r *ring) owner(key string) int {
-	return r.owners[r.start(key)]
-}
-
 // sequence returns every worker index in ring order starting at the
 // key's owner, each worker exactly once — the failover order of a
 // shard keyed by key.

@@ -275,6 +275,11 @@ func TestMergeRobustnessProtection(t *testing.T) {
 	}
 }
 
+// owner returns the worker index owning key: the head of its sequence.
+func (r *ring) owner(key string) int {
+	return r.owners[r.start(key)]
+}
+
 // TestRingStability: every key lists every worker exactly once, and
 // dropping the last worker only remaps keys that worker owned.
 func TestRingStability(t *testing.T) {

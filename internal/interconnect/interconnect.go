@@ -99,10 +99,6 @@ func (g *Grid) Band(i int) (lo, hi int) {
 // waveguide.
 func (g *Grid) RowWavelengths() int { return g.Cols * g.Lanes }
 
-// ColWavelengths returns the number of active wavelengths on a column
-// waveguide.
-func (g *Grid) ColWavelengths() int { return g.Rows * g.Lanes }
-
 // RowLength returns the physical length of a row waveguide [m].
 func (g *Grid) RowLength() float64 { return float64(g.Cols-1) * g.TilePitch }
 
@@ -173,27 +169,6 @@ func (g *Grid) BroadcastEnergy(bits int, laser photonics.Laser) float64 {
 	laserE := laser.PowerPerWavelength * float64(g.Lanes) * duration / laser.WallPlugEfficiency
 	detect := g.PD.EnergyPerBit * float64(bits)
 	return mod + laserE + detect
-}
-
-// ColFlightTime returns the worst-case optical flight time across a
-// column waveguide [s].
-func (g *Grid) ColFlightTime() float64 {
-	wg := photonics.DefaultWaveguide(g.ColLength())
-	return wg.Delay()
-}
-
-// ColBroadcastLatency returns the y-dimension analogue of
-// BroadcastLatency: firing `bits` bits down a column.
-func (g *Grid) ColBroadcastLatency(bits int) float64 {
-	return g.SerializationLatency(bits) + g.ColFlightTime()
-}
-
-// TwoDBroadcastLatency returns the time [s] for a payload to reach
-// every tile of the grid via the x-then-y discipline of Figure 3: the
-// row broadcast delivers to every column head, then all columns fire in
-// parallel.
-func (g *Grid) TwoDBroadcastLatency(bits int) float64 {
-	return g.BroadcastLatency(bits) + g.ColBroadcastLatency(bits)
 }
 
 // WaveguideArea returns the layout area [m^2] of all row and column

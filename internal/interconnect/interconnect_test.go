@@ -17,8 +17,8 @@ func TestNewGridValidates(t *testing.T) {
 	if g.Tiles() != 16 {
 		t.Errorf("Tiles = %d", g.Tiles())
 	}
-	if g.RowWavelengths() != 16 || g.ColWavelengths() != 16 {
-		t.Error("wavelength counts wrong")
+	if g.RowWavelengths() != 16 {
+		t.Error("wavelength count wrong")
 	}
 }
 
@@ -126,22 +126,6 @@ func TestBroadcastEnergyComponentsPositive(t *testing.T) {
 	}
 	if g.BroadcastEnergy(0, laser) != 0 {
 		t.Error("no payload should be free")
-	}
-}
-
-func TestTwoDBroadcast(t *testing.T) {
-	g, _ := NewGrid(8, 4, 4, 10*phy.Gigahertz)
-	// Column flight covers 7 pitches vs the row's 3.
-	if g.ColFlightTime() <= g.FlightTime() {
-		t.Error("taller grid: column flight should exceed row flight")
-	}
-	twoD := g.TwoDBroadcastLatency(64)
-	if twoD <= g.BroadcastLatency(64) || twoD <= g.ColBroadcastLatency(64) {
-		t.Error("2-D broadcast must cover both hops")
-	}
-	want := g.BroadcastLatency(64) + g.ColBroadcastLatency(64)
-	if math.Abs(twoD-want) > 1e-18 {
-		t.Errorf("2-D latency = %v, want %v", twoD, want)
 	}
 }
 

@@ -72,9 +72,6 @@ func NewManager(dir string) (*Manager, error) {
 	return &Manager{dir: dir}, nil
 }
 
-// Dir returns the manager's snapshot directory.
-func (m *Manager) Dir() string { return m.dir }
-
 // path validates a snapshot name (a bare file name, no separators) and
 // returns its absolute location.
 func (m *Manager) path(name string) (string, error) {

@@ -101,14 +101,6 @@ const (
 	WeightStreaming
 )
 
-// String implements fmt.Stringer.
-func (d Dataflow) String() string {
-	if d == WeightStreaming {
-		return "streaming"
-	}
-	return "stationary"
-}
-
 // Options configures the mapper.
 type Options struct {
 	Transport WeightTransport

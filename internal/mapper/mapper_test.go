@@ -166,9 +166,6 @@ func TestWeightStationaryBeatsStreamingForConv(t *testing.T) {
 	if ratio := fcSm.WeightBits / fcSt.WeightBits; ratio > 2 {
 		t.Errorf("FC streaming/stationary = %.2f, want ~1 (no reuse)", ratio)
 	}
-	if WeightStationary.String() != "stationary" || WeightStreaming.String() != "streaming" {
-		t.Error("dataflow strings wrong")
-	}
 }
 
 func TestStreamingSkipsRFWriteEnergy(t *testing.T) {

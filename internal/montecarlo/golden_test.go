@@ -38,7 +38,7 @@ func TestReportGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, err := Run(context.Background(), Spec{
+			rep, err := RunState(context.Background(), Spec{
 				Model: net.Model, Input: net.Input, Design: arch.OO,
 				Bits: net.Bits, Terms: net.Terms,
 				Variation:  DefaultVariationModel(),
@@ -47,7 +47,7 @@ func TestReportGolden(t *testing.T) {
 				Seed:       1,
 				Workers:    2,
 				Protection: tc.protection,
-			})
+			}, nil, Hooks{})
 			if err != nil {
 				t.Fatal(err)
 			}

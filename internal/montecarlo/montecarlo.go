@@ -168,18 +168,6 @@ func (r *Report) MaxRetryFactor() float64 {
 	return max
 }
 
-// MinYield returns the smallest yield on the curve — the bottom of the
-// degradation, usually the largest σ.
-func (r *Report) MinYield() float64 {
-	min := 1.0
-	for _, p := range r.Points {
-		if p.Yield < min {
-			min = p.Yield
-		}
-	}
-	return min
-}
-
 // stripesDotter adapts a Stripes engine into a qnn.Dotter, dropping
 // the Stats (yield analysis cares about values, not work counts). It
 // deliberately does NOT implement qnn.MultiDotter: the perturbed
@@ -235,21 +223,17 @@ type Hooks struct {
 	OnPoint func(index int, point SigmaPoint, protected *ProtectedPoint)
 }
 
-// Run executes the Monte-Carlo sweep: the baseline inference once,
-// then Trials×len(Sigmas) perturbed inferences across a worker pool.
-// Each trial builds its own PerturbedEngine (stateful, serial within
-// the trial) and the flattened (σ, trial) jobs land in fixed slots, so
-// the report is bit-identical for any Workers value.
-func Run(ctx context.Context, spec Spec) (*Report, error) {
-	return RunState(ctx, spec, NewState(spec, ""), Hooks{})
-}
-
-// RunState is Run over an explicit slot store: slots already completed
-// in st (restored from a checkpoint) are skipped, the rest execute
-// across the worker pool, and the final report aggregates both — which
-// is why an interrupted-then-resumed run is byte-identical to an
-// uninterrupted one at any worker count. st may be snapshotted
-// concurrently while RunState is in flight.
+// RunState executes the Monte-Carlo sweep: the baseline inference
+// once, then Trials×len(Sigmas) perturbed inferences across a worker
+// pool. Each trial builds its own PerturbedEngine (stateful, serial
+// within the trial) and the flattened (σ, trial) jobs land in fixed
+// slots of st, so the report is bit-identical for any Workers value.
+// Slots already completed in st (restored from a checkpoint) are
+// skipped, the rest execute, and the final report aggregates both —
+// which is why an interrupted-then-resumed run is byte-identical to an
+// uninterrupted one at any worker count. A nil st runs on a fresh
+// store. st may be snapshotted concurrently while RunState is in
+// flight.
 func RunState(ctx context.Context, spec Spec, st *State, hooks Hooks) (*Report, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err

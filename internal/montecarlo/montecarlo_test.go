@@ -62,14 +62,14 @@ func TestSigmaZeroDegeneracyOnLeNet(t *testing.T) {
 	}
 
 	// And through the full Monte-Carlo path: every σ=0 trial yields.
-	rep, err := Run(context.Background(), Spec{
+	rep, err := RunState(context.Background(), Spec{
 		Model: net.Model, Input: net.Input, Design: arch.OO,
 		Bits: net.Bits, Terms: net.Terms,
 		Variation: DefaultVariationModel(),
 		Sigmas:    []float64{0},
 		Trials:    8,
 		Seed:      1,
-	})
+	}, nil, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 	var ref *Report
 	for _, w := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		spec.Workers = w
-		rep, err := Run(context.Background(), spec)
+		rep, err := RunState(context.Background(), spec, nil, Hooks{})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -128,7 +128,7 @@ func TestYieldCurveDegradesMonotonically(t *testing.T) {
 	spec := tinySpec(t)
 	spec.Sigmas = []float64{0, 0.5, 1, 1.5, 2, 3, 4, 5}
 	spec.Trials = 48
-	rep, err := Run(context.Background(), spec)
+	rep, err := RunState(context.Background(), spec, nil, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestDesignExposureOrdering(t *testing.T) {
 	yields := map[arch.Design]float64{}
 	for _, d := range arch.Designs() {
 		spec.Design = d
-		rep, err := Run(context.Background(), spec)
+		rep, err := RunState(context.Background(), spec, nil, Hooks{})
 		if err != nil {
 			t.Fatalf("%s: %v", d, err)
 		}
@@ -182,7 +182,7 @@ func TestRunCancellation(t *testing.T) {
 	spec := tinySpec(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Run(ctx, spec); err == nil {
+	if _, err := RunState(ctx, spec, nil, Hooks{}); err == nil {
 		t.Fatal("cancelled context should abort the run")
 	}
 }

@@ -26,7 +26,7 @@ func TestProtectedSigmaZeroClean(t *testing.T) {
 		spec.Sigmas = []float64{0}
 		spec.Trials = 8
 		spec.Protection = s
-		rep, err := Run(context.Background(), spec)
+		rep, err := RunState(context.Background(), spec, nil, Hooks{})
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
@@ -63,7 +63,7 @@ func TestProtectedDeterministicAcrossWorkers(t *testing.T) {
 		var ref *Report
 		for _, w := range []int{1, 4} {
 			spec.Workers = w
-			rep, err := Run(context.Background(), spec)
+			rep, err := RunState(context.Background(), spec, nil, Hooks{})
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", s.Name(), w, err)
 			}
@@ -85,7 +85,7 @@ func TestProtectedDeterministicAcrossWorkers(t *testing.T) {
 func TestProtectionPairsCurves(t *testing.T) {
 	spec := tinySpec(t)
 	spec.Protection = protect.DefaultGuardBand()
-	rep, err := Run(context.Background(), spec)
+	rep, err := RunState(context.Background(), spec, nil, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestProtectionPairsCurves(t *testing.T) {
 	}
 
 	spec.Protection = nil
-	bare, err := Run(context.Background(), spec)
+	bare, err := RunState(context.Background(), spec, nil, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestGuardBandRecoversYield(t *testing.T) {
 	spec.Sigmas = []float64{4}
 	spec.Trials = 32
 	spec.Protection = protect.DefaultGuardBand()
-	rep, err := Run(context.Background(), spec)
+	rep, err := RunState(context.Background(), spec, nil, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestParityCountersMove(t *testing.T) {
 	spec.Sigmas = []float64{4}
 	spec.Trials = 12
 	spec.Protection = protect.Parity{Retries: 2}
-	rep, err := Run(context.Background(), spec)
+	rep, err := RunState(context.Background(), spec, nil, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}

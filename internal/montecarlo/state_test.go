@@ -64,7 +64,7 @@ func TestResumeBitExact(t *testing.T) {
 	spec.Trials = 12
 	spec.Sigmas = []float64{0, 1, 3}
 
-	straight, err := Run(context.Background(), spec)
+	straight, err := RunState(context.Background(), spec, nil, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestResumeBitExactProtected(t *testing.T) {
 	spec.Protection = protect.TMR()
 	spec.Workers = 3
 
-	straight, err := Run(context.Background(), spec)
+	straight, err := RunState(context.Background(), spec, nil, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,9 +33,6 @@ func NewEnsemble(cfg Config) (*Ensemble, error) {
 	return &Ensemble{oe: u}, nil
 }
 
-// Lanes returns the ensemble's lane/OMAC count.
-func (e *Ensemble) Lanes() int { return e.oe.cfg.Lanes }
-
 // Window executes one full window on the bus:
 //
 //	inputs[i][j]      — element j of input-neuron lane i

@@ -162,15 +162,6 @@ func newUnit(cfg Config, terms int, design string, budgetFn func(Config) photoni
 	}, nil
 }
 
-// Config returns the unit's configuration.
-func (u *unit) Config() Config { return u.cfg }
-
-// LinkBudget returns the optical link budget the unit was built with.
-func (u *unit) LinkBudget() photonics.LinkBudget { return u.budget }
-
-// AccumulatorWidth returns the electrical adder width in bits.
-func (u *unit) AccumulatorWidth() int { return u.accWidth }
-
 // send fires a word on wavelength ch and runs it down the photonic link
 // to the filter bank.
 func (u *unit) send(word uint64, ch int, led *optsim.Ledger) *optsim.Signal {

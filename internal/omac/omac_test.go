@@ -169,9 +169,15 @@ func TestThreeDesignsAgreeOnWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eeOut, _, err := ee.Window(inputs, filters)
-	if err != nil {
-		t.Fatal(err)
+	eeOut := make([]uint64, len(filters))
+	for k, filter := range filters {
+		for i := range filter {
+			v, _, err := ee.DotProduct(inputs[i], filter[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			eeOut[k] += v
+		}
 	}
 
 	oe, err := NewOEUnit(DefaultConfig(4, 4), terms)

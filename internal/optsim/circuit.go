@@ -17,8 +17,6 @@ type Circuit struct {
 	// wires maps each (node, input port) to its driving (node, output
 	// port).
 	wires map[portRef]portRef
-	// sources holds externally injected signals per (node, input port).
-	sources map[portRef]*Signal
 }
 
 // Node is one circuit element.
@@ -40,10 +38,7 @@ type portRef struct {
 
 // NewCircuit returns an empty circuit.
 func NewCircuit() *Circuit {
-	return &Circuit{
-		wires:   make(map[portRef]portRef),
-		sources: make(map[portRef]*Signal),
-	}
+	return &Circuit{wires: make(map[portRef]portRef)}
 }
 
 // Add inserts a node and returns its id.
@@ -82,26 +77,7 @@ func (c *Circuit) Connect(srcNode, srcPort, dstNode, dstPort int) error {
 	if _, dup := c.wires[dst]; dup {
 		return fmt.Errorf("optsim: input port %d of %q already driven", dstPort, c.nodes[dstNode].Name())
 	}
-	if _, dup := c.sources[dst]; dup {
-		return fmt.Errorf("optsim: input port %d of %q already fed by a source", dstPort, c.nodes[dstNode].Name())
-	}
 	c.wires[dst] = portRef{srcNode, srcPort}
-	return nil
-}
-
-// Feed injects an external signal into a node's input port.
-func (c *Circuit) Feed(node, port int, s *Signal) error {
-	if err := c.checkPort(node, port, true); err != nil {
-		return err
-	}
-	dst := portRef{node, port}
-	if _, dup := c.wires[dst]; dup {
-		return fmt.Errorf("optsim: input port %d of %q already driven", port, c.nodes[node].Name())
-	}
-	if s == nil {
-		return fmt.Errorf("optsim: nil signal fed to %q", c.nodes[node].Name())
-	}
-	c.sources[dst] = s
 	return nil
 }
 
@@ -148,8 +124,7 @@ func (c *Circuit) topoOrder() ([]int, error) {
 }
 
 // Run evaluates the circuit and returns every node's output signals,
-// indexed [node][port]. Every input port must be driven by a wire or a
-// source.
+// indexed [node][port]. Every input port must be driven by a wire.
 func (c *Circuit) Run(led *Ledger) ([][]*Signal, error) {
 	order, err := c.topoOrder()
 	if err != nil {
@@ -160,12 +135,7 @@ func (c *Circuit) Run(led *Ledger) ([][]*Signal, error) {
 		in, _ := c.nodes[n].Ports()
 		args := make([]*Signal, in)
 		for p := 0; p < in; p++ {
-			ref := portRef{n, p}
-			if s, ok := c.sources[ref]; ok {
-				args[p] = s.Clone()
-				continue
-			}
-			src, ok := c.wires[ref]
+			src, ok := c.wires[portRef{n, p}]
 			if !ok {
 				return nil, fmt.Errorf("optsim: input port %d of %q is unconnected", p, c.nodes[n].Name())
 			}

@@ -63,9 +63,6 @@ func TestCircuitRejectsDoubleDrive(t *testing.T) {
 	if err := c.Connect(s2, 0, tp, 0); err == nil {
 		t.Error("double-driven input must be rejected")
 	}
-	if err := c.Feed(tp, 0, NewDark(1, slot, 0)); err == nil {
-		t.Error("source on a driven input must be rejected")
-	}
 }
 
 func TestCircuitPortValidation(t *testing.T) {
@@ -79,9 +76,6 @@ func TestCircuitPortValidation(t *testing.T) {
 	}
 	if err := c.Connect(9, 0, tp, 0); err == nil {
 		t.Error("bad node id must be rejected")
-	}
-	if err := c.Feed(tp, 0, nil); err == nil {
-		t.Error("nil source signal must be rejected")
 	}
 }
 

@@ -62,18 +62,6 @@ func (l *Ledger) Energy(category string) float64 {
 	return l.energy[category]
 }
 
-// TotalEnergy returns the summed energy across categories [J].
-func (l *Ledger) TotalEnergy() float64 {
-	if l == nil {
-		return 0
-	}
-	total := 0.0
-	for _, v := range l.energy {
-		total += v
-	}
-	return total
-}
-
 // Latency returns the accumulated critical-path latency [s].
 func (l *Ledger) Latency() float64 {
 	if l == nil {

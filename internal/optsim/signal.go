@@ -96,16 +96,6 @@ func (s *Signal) Powers() []float64 {
 	return out
 }
 
-// TotalEnergy returns the optical energy carried by the train [J]:
-// sum of slot powers times the slot period.
-func (s *Signal) TotalEnergy() float64 {
-	total := 0.0
-	for i := range s.Amps {
-		total += s.Power(i)
-	}
-	return total * s.Period
-}
-
 // Scale multiplies every slot amplitude by the (complex) factor and
 // returns the signal for chaining.
 func (s *Signal) Scale(f complex128) *Signal {
@@ -201,29 +191,6 @@ func Combine(a, b *Signal, tol float64) (*Signal, error) {
 // waveguide.
 type Bus []*Signal
 
-// NewBus returns a bus of `channels` dark signals of n slots.
-func NewBus(channels, n int, period float64) Bus {
-	if channels < 1 {
-		panic("optsim: bus needs at least one channel")
-	}
-	b := make(Bus, channels)
-	for c := range b {
-		b[c] = NewDark(n, period, c)
-	}
-	return b
-}
-
-// Channel returns the signal on channel c, or a dark signal if the bus
-// has no such channel.
-func (b Bus) Channel(c int) *Signal {
-	for _, s := range b {
-		if s != nil && s.Channel == c {
-			return s
-		}
-	}
-	return nil
-}
-
 // Clone deep-copies the bus.
 func (b Bus) Clone() Bus {
 	out := make(Bus, len(b))
@@ -233,16 +200,4 @@ func (b Bus) Clone() Bus {
 		}
 	}
 	return out
-}
-
-// TotalPower returns the summed power across all channels in slot i —
-// what a broadband photodetector at the end of the waveguide would see.
-func (b Bus) TotalPower(i int) float64 {
-	total := 0.0
-	for _, s := range b {
-		if s != nil {
-			total += s.Power(i)
-		}
-	}
-	return total
 }

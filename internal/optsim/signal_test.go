@@ -27,14 +27,6 @@ func TestNewOOKPowers(t *testing.T) {
 	}
 }
 
-func TestSignalTotalEnergy(t *testing.T) {
-	s := NewOOK([]int{1, 1, 0, 1}, 2*phy.Milliwatt, slot, 0)
-	want := 3 * 2e-3 * 100e-12 // three lit slots
-	if math.Abs(s.TotalEnergy()-want) > 1e-18 {
-		t.Errorf("TotalEnergy = %v, want %v", s.TotalEnergy(), want)
-	}
-}
-
 func TestDelaySlots(t *testing.T) {
 	s := NewOOK([]int{1, 1}, 1e-3, slot, 2)
 	d := s.DelaySlots(3)
@@ -165,33 +157,11 @@ func TestCombineCommutative(t *testing.T) {
 	}
 }
 
-func TestBusChannelLookupAndTotalPower(t *testing.T) {
-	b := NewBus(4, 2, slot)
-	b[2] = NewOOK([]int{1, 0}, 1e-3, slot, 2)
-	b[3] = NewOOK([]int{1, 1}, 1e-3, slot, 3)
-	if got := b.Channel(2); got == nil || got.Power(0) == 0 {
-		t.Error("Channel(2) lookup failed")
-	}
-	if got := b.Channel(9); got != nil {
-		t.Error("missing channel should be nil")
-	}
-	// Different wavelengths add in power on a broadband detector.
-	if math.Abs(b.TotalPower(0)-2e-3) > 1e-12 {
-		t.Errorf("TotalPower(0) = %v, want 2e-3", b.TotalPower(0))
-	}
-	clone := b.Clone()
-	clone[2].Amps[0] = 0
-	if b[2].Power(0) == 0 {
-		t.Error("bus Clone must be deep")
-	}
-}
-
 func TestNewDarkAndBusPanics(t *testing.T) {
 	for name, f := range map[string]func(){
 		"negative slots": func() { NewDark(-1, slot, 0) },
 		"zero period":    func() { NewDark(4, 0, 0) },
 		"negative power": func() { NewOOK([]int{1}, -1, slot, 0) },
-		"empty bus":      func() { NewBus(0, 4, slot) },
 		"negative delay": func() { NewDark(1, slot, 0).DelaySlots(-1) },
 	} {
 		func() {

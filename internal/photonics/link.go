@@ -190,15 +190,6 @@ func (a *AmplitudeConverter) ResolveChecked(power float64) (int, error) {
 	return a.Resolve(power), nil
 }
 
-// ResolveTrain converts a pulse train of powers into integer levels.
-func (a *AmplitudeConverter) ResolveTrain(powers []float64) []int {
-	out := make([]int, len(powers))
-	for i, p := range powers {
-		out[i] = a.Resolve(p)
-	}
-	return out
-}
-
 // Energy returns the conversion energy for n slots: the ladder fires all
 // comparators every slot.
 func (a *AmplitudeConverter) Energy(n int) float64 {

@@ -163,11 +163,6 @@ func (f *DoubleMRRFilter) EnergyPerCycle(bits int) float64 {
 	return 2 * f.Params.SwitchEnergyPerBit * float64(bits)
 }
 
-// Area returns the footprint of the double-ring filter [m^2].
-func (f *DoubleMRRFilter) Area() float64 {
-	return 2 * f.Params.RingArea()
-}
-
 // Delay returns the worst-case propagation delay through the filter: the
 // resonant S-path (cross) is longer than the through path.
 func (f *DoubleMRRFilter) Delay() float64 {

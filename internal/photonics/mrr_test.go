@@ -124,9 +124,6 @@ func TestDoubleMRRFilterEnergyAndArea(t *testing.T) {
 	if got := f.EnergyPerCycle(4); !relEq(got, 4*phy.Nanojoule/1000, 1e-9) {
 		t.Errorf("EnergyPerCycle(4) = %v, want 4pJ", got)
 	}
-	if f.Area() <= 0 {
-		t.Error("area must be positive")
-	}
 	if f.Delay() <= 0 {
 		t.Error("delay must be positive")
 	}

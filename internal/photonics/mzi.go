@@ -41,11 +41,6 @@ func (p MZIParams) Validate() error {
 	return nil
 }
 
-// Delay returns the propagation delay through the MZI arms [s].
-func (p MZIParams) Delay() float64 {
-	return phy.PropagationDelay(p.ArmLength)
-}
-
 // Area returns the device footprint [m^2].
 func (p MZIParams) Area() float64 {
 	return p.ArmLength * p.Width

@@ -75,14 +75,6 @@ func (w Waveguide) FieldTransmission() float64 { return FieldLoss(w.LossDB()) }
 // standard pitch.
 func (w Waveguide) Area() float64 { return w.Length * w.Pitch }
 
-// Validate reports an error for non-physical parameters.
-func (w Waveguide) Validate() error {
-	if w.Length < 0 || w.DelayPerMeter <= 0 || w.LossDBPerMeter < 0 || w.Pitch <= 0 {
-		return fmt.Errorf("photonics: invalid waveguide %+v", w)
-	}
-	return nil
-}
-
 // Laser models an on-chip InP Fabry-Perot comb laser (Section II-A3:
 // 50 um x 300 um x 5 um, up to 128 wavelengths per channel).
 type Laser struct {
@@ -108,21 +100,6 @@ func DefaultLaser(wavelengths int, powerPerWavelength float64) Laser {
 		TurnOnDelay:        1 * phy.Nanosecond,
 		Footprint:          50 * phy.Micrometer * 300 * phy.Micrometer,
 	}
-}
-
-// OpticalPower returns the total emitted optical power [W].
-func (l Laser) OpticalPower() float64 {
-	return float64(l.Wavelengths) * l.PowerPerWavelength
-}
-
-// ElectricalPower returns the wall-plug electrical power draw [W].
-func (l Laser) ElectricalPower() float64 {
-	return l.OpticalPower() / l.WallPlugEfficiency
-}
-
-// Energy returns the electrical energy consumed over a duration [J].
-func (l Laser) Energy(duration float64) float64 {
-	return l.ElectricalPower() * duration
 }
 
 // Validate reports an error for non-physical parameters.
@@ -172,12 +149,6 @@ func (p Photodetector) Current(opticalPower float64) float64 {
 		return 0
 	}
 	return p.Responsivity * opticalPower
-}
-
-// Detects reports whether the given optical power is above the receiver
-// sensitivity floor.
-func (p Photodetector) Detects(opticalPower float64) bool {
-	return opticalPower >= p.Sensitivity
 }
 
 // Validate reports an error for non-physical parameters.

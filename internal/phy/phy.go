@@ -72,21 +72,10 @@ const (
 	Gigahertz = 1e9
 )
 
-// DB converts a linear power ratio to decibels.
-// DB(0.5) ≈ -3.01. The ratio must be positive.
-func DB(linear float64) float64 {
-	return 10 * math.Log10(linear)
-}
-
 // FromDB converts decibels to a linear power ratio.
 // FromDB(-3.01) ≈ 0.5.
 func FromDB(db float64) float64 {
 	return math.Pow(10, db/10)
-}
-
-// DBm converts a power in watts to dBm (decibels referenced to 1 mW).
-func DBm(watts float64) float64 {
-	return 10 * math.Log10(watts/Milliwatt)
 }
 
 // FromDBm converts a power in dBm to watts.
@@ -94,35 +83,10 @@ func FromDBm(dbm float64) float64 {
 	return Milliwatt * math.Pow(10, dbm/10)
 }
 
-// AttenuationLinear returns the linear power transmission of a medium with
-// the given attenuation [dB per meter] over the given length [m].
-// A loss of 1.3 dB/cm over 1 cm returns FromDB(-1.3) ≈ 0.741.
-func AttenuationLinear(dbPerMeter, lengthM float64) float64 {
-	return FromDB(-dbPerMeter * lengthM)
-}
-
 // PropagationDelay returns the time [s] for light to traverse lengthM
 // meters of silicon waveguide (n = NSilicon).
 func PropagationDelay(lengthM float64) float64 {
 	return lengthM / GroupVelocitySi
-}
-
-// PropagationDelayIndex returns the time [s] to traverse lengthM meters of
-// a medium with refractive index n.
-func PropagationDelayIndex(lengthM, n float64) float64 {
-	return lengthM * n / C
-}
-
-// BitPeriod returns the duration [s] of one bit slot at the given line
-// rate [Hz]. The paper's optical clock is 10 GHz -> 100 ps.
-func BitPeriod(rateHz float64) float64 {
-	return 1 / rateHz
-}
-
-// EnergyAtPower returns the energy [J] consumed by a constant power draw
-// [W] over the given duration [s].
-func EnergyAtPower(watts, seconds float64) float64 {
-	return watts * seconds
 }
 
 // FormatTime renders a duration in seconds with an engineering-friendly
@@ -195,22 +159,6 @@ func trimFloat(v float64) string {
 		s = s[:len(s)-1]
 	}
 	return s
-}
-
-// GeoMean returns the geometric mean of the values. All values must be
-// positive; it returns 0 for an empty slice.
-func GeoMean(vals []float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range vals {
-		if v <= 0 {
-			return math.NaN()
-		}
-		sum += math.Log(v)
-	}
-	return math.Exp(sum / float64(len(vals)))
 }
 
 // CeilDiv returns ceil(a/b) for positive integers.

@@ -58,12 +58,6 @@ type Derate struct {
 	ExtraBiasKelvin float64
 }
 
-// Zero reports whether the derate changes nothing.
-func (d Derate) Zero() bool {
-	return d.TrimFactor == 0 && d.ExtraTuningSteps == 0 &&
-		d.ThresholdGuard <= 1 && d.ExtraBiasKelvin == 0
-}
-
 // Counters is the mitigation work a wrapped engine performed.
 type Counters struct {
 	// Calls is the number of protected dot products — the wrapper's
@@ -81,15 +75,6 @@ type Counters struct {
 	// GaveUp counts calls that exhausted the retry budget and shipped a
 	// still-suspect result.
 	GaveUp int64 `json:"gave_up"`
-}
-
-// Add accumulates o into c.
-func (c *Counters) Add(o Counters) {
-	c.Calls += o.Calls
-	c.Executions += o.Executions
-	c.Retries += o.Retries
-	c.Disagreements += o.Disagreements
-	c.GaveUp += o.GaveUp
 }
 
 // Metered is implemented by wrapped engines that track mitigation

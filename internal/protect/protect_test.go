@@ -262,7 +262,7 @@ func TestOverheadsNeverFree(t *testing.T) {
 func TestGuardBandDerate(t *testing.T) {
 	g := DefaultGuardBand()
 	dr := g.Derate()
-	if dr.Zero() {
+	if dr == (Derate{}) {
 		t.Fatal("default guardband derate is zero")
 	}
 	if dr.TrimFactor != g.TrimFactor || dr.ExtraTuningSteps != g.ExtraTuningSteps ||
@@ -270,7 +270,7 @@ func TestGuardBandDerate(t *testing.T) {
 		t.Errorf("derate %+v does not mirror the scheme %+v", dr, g)
 	}
 	for _, s := range []Scheme{TMR(), Parity{Retries: 1}} {
-		if !s.Derate().Zero() {
+		if s.Derate() != (Derate{}) {
 			t.Errorf("%s: datapath scheme has a non-zero derate", s.Name())
 		}
 	}

@@ -95,14 +95,8 @@ func (c *legacyConv) Apply(in *tensor.Tensor, d Dotter) (*tensor.Tensor, error) 
 				}
 			}
 			for m := 0; m < k.M; m++ {
-				i = 0
-				for ky := 0; ky < k.R; ky++ {
-					for kx := 0; kx < k.R; kx++ {
-						for ch := 0; ch < in.C; ch++ {
-							weights[i] = uint64(k.At(m, ky, kx, ch))
-							i++
-						}
-					}
+				for i, w := range k.Filter(m) {
+					weights[i] = uint64(w)
 				}
 				acc, err := d.DotProduct(window, weights)
 				if err != nil {

@@ -142,7 +142,10 @@ func TestFusedBatchEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fe := be.Fast()
+	fe, err := bitserial.NewFastEngine(4, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
 	engines := []struct {
 		name string
 		d    Dotter

@@ -80,7 +80,7 @@ func TestConvParallelMatchesReference(t *testing.T) {
 }
 
 // TestConvPadMatchesTensorConv checks the new Pad field end to end
-// against tensor.Conv2D's padded output.
+// against tensor.Conv2DReference's padded output.
 func TestConvPadMatchesTensorConv(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	in := tensor.New(5, 5, 2)
@@ -91,7 +91,7 @@ func TestConvPadMatchesTensorConv(t *testing.T) {
 	for i := range k.Data {
 		k.Data[i] = rng.Int63n(8)
 	}
-	want, err := tensor.Conv2D(in, k, 1, 1)
+	want, err := tensor.Conv2DReference(in, k, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -143,7 +143,7 @@ type Conv struct {
 	Kernel *tensor.Kernel
 	Stride int
 	// Pad is the zero padding on every side, wired through the im2col
-	// lowering (parity with tensor.Conv2D); padded positions
+	// lowering (parity with tensor.Conv2DReference); padded positions
 	// contribute zero activations.
 	Pad int
 

@@ -184,7 +184,7 @@ func TestFullyConnectedValidation(t *testing.T) {
 
 func TestRequantClampsAndShifts(t *testing.T) {
 	r := &Requant{Label: "rq", Shift: 2, Max: 15}
-	in := tensor.NewVector([]int64{64, 3, 100, -8})
+	in := &tensor.Tensor{H: 1, W: 1, C: 4, Data: []int64{64, 3, 100, -8}}
 	out, err := applyOne(r, in, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -81,15 +81,3 @@ func (g *flightGroup[V]) wait(ctx context.Context, c *flightCall[V], shared bool
 		return zero, shared, ctx.Err()
 	}
 }
-
-// waiters reports how many callers are attached to key's in-flight
-// computation (0 when none is running) — a test hook for proving a
-// follower has actually joined a flight before releasing it.
-func (g *flightGroup[V]) waiters(key string) int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if c, ok := g.calls[key]; ok {
-		return c.waiters
-	}
-	return 0
-}

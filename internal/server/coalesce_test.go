@@ -21,6 +21,18 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// waiters reports how many callers are attached to key's in-flight
+// computation (0 when none is running), so a test can prove a follower
+// has actually joined a flight before releasing it.
+func (g *flightGroup[V]) waiters(key string) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if c, ok := g.calls[key]; ok {
+		return c.waiters
+	}
+	return 0
+}
+
 func TestFlightGroupCoalesces(t *testing.T) {
 	g := newFlightGroup[int]()
 	var calls atomic.Int64

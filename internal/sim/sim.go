@@ -21,7 +21,6 @@ import (
 	"pixel/internal/arch"
 	"pixel/internal/cnn"
 	"pixel/internal/interconnect"
-	"pixel/internal/phy"
 )
 
 // event is one scheduled state change.
@@ -258,11 +257,4 @@ func (s *Sim) AnalyticBound(l cnn.Layer) float64 {
 		return rounds * stage
 	}
 	return b + rounds*stage
-}
-
-// FormatStats renders one layer's stats for logs.
-func FormatStats(st LayerStats) string {
-	return fmt.Sprintf("%s: %s makespan, %.0f rounds (x%.3g batched), broadcast %.0f%% / compute %.0f%% busy, %s-bound",
-		st.Layer, phy.FormatTime(st.MakespanS), st.Rounds, st.RoundsPerStep,
-		100*st.BroadcastBusyFrac, 100*st.ComputeBusyFrac, st.Bottleneck)
 }

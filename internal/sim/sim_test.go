@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"pixel/internal/arch"
@@ -154,17 +153,5 @@ func TestRunLayerRejectsInvalid(t *testing.T) {
 	s := newSim(t, Options{})
 	if _, err := s.RunLayer(cnn.Layer{Name: "bad", Type: cnn.Conv}); err == nil {
 		t.Error("invalid layer should error")
-	}
-}
-
-func TestFormatStats(t *testing.T) {
-	s := newSim(t, Options{})
-	st, err := s.RunLayer(cnn.LeNet().Layers[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := FormatStats(st)
-	if !strings.Contains(out, "Conv1") || !strings.Contains(out, "bound") {
-		t.Errorf("FormatStats = %q", out)
 	}
 }

@@ -66,9 +66,3 @@ func (c *lruCache) put(key Job, cost arch.NetworkCost) {
 		delete(c.items, oldest.Value.(*lruEntry).key)
 	}
 }
-
-func (c *lruCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}

@@ -8,6 +8,13 @@ import (
 	"pixel/internal/arch"
 )
 
+// len returns the number of cached entries.
+func (c *lruCache) len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.order.Len()
+}
+
 func lruKey(i int) Job {
 	return Job{Network: fmt.Sprintf("net%d", i), Point: Point{Design: arch.OO, Lanes: 4, Bits: 8}}
 }

@@ -58,7 +58,3 @@ func (a *Arena) Put(ts ...*Tensor) {
 		}
 	}
 }
-
-// Free reports how many tensors are currently recycled — arena
-// introspection for tests and steady-state assertions.
-func (a *Arena) Free() int { return len(a.free) }

@@ -10,16 +10,16 @@ func TestArenaRecyclesStorage(t *testing.T) {
 	}
 	data := &t1.Data[0]
 	a.Put(t1)
-	if a.Free() != 1 {
-		t.Fatalf("free = %d, want 1", a.Free())
+	if len(a.free) != 1 {
+		t.Fatalf("free = %d, want 1", len(a.free))
 	}
 	// A smaller request must reuse the retired backing array.
 	t2 := a.Get(4, 3, 2)
 	if &t2.Data[0] != data {
 		t.Fatal("smaller Get did not reuse recycled storage")
 	}
-	if a.Free() != 0 {
-		t.Fatalf("free = %d, want 0", a.Free())
+	if len(a.free) != 0 {
+		t.Fatalf("free = %d, want 0", len(a.free))
 	}
 	// A larger request cannot.
 	a.Put(t2)
@@ -27,8 +27,8 @@ func TestArenaRecyclesStorage(t *testing.T) {
 	if len(t3.Data) != 125 {
 		t.Fatalf("len = %d", len(t3.Data))
 	}
-	if a.Free() != 1 {
-		t.Fatalf("free = %d, want 1 (small tensor still recycled)", a.Free())
+	if len(a.free) != 1 {
+		t.Fatalf("free = %d, want 1 (small tensor still recycled)", len(a.free))
 	}
 }
 
@@ -57,12 +57,12 @@ func TestArenaGetContentsOverwritable(t *testing.T) {
 func TestArenaPutIgnoresNil(t *testing.T) {
 	a := NewArena()
 	a.Put(nil, nil)
-	if a.Free() != 0 {
-		t.Fatalf("free = %d, want 0", a.Free())
+	if len(a.free) != 0 {
+		t.Fatalf("free = %d, want 0", len(a.free))
 	}
 	a.Put(nil, New(1, 1, 1), nil)
-	if a.Free() != 1 {
-		t.Fatalf("free = %d, want 1", a.Free())
+	if len(a.free) != 1 {
+		t.Fatalf("free = %d, want 1", len(a.free))
 	}
 }
 

@@ -14,16 +14,6 @@ func benchConvCase() (*Tensor, *Kernel) {
 	return in, k
 }
 
-func BenchmarkConv2D(b *testing.B) {
-	in, k := benchConvCase()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Conv2D(in, k, 1, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkConv2DReference(b *testing.B) {
 	in, k := benchConvCase()
 	b.ReportAllocs()

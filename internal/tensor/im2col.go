@@ -4,11 +4,12 @@ import "fmt"
 
 // PatchMatrix is the im2col lowering of a convolution input: one row
 // per output position (row-major over (oy, ox)), each row the RxRxC
-// window values in the same (ky, kx, c) order Conv2D and the qnn conv
-// layers consume them. Lowering once and reusing the rows across every
-// filter replaces the 6-deep scalar loop of a direct convolution with
-// M dense dot products per row — the transformation that makes both
-// the photonic PE mapping and our simulation of it tractable.
+// window values in the same (ky, kx, c) order as Kernel.Filter, the
+// order the qnn conv layers consume them in. Lowering once and reusing
+// the rows across every filter replaces the 6-deep scalar loop of a
+// direct convolution with M dense dot products per row — the
+// transformation that makes both the photonic PE mapping and our
+// simulation of it tractable.
 type PatchMatrix struct {
 	// EH, EW are the output spatial dimensions; Rows == EH*EW.
 	EH, EW int

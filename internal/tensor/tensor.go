@@ -1,8 +1,8 @@
 // Package tensor provides a minimal integer tensor with reference
-// implementations of the CNN operators (2-D convolution, max pooling,
-// fully-connected) used to validate end-to-end inference through the
-// OMAC datapaths. Values are int64; quantized networks in the examples
-// use unsigned activations/weights that fit the OMAC operand widths.
+// implementations of the CNN operators (2-D convolution, max pooling)
+// used to validate end-to-end inference through the OMAC datapaths.
+// Values are int64; quantized networks in the examples use unsigned
+// activations/weights that fit the OMAC operand widths.
 package tensor
 
 import "fmt"
@@ -20,13 +20,6 @@ func New(h, w, c int) *Tensor {
 		panic(fmt.Sprintf("tensor: invalid shape %dx%dx%d", h, w, c))
 	}
 	return &Tensor{H: h, W: w, C: c, Data: make([]int64, h*w*c)}
-}
-
-// NewVector returns a 1x1xN tensor wrapping the given values.
-func NewVector(vals []int64) *Tensor {
-	t := New(1, 1, len(vals))
-	copy(t.Data, vals)
-	return t
 }
 
 // idx returns the flat index of (y, x, c).
@@ -54,11 +47,6 @@ func (t *Tensor) Set(y, x, c int, v int64) {
 // Len returns the number of elements.
 func (t *Tensor) Len() int { return len(t.Data) }
 
-// Flatten returns the data as a vector tensor (shares storage).
-func (t *Tensor) Flatten() *Tensor {
-	return &Tensor{H: 1, W: 1, C: len(t.Data), Data: t.Data}
-}
-
 // Kernel is a convolution filter bank: M filters of RxRxC weights.
 type Kernel struct {
 	M, R, C int
@@ -73,16 +61,6 @@ func NewKernel(m, r, c int) *Kernel {
 	return &Kernel{M: m, R: r, C: c, Data: make([]int64, m*r*r*c)}
 }
 
-// At returns the weight of filter m at (ky, kx, c).
-func (k *Kernel) At(m, ky, kx, c int) int64 {
-	return k.Data[((m*k.R+ky)*k.R+kx)*k.C+c]
-}
-
-// Set stores a weight.
-func (k *Kernel) Set(m, ky, kx, c int, v int64) {
-	k.Data[((m*k.R+ky)*k.R+kx)*k.C+c] = v
-}
-
 // Filter returns filter m's weights as a flat slice in (ky, kx, c)
 // order — the same order a PatchMatrix row presents the window values,
 // so out[m] of a convolution is the plain dot product of the two.
@@ -92,37 +70,10 @@ func (k *Kernel) Filter(m int) []int64 {
 	return k.Data[m*n : (m+1)*n : (m+1)*n]
 }
 
-// Conv2D computes a standard 2-D convolution with the given stride and
-// zero padding, returning an ExMxE output (E per the usual formula).
-// The input is lowered to an im2col patch matrix once and every filter
-// reduces to dense dot products over its rows; the result is
-// bit-identical to Conv2DReference.
-func Conv2D(in *Tensor, k *Kernel, stride, pad int) (*Tensor, error) {
-	if in.C != k.C {
-		return nil, fmt.Errorf("tensor: input channels %d != kernel channels %d", in.C, k.C)
-	}
-	p, err := Lower(in, k.R, stride, pad)
-	if err != nil {
-		return nil, err
-	}
-	out := New(p.EH, p.EW, k.M)
-	for m := 0; m < k.M; m++ {
-		w := k.Filter(m)
-		for i := 0; i < p.Rows; i++ {
-			row := p.Row(i)
-			var acc int64
-			for j, v := range row {
-				acc += v * w[j]
-			}
-			out.Data[i*k.M+m] = acc
-		}
-	}
-	return out, nil
-}
-
-// Conv2DReference is the direct 6-deep loop convolution the lowered
-// Conv2D replaced, kept as the oracle the im2col path (and the
-// parallel qnn conv layer built on it) is property-tested against.
+// Conv2DReference computes a standard 2-D convolution with the given
+// stride and zero padding, returning an ExExM output (E per the usual
+// formula), as a direct 6-deep loop: the oracle the im2col lowering
+// (and the qnn conv stage built on it) is property-tested against.
 func Conv2DReference(in *Tensor, k *Kernel, stride, pad int) (*Tensor, error) {
 	if in.C != k.C {
 		return nil, fmt.Errorf("tensor: input channels %d != kernel channels %d", in.C, k.C)
@@ -139,11 +90,12 @@ func Conv2DReference(in *Tensor, k *Kernel, stride, pad int) (*Tensor, error) {
 	for oy := 0; oy < eh; oy++ {
 		for ox := 0; ox < ew; ox++ {
 			for m := 0; m < k.M; m++ {
+				w := k.Filter(m)
 				var acc int64
 				for ky := 0; ky < k.R; ky++ {
 					for kx := 0; kx < k.R; kx++ {
 						for c := 0; c < in.C; c++ {
-							acc += in.At(oy*stride+ky-pad, ox*stride+kx-pad, c) * k.At(m, ky, kx, c)
+							acc += in.At(oy*stride+ky-pad, ox*stride+kx-pad, c) * w[(ky*k.R+kx)*k.C+c]
 						}
 					}
 				}

