@@ -16,8 +16,6 @@
 #   asm                 an assembly stub (the binary names it .abi0)
 #   oracle <TestName>   a reference that the named test compares a
 #                       live path against
-#   paper <FILE.md:N>   a paper artifact cited at DESIGN.md or
-#                       EXPERIMENTS.md line N and pinned by a test
 #   item2               feasibility physics kept for ROADMAP item 2
 #   perfbench           called from perfbench source, but not linked
 set -euo pipefail
@@ -67,8 +65,6 @@ while read -r sym reason arg rest; do
 	case "$reason" in
 	api | asm | item2 | perfbench) [ -z "$arg" ] || ok=0 ;;
 	oracle) grep -rqE "^func $arg\(" --include='*_test.go' . || ok=0 ;;
-	paper) [[ $arg =~ ^((DESIGN|EXPERIMENTS)\.md):([0-9]+)$ ]] &&
-		[ -n "$(sed -n "${BASH_REMATCH[3]}p" "${BASH_REMATCH[1]}")" ] || ok=0 ;;
 	*) ok=0 ;;
 	esac
 	if [ "$ok" = 0 ] || [ -n "$rest" ]; then

@@ -67,9 +67,8 @@ func run(args []string) error {
 	}
 
 	out, err := optsim.MZIAccumulate(inputs, optsim.MZIAccumulateOptions{
-		Params:   photonics.DefaultMZIParams(),
-		BitRate:  1 / slot,
-		Lossless: true,
+		Params:  photonics.DefaultMZIParams(),
+		BitRate: 1 / slot,
 	}, led)
 	if err != nil {
 		return err

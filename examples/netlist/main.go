@@ -49,11 +49,7 @@ func main() {
 	must(c.Connect(split, 1, dly, 0))
 
 	// Recombine: delayed + direct (coherent addition in the MZI).
-	mzi := c.Add(&optsim.CombinerNode{
-		Label:    "recombine",
-		Params:   photonics.DefaultMZIParams(),
-		Lossless: true,
-	})
+	mzi := c.Add(&optsim.CombinerNode{Label: "recombine", Params: photonics.DefaultMZIParams()})
 	must(c.Connect(dly, 0, mzi, 0))
 	must(c.Connect(split, 0, mzi, 1))
 

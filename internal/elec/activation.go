@@ -1,115 +1,17 @@
 package elec
 
-import "fmt"
-
-// Hybrid piecewise-linear hyperbolic tangent activation unit, after the
-// design the paper adopts (Zamanlooy & Mirhassani, TVLSI 2014): a PLAN-
-// style piecewise-linear approximation whose segment slopes are powers of
-// two, so every multiply is a bit-shift ("bit-level mapping") and the
-// datapath is comparator + shifter + adder.
-//
-// The tanh approximation used (x >= 0; odd symmetry for x < 0):
+// The activation is the hybrid piecewise-linear hyperbolic tangent unit
+// the paper adopts (Zamanlooy & Mirhassani, TVLSI 2014): a PLAN-style
+// approximation whose segment slopes are powers of two, so every
+// multiply is a bit-shift ("bit-level mapping") and the datapath is
+// comparator + shifter + adder. For x >= 0 (odd symmetry below zero):
 //
 //	0.0 <= x < 0.5    y = x
 //	0.5 <= x < 7/6    y = x/2 + 1/4
 //	7/6 <= x < 2.5    y = x/8 + 11/16
 //	2.5 <= x          y = 1
 //
-// This is the tanh image of the classic PLAN sigmoid approximation
-// (tanh(x) = 2*sigma(2x) - 1), with the middle boundary moved from
-// 1.1875 to 7/6 — the point where the two segments actually intersect —
-// so the approximation is continuous and monotone. Its maximum absolute
-// error stays below 0.04, matching the accuracy class reported for the
-// hybrid design.
-
-// TanhSegment describes one piece of the approximation: for
-// lower <= |x| < upper, y = |x|>>Shift + Offset (Shift < 0 means slope 0).
-type TanhSegment struct {
-	Lower  float64
-	Upper  float64
-	Shift  int     // right-shift amount encoding the power-of-two slope
-	Offset float64 // additive constant
-}
-
-// TanhSegments returns the segment table of the approximation, exported
-// for documentation and for tests that validate continuity and error.
-func TanhSegments() []TanhSegment {
-	return []TanhSegment{
-		{Lower: 0, Upper: 0.5, Shift: 0, Offset: 0},
-		{Lower: 0.5, Upper: 7.0 / 6.0, Shift: 1, Offset: 0.25},
-		{Lower: 7.0 / 6.0, Upper: 2.5, Shift: 3, Offset: 0.6875},
-		{Lower: 2.5, Upper: 0, Shift: -1, Offset: 1}, // saturated
-	}
-}
-
-// TanhUnit is a functional fixed-point implementation of the activation
-// unit. Values are two's-complement fixed point with FracBits fractional
-// bits.
-type TanhUnit struct {
-	fracBits int
-	one      int64 // 1.0 in fixed point
-}
-
-// NewTanhUnit returns a tanh unit operating on Q(x.FracBits) fixed-point
-// values. fracBits must be in [2, 30].
-func NewTanhUnit(fracBits int) (*TanhUnit, error) {
-	if fracBits < 2 || fracBits > 30 {
-		return nil, fmt.Errorf("elec: tanh fracBits %d out of range [2,30]", fracBits)
-	}
-	return &TanhUnit{fracBits: fracBits, one: 1 << uint(fracBits)}, nil
-}
-
-// FracBits returns the number of fractional bits of the unit.
-func (u *TanhUnit) FracBits() int { return u.fracBits }
-
-// ToFixed converts a float to the unit's fixed-point representation
-// (round to nearest).
-func (u *TanhUnit) ToFixed(x float64) int64 {
-	v := x * float64(u.one)
-	if v >= 0 {
-		return int64(v + 0.5)
-	}
-	return -int64(-v + 0.5)
-}
-
-// ToFloat converts a fixed-point value back to float.
-func (u *TanhUnit) ToFloat(v int64) float64 {
-	return float64(v) / float64(u.one)
-}
-
-// Apply computes the piecewise-linear tanh of the fixed-point input,
-// using only comparisons, shifts and additions — the exact operations of
-// the hardware unit.
-func (u *TanhUnit) Apply(x int64) int64 {
-	neg := x < 0
-	if neg {
-		x = -x
-	}
-	var y int64
-	half := u.one >> 1
-	b2 := (7 * u.one) / 6     // segment-intersection boundary 7/6
-	b3 := (u.one << 1) + half // 2.5
-	switch {
-	case x < half:
-		y = x
-	case x < b2:
-		y = (x >> 1) + (u.one >> 2) // x/2 + 0.25
-	case x < b3:
-		y = (x >> 3) + (half + (u.one >> 3) + (u.one >> 4)) // x/8 + 0.6875
-	default:
-		y = u.one
-	}
-	if neg {
-		return -y
-	}
-	return y
-}
-
-// ApplyFloat is a convenience wrapper: float in, float out, through the
-// fixed-point datapath.
-func (u *TanhUnit) ApplyFloat(x float64) float64 {
-	return u.ToFloat(u.Apply(u.ToFixed(x)))
-}
+// The cost model prices that datapath; it does not evaluate it.
 
 // TanhUnitGates returns the structural gate count of the activation unit
 // for a given datapath width: three fixed-bound comparators, a two-level

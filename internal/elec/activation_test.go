@@ -1,126 +1,6 @@
 package elec
 
-import (
-	"math"
-	"testing"
-	"testing/quick"
-)
-
-func TestTanhUnitMaxError(t *testing.T) {
-	u, err := NewTanhUnit(12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	maxErr := 0.0
-	for x := -6.0; x <= 6.0; x += 0.001 {
-		got := u.ApplyFloat(x)
-		want := math.Tanh(x)
-		if e := math.Abs(got - want); e > maxErr {
-			maxErr = e
-		}
-	}
-	// The PLAN-derived tanh approximation has max error < 0.04 (plus a
-	// little fixed-point quantization).
-	if maxErr > 0.042 {
-		t.Errorf("max |error| = %v, want <= 0.042", maxErr)
-	}
-}
-
-func TestTanhUnitOddSymmetry(t *testing.T) {
-	u, _ := NewTanhUnit(10)
-	f := func(raw int16) bool {
-		x := int64(raw)
-		return u.Apply(-x) == -u.Apply(x)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestTanhUnitMonotone(t *testing.T) {
-	u, _ := NewTanhUnit(12)
-	prev := int64(math.MinInt64)
-	for x := -4 * (1 << 12); x <= 4*(1<<12); x += 7 {
-		y := u.Apply(int64(x))
-		if y < prev {
-			t.Fatalf("tanh approximation not monotone at x=%d: %d < %d", x, y, prev)
-		}
-		prev = y
-	}
-}
-
-func TestTanhUnitSaturation(t *testing.T) {
-	u, _ := NewTanhUnit(8)
-	one := int64(1 << 8)
-	if got := u.Apply(100 * one); got != one {
-		t.Errorf("tanh(large) = %d, want %d", got, one)
-	}
-	if got := u.Apply(-100 * one); got != -one {
-		t.Errorf("tanh(-large) = %d, want %d", got, -one)
-	}
-	if got := u.Apply(0); got != 0 {
-		t.Errorf("tanh(0) = %d, want 0", got)
-	}
-}
-
-func TestTanhUnitBounded(t *testing.T) {
-	u, _ := NewTanhUnit(14)
-	one := int64(1 << 14)
-	f := func(raw int32) bool {
-		y := u.Apply(int64(raw))
-		return y >= -one && y <= one
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestTanhFixedConversionRoundTrip(t *testing.T) {
-	u, _ := NewTanhUnit(12)
-	for _, x := range []float64{0, 0.5, -0.5, 1.25, -3.75, 2.4999} {
-		got := u.ToFloat(u.ToFixed(x))
-		if math.Abs(got-x) > 1.0/(1<<12) {
-			t.Errorf("round trip %v -> %v", x, got)
-		}
-	}
-}
-
-func TestTanhSegmentsContinuity(t *testing.T) {
-	segs := TanhSegments()
-	if len(segs) != 4 {
-		t.Fatalf("expected 4 segments, got %d", len(segs))
-	}
-	// Adjacent segments must agree at the boundary within the
-	// approximation's error budget (the PLAN segments are nearly, not
-	// exactly, continuous).
-	eval := func(s TanhSegment, x float64) float64 {
-		if s.Shift < 0 {
-			return s.Offset
-		}
-		return x/float64(int64(1)<<uint(s.Shift)) + s.Offset
-	}
-	for i := 0; i+1 < len(segs); i++ {
-		b := segs[i].Upper
-		y1 := eval(segs[i], b)
-		y2 := eval(segs[i+1], b)
-		if math.Abs(y1-y2) > 0.05 {
-			t.Errorf("discontinuity %v at x=%v (%v vs %v)", y1-y2, b, y1, y2)
-		}
-	}
-}
-
-func TestNewTanhUnitRange(t *testing.T) {
-	if _, err := NewTanhUnit(1); err == nil {
-		t.Error("fracBits 1 should error")
-	}
-	if _, err := NewTanhUnit(31); err == nil {
-		t.Error("fracBits 31 should error")
-	}
-	u, err := NewTanhUnit(2)
-	if err != nil || u.FracBits() != 2 {
-		t.Errorf("fracBits 2 should work, got %v", err)
-	}
-}
+import "testing"
 
 func TestTanhUnitGates(t *testing.T) {
 	gc := TanhUnitGates(16)

@@ -12,14 +12,3 @@ func BenchmarkCLAAdd32(b *testing.B) {
 		a.Add(uint64(i), uint64(i)*2654435761, false)
 	}
 }
-
-func BenchmarkTanhUnitApply(b *testing.B) {
-	u, err := NewTanhUnit(12)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		u.Apply(int64(i%20000 - 10000))
-	}
-}

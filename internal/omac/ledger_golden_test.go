@@ -70,13 +70,12 @@ type opticalUnit interface {
 	Multiply(neuron, synapse uint64, led *optsim.Ledger) (uint64, error)
 	DotProduct(neurons, synapses []uint64, led *optsim.Ledger) (uint64, error)
 	SignedDotProduct(ns, ss []int64, led *optsim.Ledger) (int64, error)
-	Window(inputs [][]uint64, synapses [][][]uint64, led *optsim.Ledger) ([]uint64, error)
 }
 
 // TestLedgerGolden pins every ledger category's energy and the latency,
-// to the last bit, for each OE/OO unit operation and both bus
-// ensembles on seeded windows. Energy ratios are tested elsewhere; this
-// is the exact record a refactor of the datapaths must reproduce.
+// to the last bit, for each OE/OO unit operation on seeded operands.
+// Energy ratios are tested elsewhere; this is the exact record a
+// refactor of the datapaths must reproduce.
 func TestLedgerGolden(t *testing.T) {
 	var out bytes.Buffer
 	for _, p := range []struct{ l, bits int }{{2, 4}, {3, 6}, {4, 8}} {
@@ -127,36 +126,7 @@ func TestLedgerGolden(t *testing.T) {
 				t.Fatalf("%s SignedDotProduct: %v", prefix, err)
 			}
 			out.WriteString(ledgerLine(prefix+"/SignedDotProduct", sv, led))
-
-			u, led = unit(p.l*p.l), optsim.NewLedger()
-			w, err := u.Window(inputs, synapses, led)
-			if err != nil {
-				t.Fatalf("%s Window: %v", prefix, err)
-			}
-			out.WriteString(ledgerLine(prefix+"/Window", w, led))
 		}
-
-		oe, err := NewEnsemble(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		led := optsim.NewLedger()
-		w, err := oe.Window(inputs, synapses, led)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out.WriteString(ledgerLine(fmt.Sprintf("Ensemble/L%d/B%d/Window", p.l, p.bits), w, led))
-
-		oo, err := NewOOEnsemble(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		led = optsim.NewLedger()
-		w, err = oo.Window(inputs, synapses, led)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out.WriteString(ledgerLine(fmt.Sprintf("OOEnsemble/L%d/B%d/Window", p.l, p.bits), w, led))
 	}
 
 	path := filepath.Join("testdata", "ledger.golden.txt")

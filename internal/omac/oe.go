@@ -17,13 +17,11 @@ type OEUnit struct {
 	// accGates is the shift-accumulate's gate count, priced once and
 	// charged per cycle.
 	accGates elec.GateCount
-	// detuned injects a thermal-drift fault into the AND filter bank.
-	detuned bool
 }
 
 // NewOEUnit builds the hybrid unit for the given configuration. The
-// accumulator is sized for `terms` products (use Lanes*elements for a
-// window; 1 for a bare multiply).
+// accumulator is sized for `terms` products (the dot-product length;
+// 1 for a bare multiply).
 func NewOEUnit(cfg Config, terms int) (*OEUnit, error) {
 	core, err := newUnit(cfg, terms, "OE", Config.OELinkBudget)
 	if err != nil {
@@ -48,14 +46,11 @@ func NewOEUnit(cfg Config, terms int) (*OEUnit, error) {
 	}, nil
 }
 
-// InjectDetuning drifts the AND filter bank off resonance (an
-// uncompensated thermal swing, see package thermal) — the
-// failure-injection hook for ring drift.
-func (u *OEUnit) InjectDetuning(detuned bool) { u.detuned = detuned }
-
 // Multiply computes neuron*synapse through the hybrid datapath: Bits()
-// cycles, each transmitting the full neuron word optically against one
-// synapse bit (LSB first) and accumulating electrically.
+// Stripes cycles, each transmitting the full neuron word optically
+// against one synapse bit (LSB first). The bit drives the double-MRR
+// AND filter, the photodiode and shift register recover the gated word
+// (O/E), and the electrical EP unit shift-adds it into the product.
 func (u *OEUnit) Multiply(neuron, synapse uint64, led *optsim.Ledger) (uint64, error) {
 	if neuron > u.mask || synapse > u.mask {
 		return 0, fmt.Errorf("omac: operand exceeds %d-bit range", u.cfg.Bits)
@@ -66,43 +61,27 @@ func (u *OEUnit) Multiply(neuron, synapse uint64, led *optsim.Ledger) (uint64, e
 		// E/O: the neuron word is fired on its wavelength.
 		sig := u.send(neuron, sigChannel, led)
 		u.cfg.laserEnergy(u.budget.LaserPowerPerWavelength, bits, led)
-		acc = u.gate(sig, sigChannel, (synapse>>uint(j))&1 == 1, j, acc, led)
+		filter := photonics.DoubleMRRFilter{Params: u.cfg.MRR, Channel: sigChannel, On: (synapse>>uint(j))&1 == 1}
+		_, cross := optsim.ANDFilter(sig, &filter, led)
+		var gated uint64
+		for t, b := range optsim.DetectOOK(cross, u.conv, led) {
+			if b == 1 && t < bits {
+				gated |= 1 << uint(t)
+			}
+		}
+		acc, _ = u.adder.Add(acc, u.shifter.ShiftLeft(gated, j), false)
+		led.Charge(optsim.CatAdd, u.accGates.Energy(u.cfg.Tech))
 		led.AddLatency(u.cfg.Tech.ClockPeriod())
 	}
 	return acc, nil
 }
 
-// gate is one Stripes cycle on a received word: the synapse bit `on`
-// drives the double-MRR AND filter on channel ch, the photodiode and
-// shift register recover the gated word (O/E), and the electrical EP
-// unit shift-adds it into acc.
-func (u *OEUnit) gate(sig *optsim.Signal, ch int, on bool, shift int, acc uint64, led *optsim.Ledger) uint64 {
-	filter := photonics.DoubleMRRFilter{Params: u.cfg.MRR, Channel: ch, On: on, Detuned: u.detuned}
-	_, cross := optsim.ANDFilter(sig, &filter, led)
-	var gated uint64
-	for t, b := range optsim.DetectOOK(cross, u.conv, led) {
-		if b == 1 && t < u.cfg.Bits {
-			gated |= 1 << uint(t)
-		}
-	}
-	acc, _ = u.adder.Add(acc, u.shifter.ShiftLeft(gated, shift), false)
-	led.Charge(optsim.CatAdd, u.accGates.Energy(u.cfg.Tech))
-	return acc
-}
-
-// sigChannel is the wavelength channel index used for single-MAC
-// functional simulations; window simulations assign one channel per lane.
+// sigChannel is the wavelength channel index the functional
+// simulations fire on.
 const sigChannel = 0
 
 // DotProduct computes the inner product of two vectors through the
 // hybrid datapath.
 func (u *OEUnit) DotProduct(neurons, synapses []uint64, led *optsim.Ledger) (uint64, error) {
 	return u.dot(u.Multiply, neurons, synapses, led)
-}
-
-// Window computes the paper's Figure 2 window (inputs[lane][element],
-// synapses[filter][lane][element]) through the hybrid datapath and
-// returns one raw accumulation per filter.
-func (u *OEUnit) Window(inputs [][]uint64, synapses [][][]uint64, led *optsim.Ledger) ([]uint64, error) {
-	return u.window(u.Multiply, inputs, synapses, led)
 }

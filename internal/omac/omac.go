@@ -16,15 +16,9 @@
 // The two designs differ only in how one product is formed, so both
 // units embed one core (configuration, link budget, transmitter, link
 // and the electrical merge adder) that owns everything else: the lane
-// loop of a dot product, the Figure 2 window and the signed
-// offset-binary correction. Each unit contributes its product step:
-// OEUnit.gate, one Stripes cycle, and OOUnit.product, one MZI-chain
-// product.
-//
-// Ensemble and OOEnsemble run the Figure 2 window at the WDM-bus level
-// (multiple-write-single-read), each on a unit of its design sized for
-// L^2 terms: the bus broadcasts every word once, and the unit's product
-// step runs on the broadcast signal.
+// loop of a dot product and the signed offset-binary correction. Each
+// unit contributes its Multiply: OEUnit's runs one Stripes cycle per
+// synapse bit, OOUnit's one MZI-chain product.
 //
 // Both units charge every energy category (mul, add, o/e, comm, laser)
 // and the path latency to an optsim.Ledger while they compute, and both
@@ -191,28 +185,6 @@ func (u *unit) dot(mul multiplier, neurons, synapses []uint64, led *optsim.Ledge
 		led.Charge(optsim.CatAdd, merge)
 	}
 	return acc, nil
-}
-
-// window computes the paper's Figure 2 window (inputs[lane][element],
-// synapses[filter][lane][element]) one lane dot product at a time
-// through mul, and returns one raw accumulation per filter.
-func (u *unit) window(mul multiplier, inputs [][]uint64, synapses [][][]uint64, led *optsim.Ledger) ([]uint64, error) {
-	out := make([]uint64, len(synapses))
-	for k, filter := range synapses {
-		if len(filter) != len(inputs) {
-			return nil, fmt.Errorf("omac: filter %d has %d lanes, inputs have %d", k, len(filter), len(inputs))
-		}
-		var acc uint64
-		for lane := range filter {
-			v, err := u.dot(mul, inputs[lane], filter[lane], led)
-			if err != nil {
-				return nil, fmt.Errorf("omac: filter %d lane %d: %w", k, lane, err)
-			}
-			acc, _ = u.adder.Add(acc, v, false)
-		}
-		out[k] = acc
-	}
-	return out, nil
 }
 
 // pathLossDB returns the optical loss stack [dB] from modulator to

@@ -44,9 +44,8 @@ func NewOOUnit(cfg Config, terms int) (*OOUnit, error) {
 		unit: core,
 		conv: conv,
 		mziOpts: optsim.MZIAccumulateOptions{
-			Params:   cfg.MZI,
-			BitRate:  cfg.BitRate,
-			Lossless: true,
+			Params:  cfg.MZI,
+			BitRate: cfg.BitRate,
 		},
 	}, nil
 }
@@ -57,33 +56,23 @@ func (u *OOUnit) InjectStageSkew(dt float64) { u.mziOpts.StageSkewError = dt }
 
 // Multiply computes neuron*synapse through the all-optical datapath in a
 // single transmission: the neuron word is fired once per synapse-bit
-// filter copy, each filter gates it with its bit, and the MZI chain
-// combines the gated trains with one-slot staggering so the product's
-// digit convolution appears at the output.
+// MRR AND stage, most-significant bit first (stage 0 accumulates the
+// most delay, hence the highest positional weight), each stage gates it
+// with its bit, the MZI chain combines the gated trains with one-slot
+// staggering so the product's digit convolution appears at the output,
+// and the amplitude ladder reads the product out.
 func (u *OOUnit) Multiply(neuron, synapse uint64, led *optsim.Ledger) (uint64, error) {
 	if neuron > u.mask || synapse > u.mask {
 		return 0, fmt.Errorf("omac: operand exceeds %d-bit range", u.cfg.Bits)
 	}
 	bits := u.cfg.Bits
 	u.cfg.laserEnergy(u.budget.LaserPowerPerWavelength, bits*bits, led)
-	fire := func() *optsim.Signal { return u.send(neuron, sigChannel, led) }
-	return u.product(fire, sigChannel, synapse, led)
-}
-
-// product forms one product optically: one MRR AND stage per synapse
-// bit, most-significant first (stage 0 accumulates the most delay,
-// hence the highest positional weight), each gating the neuron train
-// stage returns on channel ch; the MZI chain combines the stages and
-// the amplitude ladder reads the product out.
-func (u *OOUnit) product(stage func() *optsim.Signal, ch int, synapse uint64, led *optsim.Ledger) (uint64, error) {
-	bits := u.cfg.Bits
 	inputs := make([]*optsim.Signal, bits)
 	for k := range inputs {
-		filter := photonics.DoubleMRRFilter{Params: u.cfg.MRR, Channel: ch, On: (synapse>>uint(bits-1-k))&1 == 1}
-		_, cross := optsim.ANDFilter(stage(), &filter, led)
+		filter := photonics.DoubleMRRFilter{Params: u.cfg.MRR, Channel: sigChannel, On: (synapse>>uint(bits-1-k))&1 == 1}
+		_, cross := optsim.ANDFilter(u.send(neuron, sigChannel, led), &filter, led)
 		// Functional idealization: normalize the surviving pulses to
-		// unit field so coherent sums land on the ladder's rungs; the
-		// lossy reality is exercised by the failure-injection tests.
+		// unit field so coherent sums land on the ladder's rungs.
 		inputs[k] = normalizePulses(cross, u.conv.UnitPower)
 	}
 	out, err := optsim.MZIAccumulate(inputs, u.mziOpts, led)
@@ -123,10 +112,4 @@ func normalizePulses(s *optsim.Signal, unitPower float64) *optsim.Signal {
 // wavelengths is the one electrical step the OO design keeps.
 func (u *OOUnit) DotProduct(neurons, synapses []uint64, led *optsim.Ledger) (uint64, error) {
 	return u.dot(u.Multiply, neurons, synapses, led)
-}
-
-// Window computes the Figure 2 window through the all-optical datapath;
-// see OEUnit.Window for the indexing convention.
-func (u *OOUnit) Window(inputs [][]uint64, synapses [][][]uint64, led *optsim.Ledger) ([]uint64, error) {
-	return u.window(u.Multiply, inputs, synapses, led)
 }

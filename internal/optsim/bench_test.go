@@ -46,7 +46,7 @@ func BenchmarkCircuitOOChain(b *testing.B) {
 			if err := c.Connect(accNode, 0, dly, 0); err != nil {
 				b.Fatal(err)
 			}
-			mzi := c.Add(&CombinerNode{Label: "acc", Params: params, Lossless: true})
+			mzi := c.Add(&CombinerNode{Label: "acc", Params: params})
 			if err := c.Connect(dly, 0, mzi, 0); err != nil {
 				b.Fatal(err)
 			}

@@ -132,7 +132,7 @@ func TestCircuitOOChainMatchesDirectComposition(t *testing.T) {
 		if err := c.Connect(accNode, accPort, dly, 0); err != nil {
 			t.Fatal(err)
 		}
-		mzi := c.Add(&CombinerNode{Label: "acc", Params: params, Lossless: true})
+		mzi := c.Add(&CombinerNode{Label: "acc", Params: params})
 		if err := c.Connect(dly, 0, mzi, 0); err != nil {
 			t.Fatal(err)
 		}
@@ -171,42 +171,27 @@ func TestCircuitOOChainMatchesDirectComposition(t *testing.T) {
 	}
 }
 
+// TestCombinerNodeSkewPropagates runs a combiner whose inputs are
+// misaligned by less and by more than its quarter-slot (25 ps)
+// tolerance: the first combines, the second errors through the circuit.
 func TestCombinerNodeSkewPropagates(t *testing.T) {
-	c := NewCircuit()
-	a := c.Add(&SourceNode{Label: "a", Signal: NewOOK([]int{1}, launch, slot, 0)})
-	skewed := NewOOK([]int{1}, launch, slot, 0).AddSkew(40 * phy.Picosecond)
-	b := c.Add(&SourceNode{Label: "b", Signal: skewed})
-	m := c.Add(&CombinerNode{Label: "m", Params: photonics.DefaultMZIParams(), Tolerance: 25 * phy.Picosecond})
-	if err := c.Connect(a, 0, m, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Connect(b, 0, m, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Run(NewLedger()); err == nil {
-		t.Error("skewed combiner inputs must error through the circuit")
-	}
-}
-
-func TestCombinerNodeLossApplied(t *testing.T) {
-	c := NewCircuit()
-	a := c.Add(&SourceNode{Label: "a", Signal: NewOOK([]int{1}, launch, slot, 0)})
-	b := c.Add(&SourceNode{Label: "b", Signal: NewDark(1, slot, 0)})
-	params := photonics.DefaultMZIParams()
-	params.InsertionLossDB = 3.0102999566
-	m := c.Add(&CombinerNode{Label: "m", Params: params})
-	if err := c.Connect(a, 0, m, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Connect(b, 0, m, 1); err != nil {
-		t.Fatal(err)
-	}
-	out, err := c.Run(NewLedger())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := out[m][0].Power(0)
-	if d := got - launch/2; d > 1e-9*launch || d < -1e-9*launch {
-		t.Errorf("lossy combiner output = %v, want %v", got, launch/2)
+	for _, c := range []struct {
+		skew    float64
+		wantErr bool
+	}{{20 * phy.Picosecond, false}, {40 * phy.Picosecond, true}} {
+		circ := NewCircuit()
+		a := circ.Add(&SourceNode{Label: "a", Signal: NewOOK([]int{1}, launch, slot, 0)})
+		skewed := NewOOK([]int{1}, launch, slot, 0).AddSkew(c.skew)
+		b := circ.Add(&SourceNode{Label: "b", Signal: skewed})
+		m := circ.Add(&CombinerNode{Label: "m", Params: photonics.DefaultMZIParams()})
+		if err := circ.Connect(a, 0, m, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := circ.Connect(b, 0, m, 1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := circ.Run(NewLedger()); (err != nil) != c.wantErr {
+			t.Errorf("skew %g s: err = %v, want error %v", c.skew, err, c.wantErr)
+		}
 	}
 }

@@ -137,21 +137,9 @@ type MZIAccumulateOptions struct {
 	// BitRate is the optical line rate [Hz] the inter-stage paths are
 	// cut for.
 	BitRate float64
-	// SkewTolerance is the maximum sub-slot misalignment the combiner
-	// accepts [s]; defaults to a quarter bit period when zero.
-	SkewTolerance float64
 	// StageSkewError injects a per-stage timing fault [s] (mis-cut
 	// inter-stage waveguide) for failure testing.
 	StageSkewError float64
-	// Lossless disables insertion loss, the idealization used by the
-	// functional-correctness path; the cost model keeps the loss in its
-	// link budget regardless.
-	Lossless bool
-	// Amplifier, when non-nil, inserts a gain stage after every MZI
-	// that cancels the stage's insertion loss (an SOA matched to the
-	// loss), keeping the amplitude levels readable through deep lossy
-	// chains. Its pump energy is charged to CatAdd.
-	Amplifier *photonics.SOA
 }
 
 // MZIAccumulate implements the OO design's per-wavelength cascaded-MZI
@@ -161,8 +149,12 @@ type MZIAccumulateOptions struct {
 // slots, so slot t of the output carries the coherent sum of all bits of
 // positional weight 2^t — the digit convolution of the product.
 //
-// Per-stage MZI actuation energy is charged to CatAdd; the chain's
-// propagation delay (paper Eq. 10) is added to the ledger's latency.
+// The chain is the paper's lossless idealization: a stage passes its
+// sum on unattenuated, and the link budget pays the insertion loss
+// instead. Each combiner accepts a quarter bit period of sub-slot
+// misalignment. Per-stage MZI actuation energy is charged to CatAdd;
+// the chain's propagation delay (paper Eq. 10) is added to the ledger's
+// latency.
 func MZIAccumulate(inputs []*Signal, opt MZIAccumulateOptions, led *Ledger) (*Signal, error) {
 	if len(inputs) == 0 {
 		return nil, fmt.Errorf("optsim: MZIAccumulate needs at least one input")
@@ -170,52 +162,31 @@ func MZIAccumulate(inputs []*Signal, opt MZIAccumulateOptions, led *Ledger) (*Si
 	if opt.BitRate <= 0 {
 		return nil, fmt.Errorf("optsim: MZIAccumulate needs a positive bit rate")
 	}
-	tol := opt.SkewTolerance
-	if tol == 0 {
-		tol = inputs[0].Period / 4
-	}
 	if _, err := opt.Params.InterStagePath(opt.BitRate); err != nil {
 		return nil, err
 	}
 
-	loss := complex(photonics.FieldLoss(opt.Params.InsertionLossDB), 0)
-	if opt.Lossless {
-		loss = 1
-	}
-	var gain complex128 = 1
-	if opt.Amplifier != nil && !opt.Lossless {
-		soa, err := opt.Amplifier.MatchLoss(opt.Params.InsertionLossDB)
-		if err != nil {
-			return nil, fmt.Errorf("optsim: loss compensation: %w", err)
-		}
-		gain = complex(soa.FieldGain(), 0)
-	}
-
+	tol := skewTolerance(inputs[0])
 	acc := inputs[0].Clone()
-	slots := acc.Slots()
 	for k := 1; k < len(inputs); k++ {
-		in := inputs[k]
-		if in.Slots() > slots {
-			slots = in.Slots()
-		}
 		// The running sum is delayed one bit period by the matched
 		// inter-stage path; a mis-cut path shows up as skew.
 		delayed := acc.DelaySlots(1).AddSkew(opt.StageSkewError)
-		combined, err := Combine(delayed, in, tol)
-		if err != nil {
+		var err error
+		if acc, err = Combine(delayed, inputs[k], tol); err != nil {
 			return nil, fmt.Errorf("optsim: MZI stage %d: %w", k, err)
 		}
-		acc = combined.Scale(loss).Scale(gain)
-		led.Charge(CatAdd, opt.Params.ModulationEnergyPerBit*float64(combined.Slots()))
-		if opt.Amplifier != nil && !opt.Lossless {
-			led.Charge(CatAdd, opt.Amplifier.Energy(float64(combined.Slots())*acc.Period))
-		}
+		led.Charge(CatAdd, opt.Params.ModulationEnergyPerBit*float64(acc.Slots()))
 	}
 	if d, err := opt.Params.AccumulationDelay(len(inputs), opt.BitRate); err == nil {
 		led.AddLatency(d)
 	}
 	return acc, nil
 }
+
+// skewTolerance is the sub-slot misalignment [s] an MZI combiner
+// accepts: a quarter of the signal's bit period.
+func skewTolerance(s *Signal) float64 { return s.Period / 4 }
 
 // DetectOOK converts a pulse train to bits through the simple
 // photodiode + shift-register converter, charging CatOE.

@@ -69,15 +69,12 @@ func (d *DelayNode) Eval(in []*Signal, _ *Ledger) ([]*Signal, error) {
 
 // CombinerNode coherently combines two inputs into one output (a tuned
 // MZI coupler steering all power to one port), charging per-slot MZI
-// energy.
+// energy. Like a stage of MZIAccumulate it is lossless and accepts a
+// quarter slot of input skew.
 type CombinerNode struct {
 	Label string
-	// Params prices the stage; Tolerance bounds input skew (zero means
-	// a quarter slot).
-	Params    photonics.MZIParams
-	Tolerance float64
-	// Lossless applies the functional idealization.
-	Lossless bool
+	// Params prices the stage.
+	Params photonics.MZIParams
 }
 
 // Name implements Node.
@@ -88,16 +85,9 @@ func (m *CombinerNode) Ports() (int, int) { return 2, 1 }
 
 // Eval implements Node.
 func (m *CombinerNode) Eval(in []*Signal, led *Ledger) ([]*Signal, error) {
-	tol := m.Tolerance
-	if tol == 0 {
-		tol = in[0].Period / 4
-	}
-	out, err := Combine(in[0], in[1], tol)
+	out, err := Combine(in[0], in[1], skewTolerance(in[0]))
 	if err != nil {
 		return nil, err
-	}
-	if !m.Lossless {
-		out.Scale(complex(photonics.FieldLoss(m.Params.InsertionLossDB), 0))
 	}
 	led.Charge(CatAdd, m.Params.ModulationEnergyPerBit*float64(out.Slots()))
 	return []*Signal{out}, nil

@@ -129,17 +129,6 @@ func (s *Signal) AddSkew(dt float64) *Signal {
 	return out
 }
 
-// PadTo returns a copy extended with dark slots to at least n slots.
-func (s *Signal) PadTo(n int) *Signal {
-	if n <= len(s.Amps) {
-		return s.Clone()
-	}
-	out := s.Clone()
-	pad := make([]complex128, n-len(s.Amps))
-	out.Amps = append(out.Amps, pad...)
-	return out
-}
-
 // SkewError describes two signals whose sub-slot misalignment exceeds the
 // combiner tolerance — pulses would smear across slot boundaries instead
 // of adding.
@@ -185,19 +174,4 @@ func Combine(a, b *Signal, tol float64) (*Signal, error) {
 		out.Amps[i] = va + vb
 	}
 	return out, nil
-}
-
-// Bus is a WDM bundle: one Signal per wavelength channel sharing a
-// waveguide.
-type Bus []*Signal
-
-// Clone deep-copies the bus.
-func (b Bus) Clone() Bus {
-	out := make(Bus, len(b))
-	for i, s := range b {
-		if s != nil {
-			out[i] = s.Clone()
-		}
-	}
-	return out
 }

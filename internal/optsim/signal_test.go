@@ -55,18 +55,11 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestScaleAndPad(t *testing.T) {
+func TestScale(t *testing.T) {
 	s := NewOOK([]int{1}, 4e-3, slot, 0)
 	s.Scale(complex(0.5, 0))
 	if math.Abs(s.Power(0)-1e-3) > 1e-15 {
 		t.Errorf("scaled power = %v, want 1e-3 (field halves, power quarters)", s.Power(0))
-	}
-	p := s.PadTo(5)
-	if p.Slots() != 5 || p.Power(4) != 0 {
-		t.Error("PadTo should extend with dark slots")
-	}
-	if q := p.PadTo(2); q.Slots() != 5 {
-		t.Error("PadTo smaller than current length should be a no-op copy")
 	}
 }
 

@@ -89,10 +89,6 @@ type DoubleMRRFilter struct {
 	Channel int
 	// On is the actuation state (the synapse bit).
 	On bool
-	// Detuned injects a thermal-drift fault: a detuned ring neither
-	// couples its channel cleanly nor passes it cleanly. Used by the
-	// failure-injection tests.
-	Detuned bool
 }
 
 // NewDoubleMRRFilter returns a filter tuned to the given channel with
@@ -104,54 +100,22 @@ func NewDoubleMRRFilter(channel int) *DoubleMRRFilter {
 // CrossField returns the field amplitude factor from input I0 to output
 // O1 (the AND output) for a signal on the given channel.
 func (f *DoubleMRRFilter) CrossField(channel int) float64 {
-	if channel != f.Channel {
-		// Other wavelengths never resonate; only leakage crosses.
-		return FieldLoss(f.Params.ExtinctionDB)
-	}
-	switch {
-	case f.Detuned:
-		// A drifted ring couples a fraction of the power: model as
-		// 3 dB worse than the nominal drop path, which corrupts
-		// amplitude-coded values downstream.
-		return FieldLoss(f.Params.DropLossDB + 3)
-	case f.On:
+	if channel == f.Channel && f.On {
 		return FieldLoss(f.Params.DropLossDB)
-	default:
-		return FieldLoss(f.Params.ExtinctionDB)
 	}
+	// Other wavelengths never resonate, and an idle filter drops
+	// nothing: only leakage crosses.
+	return FieldLoss(f.Params.ExtinctionDB)
 }
 
 // BarField returns the field amplitude factor from input I0 to output O0
 // (the continue-on path) for a signal on the given channel.
 func (f *DoubleMRRFilter) BarField(channel int) float64 {
-	if channel != f.Channel {
-		return FieldLoss(2 * f.Params.ThroughLossDB) // passes both rings
-	}
-	switch {
-	case f.Detuned:
-		return FieldLoss(2*f.Params.ThroughLossDB + 3)
-	case f.On:
+	if channel == f.Channel && f.On {
 		// Resonant light has been dropped; only extinction remains.
 		return FieldLoss(f.Params.ExtinctionDB)
-	default:
-		return FieldLoss(2 * f.Params.ThroughLossDB)
 	}
-}
-
-// AND computes the logical AND the filter implements for its resonant
-// channel: output power at O1 is (input power) x (cross transmission)^2.
-// The boolean result applies standard OOK slicing: the decision
-// threshold is half the nominal "one" level (the input power through the
-// drop path), clamped below by the photodetector sensitivity.
-func (f *DoubleMRRFilter) AND(inputPower float64, pd Photodetector) bool {
-	field := f.CrossField(f.Channel)
-	outPower := inputPower * field * field
-	drop := FieldLoss(f.Params.DropLossDB)
-	threshold := inputPower * drop * drop / 2
-	if threshold < pd.Sensitivity {
-		threshold = pd.Sensitivity
-	}
-	return outPower >= threshold
+	return FieldLoss(2 * f.Params.ThroughLossDB) // passes both rings
 }
 
 // EnergyPerCycle returns the dynamic energy charged to this filter for
