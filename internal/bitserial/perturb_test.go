@@ -262,3 +262,45 @@ func TestPerturbedDotProductMatchesApply(t *testing.T) {
 		}
 	}
 }
+
+// TestFlipCorrect pins correct to masks: for every rate (1e-300 with an
+// early flip exercises the maxGap clamp), product width and length, a
+// clean sum corrected flip by flip must equal the sum of the masked
+// products, and the stream must end in the state masks leaves.
+func TestFlipCorrect(t *testing.T) {
+	cases := rand.New(rand.NewSource(17))
+	for _, p := range []float64{1e-300, 1e-4, 0.05, 0.5, 1} {
+		for trial := 0; trial < 40; trial++ {
+			seed := cases.Int63()
+			got := newFlipStream(p, wordSource{rng: rand.New(rand.NewSource(seed))})
+			ref := newFlipStream(p, wordSource{rng: rand.New(rand.NewSource(seed))})
+			if trial%2 == 0 {
+				c := uint64(cases.Intn(200))
+				got.countdown, ref.countdown = c, c
+			}
+			for call := 0; call < 8; call++ {
+				bits := 1 + cases.Intn(24)
+				w, accMask := uint64(2*bits), uint64(1)<<(2*bits+10)-1
+				n := cases.Intn(300)
+				ns, ss := make([]uint64, n), make([]uint64, n)
+				var clean uint64
+				for i := range ns {
+					ns[i], ss[i] = cases.Uint64()>>(64-bits), cases.Uint64()>>(64-bits)
+					clean += ns[i] * ss[i]
+				}
+				m := make([]uint64, n)
+				ref.masks(m, w)
+				var want uint64
+				for i := range ns {
+					want += ns[i]*ss[i] ^ m[i]
+				}
+				if v := got.correct(clean, ns, ss, w, accMask); v != want&accMask {
+					t.Fatalf("p=%g call %d: corrected %d, want %d", p, call, v, want&accMask)
+				}
+				if g, r := stateOf(got), stateOf(ref); g != r {
+					t.Fatalf("p=%g call %d width %d len %d: state %+v, want %+v", p, call, w, n, g, r)
+				}
+			}
+		}
+	}
+}

@@ -133,8 +133,9 @@ func (c Counts) Plus(o Counts) Counts {
 	}
 }
 
-// Counts returns the layer's operation counts under the given mode.
-func (l Layer) Counts(mode CountMode) Counts {
+// Counts returns the layer's operation counts under the given mode. It
+// takes a pointer, so pricing a layer does not copy it.
+func (l *Layer) Counts(mode CountMode) Counts {
 	switch l.Type {
 	case Conv:
 		e := float64(l.OutputSize())
@@ -181,8 +182,8 @@ func (n Network) Validate() error {
 // TotalCounts sums the operation counts across all layers.
 func (n Network) TotalCounts(mode CountMode) Counts {
 	var total Counts
-	for _, l := range n.Layers {
-		total = total.Plus(l.Counts(mode))
+	for i := range n.Layers {
+		total = total.Plus(n.Layers[i].Counts(mode))
 	}
 	return total
 }

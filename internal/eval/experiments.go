@@ -27,7 +27,9 @@ var (
 func Table1() (*report.Table, error) {
 	t := report.New("Table I: VGG16 computations [millions]",
 		"Layer", "MVM", "Mul", "Add", "Act", "Input Shape")
-	for _, l := range cnn.VGG16().Layers {
+	layers := cnn.VGG16().Layers
+	for i := range layers {
+		l := &layers[i]
 		c := l.Counts(cnn.ModePaper)
 		mvm := report.Sci(c.MVM / 1e6)
 		if l.Type == cnn.FC {

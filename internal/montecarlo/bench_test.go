@@ -2,6 +2,7 @@ package montecarlo
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -10,10 +11,11 @@ import (
 )
 
 // BenchmarkPerturbedInference times one perturbed LeNet-OO trial
-// inference, cycling through every perturbed trial of root seeds 1–40
-// on the σ axis {0.5, 1, 2} with 8 trials each — the trial mix the
-// perfbench mc-yield workload serves. Trials whose rates are zero run
-// no inference and are left out. It reports the flip density per
+// inference per σ of the perfbench mc-yield axis {0.5, 1, 2}, cycling
+// through every perturbed trial of root seeds 1–40 with 8 trials each,
+// on the path a trial runs (the batched engine's clean values walked
+// through the trial's engine). Trials whose rates are zero run no
+// inference and are left out. It reports the flip density per
 // inference alongside the time.
 func BenchmarkPerturbedInference(b *testing.B) {
 	net, err := BuildNetwork("lenet")
@@ -22,15 +24,19 @@ func BenchmarkPerturbedInference(b *testing.B) {
 	}
 	spec := Spec{Model: net.Model, Input: net.Input, Design: arch.OO,
 		Bits: net.Bits, Terms: net.Terms, Variation: DefaultVariationModel()}
+	clean, err := bitserial.NewBatchedStripes(spec.Bits, spec.Terms)
+	if err != nil {
+		b.Fatal(err)
+	}
 	type job struct {
 		seed  int64
 		trial int
 		rates bitserial.FlipRates
 	}
-	var jobs []job
-	for seed := int64(1); seed <= 40; seed++ {
-		for _, sigma := range []float64{0.5, 1, 2} {
-			model := spec.Variation.Scale(sigma)
+	for _, sigma := range []float64{0.5, 1, 2} {
+		model := spec.Variation.Scale(sigma)
+		var jobs []job
+		for seed := int64(1); seed <= 40; seed++ {
 			for trial := 0; trial < 8; trial++ {
 				pert := model.Sample(rand.New(rand.NewSource(trialSeed(seed, trial, streamPerturb))))
 				rates, err := model.Rates(pert, spec.Design)
@@ -42,22 +48,23 @@ func BenchmarkPerturbedInference(b *testing.B) {
 				}
 			}
 		}
+		b.Run(fmt.Sprintf("sigma=%g", sigma), func(b *testing.B) {
+			var flips, exposed int64
+			for i := 0; i < b.N; i++ {
+				j := jobs[i%len(jobs)]
+				spec.Seed = j.seed
+				eng, err := newTrialEngine(spec, j.rates, j.trial)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := infer(context.Background(), spec, trialDotter{clean, eng}, 1); err != nil {
+					b.Fatal(err)
+				}
+				flips += eng.InjectedFlips()
+				exposed += eng.BitsExposed()
+			}
+			b.ReportMetric(float64(flips)/float64(b.N), "flips/op")
+			b.ReportMetric(float64(flips)/float64(exposed), "BER")
+		})
 	}
-	var flips, exposed int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j := jobs[i%len(jobs)]
-		spec.Seed = j.seed
-		eng, err := newTrialEngine(spec, j.rates, j.trial)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := infer(context.Background(), spec, stripesDotter{eng}, 1); err != nil {
-			b.Fatal(err)
-		}
-		flips += eng.InjectedFlips()
-		exposed += eng.BitsExposed()
-	}
-	b.ReportMetric(float64(flips)/float64(b.N), "flips/op")
-	b.ReportMetric(float64(flips)/float64(exposed), "BER")
 }

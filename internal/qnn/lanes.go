@@ -54,6 +54,8 @@ type convLanes struct {
 	offs   []int    // element i's offset in the padded image from its window's corner
 	bases  []int    // per group: each lane's window corner
 	lo, hi []int    // per group: each lane pair's two corners
+	held   []uint64 // a walk's lowered windows, one output row of them
+	heldAt []int    // per slot of held: the window it holds, or -1
 	pad    int
 	rowLen int // elements per (padded) image row
 	step   int // corner distance of neighbouring windows in a row: stride*C
@@ -86,6 +88,42 @@ func (s *convLanes) load(in *tensor.Tensor, r, stride, pad, ew, rows int, mask u
 	}
 	s.step, s.stride, s.ew, s.rows = stride*c, stride, ew, rows
 	return true
+}
+
+// hold readies window for a walk over the loaded image, with no
+// window held yet.
+func (s *convLanes) hold() {
+	n := len(s.offs)
+	if cap(s.held) < s.ew*n {
+		s.held = make([]uint64, s.ew*n)
+	}
+	if cap(s.heldAt) < s.ew {
+		s.heldAt = make([]int, s.ew)
+	}
+	s.held, s.heldAt = s.held[:s.ew*n], s.heldAt[:s.ew]
+	for i := range s.heldAt {
+		s.heldAt[i] = -1
+	}
+}
+
+// window returns window w's elements, as the lowering lays them out,
+// read out of the padded image on first demand. It holds one output
+// row of windows, so while a walk is in w's row, w is lowered once
+// however many filters' calls on it are dirty.
+func (s *convLanes) window(w int) []uint64 {
+	n := len(s.offs)
+	slot := w % s.ew
+	dst := s.held[slot*n : (slot+1)*n]
+	if s.heldAt[slot] != w {
+		s.pairTable()
+		var corner [1]int
+		s.corners(corner[:], w)
+		for i, o := range s.offs {
+			dst[i] = uint64(s.slots[corner[0]+o])
+		}
+		s.heldAt[slot] = w
+	}
+	return dst
 }
 
 // release drops s's hold on the image it was loaded with.

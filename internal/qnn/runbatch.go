@@ -202,8 +202,8 @@ var errNoDotter = errors.New("qnn: MAC layer has no Dotter")
 // dotMulti evaluates every filter against every window into
 // outs[f][w], through the engine's multi-filter entry point when it has
 // one. Otherwise it issues one DotProduct per (window, filter) pair in
-// datapath order: windows in rows of rowLen, every filter swept across
-// a row before the next row starts. Conv passes its output-row width in
+// callOrder: windows in rows of rowLen, every filter swept across a
+// row before the next row starts. Conv passes its output-row width in
 // both plans, so a stateful engine (a fault injector consuming its flip
 // stream call by call) sees one call sequence from the fused and the
 // unfused plan.
@@ -219,19 +219,14 @@ func dotMulti(d Dotter, windows, filters, outs [][]uint64, rowLen int) error {
 			return fmt.Errorf("qnn: out length %d != %d windows", len(outs[f]), len(windows))
 		}
 	}
-	for lo := 0; lo < len(windows); lo += rowLen {
-		hi := min(lo+rowLen, len(windows))
-		for f, weights := range filters {
-			for w := lo; w < hi; w++ {
-				v, err := d.DotProduct(windows[w], weights)
-				if err != nil {
-					return err
-				}
-				outs[f][w] = v
-			}
+	return callOrder(len(windows), len(filters), rowLen, func(f, w int) error {
+		v, err := d.DotProduct(windows[w], filters[f])
+		if err != nil {
+			return err
 		}
-	}
-	return nil
+		outs[f][w] = v
+		return nil
+	})
 }
 
 // packFilters converts a layer's weight matrix to engine operands,
@@ -391,6 +386,7 @@ func (c *Conv) applyBatchFused(ctx context.Context, run *batchRun, d Dotter, wor
 		outs[b] = run.arena.Get(outH, outW, k.M)
 	}
 	ld, _ := d.(LaneDotter)
+	fw, _ := d.(FlipWalker)
 	var mask uint64
 	var pf *bitserial.Filters
 	var pfErr error
@@ -410,6 +406,12 @@ func (c *Conv) applyBatchFused(ctx context.Context, run *batchRun, d Dotter, wor
 			outRows := growRows(&sc.out, &sc.outHdrs, k.M, eh*ew)
 			if _, err := ld.LaneBatch(&sc.lanes, pf, outRows); err != nil {
 				return fmt.Errorf("input %d: %w", b, err)
+			}
+			if fw != nil {
+				sc.lanes.hold()
+				if err := walk(fw, eh*ew, sc.lanes.window, filters, outRows, false, ew); err != nil {
+					return fmt.Errorf("input %d: %w", b, err)
+				}
 			}
 			fuseConvEpilogue(outs[b], outRows, ew, rq, pool)
 			return nil
@@ -550,6 +552,12 @@ func (f *FullyConnected) laneFC(ctx context.Context, run *batchRun, ld LaneDotte
 	}
 	if err != nil {
 		return true, err
+	}
+	if fw, ok := ld.(FlipWalker); ok {
+		window := func(w int) []uint64 { return windows[w] }
+		if err := walk(fw, len(windows), window, filters, outs, true, len(windows)); err != nil {
+			return true, err
+		}
 	}
 	f.store(run, outs, true, rq)
 	return true, nil

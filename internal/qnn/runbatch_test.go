@@ -105,13 +105,53 @@ func (r recordingDotter) DotProduct(a, b []uint64) (uint64, error) {
 	return ReferenceDotter{}.DotProduct(a, b)
 }
 
+// recordingWalker is a FlipWalker over the batched engine that logs
+// the operands of every call it walks and counts walked clean values
+// that differ from the reference dot product. Its operands always fit
+// the lanes, so a per-call DotProduct is an error.
+type recordingWalker struct {
+	LaneDotter
+	calls *[][2][]uint64
+	wrong *int
+}
+
+func (r recordingWalker) DotProduct(a, b []uint64) (uint64, error) {
+	return 0, fmt.Errorf("per-call DotProduct on a walk")
+}
+
+func (r recordingWalker) DotFromClean(window func() []uint64, weights []uint64, clean uint64) (uint64, error) {
+	v, err := recordingDotter{r.calls}.DotProduct(window(), weights)
+	if v != clean {
+		*r.wrong++
+	}
+	return v, err
+}
+
 // TestRunBatchCallOrder is the contract that lets a stateful engine (a
 // fault injector consuming its flip stream call by call) run on the
 // fused plan: RunBatch over a batch of one on one worker must issue the
-// identical (a, b) DotProduct sequence as the serial RunContext chain.
-// It covers the padded demo LeNet and a strided, padded conv whose
-// output rows are not square.
+// identical (a, b) DotProduct sequence as the serial RunContext chain,
+// and a FlipWalker must be walked through that sequence with the
+// right clean values. It pins callOrder, the order both iterate, on a
+// ragged last row, and covers the padded demo LeNet and a strided,
+// padded conv whose output rows are not square.
 func TestRunBatchCallOrder(t *testing.T) {
+	var order [][2]int
+	if err := callOrder(5, 2, 2, func(f, w int) error {
+		order = append(order, [2]int{f, w})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := [][2]int{{0, 0}, {0, 1}, {1, 0}, {1, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {0, 4}, {1, 4}}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("callOrder(5 windows, 2 filters, rows of 2) = %v, want %v", order, want)
+	}
+	be, err := bitserial.NewBatchedStripes(DemoLeNetBits, DemoLeNetTerms)
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	rng := rand.New(rand.NewSource(41))
 	lenet, lenetIn := DemoLeNet(rng)
 	k := tensor.NewKernel(3, 3, 2)
@@ -150,6 +190,17 @@ func TestRunBatchCallOrder(t *testing.T) {
 			if !reflect.DeepEqual(fused[i], serial[i]) {
 				t.Fatalf("%s: call %d differs:\nRunBatch   %v\nRunContext %v", tc.m.Label, i, fused[i], serial[i])
 			}
+		}
+		var walked [][2][]uint64
+		var wrong int
+		if _, err := tc.m.RunBatch(context.Background(), []*tensor.Tensor{tc.in}, recordingWalker{be, &walked, &wrong}, RunOptions{Workers: 1}); err != nil {
+			t.Fatalf("%s: RunBatch on a FlipWalker: %v", tc.m.Label, err)
+		}
+		if !reflect.DeepEqual(walked, serial) {
+			t.Fatalf("%s: the walk's %d calls differ from RunContext's %d", tc.m.Label, len(walked), len(serial))
+		}
+		if wrong != 0 {
+			t.Fatalf("%s: %d walked clean values differ from the reference", tc.m.Label, wrong)
 		}
 	}
 }
