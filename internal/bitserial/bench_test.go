@@ -175,6 +175,52 @@ func BenchmarkPerturbedDotProduct(b *testing.B) {
 	}
 }
 
+// BenchmarkDotFromClean times a walked call whose accumulator is
+// flip-free on its two paths for product-bit flips, correcting the
+// clean value flip by flip (correct) and running DotProduct's masks
+// and merge (merge), over a sweep of expected multiply flips per
+// product word. The call is LeNet's widest conv window (150 terms,
+// 4-bit operands); the crossover of the two paths is what
+// sparseFlipsPerWord should sit at.
+func BenchmarkDotFromClean(b *testing.B) {
+	const n, bits = 150, 4
+	fast, err := NewFastEngine(bits, n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ns := make([]uint64, n)
+	ss := make([]uint64, n)
+	for i := range ns {
+		ns[i] = uint64(i*7) & 15
+		ss[i] = uint64(i*13) & 15
+	}
+	clean, _, err := fast.DotProduct(ns, ss)
+	if err != nil {
+		b.Fatal(err)
+	}
+	window := func() []uint64 { return ns }
+	for _, perWord := range []float64{0.03, 0.1, 0.25, 0.35, 0.5, 0.7, 1, 2} {
+		for _, sparse := range []bool{true, false} {
+			path := map[bool]string{true: "correct", false: "merge"}[sparse]
+			b.Run(fmt.Sprintf("flips/word=%g/%s", perWord, path), func(b *testing.B) {
+				e, err := NewPerturbedEngine(bits, n, FlipRates{Mul: perWord / (2 * bits)},
+					rand.New(rand.NewSource(1)), rand.New(rand.NewSource(2)))
+				if err != nil {
+					b.Fatal(err)
+				}
+				e.sparseMul = sparse
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := e.DotFromClean(window, ss, clean); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(e.InjectedFlips())/float64(b.N), "flips/op")
+			})
+		}
+	}
+}
+
 // BenchmarkFlipStreamRefill is the cost of drawing one geometric flip
 // gap at the sparse and dense ends of a Monte-Carlo trial's rates, from
 // the per-draw (rand) and seeded source forms, with the vector gap
